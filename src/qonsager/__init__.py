@@ -10,10 +10,6 @@ Subpackage map:
 * onsager   — rank-one coideal family generation and certification
 * spectra   — spectral factorization, Drinfeld data, coproduct checks
 * ranka     — higher-rank (type A) families, braid words, degree checks
-* cli       — batch driver emitting machine-readable reports
-
-The integer-polynomial core is compiled (Cython) when available; set
-QONSAGER_PURE=1 to force the pure-Python kernel.
 """
 
 from ._kernel import KERNEL_NAME

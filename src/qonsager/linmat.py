@@ -255,11 +255,9 @@ class Matrix:
             [[complex(a) for a in r] for r in self.rows], dtype=complex
         )
 
-    def map_entries(self, fn, field=None):
-        return Matrix(
-            [[fn(a) for a in r] for r in self.rows],
-            field if field is not None else self.field,
-        )
+    def map_entries(self, fn, field):
+        """The matrix of fn(entry) over ``field``, the field fn maps into."""
+        return Matrix([[fn(a) for a in r] for r in self.rows], field)
 
     def __repr__(self):
         if self.n <= 6 and self.m <= 6:

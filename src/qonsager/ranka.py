@@ -69,9 +69,11 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .linmat import Grading, Matrix, degree_components, qbracket
-from .loopsl2 import EvalParams, build_evaluation
+from .loopsl2 import EvalParams, _meq, _same_field, build_evaluation
+from .onsager import (OnsagerParams, _as_scalar, _rf_num_eq, generate_family,
+                      onedim_closed_form)
 from .report import CheckReport
-from .scalars import ExactField, ONE, Q, Scalar, parse_scalar, qbinom, qint, specialize
+from .scalars import ExactField, ONE, Q, Scalar, qbinom, qint, specialize
 from .series import FPoly, TruncSeries, h_from_theta, pade_reconstruct
 
 __all__ = [
@@ -100,26 +102,6 @@ __all__ = [
 ]
 
 _EXACT = ExactField()
-
-
-def _meq(A: Matrix, B: Matrix, field):
-    """(equal?, witness string for the first offending entry)."""
-    D = A - B
-    scale = max(A.max_abs(), B.max_abs(), 1.0) if not field.exact else 1.0
-    for i, j, d in D.nonzero_entries():
-        if not field.is_zero(d, scale=scale):
-            return False, f"entry ({i},{j}): difference {d}"
-    return True, None
-
-
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, str):
-        return parse_scalar(x)
-    if isinstance(x, int):
-        return Scalar(x)
-    raise DomainError(f"cannot read {x!r} as an exact scalar")
 
 
 # -- the diagram ------------------------------------------------------------------
@@ -314,7 +296,7 @@ class AffineModule:
         if self.typ != other.typ:
             raise DomainError("tensor factors over different diagrams")
         f = self.field
-        if type(f) is not type(other.field):
+        if not _same_field(f, other.field):
             raise DomainError("tensor factors over different fields")
         M = AffineModule(self.typ, f)
         M.dim = self.dim * other.dim
@@ -435,10 +417,10 @@ def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> Affi
     M = AffineModule(typ, f)
     M.dim = dim
     for j in typ.nodes:
-        M.E[j] = E[j].map_entries(f.from_scalar)
-        M.F[j] = F[j].map_entries(f.from_scalar)
-        M.Kc[j] = K[j].map_entries(f.from_scalar)
-        M.Kcinv[j] = K[j].inverse().map_entries(f.from_scalar)
+        M.E[j] = E[j].map_entries(f.from_scalar, f)
+        M.F[j] = F[j].map_entries(f.from_scalar, f)
+        M.Kc[j] = K[j].map_entries(f.from_scalar, f)
+        M.Kcinv[j] = K[j].inverse().map_entries(f.from_scalar, f)
     M.root_grading = grading
     M.meta = {"name": f"W_{N}({a})", "N": N, "a": a}
     if certify:
@@ -1305,15 +1287,6 @@ def braid_compat_check(i: int, module: AffineModule,
 # -- spectra -------------------------------------------------------------------------
 
 
-def _rf_num_eq(a, b, field) -> bool:
-    d = (a.num * b.den) - (b.num * a.den)
-    scale = max(
-        [abs(c) for c in (a.num * b.den).coeffs] +
-        [abs(c) for c in (b.num * a.den).coeffs] + [1.0]
-    )
-    return all(field.is_zero(c, scale=scale) for c in d.coeffs)
-
-
 def _dz_poly(p: FPoly) -> FPoly:
     f = p.field
     return FPoly([c * f.from_scalar(_as_scalar(k))
@@ -1445,7 +1418,6 @@ def _unitary_fit(rf, field, q0, tol):
 
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     """Tie the N = 1 towers to the two-sided rank-one machinery."""
-    from .onsager import OnsagerParams, generate_family
     from .spectra import factorization_check
 
     module = fam.module
@@ -1527,7 +1499,6 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
     onedim = None
     if not p.s_is_zero:
         # only the two-node diagram admits shifts, so the pack is rank one
-        from .onsager import OnsagerParams, onedim_closed_form
         onedim = onedim_closed_form(
             OnsagerParams(p.c[0], p.c[1], p.s[0], p.s[1]), field=f
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linmat import Grading, Matrix, degree_components
-from .loopsl2 import LoopModule, extend_loop_data, tensor
+from .loopsl2 import LoopModule, _meq, extend_loop_data, tensor
 from .onsager import (
     OnsagerFamily,
     OnsagerParams,
@@ -56,21 +56,6 @@ __all__ = [
 
 
 # -- small shared helpers ---------------------------------------------------------
-
-
-def _meq(A: Matrix, B: Matrix, field):
-    """(ok, witness) for A = B at the backend's notion of zero."""
-    D = A - B
-    if field.exact:
-        if D.is_zero():
-            return True, None
-        i, j, v = next(D.nonzero_entries())
-        return False, f"entry ({i},{j}) = {v}"
-    scale = max(A.max_abs(), B.max_abs(), 1.0)
-    if D.is_zero(scale):
-        return True, None
-    i, j, v = max(D.nonzero_entries(), key=lambda t: abs(t[2]))
-    return False, f"entry ({i},{j}) residual {abs(v):.3e} at scale {scale:.3e}"
 
 
 def _bad_shifts(M: Matrix, g: Grading, bound: int):

@@ -58,8 +58,8 @@ def to_sympy_matrix(A):
 
 def test_qbracket_sl2_pair():
     # [E, F]_1 on the 2-dim module equals (K - K^-1)/(q - q^-1)
-    E = Matrix([[0, 1], [0, 0]], F).map_entries(Scalar)
-    Fm = Matrix([[0, 0], [1, 0]], F).map_entries(Scalar)
+    E = Matrix([[0, 1], [0, 0]], F).map_entries(Scalar, F)
+    Fm = Matrix([[0, 0], [1, 0]], F).map_entries(Scalar, F)
     K = Matrix.diagonal([Q, Q**-1], F)
     lhs = qbracket(E, Fm, F.one)
     rhs = (K - K.inverse()).scale(1 / (Q - Q**-1))

@@ -45,7 +45,7 @@ from qonsager.ranka import (
     verify_braid_relations,
     verify_grel,
 )
-from qonsager.scalars import ExactField, Q, Scalar, parse_scalar
+from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar
 
 F = ExactField()
 
@@ -205,8 +205,8 @@ def test_ef_chain_identity_as_matrices():
 
 def test_pk_bracket_small_cases():
     f = F
-    x = Matrix([[0, 1], [0, 0]], f).map_entries(f.from_scalar)
-    y = Matrix([[0, 0], [1, 0]], f).map_entries(f.from_scalar)
+    x = Matrix([[0, 1], [0, 0]], f).map_entries(f.from_scalar, f)
+    y = Matrix([[0, 0], [1, 0]], f).map_entries(f.from_scalar, f)
     assert pk_bracket([x], f.q) == x
     assert pk_bracket([x, y], f.q) == qbracket(x, y, f.q)
     with pytest.raises(DomainError):
@@ -237,8 +237,8 @@ def test_nesting_variants_differ_without_almost_commuting():
     # the inner commutator is [E, F] = H and [H, E] = 2E, so the two
     # nestings differ by 2q E.
     f = F
-    x = Matrix([[0, 1], [0, 0]], f).map_entries(f.from_scalar)
-    y = Matrix([[0, 0], [1, 0]], f).map_entries(f.from_scalar)
+    x = Matrix([[0, 1], [0, 0]], f).map_entries(f.from_scalar, f)
+    y = Matrix([[0, 0], [1, 0]], f).map_entries(f.from_scalar, f)
     diff = (pk_bracket([x, x, y], f.q)
             - pk_bracket([x, x, y], f.q, variant="right"))
     assert not diff.is_zero()
@@ -297,6 +297,30 @@ def test_tensor_module_certifies_and_grades():
     t = W(1, "q").tensor(W(1, "q^5"))
     assert t.dim == 4 and t.certified
     assert t.root_grading.degrees == [(0,), (-1,), (-1,), (-2,)]
+
+
+def test_numeric_vector_module_is_the_mapped_exact_module():
+    nf = NumericField(1.3)
+    num = build_vector_evaluation(2, parse_scalar("q"), field=nf)
+    exact = W(2, "q")
+    assert num.certified and num.field is nf
+    assert verify_affine_presentation(num).ok
+    assert num.root_grading == exact.root_grading
+    for gens in ("E", "F", "Kc", "Kcinv"):
+        for j in num.typ.nodes:
+            ours = getattr(num, gens)[j]
+            assert ours.field is nf
+            assert ours == getattr(exact, gens)[j].map_entries(nf.from_scalar, nf)
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_numeric_tensor_refuses_different_q0(certify):
+    a = build_vector_evaluation(1, parse_scalar("q"), field=NumericField(1.3))
+    b = build_vector_evaluation(1, parse_scalar("q^5"), field=NumericField(1.7))
+    with pytest.raises(DomainError):
+        a.tensor(b, certify=certify)
+    same = build_vector_evaluation(1, parse_scalar("q^5"), field=NumericField(1.3))
+    assert a.tensor(same, certify=certify).dim == 4
 
 
 def test_trivial_module_b_values_are_shifts():
