@@ -624,12 +624,21 @@ def _reflect_exps(typ: AffineTypeA, i: int, exps):
     return tuple(out)
 
 
+# Most words one braided step may expand into (before cancellation).  Rank-5
+# node 2 needs 36,864 at its largest step; node 3 would need 7,077,888.
+_MAX_WORDS = 200_000
+
+
 def qsp_braid_step(i: int, e: BExpr) -> BExpr:
     """One braided symmetry T_i applied to a seed expression.
 
     T_i(B_i) = KK_i^-1 B_i; T_i(B_j) = B_j for a_ij = 0 and
     B_j B_i - q B_i B_j for a_ij = -1.  Double bonds (rank one) are
     refused: only the rotation part of those words is in scope.
+
+    Each letter j with a_ij = -1 doubles a word, so the step expands into
+    at most sum_w 2^(#such letters in w) words.  A step whose bound exceeds
+    ``_MAX_WORDS`` raises DomainError before expanding anything.
     """
     nn = e.nn
     typ = AffineTypeA(nn)
@@ -650,6 +659,14 @@ def qsp_braid_step(i: int, e: BExpr) -> BExpr:
             "braided steps are implemented for single bonds only"
         )
 
+    bonded = {j for j in typ.nodes if typ.cartan(i, j) == -1}
+    bound = sum(2 ** sum(j in bonded for j in word) for word in e.terms)
+    if bound > _MAX_WORDS:
+        raise DomainError(
+            f"braided step T_{i} at node {i}: {e.nwords()} words would expand "
+            f"into up to {bound} words, over the limit _MAX_WORDS = {_MAX_WORDS}"
+        )
+
     imgs = {}
     out = BExpr(nn)
     for word, kmap in e.terms.items():
@@ -660,7 +677,9 @@ def qsp_braid_step(i: int, e: BExpr) -> BExpr:
             if j not in imgs:
                 imgs[j] = image(j)
             acc = acc @ imgs[j]
-        out = out + acc
+        for w, k in acc.terms.items():
+            for ex, c in k.items():
+                out._accum(w, ex, c)
     return out
 
 
@@ -836,15 +855,20 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
             wcache[word] = wmat(word[:-1]) @ bmats[word[-1]]
         return wcache[word]
 
+    kpow = {}
+    rows = acc.rows
     for word, kmap in e.terms.items():
         coef = field.zero
         for exps, c in kmap.items():
             v = field.from_scalar(c)
             for j, ej in enumerate(exps):
                 if ej:
-                    v = v * kvals[j] ** ej
+                    if (j, ej) not in kpow:
+                        kpow[j, ej] = kvals[j] ** ej
+                    v = v * kpow[j, ej]
             coef = coef + v
-        acc = acc + wmat(word).scale(coef)
+        for r, col, a in wmat(word).nonzero_entries():
+            rows[r][col] = rows[r][col] + coef * a
     return acc
 
 

@@ -47,7 +47,6 @@ from ._kernel import (
     pmul_int,
     pneg,
     pprim,
-    psub,
 )
 from .errors import DomainError, EvaluationError
 

@@ -35,7 +35,7 @@ from .onsager import (
     onedim_closed_form,
 )
 from .report import CheckReport
-from .scalars import Scalar, scalar_sqrt, specialize
+from .scalars import scalar_sqrt, specialize
 from .series import FPoly, RationalFunction, solve_linear
 
 __all__ = [

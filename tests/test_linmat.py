@@ -86,6 +86,71 @@ def test_ring_axioms(A, B, C):
     assert (A @ B).transpose() == B.transpose() @ A.transpose()
 
 
+def dense_product(A, B):
+    """Reference product: the inner-product triple loop over every (i, j, k),
+    adding a*b in ascending k whenever both factors are nonzero."""
+    out = []
+    for ra in A.rows:
+        row = []
+        for j in range(B.m):
+            acc = A.field.zero
+            for k, a in enumerate(ra):
+                b = B.rows[k][j]
+                if a and b:
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+complex_pool = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                1 + 0j, -1j, 1e300 + 1e-300j, -1e300 - 1e300j, 1e-300 + 0j,
+                complex(0.1, -2.5)]
+
+
+@st.composite
+def product_pairs(draw, entries, zero):
+    """(A, B) of shapes n x m and m x p, 1 <= n, m, p <= 7, where some rows of
+    A and some columns of B may be set to ``zero``."""
+    n, m, p = (draw(st.integers(1, 7)) for _ in range(3))
+    a = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(p)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        a[i] = [zero] * m
+    for j in draw(st.sets(st.integers(0, p - 1))):
+        for r in b:
+            r[j] = zero
+    return a, b
+
+
+@given(product_pairs(st.sampled_from(entry_pool), Scalar(0)))
+@settings(max_examples=60, deadline=None)
+def test_product_matches_dense_loop_exact(pair):
+    A, B = (Matrix(rows, F) for rows in pair)
+    C = A @ B
+    assert (C.n, C.m) == (A.n, B.m)
+    assert C.rows == dense_product(A, B)
+
+
+@given(product_pairs(st.one_of(
+    st.sampled_from(complex_pool),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.floats(-10, 10), st.floats(-10, 10))), 0j))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_dense_loop_numeric(pair):
+    nf = NumericField(1.3)
+    A, B = (Matrix(rows, nf) for rows in pair)
+    C = A @ B
+    assert (C.n, C.m) == (A.n, B.m)
+    want = dense_product(A, B)
+    assert [[repr(x) for x in r] for r in C.rows] == [[repr(x) for x in r] for r in want]
+
+
+def test_product_shape_mismatch():
+    with pytest.raises(DomainError, match="shape mismatch 2x3 @ 2x3"):
+        Matrix.zeros(2, 3, F) @ Matrix.zeros(2, 3, F)
+
+
 @given(mats(2), mats(2), mats(2), mats(2))
 @settings(max_examples=20)
 def test_kron_mixed_product(A, B, C, D):

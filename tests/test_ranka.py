@@ -15,11 +15,14 @@ Oracles, independent of the construction code:
   independently tested loop-sl2 module builder.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
+from qonsager import ranka
 from qonsager.linmat import Matrix, qbracket
 from qonsager.loopsl2 import EvalParams, build_evaluation
 from qonsager.ranka import (
@@ -159,6 +162,23 @@ def test_braid_step_table():
 def test_braid_step_refuses_double_bonds():
     with pytest.raises(DomainError):
         qsp_braid_step(0, BExpr.gen(1, 1))
+
+
+def test_braid_step_bounds_its_expansion(monkeypatch):
+    # at N = 2, a_12 = -1: one letter 2 doubles a word, a letter 1 does not
+    monkeypatch.setattr(ranka, "_MAX_WORDS", 2)
+    e = BExpr.gen(2, 2) @ BExpr.gen(2, 1)
+    assert qsp_braid_step(1, e).nwords() == 2
+    with pytest.raises(DomainError, match="up to 3 words, over the limit _MAX_WORDS = 2"):
+        qsp_braid_step(1, e + BExpr.gen(2, 1))
+
+
+def test_rank5_node3_word_fails_fast():
+    # node 3 reaches 6,912 words whose next step would expand to 7,077,888
+    start = time.process_time()
+    with pytest.raises(DomainError, match=r"T_3 at node 3: 6912 words .* 7077888 words"):
+        apply_word(omega_word(3, 5), BExpr.gen(5, 3))
+    assert time.process_time() - start < 10.0
 
 
 def test_rotation_moves_words_and_exponents():
