@@ -6,6 +6,14 @@ empty list [].  Nothing here knows about fractions, matrices or q-numbers:
 these are the primitive coefficient-list operations that everything in the
 exact scalar field reduces to.
 
+Multiplication: pmul(a, b) runs the schoolbook loop unless both operands
+have at least _KRONECKER_MIN = 16 coefficients.  Then it uses Kronecker
+substitution: each operand is packed into one Python int, a byte-aligned
+slot per coefficient, wide enough for every product coefficient plus half
+a slot of offset; the two ints are multiplied once (Python's big-integer
+product is subquadratic) and the slots are read back through to_bytes.
+Both paths return the same coefficient list.
+
 Division conventions:
 
 * pdiv_exact(a, b) performs the division a / b in ZZ[q] and raises if the
@@ -67,15 +75,54 @@ def pneg(a):
     return [-c for c in a]
 
 
+# Both operands need at least this many coefficients for pmul to take the
+# Kronecker path; shorter products stay on the schoolbook loop.
+_KRONECKER_MIN = 16
+
+
 def pmul(a, b):
     if not a or not b:
         return []
+    if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN:
+        return _kronecker_mul(a, b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return pnorm(out)
+
+
+def _kronecker_mul(a, b):
+    """pmul by Kronecker substitution: evaluate both operands at q = 2^s,
+    multiply the two integers once, and read the product's coefficients
+    back as base-2^s digits.
+
+    A slot of s bits, a whole number of bytes, holds any product
+    coefficient c, since |c| <= min(len) * max|a| * max|b| < 2^(s-1).  Adding
+    2^(s-1) to every digit makes all of them nonnegative, so each slot of
+    the byte string is one coefficient plus that offset, with no borrows.
+    """
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    s = 8 * width
+    n = len(a) + len(b) - 1
+    x = _kronecker_pack(a, s) * _kronecker_pack(b, s)
+    x += int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    buf = x.to_bytes(n * width, "little")
+    half = 1 << (s - 1)
+    out = [int.from_bytes(buf[i:i + width], "little") - half
+           for i in range(0, n * width, width)]
+    return pnorm(out)
+
+
+def _kronecker_pack(a, s):
+    """The value of a at q = 2^s (Horner)."""
+    x = 0
+    for c in reversed(a):
+        x = (x << s) + c
+    return x
 
 
 def pmul_int(a, k):

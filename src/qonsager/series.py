@@ -15,6 +15,12 @@ reconstruction is exact linear algebra: minimal denominator degree first,
 free variables pinned to zero, candidate verified against *every* known
 coefficient before it is accepted — failure returns None, never a wrong
 answer.
+
+Linear systems (solve_linear) are solved by Gauss-Jordan elimination.  Over
+the exact field it runs fraction-free: rows are cleared of denominators to
+integer polynomials in q and updated with Bareiss's exact division, so the
+elimination takes no gcd until the solution is read off.  The numeric field
+eliminates in the field with largest-magnitude pivoting.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from ._kernel import pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError, EvaluationError
 from .linmat import Matrix
-from .scalars import Scalar, specialize
+from .scalars import ONE, ZERO, Scalar, specialize
 
 __all__ = [
     "TruncSeries",
@@ -295,14 +301,20 @@ def _zprimitive(zp):
     return [pdiv_exact(c, g) if c else [] for c in zp]
 
 
-def _fraction_free(coeffs):
-    """Scalar z-coefficients -> primitive integer-polynomial coefficient
-    lists with denominators cleared (ascending in z, trimmed)."""
+def _clear_denominators(coeffs):
+    """Scalars -> integer polynomials, each multiplied by the lcm of the
+    denominators; the list keeps its length and its zeros."""
     den = [1]
     for c in coeffs:
         if c.num:
             den = pdiv_exact(pmul(den, c.den), pgcd(den, c.den))
-    out = [pmul(c.num, pdiv_exact(den, c.den)) if c.num else [] for c in coeffs]
+    return [pmul(c.num, pdiv_exact(den, c.den)) if c.num else [] for c in coeffs]
+
+
+def _fraction_free(coeffs):
+    """Scalar z-coefficients -> primitive integer-polynomial coefficient
+    lists with denominators cleared (ascending in z, trimmed)."""
+    out = _clear_denominators(coeffs)
     while out and not out[-1]:
         out.pop()
     return _zprimitive(out)
@@ -642,27 +654,30 @@ def expand_at_infinity(f: RationalFunction, T) -> TruncSeries:
 def solve_linear(rows, rhs, field):
     """One solution of rows·x = rhs (free variables pinned to zero), or None.
 
-    Gauss-Jordan over the field; exact backends pivot on the first nonzero,
-    the numeric backend on the largest magnitude.
+    Gauss-Jordan elimination.  Exact fields eliminate fraction-free over
+    ZZ[q] (see _solve_fraction_free); the numeric field works in the field
+    itself and pivots on the largest magnitude.  Every row must have as
+    many entries as the first, and rhs one entry per row, else DomainError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    if len(rhs) != m:
+        raise DomainError(f"solve_linear: {m} rows but {len(rhs)} right-hand sides")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DomainError(
+                f"solve_linear: row {i} has {len(row)} entries, expected {n}"
+            )
+    if field.exact:
+        return _solve_fraction_free(rows, rhs, n)
     a = [list(r) + [v] for r, v in zip(rows, rhs)]
     piv_cols = []
     r = 0
     for c in range(n):
-        piv = None
-        if field.exact:
-            for i in range(r, m):
-                if a[i][c]:
-                    piv = i
-                    break
-        else:
-            if r < m:
-                piv = max(range(r, m), key=lambda i: abs(a[i][c]))
-                if field.is_zero(a[piv][c]):
-                    piv = None
-        if piv is None:
+        if r == m:
+            break
+        piv = max(range(r, m), key=lambda i: abs(a[i][c]))
+        if field.is_zero(a[piv][c]):
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = field.one / a[r][c]
@@ -673,11 +688,10 @@ def solve_linear(rows, rhs, field):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         piv_cols.append(c)
         r += 1
-        if r == m:
-            break
     # consistency: zero rows must have zero rhs
     for i in range(r, m):
-        if not field.is_zero(a[i][n], scale=_row_scale(a[i][:n], field)):
+        scale = max([abs(v) for v in a[i][:n]] + [1.0])
+        if not field.is_zero(a[i][n], scale=scale):
             return None
     x = [field.zero] * n
     for i, c in enumerate(piv_cols):
@@ -685,10 +699,55 @@ def solve_linear(rows, rhs, field):
     return x
 
 
-def _row_scale(row, field):
-    if field.exact:
-        return 1.0
-    return max([abs(v) for v in row] + [1.0])
+def _solve_fraction_free(rows, rhs, n):
+    """Exact branch of solve_linear: Gauss-Jordan over ZZ[q] with Bareiss
+    exact division (Math. Comp. 22, 1968).
+
+    Each augmented row is scaled to a primitive integer-polynomial row,
+    which leaves its equation's solutions unchanged.  The pivot is the first
+    nonzero entry of its column, as over Q(q).  Every other row becomes
+    (p·row - f·pivot row) / prev, where p is the pivot, f the row's entry in
+    the pivot column and prev the previous pivot; by Sylvester's identity
+    each entry is then a minor of the cleared augmented matrix, so the
+    division is exact and the elimination takes no gcd.  The reduced row
+    echelon form is unique, so x[c] = row[n] / row[c] is the same Scalar
+    that Gauss-Jordan over Q(q) gives.
+    """
+    m = len(rows)
+    a = [_zprimitive(_clear_denominators([_exact(v) for v in (*row, b)]))
+         for row, b in zip(rows, rhs)]
+    piv_cols = []
+    prev = [1]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [pdiv_exact(psub(pmul(p, x), pmul(f, y)), prev)
+                        for x, y in zip(a[i], top)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    # consistency: zero rows must have zero rhs
+    if any(a[i][n] for i in range(r, m)):
+        return None
+    x = [ZERO] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = Scalar(a[i][n], a[i][c])
+    return x
+
+
+def _exact(v):
+    """An exact entry (Scalar, int or Fraction) as a Scalar."""
+    return v if isinstance(v, Scalar) else ONE * v
 
 
 # Screening point for the exact Pade search: off the real axis so real
@@ -767,6 +826,12 @@ def pade_reconstruct(s: TruncSeries, max_num_deg: int, max_den_deg: int):
     Exact fields screen each candidate numerically first: the solve over
     Q(q) is priced well above a complex solve, and most candidates in the
     search fail.  Acceptance still goes through the exact verification.
+    The screen stays with the fraction-free solve: without it every failing
+    candidate pays an exact solve and an exact candidate check, and the
+    rank-one spectral check at T = 13 was still unfinished after 10
+    minutes instead of taking about a second.  Only a search that needs no
+    per-candidate solve (extended Euclid, Berlekamp-Massey) would make it
+    redundant.
     """
     if not s.zero_below:
         raise DomainError("pade_reconstruct expects an ascending series")

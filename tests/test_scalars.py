@@ -4,6 +4,7 @@ The independent oracle for arithmetic is sympy's symbolic simplifier; the
 frozen expected strings below were computed by hand from the definitions.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qonsager._kernel import pgcd, pmul, pnorm
+from qonsager._kernel import _KRONECKER_MIN, pgcd, pmul, pnorm
 from qonsager.errors import DomainError, EvaluationError
 from qonsager.scalars import (
     ONE,
@@ -282,6 +283,64 @@ def test_kernel_mul_bignum_path(a, b):
     big = 2**70
     got = pmul([c * big for c in a], list(b))
     assert got == [c * big for c in pmul(list(a), list(b))]
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return pnorm(out)
+
+
+@st.composite
+def long_polys(draw):
+    """1..70 coefficients up to 2^200 in size, with inner zeros, a
+    q-valuation (leading zeros) and, at times, every sign negative."""
+    bits = draw(st.sampled_from([1, 6, 63, 64, 200]))
+    size = st.integers(-(2**bits), 2**bits)
+    n = draw(st.integers(1, 70))
+    v = draw(st.integers(0, n - 1))
+    p = [0] * v + [draw(st.one_of(st.just(0), size)) for _ in range(n - v)]
+    if draw(st.booleans()):
+        p = [-abs(c) for c in p]
+    p[-1] = p[-1] or draw(size.filter(bool))
+    return p
+
+
+@given(long_polys(), long_polys())
+@settings(max_examples=100, deadline=None)
+def test_kernel_mul_matches_schoolbook_across_cutoff(a, b):
+    assert pmul(a, b) == _schoolbook(a, b)
+
+
+def test_kernel_mul_cutoff_lengths():
+    # both paths near the cutoff, dense random coefficients of both signs
+    rng = random.Random(5)
+    for la in range(_KRONECKER_MIN - 2, _KRONECKER_MIN + 3):
+        for lb in (1, _KRONECKER_MIN - 1, _KRONECKER_MIN, 40):
+            a = [rng.randint(-(2**90), 2**90) for _ in range(la)]
+            b = [rng.randint(-7, 7) for _ in range(lb)] + [-3]
+            assert pmul(a, b) == _schoolbook(a, b)
+
+
+@pytest.mark.parametrize("bits", [1, 5, 6, 61, 62, 63, 64, 200])
+def test_kernel_mul_extreme_coefficients(bits):
+    # every coefficient at full size and of one sign, so the middle
+    # coefficients of the product come as close to the slot size as they can
+    for top in (2**bits - 1, 2**bits):
+        for n in (16, 63, 64, 70):
+            for a, b in (([-top] * n, [-top] * n), ([top] * n, [-top] * 70),
+                         ([0] * 9 + [-top] * n, [-top] * n)):
+                assert pmul(a, b) == _schoolbook(a, b)
+
+
+def test_kernel_mul_kronecker_matches_sympy():
+    rng = random.Random(7)
+    a = [0, 0] + [rng.randint(-(2**200), 2**200) for _ in range(40)] + [-1]
+    b = [-rng.randint(0, 2**150) for _ in range(30)] + [-(2**150)]
+    prod = sympy.Poly(list(reversed(a)), qs) * sympy.Poly(list(reversed(b)), qs)
+    assert pmul(a, b) == [int(c) for c in reversed(prod.all_coeffs())]
 
 
 @given(polys, polys)

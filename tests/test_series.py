@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qonsager.errors import DomainError
 from qonsager.linmat import Matrix
-from qonsager.scalars import ExactField, NumericField, Q, Scalar
+from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar
 from qonsager.series import (
     FPoly,
     RationalFunction,
@@ -250,3 +250,113 @@ def test_solve_linear_free_vars_pinned():
     sol = solve_linear([[F.one, F.one]], [Scalar(2)], F)
     assert sol == [Scalar(2), Scalar(0)]
     assert solve_linear([[F.zero, F.zero]], [Scalar(1)], F) is None
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
+@pytest.mark.parametrize(
+    "rows, rhs, message",
+    [
+        ([[1, 0], [0, 1]], [1, 1, 1], "2 rows but 3 right-hand sides"),
+        ([[1, 0], [0, 1]], [1], "2 rows but 1 right-hand sides"),
+        ([[1], [1, 1]], [1, 2], "row 1 has 2 entries, expected 1"),
+    ],
+    ids=["long-rhs", "short-rhs", "ragged-rows"],
+)
+def test_solve_linear_rejects_mismatched_shapes(field, rows, rhs, message):
+    one = field.one
+    rows = [[one * v for v in row] for row in rows]
+    rhs = [one * v for v in rhs]
+    with pytest.raises(DomainError, match=message):
+        solve_linear(rows, rhs, field)
+
+
+def test_solve_linear_accepts_integer_entries():
+    assert solve_linear([[1, 0], [0, 2]], [1, 1], F) == [Scalar(1), Scalar(1, 2)]
+
+
+def _gauss_jordan(rows, rhs):
+    """Reference: Gauss-Jordan in Q(q), first nonzero pivot, free variables
+    pinned to zero; None when inconsistent."""
+    m, n = len(rows), len(rows[0])
+    a = [list(r) + [v] for r, v in zip(rows, rhs)]
+    piv_cols, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    if any(a[i][n] for i in range(r, m)):
+        return None
+    x = [F.zero] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = a[i][n]
+    return x
+
+
+_laurent = st.builds(
+    lambda p, k: Scalar(p) * Q**k,
+    st.lists(st.integers(-4, 4), max_size=4),
+    st.integers(-3, 3),
+)
+# monomial and non-monomial denominators
+_den = st.sampled_from(
+    [Scalar(1), Scalar(2), Q, Q**3, Q + 1, Q**2 - 2, 3 * Q**2 + Q - 1]
+)
+_entry = st.one_of(st.just(F.zero), st.builds(lambda p, d: p / d, _laurent, _den))
+
+
+@st.composite
+def _systems(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(_entry) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # a forced dependent row: a combination of two others
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        s, t = draw(_entry), draw(_entry)
+        rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
+    x0 = [draw(_entry) for _ in range(n)]
+    rhs = [sum((a * x for a, x in zip(row, x0)), F.zero) for row in rows]
+    kind = draw(st.sampled_from(["consistent", "perturbed", "free"]))
+    if kind == "perturbed":
+        i = draw(st.integers(0, m - 1))
+        rhs[i] = rhs[i] + draw(_entry)
+    elif kind == "free":
+        rhs = [draw(_entry) for _ in range(m)]
+    return rows, rhs
+
+
+@given(_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_linear_matches_gauss_jordan(system):
+    rows, rhs = system
+    assert solve_linear(rows, rhs, F) == _gauss_jordan(rows, rhs)
+
+
+def test_pade_roundtrip_at_workload_size():
+    # a (6, 6) rational function with Laurent coefficients spanning about
+    # 40 powers of q; its Taylor coefficients up to z^13 reach q-degree 83,
+    # the size of the Hankel systems in the rank-one spectral check
+    num = FPoly([parse_scalar(t) for t in (
+        "q^-15", "q^-1 - q^18", "q^17", "q^7 - q^12 - q^14", "q^3 - q^-18",
+        "-q^4 - q^13", "q^-5",
+    )], F)
+    den = FPoly([parse_scalar(t) for t in (
+        "1", "q^-2", "q^-2 - q^4", "-q + q^3 - q^4", "-q^3 - q^-2", "-q^3",
+        "-q^3 - q^4",
+    )], F)
+    f = RationalFunction(num, den)
+    got = pade_reconstruct(f.expand_at_zero(13), 6, 6)
+    assert got is not None
+    assert (got.num.degree, got.den.degree) == (6, 6)
+    assert got == f
+    assert str(got) == str(f)
