@@ -28,7 +28,7 @@ from __future__ import annotations
 from ._kernel import pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError, EvaluationError
 from .linmat import Matrix
-from .scalars import ONE, ZERO, Scalar, specialize
+from .scalars import ZERO, Scalar, _coerce, specialize
 
 __all__ = [
     "TruncSeries",
@@ -714,7 +714,7 @@ def _solve_fraction_free(rows, rhs, n):
     that Gauss-Jordan over Q(q) gives.
     """
     m = len(rows)
-    a = [_zprimitive(_clear_denominators([_exact(v) for v in (*row, b)]))
+    a = [_zprimitive(_clear_denominators([_coerce(v) for v in (*row, b)]))
          for row, b in zip(rows, rhs)]
     piv_cols = []
     prev = [1]
@@ -743,11 +743,6 @@ def _solve_fraction_free(rows, rhs, n):
     for i, c in enumerate(piv_cols):
         x[c] = Scalar(a[i][n], a[i][c])
     return x
-
-
-def _exact(v):
-    """An exact entry (Scalar, int or Fraction) as a Scalar."""
-    return v if isinstance(v, Scalar) else ONE * v
 
 
 # Screening point for the exact Pade search: off the real axis so real

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qonsager._kernel import _KRONECKER_MIN, pgcd, pmul, pnorm
+from qonsager._kernel import pgcd, pmul, pnorm
 from qonsager.errors import DomainError, EvaluationError
 from qonsager.scalars import (
     ONE,
@@ -309,19 +309,12 @@ def long_polys(draw):
 
 
 @given(long_polys(), long_polys())
+@example([-(2**90)] + [3] * 14, [5, -7] * 8)  # lengths 15 and 16: schoolbook
+@example([2**90, -1] * 8, [-7] * 15 + [-3])  # 16 and 16: Kronecker
+@example([0] * 3 + [-(2**90)] * 14, [7, 0, -7] * 13 + [-3])  # 17 and 40
 @settings(max_examples=100, deadline=None)
 def test_kernel_mul_matches_schoolbook_across_cutoff(a, b):
     assert pmul(a, b) == _schoolbook(a, b)
-
-
-def test_kernel_mul_cutoff_lengths():
-    # both paths near the cutoff, dense random coefficients of both signs
-    rng = random.Random(5)
-    for la in range(_KRONECKER_MIN - 2, _KRONECKER_MIN + 3):
-        for lb in (1, _KRONECKER_MIN - 1, _KRONECKER_MIN, 40):
-            a = [rng.randint(-(2**90), 2**90) for _ in range(la)]
-            b = [rng.randint(-7, 7) for _ in range(lb)] + [-3]
-            assert pmul(a, b) == _schoolbook(a, b)
 
 
 @pytest.mark.parametrize("bits", [1, 5, 6, 61, 62, 63, 64, 200])
