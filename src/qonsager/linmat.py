@@ -38,6 +38,7 @@ __all__ = [
     "Grading",
     "GradedOperator",
     "qbracket",
+    "commutator",
     "degree_components",
     "assert_block_triangular",
     "BlockTriangularityError",
@@ -186,9 +187,6 @@ class Matrix:
             [[self.rows[i][j] for j in cols] for i in rows], self.field
         )
 
-    def diagonal_entries(self):
-        return [self.rows[i][i] for i in range(min(self.n, self.m))]
-
     def is_zero(self, scale=1.0):
         f = self.field
         return all(f.is_zero(a, scale) for r in self.rows for a in r)
@@ -278,6 +276,11 @@ class Matrix:
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
     """[A, B]_v = AB - v BA; v = 1 is the plain commutator."""
     return A @ B - (B @ A).scale(v)
+
+
+def commutator(A: Matrix, B: Matrix) -> Matrix:
+    """[A, B] = AB - BA, without qbracket's scaling by 1."""
+    return A @ B - B @ A
 
 
 # -- gradings ----------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, degree_components
+from .linmat import Grading, Matrix, commutator, degree_components
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
 from .series import TruncSeries, series_exp, series_log
@@ -190,10 +190,8 @@ def _assemble_evaluation(n, a, window, T, field,
     psi = {0: K}
     phi = {0: Kinv}
     for k in range(1, T + 1):
-        comm_p = xp_wide[k] @ xm0 - xm0 @ xp_wide[k]
-        psi[k] = comm_p.scale(qden)
-        comm_m = xp_wide[-k] @ xm0 - xm0 @ xp_wide[-k]
-        phi[k] = -comm_m.scale(qden)
+        psi[k] = commutator(xp_wide[k], xm0).scale(qden)
+        phi[k] = -commutator(xp_wide[-k], xm0).scale(qden)
 
     # h_k from the series logarithms of K^-1 Psi(z) and K Phi(z)
     eye = Matrix.identity(d, _EXACT)
@@ -507,28 +505,25 @@ def extend_loop_data(M: LoopModule, window: int = 3, T: int = 6,
     tw_inv = f.one / f.qint(2)
     K, Kinv = M.K, M.Kinv
 
-    def comm(A, B):
-        return A @ B - B @ A
-
     xp = {0: M.E[1], -1: -(M.F[0] @ Kinv)}
     xm = {0: M.F[1], 1: -(K @ M.E[0])}
     h = {
-        1: Kinv @ comm(xp[0], xm[1]),
-        -1: K @ comm(xp[-1], xm[0]),
+        1: Kinv @ commutator(xp[0], xm[1]),
+        -1: K @ commutator(xp[-1], xm[0]),
     }
     wide = max(window, T)
     for k in range(1, wide + 1):
-        xp[k] = comm(h[1], xp[k - 1]).scale(tw_inv)
-        xp[-k - 1] = comm(h[-1], xp[-k]).scale(tw_inv)
-        xm[-k] = -comm(h[-1], xm[-k + 1]).scale(tw_inv)
+        xp[k] = commutator(h[1], xp[k - 1]).scale(tw_inv)
+        xp[-k - 1] = commutator(h[-1], xp[-k]).scale(tw_inv)
+        xm[-k] = -commutator(h[-1], xm[-k + 1]).scale(tw_inv)
         if k >= 2:
-            xm[k] = -comm(h[1], xm[k - 1]).scale(tw_inv)
+            xm[k] = -commutator(h[1], xm[k - 1]).scale(tw_inv)
 
     psi = {0: K}
     phi = {0: Kinv}
     for k in range(1, T + 1):
-        psi[k] = comm(xp[k], xm[0]).scale(kap)
-        phi[k] = -comm(xp[-k], xm[0]).scale(kap)
+        psi[k] = commutator(xp[k], xm[0]).scale(kap)
+        phi[k] = -commutator(xp[-k], xm[0]).scale(kap)
 
     eye = Matrix.identity(M.dim, f)
     zeroM = Matrix.zeros(M.dim, M.dim, f)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Matrix, qbracket
+from .linmat import Matrix, commutator, qbracket
 from .loopsl2 import EvalParams, LoopModule, _meq, build_evaluation
 from .report import CheckReport
 from .scalars import ExactField, Scalar, parse_scalar, qbinom, specialize
@@ -62,10 +62,6 @@ class OnsagerParams:
         """The recursion constant C = q^4 c0 c1."""
         q = parse_scalar("q")
         return q**4 * self.c0 * self.c1
-
-    def ktwist(self, i: int) -> Scalar:
-        """The braid-twist weight q^2 c_i."""
-        return parse_scalar("q") ** 2 * (self.c0 if i == 0 else self.c1)
 
     def with_s_zero(self) -> "OnsagerParams":
         return OnsagerParams(self.c0, self.c1, Scalar(0), Scalar(0))
@@ -195,13 +191,80 @@ def eta_embed(p: OnsagerParams, V: LoopModule):
 # -- family generation -----------------------------------------------------------
 
 
+def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
+                I: Matrix, log):
+    """One node's towers from its seeds A[0], A[-1] and its charge H[1].
+
+    This is the construction shared by rank one and by every finite node
+    at rank N; the callers differ only in how they seed and normalise
+    H[1].  With Hbar1 = H[1]/[2] the ladder ascends and descends via
+    A[r+1] = [Hbar1, A[r]] + C A[r-1], the Theta tower follows the
+    two-step rule with the index-0 correction and the node weight c, and
+    H[2..T] come from the log of the Theta series.  The acute tower
+    multiplies Theta(z) by (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
+    rescales it by (q - q^-1) so that index 0 becomes the identity.
+    ``log`` receives one line per rule.
+
+    Returns (A, H, Hbar1, theta, theta_acute, theta_grave).
+    """
+    f = I.field
+    q2 = f.q * f.q
+    qm2 = f.one / q2
+    kap = f.q - f.one / f.q
+    Cinv = f.one / C
+    Hbar1 = H1.scale(f.one / f.qint(2))
+
+    A = {0: A0, -1: Am1}
+    for r in range(0, R):
+        A[r + 1] = commutator(Hbar1, A[r]) + A[r - 1].scale(C)
+    for r in range(-1, -R, -1):
+        A[r - 1] = (A[r + 1] - commutator(Hbar1, A[r])).scale(Cinv)
+    log(f"ladder A[r+1] = [Hbar1, A[r]] + C A[r-1] to |r| <= {R}")
+
+    theta0 = I.scale(f.one / kap)
+    theta = {0: theta0, 1: H1}
+    cinv = f.one / c
+    for s in range(0, T - 1):
+        step = qbracket(A[-1], A[s + 1], qm2) \
+            - qbracket(A[0], A[s], q2).scale(qm2)
+        acc = theta[s].scale(qm2) + step.scale(cinv)
+        if s == 0:
+            acc = acc - theta0
+        theta[s + 2] = acc.scale(C)
+    log(f"Theta[0] = (q - q^-1)^-1, Theta[1] = H[1], Theta[2..{T}] by the "
+        "two-step rule")
+
+    # commutativity of the charges is a checked relation, not assumed here
+    hs = h_from_theta([theta[m] for m in range(1, T + 1)], T, f, I,
+                      check_commuting=False)
+    H = {1: H1}
+    for m in range(2, T + 1):
+        H[m] = hs[m - 1]
+    log("H[2..T] from log of the Theta series")
+
+    acute = {}
+    grave = {}
+    w = f.one - qm2
+    for s in range(0, T + 1):
+        acc = theta[s]
+        cp = C
+        for k in range(1, s // 2 + 1):
+            acc = acc + theta[s - 2 * k].scale(w * cp)
+            cp = cp * C
+        acute[s] = acc
+        grave[s] = acc.scale(kap)
+    log("acute/grave towers by series reweighting")
+    return A, H, Hbar1, theta, acute, grave
+
+
 def generate_family(p: OnsagerParams, V: LoopModule, T: int = 6,
                     R: int | None = None) -> OnsagerFamily:
     """Generate A_r (|r| <= R), H_m and Theta_m (m <= T) from the seeds.
 
-    The ladder ascends and descends via A_{r+1} = [Hbar1, A_r] + C A_{r-1};
-    the Theta tower uses the two-step rule with the index-0 correction.
-    Default R = 2T keeps every relation check in range.
+    The seeds are A[0] = B1 and A[-1] = q^-2 c0^-1 B0, and H[1] is pinned
+    by the lowest mixed bracket; the towers then grow by the construction
+    shared with every node at rank N (``_grow_tower``), with node weight
+    c1.  Default R = 2T keeps every relation check in range.
     """
     if R is None:
         R = 2 * T
@@ -216,64 +279,12 @@ def generate_family(p: OnsagerParams, V: LoopModule, T: int = 6,
     B0, B1 = eta_embed(p, V)
     fam.B0, fam.B1 = B0, B1
     fam.log.append("seeds: A[0] = B1, A[-1] = q^-2 c0^-1 B0")
-    fam.A[0] = B1
-    fam.A[-1] = B0.scale(ctx.qm2 / ctx.c0)
-
-    # H1 is pinned by the lowest mixed bracket; everything commuting grows
-    # out of it.
-    H1 = qbracket(fam.A[-1], fam.A[0], ctx.qm2).scale(ctx.q2 * ctx.q2 * ctx.c0)
-    fam.H[1] = H1
-    fam.Hbar1 = H1.scale(f.one / f.qint(2))
+    Am1 = B0.scale(ctx.qm2 / ctx.c0)
+    H1 = qbracket(Am1, B1, ctx.qm2).scale(ctx.q2 * ctx.q2 * ctx.c0)
     fam.log.append("H[1] = q^4 c0 [A[-1], A[0]]_{q^-2}")
-
-    def comm(X, Y):
-        return X @ Y - Y @ X
-
-    for r in range(0, R):
-        fam.A[r + 1] = comm(fam.Hbar1, fam.A[r]) + fam.A[r - 1].scale(ctx.C)
-        fam.log.append(f"A[{r + 1}] = [Hbar1, A[{r}]] + C A[{r - 1}] (ascent)")
-    for r in range(-1, -R, -1):
-        fam.A[r - 1] = (fam.A[r + 1] - comm(fam.Hbar1, fam.A[r])).scale(ctx.Cinv)
-        fam.log.append(f"A[{r - 1}] = C^-1 (A[{r + 1}] - [Hbar1, A[{r}]]) (descent)")
-
-    theta0 = fam.I.scale(f.one / ctx.kap)
-    fam.theta[0] = theta0
-    fam.theta[1] = H1
-    fam.log.append("Theta[0] = (q - q^-1)^-1, Theta[1] = H[1]")
-    c1inv = f.one / ctx.c1
-    for s in range(0, T - 1):
-        step = qbracket(fam.A[-1], fam.A[s + 1], ctx.qm2) \
-            - qbracket(fam.A[0], fam.A[s], ctx.q2).scale(ctx.qm2)
-        acc = fam.theta[s].scale(ctx.qm2) + step.scale(c1inv)
-        if s == 0:
-            acc = acc - theta0
-        fam.theta[s + 2] = acc.scale(ctx.C)
-        fam.log.append(
-            f"Theta[{s + 2}] = C (q^-2 Theta[{s}]"
-            + (" - Theta[0]" if s == 0 else "")
-            + f" + c1^-1 ([A[-1], A[{s + 1}]]_q^-2 - q^-2 [A[0], A[{s}]]_q^2))"
-        )
-
-    # the commuting charges follow from the Theta tower by series inversion;
-    # commutativity itself is a checked relation, not an assumption here
-    hs = h_from_theta([fam.theta[m] for m in range(1, T + 1)], T, f, fam.I,
-                      check_commuting=False)
-    for m in range(2, T + 1):
-        fam.H[m] = hs[m - 1]
-    fam.log.append("H[2..T] from log of the Theta series")
-
-    # reweighted towers: acute multiplies by (1 - q^-2 C z^2)/(1 - C z^2),
-    # grave rescales by (q - q^-1) so that index 0 becomes the identity
-    for s in range(0, T + 1):
-        acc = fam.theta[s]
-        w = f.one - ctx.qm2
-        cp = ctx.C
-        for k in range(1, s // 2 + 1):
-            acc = acc + fam.theta[s - 2 * k].scale(w * cp)
-            cp = cp * ctx.C
-        fam.theta_acute[s] = acc
-        fam.theta_grave[s] = acc.scale(ctx.kap)
-    fam.log.append("acute/grave towers by series reweighting")
+    (fam.A, fam.H, fam.Hbar1, fam.theta, fam.theta_acute,
+     fam.theta_grave) = _grow_tower(B1, Am1, H1, ctx.C, ctx.c1, T, R, fam.I,
+                                    fam.log.append)
     return fam
 
 
@@ -294,10 +305,41 @@ def verify_qdolangrady(p: OnsagerParams, B0: Matrix, B1: Matrix) -> CheckReport:
         for r in range(4):
             lhs = lhs + ((Bi ** (3 - r)) @ Bj @ (Bi**r)).scale(sign * binom[r])
             sign = -sign
-        rhs = (Bi @ Bj - Bj @ Bi).scale(-(f.q * cvals[i] * two * two))
+        rhs = commutator(Bi, Bj).scale(-(f.q * cvals[i] * two * two))
         ok, w = _meq(lhs, rhs, f)
         rep.add("qdolangrady", (i, j), ok, w)
     return rep
+
+
+def _theta_exchange(A, theta_at, c, C, r: int, s: int):
+    """Both sides of the same-node Theta exchange relation at (r, s):
+
+        [A_r, A_{s+1}]_{q^-2} - q^-2 [A_{r+1}, A_s]_{q^2}
+            = c (C^r Theta_{s-r+1} - q^-2 C^{r+1} Theta_{s-r-1}) + (r <-> s)
+
+    for one node's ladder ``A`` (a dict), its ``theta_at`` index function
+    (zero below index 0), node weight c and recursion constant C.
+    """
+    f = A[r].field
+    q2 = f.q * f.q
+    qm2 = f.one / q2
+    lhs = qbracket(A[r], A[s + 1], qm2) - qbracket(A[r + 1], A[s], q2).scale(qm2)
+    rhs = theta_at(s - r + 1).scale(c * C**r) \
+        - theta_at(s - r - 1).scale(qm2 * c * C ** (r + 1)) \
+        + theta_at(r - s + 1).scale(c * C**s) \
+        - theta_at(r - s - 1).scale(qm2 * c * C ** (s + 1))
+    return lhs, rhs
+
+
+def _check_windows(fam, rwin: int, mmax: int):
+    """Refuse relation windows that reach past the generated towers."""
+    need_R = rwin + max(mmax, 1)
+    need_T = max(mmax, 2 * rwin + 1)
+    if fam.R < need_R or fam.T < need_T:
+        raise DomainError(
+            f"window (rwin={rwin}, mmax={mmax}) needs R >= {need_R} and "
+            f"T >= {need_T}; the family has R={fam.R}, T={fam.T}"
+        )
 
 
 def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
@@ -319,35 +361,21 @@ def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
         coef = f.qint(2 * m) * f.from_fraction(1, m)
         Cm = ctx.C**m
         for r in range(-rwin, rwin + 1):
-            lhs = H[m] @ A[r] - A[r] @ H[m]
+            lhs = commutator(H[m], A[r])
             rhs = (A[r + m] - A[r - m].scale(Cm)).scale(coef)
             ok, w = _meq(lhs, rhs, f)
             rep.add(prefix + "rel2", (m, r), ok, w)
 
-    c1 = ctx.c1
     for r in range(-rwin, rwin + 1):
         for s in range(r, rwin + 1):
-            lhs = qbracket(A[r], A[s + 1], ctx.qm2) \
-                - qbracket(A[r + 1], A[s], ctx.q2).scale(ctx.qm2)
-            rhs = theta_at(s - r + 1).scale(c1 * ctx.C**r) \
-                - theta_at(s - r - 1).scale(ctx.qm2 * c1 * ctx.C ** (r + 1)) \
-                + theta_at(r - s + 1).scale(c1 * ctx.C**s) \
-                - theta_at(r - s - 1).scale(ctx.qm2 * c1 * ctx.C ** (s + 1))
+            lhs, rhs = _theta_exchange(A, theta_at, ctx.c1, ctx.C, r, s)
             ok, w = _meq(lhs, rhs, f)
             rep.add(prefix + "rel3", (r, s), ok, w)
 
 
 def verify_presentation(fam: OnsagerFamily, rwin: int, mmax: int) -> CheckReport:
     """rel1-rel3 on the generated family, exactly, over the given windows."""
-    if fam.R < rwin + max(mmax, 1):
-        raise DomainError(
-            f"need R >= rwin + mmax = {rwin + max(mmax, 1)}, family has R={fam.R}"
-        )
-    if fam.T < max(mmax, 2 * rwin + 1):
-        raise DomainError(
-            f"need T >= max(mmax, 2 rwin + 1) = {max(mmax, 2 * rwin + 1)}, "
-            f"family has T={fam.T}"
-        )
+    _check_windows(fam, rwin, mmax)
     ctx = _Ctx(fam.params, fam.field)
     rep = CheckReport(
         f"presentation relations ({fam.params.describe()}, rwin={rwin}, m<={mmax})"
@@ -361,6 +389,7 @@ def tau_dual_check(fam: OnsagerFamily, rwin: int, mmax: int) -> CheckReport:
 
     Dual data: A'_r = C^r (A_{-r})^t, H'_m = (H_m)^t, Theta'_m = (Theta_m)^t.
     """
+    _check_windows(fam, rwin, mmax)
     ctx = _Ctx(fam.params, fam.field)
     Ad = {r: fam.a(-r).transpose().scale(ctx.C**r)
           for r in range(-fam.R, fam.R + 1)}
@@ -374,8 +403,6 @@ def tau_dual_check(fam: OnsagerFamily, rwin: int, mmax: int) -> CheckReport:
             raise DomainError(f"Theta[{m}] not generated; raise T")
         return thd[m]
 
-    if fam.R < rwin + max(mmax, 1) or fam.T < max(mmax, 2 * rwin + 1):
-        raise DomainError("family windows too small for the requested checks")
     rep = CheckReport(f"transpose-dual presentation ({fam.params.describe()})")
     _relation_entries(rep, Ad, Hd, theta_at, ctx, rwin, mmax, prefix="dual_")
     return rep
@@ -430,8 +457,7 @@ def rationality_check(fam: OnsagerFamily, T: int | None = None):
     # the two-term recursion itself, coefficientwise over the whole window
     for r in range(-R + 2, R + 1):
         lhs = fam.A[r]
-        rhs = (fam.Hbar1 @ fam.A[r - 1] - fam.A[r - 1] @ fam.Hbar1) \
-            + fam.A[r - 2].scale(ctx.C)
+        rhs = commutator(fam.Hbar1, fam.A[r - 1]) + fam.A[r - 2].scale(ctx.C)
         ok, w = _meq(lhs, rhs, f)
         rep.add("recursion", (r,), ok, w)
 

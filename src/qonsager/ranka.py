@@ -53,14 +53,15 @@ Conventions, fixed once and relied on everywhere below:
 
   an empty left factor meaning the right factor alone.  The same
   element is the full word, A_{i,-1} = T_{omega_i}(B_i); generation
-  cross-checks the two routes.  From A_{i,0} = B_i the node-i tower
-  then mirrors the rank-one construction:
+  cross-checks the two routes.  From A_{i,0} = B_i and
 
       H_{i,1} = q^2 C_i^-1 [A_{i,-1}, A_{i,0}]_{q^-2},
-      A_{i,r+1} = [H_{i,1}/[2], A_{i,r}] + C A_{i,r-1},
 
-  with the Theta tower from the two-step rule and the acute/grave
-  reweightings exactly as at rank one, node by node.
+  each node's tower is grown by the tower core that rank one also uses
+  (``onsager._grow_tower``): the ladder
+  A_{i,r+1} = [H_{i,1}/[2], A_{i,r}] + C A_{i,r-1}, the Theta tower from
+  the two-step rule with node weight c_i, H from the log of Theta, and
+  the acute/grave reweightings.
 """
 
 import math
@@ -68,13 +69,14 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, degree_components, qbracket
+from .linmat import Grading, Matrix, commutator, degree_components, qbracket
 from .loopsl2 import EvalParams, _meq, _same_field, build_evaluation
-from .onsager import (OnsagerParams, _as_scalar, _rf_num_eq, generate_family,
+from .onsager import (OnsagerParams, _as_scalar, _check_windows, _grow_tower,
+                      _rf_num_eq, _theta_exchange, generate_family,
                       onedim_closed_form)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qbinom, qint, specialize
-from .series import FPoly, TruncSeries, h_from_theta, pade_reconstruct
+from .series import FPoly, TruncSeries, pade_reconstruct
 
 __all__ = [
     "AffineTypeA",
@@ -950,11 +952,13 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
                           certify: bool = True) -> RankNFamily:
     """Generate the per-node towers from the seed words.
 
-    Each finite node runs the rank-one recursion with its own seeds
-    A_{i,0} = B_i and A_{i,-1} (the dressed bracket), the global C and
-    the node constant C_i.  With ``certify`` the bracket seed is checked
-    against the braided word T_{omega_i}(B_i) before anything grows out
-    of it.  Default R = 2T keeps every relation check in range.
+    Each finite node seeds A_{i,0} = B_i, A_{i,-1} (the dressed bracket)
+    and H_{i,1} normalised by the node constant C_i, then grows its
+    towers by the core shared with rank one (``onsager._grow_tower``),
+    with the global C and node weight c_i.  With ``certify`` the bracket
+    seed is checked against the braided word T_{omega_i}(B_i) before
+    anything grows out of it.  Default R = 2T keeps every relation check
+    in range.
     """
     typ = module.typ
     if params.N != typ.N:
@@ -971,14 +975,8 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
     kvals = _kvals(module, params)
 
     C = f.from_scalar(params.C)
-    Cinv = f.one / C
     q2 = f.q * f.q
     qm2 = f.one / q2
-    kap = f.q - f.one / f.q
-    two_inv = f.one / f.qint(2)
-
-    def comm(X, Y):
-        return X @ Y - Y @ X
 
     for i in typ.finite_nodes:
         seed_expr = build_Ai_minus1(i, typ.N)
@@ -1002,57 +1000,15 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
         # module.
         if i % 2 == 0:
             Am1 = Am1.scale(-f.one)
-        A = {0: fam.B[i], -1: Am1}
         fam.log.append(f"node {i}: A[0] = B_{i}, A[-1] = o({i}) C_{i} T_omega'(B_{i})")
 
         ci = f.from_scalar(params.cconst(i))
-        H1 = qbracket(A[-1], A[0], qm2).scale(q2 / ci)
-        Hbar = H1.scale(two_inv)
+        H1 = qbracket(Am1, fam.B[i], qm2).scale(q2 / ci)
         fam.log.append(f"node {i}: H[1] = q^2 C_{i}^-1 [A[-1], A[0]]_(q^-2)")
-
-        for r in range(0, R):
-            A[r + 1] = comm(Hbar, A[r]) + A[r - 1].scale(C)
-        for r in range(-1, -R, -1):
-            A[r - 1] = (A[r + 1] - comm(Hbar, A[r])).scale(Cinv)
-        fam.log.append(f"node {i}: ladder to |r| <= {R}")
-
-        theta0 = fam.I.scale(f.one / kap)
-        theta = {0: theta0, 1: H1}
-        ciinv = f.one / f.from_scalar(params.c[i])
-        for s in range(0, T - 1):
-            step = qbracket(A[-1], A[s + 1], qm2) \
-                - qbracket(A[0], A[s], q2).scale(qm2)
-            acc = theta[s].scale(qm2) + step.scale(ciinv)
-            if s == 0:
-                acc = acc - theta0
-            theta[s + 2] = acc.scale(C)
-        fam.log.append(f"node {i}: Theta tower to m <= {T} by the two-step rule")
-
-        hs = h_from_theta([theta[m] for m in range(1, T + 1)], T, f, fam.I,
-                          check_commuting=False)
-        H = {1: H1}
-        for m in range(2, T + 1):
-            H[m] = hs[m - 1]
-
-        acute = {}
-        grave = {}
-        for s in range(0, T + 1):
-            acc = theta[s]
-            w0 = f.one - qm2
-            cp = C
-            for k in range(1, s // 2 + 1):
-                acc = acc + theta[s - 2 * k].scale(w0 * cp)
-                cp = cp * C
-            acute[s] = acc
-            grave[s] = acc.scale(kap)
-        fam.log.append(f"node {i}: acute/grave towers by series reweighting")
-
-        fam.A[i] = A
-        fam.H[i] = H
-        fam.Hbar1[i] = Hbar
-        fam.theta[i] = theta
-        fam.theta_acute[i] = acute
-        fam.theta_grave[i] = grave
+        (fam.A[i], fam.H[i], fam.Hbar1[i], fam.theta[i], fam.theta_acute[i],
+         fam.theta_grave[i]) = _grow_tower(
+            fam.B[i], Am1, H1, C, f.from_scalar(params.c[i]), T, R, fam.I,
+            lambda line, i=i: fam.log.append(f"node {i}: {line}"))
     return fam
 
 
@@ -1068,15 +1024,9 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
     r <-> s, and the cubic is symmetrized in (r1, r2) on both sides.
     Cross-node commutativity of the Theta towers is checked directly.
     """
+    _check_windows(fam, rwin, mmax)
     typ = fam.typ
     f = fam.field
-    need_R = rwin + max(mmax, 1)
-    need_T = max(mmax, 2 * rwin + 1)
-    if fam.R < need_R or fam.T < need_T:
-        raise DomainError(
-            f"window (rwin={rwin}, mmax={mmax}) needs R >= {need_R} and "
-            f"T >= {need_T}; the family has R={fam.R}, T={fam.T}"
-        )
     p = fam.params
     C = f.from_scalar(p.C)
     q2 = f.q * f.q
@@ -1089,9 +1039,6 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         f"|r| <= {rwin}, m <= {mmax}"
     )
 
-    def comm(X, Y):
-        return X @ Y - Y @ X
-
     for i in nodes:
         for j in nodes:
             if j < i:
@@ -1100,7 +1047,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 for n in range(m if i == j else 1, mmax + 1):
                     if i == j and n == m:
                         continue
-                    ok, w = _meq(comm(fam.h(i, m), fam.h(j, n)), Z, f)
+                    ok, w = _meq(commutator(fam.h(i, m), fam.h(j, n)), Z, f)
                     rep.add("grel1", (i, m, j, n), ok, w)
 
     for i in nodes:
@@ -1109,7 +1056,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             for m in range(1, mmax + 1):
                 coef = f.from_scalar(qint(m * aij) / Scalar(m))
                 for r in range(-rwin, rwin + 1):
-                    lhs = comm(fam.h(i, m), fam.a(j, r))
+                    lhs = commutator(fam.h(i, m), fam.a(j, r))
                     rhs = (fam.a(j, r + m)
                            - fam.a(j, r - m).scale(C ** m)).scale(coef)
                     ok, w = _meq(lhs, rhs, f)
@@ -1121,7 +1068,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 continue
             for r in range(-rwin, rwin + 1):
                 for s in range(-rwin, rwin + 1):
-                    ok, w = _meq(comm(fam.a(i, r), fam.a(j, s)), Z, f)
+                    ok, w = _meq(commutator(fam.a(i, r), fam.a(j, s)), Z, f)
                     rep.add("grel3", (i, r, j, s), ok, w)
 
     for i in nodes:
@@ -1142,13 +1089,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         ci = f.from_scalar(p.c[i])
         for r in range(-rwin, rwin + 1):
             for s in range(r, rwin + 1):
-                lhs = qbracket(fam.a(i, r), fam.a(i, s + 1), qm2) \
-                    - qbracket(fam.a(i, r + 1), fam.a(i, s), q2).scale(qm2)
-                rhs = (fam.theta_at(i, s - r + 1).scale(C ** r)
-                       - fam.theta_at(i, s - r - 1).scale((C ** (r + 1)) * qm2)
-                       + fam.theta_at(i, r - s + 1).scale(C ** s)
-                       - fam.theta_at(i, r - s - 1).scale((C ** (s + 1)) * qm2)
-                       ).scale(ci)
+                lhs, rhs = _theta_exchange(
+                    fam.A[i], lambda m, i=i: fam.theta_at(i, m), ci, C, r, s)
                 ok, w = _meq(lhs, rhs, f)
                 rep.add("grel5", (i, r, s), ok, w)
 
@@ -1195,7 +1137,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 continue
             for m in range(1, mmax + 1):
                 for n in range(1, mmax + 1):
-                    ok, w = _meq(comm(fam.theta_at(i, m), fam.theta_at(j, n)),
+                    ok, w = _meq(commutator(fam.theta_at(i, m), fam.theta_at(j, n)),
                                  Z, f)
                     rep.add("theta_commute", (i, m, j, n), ok, w)
     return rep

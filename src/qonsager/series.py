@@ -355,14 +355,6 @@ class FPoly:
     def one(cls, field):
         return cls([field.one], field)
 
-    @classmethod
-    def from_roots(cls, inverse_roots, field):
-        """Product of (1 - a z) over the given a's (constant term 1)."""
-        p = cls.one(field)
-        for a in inverse_roots:
-            p = p * cls([field.one, -a], field)
-        return p
-
     @property
     def degree(self):
         return len(self.coeffs) - 1

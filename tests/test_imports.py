@@ -1,7 +1,12 @@
-"""Every module-level import in the package is read in its module.
+"""Every module-level import in the package is read in its module, and
+every definition in the package is referenced somewhere.
 
 The package ``__init__`` re-exports names on purpose and ``from __future__``
-imports are compiler directives, so both are exempt.
+imports are compiler directives, so both are exempt from the import scan.
+The definition scan covers module-level functions and the non-dunder
+methods of module-level classes; a definition counts as referenced when
+its name is read, as a name or an attribute, outside its own body in the
+package, the tests or the benchmark harness.
 """
 
 from __future__ import annotations
@@ -11,8 +16,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qonsager"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qonsager"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+                  *(ROOT / "perfbench").rglob("*.py")])
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _imported(tree):
@@ -51,3 +60,57 @@ def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported(tree)) - _read(tree))
     assert not unused, f"{path.name} imports {unused} but never reads them"
+
+
+def _definitions(tree):
+    """Module-level functions and non-dunder methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name
+
+
+def _references(node, inside=frozenset()):
+    """Names read under ``node``, except a definition's reads of its own name."""
+    if isinstance(node, _DEFS + (ast.ClassDef,)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in inside:
+            yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if node.attr not in inside:
+            yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_definition_scan_flags_an_unreferenced_definition():
+    tree = ast.parse(
+        "def used(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class K:\n"
+        "    def __init__(self): self.m()\n"
+        "    def m(self): pass\n"
+        "    def dead(self): return self.dead()\n"
+        "used()\n"
+    )
+    defs = set(_definitions(tree))
+    assert defs == {"used", "recursive", "m", "dead"}
+    assert defs - set(_references(tree)) == {"recursive", "dead"}
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for path in READERS:
+        referenced.update(_references(ast.parse(path.read_text(), filename=str(path))))
+    dead = sorted(
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in referenced
+    )
+    assert not dead, f"defined but never referenced: {dead}"

@@ -186,6 +186,9 @@ def test_window_guards():
     fam = generate_family(p, V(1, "q"), T=3, R=3)
     with pytest.raises(DomainError):
         verify_presentation(fam, rwin=2, mmax=3)
+    with pytest.raises(DomainError, match=r"needs R >= 5 and T >= 5; "
+                                          r"the family has R=3, T=3"):
+        tau_dual_check(fam, rwin=2, mmax=3)
     with pytest.raises(DomainError):
         fam.theta_at(17)
     with pytest.raises(DomainError):

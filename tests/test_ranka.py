@@ -25,6 +25,7 @@ from qonsager.errors import ConstructionError, DomainError
 from qonsager import ranka
 from qonsager.linmat import Matrix, qbracket
 from qonsager.loopsl2 import EvalParams, build_evaluation
+from qonsager.onsager import OnsagerParams, generate_family
 from qonsager.ranka import (
     AffineModule,
     AffineTypeA,
@@ -48,7 +49,8 @@ from qonsager.ranka import (
     verify_braid_relations,
     verify_grel,
 )
-from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar
+from qonsager.scalars import (ExactField, NumericField, Q, Scalar, parse_scalar,
+                              specialize)
 
 F = ExactField()
 
@@ -592,6 +594,43 @@ def test_seed_calibration_is_pinned_by_cross_node_relations():
             assert i != j and m % 2 == 1, idx
     # same-node texture unaffected
     assert not [x for x in bad if x[0] in {"grel1", "grel5", "theta_commute"}]
+
+
+def test_numeric_towers_match_specialized_exact():
+    q0 = 1.3
+    nf = NumericField(q0)
+    p = P(("1", "q", "q^2"))
+    fam = generate_rankn_family(W(2, "q"), p, T=4, R=4)
+    famn = generate_rankn_family(
+        build_vector_evaluation(2, parse_scalar("q"), field=nf), p, T=4, R=4)
+    for tower in ("A", "H", "theta", "theta_grave"):
+        for i in (1, 2):
+            for k, M in getattr(fam, tower)[i].items():
+                ours = getattr(famn, tower)[i][k]
+                exact = M.map_entries(lambda s: specialize(s, q0), field=nf)
+                assert (exact - ours).is_zero(scale=max(ours.max_abs(), 1.0)), \
+                    (tower, i, k)
+    rep = verify_grel(famn, rwin=1, mmax=2)
+    assert rep.ok, rep.summary()
+
+
+def test_numeric_rank_one_towers_match_the_loop_family():
+    # through the gauge bridge, the N = 1 towers and the rank-one family
+    # on the loop-sl2 module are the same towers, also at a numeric q0
+    nf = NumericField(1.3)
+    a = parse_scalar("q^2")
+    p = P(("q^2", "q^-1"), ("1", "q"))
+    fam = generate_rankn_family(build_vector_evaluation(1, a, field=nf), p,
+                                T=4, R=5)
+    V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=4,
+                         field=nf)
+    ofam = generate_family(OnsagerParams(*p.c, *p.s), V, T=4, R=5)
+    for tower in ("A", "H", "theta", "theta_acute", "theta_grave"):
+        ours = getattr(fam, tower)[1]
+        theirs = getattr(ofam, tower)
+        assert ours.keys() == theirs.keys(), tower
+        for k, M in theirs.items():
+            assert (ours[k] - M).is_zero(scale=max(M.max_abs(), 1.0)), (tower, k)
 
 
 def test_towers_with_shifts_at_rank_one():
