@@ -15,6 +15,12 @@ exact and numeric results are the same as the dense product's, bit for bit.
 The store stays dense; the weight-basis operators are sparse enough that
 this one code path serves both field backends.
 
+Sum, difference, negation and scaling stay plain entrywise loops with no
+zero-skipping: over the numeric backend a skipped ``a + 0j`` would keep a
+-0.0 that the addition turns into 0.0, so the results would no longer be
+the entrywise complex arithmetic bit for bit.  Exact zero operands are
+cheap anyway, because Scalar arithmetic returns early on them.
+
 A Grading assigns every basis index an integer degree *vector* — length 1 for
 a single module (top degree 0, weights descending), length f for an f-fold
 tensor product, where the degrees of the factors are kept as separate

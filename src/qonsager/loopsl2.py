@@ -247,13 +247,19 @@ def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
 
 
 def _meq(A: Matrix, B: Matrix, field):
-    """(ok, witness) for A = B at the backend's notion of zero."""
-    D = A - B
+    """(ok, witness) for A = B at the backend's notion of zero.
+
+    Exact entries are in canonical form, so a = b exactly when a == b: the
+    exact branch compares entries and computes a - b only at the first
+    differing entry, in row-major order."""
     if field.exact:
-        if D.is_zero():
-            return True, None
-        i, j, v = next(D.nonzero_entries())
-        return False, f"entry ({i},{j}) = {v}"
+        for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
+            if ra != rb:
+                for j, (a, b) in enumerate(zip(ra, rb)):
+                    if a != b:
+                        return False, f"entry ({i},{j}) = {a - b}"
+        return True, None
+    D = A - B
     scale = max(A.max_abs(), B.max_abs(), 1.0)
     if D.is_zero(scale):
         return True, None

@@ -16,6 +16,29 @@ Equality is therefore structural, hashing is cheap, and ``str()`` round-trips
 through :func:`parse_scalar`.  Negative powers of q never appear explicitly:
 q^-1 is the fraction ``[1] / [0, 1]``.
 
+A Scalar is immutable: no code changes ``num`` or ``den`` after
+construction.  Arithmetic relies on this, since it may return one of its
+operands, or share an operand's coefficient list with its result.
+
+Most entries of the modules this package builds are 0 or Laurent
+polynomials, so ``+``, ``-`` and ``*`` take two fast paths before the
+general one, and each returns the same canonical form as the general path:
+
+* a zero operand: ``0 + b`` is ``b``, ``a - 0`` is ``a``, ``-0`` is
+  itself, and a product with a zero factor is ``ZERO``, with no kernel
+  call;
+* both denominators exactly q^k (coefficient 1; a polynomial has k = 0):
+  sums shift both numerators to the common q^max(k1, k2), products
+  multiply the numerators over q^(k1 + k2), and the result num / q^k is
+  reduced by stripping the v = min(val(num), k) lowest zero coefficients
+  of num, giving num / q^(k - v), where val is the q-adic valuation.  No
+  ``pgcd`` or ``pdiv_exact`` runs.  This form is canonical: q^k has
+  content 1, so gcd(num, q^k) = q^min(val(num), k), and q^(k - v) has a
+  positive leading coefficient.
+
+Every other denominator, c*q^k with c != 1 included, takes the general
+path through ``pgcd``.
+
 Operator inventory: ``+ - * / ** == hash bool``, with ints and
 :class:`fractions.Fraction` coerced on either side.
 
@@ -47,6 +70,8 @@ from ._kernel import (
     pmul_int,
     pneg,
     pprim,
+    pshift,
+    psub,
 )
 from .errors import DomainError, EvaluationError
 
@@ -99,30 +124,11 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1 == d2:
-            if d1 == [1]:
-                return Scalar._raw(padd(n1, n2), [1])
-            return Scalar(padd(n1, n2), d1)
-        g = pgcd(d1, d2)
-        if g == [1]:
-            num = padd(pmul(n1, d2), pmul(n2, d1))
-            if not num:
-                return ZERO
-            return Scalar._raw(num, pmul(d1, d2))
-        d1g = pdiv_exact(d1, g)
-        d2g = pdiv_exact(d2, g)
-        num = padd(pmul(n1, d2g), pmul(n2, d1g))
-        if not num:
-            return ZERO
-        h = pgcd(num, g)
-        if h != [1]:
-            num = pdiv_exact(num, h)
-            g = pdiv_exact(g, h)
-        den = pmul(pmul(g, d1g), d2g)
-        if den[-1] < 0:
-            num, den = pneg(num), pneg(den)
-        return Scalar._raw(num, den)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        return _sum(self.num, self.den, other.num, other.den, padd)
 
     __radd__ = __add__
 
@@ -130,15 +136,25 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
+        return _sum(self.num, self.den, other.num, other.den, psub)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        if not self.num:
+            return other
+        if not other.num:
+            return -self
+        return _sum(other.num, other.den, self.num, self.den, psub)
 
     def __neg__(self):
+        if not self.num:
+            return self
         return Scalar._raw(pneg(self.num), self.den)
 
     def __mul__(self, other):
@@ -148,8 +164,9 @@ class Scalar:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1 or not n2:
             return ZERO
-        if d1 == [1] and d2 == [1]:
-            return Scalar._raw(pmul(n1, n2), [1])
+        k1, k2 = _qpow(d1), _qpow(d2)
+        if k1 >= 0 and k2 >= 0:
+            return _laurent(pmul(n1, n2), k1 + k2)
         g1 = pgcd(n1, d2)
         if g1 != [1]:
             n1 = pdiv_exact(n1, g1)
@@ -257,6 +274,60 @@ def _reduce(num, den):
     if den[-1] < 0:
         num, den = pneg(num), pneg(den)
     return num, den
+
+
+def _qpow(den):
+    """k when den is exactly q^k (coefficient 1), else -1."""
+    k = len(den) - 1
+    if den[k] == 1 and den.count(0) == k:
+        return k
+    return -1
+
+
+def _laurent(num, k):
+    """The canonical form of num / q^k: strip the q^v, v = min(val(num), k),
+    that num and q^k share."""
+    if not num:
+        return ZERO
+    v = 0
+    while v < k and num[v] == 0:
+        v += 1
+    if v:
+        num = num[v:]
+        k -= v
+    return Scalar._raw(num, [0] * k + [1])
+
+
+def _sum(n1, d1, n2, d2, op):
+    """n1/d1 + n2/d2 (op = padd) or n1/d1 - n2/d2 (op = psub), canonical."""
+    k1, k2 = _qpow(d1), _qpow(d2)
+    if k1 >= 0 and k2 >= 0:
+        if k1 < k2:
+            n1 = pshift(n1, k2 - k1)
+        elif k2 < k1:
+            n2 = pshift(n2, k1 - k2)
+        return _laurent(op(n1, n2), max(k1, k2))
+    if d1 == d2:
+        return Scalar(op(n1, n2), d1)
+    g = pgcd(d1, d2)
+    if g == [1]:
+        num = op(pmul(n1, d2), pmul(n2, d1))
+        if not num:
+            return ZERO
+        return Scalar._raw(num, pmul(d1, d2))
+    d1g = pdiv_exact(d1, g)
+    d2g = pdiv_exact(d2, g)
+    num = op(pmul(n1, d2g), pmul(n2, d1g))
+    if not num:
+        return ZERO
+    h = pgcd(num, g)
+    if h != [1]:
+        num = pdiv_exact(num, h)
+        g = pdiv_exact(g, h)
+    den = pmul(pmul(g, d1g), d2g)
+    if den[-1] < 0:
+        num, den = pneg(num), pneg(den)
+    return Scalar._raw(num, den)
 
 
 def _coerce(x):

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is read in its module, and
-every definition in the package is referenced somewhere.
+"""Every module-level import in the package is read in its module, every
+definition in the package is referenced somewhere, and no code mutates the
+coefficient lists of a fraction in place.
 
 The package ``__init__`` re-exports names on purpose and ``from __future__``
 imports are compiler directives, so both are exempt from the import scan.
@@ -7,6 +8,12 @@ The definition scan covers module-level functions and the non-dunder
 methods of module-level classes; a definition counts as referenced when
 its name is read, as a name or an attribute, outside its own body in the
 package, the tests or the benchmark harness.
+
+Scalar arithmetic may return one of its operands, or share an operand's
+``num`` or ``den`` list with its result, so those lists must never be
+mutated after construction.  The mutation scan flags, in the package, any
+subscript store or delete on a ``.num``/``.den`` attribute, an augmented
+assignment to one, and a call of a mutating list method on one.
 """
 
 from __future__ import annotations
@@ -114,3 +121,48 @@ def test_every_definition_is_referenced():
         if name not in referenced
     )
     assert not dead, f"defined but never referenced: {dead}"
+
+
+_FRACTION_PARTS = frozenset(("num", "den"))
+_MUTATORS = frozenset(("append", "pop", "insert", "extend", "clear", "remove", "sort"))
+
+
+def _is_part(node):
+    return isinstance(node, ast.Attribute) and node.attr in _FRACTION_PARTS
+
+
+def _mutations(tree):
+    """Line numbers of in-place mutations of a ``.num`` or ``.den`` list."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _is_part(node.value)):
+            yield node.lineno
+        elif isinstance(node, ast.AugAssign) and _is_part(node.target):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and _is_part(node.func.value)
+                and (node.func.attr in _MUTATORS
+                     or (node.func.attr == "reverse" and not node.args and not node.keywords))):
+            yield node.lineno
+
+
+def test_mutation_scan_flags_in_place_changes():
+    tree = ast.parse(
+        "s.num[0] = 1\n"
+        "s.den[1:] = []\n"
+        "del s.num[-1]\n"
+        "s.num += [0]\n"
+        "s.den.append(1)\n"
+        "s.num.reverse()\n"
+        "s.num = [1]\n"
+        "p.num.reverse(3)\n"
+        "x = s.num[0] + len(s.den)\n"
+        "t.data.pop()\n"
+    )
+    assert sorted(_mutations(tree)) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fraction_parts_are_never_mutated(path):
+    lines = sorted(_mutations(ast.parse(path.read_text(), filename=str(path))))
+    assert not lines, f"{path.name} mutates a .num or .den list at lines {lines}"

@@ -146,6 +146,39 @@ def test_product_matches_dense_loop_numeric(pair):
     assert [[repr(x) for x in r] for r in C.rows] == [[repr(x) for x in r] for r in want]
 
 
+numeric_entries = st.one_of(
+    st.sampled_from(complex_pool),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)))
+
+
+@st.composite
+def same_shape_pairs(draw, entries):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return tuple([[draw(entries) for _ in range(m)] for _ in range(n)] for _ in range(2))
+
+
+@given(same_shape_pairs(numeric_entries), numeric_entries)
+@settings(max_examples=150, deadline=None)
+def test_entrywise_ops_match_reference_numeric(pair, c):
+    # add, sub, neg and scale stay plain entrywise complex arithmetic:
+    # signed zeros and overflowing products come out as the reference's.
+    nf = NumericField(1.3)
+    a_rows, b_rows = pair
+    A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
+
+    def reprs(rows):
+        return [[repr(x) for x in r] for r in rows]
+
+    rows = list(zip(a_rows, b_rows))
+    assert reprs((A + B).rows) == reprs([[a + b for a, b in zip(ra, rb)] for ra, rb in rows])
+    assert reprs((A - B).rows) == reprs([[a - b for a, b in zip(ra, rb)] for ra, rb in rows])
+    assert reprs((-A).rows) == reprs([[-a for a in ra] for ra in a_rows])
+    scaled = reprs([[c * a for a in ra] for ra in a_rows])
+    assert reprs(A.scale(c).rows) == scaled
+    assert reprs((c * A).rows) == scaled
+
+
 def test_product_shape_mismatch():
     with pytest.raises(DomainError, match="shape mismatch 2x3 @ 2x3"):
         Matrix.zeros(2, 3, F) @ Matrix.zeros(2, 3, F)

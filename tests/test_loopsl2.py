@@ -27,6 +27,7 @@ from qonsager.linmat import Matrix, degree_components
 from qonsager.loopsl2 import (
     EvalParams,
     _assemble_evaluation,
+    _meq,
     build_evaluation,
     kacmoody_from_drinfeld,
     phi_series,
@@ -156,6 +157,29 @@ def test_report_witness_mentions_entry():
     rep = verify_drinfeld_relations(mod)
     bad = rep.first_failure()
     assert bad.witness and "entry" in bad.witness
+
+
+def test_exact_equality_witness_is_first_differing_entry():
+    # rows 0 agree; row 1 differs at (1,1) and (1,2)
+    A = Matrix([[Q, Scalar(0), Scalar(1)], [qint(2), Q**-1, Scalar(0)]], F)
+    B = Matrix([[Q, Scalar(0), Scalar(1)], [qint(2), Q**-2, Q]], F)
+    assert _meq(A, A, F) == (True, None)
+    assert _meq(A, B, F) == (False, "entry (1,1) = (q-1)/(q^2)")
+    i, j, v = next((A - B).nonzero_entries())
+    assert _meq(A, B, F)[1] == f"entry ({i},{j}) = {v}"
+
+
+def test_damaged_module_witnesses_are_pinned():
+    mod = V(2, "q^3")
+    mod.xp[1] = mod.xp[1].scale(F.q)
+    rep = verify_drinfeld_relations(mod)
+    bad = rep.failures()
+    assert (len(bad), len(rep.entries)) == (35, 245)
+    assert (bad[0].name, bad[0].indices) == ("h_x_ladder", (-3, "+", 1))
+    assert bad[0].witness == (
+        "entry (0,1) = (q^13-q^12+2*q^11-2*q^10+2*q^9-2*q^8+2*q^7-2*q^6"
+        "+2*q^5-2*q^4+2*q^3-2*q^2+q-1)/(3*q^16)")
+    assert bad[3].witness == "entry (0,1) = (q^5-q^4+2*q^3-2*q^2+q-1)/(q^2)"
 
 
 # ------------------------------------------------------------- the dictionary

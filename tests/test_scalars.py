@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qonsager._kernel import pgcd, pmul, pnorm
+from qonsager._kernel import padd, pgcd, pmul, pneg, pnorm, psub
 from qonsager.errors import DomainError, EvaluationError
 from qonsager.scalars import (
     ONE,
@@ -39,11 +39,16 @@ def to_sympy(s: Scalar):
 
 coeffs = st.lists(st.integers(-9, 9), max_size=5)
 nonzero_coeffs = coeffs.filter(lambda p: any(p))
+# q^k for k <= 4, which random denominators of length <= 5 almost never are
+qpow_dens = st.integers(0, 4).map(lambda k: [0] * k + [1])
 
 
 @st.composite
 def scalars(draw):
-    return Scalar(draw(coeffs), draw(nonzero_coeffs))
+    """Zero, Laurent polynomials (q^k denominators) and general fractions,
+    each drawn often."""
+    num = draw(st.one_of(st.just([]), coeffs))
+    return Scalar(num, draw(st.one_of(qpow_dens, nonzero_coeffs)))
 
 
 # ---------------------------------------------------------------- q-numbers
@@ -130,6 +135,73 @@ def test_int_fraction_coercion():
     assert hash(Scalar(1, 2)) == hash(Fraction(1, 2))
     assert 2 + Q - Q == 2
     assert Fraction(1, 2) * Q == Q / 2
+
+
+@st.composite
+def operands(draw):
+    """One operand of a binary operation: zero (as a Scalar, int or
+    Fraction), an int, a Fraction, or a Scalar whose denominator is q^k,
+    c*q^k with c in {2, 3}, or a general polynomial."""
+    kind = draw(st.sampled_from(["zero", "int", "fraction", "qpow", "cqpow", "general"]))
+    if kind == "zero":
+        return draw(st.sampled_from([ZERO, Scalar([0, 0], [0, 1]), 0, Fraction(0)]))
+    if kind == "int":
+        return draw(st.integers(-9, 9))
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    num = draw(coeffs)
+    if kind == "general":
+        return Scalar(num, draw(nonzero_coeffs))
+    den = draw(qpow_dens)
+    if kind == "cqpow":
+        den[-1] = draw(st.sampled_from([2, 3]))
+    return Scalar(num, den)
+
+
+def _parts(x):
+    """(num, den) coefficient lists of a Scalar, an int or a Fraction."""
+    if isinstance(x, Scalar):
+        return x.num, x.den
+    x = Fraction(x)
+    return [x.numerator] if x else [], [x.denominator]
+
+
+def _assert_canonical(s):
+    assert isinstance(s, Scalar)
+    assert not s.num or s.num[-1] != 0
+    assert s.den and s.den[-1] > 0
+    if s.num:
+        assert pgcd(s.num, s.den) == [1]
+    else:
+        assert s.den == [1]
+
+
+@given(operands(), operands())
+@example(Q**-2, Q**3)  # q^k denominators that cancel into a polynomial
+@example(Q - Q**-1, Q**-1)  # a sum whose numerator has a q-valuation
+@example(Scalar([0, 1], [2]), Scalar(1, 2))  # c*q^k denominators, c = 2
+@example(ZERO, 0)
+@example(Fraction(1, 3), Q**-1)
+@settings(max_examples=400, deadline=None)
+def test_arithmetic_matches_cross_multiplication(a, b):
+    # Reference: the schoolbook cross-multiplied fraction, reduced by
+    # Scalar's constructor (full gcd).  Every result must carry exactly the
+    # reference's num/den lists, whatever path computed it.
+    if not isinstance(a, Scalar) and not isinstance(b, Scalar):
+        a = Scalar(*_parts(a))
+    (n1, d1), (n2, d2) = _parts(a), _parts(b)
+    den = pmul(d1, d2)
+    cases = [
+        (a + b, Scalar(padd(pmul(n1, d2), pmul(n2, d1)), den)),
+        (a - b, Scalar(psub(pmul(n1, d2), pmul(n2, d1)), den)),
+        (b - a, Scalar(psub(pmul(n2, d1), pmul(n1, d2)), den)),
+        (a * b, Scalar(pmul(n1, n2), den)),
+    ]
+    if isinstance(a, Scalar):
+        cases.append((-a, Scalar(pneg(n1), d1)))
+    for got, want in cases:
+        _assert_canonical(got)
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 # ---------------------------------------------------------------- field axioms
