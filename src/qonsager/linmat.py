@@ -29,6 +29,10 @@ shift vector (row degree minus column degree); assert_block_triangular checks
 one-dimensional shifts are all >= 0 (raising) or <= 0 (lowering) and returns
 the diagonal blocks.
 
+_meq is the one matrix equality the certification suites and the series
+layer share: it returns (ok, witness), exact by entry comparison, numeric
+at the scale of the operands.
+
 generalized_eigenspaces is numeric-only by design: exact mode never needs
 eigenvectors, and Jordan structure over Q(q) is out of scope.
 """
@@ -287,6 +291,30 @@ def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
 def commutator(A: Matrix, B: Matrix) -> Matrix:
     """[A, B] = AB - BA, without qbracket's scaling by 1."""
     return A @ B - B @ A
+
+
+def _meq(A: Matrix, B: Matrix, field):
+    """(ok, witness) for A = B at the backend's notion of zero: the one
+    matrix equality of the certification suites.
+
+    Numeric entries compare at the scale of the larger operand, so an
+    equality between large matrices is not judged by an absolute
+    tolerance.  Exact entries are in canonical form, so a = b exactly when
+    a == b: the exact branch compares entries and computes a - b only at
+    the first differing entry, in row-major order."""
+    if field.exact:
+        for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
+            if ra != rb:
+                for j, (a, b) in enumerate(zip(ra, rb)):
+                    if a != b:
+                        return False, f"entry ({i},{j}) = {a - b}"
+        return True, None
+    D = A - B
+    scale = max(A.max_abs(), B.max_abs(), 1.0)
+    if D.is_zero(scale):
+        return True, None
+    i, j, v = max(D.nonzero_entries(), key=lambda t: abs(t[2]))
+    return False, f"entry ({i},{j}) residual {abs(v):.3e} at scale {scale:.3e}"
 
 
 # -- gradings ----------------------------------------------------------------

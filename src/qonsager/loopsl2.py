@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, commutator, degree_components
+from .linmat import Grading, Matrix, _meq, commutator, degree_components
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
 from .series import TruncSeries, series_exp, series_log
@@ -244,27 +244,6 @@ def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
 
 
 # -- equality helper ------------------------------------------------------------
-
-
-def _meq(A: Matrix, B: Matrix, field):
-    """(ok, witness) for A = B at the backend's notion of zero.
-
-    Exact entries are in canonical form, so a = b exactly when a == b: the
-    exact branch compares entries and computes a - b only at the first
-    differing entry, in row-major order."""
-    if field.exact:
-        for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
-            if ra != rb:
-                for j, (a, b) in enumerate(zip(ra, rb)):
-                    if a != b:
-                        return False, f"entry ({i},{j}) = {a - b}"
-        return True, None
-    D = A - B
-    scale = max(A.max_abs(), B.max_abs(), 1.0)
-    if D.is_zero(scale):
-        return True, None
-    i, j, v = max(D.nonzero_entries(), key=lambda t: abs(t[2]))
-    return False, f"entry ({i},{j}) residual {abs(v):.3e} at scale {scale:.3e}"
 
 
 def _same_field(f1, f2) -> bool:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Matrix, commutator, qbracket
-from .loopsl2 import EvalParams, LoopModule, _meq, build_evaluation
+from .linmat import Matrix, _meq, commutator, qbracket
+from .loopsl2 import EvalParams, LoopModule, build_evaluation
 from .report import CheckReport
 from .scalars import ExactField, Scalar, parse_scalar, qbinom, specialize
 from .series import (FPoly, RationalFunction, TruncSeries, h_from_theta,
@@ -234,7 +234,13 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     log(f"Theta[0] = (q - q^-1)^-1, Theta[1] = H[1], Theta[2..{T}] by the "
         "two-step rule")
 
-    # commutativity of the charges is a checked relation, not assumed here
+    # For commuting Theta[1..T] the log recurrence gives exactly the formal
+    # log.  For Theta that do not commute, the H it returns do not commute
+    # either: exp(log(S)) == S holds for any S, so each Theta[n] is a
+    # polynomial in H[1..n].  So rel1 (rank one) and grel1 (rank N) still
+    # fail a broken tower inside their windows, as h_commute does for the
+    # h_k that loopsl2 takes from the same log, and no commutation check is
+    # paid here.
     hs = h_from_theta([theta[m] for m in range(1, T + 1)], T, f, I,
                       check_commuting=False)
     H = {1: H1}

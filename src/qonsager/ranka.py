@@ -69,8 +69,8 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, commutator, degree_components, qbracket
-from .loopsl2 import EvalParams, _meq, _same_field, build_evaluation
+from .linmat import Grading, Matrix, _meq, commutator, degree_components, qbracket
+from .loopsl2 import EvalParams, _same_field, build_evaluation
 from .onsager import (OnsagerParams, _as_scalar, _check_windows, _grow_tower,
                       _rf_num_eq, _theta_exchange, generate_family,
                       onedim_closed_form)

@@ -10,11 +10,12 @@ product is determined (min(a.hi + b.lo, b.hi + a.lo) for two ascending
 series) instead of silently pretending more orders are known.
 
 Coefficients may be field elements or matrices over the field; exp/log take
-the multiplicative identity explicitly so both cases share code.  Pade
-reconstruction is exact linear algebra: minimal denominator degree first,
-free variables pinned to zero, candidate verified against *every* known
-coefficient before it is accepted — failure returns None, never a wrong
-answer.
+the multiplicative identity explicitly so both cases share code, and run
+the logarithmic-derivative recurrences in about T²/2 coefficient products.
+Pade reconstruction is exact linear algebra: minimal denominator degree
+first, free variables pinned to zero, candidate verified against *every*
+known coefficient before it is accepted — failure returns None, never a
+wrong answer.
 
 Linear systems (solve_linear) are solved by Gauss-Jordan elimination.  Over
 the exact field it runs fraction-free: rows are cleared of denominators to
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from ._kernel import pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError, EvaluationError
-from .linmat import Matrix
+from .linmat import Matrix, _meq
 from .scalars import ZERO, Scalar, _coerce, specialize
 
 __all__ = [
@@ -202,38 +203,83 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     )
 
 
+def _check_ascending(s: TruncSeries, name: str):
+    """Shared guard of series_exp and series_log: an ascending series whose
+    coefficients below z^0, if its window reaches there, are all zero."""
+    if not s.zero_below:
+        raise DomainError(f"{name} needs an ascending series")
+    for k in range(s.lo, min(s.hi, -1) + 1):
+        v = s.coeffs.get(k)
+        if v is not None and not _is_zero_entry(v, s.field):
+            raise DomainError(f"{name}: nonzero coefficient of z^{k}, below z^0")
+
+
 def series_exp(s: TruncSeries, one) -> TruncSeries:
-    """exp of an ascending series with zero constant term."""
-    if not s.zero_below or s.lo < 0 or (s.known(0) and not _is_zero_entry(s.coeff(0), s.field)):
-        raise DomainError("series_exp needs an ascending series with no constant term")
-    T = s.hi
-    body = s.truncate(lo=max(s.lo, 1))
-    out = TruncSeries({0: one}, 0, T, s.zero, s.field)
-    power = TruncSeries({0: one}, 0, T, s.zero, s.field)
-    fact = 1
-    for k in range(1, T + 1):
-        power = series_mul(power, body).truncate(hi=T, lo=0)
-        fact *= k
-        out = out + power.scale(s.field.from_fraction(1, fact))
-    return out
+    """exp of an ascending series S with zero constant term.
+
+    E = exp(S) satisfies E' = S' E when the coefficients of S commute, which
+    gives E_0 = one and, for n = 1..T (T = s.hi),
+
+        E_n = (1/n) Σ_{k=1}^{n} (k·S_k) E_{n-k}
+
+    (Knuth, TAOCP Vol. 2, §4.7; Brent and Kung, J. ACM 25(4), 1978): about
+    T²/2 coefficient products, where the power sum Σ S^k/k! takes about
+    T³/6.  Each k·S_k is formed once and 1/n is applied once per n.  The
+    result is the formal exp only when the S_k commute pairwise.  With
+    S_k on the left, as in series_log, series_exp(series_log(S)) == S holds
+    for every S with constant term one, commuting or not, exactly over the
+    exact field.  ``one`` is the multiplicative identity of the
+    coefficients (a Scalar or an identity matrix).
+    """
+    _check_ascending(s, "series_exp")
+    if s.known(0) and not _is_zero_entry(s.coeff(0), s.field):
+        raise DomainError("series_exp needs zero constant term")
+    field = s.field
+    ks = {k: field.from_int(k) * v for k, v in s.coeffs.items() if k >= 1}
+    e = {0: one}
+    for n in range(1, s.hi + 1):
+        # the k = n term is k·S_k times E_0 = one
+        acc = ks.get(n, s.zero)
+        for k in range(1, n):
+            v = ks.get(k)
+            if v is not None:
+                acc = acc + v * e[n - k]
+        e[n] = field.from_fraction(1, n) * acc
+    return TruncSeries(e, 0, s.hi, s.zero, field)
 
 
 def series_log(s: TruncSeries, one) -> TruncSeries:
-    """log of an ascending series with constant term equal to `one`."""
-    if not s.zero_below or s.lo > 0:
-        raise DomainError("series_log needs an ascending series from order 0")
-    T = s.hi
-    dev = s - TruncSeries({0: one}, 0, T, s.zero, s.field)
-    if dev.known(0) and not _is_zero_entry(dev.coeff(0), s.field):
+    """log of an ascending series S = 1 + D with constant term ``one``.
+
+    L = log(S) satisfies S' = L' S when the coefficients of S commute, which
+    gives L_0 = 0 and, for n = 1..T (T = s.hi),
+
+        L_n = D_n - (1/n) Σ_{k=1}^{n-1} (k·L_k) D_{n-k}
+
+    (Knuth, TAOCP Vol. 2, §4.7; Brent and Kung, J. ACM 25(4), 1978): about
+    T²/2 coefficient products, where the power sum Σ ±D^k/k takes about
+    T³/6.  The recurrence keeps k·L_k and applies 1/n once per n.  The
+    result is the formal log only when the D_k commute pairwise; with L_k
+    on the left, series_exp(series_log(S)) == S holds for every S, exactly
+    over the exact field.  ``one`` is the multiplicative identity of the
+    coefficients (a Scalar or an identity matrix).
+    """
+    _check_ascending(s, "series_log")
+    field = s.field
+    if not s.known(0) or not _is_zero_entry(s.coeff(0) - one, field):
         raise DomainError("series_log needs constant term 1")
-    dev = dev.truncate(lo=1)
-    out = TruncSeries({}, 0, T, s.zero, s.field)
-    power = TruncSeries({0: one}, 0, T, s.zero, s.field)
-    for k in range(1, T + 1):
-        power = series_mul(power, dev).truncate(hi=T, lo=0)
-        sign = 1 if k % 2 else -1
-        out = out + power.scale(s.field.from_fraction(sign, k))
-    return out
+    d = s.coeffs
+    kl = {}  # k·L_k
+    out = {}
+    for n in range(1, s.hi + 1):
+        acc = field.from_int(n) * s.coeff(n)
+        for k, v in kl.items():
+            dv = d.get(n - k)
+            if dv is not None:
+                acc = acc - v * dv
+        kl[n] = acc
+        out[n] = field.from_fraction(1, n) * acc
+    return TruncSeries(out, 0, s.hi, s.zero, field)
 
 
 # -- the Theta <-> H change of coordinates -------------------------------------
@@ -261,25 +307,33 @@ def theta_from_h(h_list, T, field, one):
 
 
 def h_from_theta(theta_list, T, field, one, check_commuting=True):
-    """Inverse of theta_from_h; requires the Θ_m to commute pairwise."""
+    """Inverse of theta_from_h; requires the Θ_m to commute pairwise.
+
+    With ``check_commuting`` every pair of matrix Θ_m, Θ_n is compared by
+    the field's matrix equality (scaled for the numeric field) and the
+    first pair that does not commute raises DomainError with its witness.
+    """
     if check_commuting:
         for i in range(len(theta_list)):
             for j in range(i + 1, len(theta_list)):
                 a, b = theta_list[i], theta_list[j]
                 if isinstance(a, Matrix):
-                    if not (a @ b - b @ a).is_zero():
-                        raise DomainError("theta coefficients do not commute")
+                    ok, w = _meq(a @ b, b @ a, field)
+                    if not ok:
+                        raise DomainError(
+                            f"theta coefficients (m, n) = ({i + 1}, {j + 1}) "
+                            f"do not commute: {w}"
+                        )
     kappa = field.q - field.one / field.q
     zero = theta_list[0] * field.zero if theta_list else field.zero
     s = TruncSeries(
-        {0: one},
+        {0: one, **{m: theta_list[m - 1] * kappa
+                    for m in range(1, min(len(theta_list), T) + 1)}},
         0,
         T,
         zero,
         field,
     )
-    for m in range(1, min(len(theta_list), T) + 1):
-        s = s + TruncSeries({m: theta_list[m - 1] * kappa}, 0, T, zero, field)
     l = series_log(s, one)
     return [l.coeff(m) * (field.one / kappa) for m in range(1, T + 1)]
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .linmat import Grading, Matrix, degree_components
-from .loopsl2 import LoopModule, _meq, extend_loop_data, tensor
+from .linmat import Grading, Matrix, _meq, degree_components
+from .loopsl2 import LoopModule, extend_loop_data, tensor
 from .onsager import (
     OnsagerFamily,
     OnsagerParams,

@@ -23,11 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
-from qonsager.linmat import Matrix, degree_components
+from qonsager.linmat import Matrix, _meq, degree_components
 from qonsager.loopsl2 import (
     EvalParams,
     _assemble_evaluation,
-    _meq,
     build_evaluation,
     kacmoody_from_drinfeld,
     phi_series,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
-from qonsager.linmat import Matrix
+from qonsager.linmat import Matrix, _meq
 from qonsager.loopsl2 import EvalParams, build_evaluation, tensor
 from qonsager.onsager import (
     OnsagerParams,
@@ -31,6 +31,7 @@ from qonsager.onsager import (
     verify_qdolangrady,
 )
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
+from qonsager.series import h_from_theta
 
 F = ExactField()
 
@@ -233,6 +234,18 @@ def test_numeric_matches_specialized_exact():
         assert delta.is_zero(scale=max(famn.A[r].max_abs(), 1.0)), r
     repn = verify_presentation(famn, rwin=1, mmax=2)
     assert repn.ok, repn.summary()
+
+
+def test_numeric_theta_commute_at_their_scale():
+    # Theta entries reach about 4e7 at T = 8; the commutation check compares
+    # at that scale, so the valid tower is accepted and its log is the H
+    # that generation stored
+    nf = NumericField(1.3)
+    fam = generate_family(P("q^2", "q^-1", "0", "0"), V(2, "q", window=1, T=8, field=nf),
+                          T=8)
+    H = h_from_theta([fam.theta[m] for m in range(1, 9)], 8, nf, fam.I)
+    for m in range(1, 9):
+        assert _meq(H[m - 1], fam.H[m], nf) == (True, None), m
 
 
 # --------------------------------------------------------------- numeric DRF

@@ -124,11 +124,57 @@ def test_theta_h_roundtrip():
         assert got == want
 
 
+_A = Matrix([[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]], F)
+_B = Matrix([[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]], F)
+
+
 def test_h_from_theta_rejects_noncommuting():
-    A = Matrix([[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]], F)
-    B = Matrix([[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]], F)
-    with pytest.raises(DomainError):
-        h_from_theta([A, B], 2, F, Matrix.identity(2, F))
+    with pytest.raises(DomainError, match=r"\(m, n\) = \(1, 2\).*entry \(0,0\) = 1"):
+        h_from_theta([_A, _B], 2, F, Matrix.identity(2, F))
+
+
+def test_noncommuting_theta_give_noncommuting_h():
+    # the unchecked path still tells a broken tower apart: the H it returns
+    # do not commute, and theta_from_h gives the Theta back exactly
+    I = Matrix.identity(2, F)
+    H = h_from_theta([_A, _B], 2, F, I, check_commuting=False)
+    assert H[0] @ H[1] != H[1] @ H[0]
+    assert theta_from_h(H, 2, F, I)[1] == [_A, _B]
+
+
+def test_exp_inverts_log_without_commuting():
+    I = Matrix.identity(2, F)
+    C = Matrix([[Q, Scalar(1)], [Scalar(-1), Scalar(1, 2)]], F)
+    s = TruncSeries({0: I, 1: _A, 2: _B, 3: C, 5: _A @ C}, 0, 6,
+                    Matrix.zeros(2, 2, F), F)
+    back = series_exp(series_log(s, I), I)
+    assert (back.lo, back.hi) == (0, 6)
+    assert [back.coeff(k) for k in range(7)] == [s.coeff(k) for k in range(7)]
+
+
+@pytest.mark.parametrize("fn, const", [(series_log, 1), (series_exp, 0)],
+                         ids=["log", "exp"])
+def test_coefficients_below_zero(fn, const):
+    # zero coefficients below z^0 are accepted and change nothing; the
+    # first nonzero one is named
+    s = TruncSeries({-2: F.zero, 0: Scalar(const), 1: Scalar(2)}, -2, 3, F.zero, F)
+    plain = TruncSeries({0: Scalar(const), 1: Scalar(2)}, 0, 3, F.zero, F)
+    got, want = fn(s, F.one), fn(plain, F.one)
+    assert (got.lo, got.hi) == (want.lo, want.hi) == (0, 3)
+    assert [got.coeff(k) for k in range(4)] == [want.coeff(k) for k in range(4)]
+    bad = TruncSeries({-2: Scalar(5), -1: Scalar(1), 0: Scalar(const), 1: Scalar(2)},
+                      -2, 3, F.zero, F)
+    with pytest.raises(DomainError, match=r"z\^-2, below z\^0"):
+        fn(bad, F.one)
+
+
+def test_constant_term_preconditions():
+    with pytest.raises(DomainError, match="zero constant term"):
+        series_exp(sseries([1, 1]), F.one)
+    with pytest.raises(DomainError, match="constant term 1"):
+        series_log(sseries([2, 1]), F.one)
+    with pytest.raises(DomainError, match="constant term 1"):
+        series_log(sseries([1, 1], start=1), F.one)
 
 
 # ----------------------------------------------------------------- rationals
@@ -360,3 +406,116 @@ def test_pade_roundtrip_at_workload_size():
     assert (got.num.degree, got.den.degree) == (6, 6)
     assert got == f
     assert str(got) == str(f)
+
+
+# ------------------------------------------- exp / log against the power sums
+
+
+def _power_sum_exp(s, one):
+    """Reference: exp(S) = Σ_k S^k / k! by truncated powers of S."""
+    T = s.hi
+    out = TruncSeries({0: one}, 0, T, s.zero, s.field)
+    power = TruncSeries({0: one}, 0, T, s.zero, s.field)
+    fact = 1
+    for k in range(1, T + 1):
+        power = series_mul(power, s.truncate(lo=1)).truncate(hi=T, lo=0)
+        fact *= k
+        out = out + power.scale(s.field.from_fraction(1, fact))
+    return out
+
+
+def _power_sum_log(s, one):
+    """Reference: log(1 + D) = Σ_k (-1)^(k+1) D^k / k by truncated powers."""
+    T = s.hi
+    out = TruncSeries({}, 0, T, s.zero, s.field)
+    power = TruncSeries({0: one}, 0, T, s.zero, s.field)
+    dev = s - TruncSeries({0: one}, 0, T, s.zero, s.field)
+    for k in range(1, T + 1):
+        power = series_mul(power, dev.truncate(lo=1)).truncate(hi=T, lo=0)
+        sign = 1 if k % 2 else -1
+        out = out + power.scale(s.field.from_fraction(sign, k))
+    return out
+
+
+def _both(values, one, zero, field):
+    """(series for exp, series for log) with the given z^1..z^T coefficients."""
+    T = len(values)
+    body = dict(enumerate(values, 1))
+    return (TruncSeries(body, 0, T, zero, field),
+            TruncSeries({0: one, **body}, 0, T, zero, field))
+
+
+def _coeffs(s):
+    return [s.coeff(k) for k in range(s.hi + 1)]
+
+
+@given(st.lists(_entry, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_exp_log_match_power_sums_scalar(values):
+    se, sl = _both(values, F.one, F.zero, F)
+    assert _coeffs(series_exp(se, F.one)) == _coeffs(_power_sum_exp(se, F.one))
+    assert _coeffs(series_log(sl, F.one)) == _coeffs(_power_sum_log(sl, F.one))
+
+
+_small = st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Q, Q**-1,
+                          Q + 1, Scalar(1, 2)])
+
+
+@st.composite
+def _commuting_coefficients(draw):
+    """A random exact 3x3 matrix M and up to 8 coefficients, each a
+    polynomial of degree <= 2 in M, so that they commute pairwise."""
+    M = Matrix([[draw(_small) for _ in range(3)] for _ in range(3)], F)
+    powers = [Matrix.identity(3, F), M, M @ M]
+    values = []
+    for _ in range(draw(st.integers(0, 8))):
+        acc = Matrix.zeros(3, 3, F)
+        for P in powers:
+            acc = acc + P.scale(draw(_small))
+        values.append(acc)
+    return values
+
+
+@given(_commuting_coefficients())
+@settings(max_examples=40, deadline=None)
+def test_exp_log_match_power_sums_matrix(values):
+    I, Z = Matrix.identity(3, F), Matrix.zeros(3, 3, F)
+    se, sl = _both(values, I, Z, F)
+    assert _coeffs(series_exp(se, I)) == _coeffs(_power_sum_exp(se, I))
+    assert _coeffs(series_log(sl, I)) == _coeffs(_power_sum_log(sl, I))
+
+
+@given(_commuting_coefficients())
+@settings(max_examples=40, deadline=None)
+def test_exp_log_match_power_sums_numeric(values):
+    nf = NumericField(1.3)
+    values = [v.map_entries(nf.from_scalar, nf) for v in values]
+    I, Z = Matrix.identity(3, nf), Matrix.zeros(3, 3, nf)
+    se, sl = _both(values, I, Z, nf)
+    for fn, ref, s in ((series_exp, _power_sum_exp, se), (series_log, _power_sum_log, sl)):
+        for got, want in zip(_coeffs(fn(s, I)), _coeffs(ref(s, I))):
+            scale = max(got.max_abs(), want.max_abs(), 1.0)
+            assert (got - want).is_zero(scale)
+
+
+def test_exp_log_product_count(monkeypatch):
+    # the recurrences take at most T(T-1)/2 (log) and T(T+1)/2 (exp)
+    # matrix products; the power sums take 1,350 each here
+    calls = [0]
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    T = 20
+    I = Matrix.identity(2, F)
+    values = [Matrix([[Scalar(k), Scalar(1)], [Scalar((-1) ** k), Scalar(2)]], F)
+              for k in range(1, T + 1)]
+    se, sl = _both(values, I, Matrix.zeros(2, 2, F), F)
+    series_log(sl, I)
+    assert calls[0] <= T * (T - 1) // 2
+    calls[0] = 0
+    series_exp(se, I)
+    assert calls[0] <= T * (T + 1) // 2
