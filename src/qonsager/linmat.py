@@ -29,6 +29,15 @@ shift vector (row degree minus column degree); assert_block_triangular checks
 one-dimensional shifts are all >= 0 (raising) or <= 0 (lowering) and returns
 the diagonal blocks.
 
+ProductMemo computes each product A @ B (and each q-bracket) once while it
+lives, for the relation suites, which multiply the same stored matrices
+again and again.  It keys on operand identity, never on entries, and keeps
+a reference to every operand it has cached, so an id cannot be reused by a
+new object while its entry is alive.  A memo is scoped by its caller to one
+relation group (or one node pair of it) and dropped with it: there is no
+global cache, and Matrix carries no cache field.  A cached result is the
+same object on every hit, so callers must not mutate it.
+
 _meq is the one matrix equality the certification suites and the series
 layer share: it returns (ok, witness), exact by entry comparison, numeric
 at the scale of the operands.
@@ -47,6 +56,7 @@ __all__ = [
     "Matrix",
     "Grading",
     "GradedOperator",
+    "ProductMemo",
     "qbracket",
     "commutator",
     "degree_components",
@@ -291,6 +301,40 @@ def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
 def commutator(A: Matrix, B: Matrix) -> Matrix:
     """[A, B] = AB - BA, without qbracket's scaling by 1."""
     return A @ B - B @ A
+
+
+class ProductMemo:
+    """Products and q-brackets of stored matrices, each computed once for
+    as long as the memo lives.
+
+    Keys are operand identities: ``mul(A, B)`` returns the same object on
+    every call with these two objects, and equal but distinct matrices are
+    different keys.  Every entry holds its operands (and the bracket's
+    scalar), so no id in a live key can be reused by a new object.  Values
+    are those of ``A @ B`` and ``qbracket``, operation for operation, so
+    exact and numeric results are unchanged.  Memory grows with the
+    distinct pairs seen: scope a memo to one relation group, or one node
+    pair of it, and drop it with that scope.
+    """
+
+    __slots__ = ("_cache",)
+
+    def __init__(self):
+        self._cache = {}
+
+    def mul(self, A: Matrix, B: Matrix) -> Matrix:
+        key = (id(A), id(B))
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = (A @ B, A, B)
+        return hit[0]
+
+    def qbracket(self, A: Matrix, B: Matrix, v) -> Matrix:
+        key = (id(A), id(B), id(v))
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = (self.mul(A, B) - self.mul(B, A).scale(v), A, B, v)
+        return hit[0]
 
 
 def _meq(A: Matrix, B: Matrix, field):

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, _meq, commutator, degree_components
+from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_components
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
 from .series import TruncSeries, series_exp, series_log
@@ -315,11 +315,14 @@ def verify_drinfeld_relations(V: LoopModule, window=None, T=None) -> CheckReport
             ok, w = _meq(lhs, -V.xm[k + l].scale(c), f)
             rep.add("h_x_ladder", (k, "-", l), ok, w)
 
+    # a mode product x_a x_b is taken at up to four (k, l): (a - 1, b),
+    # (b - 1, a), (a, b - 1) and (b, a - 1); one memo per sign makes it once
     for sign, xd, v in (("+", V.xp, q2), ("-", V.xm, q2i)):
+        mul = ProductMemo().mul
         for k in range(-W, W):
             for l in range(-W, W):
-                lhs = xd[k + 1] @ xd[l] - (xd[l] @ xd[k + 1]).scale(v)
-                rhs = (xd[k] @ xd[l + 1]).scale(v) - xd[l + 1] @ xd[k]
+                lhs = mul(xd[k + 1], xd[l]) - mul(xd[l], xd[k + 1]).scale(v)
+                rhs = mul(xd[k], xd[l + 1]).scale(v) - mul(xd[l + 1], xd[k])
                 ok, w = _meq(lhs, rhs, f)
                 rep.add("x_exchange", (sign, k, l), ok, w)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Matrix, _meq, commutator, qbracket
+from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
 from .loopsl2 import EvalParams, LoopModule, build_evaluation
 from .report import CheckReport
 from .scalars import ExactField, Scalar, parse_scalar, qbinom, specialize
@@ -317,19 +317,23 @@ def verify_qdolangrady(p: OnsagerParams, B0: Matrix, B1: Matrix) -> CheckReport:
     return rep
 
 
-def _theta_exchange(A, theta_at, c, C, r: int, s: int):
+def _theta_exchange(memo: ProductMemo, A, theta_at, c, C, r: int, s: int):
     """Both sides of the same-node Theta exchange relation at (r, s):
 
         [A_r, A_{s+1}]_{q^-2} - q^-2 [A_{r+1}, A_s]_{q^2}
             = c (C^r Theta_{s-r+1} - q^-2 C^{r+1} Theta_{s-r-1}) + (r <-> s)
 
     for one node's ladder ``A`` (a dict), its ``theta_at`` index function
-    (zero below index 0), node weight c and recursion constant C.
+    (zero below index 0), node weight c and recursion constant C.  The
+    ladder products come from ``memo``: over a window of (r, s) the pair
+    (A_a, A_b) comes back from (r, s) = (a, b - 1) and (a - 1, b).
     """
     f = A[r].field
     q2 = f.q * f.q
     qm2 = f.one / q2
-    lhs = qbracket(A[r], A[s + 1], qm2) - qbracket(A[r + 1], A[s], q2).scale(qm2)
+    mul = memo.mul
+    lhs = (mul(A[r], A[s + 1]) - mul(A[s + 1], A[r]).scale(qm2)) \
+        - (mul(A[r + 1], A[s]) - mul(A[s], A[r + 1]).scale(q2)).scale(qm2)
     rhs = theta_at(s - r + 1).scale(c * C**r) \
         - theta_at(s - r - 1).scale(qm2 * c * C ** (r + 1)) \
         + theta_at(r - s + 1).scale(c * C**s) \
@@ -372,9 +376,10 @@ def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
             ok, w = _meq(lhs, rhs, f)
             rep.add(prefix + "rel2", (m, r), ok, w)
 
+    memo = ProductMemo()
     for r in range(-rwin, rwin + 1):
         for s in range(r, rwin + 1):
-            lhs, rhs = _theta_exchange(A, theta_at, ctx.c1, ctx.C, r, s)
+            lhs, rhs = _theta_exchange(memo, A, theta_at, ctx.c1, ctx.C, r, s)
             ok, w = _meq(lhs, rhs, f)
             rep.add(prefix + "rel3", (r, s), ok, w)
 

@@ -69,7 +69,8 @@ import math
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, _meq, commutator, degree_components, qbracket
+from .linmat import (Grading, Matrix, ProductMemo, _meq, commutator, degree_components,
+                     qbracket)
 from .loopsl2 import EvalParams, _same_field, build_evaluation
 from .onsager import (OnsagerParams, _as_scalar, _check_windows, _grow_tower,
                       _rf_num_eq, _theta_exchange, generate_family,
@@ -849,17 +850,34 @@ def _kvals(module: AffineModule, params: RankNParams):
 
 
 def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
+    """Sum over the words of e of (K-power coefficient) * (word matrix).
+
+    Word matrices are built prefix by prefix.  A prefix whose matrix has
+    no nonzero entry (by the entries' truthiness, not a tolerance) is
+    cached as None and ends its branch: the row-sparse product of an
+    all-zero left operand is all ``field.zero`` on either field, so every
+    longer word is zero too, and the words under it add nothing.  A
+    word's coefficient is computed only when its matrix is nonzero.
+    """
     acc = Matrix.zeros(dim, dim, field)
     wcache = {(): Matrix.identity(dim, field)}
 
     def wmat(word):
         if word not in wcache:
-            wcache[word] = wmat(word[:-1]) @ bmats[word[-1]]
+            head = wmat(word[:-1])
+            if head is not None:
+                head = head @ bmats[word[-1]]
+                if not any(any(r) for r in head.rows):
+                    head = None
+            wcache[word] = head
         return wcache[word]
 
     kpow = {}
     rows = acc.rows
     for word, kmap in e.terms.items():
+        wm = wmat(word)
+        if wm is None:
+            continue
         coef = field.zero
         for exps, c in kmap.items():
             v = field.from_scalar(c)
@@ -869,7 +887,7 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
                         kpow[j, ej] = kvals[j] ** ej
                     v = v * kpow[j, ej]
             coef = coef + v
-        for r, col, a in wmat(word).nonzero_entries():
+        for r, col, a in wm.nonzero_entries():
             rows[r][col] = rows[r][col] + coef * a
     return acc
 
@@ -1023,6 +1041,17 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
     are invariant under (i,r) <-> (j,s), the same-node two-step under
     r <-> s, and the cubic is symmetrized in (r1, r2) on both sides.
     Cross-node commutativity of the Theta towers is checked directly.
+
+    The symmetrized cubic (grel6) is evaluated as
+
+        S A_j - [2] (A_{i,r1} A_j A_{i,r2} + A_{i,r2} A_j A_{i,r1}) + A_j S,
+        S = A_{i,r1} A_{i,r2} + A_{i,r2} A_{i,r1},  A_j = A_{j,s},
+
+    which is the sum of the cubic at (r1, r2) and at (r2, r1) regrouped:
+    S once per (r1, r2), then four fresh products per s.  grel4, grel5
+    and grel6 take repeated products (and grel6's right-hand brackets,
+    which depend on r2 - r1 only) from a ProductMemo scoped to one node
+    pair, or one node for grel5.
     """
     _check_windows(fam, rwin, mmax)
     typ = fam.typ
@@ -1078,43 +1107,43 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             aij = typ.finite_cartan(i, j)
             qa = f.q ** aij
             qma = f.one / qa
+            mul = ProductMemo().mul
             for r in range(-rwin, rwin + 1):
                 for s in range(-rwin, rwin + 1):
-                    lhs = qbracket(fam.a(i, r), fam.a(j, s + 1), qma) \
-                        - qbracket(fam.a(i, r + 1), fam.a(j, s), qa).scale(qma)
+                    ai0, ai1 = fam.a(i, r), fam.a(i, r + 1)
+                    aj0, aj1 = fam.a(j, s), fam.a(j, s + 1)
+                    lhs = (mul(ai0, aj1) - mul(aj1, ai0).scale(qma)) \
+                        - (mul(ai1, aj0) - mul(aj0, ai1).scale(qa)).scale(qma)
                     ok, w = _meq(lhs, Z, f)
                     rep.add("grel4", (i, r, j, s), ok, w)
 
     for i in nodes:
         ci = f.from_scalar(p.c[i])
+        memo = ProductMemo()
         for r in range(-rwin, rwin + 1):
             for s in range(r, rwin + 1):
                 lhs, rhs = _theta_exchange(
-                    fam.A[i], lambda m, i=i: fam.theta_at(i, m), ci, C, r, s)
+                    memo, fam.A[i], lambda m, i=i: fam.theta_at(i, m), ci, C, r, s)
                 ok, w = _meq(lhs, rhs, f)
                 rep.add("grel5", (i, r, s), ok, w)
 
-    def cubic(i, j, r1, r2, s):
-        a1, a2, aj = fam.a(i, r1), fam.a(i, r2), fam.a(j, s)
-        return a1 @ a2 @ aj - (a1 @ aj @ a2).scale(two) + aj @ a1 @ a2
-
-    def cubic_rhs(i, j, r1, r2, s):
+    def cubic_rhs(memo, i, j, r1, r2, s):
         d = r2 - r1
         acc = Z
         pp = 0
         while d - 2 * pp - 1 >= 0:
-            acc = acc + qbracket(fam.theta_at(i, d - 2 * pp - 1),
-                                 fam.a(j, s - 1), qm2) \
+            acc = acc + memo.qbracket(fam.theta_at(i, d - 2 * pp - 1),
+                                      fam.a(j, s - 1), qm2) \
                 .scale((f.q ** (2 * pp)) * two * (C ** (pp + 1)))
             pp += 1
         pp = 1
         while d - 2 * pp >= 0:
-            acc = acc + qbracket(fam.a(j, s),
-                                 fam.theta_at(i, d - 2 * pp), qm2) \
+            acc = acc + memo.qbracket(fam.a(j, s),
+                                      fam.theta_at(i, d - 2 * pp), qm2) \
                 .scale((f.q ** (2 * pp - 1)) * two * (C ** pp))
             pp += 1
         if d >= 0:
-            acc = acc + qbracket(fam.a(j, s), fam.theta_at(i, d), qm2)
+            acc = acc + memo.qbracket(fam.a(j, s), fam.theta_at(i, d), qm2)
         ci = f.from_scalar(p.c[i])
         return acc.scale(-(q2 * ci * (C ** r1)))
 
@@ -1122,12 +1151,22 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         for j in nodes:
             if typ.finite_cartan(i, j) != -1:
                 continue
+            memo = ProductMemo()
+            mul = memo.mul
             for r1 in range(-rwin, rwin + 1):
                 for r2 in range(r1, rwin + 1):
+                    a1, a2 = fam.a(i, r1), fam.a(i, r2)
+                    S = mul(a1, a2) + mul(a2, a1)
                     for s in range(-rwin, rwin + 1):
-                        lhs = cubic(i, j, r1, r2, s) + cubic(i, j, r2, r1, s)
-                        rhs = cubic_rhs(i, j, r1, r2, s) \
-                            + cubic_rhs(i, j, r2, r1, s)
+                        aj = fam.a(j, s)
+                        mid = mul(a1, aj) @ a2
+                        if r1 == r2:
+                            mid = mid + mid
+                        else:
+                            mid = mid + mul(a2, aj) @ a1
+                        lhs = S @ aj - mid.scale(two) + aj @ S
+                        rhs = cubic_rhs(memo, i, j, r1, r2, s) \
+                            + cubic_rhs(memo, i, j, r2, r1, s)
                         ok, w = _meq(lhs, rhs, f)
                         rep.add("grel6", (i, r1, r2, j, s), ok, w)
 

@@ -579,12 +579,40 @@ class RationalFunction:
     def __init__(self, num: FPoly, den: FPoly):
         if den.is_zero():
             raise DomainError("zero denominator")
-        field = num.field
-        if field.exact and not num.is_zero():
+        if num.field.exact and not num.is_zero():
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
+        self._set_pivot(num, den)
+
+    @classmethod
+    def _coprime(cls, num: FPoly, den: FPoly) -> "RationalFunction":
+        """num/den for a pair already coprime: the constructor without its
+        gcd, which would find degree 0.  Only the pivot is rescaled.
+
+        The callers map the coprime parts of a normalised function by maps
+        that keep gcd(num, den) = 1 over Q(q)[z]:
+        * p(z) -> p(alpha z) is a ring automorphism for alpha != 0; alpha = 0
+          leaves the constants num(0), den(0), and a constant pair is coprime
+          (a zero den(0) is refused here as by the constructor);
+        * (num, den) -> (den, num) swaps the pair;
+        * p -> z^d p(1/z), d = max(deg num, deg den): the reversals of
+          coprime num, den are coprime (a common factor g has g(0) != 0,
+          so its reversal would divide both), and the extra powers of z
+          multiply only the part of lower degree, while the other part
+          keeps a nonzero constant term.
+        A zero numerator is never reduced by the constructor either.
+        """
+        if den.is_zero():
+            raise DomainError("zero denominator")
+        rf = cls.__new__(cls)
+        rf._set_pivot(num, den)
+        return rf
+
+    def _set_pivot(self, num: FPoly, den: FPoly):
+        """Store num/den scaled so the lowest nonzero den coefficient is 1."""
+        field = num.field
         pivot = None
         for c in den.coeffs:
             if _nonzero(c, field):
@@ -640,17 +668,17 @@ class RationalFunction:
         return self.num.eval(x) / dv
 
     def scale_z(self, alpha):
-        return RationalFunction(self.num.scale_z(alpha), self.den.scale_z(alpha))
+        return RationalFunction._coprime(self.num.scale_z(alpha), self.den.scale_z(alpha))
 
     def inv_z(self):
         """f(1/z) as a rational function of z."""
         d = max(self.num.degree, self.den.degree, 0)
-        return RationalFunction(self.num.reverse(d), self.den.reverse(d))
+        return RationalFunction._coprime(self.num.reverse(d), self.den.reverse(d))
 
     def inv(self):
         if self.num.is_zero():
             raise DomainError("inverting the zero rational function")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._coprime(self.den, self.num)
 
     def expand_at_zero(self, T) -> TruncSeries:
         d0 = self.den.coeff(0)

@@ -12,6 +12,7 @@ from qonsager.linmat import (
     GradedOperator,
     Grading,
     Matrix,
+    ProductMemo,
     assert_block_triangular,
     degree_components,
     generalized_eigenspaces,
@@ -71,6 +72,36 @@ def test_qbracket_sl2_pair():
 def test_qbracket_antisymmetry(A, B, v):
     # [A,B]_v = -v [B,A]_{1/v}
     assert qbracket(A, B, v) == qbracket(B, A, v.inv()).scale(-v)
+
+
+def test_product_memo_returns_one_product_per_operand_pair():
+    A = Matrix([[Q, Scalar(1)], [Scalar(0), Q**-1]], F)
+    B = Matrix([[Scalar(2), Scalar(0)], [Q, Scalar(1)]], F)
+    memo = ProductMemo()
+    AB = memo.mul(A, B)
+    assert AB == A @ B
+    assert memo.mul(A, B) is AB
+    assert memo.mul(B, A) == B @ A
+    # keys are identities: an equal copy is another operand
+    assert memo.mul(A.copy(), B) is not AB
+    br = memo.qbracket(A, B, Q)
+    assert br == qbracket(A, B, Q)
+    assert memo.qbracket(A, B, Q) is br
+    assert memo.qbracket(A, B, Q**2) == qbracket(A, B, Q**2)
+
+
+def test_product_memo_never_returns_a_stale_product():
+    # temporaries made and dropped in a loop: CPython hands a freed object's
+    # id to the next one, so a memo that kept only ids would answer with an
+    # earlier pair's product
+    memo = ProductMemo()
+    for k in range(200):
+        A = Matrix([[Scalar(k), Scalar(1)], [Scalar(0), Scalar(k + 1)]], F)
+        B = Matrix([[Scalar(1), Scalar(-k)], [Scalar(k % 7), Scalar(2)]], F)
+        v = Scalar(k + 2)
+        assert memo.mul(A, B) == A @ B, k
+        assert memo.qbracket(B, A, v) == qbracket(B, A, v), k
+        del A, B, v
 
 
 # ------------------------------------------------------------------ arithmetic

@@ -11,6 +11,8 @@ Oracles, independent of the generation code:
   zero, grave tower the constant series 1).
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +182,20 @@ def test_presentation_detects_damage():
     assert not rep.ok
     names = {e.name for e in rep.failures()}
     assert names & {"rel2", "rel3"}
+
+
+@pytest.mark.parametrize("field", [None, NumericField(1.3)])
+def test_presentation_and_dual_pin_their_damage(field):
+    # A_2 scaled by q: every rel2/rel3 instance that reads A_2 (or, in the
+    # dual, A'_{-2}) fails, exactly and at a numeric q0 alike
+    p = P("q^2", "q^-2", "1", "q")
+    fam = generate_family(p, V(1, "q", field=field), T=5, R=6)
+    fam.A[2] = fam.A[2].scale(fam.field.q)
+    for check, want in ((verify_presentation, {"rel2": 6, "rel3": 9}),
+                        (tau_dual_check, {"dual_rel2": 6, "dual_rel3": 5})):
+        rep = check(fam, rwin=2, mmax=3)
+        assert len(rep.entries) == 36
+        assert Counter(e.name for e in rep.failures()) == want, check.__name__
 
 
 def test_window_guards():

@@ -16,6 +16,7 @@ Oracles, independent of the construction code:
 """
 
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import ranka
-from qonsager.linmat import Matrix, qbracket
+from qonsager.linmat import Matrix, _meq, qbracket
 from qonsager.loopsl2 import EvalParams, build_evaluation
 from qonsager.onsager import OnsagerParams, generate_family
 from qonsager.ranka import (
@@ -65,6 +66,19 @@ def P(c, s=None):
 
 def fails(rep):
     return [(e.name, e.indices) for e in rep.entries if not e.ok]
+
+
+def _count_products(monkeypatch):
+    """A one-element list that counts every matrix product from now on."""
+    calls = [0]
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return calls
 
 
 # ------------------------------------------------------------------ diagram
@@ -207,6 +221,45 @@ def test_braided_word_sends_kmono_to_node_constant():
             img = apply_word(omega_prime_word(i, N), e)
             want = tuple(0 if m == i else 1 for m in range(N + 1))
             assert img.terms == {(): {want: Scalar(1)}}, (N, i)
+
+
+def _eval_unpruned(e, module, params):
+    """Reference evaluation: the sum over all words of coefficient times
+    the full product of the word's letters."""
+    f = module.field
+    bmats = eta_bmats(module, params)
+    out = Matrix.zeros(module.dim, module.dim, f)
+    for word, kmap in e.terms.items():
+        coef = f.zero
+        for exps, c in kmap.items():
+            v = f.from_scalar(c)
+            for j, ej in enumerate(exps):
+                v = v * f.from_scalar(params.kk(j)) ** ej
+            coef = coef + v
+        M = Matrix.identity(module.dim, f)
+        for letter in word:
+            M = M @ bmats[letter]
+        out = out + M.scale(coef)
+    return out
+
+
+@pytest.mark.parametrize("a, field", [("1", None), ("q", NumericField(1.3))])
+def test_word_evaluation_prunes_vanishing_prefixes(monkeypatch, a, field):
+    # on W_4 nearly every word of T_omega_2(B_2) has a vanishing prefix:
+    # pruned, its 288 words take at most 107 products (1,033 unpruned)
+    module = build_vector_evaluation(4, parse_scalar(a), field=field)
+    params = P([1] * 5)
+    e = apply_word(omega_word(2, 4), BExpr.gen(4, 2))
+    want = _eval_unpruned(e, module, params)
+    calls = _count_products(monkeypatch)
+    got = evaluate_bexpr(e, module, params)
+    assert calls[0] <= 107
+    if field is None:
+        assert got == want
+    else:
+        ok, w = _meq(got, want, module.field)
+        assert ok, w
+    assert not got.is_zero()
 
 
 def test_ef_chain_identity_as_matrices():
@@ -556,12 +609,42 @@ def test_grel_window_guard():
         verify_grel(fam, rwin=2, mmax=3)
 
 
+def _w2_towers(field=None, damaged=False):
+    """Generated W_2(q) towers, optionally with A_{1,2} scaled by q."""
+    module = build_vector_evaluation(2, parse_scalar("q"), field=field)
+    fam = generate_rankn_family(module, P(("1", "1", "1")), T=7, R=6)
+    if damaged:
+        fam.A[1][2] = fam.A[1][2].scale(fam.field.q)
+    return fam
+
+
 def test_grel_detects_damage():
-    fam = generate_rankn_family(W(2, "q"), P(("1", "1", "1")), T=7, R=6)
-    fam.A[1][2] = fam.A[1][2].scale(fam.field.q)
-    rep = verify_grel(fam, rwin=2, mmax=3)
+    rep = verify_grel(_w2_towers(damaged=True), rwin=2, mmax=3)
     assert not rep.ok
-    assert {n for n, _ in fails(rep)} & {"grel2", "grel5"}
+    # every group that reads A_{1,2} fails, each at the same count
+    assert Counter(n for n, _ in fails(rep)) == {
+        "grel2": 12, "grel4": 10, "grel5": 9, "grel6": 35}
+
+
+@pytest.mark.parametrize("damaged", [False, True])
+def test_numeric_grel_verdicts_are_the_exact_ones(damaged):
+    exact, numeric = (
+        [(e.name, e.indices, e.ok)
+         for e in verify_grel(_w2_towers(field, damaged), rwin=2, mmax=3).entries]
+        for field in (None, NumericField(1.3)))
+    assert numeric == exact
+    assert any(not ok for _, _, ok in exact) == damaged
+
+
+def test_grel_product_count(monkeypatch):
+    # each operand pair is multiplied once per relation group (grel6: per
+    # node pair), and the symmetrized cubic takes four fresh products per
+    # instance; without the memo this window takes 2,988 products
+    fam = _w2_towers()
+    calls = _count_products(monkeypatch)
+    rep = verify_grel(fam, rwin=2, mmax=3)
+    assert rep.ok, rep.summary()
+    assert calls[0] <= 1200
 
 
 def _twist_node(fam, i):

@@ -225,6 +225,47 @@ def test_rational_normalization_and_eq():
     assert c == d  # gcd cancellation
 
 
+def _built(make, *parts):
+    """``make(*parts)``, or the type of the error it raises."""
+    try:
+        return make(*parts)
+    except DomainError as exc:
+        return type(exc)
+
+
+def _same_function(got, want):
+    if isinstance(want, type):
+        return got is want
+    return got == want and str(got) == str(want)
+
+
+@given(st.lists(coeff, max_size=4), st.lists(coeff, min_size=1, max_size=4),
+       st.lists(coeff, max_size=2),
+       st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Q, Q**-2,
+                        Q - 1, Scalar(1, 2)]))
+@settings(max_examples=150, deadline=None)
+def test_substitutions_skip_the_gcd_of_a_coprime_pair(ncs, dcs, gcs, alpha):
+    # scale_z, inv_z and inv build their result without the gcd; it must
+    # be the function the full constructor gives, by == and str (alpha = 0
+    # included: both sides then hold constants, or both refuse a zero den(0))
+    g = FPoly([F.one] + gcs, F)
+    den = FPoly(dcs, F) * g
+    if den.is_zero():
+        return
+    f = RationalFunction(FPoly(ncs, F) * g, den)
+    d = max(f.num.degree, f.den.degree, 0)
+    assert _same_function(_built(f.scale_z, alpha), _built(
+        RationalFunction, f.num.scale_z(alpha), f.den.scale_z(alpha)))
+    assert _same_function(f.inv_z(),
+                          RationalFunction(f.num.reverse(d), f.den.reverse(d)))
+    assert _same_function(_built(f.inv), _built(RationalFunction, f.den, f.num))
+
+
+def test_coprime_constructor_refuses_a_zero_denominator():
+    with pytest.raises(DomainError, match="zero denominator"):
+        RationalFunction._coprime(FPoly.one(F), FPoly([], F))
+
+
 # ----------------------------------------------------------------- pade
 
 
