@@ -6,26 +6,44 @@ empty list [].  Nothing here knows about fractions, matrices or q-numbers:
 these are the primitive coefficient-list operations that everything in the
 exact scalar field reduces to.
 
-Multiplication: pmul(a, b) runs the schoolbook loop unless both operands
-have at least _KRONECKER_MIN = 16 coefficients.  Then it uses Kronecker
-substitution: each operand is packed into one Python int, a byte-aligned
-slot per coefficient, wide enough for every product coefficient plus half
-a slot of offset; the two ints are multiplied once (Python's big-integer
-product is subquadratic) and the slots are read back through to_bytes.
-Both paths return the same coefficient list.
+Integer images.  Evaluation at q = 2^s is a ring homomorphism from ZZ[q]
+to ZZ, so the expensive operations run on one Python int per polynomial
+and decode only their results.  _pack writes each coefficient plus half a
+slot into a byte-aligned slot of s = 8w bits (one to_bytes per slot, one
+from_bytes per polynomial), which needs every coefficient below 2^(s-1) in
+absolute value; _unpack reads an integer back as its balanced base-2^s
+digits, each in [-2^(s-1), 2^(s-1)).  A decoded result is exact only when
+its true coefficients lie in that range: each caller picks s from a bound
+on them, or proves the result afterwards.  Slots always hold both
+operands' coefficients, so a nonzero operand never packs to 0.
+
+Multiplication: pmul(a, b) multiplies by Kronecker substitution, one
+big-integer product of the images (subquadratic in CPython), when both
+operands have at least _KRONECKER_MIN = 16 coefficients plus one for each
+64 bits of the larger coefficient; other products run the schoolbook
+loop.  Both paths return the same coefficient list.
 
 Division conventions:
 
-* pdiv_exact(a, b) performs the division a / b in ZZ[q] and raises if the
-  quotient does not exist with integer coefficients (it is used only where
-  Gauss's lemma guarantees exactness).
+* pdiv_exact(a, b) performs the division a / b in ZZ[q] and raises
+  ValueError if the quotient does not exist with integer coefficients (it
+  is used only where Gauss's lemma guarantees exactness).  When the
+  divisor and the quotient both have degree 11 or more, and no
+  coefficient exceeds 128 bits, it takes one divmod of the images: a
+  nonzero remainder raises, and a decoded quotient is returned only once a
+  coefficient bound proves it; otherwise the schoolbook loop divides.
 * prem(a, b) is the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a  mod  b,
   computed entirely over ZZ.
 * pgcd(a, b) is the full ZZ[q] gcd (content included), normalised to a
   positive leading coefficient.  When one operand is a monomial c*q^k the
   gcd is gcd(c, content(other)) * q^min(k, val(other)), where val is the
-  q-adic valuation (lowest degree with a nonzero coefficient); otherwise it
-  is computed with a primitive pseudo-remainder sequence.
+  q-adic valuation (lowest degree with a nonzero coefficient).  Otherwise,
+  when an operand has at least 16 coefficients, the primitive parts go to
+  the heuristic gcd (GCDHEU: the integer gcd of the images, lifted in
+  balanced digits and accepted only if it divides both); shorter operands,
+  and any pair the heuristic fails on at three points, go to the primitive
+  pseudo-remainder sequence.  The gcd is unique up to sign, so both give
+  the same result.
 """
 
 from math import gcd as _igcd
@@ -75,13 +93,16 @@ def pneg(a):
     return [-c for c in a]
 
 
-# Both operands need at least this many coefficients for pmul to take the
-# Kronecker path; shorter products stay on the schoolbook loop.  The packing
-# costs a few microseconds whatever the size, so the loop wins on short
-# operands and on sparse ones, whose zero coefficients it skips: dense
-# operands with coefficients of up to 40 bits break even at 10 to 12
-# coefficients, and the sparse products of tensor modules lose on the
-# Kronecker path at every length they reach (up to 27).
+# Both operands need at least _KRONECKER_MIN coefficients, and one more
+# for each 64 bits of the larger coefficient, for pmul to take the
+# Kronecker path.  Per-call timings on random dense operands, schoolbook
+# over Kronecker: 6-bit 12x12 0.9, 16x16 1.2, 32x32 3.4, 8x200 0.85,
+# 16x200 2.3; 40-bit 12x12 1.0, 16x16 1.5, 8x64 2.0, 16x200 2.7; 200-bit
+# 14x14 0.8, 16x16 0.9, 20x20 1.1, 16x200 1.2; 400-bit 20x20 0.9, 24x24
+# 1.2; 1000-bit 0.8 to 1.1 from 16x16 to 28x28, where the big-integer
+# products dominate either way.  Packing costs a few microseconds whatever
+# the size, so the loop wins on short operands and on sparse ones, whose
+# zero coefficients it skips.
 _KRONECKER_MIN = 16
 
 
@@ -89,7 +110,14 @@ def pmul(a, b):
     if not a or not b:
         return []
     if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN:
-        return _kronecker_mul(a, b)
+        n = min(len(a), len(b))
+        ba, bb = _bits(a), _bits(b)
+        if n >= _KRONECKER_MIN + max(ba, bb) // 64:
+            # Kronecker substitution: one product of the images at q = 2^s,
+            # read back in balanced digits; every product coefficient c has
+            # |c| <= n * max|a| * max|b| < 2^(s-1)
+            w = _width(ba + bb + n.bit_length() + 1)
+            return _unpack(_pack(a, w) * _pack(b, w), w)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -98,36 +126,42 @@ def pmul(a, b):
     return pnorm(out)
 
 
-def _kronecker_mul(a, b):
-    """pmul by Kronecker substitution: evaluate both operands at q = 2^s,
-    multiply the two integers once, and read the product's coefficients
-    back as base-2^s digits.
+def _bits(a):
+    """Bit length of the largest coefficient of a nonzero a."""
+    return max(map(abs, a)).bit_length()
 
-    A slot of s bits, a whole number of bytes, holds any product
-    coefficient c, since |c| <= min(len) * max|a| * max|b| < 2^(s-1).  Adding
-    2^(s-1) to every digit makes all of them nonnegative, so each slot of
-    the byte string is one coefficient plus that offset, with no borrows.
-    """
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) // 8
-    s = 8 * width
-    n = len(a) + len(b) - 1
-    x = _kronecker_pack(a, s) * _kronecker_pack(b, s)
-    x += int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    buf = x.to_bytes(n * width, "little")
+
+def _width(bits):
+    """Bytes per slot for a slot of at least the given number of bits."""
+    return (bits + 7) // 8
+
+
+def _offset(n, w):
+    """Half a slot, 2^(8w-1), in each of n slots of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(a, w):
+    """The value of a at q = 2^(8w), for coefficients below 2^(8w-1) in
+    absolute value.  Each coefficient plus half a slot fills one slot of
+    the byte string, nonnegative and without carries, and the offset is
+    taken off the whole integer once."""
+    half = 1 << (8 * w - 1)
+    buf = b"".join([(c + half).to_bytes(w, "little") for c in a])
+    return int.from_bytes(buf, "little") - _offset(len(a), w)
+
+
+def _unpack(x, w):
+    """The polynomial whose coefficients are the balanced base-2^(8w)
+    digits of x, each in [-2^(8w-1), 2^(8w-1)): the inverse of _pack for
+    coefficients in that range.  Every integer has exactly one such digit
+    string, and n = bitlen(x) // (8w) + 1 digits are enough."""
+    s = 8 * w
+    n = abs(x).bit_length() // s + 1
     half = 1 << (s - 1)
-    out = [int.from_bytes(buf[i:i + width], "little") - half
-           for i in range(0, n * width, width)]
-    return pnorm(out)
-
-
-def _kronecker_pack(a, s):
-    """The value of a at q = 2^s (Horner)."""
-    x = 0
-    for c in reversed(a):
-        x = (x << s) + c
-    return x
+    buf = (x + _offset(n, w)).to_bytes(n * w, "little")
+    return pnorm([int.from_bytes(buf[i:i + w], "little") - half
+                  for i in range(0, n * w, w)])
 
 
 def pmul_int(a, k):
@@ -168,11 +202,15 @@ def pdiv_exact(a, b):
         raise ValueError("division by zero polynomial")
     if not a:
         return []
-    r = list(a)
     db, lb = len(b) - 1, b[-1]
     dq = len(a) - 1 - db
     if dq < 0:
         raise ValueError("inexact polynomial division")
+    if db >= _KRONECKER_DIV_MIN and dq >= _KRONECKER_DIV_MIN:
+        quo = _kronecker_div(a, b)
+        if quo is not None:
+            return quo
+    r = list(a)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
         c = r[k + db]
@@ -186,6 +224,47 @@ def pdiv_exact(a, b):
     if any(r):
         raise ValueError("inexact polynomial division")
     return pnorm(quo)
+
+
+# pdiv_exact divides by Kronecker substitution when the divisor and the
+# quotient both have degree _KRONECKER_DIV_MIN or more, and neither operand
+# has a coefficient of more than _KRONECKER_DIV_BITS bits.  CPython's
+# integer division is quadratic in the operands' length, so the slot width
+# counts twice: per-call timings on random dense exact quotients,
+# schoolbook over Kronecker, with divisor and quotient coefficients of
+# 6 bits: 8x8 0.6, 16x16 1.1, 8x40 1.8, 40x40 3.7; 40 bits: 10x10 1.0,
+# 12x12 1.2, 16x16 1.6, 40x8 2.0, 100x100 4.7; 64 bits (dividend 130 bits):
+# 12x12 1.0, 16x16 1.1, 40x40 2.0; 100 bits: 16x16 1.1, 40x40 1.0; 128 bits:
+# 16x16 0.75, 40x40 0.8; 200 bits: 0.4 to 0.8.
+_KRONECKER_DIV_MIN = 11
+_KRONECKER_DIV_BITS = 128
+
+
+def _kronecker_div(a, b):
+    """a / b through one integer division of the images at q = 2^s, or
+    None when the operands' coefficients are too wide for it to pay or
+    the quotient cannot be proven; the caller then divides by the
+    schoolbook loop.
+
+    Slots hold both operands' coefficients with ten bits of room for the
+    quotient's to exceed max|a| / max|b|.  If b divides a, its image
+    divides a's, so a nonzero integer remainder raises ValueError.  A zero
+    remainder decodes to some quo with quo(2^s) * b(2^s) = a(2^s); then
+    b*quo - a vanishes at 2^s, and it is the zero polynomial when each of
+    its coefficients is below 2^(s-1) in absolute value, which
+    max|a| < 2^(s-2) and min(len) * max|b| * max|quo| < 2^(s-2) prove.
+    """
+    ba, bb = _bits(a), _bits(b)
+    if max(ba, bb) > _KRONECKER_DIV_BITS:
+        return None
+    w = _width(max(ba, bb) + min(len(b), len(a) - len(b) + 1).bit_length() + 10)
+    x, rem = divmod(_pack(a, w), _pack(b, w))
+    if rem:
+        raise ValueError("inexact polynomial division")
+    quo = _unpack(x, w)
+    if quo and max(ba, bb + _bits(quo) + min(len(b), len(quo)).bit_length()) <= 8 * w - 2:
+        return quo
+    return None
 
 
 def prem(a, b):
@@ -221,14 +300,65 @@ def pgcd(a, b):
     ca, pa = pprim(a)
     cb, pb = pprim(b)
     cg = _igcd(ca, cb)
-    # primitive pseudo-remainder sequence
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        _, r = pprim(prem(pa, pb))
-        pa, pb = pb, r
-    g = _posnorm(pa)
+    g = None
+    if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
+        g = _heuristic_gcd(pa, pb)
+    if g is None:
+        g = _prs_gcd(pa, pb)
     return pmul_int(g, cg) if cg != 1 else g
+
+
+# pgcd tries the heuristic when an operand has at least _HEU_MIN
+# coefficients, at up to _HEU_POINTS evaluation points, before the
+# pseudo-remainder sequence.  The heuristic costs about 20 us at any size,
+# and more when the gcd is nontrivial, since it then divides both operands;
+# the sequence costs about len(a)^2 steps for its first pseudo-remainder
+# alone, but stops after one when one operand divides the other.  Timed on
+# every non-monomial pgcd of two verdicts (seconds, heuristic throughout /
+# sequence throughout / heuristic from 16): rank1-shift-T13, 879 calls,
+# 0.039 / 0.224 / 0.040; tensor16-A3, 1,806 calls, sparse and mostly with a
+# nontrivial gcd, 0.034 / 0.023 / 0.022.
+_HEU_MIN = 16
+_HEU_POINTS = 3
+
+
+def _heuristic_gcd(a, b):
+    """GCDHEU (Char, Geddes and Gonnet, J. Symb. Comp. 1989) for primitive
+    a, b: the gcd, with positive leading coefficient, or None.
+
+    At xi = 2^s > 2 * min(max|a|, max|b|) + 1, let h be the balanced
+    base-xi digits of the integer gcd of a(xi) and b(xi).  If pp(h)
+    divides both a and b it is their gcd: it divides the gcd g = pp(h)*k,
+    and k(xi) divides the content of h, which is at most xi/2, while a
+    nonconstant k has |k(xi)| > xi/2 because its roots are roots of a and
+    of b, below xi/2 in modulus.  The slots must hold both operands'
+    coefficients, so s starts above the larger norm; each further point
+    widens the slot by a byte.
+    """
+    w0 = _width(max(_bits(a), _bits(b)) + 1)
+    for w in range(w0, w0 + _HEU_POINTS):
+        _, g = pprim(_unpack(_igcd(_pack(a, w), _pack(b, w)), w))
+        g = _posnorm(g)
+        if g == [1]:
+            return g
+        try:
+            pdiv_exact(a, g)
+            pdiv_exact(b, g)
+        except ValueError:
+            continue
+        return g
+    return None
+
+
+def _prs_gcd(a, b):
+    """gcd of primitive a, b by the primitive pseudo-remainder sequence,
+    positive leading coefficient."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        _, r = pprim(prem(a, b))
+        a, b = b, r
+    return _posnorm(a)
 
 
 def _monomial_gcd(m, b):

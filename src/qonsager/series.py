@@ -20,13 +20,15 @@ wrong answer.
 Linear systems (solve_linear) are solved by Gauss-Jordan elimination.  Over
 the exact field it runs fraction-free: rows are cleared of denominators to
 integer polynomials in q and updated with Bareiss's exact division, so the
-elimination takes no gcd until the solution is read off.  The numeric field
+elimination takes no gcd until the solution is read off.  It runs on the
+integer images of the entries at q = 2^s, with s above a Hadamard bound on
+the minors, and decodes only the solution's entries.  The numeric field
 eliminates in the field with largest-magnitude pivoting.
 """
 
 from __future__ import annotations
 
-from ._kernel import pdiv_exact, pgcd, pmul, psub
+from ._kernel import _pack, _unpack, pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError, EvaluationError
 from .linmat import Matrix, _meq
 from .scalars import ZERO, Scalar, _coerce, specialize
@@ -775,7 +777,7 @@ def solve_linear(rows, rhs, field):
 
 def _solve_fraction_free(rows, rhs, n):
     """Exact branch of solve_linear: Gauss-Jordan over ZZ[q] with Bareiss
-    exact division (Math. Comp. 22, 1968).
+    exact division (Math. Comp. 22, 1968), run on integer images.
 
     Each augmented row is scaled to a primitive integer-polynomial row,
     which leaves its equation's solutions unchanged.  The pivot is the first
@@ -786,12 +788,27 @@ def _solve_fraction_free(rows, rhs, n):
     division is exact and the elimination takes no gcd.  The reduced row
     echelon form is unique, so x[c] = row[n] / row[c] is the same Scalar
     that Gauss-Jordan over Q(q) gives.
+
+    The elimination runs on the values of the entries at q = 2^s, one
+    Python int each, since evaluation is a ring homomorphism.  On |q| = 1
+    each entry is at most its 1-norm, so by Hadamard's inequality every
+    minor, and with it each of its coefficients, is at most
+    H = prod over rows of max(1, sqrt(sum_j |a_ij|_1^2)).  With
+    2^(s-1) > H a nonzero minor never evaluates to 0, so the pivot and
+    consistency tests are those over ZZ[q], and the solution's entries
+    decode exactly from their balanced base-2^s digits.
     """
     m = len(rows)
     a = [_zprimitive(_clear_denominators([_coerce(v) for v in (*row, b)]))
          for row, b in zip(rows, rhs)]
+    h2 = 1
+    for row in a:
+        h2 *= max(1, sum(sum(map(abs, x)) ** 2 for x in row))
+    # 2^(2(s-1)) > h2 = H^2, with s = 8w bits
+    w = ((h2.bit_length() + 1) // 2 + 8) // 8
+    a = [[_pack(x, w) for x in row] for row in a]
     piv_cols = []
-    prev = [1]
+    prev = 1
     r = 0
     for c in range(n):
         if r == m:
@@ -805,8 +822,7 @@ def _solve_fraction_free(rows, rhs, n):
         for i in range(m):
             if i != r:
                 f = a[i][c]
-                a[i] = [pdiv_exact(psub(pmul(p, x), pmul(f, y)), prev)
-                        for x, y in zip(a[i], top)]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
         piv_cols.append(c)
         r += 1
@@ -815,7 +831,7 @@ def _solve_fraction_free(rows, rhs, n):
         return None
     x = [ZERO] * n
     for i, c in enumerate(piv_cols):
-        x[c] = Scalar(a[i][n], a[i][c])
+        x[c] = Scalar(_unpack(a[i][n], w), _unpack(a[i][c], w))
     return x
 
 

@@ -4,6 +4,7 @@ The independent oracle for arithmetic is sympy's symbolic simplifier; the
 frozen expected strings below were computed by hand from the definitions.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qonsager._kernel import padd, pgcd, pmul, pneg, pnorm, psub
+from qonsager import _kernel
+from qonsager._kernel import _pack, padd, pdiv_exact, pgcd, pmul, pmul_int, pneg, pnorm, pprim, psub
 from qonsager.errors import DomainError, EvaluationError
 from qonsager.scalars import (
     ONE,
@@ -366,12 +368,12 @@ def _schoolbook(a, b):
 
 
 @st.composite
-def long_polys(draw):
-    """1..70 coefficients up to 2^200 in size, with inner zeros, a
+def long_polys(draw, max_len=70, bits=(1, 6, 63, 64, 200)):
+    """1..max_len coefficients up to 2^200 in size, with inner zeros, a
     q-valuation (leading zeros) and, at times, every sign negative."""
-    bits = draw(st.sampled_from([1, 6, 63, 64, 200]))
+    bits = draw(st.sampled_from(bits))
     size = st.integers(-(2**bits), 2**bits)
-    n = draw(st.integers(1, 70))
+    n = draw(st.integers(1, max_len))
     v = draw(st.integers(0, n - 1))
     p = [0] * v + [draw(st.one_of(st.just(0), size)) for _ in range(n - v)]
     if draw(st.booleans()):
@@ -382,7 +384,9 @@ def long_polys(draw):
 
 @given(long_polys(), long_polys())
 @example([-(2**90)] + [3] * 14, [5, -7] * 8)  # lengths 15 and 16: schoolbook
-@example([2**90, -1] * 8, [-7] * 15 + [-3])  # 16 and 16: Kronecker
+@example([2**90, -1] * 8, [-7] * 15 + [-3])  # 16 and 16 at 91 bits: schoolbook
+@example([2**90, -1] * 8 + [1], [-7] * 16 + [-3])  # 17 and 17 at 91 bits: Kronecker
+@example([2**62] * 16, [-3] * 15 + [-(2**62)])  # 16 and 16 at 63 bits: Kronecker
 @example([0] * 3 + [-(2**90)] * 14, [7, 0, -7] * 13 + [-3])  # 17 and 40
 @settings(max_examples=100, deadline=None)
 def test_kernel_mul_matches_schoolbook_across_cutoff(a, b):
@@ -408,12 +412,136 @@ def test_kernel_mul_kronecker_matches_sympy():
     assert pmul(a, b) == [int(c) for c in reversed(prod.all_coeffs())]
 
 
-@given(polys, polys)
+def _schoolbook_div(a, b):
+    """pdiv_exact with its Kronecker path switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "_KRONECKER_DIV_MIN", len(a))
+        return pdiv_exact(a, b)
+
+
+@given(long_polys(), long_polys())
+@example([3] * 11, [-5] * 11)  # divisor and quotient of degree 10: schoolbook
+@example([3] * 12, [-5] * 12)  # degree 11: Kronecker
+@example([2**120] * 12, [-1] * 12)  # dividend coefficients of 124 bits: Kronecker
+@example([2**127] * 12, [-1] * 12)  # 131 bits: schoolbook
+@settings(max_examples=100, deadline=None)
+def test_pdiv_exact_matches_schoolbook_across_cutoff(b, quo):
+    a = _schoolbook(b, quo)
+    assert pdiv_exact(a, b) == _schoolbook_div(a, b) == quo
+
+
+@given(long_polys(), long_polys(), long_polys(max_len=20))
+@example([1] * 12, [1] * 12, [2])
+@settings(max_examples=100, deadline=None)
+def test_pdiv_exact_rejects_every_inexact_input(b, quo, r):
+    # b*quo + r with 0 < deg r < deg b leaves the remainder r over Q
+    if len(b) < 2:
+        b = b + [1]
+    r = pnorm(r[: len(b) - 1]) or [1]
+    a = padd(_schoolbook(b, quo), r)
+    with pytest.raises(ValueError):
+        pdiv_exact(a, b)
+
+
+def test_pdiv_exact_rejects_a_quotient_whose_images_divide():
+    # a / b = c + q/2 is not in ZZ[q], but at every even q = 2^s the images
+    # divide, with quotient c(2^s) + 2^(s-1)
+    rng = random.Random(3)
+    b0 = [rng.randint(-50, 50) for _ in range(15)] + [7]
+    c = [rng.randint(-50, 50) for _ in range(15)] + [3]
+    a = pmul(b0, padd(pmul_int(c, 2), [0, 1]))
+    b = pmul_int(b0, 2)
+    for w in range(3, 12):
+        assert _pack(a, w) % _pack(b, w) == 0
+    with pytest.raises(ValueError):
+        pdiv_exact(a, b)
+
+
+def test_pdiv_exact_divisor_wider_than_dividend():
+    # the 105th cyclotomic polynomial has a coefficient -2 and divides
+    # q^105 - 1, whose coefficients are 1 and -1
+    phi = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(105, qs), qs).all_coeffs())]
+    a = [-1] + [0] * 104 + [1]
+    quo = pdiv_exact(a, phi)
+    assert quo == _schoolbook_div(a, phi)
+    assert pmul(quo, phi) == a
+    # the slots hold the divisor's coefficients too, so it never packs to 0
+    for top in (2**100, 2**127 - 1):
+        with pytest.raises(ValueError):
+            pdiv_exact([1, -1] * 15, [top] * 12)
+        with pytest.raises(ValueError):
+            pdiv_exact([1, -1] * 15, [-top] * 11 + [1])
+
+
+def test_pdiv_exact_quotient_wider_than_its_slot():
+    # (q^16 - 1)^12 / (q - 1)^12 = (1 + q + ... + q^15)^12: 10-bit operands
+    # and a quotient with coefficients near 2^40, past the slot the
+    # operands set, so the quotient is not proven there and the schoolbook
+    # loop gives it
+    a, b, quo = [1], [1], [1]
+    for _ in range(12):
+        a = pmul(a, [-1] + [0] * 15 + [1])
+        b = pmul(b, [-1, 1])
+        quo = pmul(quo, [1] * 16)
+    assert _kernel._kronecker_div(a, b) is None
+    assert pdiv_exact(a, b) == quo
+
+
+@st.composite
+def gcd_pairs(draw, max_len=200, bits=(1, 6, 63, 64, 200)):
+    """Two operands with a drawn common factor and common content, lengths
+    drawn apart, and each leading coefficient of either sign."""
+    g = draw(long_polys(max_len=6, bits=(1, 6, 40)))
+    k = draw(st.sampled_from([1, 2, 6, 2**70]))
+    a = pmul_int(pmul(g, draw(long_polys(max_len, bits))), k)
+    b = pmul_int(pmul(g, draw(long_polys(max_len, bits))), k)
+    if draw(st.booleans()):
+        a = pneg(a)
+    if draw(st.booleans()):
+        b = pneg(b)
+    return a, b
+
+
+@given(st.one_of(st.tuples(polys, polys), gcd_pairs()))
+@example(([1, 2, 1] * 67, [-(2**200), 1] * 100))  # 201 and 200 coefficients
+@example(([0, 5, 0, 5] * 50, [-5, 5]))  # 200 against 2, shared content
 @settings(max_examples=80, deadline=None)
-def test_gcd_matches_sympy(a, b):
+def test_gcd_matches_sympy(pair):
+    a, b = pair
     if not a or not b:
         return
     pa = sympy.Poly(list(reversed(a)), qs, domain=sympy.ZZ)
     pb = sympy.Poly(list(reversed(b)), qs, domain=sympy.ZZ)
     expected = [int(c) for c in reversed(sympy.gcd(pa, pb).all_coeffs())]
     assert pgcd(list(a), list(b)) == expected
+
+
+@given(gcd_pairs(max_len=30, bits=(1, 6, 40)))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_pseudo_remainder_sequence(pair):
+    a, b = pair
+    ca, pa = pprim(a)
+    cb, pb = pprim(b)
+    assert pgcd(a, b) == pmul_int(_kernel._prs_gcd(pa, pb), math.gcd(ca, cb))
+
+
+def test_gcd_falls_back_to_the_pseudo_remainder_sequence():
+    # a0 and b0 vanish at q = 2^16, 2^24 and 2^32 modulo a prime above half
+    # that point (a pair found by lattice reduction), and so do a and b,
+    # which are coprime and long enough for the heuristic; the integer gcd
+    # at each of its points lifts to a nonconstant polynomial that divides
+    # neither operand
+    a0 = [77, 128, -8, -7, -99, 40, 69, 63, 3]
+    b0 = [-26, -15, -19, -168, -92, 1, 64, -143, 1]
+    a = pmul(a0, [1] + [0] * 7 + [1])
+    b = pmul(b0, [1] + [0] * 7 + [-1])
+    assert len(a) >= _kernel._HEU_MIN
+    for s in (16, 24, 32):
+        xi = 2**s
+        va = sum(c * xi**k for k, c in enumerate(a))
+        vb = sum(c * xi**k for k, c in enumerate(b))
+        assert math.gcd(va, vb) > xi // 2
+    assert _kernel._heuristic_gcd(a, b) is None
+    assert pgcd(a, b) == [1]
+    assert pgcd(pmul(a, [2, 1]), pmul(b, [-3, 0, 1])) == [1]
+    assert pgcd(pmul(a, [-3, 2]), pmul_int(pmul(b, [3, -2]), 4)) == [-3, 2]

@@ -1,7 +1,9 @@
 """Truncated series, exp/log, Pade reconstruction, rational functions."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import DomainError
@@ -400,33 +402,78 @@ _den = st.sampled_from(
     [Scalar(1), Scalar(2), Q, Q**3, Q + 1, Q**2 - 2, 3 * Q**2 + Q - 1]
 )
 _entry = st.one_of(st.just(F.zero), st.builds(lambda p, d: p / d, _laurent, _den))
+# every coefficient at full size and of one sign, so that the minors come
+# as close as they can to the bound that sets the solver's slot width
+_wide = st.builds(
+    lambda c, d, k: Scalar([c] * (d + 1)) * Q**k,
+    st.sampled_from([2**62 - 1, -(2**62 - 1), 2**64, -(2**64)]),
+    st.integers(0, 9),
+    st.integers(-3, 3),
+)
 
 
 @st.composite
 def _systems(draw):
+    """(rows, rhs, kind): entries from _entry or, in systems of up to 4x4,
+    _wide; at times rank-deficient rows; kind "inconsistent" marks a
+    system that has no solution."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    rows = [[draw(_entry) for _ in range(n)] for _ in range(m)]
+    entry = _entry
+    if m <= 4 and n <= 4 and draw(st.booleans()):
+        entry = st.one_of(_wide, st.just(F.zero))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
     if m > 1 and draw(st.booleans()):
         # a forced dependent row: a combination of two others
         i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
         s, t = draw(_entry), draw(_entry)
         rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
-    x0 = [draw(_entry) for _ in range(n)]
+    rank = draw(st.integers(1, 3))
+    if rank < min(m, n) and draw(st.booleans()):
+        # rows = L·R with L m x rank, so the rank is at most that
+        right = [[draw(entry) for _ in range(n)] for _ in range(rank)]
+        left = [[draw(_entry) for _ in range(rank)] for _ in range(m)]
+        rows = [[sum((a * r[c] for a, r in zip(lrow, right)), F.zero)
+                 for c in range(n)] for lrow in left]
+    x0 = [draw(entry) for _ in range(n)]
     rhs = [sum((a * x for a, x in zip(row, x0)), F.zero) for row in rows]
-    kind = draw(st.sampled_from(["consistent", "perturbed", "free"]))
+    kind = draw(st.sampled_from(["consistent", "perturbed", "free", "inconsistent"]))
     if kind == "perturbed":
         i = draw(st.integers(0, m - 1))
         rhs[i] = rhs[i] + draw(_entry)
     elif kind == "free":
         rhs = [draw(_entry) for _ in range(m)]
-    return rows, rhs
+    elif kind == "inconsistent":
+        # row i = s·row j with rhs s·rhs_j + t, t != 0: no x satisfies both
+        if m == 1:
+            rows, rhs = rows * 2, rhs * 2
+            m = 2
+        i, j = draw(st.permutations(range(m)))[:2]
+        s = draw(_entry.filter(bool))
+        rows[i] = [s * x for x in rows[j]]
+        rhs[i] = s * rhs[j] + draw(_entry.filter(bool))
+    return rows, rhs, kind
+
+
+def _hadamard_system(e, order):
+    """e times a Sylvester sign matrix, whose determinant meets Hadamard's
+    bound, with right-hand side e·(1, 2, ...)."""
+    signs = [[1]]
+    while len(signs) < order:
+        signs = [r + r for r in signs] + [r + [-x for x in r] for r in signs]
+    return [[e * h for h in row] for row in signs], [e * (i + 1) for i in range(order)]
 
 
 @given(_systems())
+@example((*_hadamard_system(Scalar([2**64] * 10), 4), "consistent"))
+@example((*_hadamard_system(Scalar([-(2**62 - 1)] * 4) * Q**-2, 4), "consistent"))
+@example((*_hadamard_system(Scalar([1] * 20) / (Q + 1), 2), "consistent"))
 @settings(max_examples=150, deadline=None)
 def test_solve_linear_matches_gauss_jordan(system):
-    rows, rhs = system
-    assert solve_linear(rows, rhs, F) == _gauss_jordan(rows, rhs)
+    rows, rhs, kind = system
+    got = solve_linear(rows, rhs, F)
+    assert got == _gauss_jordan(rows, rhs)
+    if kind == "inconsistent":
+        assert got is None
 
 
 def test_pade_roundtrip_at_workload_size():
@@ -447,6 +494,27 @@ def test_pade_roundtrip_at_workload_size():
     assert (got.num.degree, got.den.degree) == (6, 6)
     assert got == f
     assert str(got) == str(f)
+
+
+def test_rational_function_normalizes_dense_q_coefficients():
+    # z-coefficients that are dense integer polynomials of degree 10 in q:
+    # a coprime (6, 6) pair stays as it is, up to the pivot's scale, and a
+    # common factor of z-degree 2 comes out
+    rng = random.Random(5)
+
+    def coeff():
+        return Scalar([rng.randint(-9, 9) for _ in range(10)] + [rng.randint(1, 9)])
+
+    num = FPoly([coeff() for _ in range(7)], F)
+    den = FPoly([coeff() for _ in range(7)], F)
+    f = RationalFunction(num, den)
+    assert (f.num.degree, f.den.degree) == (6, 6)
+    assert f.num * den == num * f.den
+    g = FPoly([coeff() for _ in range(3)], F)
+    h = RationalFunction(num * g, den * g)
+    assert (h.num.degree, h.den.degree) == (6, 6)
+    assert h.num * den == num * h.den
+    assert h == f
 
 
 # ------------------------------------------- exp / log against the power sums
