@@ -19,19 +19,19 @@ operands' coefficients, so a nonzero operand never packs to 0.
 
 Multiplication: pmul(a, b) multiplies by Kronecker substitution, one
 big-integer product of the images (subquadratic in CPython), when both
-operands have at least _KRONECKER_MIN = 16 coefficients plus one for each
-64 bits of the larger coefficient; other products run the schoolbook
-loop.  Both paths return the same coefficient list.
+operands have at least _KRONECKER_MIN = 16 coefficients; other products
+run the schoolbook loop.  Both paths return the same coefficient list.
+
+Linear systems: _bareiss_solve runs fraction-free Gauss-Jordan over ZZ[q]
+on the images of the entries, in slots above the Hadamard bound of the
+system's minors, and decodes only the solution.
 
 Division conventions:
 
-* pdiv_exact(a, b) performs the division a / b in ZZ[q] and raises
-  ValueError if the quotient does not exist with integer coefficients (it
-  is used only where Gauss's lemma guarantees exactness).  When the
-  divisor and the quotient both have degree 11 or more, and no
-  coefficient exceeds 128 bits, it takes one divmod of the images: a
-  nonzero remainder raises, and a decoded quotient is returned only once a
-  coefficient bound proves it; otherwise the schoolbook loop divides.
+* pdiv_exact(a, b) performs the division a / b in ZZ[q] by the schoolbook
+  loop and raises ValueError if the quotient does not exist with integer
+  coefficients (it is used only where Gauss's lemma guarantees exactness,
+  and by the heuristic gcd to test a candidate).
 * prem(a, b) is the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a  mod  b,
   computed entirely over ZZ.
 * pgcd(a, b) is the full ZZ[q] gcd (content included), normalised to a
@@ -93,16 +93,18 @@ def pneg(a):
     return [-c for c in a]
 
 
-# Both operands need at least _KRONECKER_MIN coefficients, and one more
-# for each 64 bits of the larger coefficient, for pmul to take the
-# Kronecker path.  Per-call timings on random dense operands, schoolbook
-# over Kronecker: 6-bit 12x12 0.9, 16x16 1.2, 32x32 3.4, 8x200 0.85,
-# 16x200 2.3; 40-bit 12x12 1.0, 16x16 1.5, 8x64 2.0, 16x200 2.7; 200-bit
-# 14x14 0.8, 16x16 0.9, 20x20 1.1, 16x200 1.2; 400-bit 20x20 0.9, 24x24
-# 1.2; 1000-bit 0.8 to 1.1 from 16x16 to 28x28, where the big-integer
-# products dominate either way.  Packing costs a few microseconds whatever
-# the size, so the loop wins on short operands and on sparse ones, whose
-# zero coefficients it skips.
+# Both operands need at least _KRONECKER_MIN coefficients for pmul to take
+# the Kronecker path.  Per-call timings on random dense operands, schoolbook
+# over Kronecker: 6-bit 12x12 0.9, 16x16 1.2, 32x32 3.4, 16x200 2.3; 40-bit
+# 12x12 1.0, 16x16 1.5, 8x64 2.0, 16x200 2.7.  Packing costs a few
+# microseconds whatever the size, so the loop wins on short operands and on
+# sparse ones, whose zero coefficients it skips: the sparse products of
+# tensor modules lose on the Kronecker path at every length they reach (up
+# to 27).  Wide coefficients move
+# the break-even only a little (200-bit 16x16 0.9, 20x20 1.1, 16x200 1.2;
+# 1000-bit 0.8 to 1.1 from 16x16 to 28x28, where the big-integer products
+# dominate either way), and no workload has coefficients above 40 bits, so
+# the cutoff looks at lengths alone.
 _KRONECKER_MIN = 16
 
 
@@ -110,14 +112,12 @@ def pmul(a, b):
     if not a or not b:
         return []
     if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN:
+        # Kronecker substitution: one product of the images at q = 2^s,
+        # read back in balanced digits; every product coefficient c has
+        # |c| <= n * max|a| * max|b| < 2^(s-1)
         n = min(len(a), len(b))
-        ba, bb = _bits(a), _bits(b)
-        if n >= _KRONECKER_MIN + max(ba, bb) // 64:
-            # Kronecker substitution: one product of the images at q = 2^s,
-            # read back in balanced digits; every product coefficient c has
-            # |c| <= n * max|a| * max|b| < 2^(s-1)
-            w = _width(ba + bb + n.bit_length() + 1)
-            return _unpack(_pack(a, w) * _pack(b, w), w)
+        w = _width(_bits(a) + _bits(b) + n.bit_length() + 1)
+        return _unpack(_pack(a, w) * _pack(b, w), w)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -152,12 +152,16 @@ def _pack(a, w):
 
 
 def _unpack(x, w):
-    """The polynomial whose coefficients are the balanced base-2^(8w)
-    digits of x, each in [-2^(8w-1), 2^(8w-1)): the inverse of _pack for
+    """The polynomial whose coefficients are the balanced base-2^s digits
+    of x, s = 8w, each in [-2^(s-1), 2^(s-1)): the inverse of _pack for
     coefficients in that range.  Every integer has exactly one such digit
-    string, and n = bitlen(x) // (8w) + 1 digits are enough."""
+    string.  n digits reach up to only (2^(s-1) - 1)(2^(ns) - 1)/(2^s - 1),
+    just under 2^(ns-1), so an x just below 2^bitlen(x) can need one digit
+    more than bitlen(x) // s + 1 (its digits end in -2^(s-1) under a top 1):
+    n = bitlen(x) // s + 2 are always enough, and pnorm strips the extra
+    zero."""
     s = 8 * w
-    n = abs(x).bit_length() // s + 1
+    n = abs(x).bit_length() // s + 2
     half = 1 << (s - 1)
     buf = (x + _offset(n, w)).to_bytes(n * w, "little")
     return pnorm([int.from_bytes(buf[i:i + w], "little") - half
@@ -202,15 +206,11 @@ def pdiv_exact(a, b):
         raise ValueError("division by zero polynomial")
     if not a:
         return []
+    r = list(a)
     db, lb = len(b) - 1, b[-1]
     dq = len(a) - 1 - db
     if dq < 0:
         raise ValueError("inexact polynomial division")
-    if db >= _KRONECKER_DIV_MIN and dq >= _KRONECKER_DIV_MIN:
-        quo = _kronecker_div(a, b)
-        if quo is not None:
-            return quo
-    r = list(a)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
         c = r[k + db]
@@ -224,47 +224,6 @@ def pdiv_exact(a, b):
     if any(r):
         raise ValueError("inexact polynomial division")
     return pnorm(quo)
-
-
-# pdiv_exact divides by Kronecker substitution when the divisor and the
-# quotient both have degree _KRONECKER_DIV_MIN or more, and neither operand
-# has a coefficient of more than _KRONECKER_DIV_BITS bits.  CPython's
-# integer division is quadratic in the operands' length, so the slot width
-# counts twice: per-call timings on random dense exact quotients,
-# schoolbook over Kronecker, with divisor and quotient coefficients of
-# 6 bits: 8x8 0.6, 16x16 1.1, 8x40 1.8, 40x40 3.7; 40 bits: 10x10 1.0,
-# 12x12 1.2, 16x16 1.6, 40x8 2.0, 100x100 4.7; 64 bits (dividend 130 bits):
-# 12x12 1.0, 16x16 1.1, 40x40 2.0; 100 bits: 16x16 1.1, 40x40 1.0; 128 bits:
-# 16x16 0.75, 40x40 0.8; 200 bits: 0.4 to 0.8.
-_KRONECKER_DIV_MIN = 11
-_KRONECKER_DIV_BITS = 128
-
-
-def _kronecker_div(a, b):
-    """a / b through one integer division of the images at q = 2^s, or
-    None when the operands' coefficients are too wide for it to pay or
-    the quotient cannot be proven; the caller then divides by the
-    schoolbook loop.
-
-    Slots hold both operands' coefficients with ten bits of room for the
-    quotient's to exceed max|a| / max|b|.  If b divides a, its image
-    divides a's, so a nonzero integer remainder raises ValueError.  A zero
-    remainder decodes to some quo with quo(2^s) * b(2^s) = a(2^s); then
-    b*quo - a vanishes at 2^s, and it is the zero polynomial when each of
-    its coefficients is below 2^(s-1) in absolute value, which
-    max|a| < 2^(s-2) and min(len) * max|b| * max|quo| < 2^(s-2) prove.
-    """
-    ba, bb = _bits(a), _bits(b)
-    if max(ba, bb) > _KRONECKER_DIV_BITS:
-        return None
-    w = _width(max(ba, bb) + min(len(b), len(a) - len(b) + 1).bit_length() + 10)
-    x, rem = divmod(_pack(a, w), _pack(b, w))
-    if rem:
-        raise ValueError("inexact polynomial division")
-    quo = _unpack(x, w)
-    if quo and max(ba, bb + _bits(quo) + min(len(b), len(quo)).bit_length()) <= 8 * w - 2:
-        return quo
-    return None
 
 
 def prem(a, b):
@@ -374,3 +333,59 @@ def _posnorm(a):
     if a and a[-1] < 0:
         return pneg(a)
     return a
+
+
+def _bareiss_solve(rows, n):
+    """Gauss-Jordan with Bareiss exact division (Math. Comp. 22, 1968) over
+    ZZ[q], run on integer images.  rows are m augmented rows of n + 1
+    integer polynomials, the last entry of each the right-hand side.
+    Returns None when the system is inconsistent, else a (c, num, den)
+    triple per pivot column c, in the reduced row echelon form: the
+    solution sets x[c] = num / den and every free unknown to 0.
+
+    The pivot is the first nonzero entry of its column.  Every other row
+    becomes (p*row - f*pivot row) / prev, where p is the pivot, f the row's
+    entry in the pivot column and prev the previous pivot; by Sylvester's
+    identity each entry is then a minor of the augmented matrix, so the
+    division is exact and the elimination takes no gcd.
+
+    The elimination runs on the values of the entries at q = 2^s, since
+    evaluation is a ring homomorphism.  On |q| = 1 each entry is at most
+    its 1-norm, so by Hadamard's inequality every minor, and with it each
+    of its coefficients, is at most H = prod over rows of
+    max(1, sqrt(sum_j |a_ij|_1^2)).  With 2^(s-1) > H a nonzero minor never
+    evaluates to 0, so the pivot and consistency tests are those over
+    ZZ[q], and the solution's entries decode exactly from their balanced
+    base-2^s digits.
+    """
+    m = len(rows)
+    h2 = 1
+    for row in rows:
+        h2 *= max(1, sum(sum(map(abs, x)) ** 2 for x in row))
+    # 2^(s-1) > sqrt(h2) = H
+    w = _width((h2.bit_length() + 1) // 2 + 1)
+    a = [[_pack(x, w) for x in row] for row in rows]
+    piv_cols = []
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    # consistency: zero rows must have zero rhs
+    if any(a[i][n] for i in range(r, m)):
+        return None
+    return [(c, _unpack(a[i][n], w), _unpack(a[i][c], w))
+            for i, c in enumerate(piv_cols)]

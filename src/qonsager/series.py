@@ -28,7 +28,7 @@ eliminates in the field with largest-magnitude pivoting.
 
 from __future__ import annotations
 
-from ._kernel import _pack, _unpack, pdiv_exact, pgcd, pmul, psub
+from ._kernel import _bareiss_solve, pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError, EvaluationError
 from .linmat import Matrix, _meq
 from .scalars import ZERO, Scalar, _coerce, specialize
@@ -777,61 +777,23 @@ def solve_linear(rows, rhs, field):
 
 def _solve_fraction_free(rows, rhs, n):
     """Exact branch of solve_linear: Gauss-Jordan over ZZ[q] with Bareiss
-    exact division (Math. Comp. 22, 1968), run on integer images.
+    exact division, run on integer images (_kernel._bareiss_solve).
 
     Each augmented row is scaled to a primitive integer-polynomial row,
-    which leaves its equation's solutions unchanged.  The pivot is the first
-    nonzero entry of its column, as over Q(q).  Every other row becomes
-    (p·row - f·pivot row) / prev, where p is the pivot, f the row's entry in
-    the pivot column and prev the previous pivot; by Sylvester's identity
-    each entry is then a minor of the cleared augmented matrix, so the
-    division is exact and the elimination takes no gcd.  The reduced row
-    echelon form is unique, so x[c] = row[n] / row[c] is the same Scalar
-    that Gauss-Jordan over Q(q) gives.
-
-    The elimination runs on the values of the entries at q = 2^s, one
-    Python int each, since evaluation is a ring homomorphism.  On |q| = 1
-    each entry is at most its 1-norm, so by Hadamard's inequality every
-    minor, and with it each of its coefficients, is at most
-    H = prod over rows of max(1, sqrt(sum_j |a_ij|_1^2)).  With
-    2^(s-1) > H a nonzero minor never evaluates to 0, so the pivot and
-    consistency tests are those over ZZ[q], and the solution's entries
-    decode exactly from their balanced base-2^s digits.
+    which leaves its equation's solutions unchanged.  The kernel eliminates
+    on the rows' values at q = 2^s, in slots above the Hadamard bound of
+    their minors, and decodes each pivot and its right-hand side.  The
+    reduced row echelon form is unique, so x[c] = row[n] / row[c] is the
+    same Scalar that Gauss-Jordan over Q(q) gives.
     """
-    m = len(rows)
     a = [_zprimitive(_clear_denominators([_coerce(v) for v in (*row, b)]))
          for row, b in zip(rows, rhs)]
-    h2 = 1
-    for row in a:
-        h2 *= max(1, sum(sum(map(abs, x)) ** 2 for x in row))
-    # 2^(2(s-1)) > h2 = H^2, with s = 8w bits
-    w = ((h2.bit_length() + 1) // 2 + 8) // 8
-    a = [[_pack(x, w) for x in row] for row in a]
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r]
-        p = top[c]
-        for i in range(m):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        piv_cols.append(c)
-        r += 1
-    # consistency: zero rows must have zero rhs
-    if any(a[i][n] for i in range(r, m)):
+    solved = _bareiss_solve(a, n)
+    if solved is None:
         return None
     x = [ZERO] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = Scalar(_unpack(a[i][n], w), _unpack(a[i][c], w))
+    for c, num, den in solved:
+        x[c] = Scalar(num, den)
     return x
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonsager import _kernel
-from qonsager._kernel import _pack, padd, pdiv_exact, pgcd, pmul, pmul_int, pneg, pnorm, pprim, psub
+from qonsager._kernel import _pack, _unpack, padd, pdiv_exact, pgcd, pmul, pmul_int, pneg, pnorm, pprim, psub
 from qonsager.errors import DomainError, EvaluationError
 from qonsager.scalars import (
     ONE,
@@ -384,9 +384,8 @@ def long_polys(draw, max_len=70, bits=(1, 6, 63, 64, 200)):
 
 @given(long_polys(), long_polys())
 @example([-(2**90)] + [3] * 14, [5, -7] * 8)  # lengths 15 and 16: schoolbook
-@example([2**90, -1] * 8, [-7] * 15 + [-3])  # 16 and 16 at 91 bits: schoolbook
-@example([2**90, -1] * 8 + [1], [-7] * 16 + [-3])  # 17 and 17 at 91 bits: Kronecker
-@example([2**62] * 16, [-3] * 15 + [-(2**62)])  # 16 and 16 at 63 bits: Kronecker
+@example([2**90, -1] * 8, [-7] * 15 + [-3])  # 16 and 16: Kronecker
+@example([2**62] * 16, [-3] * 15 + [-(2**62)])  # 16 and 16 at 63 bits
 @example([0] * 3 + [-(2**90)] * 14, [7, 0, -7] * 13 + [-3])  # 17 and 40
 @settings(max_examples=100, deadline=None)
 def test_kernel_mul_matches_schoolbook_across_cutoff(a, b):
@@ -412,22 +411,10 @@ def test_kernel_mul_kronecker_matches_sympy():
     assert pmul(a, b) == [int(c) for c in reversed(prod.all_coeffs())]
 
 
-def _schoolbook_div(a, b):
-    """pdiv_exact with its Kronecker path switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "_KRONECKER_DIV_MIN", len(a))
-        return pdiv_exact(a, b)
-
-
 @given(long_polys(), long_polys())
-@example([3] * 11, [-5] * 11)  # divisor and quotient of degree 10: schoolbook
-@example([3] * 12, [-5] * 12)  # degree 11: Kronecker
-@example([2**120] * 12, [-1] * 12)  # dividend coefficients of 124 bits: Kronecker
-@example([2**127] * 12, [-1] * 12)  # 131 bits: schoolbook
 @settings(max_examples=100, deadline=None)
-def test_pdiv_exact_matches_schoolbook_across_cutoff(b, quo):
-    a = _schoolbook(b, quo)
-    assert pdiv_exact(a, b) == _schoolbook_div(a, b) == quo
+def test_pdiv_exact_recovers_every_exact_quotient(b, quo):
+    assert pdiv_exact(_schoolbook(b, quo), b) == quo
 
 
 @given(long_polys(), long_polys(), long_polys(max_len=20))
@@ -443,48 +430,16 @@ def test_pdiv_exact_rejects_every_inexact_input(b, quo, r):
         pdiv_exact(a, b)
 
 
-def test_pdiv_exact_rejects_a_quotient_whose_images_divide():
-    # a / b = c + q/2 is not in ZZ[q], but at every even q = 2^s the images
-    # divide, with quotient c(2^s) + 2^(s-1)
-    rng = random.Random(3)
-    b0 = [rng.randint(-50, 50) for _ in range(15)] + [7]
-    c = [rng.randint(-50, 50) for _ in range(15)] + [3]
-    a = pmul(b0, padd(pmul_int(c, 2), [0, 1]))
-    b = pmul_int(b0, 2)
-    for w in range(3, 12):
-        assert _pack(a, w) % _pack(b, w) == 0
-    with pytest.raises(ValueError):
-        pdiv_exact(a, b)
-
-
-def test_pdiv_exact_divisor_wider_than_dividend():
-    # the 105th cyclotomic polynomial has a coefficient -2 and divides
-    # q^105 - 1, whose coefficients are 1 and -1
-    phi = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(105, qs), qs).all_coeffs())]
-    a = [-1] + [0] * 104 + [1]
-    quo = pdiv_exact(a, phi)
-    assert quo == _schoolbook_div(a, phi)
-    assert pmul(quo, phi) == a
-    # the slots hold the divisor's coefficients too, so it never packs to 0
-    for top in (2**100, 2**127 - 1):
-        with pytest.raises(ValueError):
-            pdiv_exact([1, -1] * 15, [top] * 12)
-        with pytest.raises(ValueError):
-            pdiv_exact([1, -1] * 15, [-top] * 11 + [1])
-
-
-def test_pdiv_exact_quotient_wider_than_its_slot():
-    # (q^16 - 1)^12 / (q - 1)^12 = (1 + q + ... + q^15)^12: 10-bit operands
-    # and a quotient with coefficients near 2^40, past the slot the
-    # operands set, so the quotient is not proven there and the schoolbook
-    # loop gives it
-    a, b, quo = [1], [1], [1]
-    for _ in range(12):
-        a = pmul(a, [-1] + [0] * 15 + [1])
-        b = pmul(b, [-1, 1])
-        quo = pmul(quo, [1] * 16)
-    assert _kernel._kronecker_div(a, b) is None
-    assert pdiv_exact(a, b) == quo
+@pytest.mark.parametrize("w", [1, 2, 3, 8])
+def test_unpack_inverts_pack_at_the_slot_edges(w):
+    # the balanced digits run from -2^(s-1) to 2^(s-1) - 1; an integer just
+    # below a power of two whose second-highest digit is -2^(s-1) takes one
+    # digit more than its bit length suggests
+    half = 1 << (8 * w - 1)
+    for p in ([-half, -half, 1], [0, -18, -half, 1], [half - 1] * 5, [-half] * 5,
+              [3, -half], [-half, half - 1, -1], [0, 0, -half, -half, 1]):
+        assert _unpack(_pack(p, w), w) == p
+    assert _unpack(32640, 1) == [-128, -128, 1]
 
 
 @st.composite
@@ -505,6 +460,9 @@ def gcd_pairs(draw, max_len=200, bits=(1, 6, 63, 64, 200)):
 @given(st.one_of(st.tuples(polys, polys), gcd_pairs()))
 @example(([1, 2, 1] * 67, [-(2**200), 1] * 100))  # 201 and 200 coefficients
 @example(([0, 5, 0, 5] * 50, [-5, 5]))  # 200 against 2, shared content
+# q(64q - 9)(2 + q + ... + q^14) and q(64q - 9)(2 + q): at q = 256 the
+# integer gcd's balanced digits are [0, -18, -128, 1]
+@example(([0, -18, 119] + [55] * 13 + [64], [0, -18, 119, 64]))
 @settings(max_examples=80, deadline=None)
 def test_gcd_matches_sympy(pair):
     a, b = pair
