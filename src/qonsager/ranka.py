@@ -27,12 +27,24 @@ Conventions, fixed once and relied on everywhere below:
 
       C = KK_0 KK_1 .. KK_N  =  q^(2N+2) c_0 c_1 .. c_N.
 
-* Braided symmetries.  On the seeds, T_i(B_i) = KK_i^-1 B_i, T_i(B_j) =
-  B_j when a_ij = 0 and T_i(B_j) = B_j B_i - q B_i B_j when a_ij = -1;
-  double bonds are outside this module's scope.  On the dressings, T_i
-  reflects exponents and the rotation permutes them.  A word
-  w = pi^p s_{r_1} .. s_{r_k} acts by applying the reflection steps
-  right to left and the rotation last.  The distinguished words
+* Braided symmetries (the T_i formulas of Kolb and Pellegrini, J. Algebra
+  336, 2011).  T_i(B_i) = KK_i^-1 B_i, T_i(B_j) = B_j when a_ij = 0 and
+  T_i(B_j) = B_j B_i - q B_i B_j when a_ij = -1; T_i(KK_i) = KK_i^-1 and
+  T_i(KK_j) = KK_j KK_i^-a_ij; the rotation pi sends B_j, KK_j to B_{j+1},
+  KK_{j+1}.  A word w = pi^p s_{r_1} .. s_{r_k} acts as
+  T_w = pi^p T_{r_1} .. T_{r_k}.  Evaluation is a homomorphism from the
+  free algebra on the B_j with central KK_j, so ev . T_w is fixed by the
+  images (X_j, kappa_j) of the generators, composed on matrices rotation
+  first, X_j = B_{j+p} and kappa_j = KK_{j+p}, then letter by letter from
+  the left:
+
+      X_j <- X_j X_r - q X_r X_j,  kappa_j <- kappa_j kappa_r^-a_rj  (j != r),
+      and last  X_r <- kappa_r^-1 X_r,  kappa_r <- kappa_r^-1,
+
+  the X_j update for j bonded to r only.  No word is expanded.  Double
+  bonds (N = 1) have no seed formula: an image across one is left
+  absent, and evaluating an expression that needs it raises DomainError.
+  The distinguished words
 
       omega_i  = pi^i [N-i+1, N] [N-i, N-1] .. [1, i],
       omega'_i = omega_i with its final letter s_i dropped,
@@ -65,6 +77,7 @@ Conventions, fixed once and relied on everywhere below:
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +101,6 @@ __all__ = [
     "build_vector_evaluation",
     "verify_affine_presentation",
     "BExpr",
-    "qsp_braid_step",
-    "rotate_expr",
     "apply_word",
     "pk_bracket",
     "build_Ai_minus1",
@@ -176,8 +187,10 @@ class AffineTypeA:
 class WeylWord:
     """A word pi^p s_{r_1} .. s_{r_k} in the extended affine Weyl group.
 
-    ``refs`` is the reflection sequence read left to right; application
-    to expressions and to roots runs right to left, rotation last.
+    ``refs`` is the reflection sequence read left to right.  On roots the
+    reflections apply right to left and the rotation last; on seed
+    expressions the generator images are composed the other way round,
+    rotation first and then the letters left to right (see the header).
     """
 
     __slots__ = ("typ", "pi_power", "refs")
@@ -535,15 +548,6 @@ class BExpr:
             raise DomainError(f"seed index {j} outside 0..{nn}")
         return cls(nn, {(j,): {tuple([0] * (nn + 1)): ONE}})
 
-    @classmethod
-    def kmono(cls, nn: int, exps, coeff: Scalar = ONE) -> "BExpr":
-        exps = tuple(exps)
-        if len(exps) != nn + 1:
-            raise DomainError(f"exponent tuple of length {len(exps)}, need {nn + 1}")
-        if not coeff:
-            return cls(nn)
-        return cls(nn, {(): {exps: coeff}})
-
     def _accum(self, word, exps, coeff):
         if not coeff:
             return
@@ -607,9 +611,6 @@ class BExpr:
         return (isinstance(other, BExpr) and other.nn == self.nn
                 and other.terms == self.terms)
 
-    def nwords(self) -> int:
-        return len(self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "BExpr(0)"
@@ -620,94 +621,23 @@ class BExpr:
         return f"BExpr({' + '.join(bits)})"
 
 
-def _reflect_exps(typ: AffineTypeA, i: int, exps):
-    """s_i on a dressing monomial: e_i -> e_i - sum_j a_ij e_j."""
-    out = list(exps)
-    out[i] = exps[i] - sum(typ.cartan(i, j) * exps[j] for j in typ.nodes)
-    return tuple(out)
-
-
-# Most words one braided step may expand into (before cancellation).  Rank-5
-# node 2 needs 36,864 at its largest step; node 3 would need 7,077,888.
-_MAX_WORDS = 200_000
-
-
-def qsp_braid_step(i: int, e: BExpr) -> BExpr:
-    """One braided symmetry T_i applied to a seed expression.
-
-    T_i(B_i) = KK_i^-1 B_i; T_i(B_j) = B_j for a_ij = 0 and
-    B_j B_i - q B_i B_j for a_ij = -1.  Double bonds (rank one) are
-    refused: only the rotation part of those words is in scope.
-
-    Each letter j with a_ij = -1 doubles a word, so the step expands into
-    at most sum_w 2^(#such letters in w) words.  A step whose bound exceeds
-    ``_MAX_WORDS`` raises DomainError before expanding anything.
-    """
-    nn = e.nn
-    typ = AffineTypeA(nn)
-    typ._check(i)
-    zero_e = tuple([0] * (nn + 1))
-
-    def image(j):
-        if j == i:
-            ex = tuple(-1 if m == i else 0 for m in range(nn + 1))
-            return BExpr(nn, {(i,): {ex: ONE}})
-        aij = typ.cartan(i, j)
-        if aij == 0:
-            return BExpr.gen(nn, j)
-        if aij == -1:
-            return BExpr(nn, {(j, i): {zero_e: ONE}, (i, j): {zero_e: -Q}})
-        raise DomainError(
-            f"T_{i}(B_{j}) sits on a double bond (a_ij = {aij}); "
-            "braided steps are implemented for single bonds only"
-        )
-
-    bonded = {j for j in typ.nodes if typ.cartan(i, j) == -1}
-    bound = sum(2 ** sum(j in bonded for j in word) for word in e.terms)
-    if bound > _MAX_WORDS:
-        raise DomainError(
-            f"braided step T_{i} at node {i}: {e.nwords()} words would expand "
-            f"into up to {bound} words, over the limit _MAX_WORDS = {_MAX_WORDS}"
-        )
-
-    imgs = {}
-    out = BExpr(nn)
-    for word, kmap in e.terms.items():
-        acc = BExpr(nn, {(): {
-            _reflect_exps(typ, i, ex): c for ex, c in kmap.items()
-        }})
-        for j in word:
-            if j not in imgs:
-                imgs[j] = image(j)
-            acc = acc @ imgs[j]
-        for w, k in acc.terms.items():
-            for ex, c in k.items():
-                out._accum(w, ex, c)
-    return out
-
-
-def rotate_expr(e: BExpr, p: int = 1) -> BExpr:
-    """The diagram rotation pi^p on a seed expression."""
-    n1 = e.nn + 1
-    p %= n1
-    if p == 0:
-        return e
-    out = BExpr(e.nn)
-    for word, kmap in e.terms.items():
-        w = tuple((j + p) % n1 for j in word)
-        for ex, c in kmap.items():
-            out._accum(w, tuple(ex[(m - p) % n1] for m in range(n1)), c)
-    return out
-
-
-def apply_word(w: WeylWord, e: BExpr) -> BExpr:
-    """T_w on a seed expression: reflection steps right to left, then
-    the rotation."""
+def apply_word(w: WeylWord, e: BExpr) -> "_Braided":
+    """T_w on a seed expression, deferred to evaluation: ``evaluate_bexpr``
+    evaluates e at the generator images of ev . T_w (``_braid_images``)."""
     if w.typ.N != e.nn:
         raise DomainError("word and expression have different ranks")
-    for r in reversed(w.refs):
-        e = qsp_braid_step(r, e)
-    return rotate_expr(e, w.pi_power)
+    return _Braided(w, e)
+
+
+class _Braided(NamedTuple):
+    """T_w(e), unexpanded: ``terms`` are e's own."""
+
+    word: WeylWord
+    expr: BExpr
+
+    @property
+    def terms(self):
+        return self.expr.terms
 
 
 def pk_bracket(ys, qv, variant: str = "left"):
@@ -849,6 +779,32 @@ def _kvals(module: AffineModule, params: RankNParams):
     return {j: f.from_scalar(params.kk(j)) for j in module.typ.nodes}
 
 
+def _braid_images(word: WeylWord, bmats, kvals, field):
+    """The images (X_j, kappa_j) of B_j and KK_j under ev . T_w, composed
+    as in the header: at most four matrix products per letter.  An image
+    across the double bond of A_1, or built from one, is left out of X.
+    """
+    typ = word.typ
+    p = word.pi_power
+    X = {j: bmats[typ.rotate(j, p)] for j in typ.nodes}
+    kap = {j: kvals[typ.rotate(j, p)] for j in typ.nodes}
+    for r in word.refs:
+        xr, kr = X.get(r), kap[r]
+        for j in typ.nodes:
+            a = typ.cartan(r, j)
+            if j == r or a == 0:
+                continue
+            kap[j] = kap[j] * kr ** -a
+            if a == -1 and xr is not None and j in X:
+                X[j] = X[j] @ xr - (xr @ X[j]).scale(field.q)
+            else:
+                X.pop(j, None)
+        kap[r] = field.one / kr
+        if xr is not None:
+            X[r] = xr.scale(kap[r])
+    return X, kap
+
+
 def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
     """Sum over the words of e of (K-power coefficient) * (word matrix).
 
@@ -892,12 +848,27 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
     return acc
 
 
-def evaluate_bexpr(e: BExpr, module: AffineModule, params: RankNParams) -> Matrix:
-    """Evaluate a seed expression through the module and parameters."""
+def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,
+                   params: RankNParams) -> Matrix:
+    """Evaluate a seed expression, or a braided one from ``apply_word``,
+    through the module and parameters."""
+    word = None
+    if isinstance(e, _Braided):
+        word, e = e.word, e.expr
     if e.nn != module.typ.N:
         raise DomainError("expression and module have different ranks")
-    return _eval_bexpr(e, eta_bmats(module, params), _kvals(module, params),
-                       module.field, module.dim)
+    f = module.field
+    images = eta_bmats(module, params), _kvals(module, params)
+    if word is not None:
+        images = _braid_images(word, *images, f)
+        lost = {j for w in e.terms for j in w} - images[0].keys()
+        if lost:
+            raise DomainError(
+                f"T_w(B_{min(lost)}) for w = {word!r} crosses the double bond "
+                "a_01 = -2; braided symmetries are implemented for single "
+                "bonds only"
+            )
+    return _eval_bexpr(e, *images, f, module.dim)
 
 
 # -- family generation ---------------------------------------------------------------
@@ -974,9 +945,10 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
     and H_{i,1} normalised by the node constant C_i, then grows its
     towers by the core shared with rank one (``onsager._grow_tower``),
     with the global C and node weight c_i.  With ``certify`` the bracket
-    seed is checked against the braided word T_{omega_i}(B_i) before
-    anything grows out of it.  Default R = 2T keeps every relation check
-    in range.
+    seed is checked against the braided word T_{omega_i}(B_i), which is
+    the image X_i of B_i under ev . T_{omega_i}, built on matrices letter
+    by letter (``_braid_images``), before anything grows out of it.
+    Default R = 2T keeps every relation check in range.
     """
     typ = module.typ
     if params.N != typ.N:
@@ -1000,10 +972,8 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
         seed_expr = build_Ai_minus1(i, typ.N)
         Am1 = _eval_bexpr(seed_expr, fam.B, kvals, f, module.dim)
         if certify:
-            word = _eval_bexpr(apply_word(omega_word(i, typ.N),
-                                          BExpr.gen(typ.N, i)),
-                               fam.B, kvals, f, module.dim)
-            ok, w = _meq(Am1, word, f)
+            X, _ = _braid_images(omega_word(i, typ.N), fam.B, kvals, f)
+            ok, w = _meq(Am1, X[i], f)
             if not ok:
                 raise ConstructionError(
                     f"seed A_({i},-1): dressed bracket and braided word "
@@ -1186,19 +1156,19 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
     """Braid, commutation and rotation relations of the T_i on a module.
 
     For every bond: T_i T_j = T_j T_i when a_ij = 0 and the length-three
-    braid relation when a_ij = -1, applied to each seed and compared
-    after evaluation; plus pi T_i = T_{i+1} pi throughout.  Double
-    bonds only admit the rotation check on their own seeds.
+    braid relation when a_ij = -1, compared on the evaluated image of
+    each seed; plus pi T_i = T_{i+1} pi throughout, where the images of
+    T_{i+1} are read at B_{k+1} = pi(B_k).  Double bonds only admit the
+    rotation check on their own seeds.
     """
     typ = module.typ
     f = module.field
-    bm = eta_bmats(module, params)
-    kv = _kvals(module, params)
+    gens = eta_bmats(module, params), _kvals(module, params)
     rep = CheckReport(f"braided symmetries on {module.describe()} "
                       f"({params.describe()})")
 
-    def ev(e):
-        return _eval_bexpr(e, bm, kv, f, module.dim)
+    def images(p, *refs):
+        return _braid_images(WeylWord(typ, p, refs), *gens, f)[0]
 
     for i in typ.nodes:
         for j in typ.nodes:
@@ -1207,27 +1177,20 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
             aij = typ.cartan(i, j)
             if aij == -2:
                 continue
+            if aij == 0:
+                name, lhs, rhs = "commute", images(0, i, j), images(0, j, i)
+            else:
+                name, lhs, rhs = "braid", images(0, i, j, i), images(0, j, i, j)
             for k in typ.nodes:
-                e = BExpr.gen(typ.N, k)
-                if aij == 0:
-                    lhs = qsp_braid_step(i, qsp_braid_step(j, e))
-                    rhs = qsp_braid_step(j, qsp_braid_step(i, e))
-                    ok, w = _meq(ev(lhs), ev(rhs), f)
-                    rep.add("commute", (i, j, k), ok, w)
-                else:
-                    lhs = qsp_braid_step(i, qsp_braid_step(j, qsp_braid_step(i, e)))
-                    rhs = qsp_braid_step(j, qsp_braid_step(i, qsp_braid_step(j, e)))
-                    ok, w = _meq(ev(lhs), ev(rhs), f)
-                    rep.add("braid", (i, j, k), ok, w)
+                ok, w = _meq(lhs[k], rhs[k], f)
+                rep.add(name, (i, j, k), ok, w)
 
     for i in typ.nodes:
+        lhs, rhs = images(1, i), images(0, typ.rotate(i))
         for k in typ.nodes:
             if typ.cartan(i, k) == -2:
                 continue
-            e = BExpr.gen(typ.N, k)
-            lhs = rotate_expr(qsp_braid_step(i, e))
-            rhs = qsp_braid_step(typ.rotate(i), rotate_expr(e))
-            ok, w = _meq(ev(lhs), ev(rhs), f)
+            ok, w = _meq(lhs[k], rhs[typ.rotate(k)], f)
             rep.add("rotation", (i, k), ok, w)
     return rep
 
@@ -1253,10 +1216,8 @@ def braid_compat_check(i: int, module: AffineModule,
             "braid compatibility is stated at s = 0; drop the shifts first"
         )
     f = module.field
-    bm = eta_bmats(module, params)
-    kv = _kvals(module, params)
-    M1 = _eval_bexpr(apply_word(omega_prime_word(i, N), BExpr.gen(N, i)),
-                     bm, kv, f, module.dim)
+    M1 = _braid_images(omega_prime_word(i, N), eta_bmats(module, params),
+                       _kvals(module, params), f)[0][i]
 
     Et = {}
     for j in typ.nodes:

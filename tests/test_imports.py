@@ -1,6 +1,7 @@
 """Every module-level import in the package is read in its module, every
-definition in the package is referenced somewhere, and no code mutates the
-coefficient lists of a fraction in place.
+``__all__`` entry is bound in its module, every definition in the package
+is referenced somewhere, and no code mutates the coefficient lists of a
+fraction in place.
 
 The package ``__init__`` re-exports names on purpose and ``from __future__``
 imports are compiler directives, so both are exempt from the import scan.
@@ -42,14 +43,32 @@ def _imported(tree):
                 yield alias.asname or alias.name
 
 
+def _exported(tree):
+    """The names ``tree`` lists in its module-level ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            yield from ast.literal_eval(node.value)
+
+
 def _read(tree):
     """Names the module reads, plus the names it lists in ``__all__``."""
     names = {n.id for n in ast.walk(tree)
              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    names.update(_exported(tree))
+    return names
+
+
+def _bound(tree):
+    """Names bound at module level: imports, definitions, assignments."""
+    names = set(_imported(tree))
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            names.update(ast.literal_eval(node.value))
+        if isinstance(node, _DEFS + (ast.ClassDef,)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name))
     return names
 
 
@@ -67,6 +86,25 @@ def test_module_imports_are_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported(tree)) - _read(tree))
     assert not unused, f"{path.name} imports {unused} but never reads them"
+
+
+def test_export_scan_flags_a_stale_entry():
+    tree = ast.parse(
+        "__all__ = ['f', 'K', 'x', 'pi', 'gone']\n"
+        "from math import pi\n"
+        "def f(): pass\n"
+        "class K: pass\n"
+        "x = 1\n"
+    )
+    assert set(_exported(tree)) - _bound(tree) == {"gone"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    # a stale entry breaks ``from <module> import *``
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stale = sorted(set(_exported(tree)) - _bound(tree))
+    assert not stale, f"{path.name} lists {stale} in __all__ but never binds them"
 
 
 def _definitions(tree):

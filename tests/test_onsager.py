@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
+from qonsager import onsager
 from qonsager.linmat import Matrix, _meq
 from qonsager.loopsl2 import EvalParams, build_evaluation, tensor
 from qonsager.onsager import (
@@ -33,7 +34,7 @@ from qonsager.onsager import (
     verify_qdolangrady,
 )
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
-from qonsager.series import h_from_theta
+from qonsager.series import FPoly, RationalFunction, h_from_theta
 
 F = ExactField()
 
@@ -127,6 +128,25 @@ def test_onedim_dual_path_report():
         assert rep.ok, rep.summary()
         ser = D.expand_at_zero(2)
         assert ser.coeff(0) == Scalar(1)
+
+
+def test_numeric_csymmetry_is_decided_at_a_relative_tolerance(monkeypatch):
+    # the numeric branch (_rf_num_eq) passes the true closed form at q0 = 1.3
+    # and fails one whose z^1 numerator coefficient is off by a relative 1e-3
+    p = P("q^2", "q^-1", "1", "q")
+    nf = NumericField(1.3)
+    rep, _ = onedim_character(p, T=6, field=nf)
+    assert rep.ok, rep.summary()
+    assert [e.ok for e in rep.entries if e.name == "csymmetry"] == [True]
+
+    def perturbed(params, field=None):
+        D = onedim_closed_form(params, field)
+        num = [c * (1 + 1e-3) if k == 1 else c for k, c in enumerate(D.num.coeffs)]
+        return RationalFunction(FPoly(num, D.field), D.den)
+
+    monkeypatch.setattr(onsager, "onedim_closed_form", perturbed)
+    rep, _ = onedim_character(p, T=6, field=nf)
+    assert [e.ok for e in rep.entries if e.name == "csymmetry"] == [False]
 
 
 # ------------------------------------------------------- families on modules

@@ -12,10 +12,12 @@ Oracles, independent of the construction code:
   (-1)^r twist of one node's tower must break exactly the odd-m
   cross-node relations and nothing same-node,
 * the rank-one gauge bridge V_1(-q^-2 a) ties N = 1 data to the
-  independently tested loop-sl2 module builder.
+  independently tested loop-sl2 module builder,
+* braided words composed on generator images are compared, for N <= 4,
+  with a symbolic reference that expands the seed formulas word by word
+  (``_ref_apply``).
 """
 
-import time
 from collections import Counter
 
 import pytest
@@ -43,9 +45,7 @@ from qonsager.ranka import (
     omega_prime_word,
     omega_word,
     pk_bracket,
-    qsp_braid_step,
     rankn_spectral_check,
-    rotate_expr,
     verify_affine_presentation,
     verify_braid_relations,
     verify_grel,
@@ -163,64 +163,149 @@ def test_simple_image_on_rotations():
 # ------------------------------------------------------------ seed algebra
 
 
+def _ref_step(i, e):
+    """Reference T_i: the seed formulas expanded word by word, no bound."""
+    nn = e.nn
+    typ = AffineTypeA(nn)
+
+    def image(j):
+        if j == i:
+            return BExpr(nn, {(i,): {tuple(-(m == i) for m in range(nn + 1)): Scalar(1)}})
+        if typ.cartan(i, j) == 0:
+            return BExpr.gen(nn, j)
+        if typ.cartan(i, j) == -1:
+            bj, bi = BExpr.gen(nn, j), BExpr.gen(nn, i)
+            return bj @ bi - (bi @ bj).scale(Q)
+        raise DomainError(f"T_{i}(B_{j}) sits on a double bond")
+
+    out = BExpr(nn)
+    for word, kmap in e.terms.items():
+        # s_i on a dressing monomial: e_i -> e_i - sum_j a_ij e_j
+        acc = BExpr(nn, {(): {
+            tuple(x - sum(typ.cartan(i, j) * ex[j] for j in typ.nodes) if m == i else x
+                  for m, x in enumerate(ex)): c
+            for ex, c in kmap.items()}})
+        for j in word:
+            acc = acc @ image(j)
+        out = out + acc
+    return out
+
+
+def _ref_apply(w, e):
+    """Reference T_w: reflection steps right to left, then the rotation."""
+    for r in reversed(w.refs):
+        e = _ref_step(r, e)
+    n1, p = e.nn + 1, w.pi_power
+    return BExpr(e.nn, {
+        tuple((j + p) % n1 for j in word):
+            {tuple(ex[(m - p) % n1] for m in range(n1)): c for ex, c in kmap.items()}
+        for word, kmap in e.terms.items()})
+
+
+def _images(word, module, params):
+    return ranka._braid_images(word, eta_bmats(module, params),
+                               ranka._kvals(module, params), module.field)
+
+
 def test_braid_step_table():
-    e = BExpr.gen(2, 1)
-    img = qsp_braid_step(1, e)
-    assert img.terms == {(1,): {(0, -1, 0): Scalar(1)}}     # KK_1^-1 B_1
-    # a_12 = -1 at N = 2: B_2 -> B_2 B_1 - q B_1 B_2
-    img2 = qsp_braid_step(1, BExpr.gen(2, 2))
-    assert img2 == (BExpr.gen(2, 2) @ BExpr.gen(2, 1)
-                    - (BExpr.gen(2, 1) @ BExpr.gen(2, 2)).scale(Q))
-    # a_13 = 0 at N = 3: untouched
-    assert qsp_braid_step(1, BExpr.gen(3, 3)) == BExpr.gen(3, 3)
+    # one letter s_1 on the generator images, KK_j = q^2 c_j
+    mod, p = W(3, "q"), P(("1", "q", "q^2", "q^3"))
+    B = eta_bmats(mod, p)
+    X, kap = _images(WeylWord(mod.typ, 0, (1,)), mod, p)
+    kk = {j: p.kk(j) for j in range(4)}
+    assert X[1] == B[1].scale(1 / kk[1]) and kap[1] == 1 / kk[1]      # KK_1^-1 B_1
+    for j in (0, 2):                                  # a_1j = -1: B_j B_1 - q B_1 B_j
+        assert X[j] == B[j] @ B[1] - (B[1] @ B[j]).scale(Q)
+        assert kap[j] == kk[j] * kk[1]
+    assert X[3] == B[3] and kap[3] == kk[3]           # a_13 = 0: untouched
 
 
 def test_braid_step_refuses_double_bonds():
-    with pytest.raises(DomainError):
-        qsp_braid_step(0, BExpr.gen(1, 1))
+    # rank one: T_0(B_1) crosses the double bond, but only evaluation says so
+    mod, p = W(1, "q"), P(("1", "q"))
+    e = apply_word(WeylWord(mod.typ, 0, (0,)), BExpr.gen(1, 1))
+    assert e.terms == BExpr.gen(1, 1).terms
+    with pytest.raises(DomainError, match="double bond a_01 = -2"):
+        evaluate_bexpr(e, mod, p)
+    # T_0(B_0) and pi s_1 on B_1 never need the lost image
+    B = eta_bmats(mod, p)
+    got = evaluate_bexpr(apply_word(WeylWord(mod.typ, 0, (0,)), BExpr.gen(1, 0)), mod, p)
+    assert got == B[0].scale(1 / p.kk(0))
+    got = evaluate_bexpr(apply_word(omega_word(1, 1), BExpr.gen(1, 1)), mod, p)
+    assert got == B[0].scale(1 / p.kk(0))
 
 
-def test_braid_step_bounds_its_expansion(monkeypatch):
-    # at N = 2, a_12 = -1: one letter 2 doubles a word, a letter 1 does not
-    monkeypatch.setattr(ranka, "_MAX_WORDS", 2)
-    e = BExpr.gen(2, 2) @ BExpr.gen(2, 1)
-    assert qsp_braid_step(1, e).nwords() == 2
-    with pytest.raises(DomainError, match="up to 3 words, over the limit _MAX_WORDS = 2"):
-        qsp_braid_step(1, e + BExpr.gen(2, 1))
+def test_rank5_node3_word_certifies():
+    # a symbolic expansion of this word would reach 7,077,888 words
+    mod, p = W(5, "1"), P([1] * 6)
+    word = evaluate_bexpr(apply_word(omega_word(3, 5), BExpr.gen(5, 3)), mod, p)
+    assert word == evaluate_bexpr(build_Ai_minus1(3, 5), mod, p)
+    assert not word.is_zero()
+    fam = generate_rankn_family(mod, p, T=1, R=1)
+    assert set(fam.A) == {1, 2, 3, 4, 5}
 
 
-def test_rank5_node3_word_fails_fast():
-    # node 3 reaches 6,912 words whose next step would expand to 7,077,888
-    start = time.process_time()
-    with pytest.raises(DomainError, match=r"T_3 at node 3: 6912 words .* 7077888 words"):
-        apply_word(omega_word(3, 5), BExpr.gen(5, 3))
-    assert time.process_time() - start < 10.0
+def test_every_node_of_rank8_certifies():
+    fam = generate_rankn_family(W(8, "q"), P([1] * 9), T=1, R=1)
+    assert set(fam.A) == set(range(1, 9))
 
 
 def test_rotation_moves_words_and_exponents():
+    mod, p = W(2, "q"), P(("1", "q", "q^2"))
+    rot = WeylWord(mod.typ, 1, ())
     e = BExpr.gen(2, 2).kmul((1, 0, -1))
-    r = rotate_expr(e)
-    assert r.terms == {(0,): {(-1, 1, 0): Scalar(1)}}
-    assert rotate_expr(rotate_expr(r)) == e
+    want = BExpr(2, {(0,): {(-1, 1, 0): Scalar(1)}})
+    assert _ref_apply(rot, e) == want
+    assert evaluate_bexpr(apply_word(rot, e), mod, p) == evaluate_bexpr(want, mod, p)
+    X, kap = _images(rot, mod, p)
+    B = eta_bmats(mod, p)
+    assert all(X[j] == B[(j + 1) % 3] and kap[j] == p.kk((j + 1) % 3) for j in range(3))
 
 
 def test_word_application_is_rightmost_first():
     # T_1 then T_2 on B_1: first K-dress, then the single bond
-    t = AffineTypeA(2)
-    e = apply_word(WeylWord(t, 0, (2, 1)), BExpr.gen(2, 1))
-    manual = qsp_braid_step(2, qsp_braid_step(1, BExpr.gen(2, 1)))
-    assert e == manual
+    mod, p = W(2, "q"), P(("1", "q", "q^2"))
+    manual = evaluate_bexpr(_ref_step(2, _ref_step(1, BExpr.gen(2, 1))), mod, p)
+    got = evaluate_bexpr(apply_word(WeylWord(mod.typ, 0, (2, 1)), BExpr.gen(2, 1)), mod, p)
+    assert got == manual
+    other = evaluate_bexpr(apply_word(WeylWord(mod.typ, 0, (1, 2)), BExpr.gen(2, 1)), mod, p)
+    assert other != manual
 
 
-def test_braided_word_sends_kmono_to_node_constant():
-    # T_{omega'_i}(KK_i) = C KK_i^-1, the inverse node constant; with
-    # C = prod_j KK_j this is the all-ones exponent minus twice e_i.
-    for N in (1, 2, 3):
+def test_braided_word_sends_kk_to_node_constant():
+    # T_{omega'_i}(KK_i) = C KK_i^-1 = prod_{j != i} KK_j; distinct primes as
+    # the KK_j make the products equal exactly when the exponents are
+    for N in (1, 2, 3, 4):
+        mod = W(N, "q")
+        primes = [Scalar(x) for x in (2, 3, 5, 7, 11)[:N + 1]]
+        B = eta_bmats(mod, P([1] * (N + 1)))
         for i in range(1, N + 1):
-            e = BExpr.kmono(N, tuple(1 if m == i else 0 for m in range(N + 1)))
-            img = apply_word(omega_prime_word(i, N), e)
-            want = tuple(0 if m == i else 1 for m in range(N + 1))
-            assert img.terms == {(): {want: Scalar(1)}}, (N, i)
+            _, kap = ranka._braid_images(omega_prime_word(i, N), B, dict(enumerate(primes)),
+                                         mod.field)
+            want = Scalar(1)
+            for j in range(N + 1):
+                if j != i:
+                    want = want * primes[j]
+            assert kap[i] == want, (N, i)
+
+
+@pytest.mark.parametrize("field", [None, NumericField(1.3)])
+def test_images_match_the_reference_expansion(field):
+    for N, a, c in [(1, "q^2", ("q^2", "q^-1")),
+                    (2, "q", ("1", "q", "q^2")),
+                    (3, "q^-1", ("1", "q", "q^2", "q^-1")),
+                    (4, "q", ("1", "q", "1", "q^-1", "q^2"))]:
+        mod = build_vector_evaluation(N, parse_scalar(a), field=field)
+        p = P(c)
+        for i in range(1, N + 1):
+            for w in (omega_word(i, N), omega_prime_word(i, N)):
+                want = evaluate_bexpr(_ref_apply(w, BExpr.gen(N, i)), mod, p)
+                got = evaluate_bexpr(apply_word(w, BExpr.gen(N, i)), mod, p)
+                if field is None:
+                    assert got == want, (N, i, w)
+                else:
+                    ok, wit = _meq(got, want, mod.field)
+                    assert ok, (N, i, w, wit)
 
 
 def _eval_unpruned(e, module, params):
@@ -245,11 +330,12 @@ def _eval_unpruned(e, module, params):
 
 @pytest.mark.parametrize("a, field", [("1", None), ("q", NumericField(1.3))])
 def test_word_evaluation_prunes_vanishing_prefixes(monkeypatch, a, field):
-    # on W_4 nearly every word of T_omega_2(B_2) has a vanishing prefix:
-    # pruned, its 288 words take at most 107 products (1,033 unpruned)
+    # on W_4 nearly every word of the expanded T_omega_2(B_2) has a vanishing
+    # prefix: pruned, its 288 words take at most 107 products (1,033 unpruned)
     module = build_vector_evaluation(4, parse_scalar(a), field=field)
     params = P([1] * 5)
-    e = apply_word(omega_word(2, 4), BExpr.gen(4, 2))
+    e = _ref_apply(omega_word(2, 4), BExpr.gen(4, 2))
+    assert len(e.terms) == 288
     want = _eval_unpruned(e, module, params)
     calls = _count_products(monkeypatch)
     got = evaluate_bexpr(e, module, params)
@@ -515,6 +601,22 @@ def test_braid_relations_on_modules():
     rep1 = verify_braid_relations(W(1, "q"), P(("1", "q")))
     assert rep1.ok
     assert {e.name for e in rep1.entries} == {"rotation"}
+
+
+@pytest.mark.parametrize("damaged", [False, True])
+def test_numeric_braid_suites_are_the_exact_ones(damaged):
+    def entries(field):
+        mod = build_vector_evaluation(2, parse_scalar("q"), field=field)
+        if damaged:
+            mod.F[0] = mod.F[0].scale(mod.field.q)
+        p = P(("1", "q", "q^2"))
+        reps = [verify_braid_relations(mod, p)] + [braid_compat_check(i, mod, p) for i in (1, 2)]
+        return [[(e.name, e.indices, e.ok) for e in rep.entries] for rep in reps]
+
+    exact = entries(None)
+    assert entries(NumericField(1.3)) == exact
+    assert [len(x) for x in exact] == [18, 1, 1]
+    assert sum(not ok for x in exact for *_, ok in x) == (4 if damaged else 0)
 
 
 def test_braid_compat_degree_screen():
