@@ -6,10 +6,13 @@ Subpackage map:
 * scalars   — the exact coefficient field Q(q) and the numeric backend
 * linmat    — dense matrices over either backend, gradings, q-brackets
 * series    — truncated power series, Pade reconstruction, rational functions
-* loopsl2   — level-zero loop-sl2 modules and their relation certificates
+* loopsl2   — the one module type over the affine A_N diagram, its tensor
+              product and presentation suite; rank one (N = 1) adds the
+              loop-sl2 generators and their relation certificates
 * onsager   — rank-one coideal family generation and certification
 * spectra   — spectral factorization, Drinfeld data, coproduct checks
-* ranka     — higher-rank (type A) families, braid words, degree checks
+* ranka     — vector evaluation modules W_N(a), braided words and per-node
+              towers at rank N, their relation and spectral suites
 """
 
 from ._kernel import KERNEL_NAME

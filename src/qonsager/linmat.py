@@ -21,10 +21,10 @@ zero-skipping: over the numeric backend a skipped ``a + 0j`` would keep a
 the entrywise complex arithmetic bit for bit.  Exact zero operands are
 cheap anyway, because Scalar arithmetic returns early on them.
 
-A Grading assigns every basis index an integer degree *vector* — length 1 for
-a single module (top degree 0, weights descending), length f for an f-fold
-tensor product, where the degrees of the factors are kept as separate
-coordinates rather than summed.  degree_components splits an operator by the
+A Grading assigns every basis index an integer degree *vector*; a module
+over the affine A_N diagram is graded in simple-root coordinates (length N,
+top degree 0, weights descending), and a tensor product of modules adds the
+degrees of its factors.  degree_components splits an operator by the
 shift vector (row degree minus column degree); assert_block_triangular checks
 one-dimensional shifts are all >= 0 (raising) or <= 0 (lowering) and returns
 the diagonal blocks.

@@ -1,15 +1,27 @@
-"""Finite-dimensional modules over the quantum loop algebra of sl2.
+"""Finite-dimensional modules over the quantum affine algebra of type A_N,
+with rank one (N = 1) carrying the loop generators of sl2 as well.
 
-A LoopModule packages the action of the loop generators on a chosen basis:
-the invertible diagonal K, the mode operators x^+_k and x^-_k for |k| up to
-a window, the commuting h_k, and the coefficients psi_k / phi_{-k} of the
-two diagonal generating series
+An AffineModule is given by its Chevalley action E_i, F_i, K_i on a chosen
+basis, for every node i of the affine diagram (AffineTypeA), and by the
+grading of that basis in simple-root coordinates relative to basis vector
+0.  Tensor products go through the coproduct
+
+    Delta(E_i) = E_i x 1 + K_i x E_i,  Delta(F_i) = F_i x K_i^-1 + 1 x F_i,
+    Delta(K_i) = K_i x K_i,
+
+sum the factor degrees, and remember their factors (kron order: the left
+factor is the slow index).  verify_affine_presentation is the one
+Chevalley-level relation suite, for every rank.
+
+At rank one a module may also carry the loop generators: the invertible
+diagonal K, the mode operators x^+_k and x^-_k for |k| up to a window, the
+commuting h_k, and the coefficients psi_k / phi_{-k} of the two diagonal
+generating series
 
     Psi(z) = K exp( (q - q^-1) sum_{k>=1} h_k   z^k ),
     Phi(z) = K^-1 exp( -(q - q^-1) sum_{k>=1} h_{-k} z^-k ),
 
-together with the Chevalley generators E_i, F_i, K_i (i = 0, 1) of the
-affine presentation, obtained through the standard dictionary
+tied to the Chevalley generators by the standard dictionary
 
     E_1 = x^+_0,  F_1 = x^-_0,  K_1 = K,
     E_0 = -K^-1 x^-_1,  F_0 = -x^+_{-1} K,  K_0 = K^-1.
@@ -22,9 +34,9 @@ operators scale each weight link by a geometric factor,
     x^+_k v_j = mu_{j-1}^k [n-j+1] v_{j-1},      K v_j = q^{n-2j} v_j,
 
 and every stored operator is certified against the full defining relation
-suite before the module is handed back (ConstructionError otherwise).
-Tensor products carry only the Chevalley-level action, through the
-coproduct Delta(E) = E x 1 + K x E, Delta(F) = F x K^-1 + 1 x F.
+suite before the module is handed back (ConstructionError otherwise).  A
+tensor product carries the Chevalley action only; extend_loop_data
+reconstructs its loop generators from it.
 
 Everything works over either coefficient backend: exact matrices are built
 over the rational function field and numeric modules are exact modules
@@ -43,8 +55,10 @@ from .series import TruncSeries, series_exp, series_log
 
 __all__ = [
     "EvalParams",
-    "LoopModule",
+    "AffineTypeA",
+    "AffineModule",
     "build_evaluation",
+    "verify_affine_presentation",
     "verify_drinfeld_relations",
     "kacmoody_from_drinfeld",
     "tensor",
@@ -54,9 +68,6 @@ __all__ = [
 ]
 
 _EXACT = ExactField()
-
-#: affine sl2 Cartan matrix entries a_ij, both off-diagonals equal to -2
-_CARTAN = {(0, 0): 2, (0, 1): -2, (1, 0): -2, (1, 1): 2}
 
 
 @dataclass
@@ -76,26 +87,104 @@ class EvalParams:
             raise DomainError("evaluation parameter a must be nonzero")
 
 
-class LoopModule:
-    """A module with (optionally) loop-generator matrices and always a
-    Chevalley-level action plus the weight grading.
+# -- the diagram and the module type ----------------------------------------------
 
-    Evaluation modules carry the full tower (xp/xm/h/psi/phi); tensor
-    products only the Chevalley generators.  ``psi[k]`` is the coefficient
-    of z^k in Psi(z), ``phi[k]`` the coefficient of z^-k in Phi(z).
+
+class AffineTypeA:
+    """The affine A_N diagram: node set, Cartan pairing, rotation.
+
+    a_ii = 2 and, for N >= 2, a_ij = -1 exactly when i - j = +-1 mod N+1;
+    at N = 1 the two nodes are joined by a double bond, a_01 = a_10 = -2.
     """
 
-    __slots__ = (
-        "field", "dim", "grading", "window", "T",
-        "K", "Kinv", "xp", "xm", "h", "psi", "phi",
-        "E", "F", "Kc", "Kcinv",
-        "meta", "factors", "certified",
-    )
+    __slots__ = ("N",)
 
-    def __init__(self, field, dim, grading, meta):
+    def __init__(self, N: int):
+        if N < 1:
+            raise DomainError(f"rank must be at least 1, got N={N}")
+        self.N = N
+
+    @property
+    def nodes(self):
+        return range(self.N + 1)
+
+    @property
+    def finite_nodes(self):
+        return range(1, self.N + 1)
+
+    def cartan(self, i: int, j: int) -> int:
+        """Affine pairing a_ij on the full node set."""
+        self._check(i)
+        self._check(j)
+        if i == j:
+            return 2
+        if self.N == 1:
+            return -2
+        d = (i - j) % (self.N + 1)
+        return -1 if d in (1, self.N) else 0
+
+    def finite_cartan(self, i: int, j: int) -> int:
+        """Pairing of the finite subdiagram on I0 = {1..N}."""
+        if not (1 <= i <= self.N and 1 <= j <= self.N):
+            raise DomainError(f"finite node out of range: ({i},{j}), N={self.N}")
+        if i == j:
+            return 2
+        return -1 if abs(i - j) == 1 else 0
+
+    def rotate(self, j: int, p: int = 1) -> int:
+        self._check(j)
+        return (j + p) % (self.N + 1)
+
+    def alpha(self, i: int):
+        """Root-lattice coordinates of the node's simple root; the affine
+        node carries minus the highest root."""
+        self._check(i)
+        if i == 0:
+            return tuple([-1] * self.N)
+        return tuple(1 if m == i - 1 else 0 for m in range(self.N))
+
+    def _check(self, i):
+        if not 0 <= i <= self.N:
+            raise DomainError(f"node {i} outside 0..{self.N}")
+
+    def __eq__(self, other):
+        return isinstance(other, AffineTypeA) and other.N == self.N
+
+    def __hash__(self):
+        return hash(("A", self.N))
+
+    def __repr__(self):
+        return f"AffineTypeA(N={self.N})"
+
+
+class AffineModule:
+    """A finite module in Chevalley form over the affine diagram.
+
+    ``E``, ``F``, ``Kc``, ``Kcinv`` are dicts keyed by node in I;
+    ``grading`` carries each basis weight relative to basis vector 0, in
+    simple-root coordinates (arity N).  ``meta`` holds the printable
+    ``name`` and the ``builder`` that made the module; a tensor product
+    keeps its two ``factors``.
+
+    Rank-one modules may carry the loop generators as well (empty until
+    built or reconstructed): ``K``/``Kinv``, the modes ``xp[k]``/``xm[k]``
+    for |k| <= ``window``, ``h[k]``, and ``psi[k]``/``phi[k]`` for
+    k <= ``T``, the coefficients of z^k in Psi(z) and of z^-k in Phi(z).
+    """
+
+    __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv", "grading",
+                 "window", "T", "K", "Kinv", "xp", "xm", "h", "psi", "phi",
+                 "meta", "factors", "certified")
+
+    def __init__(self, typ: AffineTypeA, field):
+        self.typ = typ
         self.field = field
-        self.dim = dim
-        self.grading = grading
+        self.dim = 0
+        self.E = {}
+        self.F = {}
+        self.Kc = {}
+        self.Kcinv = {}
+        self.grading = None
         self.window = None
         self.T = None
         self.K = None
@@ -105,11 +194,7 @@ class LoopModule:
         self.h = {}
         self.psi = {}
         self.phi = {}
-        self.E = None
-        self.F = None
-        self.Kc = None
-        self.Kcinv = None
-        self.meta = meta
+        self.meta = {}
         self.factors = None
         self.certified = False
 
@@ -118,18 +203,79 @@ class LoopModule:
         return bool(self.xp)
 
     def describe(self) -> str:
-        return _describe_meta(self.meta)
+        return self.meta.get("name", f"affine A{self.typ.N} module, dim {self.dim}")
 
-    def __repr__(self):
-        kind = "loop" if self.has_loop_data else "chevalley"
-        return f"LoopModule({self.describe()}, dim={self.dim}, {kind})"
+    @classmethod
+    def trivial(cls, N: int, field=None):
+        """The one-dimensional module: E = F = 0, K = 1."""
+        f = field if field is not None else _EXACT
+        M = cls(AffineTypeA(N), f)
+        M.dim = 1
+        one = Matrix.identity(1, f)
+        zero = Matrix.zeros(1, 1, f)
+        for j in M.typ.nodes:
+            M.E[j] = zero
+            M.F[j] = zero
+            M.Kc[j] = one
+            M.Kcinv[j] = one
+        M.grading = Grading([tuple([0] * N)])
+        M.meta = {"name": f"triv_{N}", "builder": "trivial"}
+        M.certified = True
+        return M
+
+    def tensor(self, other: "AffineModule", certify: bool = True) -> "AffineModule":
+        """Tensor product along the coproduct (see the module docstring);
+        the factor degrees add up.  ``certify`` runs the presentation suite
+        and raises ConstructionError on any failure."""
+        if self.typ != other.typ:
+            raise DomainError("tensor factors over different diagrams")
+        if not self.E or not other.E:
+            raise DomainError("tensor factors need Chevalley data")
+        f = self.field
+        if not _same_field(f, other.field):
+            raise DomainError("tensor factors live over different backends")
+        M = AffineModule(self.typ, f)
+        M.dim = self.dim * other.dim
+        il = Matrix.identity(self.dim, f)
+        ir = Matrix.identity(other.dim, f)
+        for j in self.typ.nodes:
+            M.E[j] = self.E[j].kron(ir) + self.Kc[j].kron(other.E[j])
+            M.F[j] = self.F[j].kron(other.Kcinv[j]) + il.kron(other.F[j])
+            M.Kc[j] = self.Kc[j].kron(other.Kc[j])
+            M.Kcinv[j] = self.Kcinv[j].kron(other.Kcinv[j])
+        M.grading = Grading([
+            tuple(x + y for x, y in zip(da, db))
+            for da in self.grading.degrees
+            for db in other.grading.degrees
+        ])
+        names = [X.describe() for X in (self, other)]
+        M.meta = {"name": "*".join(n if "*" not in n else f"({n})" for n in names),
+                  "builder": "tensor"}
+        M.factors = (self, other)
+        if certify:
+            _refuse_failure(M, verify_affine_presentation(M))
+            M.certified = True
+        return M
 
 
-def _describe_meta(meta) -> str:
-    if meta.get("type") == "tensor":
-        parts = [_describe_meta(m) for m in meta["factors"]]
-        return "*".join(p if "*" not in p else f"({p})" for p in parts)
-    return f"V{meta['n']}({meta['a']})"
+def _same_field(f1, f2) -> bool:
+    if f1 is f2:
+        return True
+    if f1.exact != f2.exact:
+        return False
+    if f1.exact:
+        return True
+    return f1.q0 == f2.q0 and f1.tol == f2.tol
+
+
+def _refuse_failure(M: AffineModule, rep: CheckReport):
+    """Raise ConstructionError naming the first failing entry of rep, if any."""
+    bad = rep.first_failure()
+    if bad is not None:
+        raise ConstructionError(
+            f"{M.describe()}: relation {bad.name}{bad.indices} failed"
+            + (f" [{bad.witness}]" if bad.witness else "")
+        )
 
 
 # -- construction ---------------------------------------------------------------
@@ -142,7 +288,7 @@ def _fieldify(M: Matrix, field) -> Matrix:
 
 
 def _assemble_evaluation(n, a, window, T, field,
-                         links_plus=None, links_minus=None) -> LoopModule:
+                         links_plus=None, links_minus=None) -> AffineModule:
     """Assemble V_n(a) without certifying it.
 
     links_plus / links_minus override the per-link geometric factors of
@@ -160,9 +306,10 @@ def _assemble_evaluation(n, a, window, T, field,
     if links_minus is None:
         links_minus = mu
 
-    grading = Grading([(-j,) for j in range(d)])
-    meta = {"type": "evaluation", "n": n, "a": str(a)}
-    V = LoopModule(field, d, grading, meta)
+    V = AffineModule(AffineTypeA(1), field)
+    V.dim = d
+    V.grading = Grading([(-j,) for j in range(d)])
+    V.meta = {"name": f"V{n}({a})", "builder": "build_evaluation"}
     V.window = window
     V.T = T
 
@@ -219,7 +366,7 @@ def _assemble_evaluation(n, a, window, T, field,
 
 
 def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
-                     field=None, certify: bool = True) -> LoopModule:
+                     field=None, certify: bool = True) -> AffineModule:
     """The evaluation module V_n(a), fully certified by default.
 
     Raises ConstructionError when any defining relation fails (which, for
@@ -231,35 +378,90 @@ def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
         field = _EXACT
     V = _assemble_evaluation(p.n, p.a, window, T, field)
     if certify:
-        rep = verify_drinfeld_relations(V)
-        if not rep.ok:
-            bad = rep.first_failure()
-            raise ConstructionError(
-                f"{V.describe()}: relation {bad.name}{bad.indices} failed"
-                + (f" [{bad.witness}]" if bad.witness else "")
-            )
+        _refuse_failure(V, verify_drinfeld_relations(V))
     kacmoody_from_drinfeld(V, certify=certify)
     V.certified = certify
     return V
 
 
-# -- equality helper ------------------------------------------------------------
-
-
-def _same_field(f1, f2) -> bool:
-    if f1 is f2:
-        return True
-    if f1.exact != f2.exact:
-        return False
-    if f1.exact:
-        return True
-    return f1.q0 == f2.q0 and f1.tol == f2.tol
-
-
 # -- certification ----------------------------------------------------------------
 
 
-def verify_drinfeld_relations(V: LoopModule, window=None, T=None) -> CheckReport:
+def verify_affine_presentation(M: AffineModule) -> CheckReport:
+    """Defining relations of the affine algebra on the module.
+
+    Invertibility and commutation of the K_c, level zero (the product
+    over all nodes is 1), Cartan conjugation with the affine pairing,
+    the [E, F] pairing, the q-Serre relations for every bond type, and
+    purity of each Chevalley generator with respect to the grading.
+    """
+    typ = M.typ
+    f = M.field
+    kap = f.q - f.one / f.q
+    I = Matrix.identity(M.dim, f)
+    Z = Matrix.zeros(M.dim, M.dim, f)
+    rep = CheckReport(f"affine presentation on {M.describe()}")
+
+    for i in typ.nodes:
+        ok, w = _meq(M.Kc[i] @ M.Kcinv[i], I, f)
+        rep.add("k_invertible", (i,), ok, w)
+    for i in typ.nodes:
+        for j in typ.nodes:
+            if i < j:
+                ok, w = _meq(M.Kc[i] @ M.Kc[j], M.Kc[j] @ M.Kc[i], f)
+                rep.add("k_commute", (i, j), ok, w)
+    level = I
+    for i in typ.nodes:
+        level = level @ M.Kc[i]
+    ok, w = _meq(level, I, f)
+    rep.add("level_zero", (), ok, w)
+
+    for i in typ.nodes:
+        for j in typ.nodes:
+            aij = typ.cartan(i, j)
+            qa = f.q ** aij
+            ok, w = _meq(M.Kc[i] @ M.E[j] @ M.Kcinv[i], M.E[j].scale(qa), f)
+            rep.add("cartan_conj_e", (i, j), ok, w)
+            ok, w = _meq(M.Kc[i] @ M.F[j] @ M.Kcinv[i],
+                         M.F[j].scale(f.one / qa), f)
+            rep.add("cartan_conj_f", (i, j), ok, w)
+
+    for i in typ.nodes:
+        for j in typ.nodes:
+            lhs = M.E[i] @ M.F[j] - M.F[j] @ M.E[i]
+            rhs = (M.Kc[i] - M.Kcinv[i]).scale(f.one / kap) if i == j else Z
+            ok, w = _meq(lhs, rhs, f)
+            rep.add("ef_pair", (i, j), ok, w)
+
+    for i in typ.nodes:
+        for j in typ.nodes:
+            if i == j:
+                continue
+            n = 1 - typ.cartan(i, j)
+            for X, tag in ((M.E, "serre_e"), (M.F, "serre_f")):
+                acc = Z
+                for r in range(n + 1):
+                    term = (X[i] ** (n - r)) @ X[j] @ (X[i] ** r)
+                    coef = f.from_scalar(qbinom(n, r))
+                    if r % 2:
+                        coef = -coef
+                    acc = acc + term.scale(coef)
+                ok, w = _meq(acc, Z, f)
+                rep.add(tag, (i, j), ok, w)
+
+    g = M.grading
+    for i in typ.nodes:
+        want = typ.alpha(i)
+        for X, sgn, tag in ((M.E, 1, "purity_e"), (M.F, -1, "purity_f")):
+            shifts = degree_components(X[i], g).shifts()
+            bad = [s for s in shifts
+                   if s != tuple(sgn * x for x in want)]
+            rep.add(tag, (i,), not bad,
+                    None if not bad else f"impure shifts {bad}")
+    return rep
+
+
+def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckReport:
     """Check every defining loop relation the stored window supports.
 
     Covers: invertibility of K, commutativity of the h_k (and with K),
@@ -374,9 +576,9 @@ def _pure_shift(M: Matrix, g: Grading, target, field) -> bool:
     return True
 
 
-def kacmoody_from_drinfeld(V: LoopModule, certify: bool = True) -> CheckReport:
-    """Populate the Chevalley generators from the loop data and certify the
-    affine presentation (Cartan conjugation, [E_i, F_j], q-Serre)."""
+def kacmoody_from_drinfeld(V: AffineModule, certify: bool = True) -> CheckReport:
+    """Populate the Chevalley generators from the loop data and run the
+    affine presentation suite on them (verify_affine_presentation)."""
     if not V.has_loop_data:
         raise DomainError("module carries no loop-generator data")
     if 1 not in V.xm or -1 not in V.xp:
@@ -385,93 +587,21 @@ def kacmoody_from_drinfeld(V: LoopModule, certify: bool = True) -> CheckReport:
     V.F = {1: V.xm[0], 0: -(V.xp[-1] @ V.K)}
     V.Kc = {1: V.K, 0: V.Kinv}
     V.Kcinv = {1: V.Kinv, 0: V.K}
-    rep = _check_kacmoody(V)
-    if certify and not rep.ok:
-        bad = rep.first_failure()
-        raise ConstructionError(
-            f"{V.describe()}: relation {bad.name}{bad.indices} failed"
-            + (f" [{bad.witness}]" if bad.witness else "")
-        )
+    rep = verify_affine_presentation(V)
+    if certify:
+        _refuse_failure(V, rep)
     return rep
 
 
-def _check_kacmoody(V: LoopModule) -> CheckReport:
-    """The affine presentation on V.E/V.F/V.Kc, reported per instance."""
-    f = V.field
-    q = f.q
-    qden = q - f.one / q
-    eye = Matrix.identity(V.dim, f)
-    rep = CheckReport(f"affine presentation on {V.describe()}")
-    for i in (0, 1):
-        ok, w = _meq(V.Kc[i] @ V.Kcinv[i], eye, f)
-        rep.add("cartan_invertible", (i,), ok, w)
-    for i in (0, 1):
-        for j in (0, 1):
-            a = _CARTAN[i, j]
-            ok, w = _meq(V.Kc[i] @ V.E[j], (V.E[j] @ V.Kc[i]).scale(q ** a), f)
-            rep.add("cartan_conj_E", (i, j), ok, w)
-            ok, w = _meq(V.Kc[i] @ V.F[j], (V.F[j] @ V.Kc[i]).scale(q ** (-a)), f)
-            rep.add("cartan_conj_F", (i, j), ok, w)
-    for i in (0, 1):
-        for j in (0, 1):
-            lhs = V.E[i] @ V.F[j] - V.F[j] @ V.E[i]
-            if i == j:
-                rhs = (V.Kc[i] - V.Kcinv[i]).scale(f.one / qden)
-            else:
-                rhs = Matrix.zeros(V.dim, V.dim, f)
-            ok, w = _meq(lhs, rhs, f)
-            rep.add("EF_commutator", (i, j), ok, w)
-    for name, X in (("serre_E", V.E), ("serre_F", V.F)):
-        for i in (0, 1):
-            j = 1 - i
-            acc = Matrix.zeros(V.dim, V.dim, f)
-            for r in range(4):
-                term = (X[i] ** (3 - r)) @ X[j] @ (X[i] ** r)
-                coeff = f.from_scalar(qbinom(3, r))
-                if r % 2:
-                    coeff = -coeff
-                acc = acc + term.scale(coeff)
-            ok, w = _meq(acc, Matrix.zeros(V.dim, V.dim, f), f)
-            rep.add(name, (i, j), ok, w)
-    return rep
+def tensor(V: AffineModule, W: AffineModule, certify: bool = True) -> AffineModule:
+    """V (x) W through the coproduct; the same as ``V.tensor(W, certify)``."""
+    return V.tensor(W, certify)
 
 
-def tensor(V: LoopModule, W: LoopModule, certify: bool = True) -> LoopModule:
-    """Tensor product via the coproduct, Chevalley level only.
-
-    Delta(E_i) = E_i x 1 + K_i x E_i,  Delta(F_i) = F_i x K_i^-1 + 1 x F_i,
-    Delta(K_i) = K_i x K_i; the grading keeps the factor degrees as separate
-    coordinates (kron order: left factor is the slow index).
-    """
-    if V.E is None or W.E is None:
-        raise DomainError("tensor factors need Chevalley data")
-    if not _same_field(V.field, W.field):
-        raise DomainError("tensor factors live over different backends")
-    f = V.field
-    meta = {"type": "tensor", "factors": [V.meta, W.meta]}
-    M = LoopModule(f, V.dim * W.dim, V.grading.tensor(W.grading), meta)
-    M.factors = (V, W)
-    eyeV = Matrix.identity(V.dim, f)
-    eyeW = Matrix.identity(W.dim, f)
-    M.K = V.K.kron(W.K)
-    M.Kinv = V.Kinv.kron(W.Kinv)
-    M.E = {i: V.E[i].kron(eyeW) + V.Kc[i].kron(W.E[i]) for i in (0, 1)}
-    M.F = {i: V.F[i].kron(W.Kcinv[i]) + eyeV.kron(W.F[i]) for i in (0, 1)}
-    M.Kc = {i: V.Kc[i].kron(W.Kc[i]) for i in (0, 1)}
-    M.Kcinv = {i: V.Kcinv[i].kron(W.Kcinv[i]) for i in (0, 1)}
-    rep = _check_kacmoody(M)
-    if certify and not rep.ok:
-        bad = rep.first_failure()
-        raise ConstructionError(
-            f"{M.describe()}: relation {bad.name}{bad.indices} failed"
-        )
-    M.certified = certify and rep.ok
-    return M
-
-
-def extend_loop_data(M: LoopModule, window: int = 3, T: int = 6,
-                     certify: bool = True) -> LoopModule:
-    """Reconstruct the loop-generator tower from the Chevalley action.
+def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
+                     certify: bool = True) -> AffineModule:
+    """Reconstruct the loop-generator tower of a rank-one module from its
+    Chevalley action, in place.
 
     Inverts the standard dictionary (x^-_1 = -K E_0, x^+_{-1} = -F_0 K^-1,
     x^pm_0 = E_1 / F_1), climbs the mode ladders with ad h_{+-1}, and reads
@@ -482,8 +612,8 @@ def extend_loop_data(M: LoopModule, window: int = 3, T: int = 6,
     """
     if M.has_loop_data:
         return M
-    if M.E is None:
-        raise DomainError("module carries no Chevalley data to extend")
+    if M.typ.N != 1 or not M.E:
+        raise DomainError("loop data extends the Chevalley data of a rank-one module")
     if window < 1 or T < 1:
         raise DomainError("loop window and series order must be at least 1")
     f = M.field
@@ -491,7 +621,7 @@ def extend_loop_data(M: LoopModule, window: int = 3, T: int = 6,
     kap = q - f.one / q
     kap_inv = f.one / kap
     tw_inv = f.one / f.qint(2)
-    K, Kinv = M.K, M.Kinv
+    K, Kinv = M.Kc[1], M.Kcinv[1]
 
     xp = {0: M.E[1], -1: -(M.F[0] @ Kinv)}
     xm = {0: M.F[1], 1: -(K @ M.E[0])}
@@ -530,27 +660,21 @@ def extend_loop_data(M: LoopModule, window: int = 3, T: int = 6,
 
     M.window = window
     M.T = T
+    M.K, M.Kinv = K, Kinv
     M.xp = {k: xp[k] for k in range(-window, window + 1)}
     M.xm = {k: xm[k] for k in range(-window, window + 1)}
     M.h = dict(sorted(h.items()))
     M.psi = psi
     M.phi = phi
     if certify:
-        rep = verify_drinfeld_relations(M)
-        if not rep.ok:
-            bad = rep.first_failure()
-            raise ConstructionError(
-                f"{M.describe()}: reconstructed tower fails "
-                f"{bad.name}{bad.indices}"
-                + (f" [{bad.witness}]" if bad.witness else "")
-            )
+        _refuse_failure(M, verify_drinfeld_relations(M))
     return M
 
 
 # -- series access ------------------------------------------------------------------
 
 
-def phi_series(V: LoopModule, T=None):
+def phi_series(V: AffineModule, T=None):
     """(Phi, Psi): the diagonal series as ascending TruncSeries of matrices;
     coefficient k of Phi is phi_{-k} (the z^-k coefficient of Phi(z), i.e.
     the z^k coefficient of Phi(z^-1)), coefficient k of Psi is psi_k.
@@ -583,7 +707,7 @@ def phi_series(V: LoopModule, T=None):
 # -- consequence identities -----------------------------------------------------------
 
 
-def verify_aux_identities(V: LoopModule, T=None) -> CheckReport:
+def verify_aux_identities(V: AffineModule, T=None) -> CheckReport:
     """Three consequences of the defining relations that later layers lean on.
 
     * phi_x_homogeneous: phi_{-r} x^+_s + x^+_{s-1} phi_{-(r-1)}

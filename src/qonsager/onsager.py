@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
 from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
-from .loopsl2 import EvalParams, LoopModule, build_evaluation
+from .loopsl2 import AffineModule, EvalParams, build_evaluation
 from .report import CheckReport
 from .scalars import ExactField, Scalar, parse_scalar, qbinom, specialize
 from .series import (FPoly, RationalFunction, TruncSeries, h_from_theta,
@@ -96,12 +96,11 @@ class OnsagerFamily:
 
     ``A[r]`` is defined for -R <= r <= R, ``H[m]`` for 1 <= m <= T and
     ``theta[m]`` for 0 <= m <= T.  ``theta_grave[s]`` carries the
-    spectral normalisation (theta_grave[0] is the identity).  ``log``
-    records which rule produced each stored matrix.
+    spectral normalisation (theta_grave[0] is the identity).
     """
 
     __slots__ = ("module", "params", "field", "B0", "B1", "A", "H", "Hbar1",
-                 "theta", "theta_acute", "theta_grave", "T", "R", "log", "I")
+                 "theta", "theta_acute", "theta_grave", "T", "R", "I")
 
     def __init__(self, module, params, field):
         self.module = module
@@ -117,7 +116,6 @@ class OnsagerFamily:
         self.theta_grave = {}
         self.T = 0
         self.R = 0
-        self.log = []
         self.I = None
 
     def a(self, r: int) -> Matrix:
@@ -148,7 +146,12 @@ class OnsagerFamily:
 # -- embedding -------------------------------------------------------------------
 
 
-def eta_embed(p: OnsagerParams, V: LoopModule):
+def _seed(M: AffineModule, j: int, c, s) -> Matrix:
+    """B_j = F_j - c E_j K_j^-1 + s K_j^-1 on M, with c and s in M's field."""
+    return M.F[j] - (M.E[j] @ M.Kcinv[j]).scale(c) + M.Kcinv[j].scale(s)
+
+
+def eta_embed(p: OnsagerParams, V: AffineModule):
     """The pair (B0, B1) on V, cross-checked against the loop picture.
 
     On modules that carry loop-generator matrices, the images of the two
@@ -160,16 +163,11 @@ def eta_embed(p: OnsagerParams, V: LoopModule):
     and compared with B1 and q^-2 c0^-1 B0.  A mismatch means the module
     data is internally inconsistent and raises immediately.
     """
-    if V.E is None:
+    if not V.E:
         raise DomainError("module carries no Chevalley data")
     f = V.field
     ctx = _Ctx(p, f)
-    cvals = (ctx.c0, ctx.c1)
-    svals = (ctx.s0, ctx.s1)
-    B = {}
-    for i in (0, 1):
-        B[i] = V.F[i] - (V.E[i] @ V.Kcinv[i]).scale(cvals[i]) \
-            + V.Kcinv[i].scale(svals[i])
+    B = {0: _seed(V, 0, ctx.c0, ctx.s0), 1: _seed(V, 1, ctx.c1, ctx.s1)}
 
     if V.has_loop_data:
         q2, qm2 = ctx.q2, ctx.qm2
@@ -192,7 +190,7 @@ def eta_embed(p: OnsagerParams, V: LoopModule):
 
 
 def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
-                I: Matrix, log):
+                I: Matrix):
     """One node's towers from its seeds A[0], A[-1] and its charge H[1].
 
     This is the construction shared by rank one and by every finite node
@@ -203,7 +201,6 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     H[2..T] come from the log of the Theta series.  The acute tower
     multiplies Theta(z) by (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
     rescales it by (q - q^-1) so that index 0 becomes the identity.
-    ``log`` receives one line per rule.
 
     Returns (A, H, Hbar1, theta, theta_acute, theta_grave).
     """
@@ -219,7 +216,6 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
         A[r + 1] = commutator(Hbar1, A[r]) + A[r - 1].scale(C)
     for r in range(-1, -R, -1):
         A[r - 1] = (A[r + 1] - commutator(Hbar1, A[r])).scale(Cinv)
-    log(f"ladder A[r+1] = [Hbar1, A[r]] + C A[r-1] to |r| <= {R}")
 
     theta0 = I.scale(f.one / kap)
     theta = {0: theta0, 1: H1}
@@ -231,8 +227,6 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
         if s == 0:
             acc = acc - theta0
         theta[s + 2] = acc.scale(C)
-    log(f"Theta[0] = (q - q^-1)^-1, Theta[1] = H[1], Theta[2..{T}] by the "
-        "two-step rule")
 
     # For commuting Theta[1..T] the log recurrence gives exactly the formal
     # log.  For Theta that do not commute, the H it returns do not commute
@@ -246,7 +240,6 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     H = {1: H1}
     for m in range(2, T + 1):
         H[m] = hs[m - 1]
-    log("H[2..T] from log of the Theta series")
 
     acute = {}
     grave = {}
@@ -259,11 +252,10 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
             cp = cp * C
         acute[s] = acc
         grave[s] = acc.scale(kap)
-    log("acute/grave towers by series reweighting")
     return A, H, Hbar1, theta, acute, grave
 
 
-def generate_family(p: OnsagerParams, V: LoopModule, T: int = 6,
+def generate_family(p: OnsagerParams, V: AffineModule, T: int = 6,
                     R: int | None = None) -> OnsagerFamily:
     """Generate A_r (|r| <= R), H_m and Theta_m (m <= T) from the seeds.
 
@@ -284,13 +276,10 @@ def generate_family(p: OnsagerParams, V: LoopModule, T: int = 6,
 
     B0, B1 = eta_embed(p, V)
     fam.B0, fam.B1 = B0, B1
-    fam.log.append("seeds: A[0] = B1, A[-1] = q^-2 c0^-1 B0")
     Am1 = B0.scale(ctx.qm2 / ctx.c0)
     H1 = qbracket(Am1, B1, ctx.qm2).scale(ctx.q2 * ctx.q2 * ctx.c0)
-    fam.log.append("H[1] = q^4 c0 [A[-1], A[0]]_{q^-2}")
     (fam.A, fam.H, fam.Hbar1, fam.theta, fam.theta_acute,
-     fam.theta_grave) = _grow_tower(B1, Am1, H1, ctx.C, ctx.c1, T, R, fam.I,
-                                    fam.log.append)
+     fam.theta_grave) = _grow_tower(B1, Am1, H1, ctx.C, ctx.c1, T, R, fam.I)
     return fam
 
 

@@ -6,7 +6,9 @@ Conventions, fixed once and relied on everywhere below:
   I0 = {1, .., N}.  The Cartan pairing is a_ii = 2 and, for N >= 2,
   a_ij = -1 exactly when i - j = +-1 mod N+1; at N = 1 the two nodes are
   joined by a double bond, a_01 = a_10 = -2.  The diagram rotation pi
-  sends node j to j + 1 mod N+1.
+  sends node j to j + 1 mod N+1.  The diagram (AffineTypeA), the module
+  type (AffineModule) and its presentation suite live in ``loopsl2``,
+  where rank one is N = 1.
 
 * Vector evaluation W_N(a).  The (N+1)-dimensional module with basis
   e_0 .. e_N and, for i in I0,
@@ -20,7 +22,7 @@ Conventions, fixed once and relied on everywhere below:
 
   Basis weights are read back from the K_i eigenvalues relative to e_0;
   the differences must have integer coordinates in the simple roots or
-  the construction refuses the module (root_grading stores them).
+  the construction refuses the module (``grading`` stores them).
 
 * Coideal seeds.  B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1 per node j in
   I, with central dressings KK_j evaluating to q^2 c_j and
@@ -84,22 +86,20 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .linmat import (Grading, Matrix, ProductMemo, _meq, commutator, degree_components,
                      qbracket)
-from .loopsl2 import EvalParams, _same_field, build_evaluation
+from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
+                      build_evaluation, verify_affine_presentation)
 from .onsager import (OnsagerParams, _as_scalar, _check_windows, _grow_tower,
-                      _rf_num_eq, _theta_exchange, generate_family,
+                      _rf_num_eq, _seed, _theta_exchange, generate_family,
                       onedim_closed_form)
 from .report import CheckReport
-from .scalars import ExactField, ONE, Q, Scalar, qbinom, qint, specialize
+from .scalars import ExactField, ONE, Q, Scalar, qint, specialize
 from .series import FPoly, TruncSeries, pade_reconstruct
 
 __all__ = [
-    "AffineTypeA",
     "WeylWord",
     "omega_word",
     "omega_prime_word",
-    "AffineModule",
     "build_vector_evaluation",
-    "verify_affine_presentation",
     "BExpr",
     "apply_word",
     "pk_bracket",
@@ -118,70 +118,7 @@ __all__ = [
 _EXACT = ExactField()
 
 
-# -- the diagram ------------------------------------------------------------------
-
-
-class AffineTypeA:
-    """The affine A_N diagram: node set, Cartan pairing, rotation."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise DomainError(f"rank must be at least 1, got N={N}")
-        self.N = N
-
-    @property
-    def nodes(self):
-        return range(self.N + 1)
-
-    @property
-    def finite_nodes(self):
-        return range(1, self.N + 1)
-
-    def cartan(self, i: int, j: int) -> int:
-        """Affine pairing a_ij on the full node set."""
-        self._check(i)
-        self._check(j)
-        if i == j:
-            return 2
-        if self.N == 1:
-            return -2
-        d = (i - j) % (self.N + 1)
-        return -1 if d in (1, self.N) else 0
-
-    def finite_cartan(self, i: int, j: int) -> int:
-        """Pairing of the finite subdiagram on I0 = {1..N}."""
-        if not (1 <= i <= self.N and 1 <= j <= self.N):
-            raise DomainError(f"finite node out of range: ({i},{j}), N={self.N}")
-        if i == j:
-            return 2
-        return -1 if abs(i - j) == 1 else 0
-
-    def rotate(self, j: int, p: int = 1) -> int:
-        self._check(j)
-        return (j + p) % (self.N + 1)
-
-    def alpha(self, i: int):
-        """Root-lattice coordinates of the node's simple root; the affine
-        node carries minus the highest root."""
-        self._check(i)
-        if i == 0:
-            return tuple([-1] * self.N)
-        return tuple(1 if m == i - 1 else 0 for m in range(self.N))
-
-    def _check(self, i):
-        if not 0 <= i <= self.N:
-            raise DomainError(f"node {i} outside 0..{self.N}")
-
-    def __eq__(self, other):
-        return isinstance(other, AffineTypeA) and other.N == self.N
-
-    def __hash__(self):
-        return hash(("A", self.N))
-
-    def __repr__(self):
-        return f"AffineTypeA(N={self.N})"
+# -- Weyl group words -------------------------------------------------------------
 
 
 class WeylWord:
@@ -259,84 +196,7 @@ def omega_prime_word(i: int, N: int) -> WeylWord:
     return WeylWord(w.typ, w.pi_power, w.refs[:-1])
 
 
-# -- modules ----------------------------------------------------------------------
-
-
-class AffineModule:
-    """A finite module in Chevalley form over the affine diagram.
-
-    ``E``, ``F``, ``Kc``, ``Kcinv`` are dicts keyed by node in I;
-    ``root_grading`` carries each basis weight relative to basis vector
-    0, in simple-root coordinates (arity N).
-    """
-
-    __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv",
-                 "root_grading", "meta", "certified")
-
-    def __init__(self, typ: AffineTypeA, field):
-        self.typ = typ
-        self.field = field
-        self.dim = 0
-        self.E = {}
-        self.F = {}
-        self.Kc = {}
-        self.Kcinv = {}
-        self.root_grading = None
-        self.meta = {}
-        self.certified = False
-
-    def describe(self) -> str:
-        return self.meta.get("name", f"affine A{self.typ.N} module, dim {self.dim}")
-
-    @classmethod
-    def trivial(cls, N: int, field=None):
-        """The one-dimensional module: E = F = 0, K = 1."""
-        f = field if field is not None else _EXACT
-        M = cls(AffineTypeA(N), f)
-        M.dim = 1
-        one = Matrix.identity(1, f)
-        zero = Matrix.zeros(1, 1, f)
-        for j in M.typ.nodes:
-            M.E[j] = zero
-            M.F[j] = zero
-            M.Kc[j] = one
-            M.Kcinv[j] = one
-        M.root_grading = Grading([tuple([0] * N)])
-        M.meta = {"name": f"triv_{N}", "N": N}
-        M.certified = True
-        return M
-
-    def tensor(self, other: "AffineModule", certify: bool = True) -> "AffineModule":
-        """Tensor product along Delta(E) = E (x) 1 + K (x) E,
-        Delta(F) = F (x) K^-1 + 1 (x) F, Delta(K) = K (x) K."""
-        if self.typ != other.typ:
-            raise DomainError("tensor factors over different diagrams")
-        f = self.field
-        if not _same_field(f, other.field):
-            raise DomainError("tensor factors over different fields")
-        M = AffineModule(self.typ, f)
-        M.dim = self.dim * other.dim
-        il = Matrix.identity(self.dim, f)
-        ir = Matrix.identity(other.dim, f)
-        for j in self.typ.nodes:
-            M.E[j] = self.E[j].kron(ir) + self.Kc[j].kron(other.E[j])
-            M.F[j] = self.F[j].kron(other.Kcinv[j]) + il.kron(other.F[j])
-            M.Kc[j] = self.Kc[j].kron(other.Kc[j])
-            M.Kcinv[j] = self.Kcinv[j].kron(other.Kcinv[j])
-        M.root_grading = Grading([
-            tuple(x + y for x, y in zip(da, db))
-            for da in self.root_grading.degrees
-            for db in other.root_grading.degrees
-        ])
-        M.meta = {"name": f"{self.describe()} (x) {other.describe()}"}
-        if certify:
-            rep = verify_affine_presentation(M)
-            if not rep.ok:
-                raise ConstructionError(
-                    f"tensor module fails the presentation: {rep.first_failure()}"
-                )
-            M.certified = True
-        return M
+# -- vector evaluation ------------------------------------------------------------
 
 
 def _q_power_of(s: Scalar):
@@ -437,90 +297,12 @@ def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> Affi
         M.F[j] = F[j].map_entries(f.from_scalar, f)
         M.Kc[j] = K[j].map_entries(f.from_scalar, f)
         M.Kcinv[j] = K[j].inverse().map_entries(f.from_scalar, f)
-    M.root_grading = grading
-    M.meta = {"name": f"W_{N}({a})", "N": N, "a": a}
+    M.grading = grading
+    M.meta = {"name": f"W_{N}({a})", "builder": "build_vector_evaluation", "a": a}
     if certify:
-        rep = verify_affine_presentation(M)
-        if not rep.ok:
-            raise ConstructionError(
-                f"vector evaluation fails the presentation: {rep.first_failure()}"
-            )
+        _refuse_failure(M, verify_affine_presentation(M))
         M.certified = True
     return M
-
-
-def verify_affine_presentation(M: AffineModule) -> CheckReport:
-    """Defining relations of the affine algebra on the module.
-
-    Invertibility and commutation of the K_c, level zero (the product
-    over all nodes is 1), Cartan conjugation with the affine pairing,
-    the [E, F] pairing, the q-Serre relations for every bond type, and
-    purity of each Chevalley generator with respect to root_grading.
-    """
-    typ = M.typ
-    f = M.field
-    kap = f.q - f.one / f.q
-    I = Matrix.identity(M.dim, f)
-    Z = Matrix.zeros(M.dim, M.dim, f)
-    rep = CheckReport(f"affine presentation on {M.describe()}")
-
-    for i in typ.nodes:
-        ok, w = _meq(M.Kc[i] @ M.Kcinv[i], I, f)
-        rep.add("k_invertible", (i,), ok, w)
-    for i in typ.nodes:
-        for j in typ.nodes:
-            if i < j:
-                ok, w = _meq(M.Kc[i] @ M.Kc[j], M.Kc[j] @ M.Kc[i], f)
-                rep.add("k_commute", (i, j), ok, w)
-    level = I
-    for i in typ.nodes:
-        level = level @ M.Kc[i]
-    ok, w = _meq(level, I, f)
-    rep.add("level_zero", (), ok, w)
-
-    for i in typ.nodes:
-        for j in typ.nodes:
-            aij = typ.cartan(i, j)
-            qa = f.q ** aij
-            ok, w = _meq(M.Kc[i] @ M.E[j] @ M.Kcinv[i], M.E[j].scale(qa), f)
-            rep.add("cartan_conj_e", (i, j), ok, w)
-            ok, w = _meq(M.Kc[i] @ M.F[j] @ M.Kcinv[i],
-                         M.F[j].scale(f.one / qa), f)
-            rep.add("cartan_conj_f", (i, j), ok, w)
-
-    for i in typ.nodes:
-        for j in typ.nodes:
-            lhs = M.E[i] @ M.F[j] - M.F[j] @ M.E[i]
-            rhs = (M.Kc[i] - M.Kcinv[i]).scale(f.one / kap) if i == j else Z
-            ok, w = _meq(lhs, rhs, f)
-            rep.add("ef_pair", (i, j), ok, w)
-
-    for i in typ.nodes:
-        for j in typ.nodes:
-            if i == j:
-                continue
-            n = 1 - typ.cartan(i, j)
-            for X, tag in ((M.E, "serre_e"), (M.F, "serre_f")):
-                acc = Z
-                for r in range(n + 1):
-                    term = (X[i] ** (n - r)) @ X[j] @ (X[i] ** r)
-                    coef = f.from_scalar(qbinom(n, r))
-                    if r % 2:
-                        coef = -coef
-                    acc = acc + term.scale(coef)
-                ok, w = _meq(acc, Z, f)
-                rep.add(tag, (i, j), ok, w)
-
-    g = M.root_grading
-    for i in typ.nodes:
-        want = typ.alpha(i)
-        for X, sgn, tag in ((M.E, 1, "purity_e"), (M.F, -1, "purity_f")):
-            shifts = degree_components(X[i], g).shifts()
-            bad = [s for s in shifts
-                   if s != tuple(sgn * x for x in want)]
-            rep.add(tag, (i,), not bad,
-                    None if not bad else f"impure shifts {bad}")
-    return rep
 
 
 # -- seed words and braided symmetries ---------------------------------------------
@@ -764,14 +546,8 @@ def eta_bmats(module: AffineModule, params: RankNParams):
             f"parameters for rank {params.N} on a rank {typ.N} module"
         )
     f = module.field
-    B = {}
-    for j in typ.nodes:
-        cj = f.from_scalar(params.c[j])
-        B[j] = module.F[j] - (module.E[j] @ module.Kcinv[j]).scale(cj)
-        sj = params.s[j]
-        if sj:
-            B[j] = B[j] + module.Kcinv[j].scale(f.from_scalar(sj))
-    return B
+    return {j: _seed(module, j, f.from_scalar(params.c[j]), f.from_scalar(params.s[j]))
+            for j in typ.nodes}
 
 
 def _kvals(module: AffineModule, params: RankNParams):
@@ -880,7 +656,6 @@ class RankNFamily:
     ``B[j]`` are the seeds for j in I.  For each finite node i,
     ``A[i][r]`` (|r| <= R), ``H[i][m]`` and ``theta[i][m]`` (m <= T)
     with the acute/grave reweightings; ``Hbar1[i]`` is H_{i,1}/[2].
-    ``log`` records the construction steps.
 
     As at rank one, Theta_{i,0} = 1/(q - q^-1), and the acute tower is
     the series Theta_i(z) (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
@@ -888,7 +663,7 @@ class RankNFamily:
     """
 
     __slots__ = ("typ", "module", "params", "field", "B", "A", "H", "Hbar1",
-                 "theta", "theta_acute", "theta_grave", "R", "T", "I", "log")
+                 "theta", "theta_acute", "theta_grave", "R", "T", "I")
 
     def __init__(self, module: AffineModule, params: RankNParams, field):
         self.typ = module.typ
@@ -905,7 +680,6 @@ class RankNFamily:
         self.R = 0
         self.T = 0
         self.I = None
-        self.log = []
 
     def a(self, i: int, r: int) -> Matrix:
         try:
@@ -988,15 +762,12 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
         # module.
         if i % 2 == 0:
             Am1 = Am1.scale(-f.one)
-        fam.log.append(f"node {i}: A[0] = B_{i}, A[-1] = o({i}) C_{i} T_omega'(B_{i})")
 
         ci = f.from_scalar(params.cconst(i))
         H1 = qbracket(Am1, fam.B[i], qm2).scale(q2 / ci)
-        fam.log.append(f"node {i}: H[1] = q^2 C_{i}^-1 [A[-1], A[0]]_(q^-2)")
         (fam.A[i], fam.H[i], fam.Hbar1[i], fam.theta[i], fam.theta_acute[i],
          fam.theta_grave[i]) = _grow_tower(
-            fam.B[i], Am1, H1, C, f.from_scalar(params.c[i]), T, R, fam.I,
-            lambda line, i=i: fam.log.append(f"node {i}: {line}"))
+            fam.B[i], Am1, H1, C, f.from_scalar(params.c[i]), T, R, fam.I)
     return fam
 
 
@@ -1235,7 +1006,7 @@ def braid_compat_check(i: int, module: AffineModule,
 
     M2 = relevant(module.F) + relevant(Et)
     D = M1 - M2
-    comps = degree_components(D, module.root_grading)
+    comps = degree_components(D, module.grading)
     rep = CheckReport(f"braid compatibility at node {i} on {module.describe()}")
     if not comps.components:
         rep.add("residual", (i,), True)
@@ -1383,13 +1154,15 @@ def _unitary_fit(rf, field, q0, tol):
 
 
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
-    """Tie the N = 1 towers to the two-sided rank-one machinery."""
+    """Tie the N = 1 towers on W_1(a) to the two-sided rank-one machinery,
+    which rebuilds the module as V_1(-q^-2 a); other modules, V_1 itself
+    included, have no such anchor."""
     from .spectra import factorization_check
 
     module = fam.module
-    a = module.meta.get("a")
-    if a is None or module.dim != 2:
+    if module.meta.get("builder") != "build_vector_evaluation":
         return
+    a = module.meta["a"]
     p = fam.params
     f = fam.field
     aloop = -(a / (Q * Q))
@@ -1453,7 +1226,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
         raise DomainError(f"order {T} exceeds the family window (T={fam.T})")
     f = fam.field
     module = fam.module
-    g = module.root_grading
+    g = module.grading
     p = fam.params
     C = f.from_scalar(p.C)
     Cinv = f.one / C

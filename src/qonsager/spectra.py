@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linmat import Grading, Matrix, _meq, degree_components
-from .loopsl2 import LoopModule, extend_loop_data, tensor
+from .loopsl2 import AffineModule, extend_loop_data, tensor
 from .onsager import (
     OnsagerFamily,
     OnsagerParams,
@@ -74,12 +74,13 @@ def _shift_zero(M: Matrix, g: Grading) -> Matrix:
     return degree_components(M, g).component((0,))
 
 
-def _second_factor_grading(V: LoopModule) -> Grading:
-    """Total degree of the right tensor factor, as a one-coordinate grading."""
+def _second_factor_grading(V: AffineModule) -> Grading:
+    """Total degree of the right tensor factor, as a one-coordinate grading:
+    kron index b sits at index b mod dim(W) of the right factor W."""
     if V.factors is None:
         raise DomainError("module is not a tensor product")
-    aW = V.factors[1].grading.arity
-    return Grading([(sum(d[-aW:]),) for d in V.grading.degrees])
+    gW = V.factors[1].grading.total()
+    return Grading([gW.degrees[b % gW.dim] for b in range(V.dim)])
 
 
 def _coeffs_out(poly: FPoly, field):
@@ -145,7 +146,7 @@ class LWeightLine:
     field: object
 
 
-def lweight_lines(V: LoopModule, T: int | None = None):
+def lweight_lines(V: AffineModule, T: int | None = None):
     """One LWeightLine per basis vector of a module with diagonal half towers.
 
     Raises DomainError when the stored psi/phi matrices are not diagonal
@@ -546,7 +547,7 @@ def drf_reports(fam: OnsagerFamily, T: int | None = None,
 # -- group-like behaviour of the Theta tower ----------------------------------------
 
 
-def grouplike_check(p: OnsagerParams, V: LoopModule, T: int = 6) -> CheckReport:
+def grouplike_check(p: OnsagerParams, V: AffineModule, T: int = 6) -> CheckReport:
     """Group-like identities of the grave tower, shifts allowed.
 
     (i) On any module: the tower at (c, s) has no degree-lowering
@@ -599,7 +600,7 @@ def grouplike_check(p: OnsagerParams, V: LoopModule, T: int = 6) -> CheckReport:
 # -- the three-term coproduct form of the raising ladder ----------------------------
 
 
-def _kappa_gamma(W: LoopModule, p: OnsagerParams, T: int):
+def _kappa_gamma(W: AffineModule, p: OnsagerParams, T: int):
     """Coefficients (orders 1..T) of the kappa-corrected resolvent series on W.
 
     Gamma(z) = (1 - q^2 ad_a z)^-1 (1 - C ad_b z)^-1 (q^2 - 1) Phi(z^-1) x+_{-1} z
@@ -642,7 +643,7 @@ def _kappa_gamma(W: LoopModule, p: OnsagerParams, T: int):
     return out
 
 
-def coproduct_aplus_check(p: OnsagerParams, V: LoopModule, W: LoopModule,
+def coproduct_aplus_check(p: OnsagerParams, V: AffineModule, W: AffineModule,
                           T: int = 4) -> CheckReport:
     """Three-term coproduct form of the raising half of the ladder.
 

@@ -1,7 +1,7 @@
-"""Every module-level import in the package is read in its module, every
-``__all__`` entry is bound in its module, every definition in the package
-is referenced somewhere, and no code mutates the coefficient lists of a
-fraction in place.
+"""Every module-level import in the package is read in its module and
+comes from a lower layer, every ``__all__`` entry is bound in its module,
+every definition in the package is referenced somewhere, and no code
+mutates the coefficient lists of a fraction in place.
 
 The package ``__init__`` re-exports names on purpose and ``from __future__``
 imports are compiler directives, so both are exempt from the import scan.
@@ -159,6 +159,51 @@ def test_every_definition_is_referenced():
         if name not in referenced
     )
     assert not dead, f"defined but never referenced: {dead}"
+
+
+#: the package's layers, bottom up
+LAYERS = ("_kernel", "errors", "report", "scalars", "linmat", "series",
+          "loopsl2", "onsager", "spectra", "ranka")
+
+
+def _package_imports(tree):
+    """Package modules that ``tree`` imports at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names = [("qonsager." if node.level == 1 else "") + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith("qonsager."):
+                yield name.split(".")[1]
+
+
+def test_layer_scan_sees_every_import_form():
+    tree = ast.parse(
+        "from .linmat import Matrix\n"
+        "from qonsager.series import pade_reconstruct\n"
+        "import qonsager.onsager\n"
+        "import numpy as np\n"
+        "def f():\n"
+        "    from .ranka import W\n"
+    )
+    assert list(_package_imports(tree)) == ["linmat", "series", "onsager"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_lower_layers(path):
+    # function-level imports may reach up; module-level ones may not, so
+    # no import cycle can form
+    level = LAYERS.index(path.stem)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    upward = sorted(m for m in _package_imports(tree) if LAYERS.index(m) >= level)
+    assert not upward, f"{path.name} imports {upward} at module level"
 
 
 _FRACTION_PARTS = frozenset(("num", "den"))

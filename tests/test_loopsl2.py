@@ -31,6 +31,7 @@ from qonsager.loopsl2 import (
     kacmoody_from_drinfeld,
     phi_series,
     tensor,
+    verify_affine_presentation,
     verify_aux_identities,
     verify_drinfeld_relations,
 )
@@ -197,8 +198,35 @@ def test_chevalley_example_v1():
 def test_serre_certified_on_build():
     rep = kacmoody_from_drinfeld(V(2, "q"))
     names = {e.name for e in rep.entries}
-    assert {"serre_E", "serre_F", "EF_commutator", "cartan_conj_E"} <= names
+    assert {"serre_e", "serre_f", "ef_pair", "cartan_conj_e"} <= names
     assert rep.ok
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
+def test_dictionary_suite_is_the_affine_presentation(field):
+    # rank one is A_1: the dictionary is certified by the rank-N suite itself
+    mod = V(2, "q^3", field=field)
+    got = kacmoody_from_drinfeld(mod)
+    want = verify_affine_presentation(mod)
+    assert [(e.name, e.indices, e.ok, e.witness) for e in got.entries] == \
+        [(e.name, e.indices, e.ok, e.witness) for e in want.entries]
+    assert got.ok and len(got.entries) == 24
+
+
+def test_scaled_e0_refused_by_build_and_tensor():
+    # E_0 = -K^-1 x^-_1: scaling x^-_1 by q scales E_0 by q and breaks
+    # [E_0, F_0] = (K_0 - K_0^-1)/(q - q^-1)
+    raw = build_evaluation(EvalParams(1, Q), certify=False)
+    raw.xm[1] = raw.xm[1].scale(F.q)
+    with pytest.raises(ConstructionError, match="ef_pair"):
+        kacmoody_from_drinfeld(raw)
+    bad = V(1, "q")
+    bad.E[0] = bad.E[0].scale(F.q)
+    assert not verify_affine_presentation(bad).ok
+    with pytest.raises(ConstructionError, match="ef_pair"):
+        tensor(bad, V(1, "q^3"))
+    with pytest.raises(ConstructionError, match="ef_pair"):
+        tensor(V(1, "q^3"), bad)
 
 
 # ------------------------------------------------------------------- tensors
@@ -210,7 +238,7 @@ def test_tensor_chevalley_certified():
     ab = tensor(a, b)
     assert ab.dim == 4
     assert ab.certified
-    assert ab.grading.degrees == [(0, 0), (0, -1), (-1, 0), (-1, -1)]
+    assert ab.grading.degrees == [(0,), (-1,), (-1,), (-2,)]
     assert ab.describe() == "V1(q)*V1(q^2)"
     assert not ab.has_loop_data
     with pytest.raises(DomainError):
@@ -341,9 +369,8 @@ def test_extend_loop_data_tensor_certifies_and_grades():
 
 
 def test_extend_loop_data_requires_chevalley_data():
-    from qonsager.loopsl2 import LoopModule, extend_loop_data
-    from qonsager.linmat import Grading
+    from qonsager.loopsl2 import AffineModule, AffineTypeA, extend_loop_data
 
-    bare = LoopModule(F, 1, Grading([(0,)]), {"type": "evaluation", "n": 0, "a": "1"})
+    bare = AffineModule(AffineTypeA(1), F)
     with pytest.raises(DomainError):
         extend_loop_data(bare)

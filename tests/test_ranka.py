@@ -420,7 +420,7 @@ def test_vector_module_frozen_entries():
         f.q, f.one / f.q, f.one]
     assert [mod.Kc[0].rows[b][b] for b in range(3)] == [
         f.one / f.q, f.one, f.q]
-    assert mod.root_grading.degrees == [(0, 0), (-1, 0), (-1, -1)]
+    assert mod.grading.degrees == [(0, 0), (-1, 0), (-1, -1)]
     assert mod.describe() == "W_2(q)"
 
 
@@ -457,7 +457,7 @@ def test_rank_one_gauge_bridge():
 def test_tensor_module_certifies_and_grades():
     t = W(1, "q").tensor(W(1, "q^5"))
     assert t.dim == 4 and t.certified
-    assert t.root_grading.degrees == [(0,), (-1,), (-1,), (-2,)]
+    assert t.grading.degrees == [(0,), (-1,), (-1,), (-2,)]
 
 
 def test_numeric_vector_module_is_the_mapped_exact_module():
@@ -466,7 +466,7 @@ def test_numeric_vector_module_is_the_mapped_exact_module():
     exact = W(2, "q")
     assert num.certified and num.field is nf
     assert verify_affine_presentation(num).ok
-    assert num.root_grading == exact.root_grading
+    assert num.grading == exact.grading
     for gens in ("E", "F", "Kc", "Kcinv"):
         for j in num.typ.nodes:
             ours = getattr(num, gens)[j]
@@ -864,6 +864,22 @@ def test_spectral_rank_one_anchor_entries():
     assert rep.ok, rep.summary()
     names = {e.name for e in rep.entries}
     assert {"anchor_module", "anchor_towers", "anchor_factorization"} <= names
+
+
+def test_loop_built_rank_one_module_skips_the_anchor():
+    # V_1(-q^-2 a) carries W_1(a)'s matrices, but its meta describes the
+    # loop builder: the anchor, which rebuilds V_1 from W_1's a, must not run
+    a = parse_scalar("q^2")
+    p = P(("q^2", "q^-1"))
+    loop = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=2)
+    ours, _ = rankn_spectral_check(generate_rankn_family(loop, p, T=6, R=6))
+    theirs, _ = rankn_spectral_check(
+        generate_rankn_family(build_vector_evaluation(1, a), p, T=6, R=6))
+    assert ours.ok and not ours.failures(), ours.summary()
+    entries = lambda rep: [(e.name, e.indices, e.ok, e.witness) for e in rep.entries
+                           if not e.name.startswith("anchor_")]
+    assert entries(ours) == entries(theirs)
+    assert len(ours.entries) < len(theirs.entries)
 
 
 def test_spectral_shifts_divide_out_the_character():

@@ -401,6 +401,22 @@ def test_grouplike_tensor():
     assert "tensor_triangular" in names and "tensor_diagonal" in names
 
 
+def test_second_factor_grading_reads_the_right_factor():
+    # kron index b sits at b mod dim(right) of the right factor, whose own
+    # degree is the sum over its factors
+    from qonsager.spectra import _second_factor_grading
+
+    v1, v2 = V(1, "q"), V(2, "q^3")
+    left = tensor(tensor(v1, V(1, "q^5")), v2)
+    right = tensor(v1, tensor(V(1, "q^5"), v2))
+    assert [d for (d,) in _second_factor_grading(left).degrees] == \
+        [0, -1, -2] * 4
+    assert [d for (d,) in _second_factor_grading(right).degrees] == \
+        [0, -1, -2, -1, -2, -3] * 2
+    with pytest.raises(DomainError):
+        _second_factor_grading(v1)
+
+
 def test_grouplike_tensor_with_trivial_right_factor():
     TT = tensor(V(1, "q"), build_evaluation(EvalParams(0, Scalar(1)), window=1, T=6))
     rep = grouplike_check(PS, TT, T=4)
