@@ -9,10 +9,12 @@ Subpackage map:
 * loopsl2   — the one module type over the affine A_N diagram, its tensor
               product and presentation suite; rank one (N = 1) adds the
               loop-sl2 generators and their relation certificates
-* onsager   — rank-one coideal family generation and certification
+* onsager   — the one parameter type and family type, the tower core that
+              builds every family, rank one (N = 1, node 1) generation and
+              its certification suites
 * spectra   — spectral factorization, Drinfeld data, coproduct checks
-* ranka     — vector evaluation modules W_N(a), braided words and per-node
-              towers at rank N, their relation and spectral suites
+* ranka     — vector evaluation modules W_N(a), braided seed words, the
+              rank-N generator, its relation and spectral suites
 """
 
 from ._kernel import KERNEL_NAME

@@ -384,18 +384,9 @@ class Grading:
     def arity(self):
         return len(self.degrees[0]) if self.degrees else 0
 
-    def tensor(self, other: "Grading") -> "Grading":
-        """Kron-ordered concatenation: index i*dim(other)+j gets deg_i ++ deg_j."""
-        return Grading(
-            [di + dj for di in self.degrees for dj in other.degrees]
-        )
-
     def total(self) -> "Grading":
         """Collapse to a one-dimensional grading by summing coordinates."""
         return Grading([(sum(d),) for d in self.degrees])
-
-    def project(self, coord: int) -> "Grading":
-        return Grading([(d[coord],) for d in self.degrees])
 
     def pieces(self):
         """degree vector -> ordered list of basis indices."""

@@ -1,27 +1,30 @@
-"""Realizations of the q-Onsager algebra on certified loop modules.
+"""The tower layer: coideal current families on certified modules.
 
-A realization starts from the pair
+A realization starts from the seeds
 
-    B_i = F_i - c_i E_i K_i^{-1} + s_i K_i^{-1},       i = 0, 1,
+    B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1,       j = 0, .., N,
 
-acting on a module with Chevalley data.  From (B0, B1) the whole current
-family is produced by exact recursions: the two-sided ladder A_r, the
-commuting charges H_m and the central coefficients Theta_m together with
-their reweighted forms.  Generation uses only the B-matrices; when the
-module carries loop-generator matrices they enter solely as an
-independent cross-check of the seed pair, never as an input to the
-recursion.  All series are truncated, nothing is formally inverted.
+on a module with Chevalley data (``eta_bmats``).  One parameter type
+(RankNParams) and one family type (RankNFamily) serve every rank; rank one,
+the q-Onsager algebra, is N = 1 with its towers at node 1.  One core,
+``_grow_family``, builds every family from the B_j and a seed A_{i,-1} per
+node: the two-sided ladder A_r, the commuting charges H_m and the central
+coefficients Theta_m with their reweighted forms.  Its two seeders keep
+independent certificates: ``generate_family`` (rank one) cross-checks the
+seeds against the loop generators when the module carries them, and
+``ranka.generate_rankn_family`` checks its brackets against braided words.
+The rank-one suites below read node 1 and refuse other ranks through one
+guard (``_rank_one``).  All series are truncated, nothing is formally
+inverted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
 from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
 from .loopsl2 import AffineModule, EvalParams, build_evaluation
 from .report import CheckReport
-from .scalars import ExactField, Scalar, parse_scalar, qbinom, specialize
+from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom, specialize
 from .series import (FPoly, RationalFunction, TruncSeries, h_from_theta,
                      pade_reconstruct)
 
@@ -36,54 +39,101 @@ def _as_scalar(x) -> Scalar:
     raise DomainError(f"cannot interpret {x!r} as an exact coefficient")
 
 
-@dataclass
-class OnsagerParams:
-    """Embedding parameters: nonzero weights c = (c0, c1), shifts s = (s0, s1).
+# -- parameters --------------------------------------------------------------------
 
-    All four are exact scalars regardless of the computation backend; they
-    get mapped through the module's field at generation time.
+
+class RankNParams:
+    """Node parameters (c_j, s_j) for j in I; every c_j must be nonzero.
+
+    All are exact scalars regardless of the computation backend; they get
+    mapped through the module's field at generation time.
     """
 
-    c0: Scalar
-    c1: Scalar
-    s0: Scalar
-    s1: Scalar
+    __slots__ = ("c", "s")
 
-    def __post_init__(self):
-        self.c0 = _as_scalar(self.c0)
-        self.c1 = _as_scalar(self.c1)
-        self.s0 = _as_scalar(self.s0)
-        self.s1 = _as_scalar(self.s1)
-        if not self.c0 or not self.c1:
-            raise DomainError("parameters c0, c1 must be nonzero")
+    def __init__(self, c, s=None):
+        c = tuple(_as_scalar(x) for x in c)
+        if len(c) < 2:
+            raise DomainError("parameter tuples need at least the two nodes of A_1")
+        if s is None:
+            s = [0] * len(c)
+        s = tuple(_as_scalar(x) for x in s)
+        if len(s) != len(c):
+            raise DomainError(f"c has {len(c)} entries but s has {len(s)}")
+        for j, x in enumerate(c):
+            if not x:
+                raise DomainError(f"c_{j} = 0 is outside the parameter domain")
+        # A free s_j needs every bond at node j to be even: with a single
+        # bond present the dressed generators pick up s-linear corrections
+        # to the cubic relations and stop representing the algebra.  Only
+        # the two-node diagram (double bond) admits nonzero shifts.
+        if len(c) > 2 and any(s):
+            j = next(j for j, x in enumerate(s) if x)
+            raise DomainError(
+                f"s_{j} != 0 needs every bond at node {j} to be even; "
+                f"rank {len(c) - 1} has single bonds"
+            )
+        self.c = c
+        self.s = s
+
+    @property
+    def N(self) -> int:
+        return len(self.c) - 1
 
     @property
     def C(self) -> Scalar:
-        """The recursion constant C = q^4 c0 c1."""
-        q = parse_scalar("q")
-        return q**4 * self.c0 * self.c1
+        """The recursion constant C = q^(2N+2) c_0 c_1 .. c_N."""
+        acc = Q ** (2 * self.N + 2)
+        for x in self.c:
+            acc = acc * x
+        return acc
 
-    def with_s_zero(self) -> "OnsagerParams":
-        return OnsagerParams(self.c0, self.c1, Scalar(0), Scalar(0))
+    def kk(self, i: int) -> Scalar:
+        """The central dressing value KK_i = q^2 c_i."""
+        return Q * Q * self.c[i]
+
+    def cconst(self, i: int) -> Scalar:
+        """C_i = C^-1 KK_i."""
+        return self.kk(i) / self.C
+
+    @property
+    def s_is_zero(self) -> bool:
+        return not any(self.s)
+
+    def with_s_zero(self) -> "RankNParams":
+        return RankNParams(self.c)
 
     def describe(self) -> str:
-        return f"c=({self.c0},{self.c1}) s=({self.s0},{self.s1})"
+        cs = ", ".join(str(x) for x in self.c)
+        ss = ", ".join(str(x) for x in self.s)
+        return f"c = ({cs}), s = ({ss})"
+
+
+def OnsagerParams(c0, c1, s0=0, s1=0) -> RankNParams:
+    """Rank-one parameters: weights c = (c0, c1), shifts s = (s0, s1)."""
+    return RankNParams((c0, c1), (s0, s1))
+
+
+def _rank_one(params: RankNParams) -> RankNParams:
+    """The guard of the rank-one suites, which read nodes 0 and 1 only."""
+    if params.N != 1:
+        raise DomainError(f"a rank-one suite needs N = 1, got rank {params.N} "
+                          "parameters")
+    return params
 
 
 class _Ctx:
-    """Field-mapped constants shared by the generators and checkers."""
+    """Field-mapped rank-one constants shared by the checkers."""
 
     __slots__ = ("params", "field", "c0", "c1", "s0", "s1", "C", "Cinv",
                  "q2", "qm2", "kap")
 
-    def __init__(self, params: OnsagerParams, field):
+    def __init__(self, params: RankNParams, field):
         f = field
-        self.params = params
+        self.params = _rank_one(params)
         self.field = f
-        self.c0 = f.from_scalar(params.c0)
-        self.c1 = f.from_scalar(params.c1)
-        self.s0 = f.from_scalar(params.s0)
-        self.s1 = f.from_scalar(params.s1)
+        self.c0, self.c1 = (f.from_scalar(x) for x in params.c)
+        self.s0, self.s1 = (f.from_scalar(x) for x in params.s)
         self.C = f.from_scalar(params.C)
         self.Cinv = f.one / self.C
         self.q2 = f.q * f.q
@@ -91,56 +141,65 @@ class _Ctx:
         self.kap = f.q - f.one / f.q
 
 
-class OnsagerFamily:
-    """The current family generated from one embedded pair (B0, B1).
+class RankNFamily:
+    """Per-node towers over a common module.
 
-    ``A[r]`` is defined for -R <= r <= R, ``H[m]`` for 1 <= m <= T and
-    ``theta[m]`` for 0 <= m <= T.  ``theta_grave[s]`` carries the
-    spectral normalisation (theta_grave[0] is the identity).
+    ``B[j]`` are the seeds for j in I.  For each seeded finite node i,
+    ``A[i][r]`` (|r| <= R), ``H[i][m]`` and ``theta[i][m]`` (m <= T)
+    with the acute/grave reweightings; ``Hbar1[i]`` is H_{i,1}/[2].
+    A rank-one family has the one node i = 1.
+
+    Theta_{i,0} = 1/(q - q^-1), and the acute tower is the series
+    Theta_i(z) (1 - q^-2 C z^2)/(1 - C z^2); the grave tower is the acute
+    one times (q - q^-1), so its index 0 is the identity.
     """
 
-    __slots__ = ("module", "params", "field", "B0", "B1", "A", "H", "Hbar1",
-                 "theta", "theta_acute", "theta_grave", "T", "R", "I")
+    __slots__ = ("typ", "module", "params", "field", "B", "A", "H", "Hbar1",
+                 "theta", "theta_acute", "theta_grave", "R", "T", "I")
 
-    def __init__(self, module, params, field):
+    def __init__(self, module: AffineModule, params: RankNParams, field):
+        self.typ = module.typ
         self.module = module
         self.params = params
         self.field = field
-        self.B0 = None
-        self.B1 = None
+        self.B = {}
         self.A = {}
         self.H = {}
-        self.Hbar1 = None
+        self.Hbar1 = {}
         self.theta = {}
         self.theta_acute = {}
         self.theta_grave = {}
-        self.T = 0
         self.R = 0
+        self.T = 0
         self.I = None
 
-    def a(self, r: int) -> Matrix:
+    def a(self, i: int, r: int) -> Matrix:
         try:
-            return self.A[r]
+            return self.A[i][r]
         except KeyError:
             raise DomainError(
-                f"A[{r}] not generated (window R={self.R}); raise R"
+                f"A_({i},{r}) outside the generated window |r| <= {self.R}; "
+                "regenerate with a larger R"
             ) from None
 
-    def theta_at(self, m: int) -> Matrix:
-        """Theta with the index convention: zero below index 0."""
+    def h(self, i: int, m: int) -> Matrix:
+        try:
+            return self.H[i][m]
+        except KeyError:
+            raise DomainError(
+                f"H_({i},{m}) outside the generated window 1 <= m <= {self.T}"
+            ) from None
+
+    def theta_at(self, i: int, m: int) -> Matrix:
+        """Theta_{i,m}, with the vanishing continuation for m < 0."""
         if m < 0:
-            return Matrix.zeros(self.I.n, self.I.n, self.field)
+            return Matrix.zeros(self.module.dim, self.module.dim, self.field)
         try:
-            return self.theta[m]
+            return self.theta[i][m]
         except KeyError:
             raise DomainError(
-                f"Theta[{m}] not generated (window T={self.T}); raise T"
+                f"Theta_({i},{m}) outside the generated window m <= {self.T}"
             ) from None
-
-    def __repr__(self):
-        mod = self.module.describe() if self.module is not None else "?"
-        return (f"OnsagerFamily({self.params.describe()} on {mod}, "
-                f"R={self.R}, T={self.T})")
 
 
 # -- embedding -------------------------------------------------------------------
@@ -151,8 +210,23 @@ def _seed(M: AffineModule, j: int, c, s) -> Matrix:
     return M.F[j] - (M.E[j] @ M.Kcinv[j]).scale(c) + M.Kcinv[j].scale(s)
 
 
-def eta_embed(p: OnsagerParams, V: AffineModule):
-    """The pair (B0, B1) on V, cross-checked against the loop picture.
+def eta_bmats(module: AffineModule, params: RankNParams):
+    """The seed matrices B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1."""
+    typ = module.typ
+    if params.N != typ.N:
+        raise DomainError(
+            f"parameters for rank {params.N} on a rank {typ.N} module"
+        )
+    if not module.E:
+        raise DomainError("module carries no Chevalley data")
+    f = module.field
+    return {j: _seed(module, j, f.from_scalar(params.c[j]), f.from_scalar(params.s[j]))
+            for j in typ.nodes}
+
+
+def eta_embed(p: RankNParams, V: AffineModule):
+    """The seeds {0: B0, 1: B1} on a rank-one V, cross-checked against the
+    loop picture.
 
     On modules that carry loop-generator matrices, the images of the two
     seeds are recomputed from the loop side,
@@ -163,13 +237,10 @@ def eta_embed(p: OnsagerParams, V: AffineModule):
     and compared with B1 and q^-2 c0^-1 B0.  A mismatch means the module
     data is internally inconsistent and raises immediately.
     """
-    if not V.E:
-        raise DomainError("module carries no Chevalley data")
-    f = V.field
-    ctx = _Ctx(p, f)
-    B = {0: _seed(V, 0, ctx.c0, ctx.s0), 1: _seed(V, 1, ctx.c1, ctx.s1)}
-
+    B = eta_bmats(V, _rank_one(p))
     if V.has_loop_data:
+        f = V.field
+        ctx = _Ctx(p, f)
         q2, qm2 = ctx.q2, ctx.qm2
         c0inv = f.one / ctx.c0
         seed0 = V.xm[0] - (V.Kinv @ V.xp[0]).scale(ctx.c1 * q2) \
@@ -183,7 +254,7 @@ def eta_embed(p: OnsagerParams, V: AffineModule):
                 "embedded pair disagrees with the loop-side seeds: "
                 + (w0 or w1 or "")
             )
-    return B[0], B[1]
+    return B
 
 
 # -- family generation -----------------------------------------------------------
@@ -193,9 +264,8 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
                 I: Matrix):
     """One node's towers from its seeds A[0], A[-1] and its charge H[1].
 
-    This is the construction shared by rank one and by every finite node
-    at rank N; the callers differ only in how they seed and normalise
-    H[1].  With Hbar1 = H[1]/[2] the ladder ascends and descends via
+    ``_grow_family`` runs it once per seeded node, at every rank.  With
+    Hbar1 = H[1]/[2] the ladder ascends and descends via
     A[r+1] = [Hbar1, A[r]] + C A[r-1], the Theta tower follows the
     two-step rule with the index-0 correction and the node weight c, and
     H[2..T] come from the log of the Theta series.  The acute tower
@@ -255,38 +325,54 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     return A, H, Hbar1, theta, acute, grave
 
 
-def generate_family(p: OnsagerParams, V: AffineModule, T: int = 6,
-                    R: int | None = None) -> OnsagerFamily:
-    """Generate A_r (|r| <= R), H_m and Theta_m (m <= T) from the seeds.
+def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
+                 R: int | None) -> RankNFamily:
+    """The one core that builds every family, rank one included.
 
-    The seeds are A[0] = B1 and A[-1] = q^-2 c0^-1 B0, and H[1] is pinned
-    by the lowest mixed bracket; the towers then grow by the construction
-    shared with every node at rank N (``_grow_tower``), with node weight
-    c1.  Default R = 2T keeps every relation check in range.
+    ``B`` holds the seeds B_j of every node and ``am1`` the seed A_{i,-1}
+    of each node i to grow.  Each node gets A_{i,0} = B_i and
+
+        H_{i,1} = q^2 C_i^-1 [A_{i,-1}, B_i]_{q^-2},
+
+    and then its towers from ``_grow_tower`` with the global C and node
+    weight c_i.  Default R = 2T keeps every relation check in range.
     """
     if R is None:
         R = 2 * T
     if T < 1 or R < max(1, T - 1):
         raise DomainError(f"need T >= 1 and R >= T - 1, got T={T}, R={R}")
-    f = V.field
-    ctx = _Ctx(p, f)
-    fam = OnsagerFamily(V, p, f)
+    f = module.field
+    fam = RankNFamily(module, params, f)
     fam.T, fam.R = T, R
-    fam.I = Matrix.identity(V.dim, f)
-
-    B0, B1 = eta_embed(p, V)
-    fam.B0, fam.B1 = B0, B1
-    Am1 = B0.scale(ctx.qm2 / ctx.c0)
-    H1 = qbracket(Am1, B1, ctx.qm2).scale(ctx.q2 * ctx.q2 * ctx.c0)
-    (fam.A, fam.H, fam.Hbar1, fam.theta, fam.theta_acute,
-     fam.theta_grave) = _grow_tower(B1, Am1, H1, ctx.C, ctx.c1, T, R, fam.I)
+    fam.I = Matrix.identity(module.dim, f)
+    fam.B = B
+    C = f.from_scalar(params.C)
+    qm2 = f.one / (f.q * f.q)
+    for i, Am1 in am1.items():
+        c = f.from_scalar(params.c[i])
+        H1 = qbracket(Am1, B[i], qm2).scale(f.from_scalar(Q * Q / params.cconst(i)))
+        (fam.A[i], fam.H[i], fam.Hbar1[i], fam.theta[i], fam.theta_acute[i],
+         fam.theta_grave[i]) = _grow_tower(B[i], Am1, H1, C, c, T, R, fam.I)
     return fam
+
+
+def generate_family(p: RankNParams, V: AffineModule, T: int = 6,
+                    R: int | None = None) -> RankNFamily:
+    """The rank-one family on V: A_{1,r} (|r| <= R), H_{1,m} and Theta_{1,m}
+    (m <= T) from the seeds of ``eta_embed``, with A_{1,-1} = q^-2 c0^-1 B0.
+
+    A module of another rank is refused by ``eta_bmats``.
+    """
+    f = V.field
+    B = eta_embed(p, V)
+    Am1 = B[0].scale(f.one / (f.q * f.q) / f.from_scalar(p.c[0]))
+    return _grow_family(V, p, B, {1: Am1}, T, R)
 
 
 # -- presentation checks ---------------------------------------------------------
 
 
-def verify_qdolangrady(p: OnsagerParams, B0: Matrix, B1: Matrix) -> CheckReport:
+def verify_qdolangrady(p: RankNParams, B0: Matrix, B1: Matrix) -> CheckReport:
     """The q-deformed Dolan-Grady relations for the seed pair."""
     f = B0.field
     ctx = _Ctx(p, f)
@@ -373,28 +459,29 @@ def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
             rep.add(prefix + "rel3", (r, s), ok, w)
 
 
-def verify_presentation(fam: OnsagerFamily, rwin: int, mmax: int) -> CheckReport:
-    """rel1-rel3 on the generated family, exactly, over the given windows."""
-    _check_windows(fam, rwin, mmax)
+def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
+    """rel1-rel3 on a rank-one family, exactly, over the given windows."""
     ctx = _Ctx(fam.params, fam.field)
+    _check_windows(fam, rwin, mmax)
     rep = CheckReport(
         f"presentation relations ({fam.params.describe()}, rwin={rwin}, m<={mmax})"
     )
-    _relation_entries(rep, fam.A, fam.H, fam.theta_at, ctx, rwin, mmax)
+    _relation_entries(rep, fam.A[1], fam.H[1], lambda m: fam.theta_at(1, m), ctx,
+                      rwin, mmax)
     return rep
 
 
-def tau_dual_check(fam: OnsagerFamily, rwin: int, mmax: int) -> CheckReport:
+def tau_dual_check(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
     """The transpose-dual family must satisfy the same presentation.
 
     Dual data: A'_r = C^r (A_{-r})^t, H'_m = (H_m)^t, Theta'_m = (Theta_m)^t.
     """
-    _check_windows(fam, rwin, mmax)
     ctx = _Ctx(fam.params, fam.field)
-    Ad = {r: fam.a(-r).transpose().scale(ctx.C**r)
+    _check_windows(fam, rwin, mmax)
+    Ad = {r: fam.a(1, -r).transpose().scale(ctx.C**r)
           for r in range(-fam.R, fam.R + 1)}
-    Hd = {m: M.transpose() for m, M in fam.H.items()}
-    thd = {m: M.transpose() for m, M in fam.theta.items()}
+    Hd = {m: M.transpose() for m, M in fam.H[1].items()}
+    thd = {m: M.transpose() for m, M in fam.theta[1].items()}
 
     def theta_at(m):
         if m < 0:
@@ -435,7 +522,7 @@ def _rf_bracket(M: Matrix, RFM, v, field):
     return out
 
 
-def rationality_check(fam: OnsagerFamily, T: int | None = None):
+def rationality_check(fam: RankNFamily, T: int | None = None):
     """Rational closure of the A-ladder and C-symmetry of the Theta closure.
 
     Per entry: the ascending coefficients A_0..A_R determine (by rational
@@ -452,12 +539,13 @@ def rationality_check(fam: OnsagerFamily, T: int | None = None):
     ctx = _Ctx(fam.params, f)
     n = fam.I.n
     R = fam.R
+    A = fam.A[1]
     rep = CheckReport(f"rationality / C-symmetry ({fam.params.describe()})")
 
     # the two-term recursion itself, coefficientwise over the whole window
     for r in range(-R + 2, R + 1):
-        lhs = fam.A[r]
-        rhs = commutator(fam.Hbar1, fam.A[r - 1]) + fam.A[r - 2].scale(ctx.C)
+        lhs = A[r]
+        rhs = commutator(fam.Hbar1[1], A[r - 1]) + A[r - 2].scale(ctx.C)
         ok, w = _meq(lhs, rhs, f)
         rep.add("recursion", (r,), ok, w)
 
@@ -467,7 +555,7 @@ def rationality_check(fam: OnsagerFamily, T: int | None = None):
     for i in range(n):
         for j in range(n):
             ser = TruncSeries(
-                {r: fam.A[r].rows[i][j] for r in range(0, R + 1)},
+                {r: A[r].rows[i][j] for r in range(0, R + 1)},
                 0, R, f.zero, f,
             )
             rf = pade_reconstruct(ser, budget, budget)
@@ -486,7 +574,7 @@ def rationality_check(fam: OnsagerFamily, T: int | None = None):
                     break
             if ok:
                 for r in range(1, R + 1):
-                    want = -fam.A[-r].rows[i][j]
+                    want = -A[-r].rows[i][j]
                     got = inf.coeff(-r)
                     if not f.is_zero(got - want, scale=1.0):
                         ok, wit = False, f"tail mismatch at z^-{r}"
@@ -498,8 +586,8 @@ def rationality_check(fam: OnsagerFamily, T: int | None = None):
 
     # Theta closure: Theta0 + c1^-1 C z (br1 - q^-2 z br2) / (1 - C z^2),
     # with br1 = [A_-1, closure]_{q^-2} and br2 = [A_0, closure]_{q^2}
-    br1 = _rf_bracket(fam.A[-1], closure, ctx.qm2, f)
-    br2 = _rf_bracket(fam.A[0], closure, ctx.q2, f)
+    br1 = _rf_bracket(A[-1], closure, ctx.qm2, f)
+    br2 = _rf_bracket(A[0], closure, ctx.q2, f)
     z = RationalFunction(FPoly([f.zero, f.one], f), FPoly.one(f))
     den = RationalFunction(FPoly.one(f),
                            FPoly([f.one, f.zero, -ctx.C], f))
@@ -517,7 +605,7 @@ def rationality_check(fam: OnsagerFamily, T: int | None = None):
         for i in range(n):
             for j in range(n):
                 got = theta_rf[i][j].expand_at_zero(T).coeff(s)
-                want = fam.theta_acute[s].rows[i][j]
+                want = fam.theta_acute[1][s].rows[i][j]
                 if not f.is_zero(got - want, scale=1.0):
                     ok, wit = False, f"entry ({i},{j})"
                     break
@@ -548,7 +636,7 @@ def _rf_num_eq(a: RationalFunction, b: RationalFunction, field) -> bool:
 # -- one-dimensional realizations ------------------------------------------------
 
 
-def onedim_closed_form(p: OnsagerParams, field=None) -> RationalFunction:
+def onedim_closed_form(p: RankNParams, field=None) -> RationalFunction:
     """The spectral series of a one-dimensional realization, closed form.
 
     D(z) = [w C (alpha z + beta (1 + C z^2)) z + (1 - C z^2)^2] / (1 - C z^2)^2
@@ -573,7 +661,7 @@ def onedim_closed_form(p: OnsagerParams, field=None) -> RationalFunction:
     return RationalFunction(num, den * den)
 
 
-def onedim_character(p: OnsagerParams, T: int = 6, field=None):
+def onedim_character(p: RankNParams, T: int = 6, field=None):
     """Dual-path check of one-dimensional realizations.
 
     Route one: generate the family on the one-dimensional module and read
@@ -595,14 +683,14 @@ def onedim_character(p: OnsagerParams, T: int = 6, field=None):
             want = ctx.C ** (r // 2) * ctx.s1
         else:
             want = ctx.C ** ((r + 1) // 2) * t
-        got = fam.A[r].rows[0][0]
+        got = fam.A[1][r].rows[0][0]
         rep.add("ladder_value", (r,), f.is_zero(got - want, scale=1.0),
                 None if f.is_zero(got - want, scale=1.0) else f"A[{r}] = {got}")
 
     D = onedim_closed_form(p, f)
     ser = D.expand_at_zero(T)
     for s in range(0, T + 1):
-        got = fam.theta_grave[s].rows[0][0]
+        got = fam.theta_grave[1][s].rows[0][0]
         want = ser.coeff(s)
         rep.add("grave_vs_closed_form", (s,), f.is_zero(got - want, scale=1.0),
                 None if f.is_zero(got - want, scale=1.0) else f"order {s}")
@@ -613,7 +701,7 @@ def onedim_character(p: OnsagerParams, T: int = 6, field=None):
     return rep, D
 
 
-def onedim_drf_numeric(p: OnsagerParams, q0: complex = 1.3, tol: float = 1e-8):
+def onedim_drf_numeric(p: RankNParams, q0: complex = 1.3, tol: float = 1e-8):
     """Numeric spectral fraction of a one-dimensional realization.
 
     Roots the quartic numerator of the closed form at q0, pairs the roots
@@ -630,7 +718,7 @@ def onedim_drf_numeric(p: OnsagerParams, q0: complex = 1.3, tol: float = 1e-8):
 
     rep = CheckReport(f"one-dimensional spectral fraction at q0={q0}")
     val = lambda s: specialize(s, q0)
-    c0, c1, s0, s1 = (val(p.c0), val(p.c1), val(p.s0), val(p.s1))
+    c0, c1, s0, s1 = map(val, _rank_one(p).c + p.s)
     C = val(p.C)
     t = s0 / (q0**2 * c0)
     alpha = C * t * t + s1 * s1
@@ -699,9 +787,9 @@ def onedim_drf_numeric(p: OnsagerParams, q0: complex = 1.3, tol: float = 1e-8):
         if min(abs(gamma - r0), abs(gamma + r0)) <= 1e-6 * scale
     )
     observed = 2 - near_fixed  # degree of F after cancellation
-    expect_const = (not p.s0) and (not p.s1)
-    expect_deg1 = bool(p.s0) and bool(p.s1) \
-        and p.c1 * p.s0 * p.s0 == p.c0 * p.s1 * p.s1
+    (pc0, pc1), (ps0, ps1) = p.c, p.s
+    expect_const = p.s_is_zero
+    expect_deg1 = bool(ps0) and bool(ps1) and pc1 * ps0 * ps0 == pc0 * ps1 * ps1
     expected = 0 if expect_const else (1 if expect_deg1 else 2)
     rep.add("degeneration", (), observed == expected,
             None if observed == expected

@@ -67,15 +67,17 @@ Conventions, fixed once and relied on everywhere below:
 
   an empty left factor meaning the right factor alone.  The same
   element is the full word, A_{i,-1} = T_{omega_i}(B_i); generation
-  cross-checks the two routes.  From A_{i,0} = B_i and
+  cross-checks the two routes.  The seeds go to the core that builds
+  every family, rank one included (``onsager._grow_family``): from
+  A_{i,0} = B_i and
 
-      H_{i,1} = q^2 C_i^-1 [A_{i,-1}, A_{i,0}]_{q^-2},
+      H_{i,1} = q^2 C_i^-1 [A_{i,-1}, A_{i,0}]_{q^-2}
 
-  each node's tower is grown by the tower core that rank one also uses
-  (``onsager._grow_tower``): the ladder
-  A_{i,r+1} = [H_{i,1}/[2], A_{i,r}] + C A_{i,r-1}, the Theta tower from
-  the two-step rule with node weight c_i, H from the log of Theta, and
-  the acute/grave reweightings.
+  it grows each node's ladder A_{i,r+1} = [H_{i,1}/[2], A_{i,r}] + C A_{i,r-1},
+  the Theta tower from the two-step rule with node weight c_i, H from the
+  log of Theta, and the acute/grave reweightings.  The parameter and
+  family types (RankNParams, RankNFamily) and the seed matrices
+  (``eta_bmats``) live there too.
 """
 
 import math
@@ -84,16 +86,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .linmat import (Grading, Matrix, ProductMemo, _meq, commutator, degree_components,
-                     qbracket)
+from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_components
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
-from .onsager import (OnsagerParams, _as_scalar, _check_windows, _grow_tower,
-                      _rf_num_eq, _seed, _theta_exchange, generate_family,
-                      onedim_closed_form)
+from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
+                      _grow_family, _rf_num_eq, _theta_exchange, eta_bmats,
+                      generate_family, onedim_closed_form)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint, specialize
 from .series import FPoly, TruncSeries, pade_reconstruct
+from .spectra import factorization_check
 
 __all__ = [
     "WeylWord",
@@ -104,10 +106,7 @@ __all__ = [
     "apply_word",
     "pk_bracket",
     "build_Ai_minus1",
-    "eta_bmats",
     "evaluate_bexpr",
-    "RankNParams",
-    "RankNFamily",
     "generate_rankn_family",
     "verify_grel",
     "verify_braid_relations",
@@ -473,81 +472,7 @@ def build_Ai_minus1(i: int, N: int) -> BExpr:
     return br.kmul(ci)
 
 
-# -- parameters and evaluation ------------------------------------------------------
-
-
-class RankNParams:
-    """Node parameters (c_j, s_j) for j in I; every c_j must be nonzero."""
-
-    __slots__ = ("c", "s")
-
-    def __init__(self, c, s=None):
-        c = tuple(_as_scalar(x) for x in c)
-        if len(c) < 2:
-            raise DomainError("parameter tuples need at least the two nodes of A_1")
-        if s is None:
-            s = [0] * len(c)
-        s = tuple(_as_scalar(x) for x in s)
-        if len(s) != len(c):
-            raise DomainError(f"c has {len(c)} entries but s has {len(s)}")
-        for j, x in enumerate(c):
-            if not x:
-                raise DomainError(f"c_{j} = 0 is outside the parameter domain")
-        # A free s_j needs every bond at node j to be even: with a single
-        # bond present the dressed generators pick up s-linear corrections
-        # to the cubic relations and stop representing the algebra.  Only
-        # the two-node diagram (double bond) admits nonzero shifts.
-        if len(c) > 2 and any(s):
-            j = next(j for j, x in enumerate(s) if x)
-            raise DomainError(
-                f"s_{j} != 0 needs every bond at node {j} to be even; "
-                f"rank {len(c) - 1} has single bonds"
-            )
-        self.c = c
-        self.s = s
-
-    @property
-    def N(self) -> int:
-        return len(self.c) - 1
-
-    @property
-    def C(self) -> Scalar:
-        acc = Q ** (2 * self.N + 2)
-        for x in self.c:
-            acc = acc * x
-        return acc
-
-    def kk(self, i: int) -> Scalar:
-        """The central dressing value KK_i = q^2 c_i."""
-        return Q * Q * self.c[i]
-
-    def cconst(self, i: int) -> Scalar:
-        """C_i = C^-1 KK_i."""
-        return self.kk(i) / self.C
-
-    @property
-    def s_is_zero(self) -> bool:
-        return not any(self.s)
-
-    def with_s_zero(self) -> "RankNParams":
-        return RankNParams(self.c)
-
-    def describe(self) -> str:
-        cs = ", ".join(str(x) for x in self.c)
-        ss = ", ".join(str(x) for x in self.s)
-        return f"c = ({cs}), s = ({ss})"
-
-
-def eta_bmats(module: AffineModule, params: RankNParams):
-    """The seed matrices B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1."""
-    typ = module.typ
-    if params.N != typ.N:
-        raise DomainError(
-            f"parameters for rank {params.N} on a rank {typ.N} module"
-        )
-    f = module.field
-    return {j: _seed(module, j, f.from_scalar(params.c[j]), f.from_scalar(params.s[j]))
-            for j in typ.nodes}
+# -- evaluation -----------------------------------------------------------------------
 
 
 def _kvals(module: AffineModule, params: RankNParams):
@@ -650,103 +575,28 @@ def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,
 # -- family generation ---------------------------------------------------------------
 
 
-class RankNFamily:
-    """Per-node towers over a common module.
-
-    ``B[j]`` are the seeds for j in I.  For each finite node i,
-    ``A[i][r]`` (|r| <= R), ``H[i][m]`` and ``theta[i][m]`` (m <= T)
-    with the acute/grave reweightings; ``Hbar1[i]`` is H_{i,1}/[2].
-
-    As at rank one, Theta_{i,0} = 1/(q - q^-1), and the acute tower is
-    the series Theta_i(z) (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
-    is the acute one times (q - q^-1).
-    """
-
-    __slots__ = ("typ", "module", "params", "field", "B", "A", "H", "Hbar1",
-                 "theta", "theta_acute", "theta_grave", "R", "T", "I")
-
-    def __init__(self, module: AffineModule, params: RankNParams, field):
-        self.typ = module.typ
-        self.module = module
-        self.params = params
-        self.field = field
-        self.B = {}
-        self.A = {}
-        self.H = {}
-        self.Hbar1 = {}
-        self.theta = {}
-        self.theta_acute = {}
-        self.theta_grave = {}
-        self.R = 0
-        self.T = 0
-        self.I = None
-
-    def a(self, i: int, r: int) -> Matrix:
-        try:
-            return self.A[i][r]
-        except KeyError:
-            raise DomainError(
-                f"A_({i},{r}) outside the generated window |r| <= {self.R}; "
-                "regenerate with a larger R"
-            ) from None
-
-    def h(self, i: int, m: int) -> Matrix:
-        try:
-            return self.H[i][m]
-        except KeyError:
-            raise DomainError(
-                f"H_({i},{m}) outside the generated window 1 <= m <= {self.T}"
-            ) from None
-
-    def theta_at(self, i: int, m: int) -> Matrix:
-        """Theta_{i,m}, with the vanishing continuation for m < 0."""
-        if m < 0:
-            return Matrix.zeros(self.module.dim, self.module.dim, self.field)
-        try:
-            return self.theta[i][m]
-        except KeyError:
-            raise DomainError(
-                f"Theta_({i},{m}) outside the generated window m <= {self.T}"
-            ) from None
-
-
 def generate_rankn_family(module: AffineModule, params: RankNParams,
                           R: int | None = None, T: int = 6,
                           certify: bool = True) -> RankNFamily:
     """Generate the per-node towers from the seed words.
 
-    Each finite node seeds A_{i,0} = B_i, A_{i,-1} (the dressed bracket)
-    and H_{i,1} normalised by the node constant C_i, then grows its
-    towers by the core shared with rank one (``onsager._grow_tower``),
-    with the global C and node weight c_i.  With ``certify`` the bracket
-    seed is checked against the braided word T_{omega_i}(B_i), which is
-    the image X_i of B_i under ev . T_{omega_i}, built on matrices letter
-    by letter (``_braid_images``), before anything grows out of it.
-    Default R = 2T keeps every relation check in range.
+    Each finite node i is seeded with A_{i,-1}, the dressed bracket, and
+    grows its towers in the core that builds every family
+    (``onsager._grow_family``).  With ``certify`` the bracket seed is
+    checked against the braided word T_{omega_i}(B_i), which is the image
+    X_i of B_i under ev . T_{omega_i}, built on matrices letter by letter
+    (``_braid_images``), before anything grows out of it.  Default R = 2T
+    keeps every relation check in range.
     """
     typ = module.typ
-    if params.N != typ.N:
-        raise DomainError(f"parameters for rank {params.N} on a rank {typ.N} module")
-    if R is None:
-        R = 2 * T
-    if T < 1 or R < max(1, T - 1):
-        raise DomainError(f"need T >= 1 and R >= T - 1, got T={T}, R={R}")
     f = module.field
-    fam = RankNFamily(module, params, f)
-    fam.T, fam.R = T, R
-    fam.I = Matrix.identity(module.dim, f)
-    fam.B = eta_bmats(module, params)
+    B = eta_bmats(module, params)
     kvals = _kvals(module, params)
-
-    C = f.from_scalar(params.C)
-    q2 = f.q * f.q
-    qm2 = f.one / q2
-
+    am1 = {}
     for i in typ.finite_nodes:
-        seed_expr = build_Ai_minus1(i, typ.N)
-        Am1 = _eval_bexpr(seed_expr, fam.B, kvals, f, module.dim)
+        Am1 = _eval_bexpr(build_Ai_minus1(i, typ.N), B, kvals, f, module.dim)
         if certify:
-            X, _ = _braid_images(omega_word(i, typ.N), fam.B, kvals, f)
+            X, _ = _braid_images(omega_word(i, typ.N), B, kvals, f)
             ok, w = _meq(Am1, X[i], f)
             if not ok:
                 raise ConstructionError(
@@ -760,15 +610,8 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
         # do fix it, and they force the signs to alternate along the path;
         # o(1) = +1 keeps the single-node case aligned with the rank-one
         # module.
-        if i % 2 == 0:
-            Am1 = Am1.scale(-f.one)
-
-        ci = f.from_scalar(params.cconst(i))
-        H1 = qbracket(Am1, fam.B[i], qm2).scale(q2 / ci)
-        (fam.A[i], fam.H[i], fam.Hbar1[i], fam.theta[i], fam.theta_acute[i],
-         fam.theta_grave[i]) = _grow_tower(
-            fam.B[i], Am1, H1, C, f.from_scalar(params.c[i]), T, R, fam.I)
-    return fam
+        am1[i] = Am1.scale(-f.one) if i % 2 == 0 else Am1
+    return _grow_family(module, params, B, am1, T, R)
 
 
 # -- relations -----------------------------------------------------------------------
@@ -1157,8 +1000,6 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     """Tie the N = 1 towers on W_1(a) to the two-sided rank-one machinery,
     which rebuilds the module as V_1(-q^-2 a); other modules, V_1 itself
     included, have no such anchor."""
-    from .spectra import factorization_check
-
     module = fam.module
     if module.meta.get("builder") != "build_vector_evaluation":
         return
@@ -1182,17 +1023,16 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     if not ok:
         return
 
-    p1 = OnsagerParams(p.c[0], p.c[1], p.s[0], p.s[1])
-    ofam = generate_family(p1, V, T=T, R=fam.R)
+    ofam = generate_family(p, V, T=T, R=fam.R)
     ok, wit = True, None
     for r in range(-fam.R, fam.R + 1):
-        okr, wr = _meq(fam.A[1][r], ofam.A[r], f)
+        okr, wr = _meq(fam.A[1][r], ofam.A[1][r], f)
         if not okr:
             ok, wit = False, f"A[{r}]: {wr}"
             break
     if ok:
         for s in range(0, T + 1):
-            oks, ws = _meq(fam.theta_grave[1][s], ofam.theta_grave[s], f)
+            oks, ws = _meq(fam.theta_grave[1][s], ofam.theta_grave[1][s], f)
             if not oks:
                 ok, wit = False, f"grave[{s}]: {ws}"
                 break
@@ -1238,9 +1078,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
     onedim = None
     if not p.s_is_zero:
         # only the two-node diagram admits shifts, so the pack is rank one
-        onedim = onedim_closed_form(
-            OnsagerParams(p.c[0], p.c[1], p.s[0], p.s[1]), field=f
-        )
+        onedim = onedim_closed_form(p, field=f)
 
     for i in fam.typ.finite_nodes:
         grave = fam.theta_grave[i]

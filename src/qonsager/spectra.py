@@ -29,8 +29,9 @@ from .errors import DomainError
 from .linmat import Grading, Matrix, _meq, degree_components
 from .loopsl2 import AffineModule, extend_loop_data, tensor
 from .onsager import (
-    OnsagerFamily,
-    OnsagerParams,
+    RankNFamily,
+    RankNParams,
+    _rank_one,
     generate_family,
     onedim_closed_form,
 )
@@ -314,7 +315,7 @@ def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
 # -- factorization of the Theta tower ----------------------------------------------
 
 
-def factorization_check(fam: OnsagerFamily, T: int | None = None):
+def factorization_check(fam: RankNFamily, T: int | None = None):
     """Triangularity of the grave tower and its diagonal identity.
 
     For each order s <= T the matrix of the normalized tower must have no
@@ -325,8 +326,8 @@ def factorization_check(fam: OnsagerFamily, T: int | None = None):
     covers nonzero shifts).  Returns (report, data) where data carries the
     shift-zero parts and the per-line diagonal series.
     """
-    p = fam.params
-    if p.s0 or p.s1:
+    p = _rank_one(fam.params)
+    if not p.s_is_zero:
         raise DomainError(
             "strict factorization needs s = (0, 0); use grouplike_check otherwise"
         )
@@ -345,7 +346,7 @@ def factorization_check(fam: OnsagerFamily, T: int | None = None):
     rep = CheckReport(f"factorization on {V.describe()} ({p.describe()})")
     shift0 = []
     for s in range(T + 1):
-        th = fam.theta_grave[s]
+        th = fam.theta_grave[1][s]
         bad = _bad_shifts(th, gtot, 0)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
@@ -506,7 +507,7 @@ class DRFReport:
         return out
 
 
-def drf_reports(fam: OnsagerFamily, T: int | None = None,
+def drf_reports(fam: RankNFamily, T: int | None = None,
                 budget: int | None = None):
     """One DRFReport per l-weight line of the family's module.
 
@@ -514,13 +515,14 @@ def drf_reports(fam: OnsagerFamily, T: int | None = None,
     fraction identities; the factorization_diagonal verdict ties the
     fraction back to the family's own grave tower on that line.
     """
+    p = _rank_one(fam.params)
     V = fam.module
     f = fam.field
     if T is None:
         T = fam.T
     if budget is None:
         budget = T
-    C = f.from_scalar(fam.params.C)
+    C = f.from_scalar(p.C)
     out = []
     for ln in lweight_lines(V, T):
         dd = drinfeld_data(ln, budget=budget)
@@ -530,7 +532,7 @@ def drf_reports(fam: OnsagerFamily, T: int | None = None,
                                  {"drinfeld_data": dd.witness}, f))
             continue
         bq, bqd = boundary_poly(dd.Q, dd.R, C)
-        theta_line = [fam.theta_grave[s].rows[ln.index][ln.index]
+        theta_line = [fam.theta_grave[1][s].rows[ln.index][ln.index]
                       for s in range(T + 1)]
         rep, drf = drf_extract(bq, bqd, C, dseries=theta_line)
         verdicts = {"drinfeld_data": True}
@@ -547,7 +549,7 @@ def drf_reports(fam: OnsagerFamily, T: int | None = None,
 # -- group-like behaviour of the Theta tower ----------------------------------------
 
 
-def grouplike_check(p: OnsagerParams, V: AffineModule, T: int = 6) -> CheckReport:
+def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
     """Group-like identities of the grave tower, shifts allowed.
 
     (i) On any module: the tower at (c, s) has no degree-lowering
@@ -565,9 +567,9 @@ def grouplike_check(p: OnsagerParams, V: AffineModule, T: int = 6) -> CheckRepor
     fam0 = generate_family(p.with_s_zero(), V, T=T, R=2 * T)
     D = onedim_closed_form(p, f).expand_at_zero(T)
     gtot = V.grading.total()
-    diag0 = [_shift_zero(fam0.theta_grave[s], gtot) for s in range(T + 1)]
+    diag0 = [_shift_zero(fam0.theta_grave[1][s], gtot) for s in range(T + 1)]
     for s in range(T + 1):
-        th = fam.theta_grave[s]
+        th = fam.theta_grave[1][s]
         bad = _bad_shifts(th, gtot, 0)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
@@ -583,15 +585,15 @@ def grouplike_check(p: OnsagerParams, V: AffineModule, T: int = 6) -> CheckRepor
         famW0 = generate_family(p.with_s_zero(), W, T=T, R=2 * T)
         g2 = _second_factor_grading(V)
         gW = W.grading.total()
-        w0 = [_shift_zero(famW0.theta_grave[v], gW) for v in range(T + 1)]
+        w0 = [_shift_zero(famW0.theta_grave[1][v], gW) for v in range(T + 1)]
         for s in range(T + 1):
-            th = fam.theta_grave[s]
+            th = fam.theta_grave[1][s]
             bad = _bad_shifts(th, g2, 0)
             rep.add("tensor_triangular", (s,), not bad,
                     None if not bad else f"right-lowering shifts {bad}")
             want = Matrix.zeros(V.dim, V.dim, f)
             for u in range(s + 1):
-                want = want + famX.theta_grave[u].kron(w0[s - u])
+                want = want + famX.theta_grave[1][u].kron(w0[s - u])
             ok, wit = _meq(_shift_zero(th, g2), want, f)
             rep.add("tensor_diagonal", (s,), ok, wit)
     return rep
@@ -600,7 +602,7 @@ def grouplike_check(p: OnsagerParams, V: AffineModule, T: int = 6) -> CheckRepor
 # -- the three-term coproduct form of the raising ladder ----------------------------
 
 
-def _kappa_gamma(W: AffineModule, p: OnsagerParams, T: int):
+def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
     """Coefficients (orders 1..T) of the kappa-corrected resolvent series on W.
 
     Gamma(z) = (1 - q^2 ad_a z)^-1 (1 - C ad_b z)^-1 (q^2 - 1) Phi(z^-1) x+_{-1} z
@@ -615,8 +617,8 @@ def _kappa_gamma(W: AffineModule, p: OnsagerParams, T: int):
     q2 = q * q
     kap = q - f.one / q
     C = f.from_scalar(p.C)
-    s1 = f.from_scalar(p.s1)
-    t = (f.one / q2) * f.from_scalar(p.s0) / f.from_scalar(p.c0)
+    s1 = f.from_scalar(p.s[1])
+    t = (f.one / q2) * f.from_scalar(p.s[0]) / f.from_scalar(p.c[0])
     tw = f.one / f.qint(2)
     hb1 = W.h[1].scale(tw)
     hbm1 = W.h[-1].scale(tw)
@@ -643,7 +645,7 @@ def _kappa_gamma(W: AffineModule, p: OnsagerParams, T: int):
     return out
 
 
-def coproduct_aplus_check(p: OnsagerParams, V: AffineModule, W: AffineModule,
+def coproduct_aplus_check(p: RankNParams, V: AffineModule, W: AffineModule,
                           T: int = 4) -> CheckReport:
     """Three-term coproduct form of the raising half of the ladder.
 
@@ -677,14 +679,14 @@ def coproduct_aplus_check(p: OnsagerParams, V: AffineModule, W: AffineModule,
         f"{V.describe()} x {W.describe()} ({p.describe()})"
     )
     for r in range(0, T + 1):
-        pred = eyeV.kron(famW0.a(r))
+        pred = eyeV.kron(famW0.a(1, r))
         for u in range(0, r + 1):
             v = r - u
             leg = W.phi[v]
             if v >= 1:
                 leg = leg + kg[v]
-            pred = pred + famV.a(u).kron(leg)
-        diff = famT.a(r) - pred
+            pred = pred + famV.a(1, u).kron(leg)
+        diff = famT.a(1, r) - pred
         bad = _bad_shifts(diff, g2, 2)
         rep.add("twisted_primitive", (r,), not bad,
                 None if not bad else f"right-shift components {bad}")

@@ -1,7 +1,8 @@
-"""Every module-level import in the package is read in its module and
-comes from a lower layer, every ``__all__`` entry is bound in its module,
-every definition in the package is referenced somewhere, and no code
-mutates the coefficient lists of a fraction in place.
+"""Every module-level import in the package is read in its module, every
+package import, at any depth, comes from a lower layer, every ``__all__``
+entry is bound in its module, every definition in the package is
+referenced somewhere, and no code mutates the coefficient lists of a
+fraction in place.
 
 The package ``__init__`` re-exports names on purpose and ``from __future__``
 imports are compiler directives, so both are exempt from the import scan.
@@ -167,8 +168,8 @@ LAYERS = ("_kernel", "errors", "report", "scalars", "linmat", "series",
 
 
 def _package_imports(tree):
-    """Package modules that ``tree`` imports at module level."""
-    for node in tree.body:
+    """Package modules that ``tree`` imports, at module level or nested."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names = [("qonsager." if node.level == 1 else "") + (node.module or "")]
         elif isinstance(node, ast.Import):
@@ -189,7 +190,7 @@ def test_layer_scan_sees_every_import_form():
         "def f():\n"
         "    from .ranka import W\n"
     )
-    assert list(_package_imports(tree)) == ["linmat", "series", "onsager"]
+    assert list(_package_imports(tree)) == ["linmat", "series", "onsager", "ranka"]
 
 
 def test_every_module_has_a_layer():
@@ -198,12 +199,12 @@ def test_every_module_has_a_layer():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_only_lower_layers(path):
-    # function-level imports may reach up; module-level ones may not, so
-    # no import cycle can form
+    # no import reaches up, not even inside a function, so no import cycle
+    # can form and the layer order is the whole dependency story
     level = LAYERS.index(path.stem)
     tree = ast.parse(path.read_text(), filename=str(path))
     upward = sorted(m for m in _package_imports(tree) if LAYERS.index(m) >= level)
-    assert not upward, f"{path.name} imports {upward} at module level"
+    assert not upward, f"{path.name} imports {upward} from its own or a higher layer"
 
 
 _FRACTION_PARTS = frozenset(("num", "den"))

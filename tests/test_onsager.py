@@ -33,8 +33,10 @@ from qonsager.onsager import (
     verify_presentation,
     verify_qdolangrady,
 )
+from qonsager.ranka import RankNParams, build_vector_evaluation, generate_rankn_family
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
 from qonsager.series import FPoly, RationalFunction, h_from_theta
+from qonsager.spectra import drf_reports, factorization_check
 
 F = ExactField()
 
@@ -93,7 +95,7 @@ def test_onedim_series_matches_independent_engine():
         fam = onedim(p, T=5)
         want = sympy_series_oracle(*theirs, T=5)
         for s in range(6):
-            got = to_sympy(fam.theta_grave[s].rows[0][0])
+            got = to_sympy(fam.theta_grave[1][s].rows[0][0])
             assert sp.simplify(got - want[s]) == 0, (ours, s)
 
 
@@ -102,23 +104,23 @@ def test_onedim_ladder_parity_values():
     fam = onedim(p, T=4)
     C = parse_scalar("q^6")          # q^4 c0 c1
     t = parse_scalar("q^-2") * parse_scalar("q")   # q^-2 c0^-1 s0
-    assert fam.A[0].rows[0][0] == Scalar(1)
-    assert fam.A[-1].rows[0][0] == t
-    assert fam.A[2].rows[0][0] == C
-    assert fam.A[1].rows[0][0] == C * t
-    assert fam.A[-2].rows[0][0] == C**-1
-    assert fam.A[-3].rows[0][0] == C**-1 * t
-    assert fam.theta_grave[0].rows[0][0] == Scalar(1)
+    assert fam.A[1][0].rows[0][0] == Scalar(1)
+    assert fam.A[1][-1].rows[0][0] == t
+    assert fam.A[1][2].rows[0][0] == C
+    assert fam.A[1][1].rows[0][0] == C * t
+    assert fam.A[1][-2].rows[0][0] == C**-1
+    assert fam.A[1][-3].rows[0][0] == C**-1 * t
+    assert fam.theta_grave[1][0].rows[0][0] == Scalar(1)
 
 
 def test_onedim_collapses_at_s_zero():
     fam = onedim(P("1", "q^2", "0", "0"), T=5)
     for r in range(-fam.R, fam.R + 1):
         if r != 0 or True:
-            assert not fam.A[r].rows[0][0], r
+            assert not fam.A[1][r].rows[0][0], r
     for s in range(1, 6):
-        assert not fam.theta_grave[s].rows[0][0], s
-    assert fam.theta_grave[0].rows[0][0] == Scalar(1)
+        assert not fam.theta_grave[1][s].rows[0][0], s
+    assert fam.theta_grave[1][0].rows[0][0] == Scalar(1)
 
 
 def test_onedim_dual_path_report():
@@ -155,7 +157,8 @@ def test_numeric_csymmetry_is_decided_at_a_relative_tolerance(monkeypatch):
 def test_embed_cross_checked_on_evaluation():
     p = P("1", "1", "1", "q")
     mod = V(1, "q")
-    B0, B1 = eta_embed(p, mod)
+    B = eta_embed(p, mod)
+    B0, B1 = B[0], B[1]
     # B1 = F1 - c1 E1 K1^-1 + s1 K1^-1 written out on the weight basis
     q = Q
     assert B1.rows[1][0] == Scalar(1)
@@ -168,7 +171,8 @@ def test_embed_cross_checked_on_evaluation():
 def test_qdolangrady_detects_damage():
     p = P("1", "1", "1", "q")
     mod = V(1, "q")
-    B0, B1 = eta_embed(p, mod)
+    B = eta_embed(p, mod)
+    B0, B1 = B[0], B[1]
     rep = verify_qdolangrady(p, B0, B1.scale(Q))
     assert not rep.ok
     assert any(e.name == "qdolangrady" for e in rep.failures())
@@ -197,7 +201,7 @@ def test_presentation_on_v2_and_tensor():
 def test_presentation_detects_damage():
     p = P("1", "1", "1", "0")
     fam = generate_family(p, V(1, "q"), T=5, R=6)
-    fam.A[2] = fam.A[2].scale(Q)
+    fam.A[1][2] = fam.A[1][2].scale(Q)
     rep = verify_presentation(fam, rwin=2, mmax=3)
     assert not rep.ok
     names = {e.name for e in rep.failures()}
@@ -210,7 +214,7 @@ def test_presentation_and_dual_pin_their_damage(field):
     # dual, A'_{-2}) fails, exactly and at a numeric q0 alike
     p = P("q^2", "q^-2", "1", "q")
     fam = generate_family(p, V(1, "q", field=field), T=5, R=6)
-    fam.A[2] = fam.A[2].scale(fam.field.q)
+    fam.A[1][2] = fam.A[1][2].scale(fam.field.q)
     for check, want in ((verify_presentation, {"rel2": 6, "rel3": 9}),
                         (tau_dual_check, {"dual_rel2": 6, "dual_rel3": 5})):
         rep = check(fam, rwin=2, mmax=3)
@@ -227,9 +231,28 @@ def test_window_guards():
                                           r"the family has R=3, T=3"):
         tau_dual_check(fam, rwin=2, mmax=3)
     with pytest.raises(DomainError):
-        fam.theta_at(17)
+        fam.theta_at(1, 17)
     with pytest.raises(DomainError):
-        fam.a(9)
+        fam.a(1, 9)
+
+
+def test_rank_one_entry_points_refuse_other_ranks():
+    # rank-one parameters on W_3(q) are refused by the seeds, and a rank-3
+    # family by every rank-one suite, instead of checking nodes 0 and 1
+    w3 = build_vector_evaluation(3, parse_scalar("q"))
+    with pytest.raises(DomainError, match="parameters for rank 1 on a rank 3 module"):
+        generate_family(P(1, 1, 0, 0), w3, T=3, R=4)
+    fam = generate_rankn_family(w3, RankNParams([1] * 4), T=3, R=4)
+    suites = (lambda: verify_presentation(fam, rwin=1, mmax=1),
+              lambda: tau_dual_check(fam, rwin=1, mmax=1),
+              lambda: rationality_check(fam),
+              lambda: factorization_check(fam),
+              lambda: drf_reports(fam),
+              lambda: onedim_closed_form(fam.params),
+              lambda: generate_family(fam.params, w3, T=3, R=4))
+    for suite in suites:
+        with pytest.raises(DomainError, match="rank-one suite needs N = 1, got rank 3"):
+            suite()
 
 
 def test_rationality_on_v1():
@@ -265,9 +288,9 @@ def test_numeric_matches_specialized_exact():
     nf = NumericField(q0=q0)
     famn = generate_family(p, V(1, "q^2", field=nf), T=4, R=5)
     for r in (-3, -1, 0, 2, 4):
-        exact = fam.A[r].map_entries(lambda s: specialize(s, q0), field=nf)
-        delta = exact - famn.A[r]
-        assert delta.is_zero(scale=max(famn.A[r].max_abs(), 1.0)), r
+        exact = fam.A[1][r].map_entries(lambda s: specialize(s, q0), field=nf)
+        delta = exact - famn.A[1][r]
+        assert delta.is_zero(scale=max(famn.A[1][r].max_abs(), 1.0)), r
     repn = verify_presentation(famn, rwin=1, mmax=2)
     assert repn.ok, repn.summary()
 
@@ -279,9 +302,9 @@ def test_numeric_theta_commute_at_their_scale():
     nf = NumericField(1.3)
     fam = generate_family(P("q^2", "q^-1", "0", "0"), V(2, "q", window=1, T=8, field=nf),
                           T=8)
-    H = h_from_theta([fam.theta[m] for m in range(1, 9)], 8, nf, fam.I)
+    H = h_from_theta([fam.theta[1][m] for m in range(1, 9)], 8, nf, fam.I)
     for m in range(1, 9):
-        assert _meq(H[m - 1], fam.H[m], nf) == (True, None), m
+        assert _meq(H[m - 1], fam.H[1][m], nf) == (True, None), m
 
 
 # --------------------------------------------------------------- numeric DRF

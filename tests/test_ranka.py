@@ -812,10 +812,23 @@ def test_numeric_rank_one_towers_match_the_loop_family():
     ofam = generate_family(OnsagerParams(*p.c, *p.s), V, T=4, R=5)
     for tower in ("A", "H", "theta", "theta_acute", "theta_grave"):
         ours = getattr(fam, tower)[1]
-        theirs = getattr(ofam, tower)
+        theirs = getattr(ofam, tower)[1]
         assert ours.keys() == theirs.keys(), tower
         for k, M in theirs.items():
             assert (ours[k] - M).is_zero(scale=max(M.max_abs(), 1.0)), (tower, k)
+
+
+def test_rank_one_seeders_give_equal_towers():
+    # the two seeders of the one family core, the bracket on W_1(a) and
+    # q^-2 c_0^-1 B_0 on V_1(-q^-2 a), grow the same towers exactly
+    a = parse_scalar("q^2")
+    p = P(("q^2", "q^-1"), ("1", "q"))
+    fam = generate_rankn_family(build_vector_evaluation(1, a), p, T=4, R=5)
+    V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=4)
+    ofam = generate_family(p, V, T=4, R=5)
+    assert fam.B == ofam.B
+    for tower in ("A", "H", "Hbar1", "theta", "theta_acute", "theta_grave"):
+        assert getattr(fam, tower) == getattr(ofam, tower), tower
 
 
 def test_towers_with_shifts_at_rank_one():
