@@ -8,7 +8,8 @@ Subpackage map:
 * series    — truncated power series, Pade reconstruction, rational functions
 * loopsl2   — the one module type over the affine A_N diagram, its tensor
               product and presentation suite; rank one (N = 1) adds the
-              loop-sl2 generators and their relation certificates
+              loop-sl2 generators, which extend_loop_data alone derives
+              from the Chevalley action, and their relation certificates
 * onsager   — the one parameter type and family type, the tower core that
               builds every family, rank one (N = 1, node 1) generation and
               its certification suites

@@ -26,21 +26,26 @@ tied to the Chevalley generators by the standard dictionary
     E_1 = x^+_0,  F_1 = x^-_0,  K_1 = K,
     E_0 = -K^-1 x^-_1,  F_0 = -x^+_{-1} K,  K_0 = K^-1.
 
-build_evaluation constructs the (n+1)-dimensional evaluation module V_n(a):
-on the weight basis v_0..v_n (top weight first, deg v_j = -j) the mode
-operators scale each weight link by a geometric factor,
+extend_loop_data is the one source of loop data: it inverts the dictionary
+on the Chevalley action, climbs the mode ladders with ad h_{+-1}, reads the
+diagonal series off the mixed brackets and h_k off their logarithms.  It
+serves evaluation modules and tensor products alike.
+
+build_evaluation constructs the (n+1)-dimensional evaluation module V_n(a)
+in Chevalley form: on the weight basis v_0..v_n (top weight first,
+deg v_j = -j) the dictionary is read against the mode operators
 
     x^-_k v_j = mu_j^k     [j+1]   v_{j+1},      mu_j = a q^{n-2j},
     x^+_k v_j = mu_{j-1}^k [n-j+1] v_{j-1},      K v_j = q^{n-2j} v_j,
 
-and every stored operator is certified against the full defining relation
-suite before the module is handed back (ConstructionError otherwise).  A
-tensor product carries the Chevalley action only; extend_loop_data
-reconstructs its loop generators from it.
+at k = 0 and k = +-1 only.  The action is certified against the affine
+presentation, and the loop data that extend_loop_data derives from it
+against the full loop relation suite, before the module is handed back
+(ConstructionError otherwise).
 
-Everything works over either coefficient backend: exact matrices are built
-over the rational function field and numeric modules are exact modules
-specialized entrywise at q0.
+Everything works over either coefficient backend: the Chevalley action is
+built exactly and mapped entrywise into the module's field, where its loop
+data is then derived.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ __all__ = [
     "build_evaluation",
     "verify_affine_presentation",
     "verify_drinfeld_relations",
-    "kacmoody_from_drinfeld",
     "tensor",
     "extend_loop_data",
     "phi_series",
@@ -167,9 +171,10 @@ class AffineModule:
     keeps its two ``factors``.
 
     Rank-one modules may carry the loop generators as well (empty until
-    built or reconstructed): ``K``/``Kinv``, the modes ``xp[k]``/``xm[k]``
-    for |k| <= ``window``, ``h[k]``, and ``psi[k]``/``phi[k]`` for
-    k <= ``T``, the coefficients of z^k in Psi(z) and of z^-k in Phi(z).
+    extend_loop_data derives them): ``K``/``Kinv``, the modes
+    ``xp[k]``/``xm[k]`` for |k| <= ``window``, ``h[k]``, and
+    ``psi[k]``/``phi[k]`` for k <= ``T``, the coefficients of z^k in Psi(z)
+    and of z^-k in Phi(z).
     """
 
     __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv", "grading",
@@ -281,24 +286,14 @@ def _refuse_failure(M: AffineModule, rep: CheckReport):
 # -- construction ---------------------------------------------------------------
 
 
-def _fieldify(M: Matrix, field) -> Matrix:
-    if field.exact:
-        return M
-    return M.map_entries(field.from_scalar, field)
-
-
-def _assemble_evaluation(n, a, window, T, field,
-                         links_plus=None, links_minus=None) -> AffineModule:
-    """Assemble V_n(a) without certifying it.
+def _assemble_evaluation(n, a, field, links_plus=None, links_minus=None) -> AffineModule:
+    """Assemble the Chevalley action of V_n(a) without certifying it.
 
     links_plus / links_minus override the per-link geometric factors of
-    x^+ / x^- (length-n lists of exact scalars); the defaults are the
+    x^+ / x^- (length-n lists of exact scalars), which reach the action
+    through E_0 = -K^-1 x^-_1 and F_0 = -x^+_{-1} K; the defaults are the
     canonical mu_j = a q^{n-2j} on both sides.
     """
-    if window < 1:
-        raise DomainError("loop window must be at least 1")
-    if T < 1:
-        raise DomainError("series order T must be at least 1")
     d = n + 1
     mu = [a * Q ** (n - 2 * j) for j in range(n)]
     if links_plus is None:
@@ -306,80 +301,46 @@ def _assemble_evaluation(n, a, window, T, field,
     if links_minus is None:
         links_minus = mu
 
-    V = AffineModule(AffineTypeA(1), field)
-    V.dim = d
-    V.grading = Grading([(-j,) for j in range(d)])
-    V.meta = {"name": f"V{n}({a})", "builder": "build_evaluation"}
-    V.window = window
-    V.T = T
-
+    E1, F1, E0, F0 = (Matrix.zeros(d, d, _EXACT) for _ in range(4))
+    for j in range(n):
+        # the link v_j <-> v_{j+1}: x^+_k carries mu_j^k [n-j], x^-_k mu_j^k [j+1]
+        up, dn = _EXACT.qint(n - j), _EXACT.qint(j + 1)
+        E1.rows[j][j + 1] = up
+        F1.rows[j + 1][j] = dn
+        E0.rows[j + 1][j] = -(Q ** (2 * j + 2 - n) * links_minus[j] * dn)
+        F0.rows[j][j + 1] = -(Q ** (n - 2 * j - 2) * up / links_plus[j])
     K = Matrix.diagonal([Q ** (n - 2 * j) for j in range(d)], _EXACT)
     Kinv = Matrix.diagonal([Q ** (2 * j - n) for j in range(d)], _EXACT)
 
-    wide = max(window, T)
-
-    def xplus(k):
-        M = Matrix.zeros(d, d, _EXACT)
-        for j in range(1, d):
-            M.rows[j - 1][j] = links_plus[j - 1] ** k * _EXACT.qint(n - j + 1)
-        return M
-
-    def xminus(k):
-        M = Matrix.zeros(d, d, _EXACT)
-        for j in range(0, d - 1):
-            M.rows[j + 1][j] = links_minus[j] ** k * _EXACT.qint(j + 1)
-        return M
-
-    xp_wide = {k: xplus(k) for k in range(-wide, wide + 1)}
-    xm0 = xminus(0)
-
-    qden = Q - Q ** (-1)
-    psi = {0: K}
-    phi = {0: Kinv}
-    for k in range(1, T + 1):
-        psi[k] = commutator(xp_wide[k], xm0).scale(qden)
-        phi[k] = -commutator(xp_wide[-k], xm0).scale(qden)
-
-    # h_k from the series logarithms of K^-1 Psi(z) and K Phi(z)
-    eye = Matrix.identity(d, _EXACT)
-    zeroM = Matrix.zeros(d, d, _EXACT)
-    s_psi = TruncSeries({k: Kinv @ psi[k] for k in range(0, min(T, window) + 1)},
-                        0, min(T, window), zeroM, _EXACT)
-    l_psi = series_log(s_psi, eye)
-    s_phi = TruncSeries({k: K @ phi[k] for k in range(0, min(T, window) + 1)},
-                        0, min(T, window), zeroM, _EXACT)
-    l_phi = series_log(s_phi, eye)
-    qden_inv = qden ** (-1)
-    h = {}
-    for k in range(1, min(T, window) + 1):
-        h[k] = l_psi.coeff(k).scale(qden_inv)
-        h[-k] = -l_phi.coeff(k).scale(qden_inv)
-
-    V.K = _fieldify(K, field)
-    V.Kinv = _fieldify(Kinv, field)
-    V.xp = {k: _fieldify(xp_wide[k], field) for k in range(-window, window + 1)}
-    V.xm = {k: _fieldify(xminus(k), field) for k in range(-window, window + 1)}
-    V.h = {k: _fieldify(h[k], field) for k in sorted(h)}
-    V.psi = {k: _fieldify(psi[k], field) for k in range(0, T + 1)}
-    V.phi = {k: _fieldify(phi[k], field) for k in range(0, T + 1)}
+    V = AffineModule(AffineTypeA(1), field)
+    V.dim = d
+    K, Kinv, E1, F1, E0, F0 = (X.map_entries(field.from_scalar, field)
+                               for X in (K, Kinv, E1, F1, E0, F0))
+    V.E = {1: E1, 0: E0}
+    V.F = {1: F1, 0: F0}
+    V.Kc = {1: K, 0: Kinv}
+    V.Kcinv = {1: Kinv, 0: K}
+    V.grading = Grading([(-j,) for j in range(d)])
+    V.meta = {"name": f"V{n}({a})", "builder": "build_evaluation"}
     return V
 
 
 def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
                      field=None, certify: bool = True) -> AffineModule:
-    """The evaluation module V_n(a), fully certified by default.
+    """The evaluation module V_n(a) with its loop data, certified by default.
 
+    The Chevalley action is assembled exactly and mapped into ``field``;
+    ``certify`` runs verify_affine_presentation on it, and extend_loop_data
+    then derives the loop generators and runs verify_drinfeld_relations.
     Raises ConstructionError when any defining relation fails (which, for
     the canonical link factors, indicates a bug rather than bad input).
     """
     if not isinstance(p, EvalParams):
         raise DomainError("build_evaluation expects EvalParams")
-    if field is None:
-        field = _EXACT
-    V = _assemble_evaluation(p.n, p.a, window, T, field)
+    V = _assemble_evaluation(p.n, p.a, _EXACT if field is None else field)
     if certify:
-        _refuse_failure(V, verify_drinfeld_relations(V))
-    kacmoody_from_drinfeld(V, certify=certify)
+        _refuse_failure(V, verify_affine_presentation(V))
+    extend_loop_data(V, window, T, certify)
     V.certified = certify
     return V
 
@@ -576,23 +537,6 @@ def _pure_shift(M: Matrix, g: Grading, target, field) -> bool:
     return True
 
 
-def kacmoody_from_drinfeld(V: AffineModule, certify: bool = True) -> CheckReport:
-    """Populate the Chevalley generators from the loop data and run the
-    affine presentation suite on them (verify_affine_presentation)."""
-    if not V.has_loop_data:
-        raise DomainError("module carries no loop-generator data")
-    if 1 not in V.xm or -1 not in V.xp:
-        raise DomainError("Chevalley dictionary needs modes of index -1..1")
-    V.E = {1: V.xp[0], 0: -(V.Kinv @ V.xm[1])}
-    V.F = {1: V.xm[0], 0: -(V.xp[-1] @ V.K)}
-    V.Kc = {1: V.K, 0: V.Kinv}
-    V.Kcinv = {1: V.Kinv, 0: V.K}
-    rep = verify_affine_presentation(V)
-    if certify:
-        _refuse_failure(V, rep)
-    return rep
-
-
 def tensor(V: AffineModule, W: AffineModule, certify: bool = True) -> AffineModule:
     """V (x) W through the coproduct; the same as ``V.tensor(W, certify)``."""
     return V.tensor(W, certify)
@@ -600,20 +544,30 @@ def tensor(V: AffineModule, W: AffineModule, certify: bool = True) -> AffineModu
 
 def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
                      certify: bool = True) -> AffineModule:
-    """Reconstruct the loop-generator tower of a rank-one module from its
-    Chevalley action, in place.
+    """Derive the loop generators of a rank-one module from its Chevalley
+    action, in place; the one source of loop data.
 
     Inverts the standard dictionary (x^-_1 = -K E_0, x^+_{-1} = -F_0 K^-1,
-    x^pm_0 = E_1 / F_1), climbs the mode ladders with ad h_{+-1}, and reads
-    the diagonal series off the mixed brackets, exactly as for evaluation
-    modules.  On a tensor module this realizes the coproduct of every loop
-    generator without ever expanding coproduct formulas.  Modules that
-    already carry loop data are returned unchanged.
+    x^pm_0 = E_1 / F_1), climbs the mode ladders with ad h_{+-1} (x^+ to
+    max(window, T), since the diagonal series read x^+_{+-k} for k <= T),
+    reads psi_k and phi_{-k} off the mixed brackets [x^+_{+-k}, x^-_0], and
+    takes h_{+-k}, k >= 2, from the series logarithms of K^-1 Psi(z) and
+    K Phi(z).  Everything is computed in the module's own field; on a
+    tensor module this realizes the coproduct of every loop generator
+    without ever expanding coproduct formulas.  ``certify`` runs
+    verify_drinfeld_relations and raises ConstructionError on a failure.
+
+    A module whose stored window and order already cover the request is
+    returned unchanged; a shallower one is derived again at the larger of
+    the stored and requested window and order (the loop data is a function
+    of the Chevalley action, so the overlap is the same).
     """
-    if M.has_loop_data:
-        return M
     if M.typ.N != 1 or not M.E:
         raise DomainError("loop data extends the Chevalley data of a rank-one module")
+    if M.has_loop_data:
+        if window <= M.window and T <= M.T:
+            return M
+        window, T = max(window, M.window), max(T, M.T)
     if window < 1 or T < 1:
         raise DomainError("loop window and series order must be at least 1")
     f = M.field
@@ -632,7 +586,9 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
     wide = max(window, T)
     for k in range(1, wide + 1):
         xp[k] = commutator(h[1], xp[k - 1]).scale(tw_inv)
-        xp[-k - 1] = commutator(h[-1], xp[-k]).scale(tw_inv)
+        if k >= 2:
+            xp[-k] = commutator(h[-1], xp[-k + 1]).scale(tw_inv)
+    for k in range(1, window + 1):
         xm[-k] = -commutator(h[-1], xm[-k + 1]).scale(tw_inv)
         if k >= 2:
             xm[k] = -commutator(h[1], xm[k - 1]).scale(tw_inv)

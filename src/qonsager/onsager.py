@@ -617,20 +617,11 @@ def rationality_check(fam: RankNFamily, T: int | None = None):
         for j in range(n):
             g = theta_rf[i][j]
             sym = g.scale_z(ctx.Cinv).inv_z()
-            ok = (g == sym) if f.exact else _rf_num_eq(g, sym, f)
+            ok = g == sym
             rep.add("csymmetry", (i, j), ok,
                     None if ok else f"entry ({i},{j}) not C-symmetric")
 
     return rep, {"closure": closure, "theta_closure": theta_rf}
-
-
-def _rf_num_eq(a: RationalFunction, b: RationalFunction, field) -> bool:
-    d = (a.num * b.den) - (b.num * a.den)
-    scale = max(
-        [abs(c) for c in (a.num * b.den).coeffs] +
-        [abs(c) for c in (b.num * a.den).coeffs] + [1.0]
-    )
-    return all(field.is_zero(c, scale=scale) for c in d.coeffs)
 
 
 # -- one-dimensional realizations ------------------------------------------------
@@ -696,7 +687,7 @@ def onedim_character(p: RankNParams, T: int = 6, field=None):
                 None if f.is_zero(got - want, scale=1.0) else f"order {s}")
 
     sym = D.scale_z(ctx.Cinv).inv_z()
-    ok = (D == sym) if f.exact else _rf_num_eq(D, sym, f)
+    ok = D == sym
     rep.add("csymmetry", (), ok)
     return rep, D
 

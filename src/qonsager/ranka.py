@@ -90,7 +90,7 @@ from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_compo
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
-                      _grow_family, _rf_num_eq, _theta_exchange, eta_bmats,
+                      _grow_family, _theta_exchange, eta_bmats,
                       generate_family, onedim_closed_form)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint, specialize
@@ -1108,7 +1108,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
             rep.add("fit", (i, b), True)
             data["closures"].setdefault(i, {})[b] = rf
             sym = rf.scale_z(Cinv).inv_z()
-            okc = (rf == sym) if f.exact else _rf_num_eq(rf, sym, f)
+            okc = rf == sym
             rep.add("csymmetry", (i, b), okc,
                     None if okc else f"line {b} is not C-symmetric")
             oku, res, wit = _unitary_fit(rf if onedim is None else rf / onedim,

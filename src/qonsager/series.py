@@ -656,9 +656,17 @@ class RationalFunction:
         )
 
     def __eq__(self, other):
+        """Equality of the cross products num * other.den and other.num * den:
+        exact over Q(q); on an inexact field their difference must vanish
+        at the scale of their largest coefficient."""
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        lhs, rhs = self.num * other.den, other.num * self.den
+        f = self.field
+        if f.exact:
+            return lhs == rhs
+        scale = max([abs(c) for c in lhs.coeffs + rhs.coeffs] + [1.0])
+        return all(f.is_zero(c, scale=scale) for c in (lhs - rhs).coeffs)
 
     def is_zero(self):
         return self.num.is_zero()

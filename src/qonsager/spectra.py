@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linmat import Grading, Matrix, _meq, degree_components
-from .loopsl2 import AffineModule, extend_loop_data, tensor
+from .loopsl2 import AffineModule, extend_loop_data, phi_series, tensor
 from .onsager import (
     RankNFamily,
     RankNParams,
@@ -150,34 +150,21 @@ class LWeightLine:
 def lweight_lines(V: AffineModule, T: int | None = None):
     """One LWeightLine per basis vector of a module with diagonal half towers.
 
-    Raises DomainError when the stored psi/phi matrices are not diagonal
-    (tensor towers generally are not; their line data lives on the graded
-    pieces instead).
+    The series are read through phi_series, which raises DomainError when
+    the stored psi/phi matrices are not diagonal (tensor towers generally
+    are not; their line data lives on the graded pieces instead) or T
+    exceeds the stored order.
     """
-    if not V.has_loop_data:
-        raise DomainError("module carries no loop data; build or extend it first")
-    if T is None:
-        T = V.T
-    if T > V.T:
-        raise DomainError(f"series order {T} exceeds the stored tower (T={V.T})")
-    f = V.field
-    for k in range(T + 1):
-        for M, name in ((V.psi[k], f"psi[{k}]"), (V.phi[k], f"phi[{k}]")):
-            scale = 1.0 if f.exact else max(M.max_abs(), 1.0)
-            for i, j, a in M.nonzero_entries():
-                if i != j and not f.is_zero(a, scale):
-                    raise DomainError(
-                        f"{name} is not diagonal; no basis of l-weight lines"
-                    )
+    Phi, Psi = phi_series(V, T)
     lines = []
     for j in range(V.dim):
         lines.append(LWeightLine(
             f"line {j} (degree {V.grading.degrees[j]})",
             j,
             V.grading.degrees[j],
-            [V.psi[k].rows[j][j] for k in range(T + 1)],
-            [V.phi[k].rows[j][j] for k in range(T + 1)],
-            f,
+            [Psi.coeff(k).rows[j][j] for k in range(Psi.hi + 1)],
+            [Phi.coeff(k).rows[j][j] for k in range(Phi.hi + 1)],
+            V.field,
         ))
     return lines
 
@@ -337,10 +324,7 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
         T = fam.T
     if T > fam.T:
         raise DomainError(f"order {T} exceeds the family window (T={fam.T})")
-    if not V.has_loop_data:
-        extend_loop_data(V, window=1, T=T)
-    if V.T < T:
-        raise DomainError(f"module tower stops at T={V.T}; rebuild with T>={T}")
+    extend_loop_data(V, window=1, T=T)
     C = f.from_scalar(p.C)
     gtot = V.grading.total()
     rep = CheckReport(f"factorization on {V.describe()} ({p.describe()})")
@@ -661,11 +645,7 @@ def coproduct_aplus_check(p: RankNParams, V: AffineModule, W: AffineModule,
     The left-hand side comes from the family generated on the tensor
     module itself — never from coproduct formulas.
     """
-    if not W.has_loop_data:
-        extend_loop_data(W, window=1, T=max(T, 1))
-    if W.T < T or 1 not in W.h or -1 not in W.h:
-        raise DomainError("right factor's tower is too shallow; rebuild with T>="
-                          f"{T} and window>=1")
+    extend_loop_data(W, window=1, T=max(T, 1))
     TW = tensor(V, W)
     f = TW.field
     famT = generate_family(p, TW, T=T, R=2 * T)

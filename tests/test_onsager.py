@@ -133,10 +133,14 @@ def test_onedim_dual_path_report():
 
 
 def test_numeric_csymmetry_is_decided_at_a_relative_tolerance(monkeypatch):
-    # the numeric branch (_rf_num_eq) passes the true closed form at q0 = 1.3
-    # and fails one whose z^1 numerator coefficient is off by a relative 1e-3
+    # numeric RationalFunction equality (==, at the scale of the cross
+    # products) passes the true closed form at q0 = 1.3 and fails one whose
+    # z^1 numerator coefficient is off by a relative 1e-3
     p = P("q^2", "q^-1", "1", "q")
     nf = NumericField(1.3)
+    D = onedim_closed_form(p, nf)
+    Cinv = nf.one / nf.from_scalar(p.C)
+    assert D == D.scale_z(Cinv).inv_z()
     rep, _ = onedim_character(p, T=6, field=nf)
     assert rep.ok, rep.summary()
     assert [e.ok for e in rep.entries if e.name == "csymmetry"] == [True]
@@ -146,6 +150,8 @@ def test_numeric_csymmetry_is_decided_at_a_relative_tolerance(monkeypatch):
         num = [c * (1 + 1e-3) if k == 1 else c for k, c in enumerate(D.num.coeffs)]
         return RationalFunction(FPoly(num, D.field), D.den)
 
+    bent = perturbed(p, nf)
+    assert bent != bent.scale_z(Cinv).inv_z()
     monkeypatch.setattr(onsager, "onedim_closed_form", perturbed)
     rep, _ = onedim_character(p, T=6, field=nf)
     assert [e.ok for e in rep.entries if e.name == "csymmetry"] == [False]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qonsager.errors import DomainError
 from qonsager.linmat import Matrix
-from qonsager.loopsl2 import EvalParams, build_evaluation, tensor
+from qonsager.loopsl2 import EvalParams, build_evaluation, extend_loop_data, tensor
 from qonsager.onsager import OnsagerParams, generate_family
 from qonsager.scalars import ExactField, Scalar, parse_scalar
 from qonsager.series import FPoly
@@ -163,8 +163,6 @@ def test_lweight_lines_v1_against_frozen_series():
 
 def test_lweight_lines_reject_tensor_towers():
     TT = tensor(V(1, "q"), V(1, "q^3"))
-    from qonsager.loopsl2 import extend_loop_data
-
     extend_loop_data(TT, window=1, T=3)
     with pytest.raises(DomainError):
         lweight_lines(TT, T=3)
@@ -273,6 +271,20 @@ def test_factorization_v2_and_tensor():
     TT = tensor(V(1, "q"), V(1, "q^3"))
     rep, _ = factorization_check(fam_on(P0, TT, T=4))
     assert rep.ok, rep.summary()
+
+
+def test_factorization_deepens_shallow_towers():
+    # a tensor extended at T = 3 and a module built at T = 4 serve families
+    # at T = 6: the check derives the deeper tower instead of refusing
+    TT = tensor(V(1, "q"), V(1, "q^3"))
+    extend_loop_data(TT, window=1, T=3)
+    rep, _ = factorization_check(fam_on(P0, TT, T=6))
+    assert rep.ok, rep.summary()
+    assert TT.T == 6
+    mod = V(1, "q", T=4)
+    rep, _ = factorization_check(fam_on(P0, mod, T=6))
+    assert rep.ok, rep.summary()
+    assert mod.T == 6
 
 
 def test_factorization_rejects_nonzero_shifts():
@@ -442,6 +454,14 @@ def test_coproduct_trivial_right_factor():
     triv = build_evaluation(EvalParams(0, Scalar(1)), window=1, T=4)
     rep = coproduct_aplus_check(PS, V(1, "q"), triv, T=3)
     assert rep.ok, rep.summary()
+
+
+def test_coproduct_deepens_a_shallow_right_factor():
+    triv = build_evaluation(EvalParams(0, Scalar(1)), window=1, T=4)
+    right = V(1, "q", window=1, T=2)
+    rep = coproduct_aplus_check(PS, triv, right, T=4)
+    assert rep.ok, rep.summary()
+    assert right.T == 4
 
 
 def test_coproduct_matrix_left_legs_break_from_order_one():
