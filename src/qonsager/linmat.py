@@ -25,9 +25,7 @@ A Grading assigns every basis index an integer degree *vector*; a module
 over the affine A_N diagram is graded in simple-root coordinates (length N,
 top degree 0, weights descending), and a tensor product of modules adds the
 degrees of its factors.  degree_components splits an operator by the
-shift vector (row degree minus column degree); assert_block_triangular checks
-one-dimensional shifts are all >= 0 (raising) or <= 0 (lowering) and returns
-the diagonal blocks.
+shift vector (row degree minus column degree) into a plain dict.
 
 ProductMemo computes each product A @ B (and each q-bracket) once while it
 lives, for the relation suites, which multiply the same stored matrices
@@ -38,9 +36,16 @@ relation group (or one node pair of it) and dropped with it: there is no
 global cache, and Matrix carries no cache field.  A cached result is the
 same object on every hit, so callers must not mutate it.
 
-_meq is the one matrix equality the certification suites and the series
-layer share: it returns (ok, witness), exact by entry comparison, numeric
-at the scale of the operands.
+One numeric zero rule serves the whole package, and only this module
+applies it: a numeric matrix vanishes when every entry is within the
+backend tolerance of zero at the scale of the matrices it came from (their
+largest entry, and never below 1).  _meq, the one matrix equality of the
+certification suites and the series layer, judges A = B at the scale of A
+and B and returns (ok, witness); degree_components keeps a degree
+component only when it is nonzero at the scale of the operator it splits.
+Over the exact backend both reduce to entry comparison.  A relation is
+therefore checked by comparing its two sides, never by testing a
+difference against a zero matrix, whose scale would be lost.
 
 generalized_eigenspaces is numeric-only by design: exact mode never needs
 eigenvectors, and Jordan structure over Q(q) is out of scope.
@@ -55,13 +60,10 @@ from .errors import DomainError, NumericError
 __all__ = [
     "Matrix",
     "Grading",
-    "GradedOperator",
     "ProductMemo",
     "qbracket",
     "commutator",
     "degree_components",
-    "assert_block_triangular",
-    "BlockTriangularityError",
     "generalized_eigenspaces",
 ]
 
@@ -201,11 +203,6 @@ class Matrix:
             for rb in other.rows:
                 out.append([a * b for a in ra for b in rb])
         return Matrix(out, self.field)
-
-    def submatrix(self, rows, cols):
-        return Matrix(
-            [[self.rows[i][j] for j in cols] for i in rows], self.field
-        )
 
     def is_zero(self, scale=1.0):
         f = self.field
@@ -380,20 +377,9 @@ class Grading:
     def dim(self):
         return len(self.degrees)
 
-    @property
-    def arity(self):
-        return len(self.degrees[0]) if self.degrees else 0
-
     def total(self) -> "Grading":
         """Collapse to a one-dimensional grading by summing coordinates."""
         return Grading([(sum(d),) for d in self.degrees])
-
-    def pieces(self):
-        """degree vector -> ordered list of basis indices."""
-        out = {}
-        for i, d in enumerate(self.degrees):
-            out.setdefault(d, []).append(i)
-        return dict(sorted(out.items()))
 
     def shift(self, i: int, j: int):
         return tuple(a - b for a, b in zip(self.degrees[i], self.degrees[j]))
@@ -405,80 +391,27 @@ class Grading:
         return f"Grading({self.degrees})"
 
 
-class GradedOperator:
-    """An operator split into pure degree-shift components."""
-
-    __slots__ = ("components", "n", "field")
-
-    def __init__(self, components, n, field):
-        self.components = components
-        self.n = n
-        self.field = field
-
-    def shifts(self):
-        return sorted(self.components)
-
-    def component(self, shift) -> Matrix:
-        shift = tuple(shift)
-        if shift in self.components:
-            return self.components[shift]
-        return Matrix.zeros(self.n, self.n, self.field)
-
-    def sum(self) -> Matrix:
-        acc = Matrix.zeros(self.n, self.n, self.field)
-        for mat in self.components.values():
-            acc = acc + mat
-        return acc
-
-
-def degree_components(A: Matrix, g: Grading) -> GradedOperator:
-    """Split A by degree shift; exact reassembly is guaranteed."""
+def degree_components(A: Matrix, g: Grading) -> dict:
+    """{shift: component} of A by degree shift, row degree minus column
+    degree.  Only the components that are nonzero at A's own scale are
+    kept (exact: any nonzero entry), so summing the components gives A
+    back up to entries that vanish at that scale."""
     if A.n != g.dim or A.m != g.dim:
         raise DomainError("grading dimension does not match the matrix")
     f = A.field
+    entries = {}
+    for i, j, a in A.nonzero_entries():
+        entries.setdefault(g.shift(i, j), []).append((i, j, a))
+    if not f.exact:
+        scale = A.max_abs()
+        entries = {s: e for s, e in entries.items()
+                   if not all(f.is_zero(a, scale) for _, _, a in e)}
     comps = {}
-    for i, j, a in A.nonzero_entries():
-        s = g.shift(i, j)
-        if s not in comps:
-            comps[s] = Matrix.zeros(A.n, A.m, f)
-        comps[s].rows[i][j] = a
-    return GradedOperator(comps, A.n, f)
-
-
-class BlockTriangularityError(DomainError):
-    """Raised when a matrix fails a block-triangularity assertion; carries
-    the offending (row, col, (deg_row, deg_col)) witness."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        row, col, degs = witness
-        super().__init__(
-            f"triangularity violated at entry ({row},{col}), degrees {degs}"
-        )
-
-
-def assert_block_triangular(A: Matrix, g: Grading, direction: str = "raising"):
-    """Check every nonzero entry has deg(row) >= deg(col) (raising) or
-    <= (lowering) for a one-dimensional grading; return the diagonal blocks
-    as a dict degree -> (indices, Matrix).  Raises BlockTriangularityError
-    with a (row, col, (deg_row, deg_col)) witness otherwise."""
-    if g.arity != 1:
-        raise DomainError("block triangularity needs a one-dimensional grading")
-    if direction not in ("raising", "lowering"):
-        raise DomainError(f"unknown direction {direction!r}")
-    scale = 1.0 if A.field.exact else max(A.max_abs(), 1.0)
-    for i, j, a in A.nonzero_entries():
-        if A.field.is_zero(a, scale):
-            continue
-        di, dj = g.degrees[i][0], g.degrees[j][0]
-        if (direction == "raising" and di < dj) or (
-            direction == "lowering" and di > dj
-        ):
-            raise BlockTriangularityError((i, j, (di, dj)))
-    blocks = {}
-    for deg, idx in g.pieces().items():
-        blocks[deg[0]] = (idx, A.submatrix(idx, idx))
-    return blocks
+    for s, e in entries.items():
+        M = comps[s] = Matrix.zeros(A.n, A.m, f)
+        for i, j, a in e:
+            M.rows[i][j] = a
+    return comps
 
 
 # -- numeric eigenstructure ---------------------------------------------------

@@ -576,7 +576,7 @@ def rationality_check(fam: RankNFamily, T: int | None = None):
                 for r in range(1, R + 1):
                     want = -A[-r].rows[i][j]
                     got = inf.coeff(-r)
-                    if not f.is_zero(got - want, scale=1.0):
+                    if not f.eq(got, want):
                         ok, wit = False, f"tail mismatch at z^-{r}"
                         break
             rep.add("tail", (i, j), ok, wit)
@@ -606,7 +606,7 @@ def rationality_check(fam: RankNFamily, T: int | None = None):
             for j in range(n):
                 got = theta_rf[i][j].expand_at_zero(T).coeff(s)
                 want = fam.theta_acute[1][s].rows[i][j]
-                if not f.is_zero(got - want, scale=1.0):
+                if not f.eq(got, want):
                     ok, wit = False, f"entry ({i},{j})"
                     break
             if not ok:
@@ -675,16 +675,16 @@ def onedim_character(p: RankNParams, T: int = 6, field=None):
         else:
             want = ctx.C ** ((r + 1) // 2) * t
         got = fam.A[1][r].rows[0][0]
-        rep.add("ladder_value", (r,), f.is_zero(got - want, scale=1.0),
-                None if f.is_zero(got - want, scale=1.0) else f"A[{r}] = {got}")
+        ok = f.eq(got, want)
+        rep.add("ladder_value", (r,), ok, None if ok else f"A[{r}] = {got}")
 
     D = onedim_closed_form(p, f)
     ser = D.expand_at_zero(T)
     for s in range(0, T + 1):
         got = fam.theta_grave[1][s].rows[0][0]
         want = ser.coeff(s)
-        rep.add("grave_vs_closed_form", (s,), f.is_zero(got - want, scale=1.0),
-                None if f.is_zero(got - want, scale=1.0) else f"order {s}")
+        ok = f.eq(got, want)
+        rep.add("grave_vs_closed_form", (s,), ok, None if ok else f"order {s}")
 
     sym = D.scale_z(ctx.Cinv).inv_z()
     ok = D == sym

@@ -660,7 +660,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 for n in range(m if i == j else 1, mmax + 1):
                     if i == j and n == m:
                         continue
-                    ok, w = _meq(commutator(fam.h(i, m), fam.h(j, n)), Z, f)
+                    him, hjn = fam.h(i, m), fam.h(j, n)
+                    ok, w = _meq(him @ hjn, hjn @ him, f)
                     rep.add("grel1", (i, m, j, n), ok, w)
 
     for i in nodes:
@@ -681,7 +682,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 continue
             for r in range(-rwin, rwin + 1):
                 for s in range(-rwin, rwin + 1):
-                    ok, w = _meq(commutator(fam.a(i, r), fam.a(j, s)), Z, f)
+                    air, ajs = fam.a(i, r), fam.a(j, s)
+                    ok, w = _meq(air @ ajs, ajs @ air, f)
                     rep.add("grel3", (i, r, j, s), ok, w)
 
     for i in nodes:
@@ -689,16 +691,15 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             if j <= i:
                 continue
             aij = typ.finite_cartan(i, j)
-            qa = f.q ** aij
-            qma = f.one / qa
+            qma = f.one / f.q ** aij
             mul = ProductMemo().mul
             for r in range(-rwin, rwin + 1):
                 for s in range(-rwin, rwin + 1):
                     ai0, ai1 = fam.a(i, r), fam.a(i, r + 1)
                     aj0, aj1 = fam.a(j, s), fam.a(j, s + 1)
-                    lhs = (mul(ai0, aj1) - mul(aj1, ai0).scale(qma)) \
-                        - (mul(ai1, aj0) - mul(aj0, ai1).scale(qa)).scale(qma)
-                    ok, w = _meq(lhs, Z, f)
+                    lhs = mul(ai0, aj1) + mul(aj0, ai1)
+                    rhs = (mul(aj1, ai0) + mul(ai1, aj0)).scale(qma)
+                    ok, w = _meq(lhs, rhs, f)
                     rep.add("grel4", (i, r, j, s), ok, w)
 
     for i in nodes:
@@ -760,8 +761,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 continue
             for m in range(1, mmax + 1):
                 for n in range(1, mmax + 1):
-                    ok, w = _meq(commutator(fam.theta_at(i, m), fam.theta_at(j, n)),
-                                 Z, f)
+                    tim, tjn = fam.theta_at(i, m), fam.theta_at(j, n)
+                    ok, w = _meq(tim @ tjn, tjn @ tim, f)
                     rep.add("theta_commute", (i, m, j, n), ok, w)
     return rep
 
@@ -851,10 +852,10 @@ def braid_compat_check(i: int, module: AffineModule,
     D = M1 - M2
     comps = degree_components(D, module.grading)
     rep = CheckReport(f"braid compatibility at node {i} on {module.describe()}")
-    if not comps.components:
+    if not comps:
         rep.add("residual", (i,), True)
         return rep
-    for shift in comps.shifts():
+    for shift in sorted(comps):
         ok = (shift[i - 1] == 1
               and all(shift[m] >= 0 for m in range(N) if m != i - 1)
               and any(shift[m] > 0 for m in range(N) if m != i - 1))
@@ -999,7 +1000,9 @@ def _unitary_fit(rf, field, q0, tol):
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     """Tie the N = 1 towers on W_1(a) to the two-sided rank-one machinery,
     which rebuilds the module as V_1(-q^-2 a); other modules, V_1 itself
-    included, have no such anchor."""
+    included, have no such anchor.  The rebuilt module carries loop data
+    at T = 1 only: the comparison reads E, F and K, the family the modes
+    with |k| <= 1, and factorization_check deepens the tower itself."""
     module = fam.module
     if module.meta.get("builder") != "build_vector_evaluation":
         return
@@ -1007,7 +1010,7 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     p = fam.params
     f = fam.field
     aloop = -(a / (Q * Q))
-    V = build_evaluation(EvalParams(1, aloop), window=1, T=T, field=f)
+    V = build_evaluation(EvalParams(1, aloop), window=1, T=1, field=f)
     ok = True
     wit = None
     for j in (0, 1):
@@ -1083,8 +1086,8 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
     for i in fam.typ.finite_nodes:
         grave = fam.theta_grave[i]
         for s in range(T + 1):
-            comps = degree_components(grave[s], g)
-            bad = [sh for sh in comps.shifts() if any(x < 0 for x in sh)]
+            bad = [sh for sh in sorted(degree_components(grave[s], g))
+                   if any(x < 0 for x in sh)]
             rep.add("triangular", (i, s), not bad,
                     None if not bad else f"lowering shifts {bad}")
 
@@ -1123,9 +1126,8 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
                 continue
             for m in range(1, T + 1):
                 for n in range(1, T + 1):
-                    d = fam.theta_grave[i][m] @ fam.theta_grave[j][n] \
-                        - fam.theta_grave[j][n] @ fam.theta_grave[i][m]
-                    ok, w = _meq(d, Matrix.zeros(module.dim, module.dim, f), f)
+                    tim, tjn = fam.theta_grave[i][m], fam.theta_grave[j][n]
+                    ok, w = _meq(tim @ tjn, tjn @ tim, f)
                     rep.add("cross_node", (i, m, j, n), ok, w)
 
     if fam.typ.N == 1:

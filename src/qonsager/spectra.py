@@ -61,18 +61,11 @@ __all__ = [
 
 def _bad_shifts(M: Matrix, g: Grading, bound: int):
     """Degree shifts < bound carrying a nonzero component of M."""
-    f = M.field
-    scale = 1.0 if f.exact else max(M.max_abs(), 1.0)
-    comps = degree_components(M, g)
-    out = []
-    for sh in comps.shifts():
-        if sh[0] < bound and not comps.component(sh).is_zero(scale):
-            out.append(sh[0])
-    return sorted(set(out))
+    return [sh[0] for sh in sorted(degree_components(M, g)) if sh[0] < bound]
 
 
 def _shift_zero(M: Matrix, g: Grading) -> Matrix:
-    return degree_components(M, g).component((0,))
+    return degree_components(M, g).get((0,)) or Matrix.zeros(M.n, M.m, M.field)
 
 
 def _second_factor_grading(V: AffineModule) -> Grading:

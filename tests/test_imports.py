@@ -11,6 +11,10 @@ methods of module-level classes; a definition counts as referenced when
 its name is read, as a name or an attribute, outside its own body in the
 package, the tests or the benchmark harness.
 
+The numeric zero rule (a matrix vanishes at the scale of the matrices it
+came from) lives in ``linmat`` alone, so no other package module may read
+``max_abs``, the scale that rule is taken at.
+
 Scalar arithmetic may return one of its operands, or share an operand's
 ``num`` or ``den`` list with its result, so those lists must never be
 mutated after construction.  The mutation scan flags, in the package, any
@@ -250,3 +254,31 @@ def test_mutation_scan_flags_in_place_changes():
 def test_fraction_parts_are_never_mutated(path):
     lines = sorted(_mutations(ast.parse(path.read_text(), filename=str(path))))
     assert not lines, f"{path.name} mutates a .num or .den list at lines {lines}"
+
+
+def _reads(tree, name):
+    """Line numbers where ``tree`` reads ``name``, as a name or an attribute."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+
+
+def test_read_scan_flags_names_and_attributes():
+    tree = ast.parse(
+        "s = M.max_abs()\n"
+        "f = max_abs\n"
+        "M.max_abs = None\n"
+        "max_abs = 1\n"
+        "t = M.max_absolute()\n"
+    )
+    assert sorted(_reads(tree, "max_abs")) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linmat"],
+                         ids=lambda p: p.name)
+def test_only_linmat_reads_max_abs(path):
+    lines = sorted(_reads(ast.parse(path.read_text(), filename=str(path)), "max_abs"))
+    assert not lines, (f"{path.name} reads max_abs at lines {lines}; "
+                       "compare with linmat._meq or split with degree_components")

@@ -1,4 +1,4 @@
-"""Matrices, gradings, q-brackets, triangularity, numeric eigenstructure."""
+"""Matrices, gradings and degree components, q-brackets, numeric eigenstructure."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from qonsager.errors import DomainError, NumericError
 from qonsager.linmat import (
-    BlockTriangularityError,
-    GradedOperator,
     Grading,
     Matrix,
     ProductMemo,
-    assert_block_triangular,
     degree_components,
     generalized_eigenspaces,
     qbracket,
@@ -258,58 +255,38 @@ def test_cayley_hamilton(A):
 # ------------------------------------------------------------------ gradings
 
 
-def test_grading_total_and_pieces():
+def test_grading_total():
     gt = Grading([(0, 0), (0, -1), (0, -2), (-1, 0), (-1, -1), (-1, -2)])
     assert gt.total().degrees == [(0,), (-1,), (-2,), (-1,), (-2,), (-3,)]
-    assert gt.total().pieces() == {
-        (-3,): [5], (-2,): [2, 4], (-1,): [1, 3], (0,): [0],
-    }
 
 
 @given(mats(4), st.lists(st.integers(-3, 0), min_size=4, max_size=4))
 @settings(max_examples=30)
 def test_degree_components_reassemble(A, degs):
     g = Grading([(d,) for d in degs])
-    go = degree_components(A, g)
-    assert go.sum() == A
+    comps = degree_components(A, g)
+    total = Matrix.zeros(4, 4, F)
+    for M in comps.values():
+        total = total + M
+    assert total == A
     # each component is a pure shift
-    for s, M in go.components.items():
+    for s, M in comps.items():
         for i, j, a in M.nonzero_entries():
             assert g.shift(i, j) == s
 
 
-def test_block_triangular_witness():
+def test_degree_components_vanish_at_the_operator_scale():
+    # a lowering residue of 1e-15 beside O(1) entries is no component over
+    # the numeric backend; 1e-6 is, and over Q(q) any nonzero entry is
     g = Grading([(0,), (-1,)])
-    ok = Matrix([[Q, Scalar(0)], [Scalar(1), Scalar(2)]], F)  # lowering only
-    blocks = assert_block_triangular(ok, g, "lowering")
-    assert blocks[0][1].rows == [[Q]]
-    assert blocks[-1][1].rows == [[Scalar(2)]]
-    with pytest.raises(BlockTriangularityError) as exc:
-        assert_block_triangular(ok, g, "raising")
-    assert exc.value.witness == (1, 0, (-1, 0))
-
-
-def test_block_charpoly_product():
-    # charpoly of a block-triangular matrix = product over diagonal blocks
-    g = Grading([(0,), (0,), (-1,)])
-    A = Matrix(
-        [
-            [Q, Scalar(1), Scalar(0)],
-            [Scalar(2), Q**-1, Scalar(0)],
-            [Scalar(1), Q, Scalar(3)],
-        ],
-        F,
-    )
-    blocks = assert_block_triangular(A, g, "lowering")
-    lam = sympy.Symbol("lam")
-    total = sympy.prod(
-        [
-            to_sympy_matrix(blk).charpoly(lam).as_expr()
-            for _, blk in blocks.values()
-        ]
-    )
-    whole = to_sympy_matrix(A).charpoly(lam).as_expr()
-    assert sympy.simplify(total - whole) == 0
+    nf = NumericField(1.3)
+    for low, kept in ((1e-15, [(0,), (1,)]), (1e-6, [(-1,), (0,), (1,)])):
+        A = Matrix([[2.0, 1.0], [low, 3.0]], nf)
+        assert sorted(degree_components(A, g)) == kept
+    comps = degree_components(A, g)
+    assert comps[(-1,)].rows == [[0, 0], [1e-6, 0]]
+    A = Matrix([[Scalar(2), Scalar(1)], [Scalar(1, 10**15), Scalar(3)]], F)
+    assert sorted(degree_components(A, g)) == [(-1,), (0,), (1,)]
 
 
 # ------------------------------------------------------------------ numeric

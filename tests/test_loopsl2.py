@@ -347,11 +347,9 @@ def test_numeric_matches_specialized_exact():
 def test_degree_shifts_pure():
     mod = V(3, "q")
     for k, M in mod.xp.items():
-        comps = degree_components(M, mod.grading)
-        assert set(comps.components) <= {(1,)}
+        assert set(degree_components(M, mod.grading)) <= {(1,)}
     for k, M in mod.xm.items():
-        comps = degree_components(M, mod.grading)
-        assert set(comps.components) <= {(-1,)}
+        assert set(degree_components(M, mod.grading)) <= {(-1,)}
 
 
 @settings(max_examples=10, deadline=None)
@@ -417,12 +415,12 @@ def test_extend_loop_data_tensor_certifies_and_grades():
     # mode operators shift the total degree by exactly +-1, the halves by 0
     gtot = TT.grading.total()
     for k, M in TT.xp.items():
-        assert set(degree_components(M, gtot).components) <= {(1,)}
+        assert set(degree_components(M, gtot)) <= {(1,)}
     for k, M in TT.xm.items():
-        assert set(degree_components(M, gtot).components) <= {(-1,)}
+        assert set(degree_components(M, gtot)) <= {(-1,)}
     for k in range(5):
-        assert set(degree_components(TT.psi[k], gtot).components) <= {(0,)}
-        assert set(degree_components(TT.phi[k], gtot).components) <= {(0,)}
+        assert set(degree_components(TT.psi[k], gtot)) <= {(0,)}
+        assert set(degree_components(TT.phi[k], gtot)) <= {(0,)}
 
 
 def test_extend_loop_data_requires_chevalley_data():

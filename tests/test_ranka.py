@@ -603,20 +603,32 @@ def test_braid_relations_on_modules():
     assert {e.name for e in rep1.entries} == {"rotation"}
 
 
+def _w2_tensor(field=None):
+    """W_2(q) (x) W_2(q^3), dimension 9."""
+    return (build_vector_evaluation(2, parse_scalar("q"), field=field)
+            .tensor(build_vector_evaluation(2, parse_scalar("q^3"), field=field)))
+
+
 @pytest.mark.parametrize("damaged", [False, True])
 def test_numeric_braid_suites_are_the_exact_ones(damaged):
-    def entries(field):
-        mod = build_vector_evaluation(2, parse_scalar("q"), field=field)
+    # on the tensor the compatibility residual at node 2 is zero up to
+    # rounding in its lowering components, which must not count
+    def entries(build, field):
+        mod = build(field)
         if damaged:
             mod.F[0] = mod.F[0].scale(mod.field.q)
         p = P(("1", "q", "q^2"))
         reps = [verify_braid_relations(mod, p)] + [braid_compat_check(i, mod, p) for i in (1, 2)]
         return [[(e.name, e.indices, e.ok) for e in rep.entries] for rep in reps]
 
-    exact = entries(None)
-    assert entries(NumericField(1.3)) == exact
-    assert [len(x) for x in exact] == [18, 1, 1]
-    assert sum(not ok for x in exact for *_, ok in x) == (4 if damaged else 0)
+    def w2(field):
+        return build_vector_evaluation(2, parse_scalar("q"), field=field)
+
+    for build in (w2, _w2_tensor):
+        exact = entries(build, None)
+        assert entries(build, NumericField(1.3)) == exact
+        assert [len(x) for x in exact] == [18, 1, 1]
+        assert sum(not ok for x in exact for *_, ok in x) == (4 if damaged else 0)
 
 
 def test_braid_compat_degree_screen():
@@ -913,6 +925,26 @@ def test_spectral_tensor_lines_are_inconclusive_not_wrong():
     assert tri and all(e.ok for e in tri)
     fit = [e for e in rep.entries if e.name == "fit"]
     assert fit and all(not e.ok and "inconclusive" in e.witness for e in fit)
+
+
+@pytest.mark.parametrize("case", ["W1(q^2)", "W2(q)xW2(q^3)"])
+def test_numeric_spectral_verdicts_are_the_exact_ones(case):
+    # lowering components and cross-node commutators that vanish exactly
+    # leave rounding residues at q0 = 1.3, which must not count: the
+    # numeric verdicts are the exact ones
+    def entries(field):
+        if case == "W1(q^2)":
+            mod = build_vector_evaluation(1, parse_scalar("q^2"), field=field)
+            fam = generate_rankn_family(mod, P(("q^2", "q^-1"), ("1", "q")), T=13, R=13)
+        else:
+            fam = generate_rankn_family(_w2_tensor(field), P(("1", "1", "1")), T=6)
+        rep, _ = rankn_spectral_check(fam)
+        return [(e.name, e.indices, e.ok) for e in rep.entries
+                if e.name in ("triangular", "csymmetry", "cross_node")]
+
+    exact = entries(None)
+    assert entries(NumericField(1.3)) == exact
+    assert exact and all(ok for *_, ok in exact)
 
 
 def test_spectral_window_guard():
