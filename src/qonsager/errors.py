@@ -18,7 +18,3 @@ class ConstructionError(QonsagerError):
     """A module or family failed its certification while being built; the
     message carries the first violated relation."""
 
-
-class NumericError(QonsagerError):
-    """A numeric routine could not produce a trustworthy answer
-    (ill-conditioned eigenstructure, unpairable roots, ...)."""

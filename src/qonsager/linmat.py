@@ -47,15 +47,14 @@ Over the exact backend both reduce to entry comparison.  A relation is
 therefore checked by comparing its two sides, never by testing a
 difference against a zero matrix, whose scale would be lost.
 
-generalized_eigenspaces is numeric-only by design: exact mode never needs
-eigenvectors, and Jordan structure over Q(q) is out of scope.
+The module is plain Python over both backends (numeric entries are Python
+complex numbers) and imports no numeric library: there is no eigenvector
+or root solver here, and exact runs never leave Q(q).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "Matrix",
@@ -64,7 +63,6 @@ __all__ = [
     "qbracket",
     "commutator",
     "degree_components",
-    "generalized_eigenspaces",
 ]
 
 
@@ -270,13 +268,6 @@ class Matrix:
             M = AM + Matrix.identity(n, f).scale(ck)
         return coeffs
 
-    def to_ndarray(self):
-        if self.field.exact:
-            raise DomainError("to_ndarray needs a numeric-backend matrix")
-        return np.array(
-            [[complex(a) for a in r] for r in self.rows], dtype=complex
-        )
-
     def map_entries(self, fn, field):
         """The matrix of fn(entry) over ``field``, the field fn maps into."""
         return Matrix([[fn(a) for a in r] for r in self.rows], field)
@@ -413,64 +404,3 @@ def degree_components(A: Matrix, g: Grading) -> dict:
             M.rows[i][j] = a
     return comps
 
-
-# -- numeric eigenstructure ---------------------------------------------------
-
-
-def generalized_eigenspaces(A, tol: float = 1e-9):
-    """Generalized eigenspace decomposition of a numeric matrix.
-
-    Returns a list of (eigenvalue, multiplicity, basis) triples, where basis
-    is an (n, multiplicity) ndarray spanning ker (A - λ)^multiplicity, sorted
-    by (Re λ, Im λ).  Raises NumericError when the eigenvalue clusters are
-    ambiguous at the requested tolerance or a residual check fails
-    (ill-conditioning diagnostics rather than wrong answers).
-    """
-    if isinstance(A, Matrix):
-        arr = A.to_ndarray()
-    else:
-        arr = np.asarray(A, dtype=complex)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
-        raise DomainError("generalized_eigenspaces needs a square matrix")
-    scale = max(1.0, float(np.abs(arr).max()))
-    evals = np.linalg.eigvals(arr)
-    order = np.lexsort((evals.imag, evals.real))
-    evals = evals[order]
-    # greedy clustering along the sorted list
-    clusters = []
-    for w in evals:
-        if clusters and abs(w - clusters[-1][-1]) <= 1e3 * tol * scale:
-            clusters[-1].append(w)
-        else:
-            clusters.append([w])
-    centers = [sum(c) / len(c) for c in clusters]
-    for a, b in zip(centers, centers[1:]):
-        if abs(a - b) < 1e4 * tol * scale:
-            raise NumericError(
-                f"eigenvalue clusters {a} and {b} are too close to separate "
-                f"at tol={tol}; raise tol or move q0"
-            )
-    out = []
-    eye = np.eye(n)
-    for center, cluster in zip(centers, clusters):
-        mult = len(cluster)
-        M = np.linalg.matrix_power(arr - center * eye, mult)
-        _, sv, vh = np.linalg.svd(M)
-        small = sv <= tol * scale**mult * n
-        k = int(small.sum())
-        if k != mult:
-            raise NumericError(
-                f"eigenvalue {center}: algebraic multiplicity {mult} but "
-                f"nullspace of dimension {k} at the working tolerance"
-            )
-        basis = vh.conj().T[:, n - mult:]
-        resid = np.linalg.norm(M @ basis, axis=0)
-        norms = np.linalg.norm(basis, axis=0)
-        if np.any(resid > 1e3 * tol * scale**mult * norms):
-            raise NumericError(
-                f"eigenvalue {center}: generalized eigenvector residual "
-                f"{resid.max():.3e} exceeds tolerance"
-            )
-        out.append((center, mult, basis))
-    return out

@@ -24,7 +24,7 @@ from .errors import ConstructionError, DomainError
 from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
 from .loopsl2 import AffineModule, EvalParams, build_evaluation
 from .report import CheckReport
-from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom, specialize
+from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
 from .series import (FPoly, RationalFunction, TruncSeries, h_from_theta,
                      pade_reconstruct)
 
@@ -627,6 +627,22 @@ def rationality_check(fam: RankNFamily, T: int | None = None):
 # -- one-dimensional realizations ------------------------------------------------
 
 
+def _onedim_quartic(ctx: _Ctx) -> FPoly:
+    """The quartic numerator of the closed form, before reduction."""
+    t = ctx.qm2 * ctx.s0 / ctx.c0
+    alpha = ctx.C * t * t + ctx.s1 * ctx.s1
+    beta = t * ctx.s1
+    w = ctx.kap * ctx.kap / (ctx.field.q * ctx.c1)
+    return FPoly(
+        [ctx.field.one,
+         w * ctx.C * beta,
+         w * ctx.C * alpha - (ctx.C + ctx.C),
+         w * ctx.C * ctx.C * beta,
+         ctx.C * ctx.C],
+        ctx.field,
+    )
+
+
 def onedim_closed_form(p: RankNParams, field=None) -> RationalFunction:
     """The spectral series of a one-dimensional realization, closed form.
 
@@ -636,20 +652,8 @@ def onedim_closed_form(p: RankNParams, field=None) -> RationalFunction:
     """
     f = field or ExactField()
     ctx = _Ctx(p, f)
-    t = ctx.qm2 * ctx.s0 / ctx.c0
-    alpha = ctx.C * t * t + ctx.s1 * ctx.s1
-    beta = t * ctx.s1
-    w = ctx.kap * ctx.kap / (f.q * ctx.c1)
-    num = FPoly(
-        [f.one,
-         w * ctx.C * beta,
-         w * ctx.C * alpha - (ctx.C + ctx.C),
-         w * ctx.C * ctx.C * beta,
-         ctx.C * ctx.C],
-        f,
-    )
     den = FPoly([f.one, f.zero, -ctx.C], f)
-    return RationalFunction(num, den * den)
+    return RationalFunction(_onedim_quartic(ctx), den * den)
 
 
 def onedim_character(p: RankNParams, T: int = 6, field=None):
@@ -692,106 +696,40 @@ def onedim_character(p: RankNParams, T: int = 6, field=None):
     return rep, D
 
 
-def onedim_drf_numeric(p: RankNParams, q0: complex = 1.3, tol: float = 1e-8):
-    """Numeric spectral fraction of a one-dimensional realization.
+def onedim_drf(p: RankNParams):
+    """Exact spectral fraction of a one-dimensional realization.
 
-    Roots the quartic numerator of the closed form at q0, pairs the roots
-    under g -> C^-1 g^-1, builds F(z) = i sqrt(g_k g_l C) (z^2 - C^-1) /
-    ((z - g_k)(z - g_l)) from one representative per pair and verifies
-    D(z) F(z) F(C^-1 z^-1) = 1 on sample points.  Also reports the orbit
-    of candidate fractions (sign and pole-partner choices) and the
-    degeneration class, checked against the parameter criteria:
-    F constant iff s0 = s1 = 0; numerator and denominator of degree one
-    iff s0, s1 both nonzero with c1 s0^2 = c0 s1^2.
-    Returns (report, data).
+    The closed form is D(z) = N(z)/(1 - C z^2)^2 with a quartic N, and
+    D(z) F(z) F(C^-1 z^-1) = 1 for a fraction F whose poles are one root
+    of N from each pair {g, C^-1 g^-1}.  Two entries, both over Q(q):
+    ``reciprocity``, N(z) = C^2 z^4 N(C^-1 z^-1), so the roots pair off;
+    and ``degeneration``, deg F = half the degree of the reduced D (roots
+    of N on the fixed locus z^2 = C^-1 cancel), checked against the
+    parameter criteria: F constant iff s0 = s1 = 0; numerator and
+    denominator of degree one iff s0, s1 both nonzero with
+    c1 s0^2 = c0 s1^2; degree two otherwise.
+    Returns (report, data) with the reduced closed form and deg F.
     """
-    import numpy as np
+    f = ExactField()
+    ctx = _Ctx(p, f)
+    rep = CheckReport(f"one-dimensional spectral fraction ({p.describe()})")
+    N = _onedim_quartic(ctx)
+    ok = N == N.scale_z(ctx.Cinv).reverse(4).scale(ctx.C * ctx.C)
+    rep.add("reciprocity", (), ok,
+            None if ok else "the quartic is not C-reciprocal")
 
-    rep = CheckReport(f"one-dimensional spectral fraction at q0={q0}")
-    val = lambda s: specialize(s, q0)
-    c0, c1, s0, s1 = map(val, _rank_one(p).c + p.s)
-    C = val(p.C)
-    t = s0 / (q0**2 * c0)
-    alpha = C * t * t + s1 * s1
-    beta = t * s1
-    w = (q0 - 1 / q0) ** 2 / (q0 * c1)
-    # quartic coefficients, ascending
-    g = np.array([1.0, w * C * beta, w * C * alpha - 2 * C,
-                  w * C * C * beta, C * C], dtype=complex)
-    roots = np.roots(g[::-1])
-
-    remaining = list(roots)
-    pairs = []
-    pair_res = 0.0
-    while remaining:
-        a = remaining.pop(0)
-        img = 1.0 / (C * a)
-        jbest = min(range(len(remaining)), key=lambda j: abs(remaining[j] - img),
-                    default=None)
-        if jbest is None:
-            pairs.append((a, a))
-            pair_res = max(pair_res, abs(img - a))
-            break
-        b = remaining.pop(jbest)
-        pairs.append((a, b))
-        pair_res = max(pair_res, abs(b - img))
-    scale = max(1.0, max(abs(r) for r in roots))
-    rep.add("root_pairing", (), pair_res <= 1e-6 * scale,
-            None if pair_res <= 1e-6 * scale else f"pairing residual {pair_res:.2e}")
-
-    def fraction(gk, gl, sign):
-        s = 1j * np.sqrt(gk * gl * C)
-        if sign < 0:
-            s = -s
-
-        def F(z):
-            return s * (z * z - 1 / C) / ((z - gk) * (z - gl))
-
-        return F
-
-    gk, gl = pairs[0][0], pairs[1][0]
-    F = fraction(gk, gl, +1)
-    D = lambda z: (w * C * (alpha * z + beta * (1 + C * z * z)) * z
-                   + (1 - C * z * z) ** 2) / (1 - C * z * z) ** 2
-
-    samples = [0.31 + 0.17j, -0.83 + 0.4j, 1.57 - 0.66j, 0.05 - 1.2j, 2.3 + 0.9j]
-    usable = [z for z in samples
-              if abs((z - gk) * (z - gl)) > 1e-6 and abs(1 - C * z * z) > 1e-6
-              and abs((1 / (C * z) - gk) * (1 / (C * z) - gl)) > 1e-6]
-    residual = max(abs(D(z) * F(z) * F(1 / (C * z)) - 1) for z in usable)
-    rep.add("unitary_product", (), residual <= tol,
-            None if residual <= tol else f"residual {residual:.2e}")
-
-    # orbit of admissible fractions: both pole representatives, both signs
-    candidates = [fraction(a, b, sg)
-                  for a in pairs[0] for b in pairs[1] for sg in (+1, -1)]
-    vals = [tuple(Fc(z) for z in usable) for Fc in candidates]
-    distinct = []
-    for v in vals:
-        if not any(max(abs(x - y) for x, y in zip(v, u)) <= 1e-6 for u in distinct):
-            distinct.append(v)
-    orbit_size = len(distinct)
-
-    r0 = np.sqrt(1 / complex(C))
-    near_fixed = sum(
-        1 for gamma in (gk, gl)
-        if min(abs(gamma - r0), abs(gamma + r0)) <= 1e-6 * scale
-    )
-    observed = 2 - near_fixed  # degree of F after cancellation
-    (pc0, pc1), (ps0, ps1) = p.c, p.s
-    expect_const = p.s_is_zero
-    expect_deg1 = bool(ps0) and bool(ps1) and pc1 * ps0 * ps0 == pc0 * ps1 * ps1
-    expected = 0 if expect_const else (1 if expect_deg1 else 2)
-    rep.add("degeneration", (), observed == expected,
-            None if observed == expected
-            else f"observed degree {observed}, criteria say {expected}")
-
-    data = {
-        "roots": [complex(r) for r in roots],
-        "pairs": [(complex(a), complex(b)) for a, b in pairs],
-        "poles": (complex(gk), complex(gl)),
-        "residual": float(residual),
-        "orbit_size": orbit_size,
-        "degree": observed,
-    }
-    return rep, data
+    D = onedim_closed_form(p, f)
+    (c0, c1), (s0, s1) = p.c, p.s
+    if p.s_is_zero:
+        expected = 0
+    elif s0 and s1 and c1 * s0 * s0 == c0 * s1 * s1:
+        expected = 1
+    else:
+        expected = 2
+    dn, dd = D.num.degree, D.den.degree
+    observed = dd // 2 if dn == dd and dd % 2 == 0 else None
+    ok = observed == expected
+    rep.add("degeneration", (), ok,
+            None if ok else
+            f"reduced degrees {dn}/{dd}, criteria say deg F = {expected}")
+    return rep, {"closed_form": D, "degree": observed}

@@ -80,10 +80,7 @@ Conventions, fixed once and relied on everywhere below:
   (``eta_bmats``) live there too.
 """
 
-import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_components
@@ -94,7 +91,8 @@ from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       generate_family, onedim_closed_form)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint, specialize
-from .series import FPoly, TruncSeries, pade_reconstruct
+from .series import (FPoly, RationalFunction, TruncSeries, _fraction_free,
+                     pade_reconstruct)
 from .spectra import factorization_check
 
 __all__ = [
@@ -868,90 +866,99 @@ def braid_compat_check(i: int, module: AffineModule,
 # -- spectra -------------------------------------------------------------------------
 
 
-def _dz_poly(p: FPoly) -> FPoly:
-    f = p.field
-    return FPoly([c * f.from_scalar(_as_scalar(k))
-                  for k, c in enumerate(p.coeffs)][1:], f)
+def _qspan(p: FPoly) -> int:
+    """Top q-exponent minus lowest over the fraction-free coefficients of
+    an exact p; additive over Z[q^+-1][z], like a degree."""
+    cs = [c for c in _fraction_free(p.coeffs) if c]
+    return (max(len(c) for c in cs) - 1
+            - min(next(e for e, x in enumerate(c) if x) for c in cs))
 
 
-def _yun_sqfree(p: FPoly):
-    """Yun decomposition [(multiplicity, square-free factor)] of an exact p."""
-    out = []
-    dp = _dz_poly(p)
-    g = p.gcd(dp)
-    c = p.divmod(g)[0]
-    d = dp.divmod(g)[0] - _dz_poly(c)
-    k = 1
-    while c.degree > 0:
-        a = c.gcd(d)
-        c = c.divmod(a)[0]
-        d = d.divmod(a)[0] - _dz_poly(c)
-        if a.degree > 0:
-            out.append((k, a))
-        k += 1
-    return out
+def _line_certificate(rf):
+    """Exact certificate rf = G(z)/G(q^2 z) over Q(q), by q^2-gcd chains
+    (Abramov's q-dispersion, 1995).  Returns (G, None) or (None, witness).
 
-
-def _numroots(cs):
-    cs = list(cs)
-    while cs and abs(cs[-1]) == 0:
-        cs.pop()
-    if len(cs) <= 1:
-        return []
-    return list(np.roots(cs[::-1]))
-
-
-def _c_roots(poly, field, q0):
-    """Nonconstant roots of a z-polynomial at q = q0.
-
-    Exact input is split into square-free factors first: a companion-matrix
-    solve loses half its working precision on a repeated root, so repeated
-    roots are extracted once, as simple roots of their factor, and then
-    replicated with their multiplicity.
+    For k = 1, 2, .. a factor g of num(z) with g(q^2k z) dividing den is a
+    zero chain, g(z)/g(q^2k z) = G(z)/G(q^2 z) with G = prod_{t<k} g(q^2t z);
+    a pole chain is the same with num and den swapped and G inverted.  Each
+    k takes g = gcd(num(z), den(q^-2k z)), then the pole-chain gcd, and
+    divides g(z) and g(q^2k z) out.  Since num and den are coprime, g(0) != 0,
+    so a link at k forces 2k <= span_q(num) + span_q(den) and the loop ends
+    there.  The left-over constant must be 1, which the final == confirms.
     """
-    if not field.exact:
-        return _numroots([complex(c) for c in poly.coeffs])
-    if poly.degree < 1:
-        return []
-    out = []
-    for mult, fac in _yun_sqfree(poly):
-        for z in _numroots([complex(specialize(c, q0)) for c in fac.coeffs]):
-            out.extend([z] * mult)
-    return out
+    f = rf.field
+    num, den = rf.num, rf.den
+    q2 = f.q * f.q
+    gparts = [FPoly.one(f), FPoly.one(f)]
+    bound = (_qspan(num) + _qspan(den)) // 2
+    k = 0
+    while 0 < num.degree == den.degree and k < bound:
+        k += 1
+        for side in (0, 1):
+            a, b = (num, den) if side == 0 else (den, num)
+            g = a.gcd(b.scale_z(q2 ** -k))
+            if g.degree < 1:
+                continue
+            g = g.scale(f.one / g.coeffs[0])
+            for t in range(k):
+                gparts[side] = gparts[side] * g.scale_z(q2 ** t)
+            a, b = a.divmod(g)[0], b.divmod(g.scale_z(q2 ** k))[0]
+            num, den = (a, b) if side == 0 else (b, a)
+    if num.degree > 0 or den.degree > 0:
+        return None, (f"not G(z)/G(q^2 z): ({num})/({den}) is left without "
+                      "q^2-chain partners")
+    G = RationalFunction(*gparts)
+    if not rf == G / G.scale_z(q2):
+        return None, (f"not G(z)/G(q^2 z): constant factor "
+                      f"{num.coeffs[0] / den.coeffs[0]}, not 1")
+    return G, None
 
 
-def _unitary_fit(rf, field, q0, tol):
-    """Fit D(z) = F(q^-1 z)/F(q z) numerically at q = q0.
+#: relative distance within which a numeric zero and pole pair off
+_PAIR_TOL = 1e-6
+#: residual below which the numeric fit accepts a line
+_FIT_TOL = 1e-9
+
+
+def _numeric_fit(rf, q0):
+    """Tolerance-based fit D(z) = F(q^-1 z)/F(q z) at q = q0, for numeric
+    lines only.  Returns (ok, residual or None, witness).
 
     A zero of D at zeta pairs with a pole at q^-2 zeta (an F-zero at
-    q^-1 zeta) or at q^2 zeta (an F-pole at q zeta); all zeros and
-    poles must pair off, and the assembled quotient must reproduce D on
-    a sample ring.  Returns (ok, residual or None, witness or None).
+    q^-1 zeta) or at q^2 zeta (an F-pole at q zeta), within _PAIR_TOL
+    relative; all zeros and poles must pair off, and the assembled quotient
+    must reproduce D on a sample ring within _FIT_TOL.
     """
-    zeros = _c_roots(rf.num, field, q0)
-    poles = _c_roots(rf.den, field, q0)
+    import numpy as np
+
+    def roots(p):
+        cs = [complex(c) for c in p.coeffs]
+        return list(np.roots(cs[::-1])) if len(cs) > 1 else []
+
+    head = f"tolerance-based at q0 = {q0:g}"
+    zeros, poles = roots(rf.num), roots(rf.den)
     if len(zeros) != len(poles):
         return False, None, (
-            f"inconclusive: {len(zeros)} zeros vs {len(poles)} poles; raise T"
+            f"inconclusive ({head}): {len(zeros)} zeros vs {len(poles)} poles; "
+            "raise T"
         )
-    q = complex(q0)
+    q = q0
     used = [False] * len(poles)
     fzeros, fpoles = [], []
     for z in sorted(zeros, key=abs):
         hit = None
         for kind, target in (("zero", z / q ** 2), ("pole", z * q ** 2)):
+            near = _PAIR_TOL * max(abs(target), 1.0)
             for m, pp in enumerate(poles):
-                if used[m]:
-                    continue
-                if abs(pp - target) <= 1e-6 * max(abs(target), 1.0):
+                if not used[m] and abs(pp - target) <= near:
                     hit = (kind, m)
                     break
             if hit:
                 break
         if hit is None:
             return False, None, (
-                f"inconclusive: zero at {z:.6g} has no pole partner at "
-                "q^-2 z or q^2 z; raise T"
+                f"inconclusive ({head}): zero at {z:.6g} has no pole partner "
+                f"at q^-2 z or q^2 z within {_PAIR_TOL:.0e}; raise T"
             )
         kind, m = hit
         used[m] = True
@@ -960,41 +967,21 @@ def _unitary_fit(rf, field, q0, tol):
         else:
             fpoles.append(z * q)
 
-    if field.exact:
-        nume = [complex(specialize(c, q0)) for c in rf.num.coeffs]
-        dene = [complex(specialize(c, q0)) for c in rf.den.coeffs]
-    else:
-        nume = [complex(c) for c in rf.num.coeffs]
-        dene = [complex(c) for c in rf.den.coeffs]
-
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     def fval(z):
-        acc = 1.0 + 0j
-        for x in fzeros:
-            acc *= 1.0 - z / x
-        for x in fpoles:
-            acc /= 1.0 - z / x
-        return acc
+        return (np.prod([1.0 - z / x for x in fzeros])
+                / np.prod([1.0 - z / x for x in fpoles]))
 
     res = 0.0
-    npts = 17
-    for k in range(npts):
-        z = 0.37 * complex(math.cos(2 * math.pi * k / npts),
-                           math.sin(2 * math.pi * k / npts))
-        dv = horner(dene, z)
+    for z in 0.37 * np.exp(2j * np.pi * np.arange(17) / 17):
+        dv = np.polyval([complex(c) for c in reversed(rf.den.coeffs)], z)
         if abs(dv) < 1e-12:
             continue
-        got = horner(nume, z) / dv
+        got = np.polyval([complex(c) for c in reversed(rf.num.coeffs)], z) / dv
         want = fval(z / q) / fval(z * q)
-        res = max(res, abs(got - want) / max(abs(got), 1.0))
-    if res > tol:
-        return False, res, f"unitary residual {res:.3e} exceeds {tol:.1e}"
-    return True, res, None
+        res = max(res, float(abs(got - want) / max(abs(got), 1.0)))
+    ok = res <= _FIT_TOL
+    verb = "within" if ok else "exceeds"
+    return ok, res, f"{head}: residual {res:.3e} {verb} {_FIT_TOL:.0e}"
 
 
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
@@ -1046,22 +1033,26 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
                 None if frep.ok else str(frep.first_failure()))
 
 
-def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
-                         q0: float = 1.3, tol: float = 1e-9):
+def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
     """Structural spectra of the grave towers, node by node.
 
     Per node: no component of any grave coefficient may lower a root
     degree; each diagonal line series must close to a rational function
     (Pade within the window), be invariant under z -> C^-1 z^-1
-    exactly, and admit a numeric quotient fit F(q^-1 z)/F(q z) at q0
-    with residual below tol.  Nonzero shifts s multiply every line by
+    exactly, and be a quotient D(z) = G(z)/G(q^2 z), G(z) = F(q^-1 z).
+    Over Q(q) that quotient is certified exactly by q^2-gcd chains
+    (``_line_certificate``), never at a sample q.  Over a numeric field
+    it is a tolerance-based root-pairing fit at the field's own q0, with
+    residual below _FIT_TOL.  Nonzero shifts s multiply every line by
     the one-dimensional character, which obeys the C-reflection
-    identity instead, so it is divided out before the quotient fit.
+    identity instead, so it is divided out before the quotient test.
     Cross-node commutativity of the towers is exact.  At N = 1 the
     towers are tied entry by entry to the rank-one machinery, which
-    remains the quantitative anchor.  Fit failures are reported as
-    inconclusive entries; raise T and retry.
-    Returns (report, data).
+    remains the quantitative anchor.  Closure failures and unpaired
+    numeric roots are reported as inconclusive entries; raise T and retry.
+    Returns (report, data): data holds the line series, their closures,
+    the certified G per exact line ("certificates") and the fit residual
+    per numeric line ("residuals").
     """
     if T is None:
         T = fam.T
@@ -1076,7 +1067,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
     rep = CheckReport(
         f"spectral towers on {module.describe()} ({p.describe()}), T = {T}"
     )
-    data = {"line_series": {}, "closures": {}, "residuals": {}}
+    data = {"line_series": {}, "closures": {}, "certificates": {}, "residuals": {}}
     multfree = len(set(g.degrees)) == g.dim
     onedim = None
     if not p.s_is_zero:
@@ -1114,11 +1105,17 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None,
             okc = rf == sym
             rep.add("csymmetry", (i, b), okc,
                     None if okc else f"line {b} is not C-symmetric")
-            oku, res, wit = _unitary_fit(rf if onedim is None else rf / onedim,
-                                         f, q0, tol)
+            line = rf if onedim is None else rf / onedim
+            if f.exact:
+                G, wit = _line_certificate(line)
+                oku = G is not None
+                if oku:
+                    data["certificates"][(i, b)] = G
+            else:
+                oku, res, wit = _numeric_fit(line, f.q0)
+                if res is not None:
+                    data["residuals"][(i, b)] = res
             rep.add("unitary_fit", (i, b), oku, wit)
-            if res is not None:
-                data["residuals"][(i, b)] = res
 
     for i in fam.typ.finite_nodes:
         for j in fam.typ.finite_nodes:

@@ -15,6 +15,12 @@ The numeric zero rule (a matrix vanishes at the scale of the matrices it
 came from) lives in ``linmat`` alone, so no other package module may read
 ``max_abs``, the scale that rule is taken at.
 
+Exact runs never leave Q(q), so the package imports numpy nowhere at
+module level, and inside a function only where the numeric-only spectral
+fit roots a polynomial (``ranka._numeric_fit``); a fresh interpreter that
+imports every module and runs an exact benchmark verdict has no numpy
+loaded.
+
 Scalar arithmetic may return one of its operands, or share an operand's
 ``num`` or ``den`` list with its result, so those lists must never be
 mutated after construction.  The mutation scan flags, in the package, any
@@ -25,6 +31,9 @@ assignment to one, and a call of a mutating list method on one.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,3 +291,70 @@ def test_only_linmat_reads_max_abs(path):
     lines = sorted(_reads(ast.parse(path.read_text(), filename=str(path)), "max_abs"))
     assert not lines, (f"{path.name} reads max_abs at lines {lines}; "
                        "compare with linmat._meq or split with degree_components")
+
+
+#: (module, enclosing function) of the only numpy imports in the package
+NUMPY_IMPORTERS = {("ranka", "_numeric_fit")}
+
+
+def _numpy_imports(tree):
+    """(enclosing module-level function or None, line) per numpy import."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFS + (ast.ClassDef,)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                yield owner, node.lineno
+
+
+def test_numpy_scan_sees_every_import_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import eig\n"
+        "import numpyish\n"
+        "def fit():\n"
+        "    import numpy\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        from numpy import roots\n"
+    )
+    assert list(_numpy_imports(tree)) == [(None, 1), (None, 2), ("fit", 5), ("K", 8)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_only_in_the_numeric_fit(path):
+    found = sorted((path.stem, owner, line)
+                   for owner, line in _numpy_imports(ast.parse(path.read_text())))
+    stray = [f for f in found if f[:2] not in NUMPY_IMPORTERS]
+    assert not stray, (f"{path.name} imports numpy at {stray}; "
+                       "exact code must not need it")
+
+
+_NO_NUMPY_RUN = """
+import importlib, pkgutil, sys
+import qonsager
+for info in pkgutil.iter_modules(qonsager.__path__):
+    importlib.import_module("qonsager." + info.name)
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+work = WORKLOADS["rank1-shift-T13"]
+params = work["variants"][0]
+stages = work["verdict"](params, work["setup"](params))
+assert all(e[2] for entries in stages.values() for e in entries), stages
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_exact_verdict_loads_no_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_RUN, str(ROOT / "perfbench")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

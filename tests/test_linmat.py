@@ -1,18 +1,16 @@
-"""Matrices, gradings and degree components, q-brackets, numeric eigenstructure."""
+"""Matrices, gradings and degree components, q-brackets, the numeric backend."""
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qonsager.errors import DomainError, NumericError
+from qonsager.errors import DomainError
 from qonsager.linmat import (
     Grading,
     Matrix,
     ProductMemo,
     degree_components,
-    generalized_eigenspaces,
     qbracket,
 )
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, qint
@@ -292,40 +290,6 @@ def test_degree_components_vanish_at_the_operator_scale():
 # ------------------------------------------------------------------ numeric
 
 
-def test_generalized_eigenspaces_diagonalizable():
-    rng = np.random.default_rng(7)
-    S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    D = np.diag([2.0, 2.0, -1.0, 0.5])
-    A = S @ D @ np.linalg.inv(S)
-    spaces = generalized_eigenspaces(A, tol=1e-9)
-    assert [(round(w.real, 6), m) for w, m, _ in spaces] == [
-        (-1.0, 1),
-        (0.5, 1),
-        (2.0, 2),
-    ]
-    for w, m, basis in spaces:
-        resid = np.linalg.norm(
-            np.linalg.matrix_power(A - w * np.eye(4), m) @ basis
-        )
-        assert resid <= 1e-6
-
-
-def test_generalized_eigenspaces_jordan_block():
-    # nontrivial Jordan structure: nilpotent rank-1 perturbation
-    J = np.array([[3.0, 1.0], [0.0, 3.0]])
-    spaces = generalized_eigenspaces(J)
-    assert len(spaces) == 1
-    w, m, basis = spaces[0]
-    assert abs(w - 3.0) < 1e-9 and m == 2
-    assert basis.shape == (2, 2)
-
-
-def test_generalized_eigenspaces_ill_conditioned():
-    A = np.diag([1.0, 1.0 + 5e-6])
-    with pytest.raises(NumericError):
-        generalized_eigenspaces(A, tol=1e-9)
-
-
 def test_numeric_matrix_roundtrip():
     nf = NumericField(1.3)
     K = Matrix.diagonal([nf.q, 1 / nf.q], nf)
@@ -333,5 +297,3 @@ def test_numeric_matrix_roundtrip():
     got = qbracket(K, E, nf.one)
     expected = E.scale(nf.q - 1 / nf.q)
     assert (got - expected).is_zero()
-    arr = K.to_ndarray()
-    assert arr.shape == (2, 2) and arr[0, 0] == pytest.approx(1.3)

@@ -27,7 +27,7 @@ from qonsager.onsager import (
     generate_family,
     onedim_character,
     onedim_closed_form,
-    onedim_drf_numeric,
+    onedim_drf,
     rationality_check,
     tau_dual_check,
     verify_presentation,
@@ -313,38 +313,74 @@ def test_numeric_theta_commute_at_their_scale():
         assert _meq(H[m - 1], fam.H[1][m], nf) == (True, None), m
 
 
-# --------------------------------------------------------------- numeric DRF
+# ----------------------------------------------------------------- exact DRF
 
 
-def test_drf_numeric_generic():
-    rep, data = onedim_drf_numeric(P("1", "1", "1", "q"), q0=1.3)
+def test_drf_generic():
+    rep, data = onedim_drf(P("1", "1", "1", "q"))
     assert rep.ok, rep.summary()
-    assert data["residual"] <= 1e-8
+    assert [e.name for e in rep.entries] == ["reciprocity", "degeneration"]
+    D = data["closed_form"]
+    assert (D.num.degree, D.den.degree) == (4, 4)
     assert data["degree"] == 2
-    assert data["orbit_size"] == 8
 
 
-def test_drf_numeric_constant_case():
-    rep, data = onedim_drf_numeric(P("1", "q^2", "0", "0"), q0=1.3)
+def test_drf_constant_case():
+    rep, data = onedim_drf(P("1", "q^2", "0", "0"))
     assert rep.ok, rep.summary()
+    assert str(data["closed_form"]) == "1"
     assert data["degree"] == 0
-    assert data["orbit_size"] == 2
 
 
-def test_drf_numeric_degree_one_case():
-    # s0/s1 = sqrt(c0/c1) forces one pole pair onto the fixed locus
-    rep, data = onedim_drf_numeric(P("1", "1", "1", "1"), q0=1.3)
+def test_drf_degree_one_case():
+    # s0/s1 = sqrt(c0/c1) puts one root pair of the quartic on the fixed
+    # locus z^2 = C^-1, where it cancels against the denominator
+    rep, data = onedim_drf(P("1", "1", "1", "1"))
     assert rep.ok, rep.summary()
+    D = data["closed_form"]
+    assert (D.num.degree, D.den.degree) == (2, 2)
     assert data["degree"] == 1
 
 
-@settings(max_examples=15, deadline=None)
-@given(
+def test_drf_damaged_quartic_fails_reciprocity(monkeypatch):
+    quartic = onsager._onedim_quartic
+
+    def damaged(ctx):
+        N = quartic(ctx)
+        return FPoly([N.coeffs[0], N.coeffs[1] + ctx.field.one] + N.coeffs[2:],
+                     ctx.field)
+
+    monkeypatch.setattr(onsager, "_onedim_quartic", damaged)
+    rep, _ = onedim_drf(P("1", "1", "1", "q"))
+    entry = rep.entries[0]
+    assert entry.name == "reciprocity" and not entry.ok
+
+
+_ONEDIM_GRID = dict(
     c0=st.sampled_from(["1", "q", "q^2", "2"]),
     c1=st.sampled_from(["1", "q^-1", "3"]),
     s0=st.sampled_from(["0", "1", "q"]),
     s1=st.sampled_from(["0", "1", "1+q"]),
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_ONEDIM_GRID)
+def test_drf_degeneration_criteria(c0, c1, s0, s1):
+    rep, data = onedim_drf(P(c0, c1, s0, s1))
+    assert rep.ok, rep.summary()
+    c0, c1, s0, s1 = map(parse_scalar, (c0, c1, s0, s1))
+    if not s0 and not s1:
+        want = 0
+    elif s0 and s1 and c1 * s0 * s0 == c0 * s1 * s1:
+        want = 1
+    else:
+        want = 2
+    assert data["degree"] == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_ONEDIM_GRID)
 def test_random_onedim_presentations(c0, c1, s0, s1):
     fam = onedim(P(c0, c1, s0, s1), T=3)
     rep = verify_presentation(fam, rwin=1, mmax=1)

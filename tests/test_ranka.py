@@ -52,6 +52,7 @@ from qonsager.ranka import (
 )
 from qonsager.scalars import (ExactField, NumericField, Q, Scalar, parse_scalar,
                               specialize)
+from qonsager.series import FPoly, RationalFunction
 
 F = ExactField()
 
@@ -859,12 +860,18 @@ def test_spectral_structure_rank_two():
     rep, data = rankn_spectral_check(fam, T=6)
     assert rep.ok, rep.summary()
     # node 1, top line: (1 - q^3 z)^2 / ((1 - q z)(1 - q^5 z)) frozen
-    from qonsager.series import FPoly, RationalFunction
     f = fam.field
     num = FPoly([f.one, parse_scalar("-2q^3"), parse_scalar("q^6")], f)
     den = FPoly([f.one, parse_scalar("-q^5-q"), parse_scalar("q^6")], f)
     assert data["closures"][1][0] == RationalFunction(num, den)
-    assert max(data["residuals"].values()) < 1e-9
+    # certified exactly as G(z)/G(q^2 z) with G = (1 - q^3 z)/(1 - q z)
+    G = RationalFunction(FPoly([f.one, -Q ** 3], f), FPoly([f.one, -Q], f))
+    assert data["certificates"][(1, 0)] == G
+    assert data["residuals"] == {}
+    # the same closure damaged in one coefficient has no certificate
+    num = data["closures"][1][0].num.coeffs
+    damaged = RationalFunction(FPoly([num[0], num[1] + Scalar(1)] + num[2:], F), den)
+    assert ranka._line_certificate(damaged)[0] is None
 
 
 def test_spectral_structure_rank_three():
@@ -945,6 +952,45 @@ def test_numeric_spectral_verdicts_are_the_exact_ones(case):
     exact = entries(None)
     assert entries(NumericField(1.3)) == exact
     assert exact and all(ok for *_, ok in exact)
+
+
+def _rf(num, den):
+    """num/den from ascending z-coefficient strings, over Q(q)."""
+    return RationalFunction(FPoly([parse_scalar(c) for c in num], F),
+                            FPoly([parse_scalar(c) for c in den], F))
+
+
+_CHAIN = ("1", "-q-q^3-q^5", "q^4+q^6+q^8", "-q^9")  # (1 - qz)(1 - q^3 z)(1 - q^5 z)
+
+
+@pytest.mark.parametrize("line, G", [
+    ((("1", "-q"), ("1", "-q^7")), (_CHAIN, ("1",))),
+    ((("1", "-q^7"), ("1", "-q")), (("1",), _CHAIN)),
+], ids=["three-link-zero-chain", "three-link-pole-chain"])
+def test_line_certificate_accepts(line, G):
+    got, wit = ranka._line_certificate(_rf(*line))
+    assert wit is None and got == _rf(*G)
+
+
+@pytest.mark.parametrize("num, den", [
+    (("1", "-q^3"), ("1", "-q^4")),
+    (("1", "-2"), ("1", "-3")),
+    (("2", "-2q"), ("1", "-q^3")),
+], ids=["odd-dispersion", "no-q-chain", "constant-2"])
+def test_line_certificate_rejects(num, den):
+    got, wit = ranka._line_certificate(_rf(num, den))
+    assert got is None and wit
+
+
+def test_numeric_fit_reads_the_field_q0():
+    # the fit pairs roots at the q0 the entries were computed at, not 1.3
+    mod = build_vector_evaluation(3, parse_scalar("q^2"), field=NumericField(1.7))
+    fam = generate_rankn_family(mod, P(("1", "1", "1", "1")), T=6, R=6)
+    rep, data = rankn_spectral_check(fam, T=6)
+    fit = [e for e in rep.entries if e.name == "unitary_fit"]
+    assert len(fit) == 12 and all(e.ok for e in fit), rep.summary()
+    assert all("tolerance-based at q0 = 1.7+0j" in e.witness for e in fit)
+    assert len(data["residuals"]) == 12 and not data["certificates"]
 
 
 def test_spectral_window_guard():
