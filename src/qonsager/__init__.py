@@ -30,7 +30,6 @@ from .scalars import (
     qbinom,
     qfact,
     qint,
-    scalar_sqrt,
     specialize,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "qint",
     "qfact",
     "qbinom",
-    "scalar_sqrt",
     "specialize",
     "__version__",
 ]

@@ -165,7 +165,7 @@ class Matrix:
 
     def __pow__(self, k):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise DomainError(f"negative matrix power {k}: no inverse is kept")
         out = Matrix.identity(self.n, self.field)
         base = self
         while k:
@@ -219,38 +219,6 @@ class Matrix:
                     yield i, j, a
 
     # -- solved forms ----------------------------------------------------------
-
-    def inverse(self):
-        if self.n != self.m:
-            raise DomainError("inverting a non-square matrix")
-        f = self.field
-        n = self.n
-        a = [list(r) for r in self.rows]
-        b = [list(r) for r in Matrix.identity(n, f).rows]
-        for col in range(n):
-            piv = None
-            if f.exact:
-                for i in range(col, n):
-                    if a[i][col]:
-                        piv = i
-                        break
-            else:
-                piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-                if f.is_zero(a[piv][col]):
-                    piv = None
-            if piv is None:
-                raise DomainError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = f.one / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    c = a[i][col]
-                    a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-                    b[i] = [x - c * y for x, y in zip(b[i], b[col])]
-        return Matrix(b, f)
 
     def charpoly(self):
         """Monic characteristic polynomial, coefficients descending in λ,

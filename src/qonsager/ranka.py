@@ -20,9 +20,9 @@ Conventions, fixed once and relied on everywhere below:
 
       E_0 = a e_{N, 0},   F_0 = a^-1 e_{0, N},   K_0 = (K_1 .. K_N)^-1.
 
-  Basis weights are read back from the K_i eigenvalues relative to e_0;
-  the differences must have integer coordinates in the simple roots or
-  the construction refuses the module (``grading`` stores them).
+  Relative to e_0, e_b has weight -(alpha_1 + .. + alpha_b) in
+  simple-root coordinates, which ``grading`` stores in closed form; the
+  purity entries of the presentation suite certify it against E and F.
 
 * Coideal seeds.  B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1 per node j in
   I, with central dressings KK_j evaluating to q^2 c_j and
@@ -90,7 +90,7 @@ from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       _grow_family, _theta_exchange, eta_bmats,
                       generate_family, onedim_closed_form)
 from .report import CheckReport
-from .scalars import ExactField, ONE, Q, Scalar, qint, specialize
+from .scalars import ExactField, ONE, Q, Scalar, qint
 from .series import (FPoly, RationalFunction, TruncSeries, _fraction_free,
                      pade_reconstruct)
 from .spectra import factorization_check
@@ -196,62 +196,14 @@ def omega_prime_word(i: int, N: int) -> WeylWord:
 # -- vector evaluation ------------------------------------------------------------
 
 
-def _q_power_of(s: Scalar):
-    """k with s = q^k exactly, else None."""
-    dn, dd = s.degree_pair()
-    k = dn - dd
-    return k if s == Q ** k else None
-
-
-def _root_degrees_from_k(kdiags, N: int):
-    """Basis weights relative to basis vector 0, in root coordinates.
-
-    ``kdiags[i-1][b]`` is the exact K_i eigenvalue on basis vector b.
-    The eigenvalue exponents pair weights against the coroots; the
-    finite Cartan matrix converts differences to root coordinates,
-    which must be integers.
-    """
-    dim = len(kdiags[0])
-    pair = []
-    for b in range(dim):
-        row = []
-        for i in range(N):
-            k = _q_power_of(kdiags[i][b])
-            if k is None:
-                raise DomainError(
-                    f"K_{i + 1} eigenvalue {kdiags[i][b]} on basis vector {b} "
-                    "is not a power of q"
-                )
-            row.append(k)
-        pair.append(row)
-    cart = Matrix.zeros(N, N, _EXACT)
-    for i in range(N):
-        for j in range(N):
-            cart.rows[i][j] = Scalar(2 if i == j else (-1 if abs(i - j) == 1 else 0))
-    cinv = cart.inverse()
-    degrees = []
-    for b in range(dim):
-        diff = [Scalar(pair[b][i] - pair[0][i]) for i in range(N)]
-        coords = []
-        for i in range(N):
-            x = sum((cinv.rows[i][j] * diff[j] for j in range(N)), Scalar(0))
-            k = round(specialize(x, 2.0).real)
-            if x != Scalar(k):
-                raise DomainError(
-                    f"weight of basis vector {b} escapes the root lattice "
-                    f"(coordinate {i} is {x}); refusing the module"
-                )
-            coords.append(k)
-        degrees.append(tuple(coords))
-    return Grading(degrees)
-
-
 def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> AffineModule:
     """The evaluation module W_N(a) on field^(N+1), gauge as in the header.
 
-    Assembled exactly, graded by the weights read back from the K_i,
-    then mapped into the requested field.  ``certify`` runs the full
-    presentation suite and raises ConstructionError on any failure.
+    Assembled exactly, graded in closed form (e_b sits at
+    -(alpha_1 + .. + alpha_b)), then mapped into the requested field.
+    ``certify`` runs the full presentation suite, whose purity entries
+    certify that grading against E and F, and raises ConstructionError
+    on any failure.
     """
     typ = AffineTypeA(N)
     a = _as_scalar(a)
@@ -268,33 +220,29 @@ def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> Affi
 
     E = {}
     F = {}
-    K = {}
+    kdiag = {}  # the diagonal of each K_j
     for i in range(1, N + 1):
         E[i] = unit(i - 1, i)
         F[i] = unit(i, i - 1)
         diag = [ONE] * dim
         diag[i - 1] = Q
         diag[i] = qi
-        K[i] = Matrix.diagonal(diag, _EXACT)
+        kdiag[i] = diag
     E[0] = unit(N, 0, a)
     F[0] = unit(0, N, ONE / a)
     diag0 = [ONE] * dim
     diag0[0] = qi
     diag0[N] = Q
-    K[0] = Matrix.diagonal(diag0, _EXACT)
-
-    grading = _root_degrees_from_k(
-        [[K[i].rows[b][b] for b in range(dim)] for i in range(1, N + 1)], N
-    )
+    kdiag[0] = diag0
 
     M = AffineModule(typ, f)
     M.dim = dim
     for j in typ.nodes:
         M.E[j] = E[j].map_entries(f.from_scalar, f)
         M.F[j] = F[j].map_entries(f.from_scalar, f)
-        M.Kc[j] = K[j].map_entries(f.from_scalar, f)
-        M.Kcinv[j] = K[j].inverse().map_entries(f.from_scalar, f)
-    M.grading = grading
+        M.Kc[j] = Matrix.diagonal([f.from_scalar(x) for x in kdiag[j]], f)
+        M.Kcinv[j] = Matrix.diagonal([f.from_scalar(ONE / x) for x in kdiag[j]], f)
+    M.grading = Grading([(-1,) * b + (0,) * (N - b) for b in range(dim)])
     M.meta = {"name": f"W_{N}({a})", "builder": "build_vector_evaluation", "a": a}
     if certify:
         _refuse_failure(M, verify_affine_presentation(M))
@@ -916,18 +864,16 @@ def _line_certificate(rf):
 
 #: relative distance within which a numeric zero and pole pair off
 _PAIR_TOL = 1e-6
-#: residual below which the numeric fit accepts a line
-_FIT_TOL = 1e-9
 
 
-def _numeric_fit(rf, q0):
-    """Tolerance-based fit D(z) = F(q^-1 z)/F(q z) at q = q0, for numeric
-    lines only.  Returns (ok, residual or None, witness).
+def _numeric_fit(rf, field):
+    """Tolerance-based fit D(z) = F(q^-1 z)/F(q z) at the numeric field's
+    q0, for numeric lines only.  Returns (ok, residual or None, witness).
 
     A zero of D at zeta pairs with a pole at q^-2 zeta (an F-zero at
     q^-1 zeta) or at q^2 zeta (an F-pole at q zeta), within _PAIR_TOL
     relative; all zeros and poles must pair off, and the assembled quotient
-    must reproduce D on a sample ring within _FIT_TOL.
+    must reproduce D on a sample ring within the field's tol.
     """
     import numpy as np
 
@@ -935,14 +881,14 @@ def _numeric_fit(rf, q0):
         cs = [complex(c) for c in p.coeffs]
         return list(np.roots(cs[::-1])) if len(cs) > 1 else []
 
-    head = f"tolerance-based at q0 = {q0:g}"
+    q, tol = field.q0, field.tol
+    head = f"tolerance-based at q0 = {q:g}"
     zeros, poles = roots(rf.num), roots(rf.den)
     if len(zeros) != len(poles):
         return False, None, (
             f"inconclusive ({head}): {len(zeros)} zeros vs {len(poles)} poles; "
             "raise T"
         )
-    q = q0
     used = [False] * len(poles)
     fzeros, fpoles = [], []
     for z in sorted(zeros, key=abs):
@@ -979,9 +925,9 @@ def _numeric_fit(rf, q0):
         got = np.polyval([complex(c) for c in reversed(rf.num.coeffs)], z) / dv
         want = fval(z / q) / fval(z * q)
         res = max(res, float(abs(got - want) / max(abs(got), 1.0)))
-    ok = res <= _FIT_TOL
+    ok = res <= tol
     verb = "within" if ok else "exceeds"
-    return ok, res, f"{head}: residual {res:.3e} {verb} {_FIT_TOL:.0e}"
+    return ok, res, f"{head}: residual {res:.3e} {verb} {tol:.0e}"
 
 
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
@@ -1043,8 +989,8 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
     Over Q(q) that quotient is certified exactly by q^2-gcd chains
     (``_line_certificate``), never at a sample q.  Over a numeric field
     it is a tolerance-based root-pairing fit at the field's own q0, with
-    residual below _FIT_TOL.  Nonzero shifts s multiply every line by
-    the one-dimensional character, which obeys the C-reflection
+    residual below the field's tol.  Nonzero shifts s multiply every line
+    by the one-dimensional character, which obeys the C-reflection
     identity instead, so it is divided out before the quotient test.
     Cross-node commutativity of the towers is exact.  At N = 1 the
     towers are tied entry by entry to the rank-one machinery, which
@@ -1112,7 +1058,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
                 if oku:
                     data["certificates"][(i, b)] = G
             else:
-                oku, res, wit = _numeric_fit(line, f.q0)
+                oku, res, wit = _numeric_fit(line, f)
                 if res is not None:
                     data["residuals"][(i, b)] = res
             rep.add("unitary_fit", (i, b), oku, wit)

@@ -60,16 +60,13 @@ at poles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from ._kernel import (
     padd,
     pdiv_exact,
     pgcd,
     pmul,
-    pmul_int,
     pneg,
-    pprim,
     pshift,
     psub,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "qbinom",
     "parse_scalar",
     "specialize",
-    "scalar_sqrt",
     "ExactField",
     "NumericField",
     "DEFAULT_Q0",
@@ -252,10 +248,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar('{self}')"
-
-    def degree_pair(self):
-        """(deg num, deg den), with deg 0-polynomial = -1."""
-        return len(self.num) - 1, len(self.den) - 1
 
 
 def _reduce(num, den):
@@ -540,55 +532,6 @@ def _horner(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-# -- exact square roots --------------------------------------------------------
-
-
-def scalar_sqrt(s: Scalar):
-    """Exact square root in Q(q), or None when s is not a perfect square.
-
-    The returned root has a positive leading numerator coefficient.
-    """
-    if not s.num:
-        return ZERO
-    m = pmul(s.num, s.den)
-    c, p = pprim(m)
-    if p[-1] < 0:
-        return None
-    t = isqrt(c)
-    if t * t != c:
-        return None
-    root = _poly_sqrt(p)
-    if root is None:
-        return None
-    return Scalar(pmul_int(root, t), list(s.den))
-
-
-def _poly_sqrt(p):
-    """Integer square root of a primitive polynomial, or None."""
-    d = len(p) - 1
-    if d % 2:
-        return None
-    m = d // 2
-    s0 = isqrt(p[-1])
-    if s0 * s0 != p[-1]:
-        return None
-    # solve descending: s_k = (p_k - sum_{0<i<k} s_i s_{k-i}) / (2 s_0)
-    pd = list(reversed(p))
-    sd = [s0] + [0] * m
-    for k in range(1, m + 1):
-        acc = pd[k]
-        for i in range(1, k):
-            acc -= sd[i] * sd[k - i]
-        val, rem = divmod(acc, 2 * s0)
-        if rem:
-            return None
-        sd[k] = val
-    root = list(reversed(sd))
-    if pmul(root, root) != p:
-        return None
-    return root
 
 
 # -- coefficient backends -------------------------------------------------------

@@ -43,7 +43,6 @@ __all__ = [
     "FPoly",
     "RationalFunction",
     "pade_reconstruct",
-    "expand_at_infinity",
     "solve_linear",
 ]
 
@@ -726,10 +725,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
-
-
-def expand_at_infinity(f: RationalFunction, T) -> TruncSeries:
-    return f.expand_at_infinity(T)
 
 
 # -- exact linear solving and Pade reconstruction --------------------------------

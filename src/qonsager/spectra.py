@@ -12,7 +12,9 @@ components of matrices.  On top of that this module provides
     an l-weight line, with the reversal/twisted-reversal transforms and
     the boundary polynomials built from them,
   * the associated rational fraction F with its ratio and twisted
-    unitarity identities, bundled per line into DRFReport,
+    unitarity identities, bundled per line into DRFReport; unitarity
+    fixes F's prefactor only up to sign, so F keeps its square, which
+    lies in Q(q) for every C and degree,
   * the group-like behaviour of the Theta tower for nonzero shifts and on
     tensor products, and the three-term coproduct form of the raising
     half of the ladder.
@@ -36,7 +38,6 @@ from .onsager import (
     onedim_closed_form,
 )
 from .report import CheckReport
-from .scalars import scalar_sqrt, specialize
 from .series import FPoly, RationalFunction, solve_linear
 
 __all__ = [
@@ -347,46 +348,30 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
 
 @dataclass
 class DRF:
-    """F(z) = gamma^-1 C^(deg/2) BQ(z) / BQ_dag(z).
+    """F(z) = gamma^-1 C^(deg/2) BQ(z) / BQ_dag(z), kept exact in Q(q).
 
-    The half power of C is kept exact when the degree is even or C is a
-    perfect square; otherwise prefactor is None, numeric_fallback is set
-    and prefactor_numeric carries the specialized value.
+    Twisted unitarity fixes the prefactor gamma^-1 C^(deg/2) only up to
+    sign, so the exact datum is its square, prefactor_sq = gamma^-2 C^deg,
+    which needs no half power of C.
     """
 
     num: FPoly
     den: FPoly
     gamma: object
-    prefactor: object | None
-    prefactor_numeric: complex | None
-    numeric_fallback: bool
+    prefactor_sq: object
 
     def __str__(self):
-        pref = self.prefactor if self.prefactor is not None \
-            else f"~{self.prefactor_numeric}"
-        return f"({pref}) * ({self.num}) / ({self.den})"
+        return f"sqrt({self.prefactor_sq}) * ({self.num}) / ({self.den})"
 
 
-def _half_power(C, d: int, f, q0):
-    """(C^(d/2) or None, numeric value, fallback flag)."""
-    if d % 2 == 0:
-        return C ** (d // 2), None, False
-    if not f.exact:
-        return C ** (d / 2), None, False
-    r = scalar_sqrt(C)
-    if r is not None:
-        return r ** d, None, False
-    return None, complex(specialize(C, q0)) ** (d / 2), True
-
-
-def drf_extract(bq: FPoly, bqdag: FPoly, C, q0: complex = 1.3, dseries=None):
+def drf_extract(bq: FPoly, bqdag: FPoly, C, dseries=None):
     """The rational fraction of a boundary pair, with its two identities.
 
     Verifies, as identities of rational functions,
       * ratio: BQ(q^-1 z) BQ_dag(q z) / (BQ(q z) BQ_dag(q^-1 z)) equals
         F(q^-1 z) / F(q z) — the diagonal series in its regrouped form;
       * twisted unitarity: F(q C^-1 z^-1) F(q^-1 z) = 1, checked with the
-        prefactor squared (gamma^-2 C^deg), which needs no half power.
+        prefactor squared (gamma^-2 C^deg), the one F keeps.
     When dseries is given (an ascending coefficient list, e.g. the grave
     tower's diagonal on the line) its match against the ratio's expansion
     at zero is reported as factorization_diagonal.  Returns (report, DRF).
@@ -400,27 +385,19 @@ def drf_extract(bq: FPoly, bqdag: FPoly, C, q0: complex = 1.3, dseries=None):
             else f"deg {bq.degree} vs {bqdag.degree}")
     d = bq.degree
     gamma = bq.coeff(d)
-    pref, prefn, fallback = _half_power(C, d, f, q0)
-    drf = DRF(bq, bqdag, gamma,
-              None if fallback else (f.one / gamma) * pref,
-              None if not fallback else prefn / complex(specialize(gamma, q0)),
-              fallback)
+    drf = DRF(bq, bqdag, gamma, (f.one / (gamma * gamma)) * C ** d)
 
     q = f.q
     qi = f.one / q
     ratio = RationalFunction(bq.scale_z(qi) * bqdag.scale_z(q),
                              bq.scale_z(q) * bqdag.scale_z(qi))
-    fratio = (RationalFunction(bq.scale_z(qi), bqdag.scale_z(qi))
-              / RationalFunction(bq.scale_z(q), bqdag.scale_z(q)))
-    rep.add("d_identity", (), ratio == fratio)
 
     if bq.degree == bqdag.degree:
         # z^-deg factors of the reversals cancel only at equal degrees
         alpha = q * (f.one / C)
         lhs = bq.scale_z(alpha).reverse() * bq.scale_z(qi)
         rhs = bqdag.scale_z(alpha).reverse() * bqdag.scale_z(qi)
-        gam2 = (f.one / (gamma * gamma)) * C ** d
-        ok = lhs.scale(gam2) == rhs
+        ok = lhs.scale(drf.prefactor_sq) == rhs
         rep.add("twisted_unitarity", (), ok)
     else:
         rep.add("twisted_unitarity", (), False, "degree mismatch")
@@ -474,13 +451,8 @@ class DRFReport:
             out["F"] = {
                 "num": _coeffs_out(self.F.num, f),
                 "den": _coeffs_out(self.F.den, f),
-                "numeric_fallback": self.F.numeric_fallback,
+                "prefactor_squared": _scalar_out(self.F.prefactor_sq, f),
             }
-            if self.F.prefactor is not None:
-                out["F"]["prefactor"] = _scalar_out(self.F.prefactor, f)
-            else:
-                p = self.F.prefactor_numeric
-                out["F"]["prefactor_numeric"] = [p.real, p.imag]
         return out
 
 

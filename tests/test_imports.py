@@ -19,7 +19,11 @@ Exact runs never leave Q(q), so the package imports numpy nowhere at
 module level, and inside a function only where the numeric-only spectral
 fit roots a polynomial (``ranka._numeric_fit``); a fresh interpreter that
 imports every module and runs an exact benchmark verdict has no numpy
-loaded.
+loaded.  For the same reason ``specialize``, which evaluates a Scalar at a
+sample q0, is read only in ``scalars`` (where the numeric backend maps
+exact constants into its field) and in ``series`` (where the Pade numeric
+screen only rejects candidates); no exact verdict or grading is read back
+from a sample value.
 
 Scalar arithmetic may return one of its operands, or share an operand's
 ``num`` or ``den`` list with its result, so those lists must never be
@@ -291,6 +295,30 @@ def test_only_linmat_reads_max_abs(path):
     lines = sorted(_reads(ast.parse(path.read_text(), filename=str(path)), "max_abs"))
     assert not lines, (f"{path.name} reads max_abs at lines {lines}; "
                        "compare with linmat._meq or split with degree_components")
+
+
+#: the only package modules that evaluate a Scalar at a sample q0
+SPECIALIZE_READERS = frozenset(("scalars", "series"))
+
+
+def test_read_scan_sees_every_specialize_form():
+    tree = ast.parse(
+        "from .scalars import specialize\n"
+        "x = specialize(s, 2.0)\n"
+        "y = scalars.specialize(s, q0)\n"
+        "def f(v=specialize): pass\n"
+        "specialized = 1\n"
+    )
+    assert sorted(_reads(tree, "specialize")) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.stem not in SPECIALIZE_READERS],
+                         ids=lambda p: p.name)
+def test_specialize_only_in_scalars_and_series(path):
+    lines = sorted(_reads(ast.parse(path.read_text(), filename=str(path)), "specialize"))
+    assert not lines, (f"{path.name} reads specialize at lines {lines}; "
+                       "exact code must not leave Q(q)")
 
 
 #: (module, enclosing function) of the only numpy imports in the package

@@ -455,6 +455,27 @@ def test_rank_one_gauge_bridge():
         assert (mod.Kc[j] - V.Kc[j]).is_zero()
 
 
+@pytest.mark.parametrize("N", range(1, 7))
+def test_vector_module_grading_closed_form(N):
+    # e_b sits at -(alpha_1 + .. + alpha_b), and pairing that weight with
+    # the coroots reproduces the K_i eigenvalues relative to e_0
+    mod = W(N, "q^2")
+    degrees = mod.grading.degrees
+    assert degrees == [(-1,) * b + (0,) * (N - b) for b in range(N + 1)]
+    for i in range(1, N + 1):
+        for b in range(N + 1):
+            pair = sum(mod.typ.cartan(i, j) * degrees[b][j - 1] for j in range(1, N + 1))
+            assert mod.Kc[i].rows[b][b] / mod.Kc[i].rows[0][0] == Q ** pair
+
+
+def test_vector_module_swapped_degrees_fail_purity():
+    mod = build_vector_evaluation(3, parse_scalar("q"), certify=False)
+    degrees = mod.grading.degrees
+    degrees[1], degrees[2] = degrees[2], degrees[1]
+    rep = verify_affine_presentation(mod)
+    assert {name for name, _ in fails(rep)} == {"purity_e", "purity_f"}
+
+
 def test_tensor_module_certifies_and_grades():
     t = W(1, "q").tensor(W(1, "q^5"))
     assert t.dim == 4 and t.certified
@@ -991,6 +1012,19 @@ def test_numeric_fit_reads_the_field_q0():
     assert len(fit) == 12 and all(e.ok for e in fit), rep.summary()
     assert all("tolerance-based at q0 = 1.7+0j" in e.witness for e in fit)
     assert len(data["residuals"]) == 12 and not data["certificates"]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7])
+def test_numeric_fit_reads_the_field_tol(tol):
+    # W_2(q), c = 1, T = 8 at q0 = 1.3: the top node-1 line fits with a
+    # residual of about 7.1e-8, between the two tolerances
+    mod = build_vector_evaluation(2, parse_scalar("q"), field=NumericField(1.3, tol=tol))
+    fam = generate_rankn_family(mod, P(("1", "1", "1")), T=8, R=8)
+    rep, data = rankn_spectral_check(fam, T=8)
+    fit = {e.indices: e for e in rep.entries if e.name == "unitary_fit"}
+    assert 1e-9 < data["residuals"][(1, 0)] < 1e-7
+    assert fit[(1, 0)].ok is (tol > 1e-8)
+    assert all(e.witness.endswith(f"{tol:.0e}") for e in fit.values())
 
 
 def test_spectral_window_guard():

@@ -26,7 +26,6 @@ from qonsager.scalars import (
     qbinom,
     qfact,
     qint,
-    scalar_sqrt,
     specialize,
 )
 
@@ -318,25 +317,6 @@ def test_numeric_field_guards():
         NumericField(0.0)
     f = NumericField(1.3)
     assert f.eq(f.qint(2), 1.3 + 1 / 1.3)
-
-
-# ---------------------------------------------------------------- square roots
-
-
-@given(scalars())
-def test_sqrt_of_square(s):
-    r = scalar_sqrt(s * s)
-    assert r is not None
-    assert r == s or r == -s
-
-
-def test_sqrt_non_squares():
-    assert scalar_sqrt(Q) is None
-    assert scalar_sqrt(Q**2 + 1) is None
-    assert scalar_sqrt(-(Q**2)) is None
-    assert scalar_sqrt(Scalar(2)) is None
-    assert scalar_sqrt(ZERO) == ZERO
-    assert scalar_sqrt(Q**4) == Q**2
 
 
 # ---------------------------------------------------------------- kernel

@@ -322,8 +322,7 @@ def test_factorization_gauge_independent():
 def test_drf_extract_trivial():
     rep, drf = drf_extract(fpoly(1), fpoly(1), q**4)
     assert rep.ok
-    assert not drf.numeric_fallback
-    assert F.eq(drf.prefactor, one)
+    assert drf.prefactor_sq == one
 
 
 def test_drf_extract_v1_pipeline():
@@ -333,7 +332,7 @@ def test_drf_extract_v1_pipeline():
     for r in reports:
         assert r.ok, (r.label, r.verdicts, r.witnesses)
         assert r.bq.degree == r.bqdag.degree == 1
-        assert not r.F.numeric_fallback
+        assert r.F.prefactor_sq == q**4 / (r.gamma * r.gamma)
     # top line: Q = 1 - az, R = 1 with a = q, C = q^4
     top = reports[0]
     assert top.Q == fpoly(1, "-q") and top.R == fpoly(1)
@@ -351,7 +350,9 @@ def test_drf_reports_serialize():
 
     reports = drf_reports(fam_on(P0, V(1, "q^-1")))
     blob = json.dumps([r.to_dict() for r in reports], sort_keys=True)
-    assert json.loads(blob)[0]["verdicts"]["twisted_unitarity"] is True
+    top = json.loads(blob)[0]
+    assert top["verdicts"]["twisted_unitarity"] is True
+    assert top["F"]["prefactor_squared"] == str(reports[0].F.prefactor_sq)
 
 
 def test_drf_extract_swapped_pair_still_passes():
@@ -370,19 +371,20 @@ def test_drf_extract_rejects_unpaired_polynomials():
     rep, _ = drf_extract(fpoly(1, -1), fpoly(1, -1), q**4)
     verdicts = {e.name: e.ok for e in rep.entries}
     assert verdicts["twisted_unitarity"] is False
-    assert verdicts["d_identity"] is True
 
 
-def test_drf_extract_numeric_fallback_flag():
-    # C = q^5 has no square root in Q(q); odd degree forces the flag
+def test_drf_extract_odd_degree_keeps_prefactor_squared():
+    # C = q^5 has no square root in Q(q) and the degree is odd, so the
+    # prefactor gamma^-1 C^(1/2) is not in Q(q); its square is
     C = q**5
     Qp = FPoly([one, -parse_scalar("q")], F)
     bq, bqd = boundary_poly(Qp, fpoly(1), C)
+    assert bq.degree == 1
     rep, drf = drf_extract(bq, bqd, C)
-    assert drf.numeric_fallback and drf.prefactor is None
-    assert drf.prefactor_numeric is not None
-    # the identities never needed the half power
     assert rep.ok
+    gamma = bq.coeff(1)
+    assert drf.gamma == gamma
+    assert drf.prefactor_sq == C / (gamma * gamma)
 
 
 # ------------------------------------------------------------------ group-like
