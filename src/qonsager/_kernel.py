@@ -17,10 +17,14 @@ its true coefficients lie in that range: each caller picks s from a bound
 on them, or proves the result afterwards.  Slots always hold both
 operands' coefficients, so a nonzero operand never packs to 0.
 
-Multiplication: pmul(a, b) multiplies by Kronecker substitution, one
+Multiplication: when one operand of pmul(a, b) is a monomial c*q^k, the
+product is the other operand shifted by k and scaled by c, with no loop
+over pairs of coefficients (most products of the tensor modules have such
+an operand).  Otherwise pmul multiplies by Kronecker substitution, one
 big-integer product of the images (subquadratic in CPython), when both
-operands have at least _KRONECKER_MIN = 16 coefficients; other products
-run the schoolbook loop.  Both paths return the same coefficient list.
+operands have at least _KRONECKER_MIN = 16 coefficients, and by the
+schoolbook loop below that.  Every path returns the same coefficient list,
+a fresh one that shares no list with either operand.
 
 Linear systems: _bareiss_solve runs fraction-free Gauss-Jordan over ZZ[q]
 on the images of the entries, in slots above the Hadamard bound of the
@@ -93,15 +97,16 @@ def pneg(a):
     return [-c for c in a]
 
 
-# Both operands need at least _KRONECKER_MIN coefficients for pmul to take
-# the Kronecker path.  Per-call timings on random dense operands, schoolbook
-# over Kronecker: 6-bit 12x12 0.9, 16x16 1.2, 32x32 3.4, 16x200 2.3; 40-bit
-# 12x12 1.0, 16x16 1.5, 8x64 2.0, 16x200 2.7.  Packing costs a few
-# microseconds whatever the size, so the loop wins on short operands and on
-# sparse ones, whose zero coefficients it skips: the sparse products of
-# tensor modules lose on the Kronecker path at every length they reach (up
-# to 27).  Wide coefficients move
-# the break-even only a little (200-bit 16x16 0.9, 20x20 1.1, 16x200 1.2;
+# Both operands need at least _KRONECKER_MIN coefficients, and neither may
+# be a monomial (a shift and a scale, cheaper than either product), for
+# pmul to take the Kronecker path.  Per-call timings on random dense
+# operands, schoolbook over Kronecker: 6-bit 12x12 0.9, 16x16 1.2, 32x32
+# 3.4, 16x200 2.3; 40-bit 12x12 1.0, 16x16 1.5, 8x64 2.0, 16x200 2.7.
+# Packing costs a few microseconds whatever the size, so the loop wins on
+# short operands and on sparse ones, whose zero coefficients it skips: the
+# sparse products of tensor modules lose on the Kronecker path at every
+# length they reach (up to 27).  Wide coefficients move the break-even
+# only a little (200-bit 16x16 0.9, 20x20 1.1, 16x200 1.2;
 # 1000-bit 0.8 to 1.1 from 16x16 to 28x28, where the big-integer products
 # dominate either way), and no workload has coefficients above 40 bits, so
 # the cutoff looks at lengths alone.
@@ -111,6 +116,14 @@ _KRONECKER_MIN = 16
 def pmul(a, b):
     if not a or not b:
         return []
+    # a monomial c*q^k (every coefficient below the top one zero) times the
+    # other operand is a shift and a scale
+    k = len(a) - 1
+    if a.count(0) == k:
+        return _shift_scale(b, k, a[k])
+    k = len(b) - 1
+    if b.count(0) == k:
+        return _shift_scale(a, k, b[k])
     if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN:
         # Kronecker substitution: one product of the images at q = 2^s,
         # read back in balanced digits; every product coefficient c has
@@ -124,6 +137,18 @@ def pmul(a, b):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return pnorm(out)
+
+
+def _shift_scale(a, k, c):
+    """c * q^k * a for a nonzero c, as a fresh list."""
+    out = [0] * k
+    if c == 1:
+        out += a
+    elif c == -1:
+        out += [-x for x in a]
+    else:
+        out += [c * x for x in a]
+    return out
 
 
 def _bits(a):

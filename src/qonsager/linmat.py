@@ -11,15 +11,21 @@ nonzero entries of each row of the right operand once, then builds each row
 of the result from the nonzero entries of the matching row on the left.  It
 skips zero entries by structure instead of testing every index triple, and
 keeps the summation order of the dense loop (ascending inner index), so
-exact and numeric results are the same as the dense product's, bit for bit.
-The store stays dense; the weight-basis operators are sparse enough that
-this one code path serves both field backends.
+numeric results are the same as the dense product's, bit for bit, and exact
+ones equal.  The store stays dense; the weight-basis operators are sparse
+enough that this one code path serves both field backends.
 
-Sum, difference, negation and scaling stay plain entrywise loops with no
-zero-skipping: over the numeric backend a skipped ``a + 0j`` would keep a
+Over the exact backend, sum, difference, negation, scaling and the product
+skip every entry that *is* the field's zero object, by an identity test
+with no truth test and no Scalar call: 0 + b is b, a - 0 is a, -0 and
+c * 0 are 0, and a zero factor adds no term to a product, which is what
+the Scalar arithmetic returns for such operands, so results are unchanged.
+Most entries of the weight-basis operators are that object.  A zero that
+is a different object takes the arithmetic path and gives the same value.
+Over the numeric backend sum, difference, negation and scaling stay plain
+entrywise loops with no zero-skipping: a skipped ``a + 0j`` would keep a
 -0.0 that the addition turns into 0.0, so the results would no longer be
-the entrywise complex arithmetic bit for bit.  Exact zero operands are
-cheap anyway, because Scalar arithmetic returns early on them.
+the entrywise complex arithmetic bit for bit.
 
 A Grading assigns every basis index an integer degree *vector*; a module
 over the affine A_N diagram is graded in simple-root coordinates (length N,
@@ -39,10 +45,13 @@ same object on every hit, so callers must not mutate it.
 One numeric zero rule serves the whole package, and only this module
 applies it: a numeric matrix vanishes when every entry is within the
 backend tolerance of zero at the scale of the matrices it came from (their
-largest entry, and never below 1).  _meq, the one matrix equality of the
-certification suites and the series layer, judges A = B at the scale of A
-and B and returns (ok, witness); degree_components keeps a degree
-component only when it is nonzero at the scale of the operator it splits.
+largest entry, and never below 1).  The rule bounds |entry|, so one
+``field.is_zero`` call on the largest |entry|, taken in one C-level pass,
+decides it for a whole matrix or degree component, and a NaN entry is
+never zero.  _meq, the one matrix equality of the certification suites
+and the series layer, judges A = B at the scale of A and B and returns
+(ok, witness); degree_components keeps a degree component only when it is
+nonzero at the scale of the operator it splits.
 Over the exact backend both reduce to entry comparison.  A relation is
 therefore checked by comparing its two sides, never by testing a
 difference against a zero matrix, whose scale would be lost.
@@ -53,6 +62,9 @@ or root solver here, and exact runs never leave Q(q).
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError
 
@@ -108,6 +120,15 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self.field.exact:
+            z = self.field.zero
+            return Matrix(
+                [
+                    [b if a is z else a if b is z else a + b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.rows, other.rows)
+                ],
+                self.field,
+            )
         return Matrix(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -119,6 +140,15 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self.field.exact:
+            z = self.field.zero
+            return Matrix(
+                [
+                    [a if b is z else -b if a is z else a - b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.rows, other.rows)
+                ],
+                self.field,
+            )
         return Matrix(
             [
                 [a - b for a, b in zip(ra, rb)]
@@ -128,6 +158,9 @@ class Matrix:
         )
 
     def __neg__(self):
+        if self.field.exact:
+            z = self.field.zero
+            return Matrix([[a if a is z else -a for a in r] for r in self.rows], self.field)
         return Matrix([[-a for a in r] for r in self.rows], self.field)
 
     def __matmul__(self, other):
@@ -135,12 +168,23 @@ class Matrix:
             return NotImplemented
         if self.m != other.n:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
-        # k ascends, so every entry gets the same additions in the same order
-        # as the dense inner-product loop: results agree bit for bit.
-        brows = [[(j, b) for j, b in enumerate(rb) if b] for rb in other.rows]
         z = self.field.zero
         p = other.m
         out = []
+        if self.field.exact:
+            brows = [[(j, b) for j, b in enumerate(rb) if b is not z] for rb in other.rows]
+            for ra in self.rows:
+                row = [z] * p
+                for a, bk in zip(ra, brows):
+                    if a is not z:
+                        for j, b in bk:
+                            r = row[j]
+                            row[j] = a * b if r is z else r + a * b
+                out.append(row)
+            return Matrix(out, self.field)
+        # k ascends, so every entry gets the same additions in the same order
+        # as the dense inner-product loop: results agree bit for bit.
+        brows = [[(j, b) for j, b in enumerate(rb) if b] for rb in other.rows]
         for ra in self.rows:
             row = [z] * p
             for a, bk in zip(ra, brows):
@@ -161,6 +205,9 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c):
+        if self.field.exact:
+            z = self.field.zero
+            return Matrix([[a if a is z else c * a for a in r] for r in self.rows], self.field)
         return Matrix([[c * a for a in r] for r in self.rows], self.field)
 
     def __pow__(self, k):
@@ -204,13 +251,15 @@ class Matrix:
 
     def is_zero(self, scale=1.0):
         f = self.field
-        return all(f.is_zero(a, scale) for r in self.rows for a in r)
+        if f.exact:
+            return all(f.is_zero(a, scale) for r in self.rows for a in r)
+        return f.is_zero(_largest(chain.from_iterable(self.rows)), scale)
 
     def max_abs(self):
         """Largest |entry| after numeric coercion — the natural residual scale."""
         if self.field.exact:
             raise DomainError("max_abs is a numeric-backend notion")
-        return max((abs(a) for r in self.rows for a in r), default=0.0)
+        return max(map(abs, chain.from_iterable(self.rows)), default=0.0)
 
     def nonzero_entries(self):
         for i, r in enumerate(self.rows):
@@ -317,6 +366,16 @@ def _meq(A: Matrix, B: Matrix, field):
     return False, f"entry ({i},{j}) residual {abs(v):.3e} at scale {scale:.3e}"
 
 
+def _largest(values):
+    """max |v| over numeric values (0.0 for none) in one C-level pass, or
+    NaN when some |v| is NaN, which max alone can pass over.  The numeric
+    is_zero bounds |x|, so all the values are zero at a scale exactly when
+    f.is_zero(_largest(values), scale) holds, and a NaN is never zero."""
+    mags = list(map(abs, values))
+    total = sum(mags)
+    return total if total != total else max(mags, default=0.0)
+
+
 # -- gradings ----------------------------------------------------------------
 
 
@@ -364,7 +423,7 @@ def degree_components(A: Matrix, g: Grading) -> dict:
     if not f.exact:
         scale = A.max_abs()
         entries = {s: e for s, e in entries.items()
-                   if not all(f.is_zero(a, scale) for _, _, a in e)}
+                   if not f.is_zero(_largest(map(itemgetter(2), e)), scale)}
     comps = {}
     for s, e in entries.items():
         M = comps[s] = Matrix.zeros(A.n, A.m, f)

@@ -39,6 +39,12 @@ general one, and each returns the same canonical form as the general path:
 Every other denominator, c*q^k with c != 1 included, takes the general
 path through ``pgcd``.
 
+Dispatch costs no more than it must: an operand that is already a Scalar
+skips coercion, and each Scalar keeps _qpow(den), the k of a q^k
+denominator or -1, in a slot computed once at construction (the Laurent
+path passes the k it already knows), so no operation re-derives the shape
+of an operand's denominator.
+
 Operator inventory: ``+ - * / ** == hash bool``, with ints and
 :class:`fractions.Fraction` coerced on either side.
 
@@ -91,7 +97,7 @@ __all__ = [
 class Scalar:
     """An element of Q(q) in canonical reduced form."""
 
-    __slots__ = ("num", "den", "_h")
+    __slots__ = ("num", "den", "_h", "_k")
 
     def __init__(self, num, den=1):
         if isinstance(num, int):
@@ -104,65 +110,73 @@ class Scalar:
         self.num = num
         self.den = den
         self._h = None
+        self._k = _qpow(den)
 
     @classmethod
-    def _raw(cls, num, den):
-        """Wrap coefficient lists already known to be in canonical form."""
+    def _raw(cls, num, den, k=None):
+        """Wrap coefficient lists already known to be in canonical form;
+        k is _qpow(den) when the caller knows it."""
         s = object.__new__(cls)
         s.num = num
         s.den = den
         s._h = None
+        s._k = _qpow(den) if k is None else k
         return s
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             return self
         if not self.num:
             return other
-        return _sum(self.num, self.den, other.num, other.den, padd)
+        return _sum(self, other, padd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             return self
         if not self.num:
             return -other
-        return _sum(self.num, self.den, other.num, other.den, psub)
+        return _sum(self, other, psub)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num:
             return other
         if not other.num:
             return -self
-        return _sum(other.num, other.den, self.num, self.den, psub)
+        return _sum(other, self, psub)
 
     def __neg__(self):
         if not self.num:
             return self
-        return Scalar._raw(pneg(self.num), self.den)
+        return Scalar._raw(pneg(self.num), self.den, self._k)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self.num, other.num
         if not n1 or not n2:
             return ZERO
-        k1, k2 = _qpow(d1), _qpow(d2)
+        k1, k2 = self._k, other._k
         if k1 >= 0 and k2 >= 0:
             return _laurent(pmul(n1, n2), k1 + k2)
+        d1, d2 = self.den, other.den
         g1 = pgcd(n1, d2)
         if g1 != [1]:
             n1 = pdiv_exact(n1, g1)
@@ -180,15 +194,17 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return other * self.inv()
 
     def __pow__(self, k):
@@ -219,9 +235,10 @@ class Scalar:
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __bool__(self):
@@ -287,18 +304,20 @@ def _laurent(num, k):
     if v:
         num = num[v:]
         k -= v
-    return Scalar._raw(num, [0] * k + [1])
+    return Scalar._raw(num, [0] * k + [1], k)
 
 
-def _sum(n1, d1, n2, d2, op):
-    """n1/d1 + n2/d2 (op = padd) or n1/d1 - n2/d2 (op = psub), canonical."""
-    k1, k2 = _qpow(d1), _qpow(d2)
+def _sum(a, b, op):
+    """a + b (op = padd) or a - b (op = psub) for nonzero Scalars,
+    canonical."""
+    n1, n2, k1, k2 = a.num, b.num, a._k, b._k
     if k1 >= 0 and k2 >= 0:
         if k1 < k2:
             n1 = pshift(n1, k2 - k1)
         elif k2 < k1:
             n2 = pshift(n2, k1 - k2)
         return _laurent(op(n1, n2), max(k1, k2))
+    d1, d2 = a.den, b.den
     if d1 == d2:
         return Scalar(op(n1, n2), d1)
     g = pgcd(d1, d2)

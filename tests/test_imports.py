@@ -15,6 +15,10 @@ The numeric zero rule (a matrix vanishes at the scale of the matrices it
 came from) lives in ``linmat`` alone, so no other package module may read
 ``max_abs``, the scale that rule is taken at.
 
+``linmat`` decides that rule by one ``field.is_zero`` call on the largest
+|entry|, and the field protocol is the one place a backend says what zero
+is, so ``linmat`` reads no ``.tol`` attribute of a field.
+
 Exact runs never leave Q(q), so the package imports numpy nowhere at
 module level, and inside a function only where the numeric-only spectral
 fit roots a polynomial (``ranka._numeric_fit``); a fresh interpreter that
@@ -295,6 +299,38 @@ def test_only_linmat_reads_max_abs(path):
     lines = sorted(_reads(ast.parse(path.read_text(), filename=str(path)), "max_abs"))
     assert not lines, (f"{path.name} reads max_abs at lines {lines}; "
                        "compare with linmat._meq or split with degree_components")
+
+
+def _attribute_reads(tree, attr):
+    """Line numbers where ``tree`` reads the attribute ``attr``, with a dot
+    or through ``getattr`` with a constant name."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == attr):
+            yield node.lineno
+
+
+def test_attribute_scan_sees_every_tol_read():
+    tree = ast.parse(
+        "a = field.tol\n"
+        "b = abs(x) <= self.field.tol * 2\n"
+        "c = getattr(f, 'tol', 1e-9)\n"
+        "field.tol = 1e-7\n"
+        "tol = 3\n"
+        "d = f.tolerance + tol\n"
+    )
+    assert sorted(_attribute_reads(tree, "tol")) == [1, 2, 3]
+
+
+def test_linmat_reads_no_tolerance():
+    path = SRC / "linmat.py"
+    lines = sorted(_attribute_reads(ast.parse(path.read_text(), filename=str(path)), "tol"))
+    assert not lines, (f"linmat.py reads .tol at lines {lines}; "
+                       "decide zero by field.is_zero")
 
 
 #: the only package modules that evaluate a Scalar at a sample q0

@@ -10,6 +10,7 @@ from qonsager.linmat import (
     Grading,
     Matrix,
     ProductMemo,
+    _meq,
     degree_components,
     qbracket,
 )
@@ -206,6 +207,54 @@ def test_entrywise_ops_match_reference_numeric(pair, c):
     assert reprs((c * A).rows) == scaled
 
 
+#: zeros that are not the field's ZERO object take the arithmetic path
+_CANCELLED = Scalar(1, 2) - Scalar(1, 2)
+exact_entries = st.sampled_from([F.zero, F.zero, F.zero, Scalar(0), _CANCELLED,
+                                 *entry_pool[1:], Scalar(1, [1, 1])])
+
+
+@given(same_shape_pairs(exact_entries), exact_entries,
+       product_pairs(exact_entries, F.zero))
+@settings(max_examples=150, deadline=None)
+def test_entrywise_ops_match_reference_exact(pair, c, product):
+    # skipping the ZERO object changes no entry: every result entry equals
+    # the plain entrywise Scalar arithmetic, and the dense inner product
+    assert _CANCELLED == 0 and _CANCELLED is not F.zero
+    a_rows, b_rows = pair
+    A, B = Matrix(a_rows, F), Matrix(b_rows, F)
+    rows = list(zip(a_rows, b_rows))
+    assert (A + B).rows == [[a + b for a, b in zip(ra, rb)] for ra, rb in rows]
+    assert (A - B).rows == [[a - b for a, b in zip(ra, rb)] for ra, rb in rows]
+    assert (-A).rows == [[-a for a in ra] for ra in a_rows]
+    scaled = [[c * a for a in ra] for ra in a_rows]
+    assert A.scale(c).rows == scaled
+    assert (c * A).rows == scaled
+    P, R = (Matrix(r, F) for r in product)
+    dense = [[sum((a * R.rows[k][j] for k, a in enumerate(ra)), F.zero) for j in range(R.m)]
+             for ra in P.rows]
+    assert (P @ R).rows == dense
+
+
+@pytest.mark.parametrize("k", [0, 1, 37, 256])
+def test_exact_scale_multiplies_only_nonzero_entries(k, monkeypatch):
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    rows = [[F.zero] * 16 for _ in range(16)]
+    for t in range(k):
+        rows[t // 16][t % 16] = Q**t + 1
+    A = Matrix(rows, F)
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    S = A.scale(Q + 2)
+    monkeypatch.undo()
+    assert len(calls) == k
+    assert S == Matrix([[(Q + 2) * a for a in r] for r in rows], F)
+
+
 def test_product_shape_mismatch():
     with pytest.raises(DomainError, match="shape mismatch 2x3 @ 2x3"):
         Matrix.zeros(2, 3, F) @ Matrix.zeros(2, 3, F)
@@ -287,6 +336,28 @@ def test_degree_components_vanish_at_the_operator_scale():
 
 
 # ------------------------------------------------------------------ numeric
+
+
+def test_numeric_zero_test_is_one_bound_on_the_largest_entry():
+    # one is_zero call on the largest |entry| gives the per-entry verdict,
+    # and a NaN anywhere, which max alone passes over, is never zero
+    nf = NumericField(1.3)
+    nan = complex(float("nan"), 0.0)
+    for rows, scale, want in (
+        ([[1e-10, 0j], [-1e-10j, 0j]], 1.0, True),
+        ([[1e-10, 0j], [0j, 2e-9]], 1.0, False),
+        ([[1e-10, 0j], [0j, 2e-9]], 2.0, True),
+        ([[0j, nan], [0j, 0j]], 1.0, False),
+        ([[nan, 0j], [0j, 0j]], 1.0, False),
+        ([[0j, 0j], [0j, complex(float("inf"), float("nan"))]], 1.0, False),
+    ):
+        M = Matrix(rows, nf)
+        assert M.is_zero(scale) is want
+        assert M.is_zero(scale) == all(nf.is_zero(a, scale) for r in rows for a in r)
+    A = Matrix([[1.0, 0j], [0j, nan]], nf)
+    assert _meq(A, A, nf)[0] is False
+    A, B = Matrix([[2.0, 1.0], [0j, 3.0]], nf), Matrix([[2.0, 1.0], [1e-6, 3.0]], nf)
+    assert _meq(A, B, nf) == (False, "entry (1,0) residual 1.000e-06 at scale 3.000e+00")
 
 
 def test_numeric_matrix_roundtrip():

@@ -205,6 +205,28 @@ def test_arithmetic_matches_cross_multiplication(a, b):
         assert (got.num, got.den) == (want.num, want.den)
 
 
+@given(operands(), operands())
+@example(Q**-2, Q**3)  # Laurent product that cancels into a polynomial
+@example(Q - Q**-1, Q**-1)  # Laurent sum whose numerator has a q-valuation
+@example(Q**-1, Scalar([0, 1], [2]))  # q^k beside c*q^k: general path
+@example(Scalar(1, [1, 1]), Scalar([0, 1], [1, 1]))  # equal general denominators
+@example(Scalar(1, [1, 1]), Scalar(-1, [1, 1]))  # a general sum that cancels
+@settings(max_examples=300, deadline=None)
+def test_cached_qpower_matches_a_fresh_scalar(a, b):
+    # the q-power each Scalar keeps is the one a Scalar rebuilt from its
+    # num and den computes, whichever path made it
+    if not isinstance(a, Scalar):
+        a = Scalar(*_parts(a))
+    results = [a + b, a - b, b - a, a * b, b * a, -a, a**2, a**-1 if a else a]
+    if b:
+        results.append(a / b)
+    for r in results:
+        fresh = Scalar(r.num, r.den)
+        assert (r.num, r.den, r._k) == (fresh.num, fresh.den, fresh._k)
+    for r in (ZERO, ONE, Q, qint(3), -qint(2)):
+        assert r._k == Scalar(r.num, r.den)._k
+
+
 # ---------------------------------------------------------------- field axioms
 
 
@@ -389,6 +411,32 @@ def test_kernel_mul_kronecker_matches_sympy():
     b = [-rng.randint(0, 2**150) for _ in range(30)] + [-(2**150)]
     prod = sympy.Poly(list(reversed(a)), qs) * sympy.Poly(list(reversed(b)), qs)
     assert pmul(a, b) == [int(c) for c in reversed(prod.all_coeffs())]
+
+
+@pytest.mark.parametrize("c", [1, -1, 7, -7, 2**200, -(2**200)])
+@pytest.mark.parametrize("k", [0, 1, _kernel._KRONECKER_MIN - 2, _kernel._KRONECKER_MIN - 1,
+                               _kernel._KRONECKER_MIN, _kernel._KRONECKER_MIN + 9])
+def test_kernel_mul_monomial_operand(c, k):
+    # c*q^k times another operand is a shift and a scale, on either side of
+    # the Kronecker cutoff, and the product is a fresh list
+    rng = random.Random(k * 1000 + c % 997)
+    n = _kernel._KRONECKER_MIN
+    others = [
+        [3],
+        [0, 0, -5],
+        [-1] + [0] * (n + 2) + [2**90],
+        [rng.randint(-50, 50) for _ in range(n - 1)] + [1],
+        [0, 0] + [rng.randint(-(2**70), 2**70) for _ in range(n + 7)] + [-1],
+        [0] * 3 + [-c],
+    ]
+    m = [0] * k + [c]
+    for other in others:
+        for a, b in ((m, other), (other, m)):
+            saved = (list(a), list(b))
+            got = pmul(a, b)
+            assert got == _schoolbook(a, b)
+            got[:] = [1] * (len(got) + 1)
+            assert (a, b) == saved
 
 
 @given(long_polys(), long_polys())
