@@ -119,10 +119,10 @@ def pmul(a, b):
     # a monomial c*q^k (every coefficient below the top one zero) times the
     # other operand is a shift and a scale
     k = len(a) - 1
-    if a.count(0) == k:
+    if a[k] and a.count(0) == k:
         return _shift_scale(b, k, a[k])
     k = len(b) - 1
-    if b.count(0) == k:
+    if b[k] and b.count(0) == k:
         return _shift_scale(a, k, b[k])
     if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN:
         # Kronecker substitution: one product of the images at q = 2^s,
@@ -140,7 +140,8 @@ def pmul(a, b):
 
 
 def _shift_scale(a, k, c):
-    """c * q^k * a for a nonzero c, as a fresh list."""
+    """c * q^k * a for a nonzero c, as a fresh list without trailing
+    zeros."""
     out = [0] * k
     if c == 1:
         out += a
@@ -148,7 +149,7 @@ def _shift_scale(a, k, c):
         out += [-x for x in a]
     else:
         out += [c * x for x in a]
-    return out
+    return pnorm(out)
 
 
 def _bits(a):

@@ -111,6 +111,7 @@ def test_canonical_examples():
 
 
 @given(scalars(), nonzero_coeffs)
+@example(parse_scalar("q+1"), [1, 0])  # a trailing zero is not a monomial's top
 def test_canonical_uniqueness(s, f):
     blown = Scalar(pmul(s.num, f), pmul(s.den, f))
     assert blown == s
@@ -437,6 +438,15 @@ def test_kernel_mul_monomial_operand(c, k):
             assert got == _schoolbook(a, b)
             got[:] = [1] * (len(got) + 1)
             assert (a, b) == saved
+
+
+def test_kernel_mul_operands_with_trailing_zeros():
+    # a list that ends in zeros is the polynomial without them: it is no
+    # monomial when its nonzero part is not one, and the product is stripped
+    for a in ([1, 0], [0, 0], [0, 2, 0, 0], [1, 1, 0]):
+        for b in ([1, 1], [0, 3], [2, 0], [5, 0, -1] * 6 + [0]):
+            assert pmul(a, b) == _schoolbook(a, b)
+            assert pmul(b, a) == _schoolbook(b, a)
 
 
 @given(long_polys(), long_polys())
