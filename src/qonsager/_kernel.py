@@ -48,6 +48,9 @@ Division conventions:
   and any pair the heuristic fails on at three points, go to the primitive
   pseudo-remainder sequence.  The gcd is unique up to sign, so both give
   the same result.
+* _gcd_cofactors(a, b) is (pgcd(a, b), a / g, b / g), for the callers that
+  divide by the gcd next: the heuristic gcd returns the quotients of the
+  divisions that proved it, and a monomial gcd divides by a shift.
 """
 
 from math import gcd as _igcd
@@ -288,9 +291,45 @@ def pgcd(a, b):
     g = None
     if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
         g = _heuristic_gcd(pa, pb)
-    if g is None:
-        g = _prs_gcd(pa, pb)
+    g = _prs_gcd(pa, pb) if g is None else g[0]
     return pmul_int(g, cg) if cg != 1 else g
+
+
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) for g = pgcd(a, b) and a, b not both zero, for callers
+    that divide by the gcd next: the heuristic gcd hands over the
+    quotients its proof computed, and a monomial gcd divides by a shift
+    and an integer division."""
+    if not a or not b:
+        g = _posnorm(list(a or b))
+        unit = [1] if g == (a or b) else [-1]
+        return g, (unit if a else []), (unit if b else [])
+    if not any(a[:-1]):
+        g = _monomial_gcd(a, b)
+    elif not any(b[:-1]):
+        g = _monomial_gcd(b, a)
+    else:
+        ca, pa = pprim(a)
+        cb, pb = pprim(b)
+        cg = _igcd(ca, cb)
+        r = None
+        if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
+            r = _heuristic_gcd(pa, pb)
+        if r is None:
+            g = _prs_gcd(pa, pb)
+            r = (g, pa, pb) if g == [1] else (g, pdiv_exact(pa, g), pdiv_exact(pb, g))
+        g, qa, qb = r
+        fa, fb = ca // cg, cb // cg
+        return (pmul_int(g, cg) if cg != 1 else g,
+                pmul_int(qa, fa) if fa != 1 else qa,
+                pmul_int(qb, fb) if fb != 1 else qb)
+    return g, _monomial_quotient(a, g), _monomial_quotient(b, g)
+
+
+def _monomial_quotient(a, g):
+    """a / g for a monomial g = c*q^v that divides a."""
+    v, c = len(g) - 1, g[-1]
+    return a[v:] if c == 1 else [x // c for x in a[v:]]
 
 
 # pgcd tries the heuristic when an operand has at least _HEU_MIN
@@ -309,7 +348,8 @@ _HEU_POINTS = 3
 
 def _heuristic_gcd(a, b):
     """GCDHEU (Char, Geddes and Gonnet, J. Symb. Comp. 1989) for primitive
-    a, b: the gcd, with positive leading coefficient, or None.
+    a, b: (g, a/g, b/g), g the gcd with positive leading coefficient, or
+    None.  The quotients are those of the division that proves g.
 
     At xi = 2^s > 2 * min(max|a|, max|b|) + 1, let h be the balanced
     base-xi digits of the integer gcd of a(xi) and b(xi).  If pp(h)
@@ -325,13 +365,11 @@ def _heuristic_gcd(a, b):
         _, g = pprim(_unpack(_igcd(_pack(a, w), _pack(b, w)), w))
         g = _posnorm(g)
         if g == [1]:
-            return g
+            return g, a, b
         try:
-            pdiv_exact(a, g)
-            pdiv_exact(b, g)
+            return g, pdiv_exact(a, g), pdiv_exact(b, g)
         except ValueError:
             continue
-        return g
     return None
 
 

@@ -1,31 +1,64 @@
 """Dense matrices over the exact or numeric coefficient field, plus the
 grading bookkeeping every certification suite leans on.
 
-A Matrix stores a list-of-rows over a field backend (see qonsager.scalars);
+A Matrix is an n x m array over a field backend (see qonsager.scalars);
 all binary operations assume both operands live over the same backend.  The
 product is written either ``A @ B`` or ``A * B``; ``c * A`` with a scalar-like
 ``c`` scales entrywise.
 
-The product is row-sparse (Gustavson, ACM TOMS 4(3), 1978): it lists the
-nonzero entries of each row of the right operand once, then builds each row
-of the result from the nonzero entries of the matching row on the left.  It
-skips zero entries by structure instead of testing every index triple, and
-keeps the summation order of the dense loop (ascending inner index), so
-numeric results are the same as the dense product's, bit for bit, and exact
-ones equal.  The store stays dense; the weight-basis operators are sparse
-enough that this one code path serves both field backends.
+Exact matrices are stored as integers.  A matrix of Scalars keeps a shift
+K >= 0, a denominator D in ZZ[q] (positive leading coefficient, D(0) != 0),
+a slot width s = 8w bits and a height bound h, and holds entry (i, j) as
+the integer P_ij(2^s), where P_ij = D q^K x_ij is a polynomial in ZZ[q]
+packed by ``_kernel._pack``, and h bounds the 1-norm of every P_ij.  While
+h < 2^(s-1) every coefficient of every P_ij lies in [-2^(s-1), 2^(s-1)),
+so P_ij is the balanced base-2^s digit string of its image: it decodes
+exactly with ``_kernel._unpack``, and an image is 0 exactly when its entry
+is.  Evaluation at 2^s is a ring homomorphism, so each operation runs on
+the images, entry by entry one big-integer operation (Kronecker
+substitution; Harvey, J. Symb. Comp. 44, 2009), and bounds the height of
+its result from those of its operands, as GCDHEU bounds its digits (Char,
+Geddes and Gonnet, 1989):
 
-Over the exact backend, sum, difference, negation, scaling and the product
-skip every entry that *is* the field's zero object, by an identity test
-with no truth test and no Scalar call: 0 + b is b, a - 0 is a, -0 and
-c * 0 are 0, and a zero factor adds no term to a product, which is what
-the Scalar arithmetic returns for such operands, so results are unchanged.
-Most entries of the weight-basis operators are that object.  A zero that
-is a different object takes the arithmetic path and gives the same value.
-Over the numeric backend sum, difference, negation and scaling stay plain
-entrywise loops with no zero-skipping: a skipped ``a + 0j`` would keep a
--0.0 that the addition turns into 0.0, so the results would no longer be
-the entrywise complex arithmetic bit for bit.
+* a product adds the shifts and multiplies the denominators; its height
+  is at most r h_A h_B, r the most nonzero entries in a row of A;
+* a sum or difference goes to the lcm D = D_A (D_B / g), g = pgcd(D_A,
+  D_B), one gcd per pair of matrices and none when D_A = D_B, and to the
+  larger shift: each operand's images are multiplied by the image of its
+  cofactor times q to its shift difference;
+* scaling by c = n / (q^t p), p(0) != 0, multiplies the images by n(2^s)
+  and D by p, after taking the factor that n and D share out of both;
+* negation, transpose, the Kronecker product and degree components work
+  image by image;
+* ``_meq`` and ``==`` bring both sides to one denominator and shift and
+  compare integers; the first differing entry is the first differing
+  image, since the comparison is exact while the two heights, each times
+  its cofactor's 1-norm, add to less than 2^(s-1).
+
+An operation whose height bound would reach 2^(s-1) first re-encodes its
+operands: it decodes them, takes their heights down to the exact largest
+1-norm and, if the bound still reaches the slot, packs them in wider
+slots.  Their values do not change, so this is done in place.  A product
+whose shift reaches 8 also takes out the power of q its entries share.
+The stored form is not canonical, since P_ij and D q^K may share factors.
+Canonical Scalars appear only when entries are read: ``rows`` decodes the
+whole matrix on its first read and keeps the result, ``nonzero_entries``
+decodes only the nonzero images, and a failed ``_meq`` decodes the entry
+its witness names.  The rows of an exact matrix are therefore read-only:
+build a list of rows and construct a Matrix from it.
+
+An exact matrix whose entries are not all Scalars (a matrix of Python
+ints, say) keeps them as rows, and so does every numeric matrix, whose
+entries are Python complex numbers.  Rows take the plain entrywise path,
+in C-level passes (``map`` over ``operator`` functions), with no
+zero-skipping in sums, differences, negation and scaling: a skipped
+``a + 0j`` would keep a -0.0 that the addition turns into 0.0.
+
+The product is row-sparse (Gustavson, ACM TOMS 4(3), 1978) in both
+stores: it lists the nonzero entries of each row of the right operand
+once, then builds each row of the result from the nonzero entries of the
+matching row on the left, in ascending inner index, so numeric results are
+the same as the dense product's, bit for bit.
 
 A Grading assigns every basis index an integer degree *vector*; a module
 over the affine A_N diagram is graded in simple-root coordinates (length N,
@@ -52,7 +85,7 @@ never zero.  _meq, the one matrix equality of the certification suites
 and the series layer, judges A = B at the scale of A and B and returns
 (ok, witness); degree_components keeps a degree component only when it is
 nonzero at the scale of the operator it splits.
-Over the exact backend both reduce to entry comparison.  A relation is
+Over the exact backend both reduce to exact comparison.  A relation is
 therefore checked by comparing its two sides, never by testing a
 difference against a zero matrix, whose scale would be lost.
 
@@ -63,10 +96,13 @@ or root solver here, and exact runs never leave Q(q).
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mul, neg, or_, rshift, sub
 
+from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
 from .errors import DomainError
+from .scalars import ZERO, Scalar, _coerce, _laurent
 
 __all__ = [
     "Matrix",
@@ -79,27 +115,100 @@ __all__ = [
 
 
 class Matrix:
-    __slots__ = ("n", "m", "rows", "field")
+    __slots__ = ("n", "m", "field", "_rows", "_img", "_k", "_d", "_w", "_h")
 
     def __init__(self, rows, field):
-        self.rows = [list(r) for r in rows]
-        self.n = len(self.rows)
-        self.m = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.m for r in self.rows):
+        rows = [list(r) for r in rows]
+        m = len(rows[0]) if rows else 0
+        if any(len(r) != m for r in rows):
             raise DomainError("ragged matrix rows")
+        self._store(rows, field)
+
+    def _store(self, rows, field):
+        """Hold rows: as images when every entry is a Scalar, else as they
+        are."""
+        self.n = len(rows)
+        self.m = len(rows[0]) if rows else 0
         self.field = field
+        self._rows = rows
+        self._img = None
+        if not field.exact:
+            return
+        k = 0
+        parts = {}
+        for x in chain.from_iterable(rows):
+            if type(x) is not Scalar:
+                return
+            e = x._k
+            if e < 0:
+                e, dp = _split(x.den)
+                parts[tuple(dp)] = dp
+            if e > k:
+                k = e
+        if parts:
+            # D = lcm of the denominators' parts prime to q; each entry
+            # becomes (its numerator times D over its part, its q-power)
+            D = [1]
+            for dp in parts.values():
+                D = pmul(D, _gcd_cofactors(D, dp)[2])
+            cof = {t: pdiv_exact(D, dp) for t, dp in parts.items()}
+            ents = [[_over(x, D, cof) for x in r] for r in rows]
+        else:
+            D = _ONE
+            ents = [[(x.num, x._k) for x in r] for r in rows]
+        h = max((sum(map(abs, p)) for p, _ in chain.from_iterable(ents)), default=0)
+        w = max(_W0, _width(h.bit_length() + 1))
+        s = 8 * w
+        self._img = [[_encode(p, k - e, s, w) for p, e in r] for r in ents]
+        self._rows = None
+        self._k, self._d, self._w, self._h = k, D, w, h
+
+    @classmethod
+    def _adopt(cls, rows, field):
+        """The matrix on rows an operation has just built: fresh,
+        rectangular lists, held without a copy or a check."""
+        M = object.__new__(cls)
+        M._store(rows, field)
+        return M
+
+    @classmethod
+    def _image(cls, img, m, k, d, w, h, field):
+        """The exact matrix whose entry (i, j) is P_ij / (d q^k), where
+        img[i][j] = P_ij(2^(8w)) and h bounds the 1-norm of every P_ij."""
+        M = object.__new__(cls)
+        M.n, M.m, M.field = len(img), m, field
+        M._rows = None
+        M._img, M._k, M._d, M._w, M._h = img, k, d, w, h
+        return M
+
+    @property
+    def rows(self):
+        """The entries, row by row; an exact matrix decodes them on the
+        first read.  Read-only: write rows into a new Matrix instead."""
+        rows = self._rows
+        if rows is None:
+            k, d, w = self._k, self._d, self._w
+            rows = self._rows = [[_decode(x, k, d, w) for x in r] for r in self._img]
+        return rows
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, n, m, field):
+        if field.exact:
+            return cls._image([[0] * m for _ in range(n)], m, 0, _ONE, _W0, 0, field)
         z = field.zero
-        return cls([[z] * m for _ in range(n)], field)
+        return cls._adopt([[z] * m for _ in range(n)], field)
 
     @classmethod
     def identity(cls, n, field):
+        if field.exact:
+            img = [[0] * n for _ in range(n)]
+            for i in range(n):
+                img[i][i] = 1
+            return cls._image(img, n, 0, _ONE, _W0, 1 if n else 0, field)
         z, one = field.zero, field.one
-        return cls(
+        return cls._adopt(
             [[one if i == j else z for j in range(n)] for i in range(n)], field
         )
 
@@ -107,7 +216,7 @@ class Matrix:
     def diagonal(cls, entries, field):
         z = field.zero
         n = len(entries)
-        return cls(
+        return cls._adopt(
             [[entries[i] if i == j else z for j in range(n)] for i in range(n)],
             field,
         )
@@ -120,79 +229,61 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field.exact:
-            z = self.field.zero
-            return Matrix(
-                [
-                    [b if a is z else a if b is z else a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)
-                ],
-                self.field,
-            )
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+        if self._img is not None and other._img is not None:
+            return _image_sum(self, other, add)
+        return Matrix._adopt(
+            [list(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
             self.field,
         )
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field.exact:
-            z = self.field.zero
-            return Matrix(
-                [
-                    [a if b is z else -b if a is z else a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.rows, other.rows)
-                ],
-                self.field,
-            )
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+        if self._img is not None and other._img is not None:
+            return _image_sum(self, other, sub)
+        return Matrix._adopt(
+            [list(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
             self.field,
         )
 
     def __neg__(self):
-        if self.field.exact:
-            z = self.field.zero
-            return Matrix([[a if a is z else -a for a in r] for r in self.rows], self.field)
-        return Matrix([[-a for a in r] for r in self.rows], self.field)
+        if self._img is not None:
+            return Matrix._image([list(map(neg, r)) for r in self._img],
+                                 self.m, self._k, self._d, self._w, self._h, self.field)
+        return Matrix._adopt([list(map(neg, r)) for r in self._rows], self.field)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.m != other.n:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
-        z = self.field.zero
         p = other.m
         out = []
-        if self.field.exact:
-            brows = [[(j, b) for j, b in enumerate(rb) if b is not z] for rb in other.rows]
-            for ra in self.rows:
-                row = [z] * p
-                for a, bk in zip(ra, brows):
-                    if a is not z:
-                        for j, b in bk:
-                            r = row[j]
-                            row[j] = a * b if r is z else r + a * b
+        if self._img is not None and other._img is not None:
+            # each entry of the product sums at most r products of entries,
+            # r the most nonzero entries in a row of the left operand
+            r = self.m - min(map(list.count, self._img, repeat(0)), default=self.m)
+            w, h = _fit((self, other), self._h * other._h * r, lambda ha, hb: ha * hb * r)
+            brows = [list(compress(enumerate(rb), rb)) for rb in other._img]
+            for ra in self._img:
+                row = [0] * p
+                for a, bk in compress(zip(ra, brows), ra):
+                    for j, b in bk:
+                        row[j] += a * b
                 out.append(row)
-            return Matrix(out, self.field)
+            out, k = _unshifted(out, self._k + other._k, 8 * w)
+            return Matrix._image(out, p, k, _dmul(self._d, other._d), w, h, self.field)
         # k ascends, so every entry gets the same additions in the same order
         # as the dense inner-product loop: results agree bit for bit.
-        brows = [[(j, b) for j, b in enumerate(rb) if b] for rb in other.rows]
+        z = self.field.zero
+        brows = [list(compress(enumerate(rb), rb)) for rb in other.rows]
         for ra in self.rows:
             row = [z] * p
-            for a, bk in zip(ra, brows):
-                if a:
-                    for j, b in bk:
-                        row[j] = row[j] + a * b
+            for a, bk in compress(zip(ra, brows), ra):
+                for j, b in bk:
+                    row[j] = row[j] + a * b
             out.append(row)
-        return Matrix(out, self.field)
+        return Matrix._adopt(out, self.field)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -205,10 +296,13 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c):
-        if self.field.exact:
-            z = self.field.zero
-            return Matrix([[a if a is z else c * a for a in r] for r in self.rows], self.field)
-        return Matrix([[c * a for a in r] for r in self.rows], self.field)
+        if self._img is not None:
+            if type(c) is not Scalar:
+                c = _coerce(c)
+            if c is not NotImplemented:
+                return _image_scale(self, c)
+        return Matrix._adopt([list(map(mul, repeat(c), r)) for r in self.rows],
+                             self.field)
 
     def __pow__(self, k):
         if k < 0:
@@ -226,6 +320,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self._img is not None and other._img is not None:
+            return (self.n, self.m) == (other.n, other.m) and _image_diff(self, other) is None
         return self.rows == other.rows
 
     def __hash__(self):
@@ -234,7 +330,10 @@ class Matrix:
     # -- structure ------------------------------------------------------------
 
     def transpose(self):
-        return Matrix(list(zip(*self.rows)), self.field)
+        if self._img is not None:
+            return Matrix._image([list(c) for c in zip(*self._img)], self.n,
+                                 self._k, self._d, self._w, self._h, self.field)
+        return Matrix._adopt([list(c) for c in zip(*self._rows)], self.field)
 
     def trace(self):
         acc = self.field.zero
@@ -243,26 +342,37 @@ class Matrix:
         return acc
 
     def kron(self, other):
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out, self.field)
+        if self._img is not None and other._img is not None:
+            w, h = _fit((self, other), self._h * other._h, mul)
+            out = [[a * b for a in ra for b in rb] for ra in self._img for rb in other._img]
+            return Matrix._image(out, self.m * other.m, self._k + other._k,
+                                 _dmul(self._d, other._d), w, h, self.field)
+        out = [[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows]
+        return Matrix._adopt(out, self.field)
 
     def is_zero(self, scale=1.0):
         f = self.field
+        if self._img is not None:
+            return not any(map(any, self._img))
         if f.exact:
-            return all(f.is_zero(a, scale) for r in self.rows for a in r)
-        return f.is_zero(_largest(chain.from_iterable(self.rows)), scale)
+            return all(f.is_zero(a, scale) for r in self._rows for a in r)
+        return f.is_zero(_largest(chain.from_iterable(self._rows)), scale)
 
     def max_abs(self):
         """Largest |entry| after numeric coercion — the natural residual scale."""
         if self.field.exact:
             raise DomainError("max_abs is a numeric-backend notion")
-        return max(map(abs, chain.from_iterable(self.rows)), default=0.0)
+        return max(map(abs, chain.from_iterable(self._rows)), default=0.0)
 
     def nonzero_entries(self):
-        for i, r in enumerate(self.rows):
+        if self._rows is None:
+            # decode only the nonzero entries
+            k, d, w = self._k, self._d, self._w
+            for i, r in enumerate(self._img):
+                for j, x in compress(enumerate(r), r):
+                    yield i, j, _decode(x, k, d, w)
+            return
+        for i, r in enumerate(self._rows):
             for j, a in enumerate(r):
                 if a:
                     yield i, j, a
@@ -287,7 +397,7 @@ class Matrix:
 
     def map_entries(self, fn, field):
         """The matrix of fn(entry) over ``field``, the field fn maps into."""
-        return Matrix([[fn(a) for a in r] for r in self.rows], field)
+        return Matrix._adopt([[fn(a) for a in r] for r in self.rows], field)
 
     def __repr__(self):
         if self.n <= 6 and self.m <= 6:
@@ -296,6 +406,187 @@ class Matrix:
             )
             return f"Matrix[{body}]"
         return f"Matrix({self.n}x{self.m})"
+
+
+# -- integer images -------------------------------------------------------------
+
+# Bytes per slot of a freshly encoded matrix (s = 32 bits), and the bytes a
+# widened slot gets above the height it must hold.
+_W0 = 4
+_SPARE = 2
+# A product takes the common power of q out of its entries once its shift
+# reaches this; below it, the pass over the entries costs more than the
+# zero slots it would remove.
+_UNSHIFT_MIN = 8
+_ONE = [1]
+
+
+def _split(den):
+    """(e, p) with den = q^e p and p(0) != 0."""
+    e = 0
+    while not den[e]:
+        e += 1
+    return e, den[e:]
+
+
+def _over(x, D, cof):
+    """(P, e) with x = P / (D q^e), for a Scalar x whose denominator's
+    part prime to q divides D, cof mapping each such part to D over it."""
+    if not x.num:
+        return [], 0
+    if x._k >= 0:
+        return pmul(x.num, D), x._k
+    e, dp = _split(x.den)
+    return pmul(x.num, cof[tuple(dp)]), e
+
+
+def _encode(p, e, s, w):
+    """The image of q^e p at q = 2^s, s = 8w, for coefficients below
+    2^(s-1) in absolute value."""
+    if not p:
+        return 0
+    v = p[0] if len(p) == 1 else _pack(p, w)
+    return v << (s * e) if e else v
+
+
+def _decode(v, k, D, w):
+    """The canonical Scalar P / (D q^k), P the polynomial with image v."""
+    if not v:
+        return ZERO
+    p = _unpack(v, w)
+    if D == _ONE:
+        return _laurent(p, k)
+    return Scalar(p, [0] * k + D)
+
+
+def _dmul(da, db):
+    """The product of two denominators, with no kernel call when one is 1."""
+    if db == _ONE:
+        return da
+    return db if da == _ONE else pmul(da, db)
+
+
+def _image_sum(A, B, op):
+    """A + B (op = add) or A - B (op = sub) on images, over the lcm of
+    the two denominators and at the larger shift."""
+    D, fa, fb = _lcm(A._d, B._d)
+    na, nb = sum(map(abs, fa)), sum(map(abs, fb))
+    w, h = _fit((A, B), A._h * na + B._h * nb, lambda ha, hb: ha * na + hb * nb)
+    a, b, k = _common(A, B, fa, fb, w)
+    return Matrix._image([list(map(op, ra, rb)) for ra, rb in zip(a, b)],
+                         A.m, k, D, w, h, A.field)
+
+
+def _lcm(da, db):
+    """(D, fa, fb): the lcm D of the denominators da and db, and D/da,
+    D/db; one pgcd, and none when they are equal."""
+    if da == db:
+        return da, _ONE, _ONE
+    _, fb, fa = _gcd_cofactors(da, db)
+    return pmul(da, fa), fa, fb
+
+
+def _image_scale(A, c):
+    """c A on images, for a Scalar c = n / (q^t p), p(0) != 0: the images
+    times n, the shift plus t, the denominator times p, with the factor
+    that n and the new denominator share taken out of both."""
+    num = c.num
+    if not num or not A._h:
+        return Matrix.zeros(A.n, A.m, A.field)
+    t = c._k
+    D = A._d
+    if t < 0:
+        t, dp = _split(c.den)
+        D = _dmul(D, dp)
+    if D != _ONE:
+        _, num, D = _gcd_cofactors(num, D)
+    hc = sum(map(abs, num))
+    w, h = _fit((A,), A._h * hc, lambda ha: ha * hc)
+    v = num[0] if len(num) == 1 else _pack(num, w)
+    img = A._img if v == 1 else [list(map(mul, repeat(v), r)) for r in A._img]
+    return Matrix._image(img, A.m, A._k + t, D, w, h, A.field)
+
+
+def _refit(M, w):
+    """Re-encode M's images in slots of w bytes, w >= M._w, and take its
+    height bound down to the largest 1-norm of its entries.  The images
+    decode exactly, so M's value is unchanged."""
+    polys = [[_unpack(x, M._w) if x else None for x in r] for r in M._img]
+    M._h = max((sum(map(abs, p)) for p in chain.from_iterable(polys) if p), default=0)
+    if w != M._w:
+        M._img = [[_pack(p, w) if p else 0 for p in r] for r in polys]
+        M._w = w
+
+
+def _fit(ms, h, bound):
+    """(w, h): a common slot width of the one or two image matrices ms,
+    each re-encoded there, and a height bound h of the result of an
+    operation on them, below 2^(8w-1), so that the result decodes exactly
+    and its zero test is exact.  h = bound(heights) on entry, and bound
+    gives it again when a re-encoding lowers the heights."""
+    w = ms[0]._w
+    if ms[-1]._w == w and h.bit_length() < 8 * w:
+        return w, h
+    w = max(M._w for M in ms)
+    if h.bit_length() >= 8 * w:
+        for M in ms:
+            _refit(M, M._w)
+        h = bound(*(M._h for M in ms))
+        if h.bit_length() >= 8 * w:
+            w = _width(h.bit_length() + 1) + _SPARE
+    for M in ms:
+        if M._w != w:
+            _refit(M, w)
+    return w, h
+
+
+def _common(A, B, fa, fb, w):
+    """A's and B's images, both in slots of w bytes, times the cofactors
+    fa and fb that bring them to one denominator, at the common shift
+    max(k_A, k_B); and that shift."""
+    k = max(A._k, B._k)
+    return _lifted(A, fa, k, w), _lifted(B, fb, k, w), k
+
+
+def _lifted(M, f, k, w):
+    """M's images times the polynomial f and q^(k - k_M), at q = 2^(8w).
+    The images of a zero matrix are returned as they are, so f is packed
+    only when M's height bounds it."""
+    if not M._h:
+        return M._img
+    v = f[0] if len(f) == 1 else _pack(f, w)
+    v <<= 8 * w * (k - M._k)
+    return M._img if v == 1 else [list(map(mul, repeat(v), r)) for r in M._img]
+
+
+def _unshifted(img, k, s):
+    """img and k with the power of q that every entry shares, up to q^k,
+    taken out of both.  A nonzero coefficient is below 2^(s-1) in absolute
+    value, so the lowest one, at q^v, leaves fewer than s - 1 trailing
+    zero bits above the s * v of its slot; the lowest bit set in any entry
+    is the lowest bit of their bitwise or."""
+    if k < _UNSHIFT_MIN:
+        return img, k
+    low = reduce(or_, chain.from_iterable(img), 0)
+    v = min(((low & -low).bit_length() - 1) // s, k) if low else 0
+    if v > 0:
+        img = [list(map(rshift, r, repeat(s * v))) for r in img]
+    return img, k - v
+
+
+def _image_diff(A, B):
+    """The first (i, j), in row-major order, where the image matrices A and
+    B differ, or None."""
+    _, fa, fb = _lcm(A._d, B._d)
+    na, nb = sum(map(abs, fa)), sum(map(abs, fb))
+    w, _ = _fit((A, B), A._h * na + B._h * nb, lambda ha, hb: ha * na + hb * nb)
+    a, b, _ = _common(A, B, fa, fb, w)
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        if ra != rb:
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                if x != y:
+                    return i, j
+    return None
 
 
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
@@ -351,6 +642,12 @@ def _meq(A: Matrix, B: Matrix, field):
     tolerance.  Exact entries are in canonical form, so a = b exactly when
     a == b: the exact branch compares entries and computes a - b only at
     the first differing entry, in row-major order."""
+    if A._img is not None and B._img is not None:
+        ij = _image_diff(A, B)
+        if ij is None:
+            return True, None
+        i, j = ij
+        return False, f"entry ({i},{j}) = {A.rows[i][j] - B.rows[i][j]}"
     if field.exact:
         for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
             if ra != rb:
@@ -417,17 +714,21 @@ def degree_components(A: Matrix, g: Grading) -> dict:
     if A.n != g.dim or A.m != g.dim:
         raise DomainError("grading dimension does not match the matrix")
     f = A.field
+    img = A._img
+    src, z = (img, 0) if img is not None else (A.rows, f.zero)
     entries = {}
-    for i, j, a in A.nonzero_entries():
-        entries.setdefault(g.shift(i, j), []).append((i, j, a))
+    for i, r in enumerate(src):
+        for j, a in compress(enumerate(r), r):
+            entries.setdefault(g.shift(i, j), []).append((i, j, a))
     if not f.exact:
         scale = A.max_abs()
         entries = {s: e for s, e in entries.items()
                    if not f.is_zero(_largest(map(itemgetter(2), e)), scale)}
     comps = {}
     for s, e in entries.items():
-        M = comps[s] = Matrix.zeros(A.n, A.m, f)
+        rows = [[z] * A.m for _ in range(A.n)]
         for i, j, a in e:
-            M.rows[i][j] = a
+            rows[i][j] = a
+        comps[s] = (Matrix._image(rows, A.m, A._k, A._d, A._w, A._h, f) if img is not None
+                    else Matrix._adopt(rows, f))
     return comps
-

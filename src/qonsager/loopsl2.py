@@ -301,14 +301,16 @@ def _assemble_evaluation(n, a, field, links_plus=None, links_minus=None) -> Affi
     if links_minus is None:
         links_minus = mu
 
-    E1, F1, E0, F0 = (Matrix.zeros(d, d, _EXACT) for _ in range(4))
+    z = _EXACT.zero
+    E1, F1, E0, F0 = ([[z] * d for _ in range(d)] for _ in range(4))
     for j in range(n):
         # the link v_j <-> v_{j+1}: x^+_k carries mu_j^k [n-j], x^-_k mu_j^k [j+1]
         up, dn = _EXACT.qint(n - j), _EXACT.qint(j + 1)
-        E1.rows[j][j + 1] = up
-        F1.rows[j + 1][j] = dn
-        E0.rows[j + 1][j] = -(Q ** (2 * j + 2 - n) * links_minus[j] * dn)
-        F0.rows[j][j + 1] = -(Q ** (n - 2 * j - 2) * up / links_plus[j])
+        E1[j][j + 1] = up
+        F1[j + 1][j] = dn
+        E0[j + 1][j] = -(Q ** (2 * j + 2 - n) * links_minus[j] * dn)
+        F0[j][j + 1] = -(Q ** (n - 2 * j - 2) * up / links_plus[j])
+    E1, F1, E0, F0 = (Matrix(rows, _EXACT) for rows in (E1, F1, E0, F0))
     K = Matrix.diagonal([Q ** (n - 2 * j) for j in range(d)], _EXACT)
     Kinv = Matrix.diagonal([Q ** (2 * j - n) for j in range(d)], _EXACT)
 

@@ -214,9 +214,9 @@ def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> Affi
     qi = ONE / Q
 
     def unit(r, c, s=ONE):
-        m = Matrix.zeros(dim, dim, _EXACT)
-        m.rows[r][c] = s
-        return m
+        rows = [[_EXACT.zero] * dim for _ in range(dim)]
+        rows[r][c] = s
+        return Matrix(rows, _EXACT)
 
     E = {}
     F = {}
@@ -462,7 +462,7 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
     longer word is zero too, and the words under it add nothing.  A
     word's coefficient is computed only when its matrix is nonzero.
     """
-    acc = Matrix.zeros(dim, dim, field)
+    rows = [[field.zero] * dim for _ in range(dim)]
     wcache = {(): Matrix.identity(dim, field)}
 
     def wmat(word):
@@ -470,13 +470,14 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
             head = wmat(word[:-1])
             if head is not None:
                 head = head @ bmats[word[-1]]
-                if not any(any(r) for r in head.rows):
+                # exact is_zero is the entries' truthiness; the numeric
+                # one would apply the tolerance
+                if head.is_zero() if field.exact else not any(map(any, head.rows)):
                     head = None
             wcache[word] = head
         return wcache[word]
 
     kpow = {}
-    rows = acc.rows
     for word, kmap in e.terms.items():
         wm = wmat(word)
         if wm is None:
@@ -492,7 +493,7 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
             coef = coef + v
         for r, col, a in wm.nonzero_entries():
             rows[r][col] = rows[r][col] + coef * a
-    return acc
+    return Matrix(rows, field)
 
 
 def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,

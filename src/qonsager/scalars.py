@@ -68,6 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._kernel import (
+    _gcd_cofactors,
     padd,
     pdiv_exact,
     pgcd,
@@ -176,15 +177,8 @@ class Scalar:
         k1, k2 = self._k, other._k
         if k1 >= 0 and k2 >= 0:
             return _laurent(pmul(n1, n2), k1 + k2)
-        d1, d2 = self.den, other.den
-        g1 = pgcd(n1, d2)
-        if g1 != [1]:
-            n1 = pdiv_exact(n1, g1)
-            d2 = pdiv_exact(d2, g1)
-        g2 = pgcd(n2, d1)
-        if g2 != [1]:
-            n2 = pdiv_exact(n2, g2)
-            d1 = pdiv_exact(d1, g2)
+        _, n1, d2 = _gcd_cofactors(n1, other.den)
+        _, n2, d1 = _gcd_cofactors(n2, self.den)
         num = pmul(n1, n2)
         den = pmul(d1, d2)
         if den[-1] < 0:
@@ -276,10 +270,7 @@ def _reduce(num, den):
         raise DomainError("zero denominator")
     if not num:
         return [], [1]
-    g = pgcd(num, den)
-    if g != [1]:
-        num = pdiv_exact(num, g)
-        den = pdiv_exact(den, g)
+    _, num, den = _gcd_cofactors(num, den)
     if den[-1] < 0:
         num, den = pneg(num), pneg(den)
     return num, den
@@ -320,14 +311,12 @@ def _sum(a, b, op):
     d1, d2 = a.den, b.den
     if d1 == d2:
         return Scalar(op(n1, n2), d1)
-    g = pgcd(d1, d2)
+    g, d1g, d2g = _gcd_cofactors(d1, d2)
     if g == [1]:
         num = op(pmul(n1, d2), pmul(n2, d1))
         if not num:
             return ZERO
         return Scalar._raw(num, pmul(d1, d2))
-    d1g = pdiv_exact(d1, g)
-    d2g = pdiv_exact(d2, g)
     num = op(pmul(n1, d2g), pmul(n2, d1g))
     if not num:
         return ZERO

@@ -28,7 +28,7 @@ eliminates in the field with largest-magnitude pivoting.
 
 from __future__ import annotations
 
-from ._kernel import _bareiss_solve, pdiv_exact, pgcd, pmul, psub
+from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError, EvaluationError
 from .linmat import Matrix, _meq
 from .scalars import ZERO, Scalar, _coerce, specialize
@@ -346,14 +346,18 @@ def _zprimitive(zp):
     """Divide a z-polynomial with integer-polynomial coefficients by the
     gcd of its coefficients (any unit is acceptable to the callers)."""
     g = []
+    quo = []  # the coefficients so far over g
     for c in zp:
         if c:
-            g = pgcd(g, c)
+            g, shrink, qc = _gcd_cofactors(g, c)
             if g == [1]:
                 return zp
-    if not g:
-        return zp
-    return [pdiv_exact(c, g) if c else [] for c in zp]
+            if shrink != [1]:
+                quo = [pmul(x, shrink) if x else [] for x in quo]
+            quo.append(qc)
+        else:
+            quo.append([])
+    return quo if g else zp
 
 
 def _clear_denominators(coeffs):

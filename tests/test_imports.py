@@ -11,6 +11,10 @@ methods of module-level classes; a definition counts as referenced when
 its name is read, as a name or an attribute, outside its own body in the
 package, the tests or the benchmark harness.
 
+An exact matrix keeps integer images and decodes ``.rows`` from them on
+first read, so those rows are read-only: no package module but ``linmat``
+writes into ``.rows``, directly or through a name bound to it.
+
 The numeric zero rule (a matrix vanishes at the scale of the matrices it
 came from) lives in ``linmat`` alone, so no other package module may read
 ``max_abs``, the scale that rule is taken at.
@@ -271,6 +275,59 @@ def test_mutation_scan_flags_in_place_changes():
 def test_fraction_parts_are_never_mutated(path):
     lines = sorted(_mutations(ast.parse(path.read_text(), filename=str(path))))
     assert not lines, f"{path.name} mutates a .num or .den list at lines {lines}"
+
+
+def _is_rows(node):
+    return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+
+def _row_writes(tree):
+    """Line numbers of writes into a matrix's ``.rows``: a subscript store
+    or delete, an augmented assignment or a mutating list method whose
+    target is reached from ``X.rows``, directly or through a name bound
+    to ``X.rows``."""
+    aliases = {t.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and _is_rows(node.value)
+               for t in node.targets if isinstance(t, ast.Name)}
+
+    def from_rows(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return _is_rows(node) or isinstance(node, ast.Name) and node.id in aliases
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and from_rows(node.value)):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS and from_rows(node.func.value)):
+            yield node.lineno
+
+
+def test_row_write_scan_sees_every_form():
+    tree = ast.parse(
+        "M.rows[0][1] = x\n"
+        "M.rows[0] = [x]\n"
+        "rows = M.rows\n"
+        "rows[1][0] = y\n"
+        "del A.rows[0]\n"
+        "A.rows[0][0] += 1\n"
+        "M.rows[0].append(1)\n"
+        "x = M.rows[0][1]\n"
+        "out = [[0]]; out[0][0] = 1\n"
+        "self._rows[0] = 1\n"
+    )
+    assert sorted(_row_writes(tree)) == [1, 2, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linmat"],
+                         ids=lambda p: p.name)
+def test_only_linmat_writes_rows(path):
+    # an exact matrix decodes its rows from integer images on first read,
+    # so a write into them would change no entry
+    lines = sorted(_row_writes(ast.parse(path.read_text(), filename=str(path))))
+    assert not lines, (f"{path.name} writes into .rows at lines {lines}; "
+                       "build a list of rows and construct the Matrix once")
 
 
 def _reads(tree, name):

@@ -11,6 +11,7 @@ from qonsager.linmat import (
     Matrix,
     ProductMemo,
     _meq,
+    commutator,
     degree_components,
     qbracket,
 )
@@ -236,7 +237,9 @@ def test_entrywise_ops_match_reference_exact(pair, c, product):
 
 
 @pytest.mark.parametrize("k", [0, 1, 37, 256])
-def test_exact_scale_multiplies_only_nonzero_entries(k, monkeypatch):
+def test_exact_scale_runs_on_images(k, monkeypatch):
+    # scaling an exact matrix multiplies integer images: no Scalar product
+    # is formed, whatever the number of nonzero entries
     calls = []
     mul = Scalar.__mul__
 
@@ -251,8 +254,126 @@ def test_exact_scale_multiplies_only_nonzero_entries(k, monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     S = A.scale(Q + 2)
     monkeypatch.undo()
-    assert len(calls) == k
+    assert calls == []
     assert S == Matrix([[(Q + 2) * a for a in r] for r in rows], F)
+
+
+_NAN = float("nan")
+nan_entries = st.one_of(numeric_entries, st.sampled_from(
+    [complex(_NAN, 0.0), complex(-0.0, _NAN), complex(float("inf"), _NAN), 1e308 + 1e308j]))
+
+
+@given(same_shape_pairs(nan_entries), product_pairs(nan_entries, 0j), nan_entries)
+@settings(max_examples=200, deadline=None)
+def test_numeric_ops_are_the_entry_loops_bit_for_bit(pair, product, c):
+    # the C-level passes give the entry loops' complex arithmetic exactly:
+    # signed zeros, overflow to inf and NaN propagation included
+    nf = NumericField(1.3)
+    a_rows, b_rows = pair
+    A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
+
+    def reprs(rows):
+        return [[repr(x) for x in r] for r in rows]
+
+    assert reprs((A + B).rows) == reprs(_entrywise(a_rows, b_rows, lambda a, b: a + b))
+    assert reprs((A - B).rows) == reprs(_entrywise(a_rows, b_rows, lambda a, b: a - b))
+    assert reprs((-A).rows) == reprs([[-a for a in r] for r in a_rows])
+    assert reprs(A.scale(c).rows) == reprs([[c * a for a in r] for r in a_rows])
+    P, R = (Matrix(r, nf) for r in product)
+    assert reprs((P @ R).rows) == reprs(dense_product(P, R))
+
+
+# ------------------------------------------------------------------ images
+
+#: Laurent entries, entries over integers and over polynomials prime to q,
+#: and three zeros of which only F.zero is the ZERO object
+image_pool = [F.zero, F.zero, Scalar(0), _CANCELLED, Scalar(1), Scalar(-3), Q, Q**-2,
+              Q**3 - 5, Q + Q**-1, Scalar(1, 2), Scalar(5, 6) * Q**-1,
+              1 / (Q - Q**-1), Q / (Q**2 + 1), (Q + 1) / (Scalar(3) * Q**2),
+              Scalar(1, [1, 1]), (Q**2 - 2) / (Q**2 + Q + 1)]
+image_entries = st.sampled_from(image_pool)
+
+
+def _entrywise(rows_a, rows_b, op):
+    return [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
+
+
+def _dense(rows_a, rows_b):
+    return [[sum((a * rb[j] for a, rb in zip(ra, rows_b)), F.zero)
+             for j in range(len(rows_b[0]))] for ra in rows_a]
+
+
+@given(same_shape_pairs(image_entries), product_pairs(image_entries, F.zero),
+       image_entries, image_entries)
+@settings(max_examples=200, deadline=None)
+def test_image_ops_match_scalar_arithmetic(pair, product, c, v):
+    # every operation on images gives, entry by entry, the plain Scalar
+    # arithmetic of the entries, over any mix of shifts and denominators
+    a_rows, b_rows = pair
+    A, B = Matrix(a_rows, F), Matrix(b_rows, F)
+    assert A._img is not None and B._img is not None
+    assert A.rows == a_rows
+    assert (A + B).rows == _entrywise(a_rows, b_rows, lambda a, b: a + b)
+    assert (A - B).rows == _entrywise(a_rows, b_rows, lambda a, b: a - b)
+    assert (-A).rows == [[-a for a in r] for r in a_rows]
+    assert A.scale(c).rows == [[c * a for a in r] for r in a_rows]
+    assert A.transpose().rows == [list(col) for col in zip(*a_rows)]
+    assert A.is_zero() == all(not a for r in a_rows for a in r)
+    assert list(A.nonzero_entries()) == [(i, j, a) for i, r in enumerate(a_rows)
+                                         for j, a in enumerate(r) if a]
+    diffs = [(i, j, a - b) for i, (ra, rb) in enumerate(zip(a_rows, b_rows))
+             for j, (a, b) in enumerate(zip(ra, rb)) if a != b]
+    want = (True, None) if not diffs else (False, "entry ({},{}) = {}".format(*diffs[0]))
+    assert _meq(A, B, F) == want
+    assert (A == B) == (not diffs)
+    assert _meq(A, Matrix(a_rows, F), F) == (True, None)
+    P, R = (Matrix(r, F) for r in product)
+    p_r = _dense(product[0], product[1])
+    assert (P @ R).rows == p_r
+    if P.n == P.m == R.m:
+        r_p = _dense(product[1], product[0])
+        assert qbracket(P, R, v).rows == _entrywise(p_r, r_p, lambda x, y: x - v * y)
+        assert commutator(P, R).rows == _entrywise(p_r, r_p, lambda x, y: x - y)
+    K = P.kron(B)
+    assert K.rows == [[x * y for x in rp for y in rb] for rp in product[0] for rb in b_rows]
+
+
+def test_image_slot_edges():
+    # coefficients at +-(2^31 - 1), and 1-norms at 2^31 - 1, fill a 32-bit
+    # slot exactly and decode
+    top = 2**31 - 1
+    rows = [[Scalar(top), Scalar([top - 5, 0, -5])], [Scalar(-top) * Q**-3, Q]]
+    A = Matrix(rows, F)
+    assert A._w == 4
+    assert A.rows == rows
+    # a product whose coefficients pass 2^31 is computed in wider slots
+    sq = A @ A
+    assert sq._w > 4
+    assert sq.rows == _dense(rows, rows)
+    assert (A + A).rows == _entrywise(rows, rows, lambda a, b: a + b)
+    assert (A - A).is_zero() and A == Matrix(rows, F)
+    # each entry of a product sums r products of entries: four terms of
+    # 2^30 pass the slot, though each term alone stays inside it
+    row = Matrix([[Scalar(2**15)] * 4], F)
+    assert (row @ row.transpose()).rows == [[Scalar(2**32)]]
+    # 2^32 - q is nonzero, though it vanishes at q = 2^32: a difference whose
+    # coefficient reaches the slot is never judged zero
+    half = Matrix([[Scalar(2**16)]], F)
+    X, Y = half @ half, Matrix([[Q]], F)
+    assert X.rows == [[Scalar(2**32)]]
+    assert (X - Y).rows == [[Scalar([2**32, -1])]]
+    assert not (X - Y).is_zero()
+    assert X != Y
+    assert _meq(X, Y, F) == (False, "entry (0,0) = -q+4294967296")
+
+
+def test_image_rows_decode_lazily_and_are_read_only_by_contract():
+    A = Matrix([[Q, F.zero], [F.zero, Q**-1]], F)
+    assert A._rows is None
+    assert list(A.nonzero_entries()) == [(0, 0, Q), (1, 1, Q**-1)]
+    assert A._rows is None
+    assert A.rows[1][1] == Q**-1
+    assert A.rows is A.rows
 
 
 def test_product_shape_mismatch():

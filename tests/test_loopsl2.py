@@ -57,18 +57,18 @@ def V(n, a, window=3, T=6, field=None):
 
 def closed_form_xminus(n, a, k):
     """x^-_k v_j = mu_j^k [j+1] v_{j+1}, as a matrix."""
-    M = Matrix.zeros(n + 1, n + 1, F)
+    rows = [[F.zero] * (n + 1) for _ in range(n + 1)]
     for j in range(n):
-        M.rows[j + 1][j] = (a * Q ** (n - 2 * j)) ** k * qint(j + 1)
-    return M
+        rows[j + 1][j] = (a * Q ** (n - 2 * j)) ** k * qint(j + 1)
+    return Matrix(rows, F)
 
 
 def closed_form_xplus(n, a, k):
     """x^+_k v_j = mu_{j-1}^k [n-j+1] v_{j-1}, as a matrix."""
-    M = Matrix.zeros(n + 1, n + 1, F)
+    rows = [[F.zero] * (n + 1) for _ in range(n + 1)]
     for j in range(1, n + 1):
-        M.rows[j - 1][j] = (a * Q ** (n - 2 * j + 2)) ** k * qint(n - j + 1)
-    return M
+        rows[j - 1][j] = (a * Q ** (n - 2 * j + 2)) ** k * qint(n - j + 1)
+    return Matrix(rows, F)
 
 
 def closed_form_psi(n, a, m, j):
@@ -311,7 +311,9 @@ def test_phi_series_diagonal_and_guarded():
     assert Psi.coeff(3) == mod.psi[3]
     with pytest.raises(DomainError):
         phi_series(mod, T=mod.T + 1)
-    mod.psi[1].rows[0][1] = F.one
+    damaged = [list(r) for r in mod.psi[1].rows]
+    damaged[0][1] = F.one
+    mod.psi[1] = Matrix(damaged, F)
     with pytest.raises(DomainError):
         phi_series(mod)
 

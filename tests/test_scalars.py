@@ -521,6 +521,40 @@ def test_gcd_matches_pseudo_remainder_sequence(pair):
     assert pgcd(a, b) == pmul_int(_kernel._prs_gcd(pa, pb), math.gcd(ca, cb))
 
 
+@given(st.one_of(st.tuples(polys, polys), gcd_pairs(max_len=40)))
+@example(([], [0, -3]))
+@example(([0, 0, 6], [0, 4, 0, 8]))  # a monomial against a polynomial
+@example(([0, 0, 6], []))
+@settings(max_examples=80, deadline=None)
+def test_gcd_cofactors_are_the_quotients(pair):
+    a, b = pair
+    if not a and not b:
+        return
+    g, qa, qb = _kernel._gcd_cofactors(list(a), list(b))
+    assert g == pgcd(list(a), list(b))
+    assert pmul(g, qa) == a and pmul(g, qb) == b
+
+
+def test_gcd_cofactors_reuse_the_heuristic_proof(monkeypatch):
+    # the heuristic gcd proves its candidate by two exact divisions, whose
+    # quotients are the cofactors: no third or fourth division follows
+    g0 = [3, -1, 2]
+    a = pmul(g0, [1, 2, 3] * 6)
+    b = pmul(g0, [-2, 0, 1] * 6 + [5])
+    calls = []
+    divide = _kernel.pdiv_exact
+
+    def counted(x, y):
+        calls.append(y)
+        return divide(x, y)
+
+    monkeypatch.setattr(_kernel, "pdiv_exact", counted)
+    g, qa, qb = _kernel._gcd_cofactors(a, b)
+    assert len(calls) == 2
+    assert g == g0 == pgcd(a, b)
+    assert pmul(g, qa) == a and pmul(g, qb) == b
+
+
 def test_gcd_falls_back_to_the_pseudo_remainder_sequence():
     # a0 and b0 vanish at q = 2^16, 2^24 and 2^32 modulo a prime above half
     # that point (a pair found by lattice reduction), and so do a and b,
