@@ -50,7 +50,9 @@ Division conventions:
   the same result.
 * _gcd_cofactors(a, b) is (pgcd(a, b), a / g, b / g), for the callers that
   divide by the gcd next: the heuristic gcd returns the quotients of the
-  divisions that proved it, and a monomial gcd divides by a shift.
+  divisions that proved it, and a monomial gcd divides by a shift.  Both
+  entry points run one gcd body, _gcd, which hands back the quotients
+  only where it has them; pgcd drops them.
 """
 
 from math import gcd as _igcd
@@ -277,22 +279,7 @@ def prem(a, b):
 
 def pgcd(a, b):
     """gcd in ZZ[q] (content included), positive leading coefficient."""
-    if not a:
-        return _posnorm(list(b))
-    if not b:
-        return _posnorm(list(a))
-    if not any(a[:-1]):
-        return _monomial_gcd(a, b)
-    if not any(b[:-1]):
-        return _monomial_gcd(b, a)
-    ca, pa = pprim(a)
-    cb, pb = pprim(b)
-    cg = _igcd(ca, cb)
-    g = None
-    if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
-        g = _heuristic_gcd(pa, pb)
-    g = _prs_gcd(pa, pb) if g is None else g[0]
-    return pmul_int(g, cg) if cg != 1 else g
+    return _gcd(a, b)[0]
 
 
 def _gcd_cofactors(a, b):
@@ -300,30 +287,40 @@ def _gcd_cofactors(a, b):
     that divide by the gcd next: the heuristic gcd hands over the
     quotients its proof computed, and a monomial gcd divides by a shift
     and an integer division."""
+    g, qa, qb = _gcd(a, b)
+    if qa is None:
+        if any(g[:-1]):
+            return g, pdiv_exact(a, g), pdiv_exact(b, g)
+        return g, _monomial_quotient(a, g), _monomial_quotient(b, g)
+    return g, qa, qb
+
+
+def _gcd(a, b):
+    """(g, a/g, b/g) for g = pgcd(a, b), the quotients None where finding g
+    did not compute them: the one gcd body behind pgcd and
+    _gcd_cofactors."""
     if not a or not b:
         g = _posnorm(list(a or b))
         unit = [1] if g == (a or b) else [-1]
         return g, (unit if a else []), (unit if b else [])
     if not any(a[:-1]):
-        g = _monomial_gcd(a, b)
-    elif not any(b[:-1]):
-        g = _monomial_gcd(b, a)
-    else:
-        ca, pa = pprim(a)
-        cb, pb = pprim(b)
-        cg = _igcd(ca, cb)
-        r = None
-        if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
-            r = _heuristic_gcd(pa, pb)
-        if r is None:
-            g = _prs_gcd(pa, pb)
-            r = (g, pa, pb) if g == [1] else (g, pdiv_exact(pa, g), pdiv_exact(pb, g))
-        g, qa, qb = r
-        fa, fb = ca // cg, cb // cg
-        return (pmul_int(g, cg) if cg != 1 else g,
-                pmul_int(qa, fa) if fa != 1 else qa,
-                pmul_int(qb, fb) if fb != 1 else qb)
-    return g, _monomial_quotient(a, g), _monomial_quotient(b, g)
+        return _monomial_gcd(a, b), None, None
+    if not any(b[:-1]):
+        return _monomial_gcd(b, a), None, None
+    ca, pa = pprim(a)
+    cb, pb = pprim(b)
+    cg = _igcd(ca, cb)
+    r = None
+    if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
+        r = _heuristic_gcd(pa, pb)
+    if r is None:
+        g = _prs_gcd(pa, pb)
+        return (pmul_int(g, cg) if cg != 1 else g), None, None
+    g, qa, qb = r
+    fa, fb = ca // cg, cb // cg
+    return (pmul_int(g, cg) if cg != 1 else g,
+            pmul_int(qa, fa) if fa != 1 else qa,
+            pmul_int(qb, fb) if fb != 1 else qb)
 
 
 def _monomial_quotient(a, g):

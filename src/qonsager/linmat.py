@@ -39,20 +39,23 @@ An operation whose height bound would reach 2^(s-1) first re-encodes its
 operands: it decodes them, takes their heights down to the exact largest
 1-norm and, if the bound still reaches the slot, packs them in wider
 slots.  Their values do not change, so this is done in place.  A product
-whose shift reaches 8 also takes out the power of q its entries share.
+also takes out the power of q that all its entries share, so that the
+shift of a tower of products does not grow with each factor.
 The stored form is not canonical, since P_ij and D q^K may share factors.
-Canonical Scalars appear only when entries are read: ``rows`` decodes the
-whole matrix on its first read and keeps the result, ``nonzero_entries``
-decodes only the nonzero images, and a failed ``_meq`` decodes the entry
-its witness names.  The rows of an exact matrix are therefore read-only:
+
+Every exact matrix is held this way: construction coerces ints and
+Fractions to Scalars and refuses any other entry.  Canonical Scalars
+appear only when entries are read: ``rows`` decodes the whole matrix on
+its first read and keeps the result, ``nonzero_entries`` decodes only the
+nonzero images, and a failed ``_meq`` decodes both sides to name its
+witness.  The decoded rows refuse writes, which would miss the images:
 build a list of rows and construct a Matrix from it.
 
-An exact matrix whose entries are not all Scalars (a matrix of Python
-ints, say) keeps them as rows, and so does every numeric matrix, whose
-entries are Python complex numbers.  Rows take the plain entrywise path,
-in C-level passes (``map`` over ``operator`` functions), with no
-zero-skipping in sums, differences, negation and scaling: a skipped
-``a + 0j`` would keep a -0.0 that the addition turns into 0.0.
+A numeric matrix keeps its entries, Python complex numbers, as rows, and
+its operations take the plain entrywise path, in C-level passes (``map``
+over ``operator`` functions), with no zero-skipping in sums, differences,
+negation and scaling: a skipped ``a + 0j`` would keep a -0.0 that the
+addition turns into 0.0.
 
 The product is row-sparse (Gustavson, ACM TOMS 4(3), 1978) in both
 stores: it lists the nonzero entries of each row of the right operand
@@ -98,7 +101,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, neg, or_, rshift, sub
+from operator import add, itemgetter, mul, neg, or_, sub
 
 from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
 from .errors import DomainError
@@ -125,8 +128,8 @@ class Matrix:
         self._store(rows, field)
 
     def _store(self, rows, field):
-        """Hold rows: as images when every entry is a Scalar, else as they
-        are."""
+        """Hold rows: a numeric matrix as they are, an exact one as the
+        images of its entries, each coerced to a Scalar."""
         self.n = len(rows)
         self.m = len(rows[0]) if rows else 0
         self.field = field
@@ -136,15 +139,19 @@ class Matrix:
             return
         k = 0
         parts = {}
+        coerced = False
         for x in chain.from_iterable(rows):
             if type(x) is not Scalar:
-                return
+                x = _scalar(x)
+                coerced = True
             e = x._k
             if e < 0:
                 e, dp = _split(x.den)
                 parts[tuple(dp)] = dp
             if e > k:
                 k = e
+        if coerced:
+            rows = [[_scalar(x) for x in r] for r in rows]
         if parts:
             # D = lcm of the denominators' parts prime to q; each entry
             # becomes (its numerator times D over its part, its q-power)
@@ -183,12 +190,14 @@ class Matrix:
 
     @property
     def rows(self):
-        """The entries, row by row; an exact matrix decodes them on the
-        first read.  Read-only: write rows into a new Matrix instead."""
+        """The entries, row by row.  An exact matrix decodes them on the
+        first read, into lists that refuse writes, since its images are
+        its store: build rows and construct a new Matrix instead."""
         rows = self._rows
         if rows is None:
             k, d, w = self._k, self._d, self._w
-            rows = self._rows = [[_decode(x, k, d, w) for x in r] for r in self._img]
+            rows = self._rows = _ReadOnly(_ReadOnly([_decode(x, k, d, w) for x in r])
+                                          for r in self._img)
         return rows
 
     # -- constructors ---------------------------------------------------------
@@ -271,7 +280,7 @@ class Matrix:
                     for j, b in bk:
                         row[j] += a * b
                 out.append(row)
-            out, k = _unshifted(out, self._k + other._k, 8 * w)
+            k = _unshifted(out, self._k + other._k, 8 * w)
             return Matrix._image(out, p, k, _dmul(self._d, other._d), w, h, self.field)
         # k ascends, so every entry gets the same additions in the same order
         # as the dense inner-product loop: results agree bit for bit.
@@ -297,10 +306,7 @@ class Matrix:
 
     def scale(self, c):
         if self._img is not None:
-            if type(c) is not Scalar:
-                c = _coerce(c)
-            if c is not NotImplemented:
-                return _image_scale(self, c)
+            return _image_scale(self, _scalar(c))
         return Matrix._adopt([list(map(mul, repeat(c), r)) for r in self.rows],
                              self.field)
 
@@ -351,12 +357,9 @@ class Matrix:
         return Matrix._adopt(out, self.field)
 
     def is_zero(self, scale=1.0):
-        f = self.field
         if self._img is not None:
             return not any(map(any, self._img))
-        if f.exact:
-            return all(f.is_zero(a, scale) for r in self._rows for a in r)
-        return f.is_zero(_largest(chain.from_iterable(self._rows)), scale)
+        return self.field.is_zero(_largest(chain.from_iterable(self._rows)), scale)
 
     def max_abs(self):
         """Largest |entry| after numeric coercion — the natural residual scale."""
@@ -410,15 +413,30 @@ class Matrix:
 
 # -- integer images -------------------------------------------------------------
 
-# Bytes per slot of a freshly encoded matrix (s = 32 bits), and the bytes a
-# widened slot gets above the height it must hold.
+# Bytes per slot of a freshly encoded matrix (s = 32 bits).
 _W0 = 4
-_SPARE = 2
-# A product takes the common power of q out of its entries once its shift
-# reaches this; below it, the pass over the entries costs more than the
-# zero slots it would remove.
-_UNSHIFT_MIN = 8
 _ONE = [1]
+
+
+class _ReadOnly(list):
+    """A list that refuses writes: the decoded rows of an exact matrix."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise DomainError("the rows of an exact matrix are read-only: "
+                          "build rows and construct a Matrix from them")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
+def _scalar(x):
+    """x as a Scalar, for an entry or a factor of an exact matrix."""
+    c = x if type(x) is Scalar else _coerce(x)
+    if c is NotImplemented:
+        raise DomainError(f"an exact matrix holds Scalars, not {type(x).__name__}")
+    return c
 
 
 def _split(den):
@@ -533,7 +551,7 @@ def _fit(ms, h, bound):
             _refit(M, M._w)
         h = bound(*(M._h for M in ms))
         if h.bit_length() >= 8 * w:
-            w = _width(h.bit_length() + 1) + _SPARE
+            w = _width(h.bit_length() + 1)
     for M in ms:
         if M._w != w:
             _refit(M, w)
@@ -560,18 +578,23 @@ def _lifted(M, f, k, w):
 
 
 def _unshifted(img, k, s):
-    """img and k with the power of q that every entry shares, up to q^k,
-    taken out of both.  A nonzero coefficient is below 2^(s-1) in absolute
-    value, so the lowest one, at q^v, leaves fewer than s - 1 trailing
-    zero bits above the s * v of its slot; the lowest bit set in any entry
-    is the lowest bit of their bitwise or."""
-    if k < _UNSHIFT_MIN:
-        return img, k
-    low = reduce(or_, chain.from_iterable(img), 0)
+    """The shift k less the power of q, up to q^k, that every entry of img
+    shares, taken out of the entries in place: img is a product's fresh
+    rows.  A nonzero coefficient is below 2^(s-1) in absolute value, so
+    the lowest one, at q^v, leaves fewer than s - 1 trailing zero bits
+    above the s * v of its slot; the lowest bit set in any entry is the
+    lowest bit of their bitwise or.  Only the nonzero entries are visited:
+    products of the sparse module matrices are mostly zeros."""
+    if not k:
+        return k
+    low = reduce(or_, filter(None, chain.from_iterable(img)), 0)
     v = min(((low & -low).bit_length() - 1) // s, k) if low else 0
     if v > 0:
-        img = [list(map(rshift, r, repeat(s * v))) for r in img]
-    return img, k - v
+        b = s * v
+        for r in img:
+            for j in compress(range(len(r)), r):
+                r[j] >>= b
+    return k - v
 
 
 def _image_diff(A, B):
@@ -639,22 +662,14 @@ def _meq(A: Matrix, B: Matrix, field):
 
     Numeric entries compare at the scale of the larger operand, so an
     equality between large matrices is not judged by an absolute
-    tolerance.  Exact entries are in canonical form, so a = b exactly when
-    a == b: the exact branch compares entries and computes a - b only at
-    the first differing entry, in row-major order."""
-    if A._img is not None and B._img is not None:
+    tolerance.  Exact matrices compare their images, and compute a - b
+    only at the first differing entry, in row-major order."""
+    if field.exact:
         ij = _image_diff(A, B)
         if ij is None:
             return True, None
         i, j = ij
         return False, f"entry ({i},{j}) = {A.rows[i][j] - B.rows[i][j]}"
-    if field.exact:
-        for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
-            if ra != rb:
-                for j, (a, b) in enumerate(zip(ra, rb)):
-                    if a != b:
-                        return False, f"entry ({i},{j}) = {a - b}"
-        return True, None
     D = A - B
     scale = max(A.max_abs(), B.max_abs(), 1.0)
     if D.is_zero(scale):

@@ -1,5 +1,7 @@
 """Matrices, gradings and degree components, q-brackets, the numeric backend."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -56,8 +58,8 @@ def to_sympy_matrix(A):
 
 def test_qbracket_sl2_pair():
     # [E, F]_1 on the 2-dim module equals (K - K^-1)/(q - q^-1)
-    E = Matrix([[0, 1], [0, 0]], F).map_entries(Scalar, F)
-    Fm = Matrix([[0, 0], [1, 0]], F).map_entries(Scalar, F)
+    E = Matrix([[F.zero, F.one], [F.zero, F.zero]], F)
+    Fm = Matrix([[F.zero, F.zero], [F.one, F.zero]], F)
     K = Matrix.diagonal([Q, Q**-1], F)
     lhs = qbracket(E, Fm, F.one)
     Kinv = Matrix.diagonal([Q**-1, Q], F)
@@ -285,12 +287,13 @@ def test_numeric_ops_are_the_entry_loops_bit_for_bit(pair, product, c):
 
 # ------------------------------------------------------------------ images
 
-#: Laurent entries, entries over integers and over polynomials prime to q,
-#: and three zeros of which only F.zero is the ZERO object
+#: Laurent entries (shifts up to 5, so products reach shift 10), entries
+#: over integers and over polynomials prime to q, and three zeros of which
+#: only F.zero is the ZERO object
 image_pool = [F.zero, F.zero, Scalar(0), _CANCELLED, Scalar(1), Scalar(-3), Q, Q**-2,
               Q**3 - 5, Q + Q**-1, Scalar(1, 2), Scalar(5, 6) * Q**-1,
               1 / (Q - Q**-1), Q / (Q**2 + 1), (Q + 1) / (Scalar(3) * Q**2),
-              Scalar(1, [1, 1]), (Q**2 - 2) / (Q**2 + Q + 1)]
+              Scalar(1, [1, 1]), (Q**2 - 2) / (Q**2 + Q + 1), Q**-5, (Q**2 + 3) * Q**-4]
 image_entries = st.sampled_from(image_pool)
 
 
@@ -367,13 +370,55 @@ def test_image_slot_edges():
     assert _meq(X, Y, F) == (False, "entry (0,0) = -q+4294967296")
 
 
-def test_image_rows_decode_lazily_and_are_read_only_by_contract():
+def test_image_product_takes_out_the_shared_power_of_q():
+    # shifts 5 and 3 add to 8; the product's one entry 2 q^-4 keeps q^4 of
+    # that shift, and its image holds no zero slots
+    A, B = Matrix([[Q**-5, Q**-1]], F), Matrix([[Q], [Q**-3]], F)
+    assert (A._k, B._k) == (5, 3)
+    P = A @ B
+    assert P.rows == [[Scalar(2) * Q**-4]] and P._k == 4 and P._img == [[2]]
+    # entries that share no power of q keep the whole shift
+    rows_c = [[Q**-5, Scalar(1)], [F.zero, Q**-4]]
+    rows_d = [[Q**-3, F.zero], [Scalar(1), Q**-3 + 1]]
+    R = Matrix(rows_c, F) @ Matrix(rows_d, F)
+    assert R._k == 8 and R.rows == _dense(rows_c, rows_d)
+    # the shift of a tower of products does not grow with each factor
+    S = Matrix([[F.zero, Q**-5], [Q**5, F.zero]], F)
+    T = Matrix.identity(2, F)
+    for _ in range(6):
+        T = T @ S
+    assert T == Matrix.identity(2, F) and T._k == 0 and T._img == [[1, 0], [0, 1]]
+    Z = Matrix([[Q**-5, F.zero]], F) @ Matrix([[F.zero], [Q**-3]], F)
+    assert Z.is_zero() and Z._k == 8
+
+
+def test_image_rows_decode_lazily_and_refuse_writes():
     A = Matrix([[Q, F.zero], [F.zero, Q**-1]], F)
     assert A._rows is None
     assert list(A.nonzero_entries()) == [(0, 0, Q), (1, 1, Q**-1)]
     assert A._rows is None
     assert A.rows[1][1] == Q**-1
     assert A.rows is A.rows
+    # a write through the decoded rows would miss the images: it fails
+    for write in (lambda r: r[0].__setitem__(1, Q), lambda r: r.__setitem__(0, [Q, Q]),
+                  lambda r: r[1].append(Q), lambda r: r[0].__iadd__([Q])):
+        with pytest.raises(DomainError, match="read-only"):
+            write(A.rows)
+    assert A.rows == [[Q, F.zero], [F.zero, Q**-1]] and A == Matrix(A.rows, F)
+    assert A.rows[0][:] + [Q] == [Q, F.zero, Q]
+
+
+def test_exact_entries_are_coerced_to_scalars():
+    # every exact matrix is held as images: ints and Fractions are Scalars
+    A = Matrix([[0, 1], [Fraction(1, 2), -3]], F)
+    assert A._img is not None
+    assert A.rows == [[F.zero, F.one], [Scalar(1, 2), Scalar(-3)]]
+    assert A == Matrix([[F.zero, F.one], [Scalar(1, 2), Scalar(-3)]], F)
+    assert Matrix.diagonal([2, Q], F).rows == [[Scalar(2), F.zero], [F.zero, Q]]
+    with pytest.raises(DomainError, match="holds Scalars, not float"):
+        Matrix([[1.5]], F)
+    with pytest.raises(DomainError, match="holds Scalars, not complex"):
+        A.scale(1j)
 
 
 def test_product_shape_mismatch():

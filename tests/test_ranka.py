@@ -367,8 +367,8 @@ def test_ef_chain_identity_as_matrices():
 
 def test_pk_bracket_small_cases():
     f = F
-    x = Matrix([[0, 1], [0, 0]], f).map_entries(f.from_scalar, f)
-    y = Matrix([[0, 0], [1, 0]], f).map_entries(f.from_scalar, f)
+    x = Matrix([[f.zero, f.one], [f.zero, f.zero]], f)
+    y = Matrix([[f.zero, f.zero], [f.one, f.zero]], f)
     assert pk_bracket([x], f.q) == x
     assert pk_bracket([x, y], f.q) == qbracket(x, y, f.q)
     with pytest.raises(DomainError):
@@ -399,8 +399,8 @@ def test_nesting_variants_differ_without_almost_commuting():
     # the inner commutator is [E, F] = H and [H, E] = 2E, so the two
     # nestings differ by 2q E.
     f = F
-    x = Matrix([[0, 1], [0, 0]], f).map_entries(f.from_scalar, f)
-    y = Matrix([[0, 0], [1, 0]], f).map_entries(f.from_scalar, f)
+    x = Matrix([[f.zero, f.one], [f.zero, f.zero]], f)
+    y = Matrix([[f.zero, f.zero], [f.one, f.zero]], f)
     diff = (pk_bracket([x, x, y], f.q)
             - pk_bracket([x, x, y], f.q, variant="right"))
     assert not diff.is_zero()
