@@ -51,11 +51,12 @@ nonzero images, and a failed ``_meq`` decodes both sides to name its
 witness.  The decoded rows refuse writes, which would miss the images:
 build a list of rows and construct a Matrix from it.
 
-A numeric matrix keeps its entries, Python complex numbers, as rows, and
-its operations take the plain entrywise path, in C-level passes (``map``
-over ``operator`` functions), with no zero-skipping in sums, differences,
-negation and scaling: a skipped ``a + 0j`` would keep a -0.0 that the
-addition turns into 0.0.
+A numeric matrix keeps its entries as rows: Python floats at a real q0
+and complex numbers otherwise (see ``scalars.NumericField``); no operation
+here looks at which.  Its operations take the plain entrywise path, in
+C-level passes (``map`` over ``operator`` functions), with no zero-skipping
+in sums, differences, negation and scaling: a skipped ``a + 0.0`` would
+keep a -0.0 that the addition turns into 0.0.
 
 The product is row-sparse (Gustavson, ACM TOMS 4(3), 1978) in both
 stores: it lists the nonzero entries of each row of the right operand
@@ -93,8 +94,9 @@ therefore checked by comparing its two sides, never by testing a
 difference against a zero matrix, whose scale would be lost.
 
 The module is plain Python over both backends (numeric entries are Python
-complex numbers) and imports no numeric library: there is no eigenvector
-or root solver here, and exact runs never leave Q(q).
+floats at a real q0 and complex numbers otherwise) and imports no numeric
+library: there is no eigenvector or root solver here, and exact runs never
+leave Q(q).
 """
 
 from __future__ import annotations

@@ -57,14 +57,16 @@ Backends
 --------
 :class:`ExactField` and :class:`NumericField` expose the same small constant
 factory / zero-test protocol, so every construction in the package can run
-either over exact Scalars or over complex numbers at a fixed q0 (guarded
-against roots of unity up to order 48).  :func:`specialize` maps a Scalar to
-its complex value at q0 and raises :class:`~qonsager.errors.EvaluationError`
-at poles.
+either over exact Scalars or over numbers at a fixed finite q0 (guarded
+against roots of unity up to order 48): Python floats at a real q0, the
+real parts of the complex values, and complex numbers otherwise.
+:func:`specialize` maps a Scalar to its complex value at q0 and raises
+:class:`~qonsager.errors.EvaluationError` at poles.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._kernel import (
@@ -590,10 +592,23 @@ class ExactField:
 
 
 class NumericField:
-    """Same protocol over complex numbers at a fixed q0.
+    """Same protocol over Python floats or complex numbers at a fixed q0.
 
-    q0 must stay away from 0 and from roots of unity of order <= 48 (the
-    q-integers appearing in any supported window must not vanish).
+    At a real q0 (``q0.imag == 0``) every value the field hands out is a
+    float, and otherwise a complex number.  A float value is the real part
+    of the value computed in complex arithmetic: with an imaginary part of
+    exactly +-0, the real part of a complex ``*``, ``+``, ``-``, ``/`` or
+    ``abs`` is the float operation itself.  So finite results agree bit for
+    bit, except for the sign of a zero (the complex real part
+    a.r*b.r - a.i*b.i turns -0.0 - -0.0 into 0.0), which changes no nonzero
+    result and no zero test.  After an overflow the complex run's imaginary
+    part becomes NaN and spreads to the real part, where a float keeps its
+    infinity; neither is zero.  Floats are cheaper, since CPython
+    specializes float arithmetic and not complex.
+
+    q0 must be finite and stay away from 0 and from roots of unity of order
+    <= 48 (the q-integers appearing in any supported window must not
+    vanish); tol must be finite and non-negative.
     """
 
     exact = False
@@ -601,8 +616,12 @@ class NumericField:
 
     def __init__(self, q0: complex = DEFAULT_Q0, tol: float = 1e-9):
         q0 = complex(q0)
+        if not (math.isfinite(q0.real) and math.isfinite(q0.imag)):
+            raise EvaluationError(f"q0 = {q0} is not finite")
         if q0 == 0:
             raise EvaluationError("q0 = 0 is outside the torus")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise DomainError(f"tol = {tol} must be finite and non-negative")
         w = q0
         for k in range(1, 49):
             if abs(w - 1.0) < 1e-8:
@@ -612,23 +631,28 @@ class NumericField:
             w *= q0
         self.q0 = q0
         self.tol = tol
-        self.zero = 0j
-        self.one = 1 + 0j
-        self.q = q0
+        self._real = q0.imag == 0
+        self.zero = self._out(0j)
+        self.one = self._out(1 + 0j)
+        self.q = self._out(q0)
 
-    def from_int(self, n: int) -> complex:
-        return complex(n)
+    def _out(self, z: complex) -> float | complex:
+        """z as the field hands it out: its real part at a real q0."""
+        return z.real if self._real else z
 
-    def from_fraction(self, p: int, r: int) -> complex:
-        return complex(p) / complex(r)
+    def from_int(self, n: int) -> float | complex:
+        return self._out(complex(n))
 
-    def from_scalar(self, s: Scalar) -> complex:
-        return specialize(s, self.q0)
+    def from_fraction(self, p: int, r: int) -> float | complex:
+        return self._out(complex(p) / complex(r))
 
-    def qint(self, k: int) -> complex:
+    def from_scalar(self, s: Scalar) -> float | complex:
+        return self._out(specialize(s, self.q0))
+
+    def qint(self, k: int) -> float | complex:
         if k == 0:
-            return 0j
-        return (self.q0**k - self.q0**-k) / (self.q0 - 1 / self.q0)
+            return self.zero
+        return self._out((self.q0**k - self.q0**-k) / (self.q0 - 1 / self.q0))
 
     def is_zero(self, x, scale=1.0) -> bool:
         return abs(x) <= self.tol * max(1.0, scale)

@@ -163,24 +163,41 @@ def test_product_matches_dense_loop_exact(pair):
     assert C.rows == dense_product(A, B)
 
 
-@given(product_pairs(st.one_of(
-    st.sampled_from(complex_pool),
-    st.complex_numbers(allow_nan=False, allow_infinity=False),
-    st.builds(complex, st.floats(-10, 10), st.floats(-10, 10))), 0j))
-@settings(max_examples=150, deadline=None)
-def test_product_matches_dense_loop_numeric(pair):
+def _reprs(rows):
+    return [[repr(x) for x in r] for r in rows]
+
+
+def _check_product(pair):
     nf = NumericField(1.3)
     A, B = (Matrix(rows, nf) for rows in pair)
     C = A @ B
     assert (C.n, C.m) == (A.n, B.m)
-    want = dense_product(A, B)
-    assert [[repr(x) for x in r] for r in C.rows] == [[repr(x) for x in r] for r in want]
+    assert _reprs(C.rows) == _reprs(dense_product(A, B))
 
 
 numeric_entries = st.one_of(
     st.sampled_from(complex_pool),
     st.complex_numbers(allow_nan=False, allow_infinity=False),
     st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)))
+
+#: the entries of a numeric matrix at a real q0
+float_pool = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 0.1, -2.5]
+float_entries = st.one_of(
+    st.sampled_from(float_pool),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-10, 10))
+
+
+@given(product_pairs(numeric_entries, 0j))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_dense_loop_numeric(pair):
+    _check_product(pair)
+
+
+@given(product_pairs(float_entries, 0.0))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_dense_loop_float(pair):
+    _check_product(pair)
 
 
 @st.composite
@@ -189,25 +206,31 @@ def same_shape_pairs(draw, entries):
     return tuple([[draw(entries) for _ in range(m)] for _ in range(n)] for _ in range(2))
 
 
-@given(same_shape_pairs(numeric_entries), numeric_entries)
-@settings(max_examples=150, deadline=None)
-def test_entrywise_ops_match_reference_numeric(pair, c):
-    # add, sub, neg and scale stay plain entrywise complex arithmetic:
-    # signed zeros and overflowing products come out as the reference's.
+def _check_entrywise(pair, c):
+    # add, sub, neg and scale stay plain entrywise arithmetic: signed
+    # zeros and overflowing products come out as the reference's.
     nf = NumericField(1.3)
     a_rows, b_rows = pair
     A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
-
-    def reprs(rows):
-        return [[repr(x) for x in r] for r in rows]
-
     rows = list(zip(a_rows, b_rows))
-    assert reprs((A + B).rows) == reprs([[a + b for a, b in zip(ra, rb)] for ra, rb in rows])
-    assert reprs((A - B).rows) == reprs([[a - b for a, b in zip(ra, rb)] for ra, rb in rows])
-    assert reprs((-A).rows) == reprs([[-a for a in ra] for ra in a_rows])
-    scaled = reprs([[c * a for a in ra] for ra in a_rows])
-    assert reprs(A.scale(c).rows) == scaled
-    assert reprs((c * A).rows) == scaled
+    assert _reprs((A + B).rows) == _reprs([[a + b for a, b in zip(ra, rb)] for ra, rb in rows])
+    assert _reprs((A - B).rows) == _reprs([[a - b for a, b in zip(ra, rb)] for ra, rb in rows])
+    assert _reprs((-A).rows) == _reprs([[-a for a in ra] for ra in a_rows])
+    scaled = _reprs([[c * a for a in ra] for ra in a_rows])
+    assert _reprs(A.scale(c).rows) == scaled
+    assert _reprs((c * A).rows) == scaled
+
+
+@given(same_shape_pairs(numeric_entries), numeric_entries)
+@settings(max_examples=150, deadline=None)
+def test_entrywise_ops_match_reference_numeric(pair, c):
+    _check_entrywise(pair, c)
+
+
+@given(same_shape_pairs(float_entries), float_entries)
+@settings(max_examples=150, deadline=None)
+def test_entrywise_ops_match_reference_float(pair, c):
+    _check_entrywise(pair, c)
 
 
 #: zeros that are not the field's ZERO object take the arithmetic path
@@ -260,29 +283,36 @@ def test_exact_scale_runs_on_images(k, monkeypatch):
     assert S == Matrix([[(Q + 2) * a for a in r] for r in rows], F)
 
 
-_NAN = float("nan")
+_NAN, _INF = float("nan"), float("inf")
 nan_entries = st.one_of(numeric_entries, st.sampled_from(
-    [complex(_NAN, 0.0), complex(-0.0, _NAN), complex(float("inf"), _NAN), 1e308 + 1e308j]))
+    [complex(_NAN, 0.0), complex(-0.0, _NAN), complex(_INF, _NAN), 1e308 + 1e308j]))
+nan_floats = st.one_of(float_entries, st.sampled_from([_NAN, -_NAN, _INF, -_INF, 1e308]))
+
+
+def _check_entry_loops(pair, product, c):
+    # the C-level passes give the entry loops' arithmetic exactly: signed
+    # zeros, overflow to inf and NaN propagation included
+    nf = NumericField(1.3)
+    a_rows, b_rows = pair
+    A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
+    assert _reprs((A + B).rows) == _reprs(_entrywise(a_rows, b_rows, lambda a, b: a + b))
+    assert _reprs((A - B).rows) == _reprs(_entrywise(a_rows, b_rows, lambda a, b: a - b))
+    assert _reprs((-A).rows) == _reprs([[-a for a in r] for r in a_rows])
+    assert _reprs(A.scale(c).rows) == _reprs([[c * a for a in r] for r in a_rows])
+    P, R = (Matrix(r, nf) for r in product)
+    assert _reprs((P @ R).rows) == _reprs(dense_product(P, R))
 
 
 @given(same_shape_pairs(nan_entries), product_pairs(nan_entries, 0j), nan_entries)
 @settings(max_examples=200, deadline=None)
 def test_numeric_ops_are_the_entry_loops_bit_for_bit(pair, product, c):
-    # the C-level passes give the entry loops' complex arithmetic exactly:
-    # signed zeros, overflow to inf and NaN propagation included
-    nf = NumericField(1.3)
-    a_rows, b_rows = pair
-    A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
+    _check_entry_loops(pair, product, c)
 
-    def reprs(rows):
-        return [[repr(x) for x in r] for r in rows]
 
-    assert reprs((A + B).rows) == reprs(_entrywise(a_rows, b_rows, lambda a, b: a + b))
-    assert reprs((A - B).rows) == reprs(_entrywise(a_rows, b_rows, lambda a, b: a - b))
-    assert reprs((-A).rows) == reprs([[-a for a in r] for r in a_rows])
-    assert reprs(A.scale(c).rows) == reprs([[c * a for a in r] for r in a_rows])
-    P, R = (Matrix(r, nf) for r in product)
-    assert reprs((P @ R).rows) == reprs(dense_product(P, R))
+@given(same_shape_pairs(nan_floats), product_pairs(nan_floats, 0.0), nan_floats)
+@settings(max_examples=200, deadline=None)
+def test_float_ops_are_the_entry_loops_bit_for_bit(pair, product, c):
+    _check_entry_loops(pair, product, c)
 
 
 # ------------------------------------------------------------------ images
@@ -508,20 +538,28 @@ def test_numeric_zero_test_is_one_bound_on_the_largest_entry():
     # one is_zero call on the largest |entry| gives the per-entry verdict,
     # and a NaN anywhere, which max alone passes over, is never zero
     nf = NumericField(1.3)
-    nan = complex(float("nan"), 0.0)
+    nan = complex(_NAN, 0.0)
     for rows, scale, want in (
         ([[1e-10, 0j], [-1e-10j, 0j]], 1.0, True),
         ([[1e-10, 0j], [0j, 2e-9]], 1.0, False),
         ([[1e-10, 0j], [0j, 2e-9]], 2.0, True),
         ([[0j, nan], [0j, 0j]], 1.0, False),
         ([[nan, 0j], [0j, 0j]], 1.0, False),
-        ([[0j, 0j], [0j, complex(float("inf"), float("nan"))]], 1.0, False),
+        ([[0j, 0j], [0j, complex(_INF, _NAN)]], 1.0, False),
+        # the entries of a numeric matrix at a real q0
+        ([[1e-10, -0.0], [-1e-10, 0.0]], 1.0, True),
+        ([[1e-10, 0.0], [0.0, -2e-9]], 1.0, False),
+        ([[0.0, _NAN], [0.0, 0.0]], 1.0, False),
+        ([[-_NAN, 0.0], [0.0, 0.0]], 1.0, False),
+        ([[0.0, 0.0], [0.0, _INF]], 1.0, False),
+        ([[-_INF, 0.0], [0.0, _NAN]], 1.0, False),
     ):
         M = Matrix(rows, nf)
         assert M.is_zero(scale) is want
         assert M.is_zero(scale) == all(nf.is_zero(a, scale) for r in rows for a in r)
-    A = Matrix([[1.0, 0j], [0j, nan]], nf)
-    assert _meq(A, A, nf)[0] is False
+    for bad in (nan, _NAN, _INF):
+        A = Matrix([[1.0, 0.0], [0.0, bad]], nf)
+        assert _meq(A, A, nf)[0] is False
     A, B = Matrix([[2.0, 1.0], [0j, 3.0]], nf), Matrix([[2.0, 1.0], [1e-6, 3.0]], nf)
     assert _meq(A, B, nf) == (False, "entry (1,0) residual 1.000e-06 at scale 3.000e+00")
 

@@ -33,7 +33,8 @@ from qonsager.onsager import (
     verify_presentation,
     verify_qdolangrady,
 )
-from qonsager.ranka import RankNParams, build_vector_evaluation, generate_rankn_family
+from qonsager.ranka import (RankNParams, build_vector_evaluation, generate_rankn_family,
+                            verify_grel)
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
 from qonsager.series import FPoly, RationalFunction, h_from_theta
 from qonsager.spectra import drf_reports, factorization_check
@@ -287,18 +288,77 @@ def test_tau_dual_on_v1():
     assert rep.ok, rep.summary()
 
 
-def test_numeric_matches_specialized_exact():
-    q0 = 1.3
+@pytest.mark.parametrize("q0, kind", [(1.3, float), (1.2 + 0.5j, complex)],
+                         ids=["float", "complex"])
+def test_numeric_matches_specialized_exact(q0, kind):
+    # both numeric stores: floats at a real q0, complex numbers otherwise
     p = P("1", "1", "1", "q")
     fam = generate_family(p, V(1, "q^2"), T=4, R=5)
     nf = NumericField(q0=q0)
     famn = generate_family(p, V(1, "q^2", field=nf), T=4, R=5)
+    assert {type(x) for r in famn.A[1][2].rows for x in r} == {kind}
     for r in (-3, -1, 0, 2, 4):
         exact = fam.A[1][r].map_entries(lambda s: specialize(s, q0), field=nf)
         delta = exact - famn.A[1][r]
         assert delta.is_zero(scale=max(famn.A[1][r].max_abs(), 1.0)), r
     repn = verify_presentation(famn, rwin=1, mmax=2)
     assert repn.ok, repn.summary()
+
+
+class ComplexAtRealQ0(NumericField):
+    """The numeric field with complex values even at a real q0: the
+    reference that the float store must reproduce."""
+
+    def _out(self, z):
+        return z
+
+
+_TOWERS = ("B", "A", "H", "Hbar1", "theta", "theta_acute", "theta_grave")
+
+
+def _family_entries(fam):
+    """(tower, node, index, row, column) -> entry, over every family matrix."""
+    out = {}
+    for tower in _TOWERS:
+        for i, mats in getattr(fam, tower).items():
+            for k, M in (mats.items() if isinstance(mats, dict) else [(None, mats)]):
+                for r, row in enumerate(M.rows):
+                    for c, x in enumerate(row):
+                        out[tower, i, k, r, c] = x
+    return out
+
+
+def _loop_run(field):
+    mod = tensor(V(2, "q", window=1, field=field), V(1, "q^3", window=1, field=field))
+    fam = generate_family(P("q^2", "q^-1", "0", "0"), mod, T=6, R=6)
+    checks = [verify_presentation(fam, rwin=2, mmax=3), factorization_check(fam, 6)[0]]
+    return fam, checks
+
+
+def _vector_run(field):
+    mod = build_vector_evaluation(2, parse_scalar("q"), field=field)
+    fam = generate_rankn_family(mod, RankNParams([1, 1, 1]), T=6, R=6)
+    return fam, [verify_grel(fam, rwin=2, mmax=3)]
+
+
+@pytest.mark.parametrize("run", [_loop_run, _vector_run], ids=["V2xV1", "W2"])
+def test_float_store_is_the_complex_store_bit_for_bit(run):
+    # at a real q0 every float is the real part of the complex run's value,
+    # and every check entry, witness included, is the same; floats that
+    # compare equal are the same bits, except that a zero's sign may differ
+    # (the complex real part a.r*b.r - a.i*b.i turns -0.0 - -0.0 into 0.0)
+    fam, checks = run(NumericField(1.3))
+    ref, ref_checks = run(ComplexAtRealQ0(1.3))
+    ours, theirs = _family_entries(fam), _family_entries(ref)
+    assert ours.keys() == theirs.keys() and len(ours) > 500
+    assert {type(x) for x in ours.values()} == {float}
+    assert {type(z) for z in theirs.values()} == {complex}
+    assert all(z.imag == 0 for z in theirs.values())
+    assert [k for k, x in ours.items() if x != theirs[k].real] == []
+    entries = [[(e.name, e.indices, e.ok, e.witness) for e in rep.entries] for rep in checks]
+    assert entries == [[(e.name, e.indices, e.ok, e.witness) for e in rep.entries]
+                       for rep in ref_checks]
+    assert all(rep.ok for rep in checks) and sum(map(len, entries)) > 30
 
 
 def test_numeric_theta_commute_at_their_scale():

@@ -482,11 +482,15 @@ def test_tensor_module_certifies_and_grades():
     assert t.grading.degrees == [(0,), (-1,), (-1,), (-2,)]
 
 
-def test_numeric_vector_module_is_the_mapped_exact_module():
-    nf = NumericField(1.3)
+@pytest.mark.parametrize("q0, kind", [(1.3, float), (1.2 + 0.5j, complex)],
+                         ids=["float", "complex"])
+def test_numeric_vector_module_is_the_mapped_exact_module(q0, kind):
+    # both numeric stores: floats at a real q0, complex numbers otherwise
+    nf = NumericField(q0)
     num = build_vector_evaluation(2, parse_scalar("q"), field=nf)
     exact = W(2, "q")
     assert num.certified and num.field is nf
+    assert {type(x) for M in num.E.values() for r in M.rows for x in r} == {kind}
     assert verify_affine_presentation(num).ok
     assert num.grading == exact.grading
     for gens in ("E", "F", "Kc", "Kcinv"):

@@ -342,6 +342,53 @@ def test_numeric_field_guards():
     assert f.eq(f.qint(2), 1.3 + 1 / 1.3)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("q0", [_NAN, _INF, -_INF, complex(1.3, _NAN), complex(_INF, 0.0),
+                                complex(1.3, -_INF)])
+def test_numeric_field_refuses_a_q0_that_is_not_finite(q0):
+    with pytest.raises(EvaluationError, match="is not finite") as err:
+        NumericField(q0)
+    assert f"q0 = {complex(q0)}" in str(err.value)
+
+
+@pytest.mark.parametrize("tol", [_INF, _NAN, -1, -1e-12])
+def test_numeric_field_refuses_a_tol_that_is_not_finite_or_negative(tol):
+    # tol = inf would pass every zero test and so certify every relation
+    with pytest.raises(DomainError, match="must be finite and non-negative") as err:
+        NumericField(1.3, tol=tol)
+    assert f"tol = {tol}" in str(err.value)
+
+
+def test_numeric_field_accepts_a_zero_tol():
+    f = NumericField(1.3, tol=0)
+    assert f.is_zero(0.0) and not f.is_zero(1e-300)
+
+
+class _ComplexField(NumericField):
+    def _out(self, z):
+        return z
+
+
+@pytest.mark.parametrize("q0, kind", [(1.3, float), (-0.7, float), (complex(2.0, -0.0), float),
+                                      (1.2 + 0.5j, complex), (-0.7j, complex)])
+def test_numeric_field_values_are_floats_at_a_real_q0(q0, kind):
+    # at a real q0 each value is the real part of the complex value, bit for
+    # bit, and the complex value's imaginary part is zero
+    f, ref = NumericField(q0), _ComplexField(q0)
+    x = parse_scalar("(q^3 - 2*q + 5)/(3*q^2 + 1)")
+    got = [f.zero, f.one, f.q, f.from_int(-7), f.from_fraction(2, 3), f.from_scalar(x),
+           *(f.qint(k) for k in range(-4, 5))]
+    want = [ref.zero, ref.one, ref.q, ref.from_int(-7), ref.from_fraction(2, 3),
+            ref.from_scalar(x), *(ref.qint(k) for k in range(-4, 5))]
+    assert {type(v) for v in got} == {kind} and {type(z) for z in want} == {complex}
+    if kind is float:
+        assert all(z.imag == 0 for z in want)
+        want = [z.real for z in want]
+    assert [repr(v) for v in got] == [repr(z) for z in want]
+
+
 # ---------------------------------------------------------------- kernel
 
 
