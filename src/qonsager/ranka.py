@@ -91,9 +91,8 @@ from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       generate_family, onedim_closed_form)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint
-from .series import (FPoly, RationalFunction, TruncSeries, _fraction_free,
-                     pade_reconstruct)
-from .spectra import factorization_check
+from .series import TruncSeries, pade_reconstruct
+from .spectra import _line_certificate, _numeric_fit, factorization_check
 
 __all__ = [
     "WeylWord",
@@ -815,122 +814,6 @@ def braid_compat_check(i: int, module: AffineModule,
 # -- spectra -------------------------------------------------------------------------
 
 
-def _qspan(p: FPoly) -> int:
-    """Top q-exponent minus lowest over the fraction-free coefficients of
-    an exact p; additive over Z[q^+-1][z], like a degree."""
-    cs = [c for c in _fraction_free(p.coeffs) if c]
-    return (max(len(c) for c in cs) - 1
-            - min(next(e for e, x in enumerate(c) if x) for c in cs))
-
-
-def _line_certificate(rf):
-    """Exact certificate rf = G(z)/G(q^2 z) over Q(q), by q^2-gcd chains
-    (Abramov's q-dispersion, 1995).  Returns (G, None) or (None, witness).
-
-    For k = 1, 2, .. a factor g of num(z) with g(q^2k z) dividing den is a
-    zero chain, g(z)/g(q^2k z) = G(z)/G(q^2 z) with G = prod_{t<k} g(q^2t z);
-    a pole chain is the same with num and den swapped and G inverted.  Each
-    k takes g = gcd(num(z), den(q^-2k z)), then the pole-chain gcd, and
-    divides g(z) and g(q^2k z) out.  Since num and den are coprime, g(0) != 0,
-    so a link at k forces 2k <= span_q(num) + span_q(den) and the loop ends
-    there.  The left-over constant must be 1, which the final == confirms.
-    """
-    f = rf.field
-    num, den = rf.num, rf.den
-    q2 = f.q * f.q
-    gparts = [FPoly.one(f), FPoly.one(f)]
-    bound = (_qspan(num) + _qspan(den)) // 2
-    k = 0
-    while 0 < num.degree == den.degree and k < bound:
-        k += 1
-        for side in (0, 1):
-            a, b = (num, den) if side == 0 else (den, num)
-            g = a.gcd(b.scale_z(q2 ** -k))
-            if g.degree < 1:
-                continue
-            g = g.scale(f.one / g.coeffs[0])
-            for t in range(k):
-                gparts[side] = gparts[side] * g.scale_z(q2 ** t)
-            a, b = a.divmod(g)[0], b.divmod(g.scale_z(q2 ** k))[0]
-            num, den = (a, b) if side == 0 else (b, a)
-    if num.degree > 0 or den.degree > 0:
-        return None, (f"not G(z)/G(q^2 z): ({num})/({den}) is left without "
-                      "q^2-chain partners")
-    G = RationalFunction(*gparts)
-    if not rf == G / G.scale_z(q2):
-        return None, (f"not G(z)/G(q^2 z): constant factor "
-                      f"{num.coeffs[0] / den.coeffs[0]}, not 1")
-    return G, None
-
-
-#: relative distance within which a numeric zero and pole pair off
-_PAIR_TOL = 1e-6
-
-
-def _numeric_fit(rf, field):
-    """Tolerance-based fit D(z) = F(q^-1 z)/F(q z) at the numeric field's
-    q0, for numeric lines only.  Returns (ok, residual or None, witness).
-
-    A zero of D at zeta pairs with a pole at q^-2 zeta (an F-zero at
-    q^-1 zeta) or at q^2 zeta (an F-pole at q zeta), within _PAIR_TOL
-    relative; all zeros and poles must pair off, and the assembled quotient
-    must reproduce D on a sample ring within the field's tol.
-    """
-    import numpy as np
-
-    def roots(p):
-        cs = [complex(c) for c in p.coeffs]
-        return list(np.roots(cs[::-1])) if len(cs) > 1 else []
-
-    q, tol = field.q0, field.tol
-    head = f"tolerance-based at q0 = {q:g}"
-    zeros, poles = roots(rf.num), roots(rf.den)
-    if len(zeros) != len(poles):
-        return False, None, (
-            f"inconclusive ({head}): {len(zeros)} zeros vs {len(poles)} poles; "
-            "raise T"
-        )
-    used = [False] * len(poles)
-    fzeros, fpoles = [], []
-    for z in sorted(zeros, key=abs):
-        hit = None
-        for kind, target in (("zero", z / q ** 2), ("pole", z * q ** 2)):
-            near = _PAIR_TOL * max(abs(target), 1.0)
-            for m, pp in enumerate(poles):
-                if not used[m] and abs(pp - target) <= near:
-                    hit = (kind, m)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return False, None, (
-                f"inconclusive ({head}): zero at {z:.6g} has no pole partner "
-                f"at q^-2 z or q^2 z within {_PAIR_TOL:.0e}; raise T"
-            )
-        kind, m = hit
-        used[m] = True
-        if kind == "zero":
-            fzeros.append(z / q)
-        else:
-            fpoles.append(z * q)
-
-    def fval(z):
-        return (np.prod([1.0 - z / x for x in fzeros])
-                / np.prod([1.0 - z / x for x in fpoles]))
-
-    res = 0.0
-    for z in 0.37 * np.exp(2j * np.pi * np.arange(17) / 17):
-        dv = np.polyval([complex(c) for c in reversed(rf.den.coeffs)], z)
-        if abs(dv) < 1e-12:
-            continue
-        got = np.polyval([complex(c) for c in reversed(rf.num.coeffs)], z) / dv
-        want = fval(z / q) / fval(z * q)
-        res = max(res, float(abs(got - want) / max(abs(got), 1.0)))
-    ok = res <= tol
-    verb = "within" if ok else "exceeds"
-    return ok, res, f"{head}: residual {res:.3e} {verb} {tol:.0e}"
-
-
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     """Tie the N = 1 towers on W_1(a) to the two-sided rank-one machinery,
     which rebuilds the module as V_1(-q^-2 a); other modules, V_1 itself
@@ -988,9 +871,12 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
     (Pade within the window), be invariant under z -> C^-1 z^-1
     exactly, and be a quotient D(z) = G(z)/G(q^2 z), G(z) = F(q^-1 z).
     Over Q(q) that quotient is certified exactly by q^2-gcd chains
-    (``_line_certificate``), never at a sample q.  Over a numeric field
-    it is a tolerance-based root-pairing fit at the field's own q0, with
-    residual below the field's tol.  Nonzero shifts s multiply every line
+    (``spectra._line_certificate``), never at a sample q.  Over a numeric
+    field it is a tolerance-based fit that pairs zeros and poles along
+    q^2-chains of length at most T at the field's own q0
+    (``spectra._numeric_fit``), with residual below the field's tol; both
+    are the engine ``spectra.drinfeld_data`` reads rank-one lines with.
+    Nonzero shifts s multiply every line
     by the one-dimensional character, which obeys the C-reflection
     identity instead, so it is divided out before the quotient test.
     Cross-node commutativity of the towers is exact.  At N = 1 the
@@ -1059,7 +945,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
                 if oku:
                     data["certificates"][(i, b)] = G
             else:
-                oku, res, wit = _numeric_fit(line, f)
+                oku, res, wit, _ = _numeric_fit(line, f, T)
                 if res is not None:
                     data["residuals"][(i, b)] = res
             rep.add("unitary_fit", (i, b), oku, wit)

@@ -583,10 +583,6 @@ class ExactField:
     def eq(a, b) -> bool:
         return a == b
 
-    @staticmethod
-    def conj(x):
-        return x
-
     def __repr__(self):
         return "ExactField()"
 
@@ -659,10 +655,6 @@ class NumericField:
 
     def eq(self, a, b) -> bool:
         return self.is_zero(a - b, scale=max(abs(a), abs(b)))
-
-    @staticmethod
-    def conj(x):
-        return x.conjugate()
 
     def __repr__(self):
         return f"NumericField(q0={self.q0}, tol={self.tol})"

@@ -9,8 +9,12 @@ components of matrices.  On top of that this module provides
   * the factorization of the normalized Theta tower against the product
     of the module's half towers (triangularity + shift-zero identity),
   * recovery of the polynomial pair (Q, R) behind the diagonal series of
-    an l-weight line, with the reversal/twisted-reversal transforms and
-    the boundary polynomials built from them,
+    an l-weight line, by Pade closure and q^2-chains: an exact line is
+    certified as D(qu)/D(0) = G(u)/G(q^2 u) by q^2-gcd chains, a numeric
+    one by pairing its zeros and poles along q^2-chains at the field's
+    q0 (``ranka.rankn_spectral_check`` reads its lines with the same two
+    functions), with the reversal/twisted-reversal transforms and the
+    boundary polynomials built from (Q, R),
   * the associated rational fraction F with its ratio and twisted
     unitarity identities, bundled per line into DRFReport; unitarity
     fixes F's prefactor only up to sign, so F keeps its square, which
@@ -26,6 +30,7 @@ based over the numeric one; none of them mutates a family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DomainError
 from .linmat import Grading, Matrix, _meq, degree_components
@@ -38,7 +43,8 @@ from .onsager import (
     onedim_closed_form,
 )
 from .report import CheckReport
-from .series import FPoly, RationalFunction, solve_linear
+from .series import (FPoly, RationalFunction, TruncSeries, _fraction_free,
+                     pade_reconstruct)
 
 __all__ = [
     "LWeightLine",
@@ -193,82 +199,150 @@ def _fr_verify(Qp: FPoly, Rp: FPoly, dplus, dminus, f) -> bool:
     return all(f.eq(si.coeff(-k), dminus[k]) for k in range(len(dminus)))
 
 
-def _fr_solve(dplus, dminus, dQ, dR, f):
-    """Candidate (Q, R) of exact degrees (dQ, dR), or None.
+def _qspan(p: FPoly) -> int:
+    """Top q-exponent minus lowest over the fraction-free coefficients of
+    an exact p; additive over Z[q^+-1][z], like a degree."""
+    cs = [c for c in _fraction_free(p.coeffs) if c]
+    return (max(len(c) for c in cs) - 1
+            - min(next(e for e, x in enumerate(c) if x) for c in cs))
 
-    Linearized through the products P_ij = Q_i R_j (P_00 = 1): both sides of
-    the series identity are linear in the grid, the grid is accepted only
-    when every 2x2 minor vanishes, and (Q, R) are read off its first column
-    and row.
+
+def _line_certificate(rf):
+    """Exact certificate rf = G(z)/G(q^2 z) over Q(q), by q^2-gcd chains
+    (Abramov's q-dispersion, 1995).  Returns (G, None) or (None, witness).
+
+    For k = 1, 2, .. a factor g of num(z) with g(q^2k z) dividing den is a
+    zero chain, g(z)/g(q^2k z) = G(z)/G(q^2 z) with G = prod_{t<k} g(q^2t z);
+    a pole chain is the same with num and den swapped and G inverted.  Each
+    k takes g = gcd(num(z), den(q^-2k z)), then the pole-chain gcd, and
+    divides g(z) and g(q^2k z) out.  Since num and den are coprime, g(0) != 0,
+    so a link at k forces 2k <= span_q(num) + span_q(den) and the loop ends
+    there.  The left-over constant must be 1, which the final == confirms.
     """
-    q = f.q
-    pref = q ** (dQ - dR)
-    dtot = dQ + dR
-    nv = (dQ + 1) * (dR + 1) - 1
-
-    def var(i, j):
-        return i * (dR + 1) + j - 1
-
-    rows, rhs = [], []
-
-    def equation(ncoef, dcoefs):
-        """pref * N_{ncoef} - sum_t dcoefs[t] * Dn_{t} with Dn index pairs."""
-        row = [f.zero] * nv
-        cst = f.zero
-        if ncoef is not None and 0 <= ncoef <= dtot:
-            for i in range(max(0, ncoef - dR), min(dQ, ncoef) + 1):
-                j = ncoef - i
-                c = pref * q ** (j - i)
-                if i == 0 and j == 0:
-                    cst = cst + c
-                else:
-                    row[var(i, j)] = row[var(i, j)] + c
-        for coef, e in dcoefs:
-            if not (0 <= e <= dtot):
+    f = rf.field
+    num, den = rf.num, rf.den
+    q2 = f.q * f.q
+    gparts = [FPoly.one(f), FPoly.one(f)]
+    bound = (_qspan(num) + _qspan(den)) // 2
+    k = 0
+    while 0 < num.degree == den.degree and k < bound:
+        k += 1
+        for side in (0, 1):
+            a, b = (num, den) if side == 0 else (den, num)
+            g = a.gcd(b.scale_z(q2 ** -k))
+            if g.degree < 1:
                 continue
-            for i in range(max(0, e - dR), min(dQ, e) + 1):
-                j = e - i
-                c = coef * q ** (i - j)
-                if i == 0 and j == 0:
-                    cst = cst - c
-                else:
-                    row[var(i, j)] = row[var(i, j)] - c
-        rows.append(row)
-        rhs.append(-cst)
+            g = g.scale(f.one / g.coeffs[0])
+            for t in range(k):
+                gparts[side] = gparts[side] * g.scale_z(q2 ** t)
+            a, b = a.divmod(g)[0], b.divmod(g.scale_z(q2 ** k))[0]
+            num, den = (a, b) if side == 0 else (b, a)
+    if num.degree > 0 or den.degree > 0:
+        return None, (f"not G(z)/G(q^2 z): ({num})/({den}) is left without "
+                      "q^2-chain partners")
+    G = RationalFunction(*gparts)
+    if not rf == G / G.scale_z(q2):
+        return None, (f"not G(z)/G(q^2 z): constant factor "
+                      f"{num.coeffs[0] / den.coeffs[0]}, not 1")
+    return G, None
 
-    for m in range(len(dplus)):
-        equation(m, [(dplus[t], m - t) for t in range(m + 1)])
-    for m in range(len(dminus)):
-        equation(dtot - m, [(dminus[t], dtot - m + t) for t in range(m + 1)])
 
-    if nv == 0:
-        if all(f.is_zero(v) for v in rhs):
-            return FPoly.one(f), FPoly.one(f)
-        return None
-    sol = solve_linear(rows, rhs, f)
-    if sol is None:
-        return None
-    P = [[f.one if i == 0 and j == 0 else sol[var(i, j)]
-          for j in range(dR + 1)] for i in range(dQ + 1)]
-    for i in range(dQ + 1):
-        for k in range(i + 1, dQ + 1):
-            for j in range(dR + 1):
-                for l in range(j + 1, dR + 1):
-                    if not f.is_zero(P[i][j] * P[k][l] - P[i][l] * P[k][j]):
-                        return None
-    return FPoly([P[i][0] for i in range(dQ + 1)], f), \
-        FPoly([P[0][j] for j in range(dR + 1)], f)
+#: relative distance within which a numeric zero and pole pair off
+_PAIR_TOL = 1e-6
+
+
+def _numeric_fit(rf, field, T):
+    """Tolerance-based fit D(z) = F(q^-1 z)/F(q z) at the numeric field's
+    q0, for numeric lines only.  Returns (ok, residual or None, witness,
+    (F-zeros, F-poles) or None).
+
+    A zero of D at zeta pairs with a pole at q^-2k zeta (a chain of F-zeros
+    at q^-1 zeta, .., q^(1-2k) zeta) or at q^2k zeta (F-poles at q zeta, ..,
+    q^(2k-1) zeta), within _PAIR_TOL relative, for k = 1..T, shortest links
+    first; all zeros and poles must pair off, and the assembled quotient
+    must reproduce D, normalized to D(0) = 1, on a sample ring within the
+    field's tol.
+    """
+    import numpy as np
+
+    def roots(p):
+        cs = [complex(c) for c in p.coeffs]
+        return [complex(r) for r in np.roots(cs[::-1])] if len(cs) > 1 else []
+
+    q, tol = field.q0, field.tol
+    head = f"tolerance-based at q0 = {q:g}"
+    zeros, poles = roots(rf.num), roots(rf.den)
+    if len(zeros) != len(poles):
+        return False, None, (
+            f"inconclusive ({head}): {len(zeros)} zeros vs {len(poles)} poles; "
+            "raise T"
+        ), None
+    used = [False] * len(poles)
+    free = sorted(zeros, key=abs)
+    fzeros, fpoles = [], []
+    for k in range(1, T + 1):
+        left = []
+        for z in free:
+            hit = None
+            for sign in (-1, 1):
+                target = z * q ** (2 * k * sign)
+                near = _PAIR_TOL * max(abs(target), 1.0)
+                hit = next((m for m, pp in enumerate(poles)
+                            if not used[m] and abs(pp - target) <= near), None)
+                if hit is not None:
+                    break
+            if hit is None:
+                left.append(z)
+                continue
+            used[hit] = True
+            (fzeros if sign < 0 else fpoles).extend(
+                z * q ** (sign * (2 * t + 1)) for t in range(k))
+        free = left
+        if not free:
+            break
+    if free:
+        return False, None, (
+            f"inconclusive ({head}): zero at {free[0]:.6g} has no pole partner "
+            f"at q^-2k z or q^2k z, k <= T = {T}, within {_PAIR_TOL:.0e}; "
+            "raise T"
+        ), None
+
+    def fval(z):
+        return (np.prod([1.0 - z / x for x in fzeros])
+                / np.prod([1.0 - z / x for x in fpoles]))
+
+    res = 0.0
+    for z in 0.37 * np.exp(2j * np.pi * np.arange(17) / 17):
+        dv = np.polyval([complex(c) for c in reversed(rf.den.coeffs)], z)
+        if abs(dv) < 1e-12:
+            continue
+        got = np.polyval([complex(c) for c in reversed(rf.num.coeffs)], z) / dv
+        want = fval(z / q) / fval(z * q)
+        res = max(res, float(abs(got - want) / max(abs(got), 1.0)))
+    ok = res <= tol
+    verb = "within" if ok else "exceeds"
+    return ok, res, f"{head}: residual {res:.3e} {verb} {tol:.0e}", (fzeros, fpoles)
 
 
 def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
     """Minimal (Q, R) whose ratio reproduces both expansions of a line.
 
     lweight is an LWeightLine or a bare (dplus, dminus) pair (ascending
-    coefficient lists of the two expansions; field then mandatory).  The
-    search is deterministic — total degree ascending, then deg Q ascending —
-    and a candidate counts only if the grid of products has rank one and
-    the reassembled rational function matches every known coefficient on
-    both sides.  No candidate within the degree budget -> inconclusive.
+    coefficient lists of the two expansions, dplus of at least two; field
+    then mandatory).  With T = len(dplus) - 1, the line reads
+    D(z) = q^(deg Q - deg R) F(q^-1 z)/F(q z), F = Q/R, in three steps:
+
+      * closure: dplus closes by Pade to a rational D of degrees at most
+        min(budget, (T - 1)/2) in numerator and denominator;
+      * chain: over Q(q), D(qu)/D(0) = G(u)/G(q^2 u) is certified by
+        q^2-gcd chains and (Q, R) = (num G, den G); over a numeric field
+        the zeros and poles of D/D(0) pair off along q^2-chains of length
+        at most T at the field's q0, which give the zeros of Q and R;
+      * verify: the (Q, R) found must reproduce every known coefficient of
+        both expansions.
+
+    Whatever step stops a line, the result is inconclusive (ok False, Q
+    and R None) and its witness names that step.
     """
     if isinstance(lweight, LWeightLine):
         dplus, dminus, f = lweight.dplus, lweight.dminus, lweight.field
@@ -277,20 +351,37 @@ def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
         f = field
         if f is None:
             raise DomainError("field is required with a bare series pair")
-    if not dplus or not dminus:
-        raise DomainError("need at least the constant coefficients of both series")
+    if len(dplus) < 2 or not dminus:
+        raise DomainError("need at least two coefficients of dplus and the "
+                          "constant coefficient of dminus")
     if budget < 0:
         raise DomainError("degree budget must be nonnegative")
-    for dtot in range(budget + 1):
-        for dQ in range(dtot + 1):
-            cand = _fr_solve(dplus, dminus, dQ, dtot - dQ, f)
-            if cand is None:
-                continue
-            Qp, Rp = cand
-            if _fr_verify(Qp, Rp, dplus, dminus, f):
-                return DrinfeldData(Qp, Rp, True, False)
-    return DrinfeldData(None, None, False, True,
-                        f"no (Q, R) with total degree <= {budget}")
+    T = len(dplus) - 1
+    deg = min(budget, (T - 1) // 2)
+
+    def stop(step, why):
+        return DrinfeldData(None, None, False, True, f"{step}: {why}")
+
+    rf = pade_reconstruct(TruncSeries(dict(enumerate(dplus)), 0, T, f.zero, f),
+                          deg, deg)
+    if rf is None:
+        return stop("closure", f"no rational function of degrees <= ({deg}, "
+                               f"{deg}) matches dplus to order {T}")
+    if f.exact:
+        G, wit = _line_certificate(rf.scale_z(f.q) / dplus[0])
+        if G is None:
+            return stop("chain", wit)
+        Qp, Rp = G.num, G.den
+    else:
+        ok, _, wit, roots = _numeric_fit(rf / dplus[0], f, T)
+        if not ok:
+            return stop("chain", wit)
+        Qp, Rp = (prod((FPoly([f.one, -1 / x], f) for x in xs), start=FPoly.one(f))
+                  for xs in roots)
+    if not _fr_verify(Qp, Rp, dplus, dminus, f):
+        return stop("verify", f"(Q, R) of degrees ({Qp.degree}, {Rp.degree}) "
+                              "does not reproduce both expansions")
+    return DrinfeldData(Qp, Rp, True, False)
 
 
 # -- factorization of the Theta tower ----------------------------------------------

@@ -25,7 +25,7 @@ is, so ``linmat`` reads no ``.tol`` attribute of a field.
 
 Exact runs never leave Q(q), so the package imports numpy nowhere at
 module level, and inside a function only where the numeric-only spectral
-fit roots a polynomial (``ranka._numeric_fit``); a fresh interpreter that
+fit roots a polynomial (``spectra._numeric_fit``); a fresh interpreter that
 imports every module and runs an exact benchmark verdict has no numpy
 loaded, and neither has one that runs a numeric rank-one verdict.  For the
 same reason ``specialize``, which evaluates a Scalar at a sample q0, is
@@ -416,7 +416,7 @@ def test_specialize_only_in_scalars_and_series(path):
 
 
 #: (module, enclosing function) of the only numpy imports in the package
-NUMPY_IMPORTERS = {("ranka", "_numeric_fit")}
+NUMPY_IMPORTERS = {("spectra", "_numeric_fit")}
 
 
 def _numpy_imports(tree):

@@ -53,6 +53,7 @@ from qonsager.ranka import (
 from qonsager.scalars import (ExactField, NumericField, Q, Scalar, parse_scalar,
                               specialize)
 from qonsager.series import FPoly, RationalFunction
+from qonsager.spectra import _line_certificate
 
 F = ExactField()
 
@@ -896,7 +897,7 @@ def test_spectral_structure_rank_two():
     # the same closure damaged in one coefficient has no certificate
     num = data["closures"][1][0].num.coeffs
     damaged = RationalFunction(FPoly([num[0], num[1] + Scalar(1)] + num[2:], F), den)
-    assert ranka._line_certificate(damaged)[0] is None
+    assert _line_certificate(damaged)[0] is None
 
 
 def test_spectral_structure_rank_three():
@@ -993,7 +994,7 @@ _CHAIN = ("1", "-q-q^3-q^5", "q^4+q^6+q^8", "-q^9")  # (1 - qz)(1 - q^3 z)(1 - q
     ((("1", "-q^7"), ("1", "-q")), (("1",), _CHAIN)),
 ], ids=["three-link-zero-chain", "three-link-pole-chain"])
 def test_line_certificate_accepts(line, G):
-    got, wit = ranka._line_certificate(_rf(*line))
+    got, wit = _line_certificate(_rf(*line))
     assert wit is None and got == _rf(*G)
 
 
@@ -1003,7 +1004,7 @@ def test_line_certificate_accepts(line, G):
     (("2", "-2q"), ("1", "-q^3")),
 ], ids=["odd-dispersion", "no-q-chain", "constant-2"])
 def test_line_certificate_rejects(num, den):
-    got, wit = ranka._line_certificate(_rf(num, den))
+    got, wit = _line_certificate(_rf(num, den))
     assert got is None and wit
 
 

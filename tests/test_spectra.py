@@ -11,7 +11,11 @@ Oracles, independent of the code under test:
 * the twisted-unitarity verdict must reject a pair that is not exchanged
   by the twisted reversal (gamma gamma_dag != C^deg),
 * a (Q, R) pair with four distinct roots/poles round-trips through its
-  own expansions.
+  own expansions,
+* line k of V_n has deg Q = n - k and deg R = k, and line 1 of V_3(q) is
+  the q^2-string pair ((1 - q^-1 z)(1 - q z), 1 - q^5 z), written out by
+  hand; numeric reports must agree with the exact ones mapped into the
+  numeric field.
 """
 
 import pytest
@@ -22,7 +26,7 @@ from qonsager.errors import DomainError
 from qonsager.linmat import Matrix
 from qonsager.loopsl2 import EvalParams, build_evaluation, extend_loop_data, tensor
 from qonsager.onsager import OnsagerParams, generate_family
-from qonsager.scalars import ExactField, Scalar, parse_scalar
+from qonsager.scalars import ExactField, NumericField, Scalar, parse_scalar
 from qonsager.series import FPoly
 from qonsager.spectra import (
     boundary_poly,
@@ -228,6 +232,104 @@ def test_drinfeld_data_deterministic():
     assert a.R.coeff_strings() == b.R.coeff_strings()
 
 
+def test_drinfeld_data_refuses_a_one_coefficient_series():
+    # the closure needs dplus to order 1 at least
+    with pytest.raises(DomainError, match="two coefficients"):
+        drinfeld_data(([one], [one]), field=F)
+
+
+def vn(n, a, T, field=None):
+    return build_evaluation(EvalParams(n, parse_scalar(a)), window=2, T=T, field=field)
+
+
+@pytest.mark.parametrize("n, a, T", [(3, "q", 8), (4, "q^3", 8), (5, "q", 10)])
+def test_drinfeld_data_reads_every_line_of_vn(n, a, T):
+    # line k of V_n carries n - k zeros of Q and k of R, in q^2-strings
+    # that the ratio D(z) cancels down to degree <= 2
+    for k, ln in enumerate(lweight_lines(vn(n, a, T))):
+        dd = drinfeld_data(ln, budget=T)
+        assert dd.ok, (ln.label, dd.witness)
+        assert (dd.Q.degree, dd.R.degree) == (n - k, k), ln.label
+
+
+def test_drinfeld_data_reads_a_q_string_in_q():
+    # V_3(q), line 1: Q holds the q^2-string q^-1, q
+    dd = drinfeld_data(lweight_lines(vn(3, "q", 8))[1], budget=8)
+    assert dd.ok
+    assert dd.Q == fpoly(1, "-q^-1") * fpoly(1, "-q")
+    assert dd.R == fpoly(1, "-q^5")
+
+
+@pytest.mark.parametrize("n, a", [(3, "q"), (4, "q^3")])
+def test_drf_reports_pass_on_longer_strings(n, a):
+    reports = drf_reports(fam_on(P0, vn(n, a, 8), T=8))
+    assert len(reports) == n + 1
+    for r in reports:
+        assert r.ok, (r.label, r.verdicts, r.witnesses)
+
+
+NF = NumericField(1.3)
+
+
+def same_poly(num, exact):
+    """A numeric polynomial against an exact one mapped into its field."""
+    f = num.field
+    return num.degree == exact.degree and all(
+        f.eq(num.coeff(k), f.from_scalar(exact.coeff(k)))
+        for k in range(exact.degree + 1))
+
+
+@pytest.mark.parametrize("n, a, T", [(1, "q", 6), (2, "q^2", 6), (3, "q", 8)])
+def test_numeric_drf_reports_match_the_exact_ones(n, a, T):
+    exact = drf_reports(fam_on(P0, vn(n, a, T), T=T))
+    numeric = drf_reports(fam_on(P0, vn(n, a, T, field=NF), T=T))
+    assert len(numeric) == len(exact) == n + 1
+    for rn, re in zip(numeric, exact):
+        assert rn.ok, (rn.label, rn.verdicts, rn.witnesses)
+        assert same_poly(rn.Q, re.Q) and same_poly(rn.R, re.R), rn.label
+
+
+def test_numeric_verify_failure_is_inconclusive():
+    # V_5(q) at T = 10, q0 = 1.3: the last two lines pair off along
+    # q^2-chains, but the assembled (Q, R) misses an expansion coefficient
+    # by more than tol; that is no verdict on the line
+    lines = lweight_lines(vn(5, "q", 10, field=NF))
+    for ln in lines[4:]:
+        dd = drinfeld_data(ln, budget=10)
+        assert not dd.ok and dd.inconclusive and dd.Q is None
+        assert dd.witness.startswith("verify:"), dd.witness
+
+
+def test_numeric_chain_longer_than_the_order_is_inconclusive():
+    # the top line of V_4(q^3) has Q of four roots in one q^2-string, which
+    # the ratio D(z) links at q^8 only: at T = 3 the numeric fit cannot
+    # reach that link, while the exact q^2-gcd chain is bounded by D itself
+    top = lweight_lines(vn(4, "q^3", 3, field=NF))[0]
+    dd = drinfeld_data(top, budget=3)
+    assert not dd.ok and dd.inconclusive
+    assert dd.witness.startswith("chain:") and "T = 3" in dd.witness, dd.witness
+    dd = drinfeld_data(lweight_lines(vn(4, "q^3", 3))[0], budget=3)
+    assert dd.ok and (dd.Q.degree, dd.R.degree) == (4, 0)
+
+
+@pytest.mark.parametrize("field", [F, NF], ids=["exact", "numeric"])
+@pytest.mark.parametrize("side", ["dplus", "dminus"])
+def test_damaged_line_is_never_certified(field, side):
+    # one coefficient off, at a low, a middle and the last order: each
+    # stops at the closure, the chain or the final check, never certifies
+    lines = lweight_lines(vn(3, "q", 8, field=None if field is F else field))
+    steps = set()
+    for ln in lines:
+        for k in (1, 4, 8):
+            dplus, dminus = list(ln.dplus), list(ln.dminus)
+            series = dplus if side == "dplus" else dminus
+            series[k] = series[k] + field.one
+            dd = drinfeld_data((dplus, dminus), budget=8, field=field)
+            assert not dd.ok and dd.inconclusive and dd.Q is None, (ln.label, k)
+            steps.add(dd.witness.split(":")[0])
+    assert steps <= {"closure", "chain", "verify"}
+
+
 # ------------------------------------------------------------------ factorization
 
 
@@ -300,15 +402,15 @@ def test_factorization_gauge_independent():
     g = Matrix.diagonal([one, lam], F)
     ginv = Matrix.diagonal([one, one / lam], F)
     gauged = build_evaluation(EvalParams(1, parse_scalar("q")), window=2, T=6)
-    conj = lambda M: g @ M @ ginv
-    gauged.K, gauged.Kinv = conj(gauged.K), conj(gauged.Kinv)
-    gauged.xp = {k: conj(M) for k, M in gauged.xp.items()}
-    gauged.xm = {k: conj(M) for k, M in gauged.xm.items()}
-    gauged.h = {k: conj(M) for k, M in gauged.h.items()}
-    gauged.psi = {k: conj(M) for k, M in gauged.psi.items()}
-    gauged.phi = {k: conj(M) for k, M in gauged.phi.items()}
-    gauged.E = {i: conj(M) for i, M in gauged.E.items()}
-    gauged.F = {i: conj(M) for i, M in gauged.F.items()}
+    gauge = lambda M: g @ M @ ginv
+    gauged.K, gauged.Kinv = gauge(gauged.K), gauge(gauged.Kinv)
+    gauged.xp = {k: gauge(M) for k, M in gauged.xp.items()}
+    gauged.xm = {k: gauge(M) for k, M in gauged.xm.items()}
+    gauged.h = {k: gauge(M) for k, M in gauged.h.items()}
+    gauged.psi = {k: gauge(M) for k, M in gauged.psi.items()}
+    gauged.phi = {k: gauge(M) for k, M in gauged.phi.items()}
+    gauged.E = {i: gauge(M) for i, M in gauged.E.items()}
+    gauged.F = {i: gauge(M) for i, M in gauged.F.items()}
     rep0, data0 = factorization_check(fam_on(P0, mod))
     rep1, data1 = factorization_check(fam_on(P0, gauged))
     assert rep0.ok and rep1.ok
