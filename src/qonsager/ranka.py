@@ -151,13 +151,6 @@ class WeylWord:
         p = self.pi_power
         return tuple(v[(m - p) % n1] for m in range(n1))
 
-    def simple_image(self, i: int):
-        """The node j with w(alpha_i) = alpha_j, or None."""
-        out = self.act_on_root([1 if m == i else 0 for m in range(self.typ.N + 1)])
-        if sum(out) == 1 and all(x in (0, 1) for x in out):
-            return out.index(1)
-        return None
-
     def __repr__(self):
         body = " ".join(f"s{r}" for r in self.refs)
         return f"pi^{self.pi_power} {body}".strip()

@@ -12,10 +12,11 @@ series) instead of silently pretending more orders are known.
 Coefficients may be field elements or matrices over the field; exp/log take
 the multiplicative identity explicitly so both cases share code, and run
 the logarithmic-derivative recurrences in about T²/2 coefficient products.
-Pade reconstruction is exact linear algebra: minimal denominator degree
-first, free variables pinned to zero, candidate verified against *every*
-known coefficient before it is accepted — failure returns None, never a
-wrong answer.
+Pade reconstruction is one Hankel solve at the full degree budget.  Pade
+approximants are unique, and solve_linear pins free unknowns to zero, so
+that solve gives the reduced denominator itself; the candidate is verified
+against *every* known coefficient before it is accepted — failure returns
+None, never a wrong answer.
 
 Linear systems (solve_linear) are solved by Gauss-Jordan elimination.  Over
 the exact field it runs fraction-free: rows are cleared of denominators to
@@ -29,9 +30,9 @@ eliminates in the field with largest-magnitude pivoting.
 from __future__ import annotations
 
 from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pgcd, pmul, psub
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .linmat import Matrix, _meq
-from .scalars import ZERO, Scalar, _coerce, specialize
+from .scalars import ZERO, Scalar, _coerce
 
 __all__ = [
     "TruncSeries",
@@ -130,28 +131,6 @@ class TruncSeries:
             {k: c * v for k, v in self.coeffs.items()},
             self.lo,
             self.hi,
-            self.zero,
-            self.field,
-            self.zero_below,
-            self.zero_above,
-        )
-
-    def scale_z(self, alpha):
-        """Substitute z -> alpha z."""
-        out = {}
-        for k, v in self.coeffs.items():
-            out[k] = (alpha**k) * v
-        return TruncSeries(
-            out, self.lo, self.hi, self.zero, self.field,
-            self.zero_below, self.zero_above,
-        )
-
-    def shift_z(self, m):
-        """Multiply by z^m."""
-        return TruncSeries(
-            {k + m: v for k, v in self.coeffs.items()},
-            self.lo + m,
-            self.hi + m,
             self.zero,
             self.field,
             self.zero_below,
@@ -597,7 +576,7 @@ class RationalFunction:
         gcd, which would find degree 0.  Only the pivot is rescaled.
 
         The callers map the coprime parts of a normalised function by maps
-        that keep gcd(num, den) = 1 over Q(q)[z]:
+        that keep gcd(num, den) = 1 over Q(q)[z], or know the pair coprime:
         * p(z) -> p(alpha z) is a ring automorphism for alpha != 0; alpha = 0
           leaves the constants num(0), den(0), and a constant pair is coprime
           (a zero den(0) is refused here as by the constructor);
@@ -606,7 +585,9 @@ class RationalFunction:
           coprime num, den are coprime (a common factor g has g(0) != 0,
           so its reversal would divide both), and the extra powers of z
           multiply only the part of lower degree, while the other part
-          keeps a nonzero constant term.
+          keeps a nonzero constant term;
+        * pade_reconstruct returns its candidate only once it is verified,
+          and a verified candidate is the reduced P/Q itself (see there).
         A zero numerator is never reduced by the constructor either.
         """
         if den.is_zero():
@@ -804,134 +785,59 @@ def _solve_fraction_free(rows, rhs, n):
     return x
 
 
-# Screening point for the exact Pade search: off the real axis so real
-# root coincidences cannot fake a match, modulus near 1 so high q-degrees
-# neither overflow nor underflow.
-_SCREEN_Q0 = complex(1.06, 0.31)
-
-
-def _csolve(rows, rhs):
-    """Partial-pivot complex Gauss; None when a pivot is numerically zero."""
-    n = len(rows)
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda i: abs(a[i][col]))
-        big = max(abs(x) for r in a for x in r[:-1])
-        if abs(a[piv][col]) <= 1e-12 * max(big, 1.0):
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1.0 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col:
-                f = a[i][col]
-                if f:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def _screen_values(c):
-    """Complex images of exact coefficients at the screening point, or None."""
-    try:
-        vals = [complex(specialize(x, _SCREEN_Q0)) for x in c]
-    except (EvaluationError, OverflowError):
-        return None
-    if any(v != v or abs(v) == float("inf") for v in vals):
-        return None
-    return vals
-
-
-def _screen_rejects(vals, nnum, nden, T):
-    """True when the candidate degrees decisively fail at the screen point.
-
-    A candidate that exists over the exact field specializes to a solution
-    here with residual at rounding level, so only residuals far above it
-    reject; singular screen systems never do.
-    """
-    tol = 1e-6 * max([abs(v) for v in vals] + [1.0])
-    if nden:
-        rows = [[vals[k - i] if 0 <= k - i <= T else 0j
-                 for i in range(1, nden + 1)]
-                for k in range(nnum + 1, nnum + nden + 1)]
-        rhs = [-vals[k] for k in range(nnum + 1, nnum + nden + 1)]
-        sol = _csolve(rows, rhs)
-        if sol is None:
-            return False
-        r = [1.0 + 0j] + sol
-    else:
-        r = [1.0 + 0j]
-    for k in range(nnum + 1, T + 1):
-        acc = 0j
-        for i in range(0, min(k, nden) + 1):
-            acc += r[i] * vals[k - i]
-        if abs(acc) > tol:
-            return True
-    return False
-
-
 def pade_reconstruct(s: TruncSeries, max_num_deg: int, max_den_deg: int):
-    """Minimal rational function matching an ascending scalar series.
+    """The rational function of degrees <= (m, n) = (max_num_deg,
+    max_den_deg) that matches every known coefficient of an ascending
+    scalar series, in lowest terms with den(0) = 1, or None.
 
-    Deterministic search: denominator degree ascending, then numerator degree
-    ascending; the linear system pins free variables to zero; a candidate is
-    accepted only if its Taylor expansion reproduces every known coefficient
-    of s.  Returns a RationalFunction with den(0) = 1, or None.
+    One Hankel solve at the full budget: unknowns r_1..r_n, r_0 = 1, with
 
-    Exact fields screen each candidate numerically first: the solve over
-    Q(q) is priced well above a complex solve, and most candidates in the
-    search fail.  Acceptance still goes through the exact verification.
-    The screen stays with the fraction-free solve: without it every failing
-    candidate pays an exact solve and an exact candidate check, and the
-    rank-one spectral check at T = 13 was still unfinished after 10
-    minutes instead of taking about a second.  Only a search that needs no
-    per-candidate solve (extended Euclid, Berlekamp-Massey) would make it
-    redundant.
+        sum_{i=0..n} r_i c_{k-i} = 0    for k = m+1 .. m+n,
+
+    and num_k = sum_{i=0..min(k, n)} r_i c_{k-i} for k = 0..m.  Padé
+    approximants are unique (Baker and Graves-Morris, *Padé Approximants*,
+    1996): if c agrees to order m + n with P/Q, coprime, Q(0) = 1, of
+    degrees (a, b) <= (m, n), then D·P - N·Q vanishes to order m + n and
+    has degree at most m + n, so the solutions D are exactly Q·w with
+    w(0) = 1 and deg w <= d = min(n - b, m - a).  Eliminating columns left
+    to right, the free unknowns are the top coefficients of z^j·Q,
+    r_{b+1}..r_{b+d}; Q has them zero, so the solution solve_linear gives,
+    with free unknowns pinned to zero, is D = Q itself, and N = P.  The
+    candidate is accepted only if its expansion reproduces every known
+    coefficient of s (within the field's tolerance at their scale on an
+    inexact field); one that does is P/Q, already coprime, so it skips the
+    constructor's gcd.
     """
     if not s.zero_below:
         raise DomainError("pade_reconstruct expects an ascending series")
     if s.lo < 0:
         raise DomainError("pade_reconstruct expects exponents >= 0")
+    m, n = max_num_deg, max_den_deg
+    for name, bound in (("max_num_deg", m), ("max_den_deg", n)):
+        if bound < 0:
+            raise DomainError(f"pade_reconstruct: {name} = {bound} is negative")
     T = s.hi
-    if T < max_num_deg + max_den_deg + 1:
-        raise DomainError(
-            f"window T={T} too small for degrees ({max_num_deg},{max_den_deg})"
-        )
+    if T < m + n + 1:
+        raise DomainError(f"window T={T} too small for degrees ({m},{n})")
     field = s.field
     c = [s.coeff(k) for k in range(T + 1)]
+    r = [field.one]
+    if n:
+        rows = [[c[k - i] if k >= i else field.zero for i in range(1, n + 1)]
+                for k in range(m + 1, m + n + 1)]
+        sol = solve_linear(rows, [-c[k] for k in range(m + 1, m + n + 1)], field)
+        if sol is None:
+            return None
+        r += sol
+    num = []
+    for k in range(m + 1):
+        acc = field.zero
+        for i in range(min(k, n) + 1):
+            acc = acc + r[i] * c[k - i]
+        num.append(acc)
+    cand = RationalFunction._coprime(FPoly(num, field), FPoly(r, field))
     scale = 1.0 if field.exact else max([abs(v) for v in c] + [1.0])
-    screen = _screen_values(c) if field.exact else None
-    for nden in range(0, max_den_deg + 1):
-        for nnum in range(0, max_num_deg + 1):
-            if screen is not None and _screen_rejects(screen, nnum, nden, T):
-                continue
-            # unknowns r_1..r_nden with r_0 = 1:
-            # sum_{i=0..nden} r_i c_{k-i} = 0 for k = nnum+1 .. nnum+nden
-            rows, rhs = [], []
-            for k in range(nnum + 1, nnum + nden + 1):
-                rows.append(
-                    [c[k - i] if 0 <= k - i <= T else field.zero
-                     for i in range(1, nden + 1)]
-                )
-                rhs.append(-c[k])
-            if nden:
-                sol = solve_linear(rows, rhs, field)
-                if sol is None:
-                    continue
-                r = [field.one] + sol
-            else:
-                r = [field.one]
-            den = FPoly(r, field)
-            num_coeffs = []
-            for k in range(0, nnum + 1):
-                acc = field.zero
-                for i in range(0, min(k, nden) + 1):
-                    acc = acc + r[i] * c[k - i]
-                num_coeffs.append(acc)
-            cand = RationalFunction(FPoly(num_coeffs, field), den)
-            exp = cand.expand_at_zero(T)
-            ok = all(
-                field.is_zero(exp.coeff(k) - c[k], scale) for k in range(T + 1)
-            )
-            if ok:
-                return cand
+    exp = cand.expand_at_zero(T)
+    if all(field.is_zero(exp.coeff(k) - c[k], scale) for k in range(T + 1)):
+        return cand
     return None

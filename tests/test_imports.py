@@ -29,10 +29,9 @@ fit roots a polynomial (``spectra._numeric_fit``); a fresh interpreter that
 imports every module and runs an exact benchmark verdict has no numpy
 loaded, and neither has one that runs a numeric rank-one verdict.  For the
 same reason ``specialize``, which evaluates a Scalar at a sample q0, is
-read only in ``scalars`` (where the numeric backend maps
-exact constants into its field) and in ``series`` (where the Pade numeric
-screen only rejects candidates); no exact verdict or grading is read back
-from a sample value.
+read only in ``scalars``, where the numeric backend maps exact constants
+into its field; no exact verdict or grading is read back from a sample
+value.
 
 Scalar arithmetic may return one of its operands, or share an operand's
 ``num`` or ``den`` list with its result, so those lists must never be
@@ -391,8 +390,8 @@ def test_linmat_reads_no_tolerance():
                        "decide zero by field.is_zero")
 
 
-#: the only package modules that evaluate a Scalar at a sample q0
-SPECIALIZE_READERS = frozenset(("scalars", "series"))
+#: the only package module that evaluates a Scalar at a sample q0
+SPECIALIZE_READERS = frozenset(("scalars",))
 
 
 def test_read_scan_sees_every_specialize_form():

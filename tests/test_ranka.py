@@ -152,16 +152,6 @@ def test_word_root_action_sends_alpha_i_into_minus_theta_plus_delta_shape():
             assert full == tuple(-x for x in delta_minus), (N, i, full)
 
 
-def test_simple_image_on_rotations():
-    t = AffineTypeA(3)
-    rot = WeylWord(t, 1, ())
-    for i in t.nodes:
-        assert rot.simple_image(i) == (i + 1) % 4
-    s2 = WeylWord(t, 0, (2,))
-    assert s2.simple_image(2) is None          # s_i(alpha_i) = -alpha_i
-    assert WeylWord(t, 0, (2, 2)).simple_image(1) == 1
-
-
 # ------------------------------------------------------------ seed algebra
 
 

@@ -1,5 +1,6 @@
 """Truncated series, exp/log, Pade reconstruction, rational functions."""
 
+import math
 import random
 
 import pytest
@@ -69,15 +70,6 @@ def test_mul_descending():
     assert p.coeff(-3) == 2
     assert p.coeff(-4) == 3
     assert p.zero_above and not p.zero_below
-
-
-def test_scale_z_and_shift():
-    s = sseries([1, 1, 1])
-    t = s.scale_z(Q**2)
-    assert [t.coeff(k) for k in range(3)] == [Scalar(1), Q**2, Q**4]
-    u = s.shift_z(2)
-    assert (u.lo, u.hi) == (2, 4)
-    assert u.coeff(2) == 1
 
 
 # ----------------------------------------------------------------- exp / log
@@ -271,11 +263,67 @@ def test_coprime_constructor_refuses_a_zero_denominator():
 # ----------------------------------------------------------------- pade
 
 
+def _pade_search(s, max_num_deg, max_den_deg):
+    """Reference: the degree search.  Denominator degree ascending, then
+    numerator degree; each (nnum, nden) solves its own Hankel system with
+    free unknowns pinned to zero, and the first candidate whose expansion
+    matches every known coefficient is returned through the full
+    constructor, gcd included; None when no candidate matches."""
+    field, T = s.field, s.hi
+    c = [s.coeff(k) for k in range(T + 1)]
+    scale = 1.0 if field.exact else max([abs(v) for v in c] + [1.0])
+    for nden in range(max_den_deg + 1):
+        for nnum in range(max_num_deg + 1):
+            r = [field.one]
+            if nden:
+                ks = range(nnum + 1, nnum + nden + 1)
+                rows = [[c[k - i] if k >= i else field.zero
+                         for i in range(1, nden + 1)] for k in ks]
+                sol = solve_linear(rows, [-c[k] for k in ks], field)
+                if sol is None:
+                    continue
+                r += sol
+            num = []
+            for k in range(nnum + 1):
+                acc = field.zero
+                for i in range(min(k, nden) + 1):
+                    acc = acc + r[i] * c[k - i]
+                num.append(acc)
+            cand = RationalFunction(FPoly(num, field), FPoly(r, field))
+            exp = cand.expand_at_zero(T)
+            if all(field.is_zero(exp.coeff(k) - c[k], scale) for k in range(T + 1)):
+                return cand
+    return None
+
+
+def _pade(s, max_num_deg, max_den_deg):
+    """pade_reconstruct, checked against the reference search: both None,
+    or the same coefficients (identical over Q(q), equal within the
+    field's tolerance on a numeric field); an exact result is coprime."""
+    got = pade_reconstruct(s, max_num_deg, max_den_deg)
+    want = _pade_search(s, max_num_deg, max_den_deg)
+    if want is None:
+        assert got is None
+        return got
+    assert got is not None
+    field = s.field
+    for part in ("num", "den"):
+        g, w = getattr(got, part).coeffs, getattr(want, part).coeffs
+        assert len(g) == len(w), part
+        if field.exact:
+            assert g == w, part
+        else:
+            assert all(field.eq(x, y) for x, y in zip(g, w)), part
+    if field.exact:
+        assert got.num.gcd(got.den).degree == 0
+    return got
+
+
 def test_pade_reconstructs_rationals():
     one = F.one
     f = RationalFunction(FPoly([one, Scalar(2)], F), FPoly([one, -Q, one], F))
     s = f.expand_at_zero(8)
-    got = pade_reconstruct(s, 3, 3)
+    got = _pade(s, 3, 3)
     assert got is not None
     assert got == f
     # minimality: the returned degrees are the reduced ones
@@ -285,7 +333,7 @@ def test_pade_reconstructs_rationals():
 def test_pade_polynomial_input():
     s = sseries([1, 0, 3])
     s = s.truncate(hi=6)  # known zero up to order 6
-    got = pade_reconstruct(s, 3, 2)
+    got = _pade(s, 3, 2)
     assert got is not None
     assert got.den.degree == 0
     assert got.num.coeffs == [Scalar(1), Scalar(0), Scalar(3)]
@@ -293,16 +341,24 @@ def test_pade_polynomial_input():
 
 def test_pade_failure_is_none():
     # factorial growth has no small rational form
-    import math
-
     s = sseries([math.factorial(k) for k in range(9)])
-    assert pade_reconstruct(s, 3, 3) is None
+    assert _pade(s, 3, 3) is None
 
 
 def test_pade_window_precondition():
     s = sseries([1, 1, 1])
     with pytest.raises(DomainError):
         pade_reconstruct(s, 2, 2)
+
+
+@pytest.mark.parametrize("bounds, message",
+                         [((-1, 2), "max_num_deg = -1"), ((2, -1), "max_den_deg = -1")],
+                         ids=["num", "den"])
+def test_pade_refuses_negative_degree_bounds(bounds, message):
+    # the window is wide enough for both pairs, so only the sign refuses them
+    s = sseries([1] * 9)
+    with pytest.raises(DomainError, match=f"{message} is negative"):
+        pade_reconstruct(s, *bounds)
 
 
 @given(
@@ -315,9 +371,68 @@ def test_pade_roundtrip(dcs, ncs):
     num = FPoly(ncs, F)
     f = RationalFunction(num, den)
     s = f.expand_at_zero(6)
-    got = pade_reconstruct(s, 2, 2)
+    got = _pade(s, 2, 2)
     assert got is not None
     assert got == f
+
+
+_nonzero_coeff = coeff.filter(bool)
+
+
+@st.composite
+def _pade_inputs(draw):
+    """(series, m, n, f): the expansion of a rational function f within
+    the budget (m, n) — reduced and of lower degree, with a common factor
+    multiplied into num and den, or a polynomial — or, with f None,
+    factorial growth, which closes at no degree below the window."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    T = m + n + 1 + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["reduced", "common", "polynomial", "factorial"]))
+    if kind == "factorial":
+        return sseries([math.factorial(k) for k in range(T + 1)]), m, n, None
+    if kind == "polynomial":
+        f = RationalFunction(FPoly(draw(st.lists(coeff, max_size=m + 1)), F),
+                             FPoly.one(F))
+        return f.expand_at_zero(T), m, n, f
+    k = draw(st.integers(0, min(m, n))) if kind == "common" else 0
+    num = FPoly(draw(st.lists(coeff, max_size=m - k + 1)), F)
+    den = FPoly([F.one] + draw(st.lists(coeff, max_size=n - k)), F)
+    g = FPoly([draw(_nonzero_coeff)] + draw(st.lists(coeff, min_size=k, max_size=k)), F)
+    # the expansion of the unreduced pair num·g / den·g
+    s = RationalFunction._coprime(num * g, den * g).expand_at_zero(T)
+    return s, m, n, RationalFunction(num, den)
+
+
+@given(_pade_inputs())
+@settings(max_examples=80, deadline=None)
+def test_pade_one_solve_matches_the_search(case):
+    s, m, n, f = case
+    got = _pade(s, m, n)
+    if f is None:
+        assert got is None
+    else:
+        assert got == f
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [([1, 2], [1, "-q"]), ([1, 2], [1, "-q", "q2"]), ([3], [1, 0, "-q"]),
+     ([1, "q", 1], [1])],
+    ids=["1-1", "1-2", "0-2", "poly"],
+)
+def test_pade_numeric_below_budget(num, den):
+    nf = NumericField(1.3)
+    coeff_of = {"q": nf.q, "-q": -nf.q, "q2": nf.q * nf.q}
+
+    def poly(cs):
+        return FPoly([coeff_of[c] if isinstance(c, str) else nf.from_int(c)
+                      for c in cs], nf)
+
+    f = RationalFunction(poly(num), poly(den))
+    got = _pade(f.expand_at_zero(8), 3, 3)
+    assert got is not None
+    assert got == f
+    assert (got.num.degree, got.den.degree) == (f.num.degree, f.den.degree)
 
 
 def test_pade_numeric_backend():
@@ -325,10 +440,34 @@ def test_pade_numeric_backend():
     one = nf.one
     f = RationalFunction(FPoly([one, 2 + 0j], nf), FPoly([one, -nf.q], nf))
     s = f.expand_at_zero(6)
-    got = pade_reconstruct(s, 2, 2)
+    got = _pade(s, 2, 2)
     assert got is not None
     diff = got - f
     assert diff.num.is_zero()
+
+
+def test_pade_makes_at_most_one_solve(monkeypatch):
+    # one Hankel solve at the full budget, whether the series closes below
+    # it, at it, or not at all; the reference search solves per candidate
+    import qonsager.series as series_mod
+
+    calls = [0]
+
+    def counted(rows, rhs, field):
+        calls[0] += 1
+        return solve_linear(rows, rhs, field)
+
+    monkeypatch.setattr(series_mod, "solve_linear", counted)
+    one = F.one
+    closes = RationalFunction(FPoly([one, Scalar(2)], F),
+                              FPoly([one, -Q, one], F)).expand_at_zero(8)
+    fails = sseries([math.factorial(k) for k in range(9)])
+    poly = sseries([1, 0, 3]).truncate(hi=6)
+    for s, m, n in ((closes, 3, 3), (closes, 1, 2), (fails, 3, 3), (poly, 3, 2),
+                    (poly, 5, 0)):
+        calls[0] = 0
+        pade_reconstruct(s, m, n)
+        assert calls[0] <= 1, (m, n)
 
 
 # ----------------------------------------------------------------- solver
@@ -494,6 +633,11 @@ def test_pade_roundtrip_at_workload_size():
     assert (got.num.degree, got.den.degree) == (6, 6)
     assert got == f
     assert str(got) == str(f)
+    # the reference search needs about 50 s here (48 failing candidates,
+    # each with its own exact solve), so the check is against f: by
+    # uniqueness the search returns f's normalised coefficients
+    assert got.num.coeffs == f.num.coeffs and got.den.coeffs == f.den.coeffs
+    assert got.num.gcd(got.den).degree == 0
 
 
 def test_rational_function_normalizes_dense_q_coefficients():
