@@ -1,83 +1,99 @@
-"""Dense matrices over the exact or numeric coefficient field, plus the
-grading bookkeeping every certification suite leans on.
+"""Matrices over the exact or numeric coefficient field, plus the grading
+bookkeeping every certification suite leans on.
 
 A Matrix is an n x m array over a field backend (see qonsager.scalars);
-all binary operations assume both operands live over the same backend.  The
-product is written either ``A @ B`` or ``A * B``; ``c * A`` with a scalar-like
-``c`` scales entrywise.
+all binary operations assume both operands live over the same backend,
+and the entrywise ones (``+``, ``-``, ``_meq``) refuse operands of
+different shapes, as the product does.  The product is written either
+``A @ B`` or ``A * B``; ``c * A`` with a scalar-like ``c`` scales
+entrywise.
 
-Exact matrices are stored as integers.  A matrix of Scalars keeps a shift
-K >= 0, a denominator D in ZZ[q] (positive leading coefficient, D(0) != 0),
-a slot width s = 8w bits and a height bound h, and holds entry (i, j) as
-the integer P_ij(2^s), where P_ij = D q^K x_ij is a polynomial in ZZ[q]
-packed by ``_kernel._pack``, and h bounds the 1-norm of every P_ij.  While
-h < 2^(s-1) every coefficient of every P_ij lies in [-2^(s-1), 2^(s-1)),
-so P_ij is the balanced base-2^s digit string of its image: it decodes
-exactly with ``_kernel._unpack``, and an image is 0 exactly when its entry
-is.  Evaluation at 2^s is a ring homomorphism, so each operation runs on
-the images, entry by entry one big-integer operation (Kronecker
-substitution; Harvey, J. Symb. Comp. 44, 2009), and bounds the height of
-its result from those of its operands, as GCDHEU bounds its digits (Char,
-Geddes and Gonnet, 1989):
+Exact matrices are sparse stores of integer images.  A matrix of Scalars
+keeps a shift K >= 0, a denominator D in ZZ[q] (positive leading
+coefficient, D(0) != 0), a slot width s = 8w bits and a height bound h, and
+holds each nonzero entry (i, j) as the integer P_ij(2^s), where P_ij =
+D q^K x_ij is a polynomial in ZZ[q] packed by ``_kernel._pack``, and h
+bounds the 1-norm of every P_ij.  The store is a dict of rows: row i maps
+to the dict {j: P_ij(2^s)} of its nonzero entries, and a row without one
+is absent.  While h < 2^(s-1) every coefficient of every P_ij lies in
+[-2^(s-1), 2^(s-1)), so P_ij is the balanced base-2^s digit string of its
+image: it decodes exactly with ``_kernel._unpack``, and an image is 0
+exactly when its entry is.  Every operation drops the entries that cancel,
+so the store holds no zero image and no empty row, and the zero matrix
+stores nothing.  Evaluation at 2^s is a ring homomorphism, so each
+operation runs on the images, entry by entry one big-integer operation
+(Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009), and bounds the
+height of its result from those of its operands, as GCDHEU bounds its
+digits (Char, Geddes and Gonnet, 1989).  With nz(M) the nonzero entries of
+M, each costs O(nonzeros), never O(n m):
 
-* a product adds the shifts and multiplies the denominators; its height
-  is at most r h_A h_B, r the most nonzero entries in a row of A;
-* a sum or difference goes to the lcm D = D_A (D_B / g), g = pgcd(D_A,
-  D_B), one gcd per pair of matrices and none when D_A = D_B, and to the
-  larger shift: each operand's images are multiplied by the image of its
-  cofactor times q to its shift difference;
+* a product is Gustavson's row-sparse product (ACM TOMS 4(3), 1978) on
+  the stored rows: each stored row of A meets the stored rows of B its
+  entries select, and the result row is summed in a dict by column; one
+  big-integer product per pair of nonzero entries that meet, plus
+  O(nz(A) + nz(AB)).  It adds the shifts and multiplies the denominators;
+  its height is at most r h_A h_B, r the longest stored row of A;
+* a sum or difference, O(nz(A) + nz(B)), takes a row stored on one side
+  as it is and merges the rows stored on both; it goes to the lcm D =
+  D_A (D_B / g), g = pgcd(D_A, D_B), one gcd per pair of matrices and none
+  when D_A = D_B, and to the larger shift: each operand's images are
+  multiplied by the image of its cofactor times q to its shift difference;
 * scaling by c = n / (q^t p), p(0) != 0, multiplies the images by n(2^s)
-  and D by p, after taking the factor that n and D share out of both;
-* negation, transpose, the Kronecker product and degree components work
-  image by image;
+  and D by p, after taking the factor that n and D share out of both:
+  O(nz(A)), and O(1) when c is 1 or 0;
+* negation, the transpose and degree components are O(nz(A)), image by
+  image; the Kronecker product is O(nz(A) nz(B)), the size of its result;
+  ``is_zero`` is O(1): an exact matrix is zero when it stores no row;
 * ``_meq`` and ``==`` bring both sides to one denominator and shift and
-  compare integers; the first differing entry is the first differing
-  image, since the comparison is exact while the two heights, each times
-  its cofactor's 1-norm, add to less than 2^(s-1).
+  compare the stores, O(nz(A) + nz(B)); the first differing entry in
+  row-major order is the least differing stored position, since the
+  comparison is exact while the two heights, each times its cofactor's
+  1-norm, add to less than 2^(s-1).
 
 An operation whose height bound would reach 2^(s-1) first re-encodes its
-operands: it decodes them, takes their heights down to the exact largest
-1-norm and, if the bound still reaches the slot, packs them in wider
-slots.  Their values do not change, so this is done in place.  A product
-also takes out the power of q that all its entries share, so that the
-shift of a tower of products does not grow with each factor.
-The stored form is not canonical, since P_ij and D q^K may share factors.
+operands, O(nz) each: it decodes them, takes their heights down to the
+exact largest 1-norm and, if the bound still reaches the slot, packs them
+in wider slots.  Their values do not change, so this is done in place.  A
+product also takes out the power of q that all its entries share, so that
+the shift of a tower of products does not grow with each factor.  The
+stored form is not canonical, since P_ij and D q^K may share factors.
+An operation never writes into a store it did not build, so results may
+share rows with their operands.
 
 Every exact matrix is held this way: construction coerces ints and
 Fractions to Scalars and refuses any other entry.  Canonical Scalars
-appear only when entries are read: ``rows`` decodes the whole matrix on
-its first read and keeps the result, ``nonzero_entries`` decodes only the
-nonzero images, and a failed ``_meq`` decodes both sides to name its
-witness.  The decoded rows refuse writes, which would miss the images:
+appear only when entries are read: ``rows`` decodes a dense view of the
+whole matrix on its first read and keeps it, ``nonzero_entries`` decodes
+only the stored images, and a failed ``_meq`` decodes both sides to name
+its witness.  The decoded rows refuse writes, which would miss the store:
 build a list of rows and construct a Matrix from it.
 
-A numeric matrix keeps its entries as rows: Python floats at a real q0
-and complex numbers otherwise (see ``scalars.NumericField``); no operation
-here looks at which.  Its operations take the plain entrywise path, in
-C-level passes (``map`` over ``operator`` functions), with no zero-skipping
-in sums, differences, negation and scaling: a skipped ``a + 0.0`` would
-keep a -0.0 that the addition turns into 0.0.
-
-The product is row-sparse (Gustavson, ACM TOMS 4(3), 1978) in both
-stores: it lists the nonzero entries of each row of the right operand
-once, then builds each row of the result from the nonzero entries of the
-matching row on the left, in ascending inner index, so numeric results are
-the same as the dense product's, bit for bit.
+A numeric matrix keeps its entries as dense rows: Python floats at a real
+q0 and complex numbers otherwise (see ``scalars.NumericField``); no
+operation here looks at which.  Its operations take the plain entrywise
+path, in C-level passes (``map`` over ``operator`` functions), with no
+zero-skipping in sums, differences, negation and scaling: a skipped
+``a + 0.0`` would keep a -0.0 that the addition turns into 0.0.  Its
+product is row-sparse too: it lists the nonzero entries of each row of the
+right operand once, then builds each row of the result from the nonzero
+entries of the matching row on the left, in ascending inner index, so
+numeric results are the same as the dense product's, bit for bit.
 
 A Grading assigns every basis index an integer degree *vector*; a module
 over the affine A_N diagram is graded in simple-root coordinates (length N,
 top degree 0, weights descending), and a tensor product of modules adds the
 degrees of its factors.  degree_components splits an operator by the
-shift vector (row degree minus column degree) into a plain dict.
+shift vector (row degree minus column degree) into a plain dict, taking
+each shift once per pair of distinct degrees met.
 
 ProductMemo computes each product A @ B (and each q-bracket) once while it
 lives, for the relation suites, which multiply the same stored matrices
 again and again.  It keys on operand identity, never on entries, and keeps
 a reference to every operand it has cached, so an id cannot be reused by a
-new object while its entry is alive.  A memo is scoped by its caller to one
-relation group (or one node pair of it) and dropped with it: there is no
-global cache, and Matrix carries no cache field.  A cached result is the
-same object on every hit, so callers must not mutate it.
+new object while its entry is alive.  A memo is scoped by its caller to the
+stretch of a relation suite in which its products recur, and dropped with
+it: there is no global cache, and Matrix carries no cache field.  A cached
+result is the same object on every hit, so callers must not mutate it.
 
 One numeric zero rule serves the whole package, and only this module
 applies it: a numeric matrix vanishes when every entry is within the
@@ -120,7 +136,7 @@ __all__ = [
 
 
 class Matrix:
-    __slots__ = ("n", "m", "field", "_rows", "_img", "_k", "_d", "_w", "_h")
+    __slots__ = ("n", "m", "field", "_rows", "_nz", "_k", "_d", "_w", "_h")
 
     def __init__(self, rows, field):
         rows = [list(r) for r in rows]
@@ -131,12 +147,12 @@ class Matrix:
 
     def _store(self, rows, field):
         """Hold rows: a numeric matrix as they are, an exact one as the
-        images of its entries, each coerced to a Scalar."""
+        images of its nonzero entries, each coerced to a Scalar."""
         self.n = len(rows)
         self.m = len(rows[0]) if rows else 0
         self.field = field
         self._rows = rows
-        self._img = None
+        self._nz = None
         if not field.exact:
             return
         k = 0
@@ -168,9 +184,13 @@ class Matrix:
         h = max((sum(map(abs, p)) for p, _ in chain.from_iterable(ents)), default=0)
         w = max(_W0, _width(h.bit_length() + 1))
         s = 8 * w
-        self._img = [[_encode(p, k - e, s, w) for p, e in r] for r in ents]
+        nz = {}
+        for i, r in enumerate(ents):
+            row = {j: _encode(p, k - e, s, w) for j, (p, e) in enumerate(r) if p}
+            if row:
+                nz[i] = row
         self._rows = None
-        self._k, self._d, self._w, self._h = k, D, w, h
+        self._nz, self._k, self._d, self._w, self._h = nz, k, D, w, h
 
     @classmethod
     def _adopt(cls, rows, field):
@@ -181,13 +201,14 @@ class Matrix:
         return M
 
     @classmethod
-    def _image(cls, img, m, k, d, w, h, field):
-        """The exact matrix whose entry (i, j) is P_ij / (d q^k), where
-        img[i][j] = P_ij(2^(8w)) and h bounds the 1-norm of every P_ij."""
+    def _image(cls, nz, n, m, k, d, w, h, field):
+        """The n x m exact matrix whose entry (i, j) is P_ij / (d q^k), where
+        nz[i][j] = P_ij(2^(8w)) for every nonzero P_ij, no other entry is
+        stored, and h bounds the 1-norm of every P_ij."""
         M = object.__new__(cls)
-        M.n, M.m, M.field = len(img), m, field
+        M.n, M.m, M.field = n, m, field
         M._rows = None
-        M._img, M._k, M._d, M._w, M._h = img, k, d, w, h
+        M._nz, M._k, M._d, M._w, M._h = nz, k, d, w, h
         return M
 
     @property
@@ -198,8 +219,12 @@ class Matrix:
         rows = self._rows
         if rows is None:
             k, d, w = self._k, self._d, self._w
-            rows = self._rows = _ReadOnly(_ReadOnly([_decode(x, k, d, w) for x in r])
-                                          for r in self._img)
+            rows = [[ZERO] * self.m for _ in range(self.n)]
+            for i, r in self._nz.items():
+                row = rows[i]
+                for j, x in r.items():
+                    row[j] = _decode(x, k, d, w)
+            rows = self._rows = _ReadOnly(map(_ReadOnly, rows))
         return rows
 
     # -- constructors ---------------------------------------------------------
@@ -207,17 +232,15 @@ class Matrix:
     @classmethod
     def zeros(cls, n, m, field):
         if field.exact:
-            return cls._image([[0] * m for _ in range(n)], m, 0, _ONE, _W0, 0, field)
+            return cls._image({}, n, m, 0, _ONE, _W0, 0, field)
         z = field.zero
         return cls._adopt([[z] * m for _ in range(n)], field)
 
     @classmethod
     def identity(cls, n, field):
         if field.exact:
-            img = [[0] * n for _ in range(n)]
-            for i in range(n):
-                img[i][i] = 1
-            return cls._image(img, n, 0, _ONE, _W0, 1 if n else 0, field)
+            return cls._image({i: {i: 1} for i in range(n)}, n, n, 0, _ONE, _W0,
+                              1 if n else 0, field)
         z, one = field.zero, field.one
         return cls._adopt(
             [[one if i == j else z for j in range(n)] for i in range(n)], field
@@ -240,8 +263,9 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._img is not None and other._img is not None:
-            return _image_sum(self, other, add)
+        _same_shape(self, other, "+")
+        if self._nz is not None and other._nz is not None:
+            return _image_sum(self, other, False)
         return Matrix._adopt(
             [list(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
             self.field,
@@ -250,17 +274,18 @@ class Matrix:
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._img is not None and other._img is not None:
-            return _image_sum(self, other, sub)
+        _same_shape(self, other, "-")
+        if self._nz is not None and other._nz is not None:
+            return _image_sum(self, other, True)
         return Matrix._adopt(
             [list(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
             self.field,
         )
 
     def __neg__(self):
-        if self._img is not None:
-            return Matrix._image([list(map(neg, r)) for r in self._img],
-                                 self.m, self._k, self._d, self._w, self._h, self.field)
+        if self._nz is not None:
+            return Matrix._image(_times(self._nz, -1), self.n, self.m,
+                                 self._k, self._d, self._w, self._h, self.field)
         return Matrix._adopt([list(map(neg, r)) for r in self._rows], self.field)
 
     def __matmul__(self, other):
@@ -269,23 +294,31 @@ class Matrix:
         if self.m != other.n:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
         p = other.m
-        out = []
-        if self._img is not None and other._img is not None:
+        if self._nz is not None and other._nz is not None:
             # each entry of the product sums at most r products of entries,
-            # r the most nonzero entries in a row of the left operand
-            r = self.m - min(map(list.count, self._img, repeat(0)), default=self.m)
+            # r the longest stored row of the left operand
+            r = max(map(len, self._nz.values()), default=0)
             w, h = _fit((self, other), self._h * other._h * r, lambda ha, hb: ha * hb * r)
-            brows = [list(compress(enumerate(rb), rb)) for rb in other._img]
-            for ra in self._img:
-                row = [0] * p
-                for a, bk in compress(zip(ra, brows), ra):
-                    for j, b in bk:
-                        row[j] += a * b
-                out.append(row)
+            bnz = other._nz
+            out = {}
+            for i, ra in self._nz.items():
+                row = {}
+                get = row.get
+                for t, a in ra.items():
+                    bt = bnz.get(t)
+                    if bt is not None:
+                        for j, b in bt.items():
+                            row[j] = get(j, 0) + a * b
+                if 0 in row.values():
+                    row = {j: x for j, x in row.items() if x}
+                if row:
+                    out[i] = row
             k = _unshifted(out, self._k + other._k, 8 * w)
-            return Matrix._image(out, p, k, _dmul(self._d, other._d), w, h, self.field)
+            return Matrix._image(out, self.n, p, k, _dmul(self._d, other._d), w, h,
+                                 self.field)
         # k ascends, so every entry gets the same additions in the same order
         # as the dense inner-product loop: results agree bit for bit.
+        out = []
         z = self.field.zero
         brows = [list(compress(enumerate(rb), rb)) for rb in other.rows]
         for ra in self.rows:
@@ -307,7 +340,7 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c):
-        if self._img is not None:
+        if self._nz is not None:
             return _image_scale(self, _scalar(c))
         return Matrix._adopt([list(map(mul, repeat(c), r)) for r in self.rows],
                              self.field)
@@ -328,7 +361,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._img is not None and other._img is not None:
+        if self._nz is not None and other._nz is not None:
             return (self.n, self.m) == (other.n, other.m) and _image_diff(self, other) is None
         return self.rows == other.rows
 
@@ -338,9 +371,13 @@ class Matrix:
     # -- structure ------------------------------------------------------------
 
     def transpose(self):
-        if self._img is not None:
-            return Matrix._image([list(c) for c in zip(*self._img)], self.n,
-                                 self._k, self._d, self._w, self._h, self.field)
+        if self._nz is not None:
+            out = {}
+            for i, r in self._nz.items():
+                for j, x in r.items():
+                    out.setdefault(j, {})[i] = x
+            return Matrix._image(out, self.m, self.n, self._k, self._d, self._w, self._h,
+                                 self.field)
         return Matrix._adopt([list(c) for c in zip(*self._rows)], self.field)
 
     def trace(self):
@@ -350,17 +387,20 @@ class Matrix:
         return acc
 
     def kron(self, other):
-        if self._img is not None and other._img is not None:
+        if self._nz is not None and other._nz is not None:
             w, h = _fit((self, other), self._h * other._h, mul)
-            out = [[a * b for a in ra for b in rb] for ra in self._img for rb in other._img]
-            return Matrix._image(out, self.m * other.m, self._k + other._k,
+            n2, m2 = other.n, other.m
+            out = {i * n2 + i2: {j * m2 + j2: a * b for j, a in ra.items()
+                                 for j2, b in rb.items()}
+                   for i, ra in self._nz.items() for i2, rb in other._nz.items()}
+            return Matrix._image(out, self.n * n2, self.m * m2, self._k + other._k,
                                  _dmul(self._d, other._d), w, h, self.field)
         out = [[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows]
         return Matrix._adopt(out, self.field)
 
     def is_zero(self, scale=1.0):
-        if self._img is not None:
-            return not any(map(any, self._img))
+        if self._nz is not None:
+            return not self._nz
         return self.field.is_zero(_largest(chain.from_iterable(self._rows)), scale)
 
     def max_abs(self):
@@ -370,12 +410,15 @@ class Matrix:
         return max(map(abs, chain.from_iterable(self._rows)), default=0.0)
 
     def nonzero_entries(self):
-        if self._rows is None:
-            # decode only the nonzero entries
+        """(i, j, entry) for every nonzero entry, in row-major order; an
+        exact matrix decodes only these."""
+        nz = self._nz
+        if nz is not None:
             k, d, w = self._k, self._d, self._w
-            for i, r in enumerate(self._img):
-                for j, x in compress(enumerate(r), r):
-                    yield i, j, _decode(x, k, d, w)
+            for i in sorted(nz):
+                r = nz[i]
+                for j in sorted(r):
+                    yield i, j, _decode(r[j], k, d, w)
             return
         for i, r in enumerate(self._rows):
             for j, a in enumerate(r):
@@ -411,6 +454,12 @@ class Matrix:
             )
             return f"Matrix[{body}]"
         return f"Matrix({self.n}x{self.m})"
+
+
+def _same_shape(A, B, op):
+    """Refuse an entrywise operation op on matrices of different shapes."""
+    if (A.n, A.m) != (B.n, B.m):
+        raise DomainError(f"shape mismatch {A.n}x{A.m} {op} {B.n}x{B.m}")
 
 
 # -- integer images -------------------------------------------------------------
@@ -461,18 +510,15 @@ def _over(x, D, cof):
 
 
 def _encode(p, e, s, w):
-    """The image of q^e p at q = 2^s, s = 8w, for coefficients below
-    2^(s-1) in absolute value."""
-    if not p:
-        return 0
+    """The image of q^e p at q = 2^s, s = 8w, for a nonzero p with
+    coefficients below 2^(s-1) in absolute value."""
     v = p[0] if len(p) == 1 else _pack(p, w)
     return v << (s * e) if e else v
 
 
 def _decode(v, k, D, w):
-    """The canonical Scalar P / (D q^k), P the polynomial with image v."""
-    if not v:
-        return ZERO
+    """The canonical Scalar P / (D q^k), P the nonzero polynomial with
+    image v."""
     p = _unpack(v, w)
     if D == _ONE:
         return _laurent(p, k)
@@ -486,15 +532,39 @@ def _dmul(da, db):
     return db if da == _ONE else pmul(da, db)
 
 
-def _image_sum(A, B, op):
-    """A + B (op = add) or A - B (op = sub) on images, over the lcm of
-    the two denominators and at the larger shift."""
+def _times(nz, v):
+    """The store nz with every image times the nonzero integer v; nz
+    itself when v = 1, since no operation writes into a store it did not
+    build."""
+    if v == 1:
+        return nz
+    return {i: dict(zip(r, map(mul, repeat(v), r.values()))) for i, r in nz.items()}
+
+
+def _image_sum(A, B, minus):
+    """A + B, or A - B when minus, on images, over the lcm of the two
+    denominators and at the larger shift.  A row stored on one side only
+    is taken as it is; where both sides store a row, the entries stored on
+    both are added and dropped when they cancel."""
     D, fa, fb = _lcm(A._d, B._d)
     na, nb = sum(map(abs, fa)), sum(map(abs, fb))
     w, h = _fit((A, B), A._h * na + B._h * nb, lambda ha, hb: ha * na + hb * nb)
-    a, b, k = _common(A, B, fa, fb, w)
-    return Matrix._image([list(map(op, ra, rb)) for ra, rb in zip(a, b)],
-                         A.m, k, D, w, h, A.field)
+    a, b, k = _common(A, B, fa, fb, w, minus)
+    out = dict(a)
+    for i, rb in b.items():
+        ra = out.pop(i, None)
+        row = rb
+        if ra is not None:
+            row = ra | rb
+            for j in ra.keys() & rb.keys():
+                x = ra[j] + rb[j]
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if row:
+            out[i] = row
+    return Matrix._image(out, A.n, A.m, k, D, w, h, A.field)
 
 
 def _lcm(da, db):
@@ -511,7 +581,7 @@ def _image_scale(A, c):
     times n, the shift plus t, the denominator times p, with the factor
     that n and the new denominator share taken out of both."""
     num = c.num
-    if not num or not A._h:
+    if not num or not A._nz:
         return Matrix.zeros(A.n, A.m, A.field)
     t = c._k
     D = A._d
@@ -523,18 +593,17 @@ def _image_scale(A, c):
     hc = sum(map(abs, num))
     w, h = _fit((A,), A._h * hc, lambda ha: ha * hc)
     v = num[0] if len(num) == 1 else _pack(num, w)
-    img = A._img if v == 1 else [list(map(mul, repeat(v), r)) for r in A._img]
-    return Matrix._image(img, A.m, A._k + t, D, w, h, A.field)
+    return Matrix._image(_times(A._nz, v), A.n, A.m, A._k + t, D, w, h, A.field)
 
 
 def _refit(M, w):
     """Re-encode M's images in slots of w bytes, w >= M._w, and take its
     height bound down to the largest 1-norm of its entries.  The images
     decode exactly, so M's value is unchanged."""
-    polys = [[_unpack(x, M._w) if x else None for x in r] for r in M._img]
-    M._h = max((sum(map(abs, p)) for p in chain.from_iterable(polys) if p), default=0)
+    polys = {i: {j: _unpack(x, M._w) for j, x in r.items()} for i, r in M._nz.items()}
+    M._h = max((sum(map(abs, p)) for r in polys.values() for p in r.values()), default=0)
     if w != M._w:
-        M._img = [[_pack(p, w) if p else 0 for p in r] for r in polys]
+        M._nz = {i: {j: _pack(p, w) for j, p in r.items()} for i, r in polys.items()}
         M._w = w
 
 
@@ -560,58 +629,56 @@ def _fit(ms, h, bound):
     return w, h
 
 
-def _common(A, B, fa, fb, w):
-    """A's and B's images, both in slots of w bytes, times the cofactors
+def _common(A, B, fa, fb, w, minus=False):
+    """A's and B's stores, both in slots of w bytes, times the cofactors
     fa and fb that bring them to one denominator, at the common shift
-    max(k_A, k_B); and that shift."""
+    max(k_A, k_B), B's negated when minus; and that shift."""
     k = max(A._k, B._k)
-    return _lifted(A, fa, k, w), _lifted(B, fb, k, w), k
+    return _lifted(A, fa, k, w, False), _lifted(B, fb, k, w, minus), k
 
 
-def _lifted(M, f, k, w):
-    """M's images times the polynomial f and q^(k - k_M), at q = 2^(8w).
-    The images of a zero matrix are returned as they are, so f is packed
-    only when M's height bounds it."""
-    if not M._h:
-        return M._img
+def _lifted(M, f, k, w, minus):
+    """M's store times the polynomial f and q^(k - k_M), at q = 2^(8w),
+    and negated when minus.  An empty store is returned as it is, so f is
+    packed only when M's height bounds it."""
+    if not M._nz:
+        return M._nz
     v = f[0] if len(f) == 1 else _pack(f, w)
     v <<= 8 * w * (k - M._k)
-    return M._img if v == 1 else [list(map(mul, repeat(v), r)) for r in M._img]
+    return _times(M._nz, -v if minus else v)
 
 
-def _unshifted(img, k, s):
-    """The shift k less the power of q, up to q^k, that every entry of img
-    shares, taken out of the entries in place: img is a product's fresh
-    rows.  A nonzero coefficient is below 2^(s-1) in absolute value, so
-    the lowest one, at q^v, leaves fewer than s - 1 trailing zero bits
-    above the s * v of its slot; the lowest bit set in any entry is the
-    lowest bit of their bitwise or.  Only the nonzero entries are visited:
-    products of the sparse module matrices are mostly zeros."""
-    if not k:
+def _unshifted(nz, k, s):
+    """The shift k less the power of q, up to q^k, that every image of the
+    store nz shares, taken out of the images in place: nz is a product's
+    fresh store.  A nonzero coefficient is below 2^(s-1) in absolute
+    value, so the lowest one, at q^v, leaves fewer than s - 1 trailing
+    zero bits above the s * v of its slot; the lowest bit set in any image
+    is the lowest bit of their bitwise or."""
+    if not k or not nz:
         return k
-    low = reduce(or_, filter(None, chain.from_iterable(img)), 0)
-    v = min(((low & -low).bit_length() - 1) // s, k) if low else 0
+    low = reduce(or_, chain.from_iterable(map(dict.values, nz.values())))
+    v = min(((low & -low).bit_length() - 1) // s, k)
     if v > 0:
         b = s * v
-        for r in img:
-            for j in compress(range(len(r)), r):
+        for r in nz.values():
+            for j in r:
                 r[j] >>= b
     return k - v
 
 
 def _image_diff(A, B):
-    """The first (i, j), in row-major order, where the image matrices A and
+    """The first (i, j), in row-major order, where the exact matrices A and
     B differ, or None."""
     _, fa, fb = _lcm(A._d, B._d)
     na, nb = sum(map(abs, fa)), sum(map(abs, fb))
     w, _ = _fit((A, B), A._h * na + B._h * nb, lambda ha, hb: ha * na + hb * nb)
     a, b, _ = _common(A, B, fa, fb, w)
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        if ra != rb:
-            for j, (x, y) in enumerate(zip(ra, rb)):
-                if x != y:
-                    return i, j
-    return None
+    if a == b:
+        return None
+    i = min(i for i in a.keys() | b.keys() if a.get(i) != b.get(i))
+    ra, rb = a.get(i, {}), b.get(i, {})
+    return i, min(j for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
 
 
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
@@ -634,8 +701,10 @@ class ProductMemo:
     scalar), so no id in a live key can be reused by a new object.  Values
     are those of ``A @ B`` and ``qbracket``, operation for operation, so
     exact and numeric results are unchanged.  Memory grows with the
-    distinct pairs seen: scope a memo to one relation group, or one node
-    pair of it, and drop it with that scope.
+    distinct pairs seen, and every product stays alive with the memo:
+    scope a memo to the stretch of a relation suite in which its products
+    recur (a node pair, or one node across the groups that multiply its
+    ladder), and drop it when that stretch ends.
     """
 
     __slots__ = ("_cache",)
@@ -665,7 +734,9 @@ def _meq(A: Matrix, B: Matrix, field):
     Numeric entries compare at the scale of the larger operand, so an
     equality between large matrices is not judged by an absolute
     tolerance.  Exact matrices compare their images, and compute a - b
-    only at the first differing entry, in row-major order."""
+    only at the first differing entry, in row-major order.  Matrices of
+    different shapes are refused, never compared."""
+    _same_shape(A, B, "==")
     if field.exact:
         ij = _image_diff(A, B)
         if ij is None:
@@ -727,25 +798,49 @@ def degree_components(A: Matrix, g: Grading) -> dict:
     """{shift: component} of A by degree shift, row degree minus column
     degree.  Only the components that are nonzero at A's own scale are
     kept (exact: any nonzero entry), so summing the components gives A
-    back up to entries that vanish at that scale."""
+    back up to entries that vanish at that scale.  An exact component
+    shares A's shift, denominator, slot width and height bound, and
+    stores A's images of its entries."""
     if A.n != g.dim or A.m != g.dim:
         raise DomainError("grading dimension does not match the matrix")
     f = A.field
-    img = A._img
-    src, z = (img, 0) if img is not None else (A.rows, f.zero)
-    entries = {}
-    for i, r in enumerate(src):
-        for j, a in compress(enumerate(r), r):
-            entries.setdefault(g.shift(i, j), []).append((i, j, a))
-    if not f.exact:
-        scale = A.max_abs()
-        entries = {s: e for s, e in entries.items()
-                   if not f.is_zero(_largest(map(itemgetter(2), e)), scale)}
+    nz = A._nz
+    if nz is not None:
+        comps = {}
+        for s, e in _by_shift(((i, r.items()) for i, r in nz.items()), g).items():
+            cnz = {}
+            for i, j, x in e:
+                cnz.setdefault(i, {})[j] = x
+            comps[s] = Matrix._image(cnz, A.n, A.m, A._k, A._d, A._w, A._h, f)
+        return comps
+    entries = _by_shift(((i, compress(enumerate(r), r)) for i, r in enumerate(A._rows)), g)
+    scale = A.max_abs()
     comps = {}
     for s, e in entries.items():
-        rows = [[z] * A.m for _ in range(A.n)]
+        if f.is_zero(_largest(map(itemgetter(2), e)), scale):
+            continue
+        rows = [[f.zero] * A.m for _ in range(A.n)]
         for i, j, a in e:
             rows[i][j] = a
-        comps[s] = (Matrix._image(rows, A.m, A._k, A._d, A._w, A._h, f) if img is not None
-                    else Matrix._adopt(rows, f))
+        comps[s] = Matrix._adopt(rows, f)
     return comps
+
+
+def _by_shift(rows, g):
+    """{shift: [(i, j, a), ...]} of the entries that ``rows`` yields as
+    (i, iterable of (j, a)), grouped by degree shift.  Basis indices of
+    one degree share a class, and Grading.shift runs once per pair of
+    classes met."""
+    classes = {}
+    cls = [classes.setdefault(d, len(classes)) for d in g.degrees]
+    shifts = {}
+    out = {}
+    for i, r in rows:
+        ci = cls[i]
+        for j, a in r:
+            key = (ci, cls[j])
+            s = shifts.get(key)
+            if s is None:
+                s = shifts[key] = g.shift(i, j)
+            out.setdefault(s, []).append((i, j, a))
+    return out

@@ -573,8 +573,12 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
     which is the sum of the cubic at (r1, r2) and at (r2, r1) regrouped:
     S once per (r1, r2), then four fresh products per s.  grel4, grel5
     and grel6 take repeated products (and grel6's right-hand brackets,
-    which depend on r2 - r1 only) from a ProductMemo scoped to one node
-    pair, or one node for grel5.
+    which depend on r2 - r1 only) from ProductMemos: one per node pair
+    for grel4, and one per node i shared by grel5 and grel6, whose S
+    products are grel5's ladder products at node i for every neighbour j.
+    A node's memo is dropped once grel6 has walked the node.  A memo for
+    the whole call would also reuse grel4's products in grel6, but it
+    keeps every product of the call alive.
     """
     _check_windows(fam, rwin, mmax)
     typ = fam.typ
@@ -641,9 +645,10 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                     ok, w = _meq(lhs, rhs, f)
                     rep.add("grel4", (i, r, j, s), ok, w)
 
+    ladder = {}
     for i in nodes:
         ci = f.from_scalar(p.c[i])
-        memo = ProductMemo()
+        memo = ladder[i] = ProductMemo()
         for r in range(-rwin, rwin + 1):
             for s in range(r, rwin + 1):
                 lhs, rhs = _theta_exchange(
@@ -672,11 +677,11 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         return acc.scale(-(q2 * ci * (C ** r1)))
 
     for i in nodes:
+        memo = ladder.pop(i)
+        mul = memo.mul
         for j in nodes:
             if typ.finite_cartan(i, j) != -1:
                 continue
-            memo = ProductMemo()
-            mul = memo.mul
             for r1 in range(-rwin, rwin + 1):
                 for r2 in range(r1, rwin + 1):
                     a1, a2 = fam.a(i, r1), fam.a(i, r2)

@@ -19,6 +19,11 @@ The numeric zero rule (a matrix vanishes at the scale of the matrices it
 came from) lives in ``linmat`` alone, so no other package module may read
 ``max_abs``, the scale that rule is taken at.
 
+An exact matrix stores the images of its nonzero entries at a slot width
+and shift that operations re-encode in place, so no package module but
+``linmat`` reads or writes the store (``_nz``, ``_k``, ``_d``, ``_w``,
+``_h``); ``scalars`` keeps its own ``_k`` and ``_h`` on Scalars.
+
 ``linmat`` decides that rule by one ``field.is_zero`` call on the largest
 |entry|, and the field protocol is the one place a backend says what zero
 is, so ``linmat`` reads no ``.tol`` attribute of a field.
@@ -388,6 +393,53 @@ def test_linmat_reads_no_tolerance():
     lines = sorted(_attribute_reads(ast.parse(path.read_text(), filename=str(path)), "tol"))
     assert not lines, (f"linmat.py reads .tol at lines {lines}; "
                        "decide zero by field.is_zero")
+
+
+#: the attributes of an exact matrix's store
+STORE_ATTRS = ("_nz", "_k", "_d", "_w", "_h")
+#: store-named attributes a module keeps on its own objects: a Scalar holds
+#: its power of q in ``_k`` and its hash in ``_h``; ``scalars`` sits below
+#: ``linmat`` and never holds a Matrix
+OWN_ATTRS = {"scalars": frozenset(("_k", "_h"))}
+
+
+def _store_access(tree, attrs):
+    """(line, attribute) of every access to one of ``attrs``: a read, a
+    write or a delete with a dot, or a ``getattr``/``setattr`` with a
+    constant name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            yield node.lineno, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "setattr") and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in attrs):
+            yield node.lineno, node.args[1].value
+
+
+def test_store_scan_flags_a_planted_access():
+    tree = ast.parse(
+        "x = M._nz[0]\n"
+        "k = A._k + B._d\n"
+        "w = getattr(M, '_w')\n"
+        "M._h = 0\n"
+        "h, nz = M.h, M.nz\n"
+        "_nz = 1\n"
+        "setattr(M, '_nz', {})\n"
+    )
+    assert sorted(_store_access(tree, STORE_ATTRS)) == [
+        (1, "_nz"), (2, "_d"), (2, "_k"), (3, "_w"), (4, "_h"), (7, "_nz")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linmat"],
+                         ids=lambda p: p.name)
+def test_only_linmat_touches_the_exact_store(path):
+    # the store holds only nonzero images at a slot width and shift that
+    # any operation may change in place; entries are read through .rows,
+    # nonzero_entries or _meq
+    attrs = frozenset(STORE_ATTRS) - OWN_ATTRS.get(path.stem, frozenset())
+    found = sorted(_store_access(ast.parse(path.read_text(), filename=str(path)), attrs))
+    assert not found, (f"{path.name} touches the exact store at {found}; "
+                       "read entries through .rows or nonzero_entries")
 
 
 #: the only package module that evaluates a Scalar at a sample q0

@@ -1,5 +1,6 @@
 """Matrices, gradings and degree components, q-brackets, the numeric backend."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from qonsager.linmat import (
     Matrix,
     ProductMemo,
     _meq,
+    _refit,
     commutator,
     degree_components,
     qbracket,
@@ -336,21 +338,27 @@ def _dense(rows_a, rows_b):
              for j in range(len(rows_b[0]))] for ra in rows_a]
 
 
-@given(same_shape_pairs(image_entries), product_pairs(image_entries, F.zero),
-       image_entries, image_entries)
-@settings(max_examples=200, deadline=None)
-def test_image_ops_match_scalar_arithmetic(pair, product, c, v):
-    # every operation on images gives, entry by entry, the plain Scalar
-    # arithmetic of the entries, over any mix of shifts and denominators
-    a_rows, b_rows = pair
-    A, B = Matrix(a_rows, F), Matrix(b_rows, F)
-    assert A._img is not None and B._img is not None
+def _stored(M):
+    """M's store: exactly its nonzero entries, so no empty row and no zero
+    image; returns M."""
+    nz = M._nz
+    assert all(r and 0 not in r.values() for r in nz.values()), nz
+    assert {(i, j) for i, r in nz.items() for j in r} == {
+        (i, j) for i, r in enumerate(M.rows) for j, a in enumerate(r) if a}
+    return M
+
+
+def _check_image_ops(a_rows, b_rows, p_rows, r_rows, c, v):
+    """Every operation on images against the plain Scalar arithmetic of the
+    decoded entries, with each result's store holding exactly its nonzero
+    entries: A, B of one shape, P @ R a product."""
+    A, B = _stored(Matrix(a_rows, F)), _stored(Matrix(b_rows, F))
     assert A.rows == a_rows
-    assert (A + B).rows == _entrywise(a_rows, b_rows, lambda a, b: a + b)
-    assert (A - B).rows == _entrywise(a_rows, b_rows, lambda a, b: a - b)
-    assert (-A).rows == [[-a for a in r] for r in a_rows]
-    assert A.scale(c).rows == [[c * a for a in r] for r in a_rows]
-    assert A.transpose().rows == [list(col) for col in zip(*a_rows)]
+    assert _stored(A + B).rows == _entrywise(a_rows, b_rows, lambda a, b: a + b)
+    assert _stored(A - B).rows == _entrywise(a_rows, b_rows, lambda a, b: a - b)
+    assert _stored(-A).rows == [[-a for a in r] for r in a_rows]
+    assert _stored(A.scale(c)).rows == [[c * a for a in r] for r in a_rows]
+    assert _stored(A.transpose()).rows == [list(col) for col in zip(*a_rows)]
     assert A.is_zero() == all(not a for r in a_rows for a in r)
     assert list(A.nonzero_entries()) == [(i, j, a) for i, r in enumerate(a_rows)
                                          for j, a in enumerate(r) if a]
@@ -360,15 +368,123 @@ def test_image_ops_match_scalar_arithmetic(pair, product, c, v):
     assert _meq(A, B, F) == want
     assert (A == B) == (not diffs)
     assert _meq(A, Matrix(a_rows, F), F) == (True, None)
-    P, R = (Matrix(r, F) for r in product)
-    p_r = _dense(product[0], product[1])
-    assert (P @ R).rows == p_r
+    P, R = (Matrix(r, F) for r in (p_rows, r_rows))
+    p_r = _dense(p_rows, r_rows)
+    assert _stored(P @ R).rows == p_r
     if P.n == P.m == R.m:
-        r_p = _dense(product[1], product[0])
-        assert qbracket(P, R, v).rows == _entrywise(p_r, r_p, lambda x, y: x - v * y)
-        assert commutator(P, R).rows == _entrywise(p_r, r_p, lambda x, y: x - y)
-    K = P.kron(B)
-    assert K.rows == [[x * y for x in rp for y in rb] for rp in product[0] for rb in b_rows]
+        r_p = _dense(r_rows, p_rows)
+        assert _stored(qbracket(P, R, v)).rows == _entrywise(p_r, r_p, lambda x, y: x - v * y)
+        assert _stored(commutator(P, R)).rows == _entrywise(p_r, r_p, lambda x, y: x - y)
+    K = _stored(P.kron(B))
+    assert K.rows == [[x * y for x in rp for y in rb] for rp in p_rows for rb in b_rows]
+    # re-encoding in wider slots changes no entry and no stored position
+    W = Matrix(a_rows, F)
+    _refit(W, W._w + 3)
+    assert _stored(W).rows == a_rows and W._w == A._w + 3 and W == A
+
+
+@given(same_shape_pairs(image_entries), product_pairs(image_entries, F.zero),
+       image_entries, image_entries)
+@settings(max_examples=200, deadline=None)
+def test_image_ops_match_scalar_arithmetic(pair, product, c, v):
+    # every operation on images gives, entry by entry, the plain Scalar
+    # arithmetic of the entries, over any mix of shifts and denominators
+    _check_image_ops(*pair, *product, c, v)
+
+
+#: mostly zeros, so that stored rows are short or absent
+sparse_entries = st.sampled_from([F.zero] * 12 + image_pool)
+
+
+@st.composite
+def sparse_cases(draw):
+    """(A, B, P, R) rows, shapes up to 12, from a mostly-zero pool, with
+    forced cancellation: B is -A on a drawn set of rows, and P @ R is
+    [P0 | P0] times R0 over R1, where R1 is -R0 on a drawn set of rows, so
+    that each term through such a row cancels."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a = [[draw(sparse_entries) for _ in range(m)] for _ in range(n)]
+    b = [[draw(sparse_entries) for _ in range(m)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        b[i] = [-x for x in a[i]]
+    pn, k, pm = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    p0 = [[draw(sparse_entries) for _ in range(k)] for _ in range(pn)]
+    r0 = [[draw(sparse_entries) for _ in range(pm)] for _ in range(k)]
+    r1 = [[draw(sparse_entries) for _ in range(pm)] for _ in range(k)]
+    for t in draw(st.sets(st.integers(0, k - 1))):
+        r1[t] = [-x for x in r0[t]]
+    return a, b, [r + r for r in p0], r0 + r1
+
+
+@given(sparse_cases(), sparse_entries, image_entries,
+       st.lists(st.integers(-2, 1), min_size=12, max_size=12))
+@settings(max_examples=120, deadline=None)
+def test_sparse_store_matches_scalar_arithmetic(case, c, v, degs):
+    a_rows, b_rows, p_rows, r_rows = case
+    _check_image_ops(a_rows, b_rows, p_rows, r_rows, c, v)
+    A = Matrix(a_rows, F)
+    assert _stored(A + (-A)).is_zero() and not (A - A)._nz
+    # square operands: a full cancellation, and the split by degree shift
+    X = _stored(A @ A.transpose())
+    x_rows = _dense(a_rows, [list(col) for col in zip(*a_rows)])
+    assert X.rows == x_rows and not qbracket(X, X, F.one)._nz
+    g = Grading([(d,) for d in degs[:X.n]])
+    comps = degree_components(X, g)
+    assert {s: _stored(M).rows for s, M in comps.items()} == _components_reference(x_rows, g, F)
+
+
+def _components_reference(rows, g, field):
+    """{shift: rows} of the nonzero entries of rows by g.shift(i, j), entry
+    by entry."""
+    out = {}
+    for i, r in enumerate(rows):
+        for j, a in enumerate(r):
+            if a:
+                out.setdefault(g.shift(i, j), [[field.zero] * len(r) for _ in rows])[i][j] = a
+    return out
+
+
+def test_sparse_store_never_holds_a_zero_image():
+    A = Matrix([[Q, F.zero, 1 / (Q + 1)], [F.zero] * 3, [Q**-2, Scalar(2), F.zero]], F)
+    B = Matrix([[-Q, F.zero, F.one], [F.zero] * 3, [F.zero, Scalar(-2), Q]], F)
+    assert A._nz.keys() == {0, 2}
+    left = Matrix([[F.one, F.one], [F.one, F.zero]], F)
+    right = Matrix([[Q, F.one], [-Q, F.one]], F)
+    g = Grading([(0,), (-1,), (-2,)])
+    results = {
+        "A": A,
+        "A + (-A)": A + (-A),
+        "A - A": A - A,
+        "A + B": A + B,
+        "product, row 0 cancels": left @ right,
+        "product, all cancels": Matrix([[Q, Q]], F) @ Matrix([[F.one], [-F.one]], F),
+        "scale(0)": A.scale(0),
+        "zeros": Matrix.zeros(4, 4, F),
+        **{f"component {s}": M for s, M in degree_components(A + B, g).items()},
+    }
+    for name, M in results.items():
+        assert all(r and 0 not in r.values() for r in M._nz.values()), name
+    assert (A + B).rows == [[F.zero, F.zero, F.one + 1 / (Q + 1)], [F.zero] * 3,
+                            [Q**-2, F.zero, Q]]
+    assert (left @ right)._nz.keys() == {0, 1} and (left @ right).rows[0][0] == F.zero
+    assert {name for name, M in results.items() if not M._nz} == {
+        "A + (-A)", "A - A", "product, all cancels", "scale(0)", "zeros"}
+    assert sorted(degree_components(A + B, g)) == [(-2,), (0,), (2,)]
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
+def test_entrywise_ops_refuse_mismatched_shapes(field):
+    # a 2x2 and a 3x3 matrix are neither added nor compared by _meq: zip
+    # would truncate to the smaller shape, and _meq would call them equal
+    I2, I3 = Matrix.identity(2, field), Matrix.identity(3, field)
+    Z23, Z32 = Matrix.zeros(2, 3, field), Matrix.zeros(3, 2, field)
+    for X, Y, shapes in ((I2, I3, ("2x2", "3x3")), (Z23, Z32, ("2x3", "3x2"))):
+        for op, run in (("+", lambda: X + Y), ("-", lambda: X - Y),
+                        ("==", lambda: _meq(X, Y, field))):
+            with pytest.raises(DomainError, match=re.escape(f"shape mismatch {shapes[0]} {op} "
+                                                            f"{shapes[1]}")):
+                run()
+        assert X != Y
 
 
 def test_image_slot_edges():
@@ -406,7 +522,7 @@ def test_image_product_takes_out_the_shared_power_of_q():
     A, B = Matrix([[Q**-5, Q**-1]], F), Matrix([[Q], [Q**-3]], F)
     assert (A._k, B._k) == (5, 3)
     P = A @ B
-    assert P.rows == [[Scalar(2) * Q**-4]] and P._k == 4 and P._img == [[2]]
+    assert P.rows == [[Scalar(2) * Q**-4]] and P._k == 4 and P._nz == {0: {0: 2}}
     # entries that share no power of q keep the whole shift
     rows_c = [[Q**-5, Scalar(1)], [F.zero, Q**-4]]
     rows_d = [[Q**-3, F.zero], [Scalar(1), Q**-3 + 1]]
@@ -417,9 +533,9 @@ def test_image_product_takes_out_the_shared_power_of_q():
     T = Matrix.identity(2, F)
     for _ in range(6):
         T = T @ S
-    assert T == Matrix.identity(2, F) and T._k == 0 and T._img == [[1, 0], [0, 1]]
+    assert T == Matrix.identity(2, F) and T._k == 0 and T._nz == {0: {0: 1}, 1: {1: 1}}
     Z = Matrix([[Q**-5, F.zero]], F) @ Matrix([[F.zero], [Q**-3]], F)
-    assert Z.is_zero() and Z._k == 8
+    assert Z.is_zero() and Z._k == 8 and Z._nz == {}
 
 
 def test_image_rows_decode_lazily_and_refuse_writes():
@@ -441,7 +557,7 @@ def test_image_rows_decode_lazily_and_refuse_writes():
 def test_exact_entries_are_coerced_to_scalars():
     # every exact matrix is held as images: ints and Fractions are Scalars
     A = Matrix([[0, 1], [Fraction(1, 2), -3]], F)
-    assert A._img is not None
+    assert (A._nz, A._d) == ({0: {1: 2}, 1: {0: 1, 1: -6}}, [2])
     assert A.rows == [[F.zero, F.one], [Scalar(1, 2), Scalar(-3)]]
     assert A == Matrix([[F.zero, F.one], [Scalar(1, 2), Scalar(-3)]], F)
     assert Matrix.diagonal([2, Q], F).rows == [[Scalar(2), F.zero], [F.zero, Q]]
@@ -515,6 +631,21 @@ def test_degree_components_reassemble(A, degs):
     for s, M in comps.items():
         for i, j, a in M.nonzero_entries():
             assert g.shift(i, j) == s
+
+
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 3.0]),
+                         min_size=5, max_size=5), min_size=5, max_size=5),
+       st.lists(st.tuples(st.integers(-2, 0), st.integers(-1, 0)), min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_numeric_degree_components_match_per_entry_shifts(rows, degs):
+    # one shift per pair of degree vectors gives the components that
+    # grouping entry by entry gives, bit for bit
+    nf = NumericField(1.3)
+    g = Grading(degs)
+    comps = degree_components(Matrix(rows, nf), g)
+    want = _components_reference(rows, g, nf)
+    assert {s: _reprs(M.rows) for s, M in comps.items()} == {
+        s: _reprs(r) for s, r in want.items()}
 
 
 def test_degree_components_vanish_at_the_operator_scale():
