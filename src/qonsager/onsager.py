@@ -9,10 +9,13 @@ on a module with Chevalley data (``eta_bmats``).  One parameter type
 the q-Onsager algebra, is N = 1 with its towers at node 1.  One core,
 ``_grow_family``, builds every family from the B_j and a seed A_{i,-1} per
 node: the two-sided ladder A_r, the commuting charges H_m and the central
-coefficients Theta_m with their reweighted forms.  Its two seeders keep
-independent certificates: ``generate_family`` (rank one) cross-checks the
-seeds against the loop generators when the module carries them, and
-``ranka.generate_rankn_family`` checks its brackets against braided words.
+coefficients Theta_m with their reweighted forms.  The ladder and the Theta
+towers are built at once; H_m is the log of the Theta series and is grown
+on its first read, so a check pays only for the charges it reads.  Its two
+seeders keep independent certificates: ``generate_family`` (rank one)
+cross-checks the seeds against the loop generators when the module carries
+them, and ``ranka.generate_rankn_family`` checks its brackets against
+braided words.
 The rank-one suites below read node 1 and refuse other ranks through one
 guard (``_rank_one``).  All series are truncated, nothing is formally
 inverted.
@@ -20,12 +23,15 @@ inverted.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import islice
+
 from .errors import ConstructionError, DomainError
 from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
 from .loopsl2 import AffineModule, EvalParams, build_evaluation
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
-from .series import (FPoly, RationalFunction, TruncSeries, h_from_theta,
+from .series import (FPoly, RationalFunction, TruncSeries, log_terms,
                      pade_reconstruct)
 
 
@@ -141,12 +147,54 @@ class _Ctx:
         self.kap = f.q - f.one / f.q
 
 
+class _Charges(Mapping):
+    """The charges H_1..H_T of one node, each grown on its first read.
+
+    1 + Σ (q - q^-1) Theta_m z^m = exp((q - q^-1) Σ H_m z^m), so reading
+    H[m] runs the log recurrence of ``series.log_terms`` on the Theta it was
+    made with, in ascending order up to m: each H_n is made once, after
+    n - 1 matrix products, and (q - q^-1) Theta_n only when the recurrence
+    reaches n.  H[1] is the H1 the tower was seeded with.  A key outside
+    1..T raises KeyError and grows nothing.
+    """
+
+    __slots__ = ("_grown", "_logs", "_kinv", "_T")
+
+    def __init__(self, H1: Matrix, theta: dict, T: int, f):
+        kap = f.q - f.one / f.q
+        self._grown = {1: H1}
+        # H[1] is H1 itself (L_1 / kap may round it differently), so the
+        # charges read the log from L_2 on
+        self._logs = islice(log_terms(lambda n: theta[n] * kap, f), 1, None)
+        self._kinv = f.one / kap
+        self._T = T
+
+    def __getitem__(self, m) -> Matrix:
+        if m not in self:
+            raise KeyError(m)
+        grown = self._grown
+        while len(grown) < m:
+            grown[len(grown) + 1] = next(self._logs) * self._kinv
+        return grown[m]
+
+    def __contains__(self, m):
+        return m in range(1, self._T + 1)
+
+    def __iter__(self):
+        return iter(range(1, self._T + 1))
+
+    def __len__(self):
+        return self._T
+
+
 class RankNFamily:
     """Per-node towers over a common module.
 
     ``B[j]`` are the seeds for j in I.  For each seeded finite node i,
     ``A[i][r]`` (|r| <= R), ``H[i][m]`` and ``theta[i][m]`` (m <= T)
     with the acute/grave reweightings; ``Hbar1[i]`` is H_{i,1}/[2].
+    ``A`` and the Theta towers are dicts; ``H[i]`` is a read-only mapping
+    over m = 1..T that grows each H_{i,m} on its first read.
     A rank-one family has the one node i = 1.
 
     Theta_{i,0} = 1/(q - q^-1), and the acute tower is the series
@@ -268,7 +316,8 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     Hbar1 = H[1]/[2] the ladder ascends and descends via
     A[r+1] = [Hbar1, A[r]] + C A[r-1], the Theta tower follows the
     two-step rule with the index-0 correction and the node weight c, and
-    H[2..T] come from the log of the Theta series.  The acute tower
+    H is the log of the Theta series, a ``_Charges`` mapping that grows
+    H[2..T] only as far as they are read.  The acute tower
     multiplies Theta(z) by (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
     rescales it by (q - q^-1) so that index 0 becomes the identity.
 
@@ -304,12 +353,9 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     # polynomial in H[1..n].  So rel1 (rank one) and grel1 (rank N) still
     # fail a broken tower inside their windows, as h_commute does for the
     # h_k that loopsl2 takes from the same log, and no commutation check is
-    # paid here.
-    hs = h_from_theta([theta[m] for m in range(1, T + 1)], T, f, I,
-                      check_commuting=False)
-    H = {1: H1}
-    for m in range(2, T + 1):
-        H[m] = hs[m - 1]
+    # paid here.  H[m] is grown when a check first reads it; no check reads
+    # past its window mmax, and the spectra read Theta only.
+    H = _Charges(H1, theta, T, f)
 
     acute = {}
     grave = {}
@@ -431,15 +477,17 @@ def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
                       rwin: int, mmax: int, prefix: str = ""):
     """Shared core for the three defining relation groups.
 
-    ``A`` and ``H`` are dicts, ``theta_at`` an index function honouring
-    the zero-below-zero convention.  rel3 is symmetric under swapping
+    ``A`` and ``H`` are mappings, ``theta_at`` an index function honouring
+    the zero-below-zero convention; the window reads H[1..mmax] and
+    Theta up to index 2 rwin + 1.  rel3 is symmetric under swapping
     (r, s), so only r <= s is walked.
     """
     f = ctx.field
 
+    memo = ProductMemo()  # H[m] @ H[m] once on the diagonal
     for m in range(1, mmax + 1):
         for n in range(m, mmax + 1):
-            ok, w = _meq(H[m] @ H[n], H[n] @ H[m], f)
+            ok, w = _meq(memo.mul(H[m], H[n]), memo.mul(H[n], H[m]), f)
             rep.add(prefix + "rel1", (m, n), ok, w)
 
     for m in range(1, mmax + 1):
@@ -474,20 +522,20 @@ def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
 def tau_dual_check(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
     """The transpose-dual family must satisfy the same presentation.
 
-    Dual data: A'_r = C^r (A_{-r})^t, H'_m = (H_m)^t, Theta'_m = (Theta_m)^t.
+    Dual data: A'_r = C^r (A_{-r})^t, H'_m = (H_m)^t, Theta'_m = (Theta_m)^t,
+    transposed only where the window reads them: H'_1..H'_mmax and
+    Theta'_0..Theta'_(2 rwin + 1).
     """
     ctx = _Ctx(fam.params, fam.field)
     _check_windows(fam, rwin, mmax)
     Ad = {r: fam.a(1, -r).transpose().scale(ctx.C**r)
           for r in range(-fam.R, fam.R + 1)}
-    Hd = {m: M.transpose() for m, M in fam.H[1].items()}
-    thd = {m: M.transpose() for m, M in fam.theta[1].items()}
+    Hd = {m: fam.h(1, m).transpose() for m in range(1, mmax + 1)}
+    thd = {m: fam.theta_at(1, m).transpose() for m in range(0, 2 * rwin + 2)}
 
     def theta_at(m):
         if m < 0:
             return Matrix.zeros(fam.I.n, fam.I.n, fam.field)
-        if m not in thd:
-            raise DomainError(f"Theta[{m}] not generated; raise T")
         return thd[m]
 
     rep = CheckReport(f"transpose-dual presentation ({fam.params.describe()})")

@@ -12,6 +12,8 @@ series) instead of silently pretending more orders are known.
 Coefficients may be field elements or matrices over the field; exp/log take
 the multiplicative identity explicitly so both cases share code, and run
 the logarithmic-derivative recurrences in about T²/2 coefficient products.
+The log's recurrence runs one order at a time (``log_terms``), so a caller
+that reads only the first orders pays only for those.
 Pade reconstruction is one Hankel solve at the full degree budget.  Pade
 approximants are unique, and solve_linear pins free unknowns to zero, so
 that solve gives the reduced denominator itself; the candidate is verified
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError
-from .linmat import Matrix, _meq
+from .linmat import Matrix
 from .scalars import ZERO, Scalar, _coerce
 
 __all__ = [
@@ -39,8 +41,7 @@ __all__ = [
     "series_mul",
     "series_exp",
     "series_log",
-    "theta_from_h",
-    "h_from_theta",
+    "log_terms",
     "FPoly",
     "RationalFunction",
     "pade_reconstruct",
@@ -228,11 +229,36 @@ def series_exp(s: TruncSeries, one) -> TruncSeries:
     return TruncSeries(e, 0, s.hi, s.zero, field)
 
 
+def log_terms(coeff, field, zero=None):
+    """The coefficients L_1, L_2, ... of L = log(1 + D), one per ``next``.
+
+    ``series_log``'s recurrence run one order at a time: the n-th ``next``
+    calls ``coeff(n)`` once for D_n and returns L_n after n - 1 coefficient
+    products, so a caller that stops at order m never makes D_n or L_n for
+    n > m.  ``coeff`` returns None for an absent D_n: ``zero`` stands in for
+    it, and its products are skipped.
+    """
+    d = {}
+    kl = {}  # k·L_k
+    n = 0
+    while True:
+        n += 1
+        dn = d[n] = coeff(n)
+        acc = field.from_int(n) * (zero if dn is None else dn)
+        for k, v in kl.items():
+            dv = d[n - k]
+            if dv is not None:
+                acc = acc - v * dv
+        kl[n] = acc
+        yield field.from_fraction(1, n) * acc
+
+
 def series_log(s: TruncSeries, one) -> TruncSeries:
     """log of an ascending series S = 1 + D with constant term ``one``.
 
     L = log(S) satisfies S' = L' S when the coefficients of S commute, which
-    gives L_0 = 0 and, for n = 1..T (T = s.hi),
+    gives L_0 = 0 and, for n = 1..T (T = s.hi), the recurrence of
+    ``log_terms``
 
         L_n = D_n - (1/n) Σ_{k=1}^{n-1} (k·L_k) D_{n-k}
 
@@ -248,74 +274,9 @@ def series_log(s: TruncSeries, one) -> TruncSeries:
     field = s.field
     if not s.known(0) or not _is_zero_entry(s.coeff(0) - one, field):
         raise DomainError("series_log needs constant term 1")
-    d = s.coeffs
-    kl = {}  # k·L_k
-    out = {}
-    for n in range(1, s.hi + 1):
-        acc = field.from_int(n) * s.coeff(n)
-        for k, v in kl.items():
-            dv = d.get(n - k)
-            if dv is not None:
-                acc = acc - v * dv
-        kl[n] = acc
-        out[n] = field.from_fraction(1, n) * acc
+    terms = log_terms(s.coeffs.get, field, s.zero)
+    out = {n: next(terms) for n in range(1, s.hi + 1)}
     return TruncSeries(out, 0, s.hi, s.zero, field)
-
-
-# -- the Theta <-> H change of coordinates -------------------------------------
-
-
-def theta_from_h(h_list, T, field, one):
-    """Θ-coefficients from commuting H_m (m = 1..T).
-
-    Returns (theta0, [Θ_1..Θ_T]) where theta0 is the scalar 1/(q - q^-1)
-    and 1 + Σ_{m>=1} (q - q^-1) Θ_m z^m = exp((q - q^-1) Σ_m H_m z^m).
-    """
-    kappa = field.q - field.one / field.q
-    zero = h_list[0] * field.zero if h_list else field.zero
-    s = TruncSeries(
-        {m: h_list[m - 1] * kappa for m in range(1, min(len(h_list), T) + 1)},
-        0,
-        T,
-        zero,
-        field,
-    )
-    e = series_exp(s, one)
-    theta0 = field.one / kappa
-    thetas = [e.coeff(m) * (field.one / kappa) for m in range(1, T + 1)]
-    return theta0, thetas
-
-
-def h_from_theta(theta_list, T, field, one, check_commuting=True):
-    """Inverse of theta_from_h; requires the Θ_m to commute pairwise.
-
-    With ``check_commuting`` every pair of matrix Θ_m, Θ_n is compared by
-    the field's matrix equality (scaled for the numeric field) and the
-    first pair that does not commute raises DomainError with its witness.
-    """
-    if check_commuting:
-        for i in range(len(theta_list)):
-            for j in range(i + 1, len(theta_list)):
-                a, b = theta_list[i], theta_list[j]
-                if isinstance(a, Matrix):
-                    ok, w = _meq(a @ b, b @ a, field)
-                    if not ok:
-                        raise DomainError(
-                            f"theta coefficients (m, n) = ({i + 1}, {j + 1}) "
-                            f"do not commute: {w}"
-                        )
-    kappa = field.q - field.one / field.q
-    zero = theta_list[0] * field.zero if theta_list else field.zero
-    s = TruncSeries(
-        {0: one, **{m: theta_list[m - 1] * kappa
-                    for m in range(1, min(len(theta_list), T) + 1)}},
-        0,
-        T,
-        zero,
-        field,
-    )
-    l = series_log(s, one)
-    return [l.coeff(m) * (field.one / kappa) for m in range(1, T + 1)]
 
 
 # -- polynomials and rational functions over the field --------------------------

@@ -11,7 +11,9 @@ Oracles, independent of the generation code:
   zero, grave tower the constant series 1).
 """
 
+import random
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,10 @@ from qonsager.onsager import (
 from qonsager.ranka import (RankNParams, build_vector_evaluation, generate_rankn_family,
                             verify_grel)
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
-from qonsager.series import FPoly, RationalFunction, h_from_theta
+from qonsager.series import FPoly, RationalFunction
 from qonsager.spectra import drf_reports, factorization_check
+from test_ranka import _count_products
+from test_series import h_from_theta
 
 F = ExactField()
 
@@ -321,7 +325,7 @@ def _family_entries(fam):
     out = {}
     for tower in _TOWERS:
         for i, mats in getattr(fam, tower).items():
-            for k, M in (mats.items() if isinstance(mats, dict) else [(None, mats)]):
+            for k, M in (mats.items() if isinstance(mats, Mapping) else [(None, mats)]):
                 for r, row in enumerate(M.rows):
                     for c, x in enumerate(row):
                         out[tower, i, k, r, c] = x
@@ -371,6 +375,108 @@ def test_numeric_theta_commute_at_their_scale():
     H = h_from_theta([fam.theta[1][m] for m in range(1, 9)], 8, nf, fam.I)
     for m in range(1, 9):
         assert _meq(H[m - 1], fam.H[1][m], nf) == (True, None), m
+
+
+# ------------------------------------------------------- charges grown on read
+
+
+def _bits(M):
+    """A matrix's entries as text: equal floats print alike only when they
+    are the same bits, the sign of a zero included."""
+    return repr(M.rows)
+
+
+def _numeric_tensor_family():
+    nf = NumericField(1.3)
+    mod = tensor(V(2, "q", window=1, T=8, field=nf), V(1, "q^3", window=1, T=8, field=nf))
+    return generate_family(P("q^2", "q^-1", "0", "0"), mod, T=8, R=8), _bits
+
+
+def _exact_w2_family():
+    mod = build_vector_evaluation(2, parse_scalar("q"))
+    return generate_rankn_family(mod, RankNParams([1, 1, 1]), T=5, R=5), lambda M: M
+
+
+def _read_orders(T):
+    shuffled = list(range(1, T + 1))
+    random.Random(7).shuffle(shuffled)
+    return {"ascending": list(range(1, T + 1)), "descending": list(range(T, 0, -1)),
+            "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("make", [_numeric_tensor_family, _exact_w2_family],
+                         ids=["V2xV1-num", "W2-exact"])
+def test_charges_grown_on_read_are_the_reference(make, order):
+    # whatever order H is read in, each H_m is the reference log of the
+    # Theta tower, bit for bit at q0 = 1.3 and by == over Q(q); H_1 is the
+    # seeded charge, which is Theta_1
+    fam, key = make()
+    T = fam.T
+    for i, H in fam.H.items():
+        ref = h_from_theta([fam.theta[i][m] for m in range(1, T + 1)], T, fam.field,
+                           fam.I, check_commuting=False)
+        got = {m: H[m] for m in _read_orders(T)[order]}
+        assert key(got[1]) == key(fam.theta[i][1])
+        for m in range(2, T + 1):
+            assert key(got[m]) == key(ref[m - 1]), (i, m)
+        assert [key(M) for M in H.values()] == [key(got[m]) for m in range(1, T + 1)]
+
+
+def test_charges_cost_products_only_when_read(monkeypatch):
+    # the tower's ladder and Theta take 4R - 2 and 4(T - 1) products and its
+    # log none; reading H[m] first takes the log's products up to m,
+    # sum_{n=2..m} (n - 1), and a second read takes none
+    fam = onedim(P("1", "q", "q", "1"), T=7)
+    T, R = fam.T, fam.R
+    f = fam.field
+    C, c = f.from_scalar(fam.params.C), f.from_scalar(fam.params.c[1])
+    A = fam.A[1]
+    calls = _count_products(monkeypatch)
+    _, H, *_ = onsager._grow_tower(A[0], A[-1], fam.H[1][1], C, c, T, R, fam.I)
+    assert calls[0] == 4 * R - 2 + 4 * (T - 1)
+    read = 1
+    for m in (3, 2, 5, 3, 7, 1):
+        calls[0] = 0
+        H[m]
+        assert calls[0] == sum(n - 1 for n in range(read + 1, m + 1)), m
+        read = max(read, m)
+
+
+def test_dual_reads_the_charges_the_presentation_reads(monkeypatch):
+    # both suites read H_1..H_mmax only: on fresh families they take the
+    # same products, log products included
+    p = P("q^2", "q^-2", "1", "q")
+    counts = []
+    for check in (verify_presentation, tau_dual_check):
+        fam = generate_family(p, V(1, "q"), T=8, R=8)
+        calls = _count_products(monkeypatch)
+        assert check(fam, rwin=2, mmax=3).ok
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+
+
+def test_charges_are_a_read_only_mapping_over_their_window():
+    fam = onedim(P("1", "q", "q", "1"), T=4)
+    H = fam.H[1]
+    assert len(H) == 4 and list(H) == [1, 2, 3, 4]
+    assert 0 not in H and 5 not in H and 4 in H
+    assert H[1] is fam.h(1, 1)
+    for m in (0, 5, -1):
+        with pytest.raises(KeyError):
+            H[m]
+        with pytest.raises(DomainError, match="1 <= m <= 4"):
+            fam.h(1, m)
+    with pytest.raises(TypeError):
+        H[2] = H[1]
+
+
+def test_charges_keep_the_theta_they_were_grown_from():
+    # replacing a Theta tower after generation changes no charge
+    p = P("q^2", "q^-1", "1", "q")
+    fam, ref = (generate_family(p, V(1, "q"), T=6) for _ in range(2))
+    fam.theta[1] = {m: M.scale(fam.field.q) for m, M in fam.theta[1].items()}
+    assert all(fam.H[1][m] == ref.H[1][m] for m in range(1, 7))
 
 
 # ----------------------------------------------------------------- exact DRF

@@ -8,19 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import DomainError
-from qonsager.linmat import Matrix
+from qonsager.linmat import Matrix, _meq
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar
 from qonsager.series import (
     FPoly,
     RationalFunction,
     TruncSeries,
-    h_from_theta,
     pade_reconstruct,
     series_exp,
     series_log,
     series_mul,
     solve_linear,
-    theta_from_h,
 )
 
 F = ExactField()
@@ -92,6 +90,62 @@ def test_exp_against_hand_expansion():
     assert e.coeff(2) == a * a / 2
     assert e.coeff(3) == a * a * a / 6
     assert e.coeff(4) == a**4 / 24
+
+
+# -- the Theta <-> H change of coordinates, the reference for the towers
+
+
+def theta_from_h(h_list, T, field, one):
+    """Θ-coefficients from commuting H_m (m = 1..T).
+
+    Returns (theta0, [Θ_1..Θ_T]) where theta0 is the scalar 1/(q - q^-1)
+    and 1 + Σ_{m>=1} (q - q^-1) Θ_m z^m = exp((q - q^-1) Σ_m H_m z^m).
+    """
+    kappa = field.q - field.one / field.q
+    zero = h_list[0] * field.zero if h_list else field.zero
+    s = TruncSeries(
+        {m: h_list[m - 1] * kappa for m in range(1, min(len(h_list), T) + 1)},
+        0,
+        T,
+        zero,
+        field,
+    )
+    e = series_exp(s, one)
+    theta0 = field.one / kappa
+    thetas = [e.coeff(m) * (field.one / kappa) for m in range(1, T + 1)]
+    return theta0, thetas
+
+
+def h_from_theta(theta_list, T, field, one, check_commuting=True):
+    """Inverse of theta_from_h; requires the Θ_m to commute pairwise.
+
+    With ``check_commuting`` every pair of matrix Θ_m, Θ_n is compared by
+    the field's matrix equality (scaled for the numeric field) and the
+    first pair that does not commute raises DomainError with its witness.
+    """
+    if check_commuting:
+        for i in range(len(theta_list)):
+            for j in range(i + 1, len(theta_list)):
+                a, b = theta_list[i], theta_list[j]
+                if isinstance(a, Matrix):
+                    ok, w = _meq(a @ b, b @ a, field)
+                    if not ok:
+                        raise DomainError(
+                            f"theta coefficients (m, n) = ({i + 1}, {j + 1}) "
+                            f"do not commute: {w}"
+                        )
+    kappa = field.q - field.one / field.q
+    zero = theta_list[0] * field.zero if theta_list else field.zero
+    s = TruncSeries(
+        {0: one, **{m: theta_list[m - 1] * kappa
+                    for m in range(1, min(len(theta_list), T) + 1)}},
+        0,
+        T,
+        zero,
+        field,
+    )
+    l = series_log(s, one)
+    return [l.coeff(m) * (field.one / kappa) for m in range(1, T + 1)]
 
 
 def test_theta_from_h_order2_identity():
