@@ -9,13 +9,15 @@ exact scalar field reduces to.
 Integer images.  Evaluation at q = 2^s is a ring homomorphism from ZZ[q]
 to ZZ, so the expensive operations run on one Python int per polynomial
 and decode only their results.  _pack writes each coefficient plus half a
-slot into a byte-aligned slot of s = 8w bits (one to_bytes per slot, one
-from_bytes per polynomial), which needs every coefficient below 2^(s-1) in
-absolute value; _unpack reads an integer back as its balanced base-2^s
-digits, each in [-2^(s-1), 2^(s-1)).  A decoded result is exact only when
-its true coefficients lie in that range: each caller picks s from a bound
-on them, or proves the result afterwards.  Slots always hold both
-operands' coefficients, so a nonzero operand never packs to 0.
+slot into a byte-aligned slot of s = 8w bits and reads the slots as one
+integer; _unpack reads an integer back as its balanced base-2^s digits,
+each in [-2^(s-1), 2^(s-1)).  On a little-endian host a slot of 1, 2, 4
+or 8 bytes is an item of an array.array, so both convert all slots in C;
+other widths take one to_bytes or from_bytes per slot.  Packing needs
+every coefficient in that digit range, and a decoded result is exact only
+when its true coefficients lie in it: each caller picks s from a bound on
+them, or proves the result afterwards.  Slots always hold both operands'
+coefficients, so a nonzero operand never packs to 0.
 
 Multiplication: when one operand of pmul(a, b) is a monomial c*q^k, the
 product is the other operand shifted by k and scaled by c, with no loop
@@ -26,16 +28,18 @@ operands have at least _KRONECKER_MIN = 16 coefficients, and by the
 schoolbook loop below that.  Every path returns the same coefficient list,
 a fresh one that shares no list with either operand.
 
-Linear systems: _bareiss_solve runs fraction-free Gauss-Jordan over ZZ[q]
-on the images of the entries, in slots above the Hadamard bound of the
-system's minors, and decodes only the solution.
+Linear systems: _bareiss_solve runs fraction-free Gaussian elimination
+over ZZ[q] (Bareiss's forward elimination, then fraction-free back
+substitution) on the images of the entries, in slots above the Hadamard
+bound of the system's minors, and decodes only the solution.
 
 Division conventions:
 
 * pdiv_exact(a, b) performs the division a / b in ZZ[q] by the schoolbook
   loop and raises ValueError if the quotient does not exist with integer
   coefficients (it is used only where Gauss's lemma guarantees exactness,
-  and by the heuristic gcd to test a candidate).
+  and by the heuristic gcd when a quotient of images is too wide to
+  prove itself).
 * prem(a, b) is the pseudo-remainder: lc(b)^(deg a - deg b + 1) * a  mod  b,
   computed entirely over ZZ.
 * pgcd(a, b) is the full ZZ[q] gcd (content included), normalised to a
@@ -44,10 +48,11 @@ Division conventions:
   q-adic valuation (lowest degree with a nonzero coefficient).  Otherwise,
   when an operand has at least 16 coefficients, the primitive parts go to
   the heuristic gcd (GCDHEU: the integer gcd of the images, lifted in
-  balanced digits and accepted only if it divides both); shorter operands,
-  and any pair the heuristic fails on at three points, go to the primitive
-  pseudo-remainder sequence.  The gcd is unique up to sign, so both give
-  the same result.
+  balanced digits and accepted only if it divides both, which the
+  quotients of the images prove when they are narrow enough); shorter
+  operands, and any pair the heuristic fails on at three points, go to
+  the primitive pseudo-remainder sequence.  The gcd is unique up to sign,
+  so both give the same result.
 * _gcd_cofactors(a, b) is (pgcd(a, b), a / g, b / g), for the callers that
   divide by the gcd next: the heuristic gcd returns the quotients of the
   divisions that proved it, and a monomial gcd divides by a shift.  Both
@@ -55,7 +60,11 @@ Division conventions:
   only where it has them; pgcd drops them.
 """
 
+import sys
+from array import array
+from itertools import repeat
 from math import gcd as _igcd
+from operator import add, sub
 
 KERNEL_NAME = "pure-python"
 
@@ -172,13 +181,24 @@ def _offset(n, w):
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
+# array typecodes by item size in bytes, for the slot widths an array can
+# hold; on a little-endian host the buffer of such an array is the byte
+# string of its slots, and elsewhere every width takes the to_bytes loop
+_ARRAY = ({array(t).itemsize: t for t in "QLIHB"}
+          if sys.byteorder == "little" else {})
+
+
 def _pack(a, w):
-    """The value of a at q = 2^(8w), for coefficients below 2^(8w-1) in
-    absolute value.  Each coefficient plus half a slot fills one slot of
-    the byte string, nonnegative and without carries, and the offset is
-    taken off the whole integer once."""
+    """The value of a at q = 2^(8w), for coefficients in [-2^(8w-1),
+    2^(8w-1)).  Each coefficient plus half a slot fills one slot of the
+    byte string, nonnegative and without carries, and the offset is taken
+    off the whole integer once."""
     half = 1 << (8 * w - 1)
-    buf = b"".join([(c + half).to_bytes(w, "little") for c in a])
+    t = _ARRAY.get(w)
+    if t:
+        buf = array(t, map(add, a, repeat(half)))
+    else:
+        buf = b"".join([(c + half).to_bytes(w, "little") for c in a])
     return int.from_bytes(buf, "little") - _offset(len(a), w)
 
 
@@ -195,6 +215,9 @@ def _unpack(x, w):
     n = abs(x).bit_length() // s + 2
     half = 1 << (s - 1)
     buf = (x + _offset(n, w)).to_bytes(n * w, "little")
+    t = _ARRAY.get(w)
+    if t:
+        return pnorm(list(map(sub, array(t, buf), repeat(half))))
     return pnorm([int.from_bytes(buf[i:i + w], "little") - half
                   for i in range(0, n * w, w)])
 
@@ -331,14 +354,16 @@ def _monomial_quotient(a, g):
 
 # pgcd tries the heuristic when an operand has at least _HEU_MIN
 # coefficients, at up to _HEU_POINTS evaluation points, before the
-# pseudo-remainder sequence.  The heuristic costs about 20 us at any size,
-# and more when the gcd is nontrivial, since it then divides both operands;
-# the sequence costs about len(a)^2 steps for its first pseudo-remainder
-# alone, but stops after one when one operand divides the other.  Timed on
-# every non-monomial pgcd of two verdicts (seconds, heuristic throughout /
-# sequence throughout / heuristic from 16): rank1-shift-T13, 879 calls,
-# 0.039 / 0.224 / 0.040; tensor16-A3, 1,806 calls, sparse and mostly with a
-# nontrivial gcd, 0.034 / 0.023 / 0.022.
+# pseudo-remainder sequence.  The heuristic costs 10 to 40 us at any size:
+# a few packs, one integer gcd and, when the gcd is nontrivial, one
+# division of images per operand; the sequence costs about len(a)^2 steps
+# for its first pseudo-remainder alone, but stops after one when one
+# operand divides the other.  Timed on every non-monomial gcd of two
+# verdicts, one per variant (seconds, least of 25 replays on a 2-vCPU
+# virtual machine under Python 3.11; heuristic throughout / sequence
+# throughout / heuristic from 16): rank1-shift-T13, 786 calls,
+# 0.025 / 0.120 / 0.027; tensor16-A3, 618 calls, sparse and mostly with a
+# nontrivial gcd, 0.007 / 0.007 / 0.007.
 _HEU_MIN = 16
 _HEU_POINTS = 3
 
@@ -346,7 +371,7 @@ _HEU_POINTS = 3
 def _heuristic_gcd(a, b):
     """GCDHEU (Char, Geddes and Gonnet, J. Symb. Comp. 1989) for primitive
     a, b: (g, a/g, b/g), g the gcd with positive leading coefficient, or
-    None.  The quotients are those of the division that proves g.
+    None.  The quotients are those that prove g.
 
     At xi = 2^s > 2 * min(max|a|, max|b|) + 1, let h be the balanced
     base-xi digits of the integer gcd of a(xi) and b(xi).  If pp(h)
@@ -355,19 +380,43 @@ def _heuristic_gcd(a, b):
     nonconstant k has |k(xi)| > xi/2 because its roots are roots of a and
     of b, below xi/2 in modulus.  The slots must hold both operands'
     coefficients, so s starts above the larger norm; each further point
-    widens the slot by a byte.
+    widens the slot by a byte.  The cofactors come from the images
+    (_image_quotient): x = gcd(a(xi), b(xi)) is positive, so the top digit
+    of h is positive (balanced digits carry the sign of their value), and
+    pp(h)(xi) = x / content(h) divides both a(xi) and b(xi).
     """
     w0 = _width(max(_bits(a), _bits(b)) + 1)
     for w in range(w0, w0 + _HEU_POINTS):
-        _, g = pprim(_unpack(_igcd(_pack(a, w), _pack(b, w)), w))
-        g = _posnorm(g)
+        va, vb = _pack(a, w), _pack(b, w)
+        x = _igcd(va, vb)
+        c, g = pprim(_unpack(x, w))
         if g == [1]:
             return g, a, b
-        try:
-            return g, pdiv_exact(a, g), pdiv_exact(b, g)
-        except ValueError:
-            continue
+        vg, g1 = x // c, sum(map(abs, g))
+        qa = _image_quotient(a, va // vg, g, g1, w)
+        if qa is not None:
+            qb = _image_quotient(b, vb // vg, g, g1, w)
+            if qb is not None:
+                return g, qa, qb
     return None
+
+
+def _image_quotient(a, qv, g, g1, w):
+    """a / g, or None when g does not divide a, for qv = a(xi) / g(xi), an
+    integer, at xi = 2^(8w), a's coefficients below xi/2 in absolute value
+    and g1 the 1-norm of g.
+
+    Let u be the balanced digits of qv.  When g1 * max|u| < xi/2, every
+    coefficient of g*u is below xi/2 in absolute value, so g*u and a are
+    both the balanced digits of g(xi)*u(xi) = a(xi), and g*u = a in
+    ZZ[q].  A wider u proves nothing, and pdiv_exact decides."""
+    u = _unpack(qv, w)
+    if g1 * max(map(abs, u)) < 1 << (8 * w - 1):
+        return u
+    try:
+        return pdiv_exact(a, g)
+    except ValueError:
+        return None
 
 
 def _prs_gcd(a, b):
@@ -397,18 +446,26 @@ def _posnorm(a):
 
 
 def _bareiss_solve(rows, n):
-    """Gauss-Jordan with Bareiss exact division (Math. Comp. 22, 1968) over
-    ZZ[q], run on integer images.  rows are m augmented rows of n + 1
-    integer polynomials, the last entry of each the right-hand side.
-    Returns None when the system is inconsistent, else a (c, num, den)
-    triple per pivot column c, in the reduced row echelon form: the
-    solution sets x[c] = num / den and every free unknown to 0.
+    """Fraction-free Gaussian elimination over ZZ[q], run on integer
+    images: Bareiss's forward elimination with exact division (Math. Comp.
+    22, 1968), then fraction-free back substitution (Nakos, Turner and
+    Williams, 1997).  rows are m augmented rows of n + 1 integer
+    polynomials, the last entry of each the right-hand side.  Returns None
+    when the system is inconsistent, else a (c, num, den) triple per pivot
+    column c: the solution sets x[c] = num / den and every free unknown to
+    0, and den is the same d for every c, the determinant of the pivot
+    rows and columns (the last pivot).
 
-    The pivot is the first nonzero entry of its column.  Every other row
-    becomes (p*row - f*pivot row) / prev, where p is the pivot, f the row's
-    entry in the pivot column and prev the previous pivot; by Sylvester's
+    The pivot is the first nonzero entry of its column at or below the
+    pivot row.  Every row below becomes (p*row - f*pivot row) / prev in
+    the columns after the pivot, where p is the pivot, f the row's entry
+    in the pivot column and prev the previous pivot; by Sylvester's
     identity each entry is then a minor of the augmented matrix, so the
-    division is exact and the elimination takes no gcd.
+    division is exact and the elimination takes no gcd.  Back substitution
+    runs up the pivot rows U: y_i = (d*b_i - sum_{j>i} U_ij*y_j) / U_ii,
+    with j over the pivot columns.  Each division is exact, because
+    y_i = d*x[c_i] is the Cramer numerator of x[c_i], itself a minor of
+    the augmented matrix.
 
     The elimination runs on the values of the entries at q = 2^s, since
     evaluation is a ring homomorphism.  On |q| = 1 each entry is at most
@@ -416,8 +473,8 @@ def _bareiss_solve(rows, n):
     of its coefficients, is at most H = prod over rows of
     max(1, sqrt(sum_j |a_ij|_1^2)).  With 2^(s-1) > H a nonzero minor never
     evaluates to 0, so the pivot and consistency tests are those over
-    ZZ[q], and the solution's entries decode exactly from their balanced
-    base-2^s digits.
+    ZZ[q], and d and the y_i decode exactly from their balanced base-2^s
+    digits.
     """
     m = len(rows)
     h2 = 1
@@ -438,15 +495,25 @@ def _bareiss_solve(rows, n):
         a[r], a[piv] = a[piv], a[r]
         top = a[r]
         p = top[c]
-        for i in range(m):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        tail = top[c + 1:]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[c + 1:], tail)]
         prev = p
         piv_cols.append(c)
         r += 1
     # consistency: zero rows must have zero rhs
     if any(a[i][n] for i in range(r, m)):
         return None
-    return [(c, _unpack(a[i][n], w), _unpack(a[i][c], w))
-            for i, c in enumerate(piv_cols)]
+    d = prev
+    y = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = a[i]
+        t = d * row[n]
+        for j in range(i + 1, r):
+            t -= row[piv_cols[j]] * y[j]
+        y[i] = t // row[piv_cols[i]]
+    den = _unpack(d, w)
+    return [(c, _unpack(yc, w), list(den)) for c, yc in zip(piv_cols, y)]

@@ -20,18 +20,19 @@ that solve gives the reduced denominator itself; the candidate is verified
 against *every* known coefficient before it is accepted — failure returns
 None, never a wrong answer.
 
-Linear systems (solve_linear) are solved by Gauss-Jordan elimination.  Over
+Linear systems (solve_linear) are solved by Gaussian elimination.  Over
 the exact field it runs fraction-free: rows are cleared of denominators to
-integer polynomials in q and updated with Bareiss's exact division, so the
-elimination takes no gcd until the solution is read off.  It runs on the
-integer images of the entries at q = 2^s, with s above a Hadamard bound on
-the minors, and decodes only the solution's entries.  The numeric field
-eliminates in the field with largest-magnitude pivoting.
+integer polynomials in q, eliminated forward with Bareiss's exact division
+and solved by fraction-free back substitution, so the elimination takes no
+gcd until the solution is read off.  It runs on the integer images of the
+entries at q = 2^s, with s above a Hadamard bound on the minors, and
+decodes only the solution's entries.  The numeric field runs Gauss-Jordan
+in the field with largest-magnitude pivoting.
 """
 
 from __future__ import annotations
 
-from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pgcd, pmul, psub
+from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pmul, psub
 from .errors import DomainError
 from .linmat import Matrix
 from .scalars import ZERO, Scalar, _coerce
@@ -306,7 +307,7 @@ def _clear_denominators(coeffs):
     den = [1]
     for c in coeffs:
         if c.num:
-            den = pdiv_exact(pmul(den, c.den), pgcd(den, c.den))
+            den = pmul(den, _gcd_cofactors(den, c.den)[2])  # den * (c.den / g)
     return [pmul(c.num, pdiv_exact(den, c.den)) if c.num else [] for c in coeffs]
 
 
@@ -679,9 +680,9 @@ class RationalFunction:
 def solve_linear(rows, rhs, field):
     """One solution of rows·x = rhs (free variables pinned to zero), or None.
 
-    Gauss-Jordan elimination.  Exact fields eliminate fraction-free over
-    ZZ[q] (see _solve_fraction_free); the numeric field works in the field
-    itself and pivots on the largest magnitude.  Every row must have as
+    Exact fields eliminate fraction-free over ZZ[q] (see
+    _solve_fraction_free); the numeric field runs Gauss-Jordan in the
+    field itself and pivots on the largest magnitude.  Every row must have as
     many entries as the first, and rhs one entry per row, else DomainError.
     """
     m = len(rows)
@@ -725,15 +726,18 @@ def solve_linear(rows, rhs, field):
 
 
 def _solve_fraction_free(rows, rhs, n):
-    """Exact branch of solve_linear: Gauss-Jordan over ZZ[q] with Bareiss
-    exact division, run on integer images (_kernel._bareiss_solve).
+    """Exact branch of solve_linear: Bareiss's fraction-free elimination
+    over ZZ[q] with fraction-free back substitution, run on integer images
+    (_kernel._bareiss_solve).
 
     Each augmented row is scaled to a primitive integer-polynomial row,
     which leaves its equation's solutions unchanged.  The kernel eliminates
     on the rows' values at q = 2^s, in slots above the Hadamard bound of
-    their minors, and decodes each pivot and its right-hand side.  The
-    reduced row echelon form is unique, so x[c] = row[n] / row[c] is the
-    same Scalar that Gauss-Jordan over Q(q) gives.
+    their minors, and decodes each unknown's Cramer numerator and the
+    common denominator.  A column is a pivot column exactly when it is
+    independent of the columns before it, whichever rows serve as pivots,
+    and with the free unknowns at 0 the pivot unknowns are determined, so
+    x[c] = num / den is the same Scalar that Gauss-Jordan over Q(q) gives.
     """
     a = [_zprimitive(_clear_denominators([_coerce(v) for v in (*row, b)]))
          for row, b in zip(rows, rhs)]

@@ -515,16 +515,39 @@ def test_pdiv_exact_rejects_every_inexact_input(b, quo, r):
         pdiv_exact(a, b)
 
 
-@pytest.mark.parametrize("w", [1, 2, 3, 8])
+@pytest.mark.parametrize("w", range(1, 13))
 def test_unpack_inverts_pack_at_the_slot_edges(w):
     # the balanced digits run from -2^(s-1) to 2^(s-1) - 1; an integer just
     # below a power of two whose second-highest digit is -2^(s-1) takes one
     # digit more than its bit length suggests
     half = 1 << (8 * w - 1)
-    for p in ([-half, -half, 1], [0, -18, -half, 1], [half - 1] * 5, [-half] * 5,
-              [3, -half], [-half, half - 1, -1], [0, 0, -half, -half, 1]):
+    for p in ([], [-half, -half, 1], [0, -18, -half, 1], [half - 1] * 5, [-half] * 5,
+              [3, -half], [-half, half - 1, -1], [0, 0, -half, -half, 1],
+              [-(half - 1), half - 1, -half], [half - 1], [-(half - 1)], [-half]):
         assert _unpack(_pack(p, w), w) == p
-    assert _unpack(32640, 1) == [-128, -128, 1]
+    assert _pack([], w) == 0
+    assert _unpack(0, w) == []
+    # 2^(2s) - 2^(2s-1) - 2^(s-1) has bit length 2s - 1 but three digits
+    assert _unpack((1 << (16 * w)) - (half << (8 * w)) - half, w) == [-half, -half, 1]
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_pack_without_arrays_gives_the_same_integers(w, monkeypatch):
+    # the slot widths an array holds convert in C; the to_bytes loop that
+    # every other width takes reads and writes the same integers
+    assert w in _kernel._ARRAY or _kernel._ARRAY == {}
+    half = 1 << (8 * w - 1)
+    rng = random.Random(w)
+    polys = [[], [-half, -half, 1], [half - 1, -half] * 4 + [1]]
+    polys += [pnorm([rng.randint(-half, half - 1) for _ in range(rng.randint(1, 40))])
+              for _ in range(30)]
+    values = [rng.randint(-(1 << (8 * w * 9)), 1 << (8 * w * 9)) for _ in range(30)]
+    packed = [_pack(p, w) for p in polys]
+    unpacked = [_unpack(x, w) for x in values + packed]
+    monkeypatch.setattr(_kernel, "_ARRAY", {})
+    assert [_pack(p, w) for p in polys] == packed
+    assert [_unpack(x, w) for x in values + packed] == unpacked
+    assert unpacked[len(values):] == polys
 
 
 @st.composite
@@ -583,8 +606,8 @@ def test_gcd_cofactors_are_the_quotients(pair):
 
 
 def test_gcd_cofactors_reuse_the_heuristic_proof(monkeypatch):
-    # the heuristic gcd proves its candidate by two exact divisions, whose
-    # quotients are the cofactors: no third or fourth division follows
+    # the heuristic gcd proves its candidate by dividing the images, whose
+    # quotients are the cofactors: no polynomial division runs at all
     g0 = [3, -1, 2]
     a = pmul(g0, [1, 2, 3] * 6)
     b = pmul(g0, [-2, 0, 1] * 6 + [5])
@@ -597,9 +620,43 @@ def test_gcd_cofactors_reuse_the_heuristic_proof(monkeypatch):
 
     monkeypatch.setattr(_kernel, "pdiv_exact", counted)
     g, qa, qb = _kernel._gcd_cofactors(a, b)
-    assert len(calls) == 2
+    assert len(calls) == 0
     assert g == g0 == pgcd(a, b)
     assert pmul(g, qa) == a and pmul(g, qb) == b
+
+
+@given(gcd_pairs())
+@settings(max_examples=80, deadline=None)
+def test_heuristic_cofactors_are_the_schoolbook_quotients(pair):
+    _, pa = pprim(pair[0])
+    _, pb = pprim(pair[1])
+    found = _kernel._heuristic_gcd(pa, pb)
+    if found is not None:
+        g, qa, qb = found
+        assert qa == pdiv_exact(pa, g) and qb == pdiv_exact(pb, g)
+
+
+def test_heuristic_cofactor_too_wide_for_the_images_is_divided(monkeypatch):
+    # u = 102 - 101q + 101q^2 - ... + 101q^16 and a = (q + 1)u =
+    # 102 + q + 101q^17, whose coefficients fit a byte slot; but
+    # |q + 1|_1 * max|u| = 204 is not below 128, so the quotient of the
+    # images proves nothing and pdiv_exact divides a; b's quotient is narrow
+    g0 = [1, 1]
+    u = [101 * (-1) ** i for i in range(17)]
+    u[0] += 1
+    a = pmul(g0, u)
+    b = pmul(g0, [1, 2, 0, -1, 3])
+    assert a == [102, 1] + [0] * 15 + [101] and len(a) >= _kernel._HEU_MIN
+    calls = []
+    divide = _kernel.pdiv_exact
+
+    def counted(x, y):
+        calls.append((x, y))
+        return divide(x, y)
+
+    monkeypatch.setattr(_kernel, "pdiv_exact", counted)
+    assert _kernel._heuristic_gcd(a, b) == (g0, u, [1, 2, 0, -1, 3])
+    assert calls == [(a, g0)]
 
 
 def test_gcd_falls_back_to_the_pseudo_remainder_sequence():

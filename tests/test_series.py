@@ -7,13 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qonsager._kernel import _bareiss_solve, _pack, _unpack, _width
 from qonsager.errors import DomainError
 from qonsager.linmat import Matrix, _meq
-from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar
+from qonsager.scalars import ExactField, NumericField, Q, Scalar, _coerce, parse_scalar
 from qonsager.series import (
     FPoly,
     RationalFunction,
     TruncSeries,
+    _clear_denominators,
+    _zprimitive,
     pade_reconstruct,
     series_exp,
     series_log,
@@ -608,8 +611,9 @@ _wide = st.builds(
 @st.composite
 def _systems(draw):
     """(rows, rhs, kind): entries from _entry or, in systems of up to 4x4,
-    _wide; at times rank-deficient rows; kind "inconsistent" marks a
-    system that has no solution."""
+    _wide; tall and wide shapes; at times rank-deficient rows, a free
+    column between pivot columns, a zero row or a zero column; kind
+    "inconsistent" marks a system that has no solution."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     entry = _entry
     if m <= 4 and n <= 4 and draw(st.booleans()):
@@ -627,6 +631,19 @@ def _systems(draw):
         left = [[draw(_entry) for _ in range(rank)] for _ in range(m)]
         rows = [[sum((a * r[c] for a, r in zip(lrow, right)), F.zero)
                  for c in range(n)] for lrow in left]
+    if n > 2 and draw(st.booleans()):
+        # column 1 a multiple of column 0: a free column between pivots
+        s = draw(_entry)
+        for row in rows:
+            row[1] = s * row[0]
+    if draw(st.booleans()):
+        # a zero row or a zero column
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, m - 1))] = [F.zero] * n
+        else:
+            j = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[j] = F.zero
     x0 = [draw(entry) for _ in range(n)]
     rhs = [sum((a * x for a, x in zip(row, x0)), F.zero) for row in rows]
     kind = draw(st.sampled_from(["consistent", "perturbed", "free", "inconsistent"]))
@@ -667,6 +684,65 @@ def test_solve_linear_matches_gauss_jordan(system):
     assert got == _gauss_jordan(rows, rhs)
     if kind == "inconsistent":
         assert got is None
+
+
+def _bareiss_gauss_jordan(rows, n):
+    """Reference for _kernel._bareiss_solve: Gauss-Jordan with Bareiss
+    exact division on the same images, every row but the pivot row updated
+    at every step, and each pivot column's solution read off the reduced
+    row echelon form as (c, rhs entry, pivot entry)."""
+    m = len(rows)
+    h2 = 1
+    for row in rows:
+        h2 *= max(1, sum(sum(map(abs, x)) ** 2 for x in row))
+    w = _width((h2.bit_length() + 1) // 2 + 1)
+    a = [[_pack(x, w) for x in row] for row in rows]
+    piv_cols = []
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    if any(a[i][n] for i in range(r, m)):
+        return None
+    return [(c, _unpack(a[i][n], w), _unpack(a[i][c], w))
+            for i, c in enumerate(piv_cols)]
+
+
+@given(_systems())
+@example((*_hadamard_system(Scalar([2**64] * 10), 4), "consistent"))
+@example((*_hadamard_system(Scalar([-(2**62 - 1)] * 4) * Q**-2, 4), "consistent"))
+@example(([[Q, 2 * Q, F.zero, F.one], [Q + 1, 2 * Q + 2, F.one, F.zero], [F.zero] * 4],
+          [F.one, Q, F.zero], "free"))
+@settings(max_examples=150, deadline=None)
+def test_back_substitution_matches_gauss_jordan(system):
+    # the integer rows that solve_linear hands to the kernel
+    rows, rhs, _ = system
+    n = len(rows[0])
+    a = [_zprimitive(_clear_denominators([_coerce(v) for v in (*row, b)]))
+         for row, b in zip(rows, rhs)]
+    expected = _bareiss_gauss_jordan(a, n)
+    assert _bareiss_solve(a, n) == expected
+    if expected is None:
+        assert solve_linear(rows, rhs, F) is None
+    else:
+        x = [F.zero] * n
+        for c, num, den in expected:
+            x[c] = Scalar(num, den)
+        assert solve_linear(rows, rhs, F) == x
 
 
 def test_pade_roundtrip_at_workload_size():
