@@ -32,7 +32,7 @@ in the field with largest-magnitude pivoting.
 
 from __future__ import annotations
 
-from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pmul, psub
+from ._kernel import _bareiss_solve, _gcd_cofactors, pdiv_exact, pgcd, pmul, psub
 from .errors import DomainError
 from .linmat import Matrix
 from .scalars import ZERO, Scalar, _coerce
@@ -307,7 +307,7 @@ def _clear_denominators(coeffs):
     den = [1]
     for c in coeffs:
         if c.num:
-            den = pmul(den, _gcd_cofactors(den, c.den)[2])  # den * (c.den / g)
+            den = pdiv_exact(pmul(den, c.den), pgcd(den, c.den))
     return [pmul(c.num, pdiv_exact(den, c.den)) if c.num else [] for c in coeffs]
 
 
