@@ -4,7 +4,8 @@ quantum loop algebras.
 Subpackage map:
 
 * scalars   — the exact coefficient field Q(q) and the numeric backend
-* linmat    — dense matrices over either backend, gradings, q-brackets
+* linmat    — matrices as sparse exact image stores and dense numeric rows,
+              gradings, q-brackets
 * series    — truncated power series, Pade reconstruction, rational functions
 * loopsl2   — the one module type over the affine A_N diagram, its tensor
               product and presentation suite; rank one (N = 1) adds the

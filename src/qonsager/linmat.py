@@ -380,12 +380,6 @@ class Matrix:
                                  self.field)
         return Matrix._adopt([list(c) for c in zip(*self._rows)], self.field)
 
-    def trace(self):
-        acc = self.field.zero
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def kron(self, other):
         if self._nz is not None and other._nz is not None:
             w, h = _fit((self, other), self._h * other._h, mul)
@@ -424,24 +418,6 @@ class Matrix:
             for j, a in enumerate(r):
                 if a:
                     yield i, j, a
-
-    # -- solved forms ----------------------------------------------------------
-
-    def charpoly(self):
-        """Monic characteristic polynomial, coefficients descending in λ,
-        via the Faddeev–LeVerrier recurrence (division-free except by k)."""
-        if self.n != self.m:
-            raise DomainError("charpoly of a non-square matrix")
-        f = self.field
-        n = self.n
-        coeffs = [f.one]
-        M = Matrix.identity(n, f)
-        for k in range(1, n + 1):
-            AM = self @ M
-            ck = -(AM.trace() * f.from_fraction(1, k))
-            coeffs.append(ck)
-            M = AM + Matrix.identity(n, f).scale(ck)
-        return coeffs
 
     def map_entries(self, fn, field):
         """The matrix of fn(entry) over ``field``, the field fn maps into."""

@@ -12,10 +12,10 @@ node: the two-sided ladder A_r, the commuting charges H_m and the central
 coefficients Theta_m with their reweighted forms.  The ladder and the Theta
 towers are built at once; H_m is the log of the Theta series and is grown
 on its first read, so a check pays only for the charges it reads.  Its two
-seeders keep independent certificates: ``generate_family`` (rank one)
-cross-checks the seeds against the loop generators when the module carries
-them, and ``ranka.generate_rankn_family`` checks its brackets against
-braided words.
+seeders check their seeds: ``generate_family`` (rank one, ``_rank_one_seed``)
+against the loop generators when the module carries them,
+``ranka.generate_rankn_family`` against braided words.  Equal B_j and seeds
+give equal towers, so the rank-one anchor of ``ranka`` compares seeds.
 The rank-one suites below read node 1 and refuse other ranks through one
 guard (``_rank_one``).  All series are truncated, nothing is formally
 inverted.
@@ -272,6 +272,12 @@ def eta_bmats(module: AffineModule, params: RankNParams):
             for j in typ.nodes}
 
 
+def _rank_one_seed(p: RankNParams, B0: Matrix) -> Matrix:
+    """The rank-one seed A_{1,-1} = q^-2 c0^-1 B0."""
+    f = B0.field
+    return B0.scale(f.one / (f.q * f.q) / f.from_scalar(p.c[0]))
+
+
 def eta_embed(p: RankNParams, V: AffineModule):
     """The seeds {0: B0, 1: B1} on a rank-one V, cross-checked against the
     loop picture.
@@ -296,7 +302,7 @@ def eta_embed(p: RankNParams, V: AffineModule):
         seedm1 = (V.K @ V.xp[-1]).scale(-(qm2 * qm2) * c0inv) + V.xm[1] \
             + V.K.scale(qm2 * c0inv * ctx.s0)
         ok0, w0 = _meq(B[1], seed0, f)
-        ok1, w1 = _meq(B[0].scale(qm2 * c0inv), seedm1, f)
+        ok1, w1 = _meq(_rank_one_seed(p, B[0]), seedm1, f)
         if not (ok0 and ok1):
             raise ConstructionError(
                 "embedded pair disagrees with the loop-side seeds: "
@@ -409,10 +415,8 @@ def generate_family(p: RankNParams, V: AffineModule, T: int = 6,
 
     A module of another rank is refused by ``eta_bmats``.
     """
-    f = V.field
     B = eta_embed(p, V)
-    Am1 = B[0].scale(f.one / (f.q * f.q) / f.from_scalar(p.c[0]))
-    return _grow_family(V, p, B, {1: Am1}, T, R)
+    return _grow_family(V, p, B, {1: _rank_one_seed(p, B[0])}, T, R)
 
 
 # -- presentation checks ---------------------------------------------------------

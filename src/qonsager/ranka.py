@@ -87,8 +87,8 @@ from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_compo
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
-                      _grow_family, _theta_exchange, eta_bmats,
-                      generate_family, onedim_closed_form)
+                      _grow_family, _rank_one_seed, _theta_exchange, eta_bmats,
+                      eta_embed, onedim_closed_form)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint
 from .series import TruncSeries, pade_reconstruct
@@ -815,17 +815,19 @@ def braid_compat_check(i: int, module: AffineModule,
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     """Tie the N = 1 towers on W_1(a) to the two-sided rank-one machinery,
     which rebuilds the module as V_1(-q^-2 a); other modules, V_1 itself
-    included, have no such anchor.  The rebuilt module carries loop data
-    at T = 1 only: the comparison reads E, F and K, the family the modes
-    with |k| <= 1, and factorization_check deepens the tower itself."""
+    included, have no such anchor.  Both seeders feed the one deterministic
+    core ``_grow_family``, so equal modules and seeds give equal towers:
+    anchor_towers compares A_{1,0} and A_{1,-1} with B1 and q^-2 c0^-1 B0
+    read through ``eta_embed``, and grows no second family.  At s = 0,
+    anchor_factorization runs on ``fam`` and, like every
+    ``factorization_check``, extends W_1(a)'s loop data in place."""
     module = fam.module
     if module.meta.get("builder") != "build_vector_evaluation":
         return
     a = module.meta["a"]
     p = fam.params
     f = fam.field
-    aloop = -(a / (Q * Q))
-    V = build_evaluation(EvalParams(1, aloop), window=1, T=1, field=f)
+    V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=1, field=f)
     ok = True
     wit = None
     for j in (0, 1):
@@ -841,22 +843,16 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     if not ok:
         return
 
-    ofam = generate_family(p, V, T=T, R=fam.R)
-    ok, wit = True, None
-    for r in range(-fam.R, fam.R + 1):
-        okr, wr = _meq(fam.A[1][r], ofam.A[1][r], f)
-        if not okr:
-            ok, wit = False, f"A[{r}]: {wr}"
+    B = eta_embed(p, V)
+    wit = None
+    for r, theirs in ((-1, _rank_one_seed(p, B[0])), (0, B[1])):
+        ok, w = _meq(fam.A[1][r], theirs, f)
+        if not ok:
+            wit = f"A[{r}]: {w}"
             break
-    if ok:
-        for s in range(0, T + 1):
-            oks, ws = _meq(fam.theta_grave[1][s], ofam.theta_grave[1][s], f)
-            if not oks:
-                ok, wit = False, f"grave[{s}]: {ws}"
-                break
     rep.add("anchor_towers", (), ok, wit)
     if p.s_is_zero:
-        frep, _ = factorization_check(ofam, T)
+        frep, _ = factorization_check(fam, T)
         rep.add("anchor_factorization", (), frep.ok,
                 None if frep.ok else str(frep.first_failure()))
 
@@ -877,10 +873,11 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
     Nonzero shifts s multiply every line
     by the one-dimensional character, which obeys the C-reflection
     identity instead, so it is divided out before the quotient test.
-    Cross-node commutativity of the towers is exact.  At N = 1 the
-    towers are tied entry by entry to the rank-one machinery, which
-    remains the quantitative anchor.  Closure failures and unpaired
-    numeric roots are reported as inconclusive entries; raise T and retry.
+    Cross-node commutativity of the towers is exact.  At N = 1 on W_1(a)
+    the module and the tower seeds are tied to the rank-one machinery on
+    V_1(-q^-2 a), which remains the quantitative anchor.  Closure failures
+    and unpaired numeric roots are reported as inconclusive entries; raise
+    T and retry.
     Returns (report, data): data holds the line series, their closures,
     the certified G per exact line ("certificates") and the fit residual
     per numeric line ("residuals").

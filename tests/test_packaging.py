@@ -1,6 +1,9 @@
-"""pyproject.toml declares only files and entry points that exist."""
+"""pyproject.toml declares only files, entry points and test extras that
+exist or are used."""
 
+import ast
 import importlib
+import re
 import tomllib
 from pathlib import Path
 
@@ -41,3 +44,23 @@ def test_declared_scripts_import():
         for part in filter(None, attr.split(".")):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def _imported_roots(paths):
+    roots = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.partition(".")[0])
+    return roots
+
+
+def test_declared_test_extras_are_imported():
+    # a test extra nothing imports is a stale dependency
+    test_dirs = (ROOT / "tests", ROOT / "perfbench" / "tests")
+    roots = _imported_roots(p for d in test_dirs for p in d.rglob("*.py"))
+    for requirement in PROJECT.get("optional-dependencies", {}).get("test", []):
+        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+        assert name.lower().replace("-", "_") in roots, requirement

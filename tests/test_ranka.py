@@ -28,7 +28,7 @@ from qonsager.errors import ConstructionError, DomainError
 from qonsager import ranka
 from qonsager.linmat import Matrix, _meq, qbracket
 from qonsager.loopsl2 import EvalParams, build_evaluation
-from qonsager.onsager import OnsagerParams, generate_family
+from qonsager.onsager import OnsagerParams, _grow_family, generate_family
 from qonsager.ranka import (
     AffineModule,
     AffineTypeA,
@@ -53,7 +53,7 @@ from qonsager.ranka import (
 from qonsager.scalars import (ExactField, NumericField, Q, Scalar, parse_scalar,
                               specialize)
 from qonsager.series import FPoly, RationalFunction
-from qonsager.spectra import _line_certificate
+from qonsager.spectra import _line_certificate, factorization_check
 
 F = ExactField()
 
@@ -928,6 +928,56 @@ def test_loop_built_rank_one_module_skips_the_anchor():
                            if not e.name.startswith("anchor_")]
     assert entries(ours) == entries(theirs)
     assert len(ours.entries) < len(theirs.entries)
+
+
+def _anchor_entries(rep):
+    return {e.name: (e.ok, e.witness) for e in rep.entries
+            if e.name.startswith("anchor_")}
+
+
+def test_anchor_towers_fails_a_damaged_seed():
+    # the core grows W_1(a)'s towers from a damaged A_{1,-1}: the anchor
+    # compares seeds, so it must see the damage without growing a family
+    mod, p = W(1, "q^2"), P(("q^2", "q^-1"))
+    good = generate_rankn_family(mod, p, T=6, R=6)
+    bad_seed = good.A[1][-1] + Matrix.diagonal([Q, F.zero], F)
+    bad = _grow_family(mod, p, eta_bmats(mod, p), {1: bad_seed}, 6, 6)
+    rep, _ = rankn_spectral_check(bad)
+    got = _anchor_entries(rep)
+    assert got["anchor_module"] == (True, None)
+    ok, wit = got["anchor_towers"]
+    assert not ok and wit.startswith("A[-1]: "), wit
+
+
+def test_anchor_module_fails_a_damaged_module():
+    # one entry of E_0 changed on an uncertified W_1(a): the rebuilt
+    # V_1(-q^-2 a) disagrees at node 0 and nothing past the module runs
+    a = parse_scalar("q^2")
+    mod = build_vector_evaluation(1, a, certify=False)
+    mod.E[0] = Matrix([[F.zero, F.zero], [a + Scalar(1), F.zero]], F)
+    fam = generate_rankn_family(mod, P(("q^2", "q^-1")), T=6, R=6)
+    rep, _ = rankn_spectral_check(fam)
+    got = _anchor_entries(rep)
+    assert got.keys() == {"anchor_module"}
+    ok, wit = got["anchor_module"]
+    assert not ok and wit.startswith("node 0: "), wit
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "q0=1.3"])
+def test_anchor_factorization_matches_the_rank_one_family(field):
+    # read on W_1(a)'s own family, the anchor's factorization entry is the
+    # verdict of factorization_check on the rank-one family of V_1(-q^-2 a)
+    a = parse_scalar("q^2")
+    p = P(("q^2", "q^-1"))
+    fam = generate_rankn_family(build_vector_evaluation(1, a, field=field), p,
+                                T=6, R=6)
+    rep, _ = rankn_spectral_check(fam)
+    V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=1, field=field)
+    frep, _ = factorization_check(generate_family(p, V, T=6, R=6), 6)
+    assert frep.ok, frep.summary()
+    assert _anchor_entries(rep)["anchor_factorization"] == (frep.ok, None)
+    entries = lambda r: [(e.name, e.indices, e.ok, e.witness) for e in r.entries]
+    assert entries(factorization_check(fam, 6)[0]) == entries(frep)
 
 
 def test_spectral_shifts_divide_out_the_character():
