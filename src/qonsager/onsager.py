@@ -6,16 +6,18 @@ A realization starts from the seeds
 
 on a module with Chevalley data (``eta_bmats``).  One parameter type
 (RankNParams) and one family type (RankNFamily) serve every rank; rank one,
-the q-Onsager algebra, is N = 1 with its towers at node 1.  One core,
-``_grow_family``, builds every family from the B_j and a seed A_{i,-1} per
-node: the two-sided ladder A_r, the commuting charges H_m and the central
+the q-Onsager algebra, is N = 1 with its towers at node 1.  One seeder,
+``_tower_seeds``, gives each finite node i its seed A_{i,-1}, the dressed
+bracket of ``node_bracket`` on the seed matrices (q^-2 c0^-1 B0 at N = 1);
+``generate_family`` (rank one) and ``ranka.generate_rankn_family``, which
+also certifies each seed against its braided word, both seed through it.
+One core, ``_grow_family``, builds every family from the B_j and these
+seeds: the two-sided ladder A_r, the commuting charges H_m and the central
 coefficients Theta_m with their reweighted forms.  The ladder and the Theta
 towers are built at once; H_m is the log of the Theta series and is grown
-on its first read, so a check pays only for the charges it reads.  Its two
-seeders check their seeds: ``generate_family`` (rank one, ``_rank_one_seed``)
-against the loop generators when the module carries them,
-``ranka.generate_rankn_family`` against braided words.  Equal B_j and seeds
-give equal towers, so the rank-one anchor of ``ranka`` compares seeds.
+on its first read, so a check pays only for the charges it reads.  Equal
+B_j and seeds give equal towers, so the rank-one anchor of ``ranka``
+compares seeds.
 The rank-one suites below read node 1 and refuse other ranks through one
 guard (``_rank_one``).  All series are truncated, nothing is formally
 inverted.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import islice
 
-from .errors import ConstructionError, DomainError
+from .errors import DomainError
 from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
 from .loopsl2 import AffineModule, EvalParams, build_evaluation
 from .report import CheckReport
@@ -250,7 +252,7 @@ class RankNFamily:
             ) from None
 
 
-# -- embedding -------------------------------------------------------------------
+# -- seeds -----------------------------------------------------------------------
 
 
 def _seed(M: AffineModule, j: int, c, s) -> Matrix:
@@ -272,43 +274,51 @@ def eta_bmats(module: AffineModule, params: RankNParams):
             for j in typ.nodes}
 
 
-def _rank_one_seed(p: RankNParams, B0: Matrix) -> Matrix:
-    """The rank-one seed A_{1,-1} = q^-2 c0^-1 B0."""
-    f = B0.field
-    return B0.scale(f.one / (f.q * f.q) / f.from_scalar(p.c[0]))
+def pk_bracket(ys, qv):
+    """The left-nested q-bracket P_1(y) = y, P_{k+1} = [P_k, y_{k+1}]_q.
 
-
-def eta_embed(p: RankNParams, V: AffineModule):
-    """The seeds {0: B0, 1: B1} on a rank-one V, cross-checked against the
-    loop picture.
-
-    On modules that carry loop-generator matrices, the images of the two
-    seeds are recomputed from the loop side,
-
-        seed0 = x-_0 - c1 q^2 K^-1 x+_0 + s1 K^-1,
-        seed(-1) = -q^-4 c0^-1 K x+_-1 + x-_1 + q^-2 c0^-1 s0 K,
-
-    and compared with B1 and q^-2 c0^-1 B0.  A mismatch means the module
-    data is internally inconsistent and raises immediately.
+    The arguments may be matrices or seed expressions (``ranka.BExpr``);
+    ``qv`` is the bracket weight in the matching scalar domain.
     """
-    B = eta_bmats(V, _rank_one(p))
-    if V.has_loop_data:
-        f = V.field
-        ctx = _Ctx(p, f)
-        q2, qm2 = ctx.q2, ctx.qm2
-        c0inv = f.one / ctx.c0
-        seed0 = V.xm[0] - (V.Kinv @ V.xp[0]).scale(ctx.c1 * q2) \
-            + V.Kinv.scale(ctx.s1)
-        seedm1 = (V.K @ V.xp[-1]).scale(-(qm2 * qm2) * c0inv) + V.xm[1] \
-            + V.K.scale(qm2 * c0inv * ctx.s0)
-        ok0, w0 = _meq(B[1], seed0, f)
-        ok1, w1 = _meq(_rank_one_seed(p, B[0]), seedm1, f)
-        if not (ok0 and ok1):
-            raise ConstructionError(
-                "embedded pair disagrees with the loop-side seeds: "
-                + (w0 or w1 or "")
-            )
-    return B
+    ys = list(ys)
+    if not ys:
+        raise DomainError("bracket of an empty tuple")
+    acc = ys[0]
+    for y in ys[1:]:
+        acc = acc @ y - (y @ acc).scale(qv)
+    return acc
+
+
+def node_bracket(X, i: int, N: int, qv):
+    """[P_{i-1}(X_{i-1}, .., X_1), P_{N-i+1}(X_{i+1}, .., X_N, X_0)]_qv.
+
+    The bracket of node i's tower seed A_{i,-1} = C_i [..]_q, on generators
+    ``X[j]`` of any kind (matrices or seed expressions); at i = 1 the left
+    factor is empty and the bracket is the right factor alone, which at
+    N = 1 is X_0.
+    """
+    rb = pk_bracket([X[j] for j in range(i + 1, N + 1)] + [X[0]], qv)
+    if i == 1:
+        return rb
+    lb = pk_bracket([X[j] for j in range(i - 1, 0, -1)], qv)
+    return lb @ rb - (rb @ lb).scale(qv)
+
+
+def _tower_seeds(B, params: RankNParams, f):
+    """The seed A_{i,-1} = o(i) C_i ``node_bracket``(B, i, N, q) of every
+    finite node, on the seed matrices B; at N = 1, q^-2 c0^-1 B0.
+
+    Calibration sign o(i) = (-1)^(i-1), alternating on adjacent nodes.
+    Flipping one node's seed rescales A_{i,r} by o^r and H_{i,m} by o^m,
+    which every same-node relation absorbs, so the braided word pins each
+    tower only up to this sign.  The cross-node relations do fix it, and
+    they force the signs to alternate along the path; o(1) = +1 keeps the
+    single-node case aligned with the rank-one module.
+    """
+    N = params.N
+    return {i: node_bracket(B, i, N, f.q).scale(
+                f.from_scalar(params.cconst(i) if i % 2 else -params.cconst(i)))
+            for i in range(1, N + 1)}
 
 
 # -- family generation -----------------------------------------------------------
@@ -411,12 +421,14 @@ def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
 def generate_family(p: RankNParams, V: AffineModule, T: int = 6,
                     R: int | None = None) -> RankNFamily:
     """The rank-one family on V: A_{1,r} (|r| <= R), H_{1,m} and Theta_{1,m}
-    (m <= T) from the seeds of ``eta_embed``, with A_{1,-1} = q^-2 c0^-1 B0.
+    (m <= T), seeded by ``_tower_seeds`` as every family is, which at N = 1
+    gives A_{1,-1} = q^-2 c0^-1 B0.
 
-    A module of another rank is refused by ``eta_bmats``.
+    Parameters of another rank are refused by ``_rank_one``, a module of
+    another rank by ``eta_bmats``.
     """
-    B = eta_embed(p, V)
-    return _grow_family(V, p, B, {1: _rank_one_seed(p, B[0])}, T, R)
+    B = eta_bmats(V, _rank_one(p))
+    return _grow_family(V, p, B, _tower_seeds(B, p, V.field), T, R)
 
 
 # -- presentation checks ---------------------------------------------------------

@@ -59,17 +59,21 @@ Conventions, fixed once and relied on everywhere below:
   the translation convention that T_{omega_i}(B_i) = A_{i,-1} relies on.
 
 * Tower seeds.  With P_1(y) = y and P_{k+1} = [P_k, y_{k+1}]_q the
-  left-nested bracket (the right-nested variant is P'),
+  left-nested bracket (``onsager.pk_bracket``),
 
-      A_{i,-1} = C_i [P_{i-1}(B_{i-1}, .., B_1),
-                      P_{N-i+1}(B_{i+1}, .., B_N, B_0)]_q,
-      C_i = C^-1 KK_i,
+      A_{i,-1} = o(i) C_i [P_{i-1}(B_{i-1}, .., B_1),
+                           P_{N-i+1}(B_{i+1}, .., B_N, B_0)]_q,
+      C_i = C^-1 KK_i,  o(i) = (-1)^(i-1),
 
-  an empty left factor meaning the right factor alone.  The same
-  element is the full word, A_{i,-1} = T_{omega_i}(B_i); generation
-  cross-checks the two routes.  The seeds go to the core that builds
-  every family, rank one included (``onsager._grow_family``): from
-  A_{i,0} = B_i and
+  an empty left factor meaning the right factor alone; at N = 1 this is
+  q^-2 c_0^-1 B_0.  ``onsager.node_bracket`` writes the index pattern once,
+  for matrices and for seed expressions alike: ``onsager._tower_seeds``
+  evaluates it on the seed matrices for every family, rank one included,
+  and ``build_Ai_minus1`` keeps it as a seed expression.  Up to the
+  calibration sign o(i) the same element is the full word,
+  A_{i,-1} = T_{omega_i}(B_i); generation certifies the two against each
+  other.  The seeds go to the core that builds every family
+  (``onsager._grow_family``): from A_{i,0} = B_i and
 
       H_{i,1} = q^2 C_i^-1 [A_{i,-1}, A_{i,0}]_{q^-2}
 
@@ -87,8 +91,8 @@ from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_compo
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
-                      _grow_family, _rank_one_seed, _theta_exchange, eta_bmats,
-                      eta_embed, onedim_closed_form)
+                      _grow_family, _theta_exchange, _tower_seeds, eta_bmats,
+                      node_bracket, onedim_closed_form, pk_bracket)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint
 from .series import TruncSeries, pade_reconstruct
@@ -359,55 +363,18 @@ class _Braided(NamedTuple):
         return self.expr.terms
 
 
-def pk_bracket(ys, qv, variant: str = "left"):
-    """Iterated q-brackets P_k (left-nested) and P'_k (right-nested).
-
-    P_1(y) = y, P_{k+1} = [P_k, y_{k+1}]_q; the right-nested variant is
-    P'_{k+1}(y_1, .., y_{k+1}) = [y_1, P'_k(y_2, .., y_{k+1})]_q.  The
-    arguments may be matrices or seed expressions; ``qv`` is the
-    bracket weight in the matching scalar domain.
-
-    For three arguments the nestings differ by a plain commutator,
-    P_3 - P'_3 = qv [[y_1, y_3], y_2], so they agree whenever y_1 and y_3
-    commute: the almost-commuting case, where y_m and y_n commute for
-    |m - n| > 1.
-    """
-    ys = list(ys)
-    if not ys:
-        raise DomainError("bracket of an empty tuple")
-    if variant == "left":
-        acc = ys[0]
-        for y in ys[1:]:
-            acc = acc @ y - (y @ acc).scale(qv)
-        return acc
-    if variant == "right":
-        acc = ys[-1]
-        for y in reversed(ys[:-1]):
-            acc = y @ acc - (acc @ y).scale(qv)
-        return acc
-    raise DomainError(f"unknown bracket variant {variant!r}")
-
-
 def build_Ai_minus1(i: int, N: int) -> BExpr:
-    """The seed A_{i,-1} as a dressed bracket of the B_j.
+    """The seed A_{i,-1} as a dressed bracket of the B_j, before the sign o(i).
 
-    C_i [P_{i-1}(B_{i-1}, .., B_1), P_{N-i+1}(B_{i+1}, .., B_N, B_0)]_q
-    with C_i = C^-1 KK_i; at i = 1 the left factor is empty and the
-    bracket degenerates to the right factor alone.  Equality with the
-    braided word T_{omega_i}(B_i) is a checked identity, not an input.
+    C_i ``node_bracket``(B, i, N, q) with C_i = C^-1 KK_i, on the symbolic
+    generators; generation evaluates the same bracket on matrices.  Equality
+    with the braided word T_{omega_i}(B_i) is a checked identity, not an
+    input.
     """
     if not 1 <= i <= N:
         raise DomainError(f"seed index must be a finite node, got i={i}, N={N}")
-    left = [BExpr.gen(N, j) for j in range(i - 1, 0, -1)]
-    right = [BExpr.gen(N, j) for j in range(i + 1, N + 1)] + [BExpr.gen(N, 0)]
-    rb = pk_bracket(right, Q)
-    if left:
-        lb = pk_bracket(left, Q)
-        br = lb @ rb - (rb @ lb).scale(Q)
-    else:
-        br = rb
-    ci = tuple(0 if m == i else -1 for m in range(N + 1))
-    return br.kmul(ci)
+    gens = {j: BExpr.gen(N, j) for j in range(N + 1)}
+    return node_bracket(gens, i, N, Q).kmul(0 if m == i else -1 for m in range(N + 1))
 
 
 # -- evaluation -----------------------------------------------------------------------
@@ -517,12 +484,13 @@ def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,
 def generate_rankn_family(module: AffineModule, params: RankNParams,
                           R: int | None = None, T: int = 6,
                           certify: bool = True) -> RankNFamily:
-    """Generate the per-node towers from the seed words.
+    """Generate the per-node towers from the seed brackets.
 
-    Each finite node i is seeded with A_{i,-1}, the dressed bracket, and
-    grows its towers in the core that builds every family
-    (``onsager._grow_family``).  With ``certify`` the bracket seed is
-    checked against the braided word T_{omega_i}(B_i), which is the image
+    Each finite node i is seeded with A_{i,-1} from ``onsager._tower_seeds``,
+    the dressed bracket on the seed matrices with its calibration sign o(i),
+    and grows its towers in the core that builds every family
+    (``onsager._grow_family``).  With ``certify`` each seed is checked
+    against o(i) times the braided word T_{omega_i}(B_i), which is the image
     X_i of B_i under ev . T_{omega_i}, built on matrices letter by letter
     (``_braid_images``), before anything grows out of it.  Default R = 2T
     keeps every relation check in range.
@@ -530,26 +498,17 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
     typ = module.typ
     f = module.field
     B = eta_bmats(module, params)
-    kvals = _kvals(module, params)
-    am1 = {}
-    for i in typ.finite_nodes:
-        Am1 = _eval_bexpr(build_Ai_minus1(i, typ.N), B, kvals, f, module.dim)
-        if certify:
+    am1 = _tower_seeds(B, params, f)
+    if certify:
+        kvals = _kvals(module, params)
+        for i, Am1 in am1.items():
             X, _ = _braid_images(omega_word(i, typ.N), B, kvals, f)
-            ok, w = _meq(Am1, X[i], f)
+            ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
             if not ok:
                 raise ConstructionError(
                     f"seed A_({i},-1): dressed bracket and braided word "
                     f"disagree: {w}"
                 )
-        # Calibration sign o(i) = (-1)^(i-1), alternating on adjacent nodes.
-        # Flipping one node's seed rescales A_{i,r} by o^r and H_{i,m} by
-        # o^m, which every same-node relation absorbs, so the braided word
-        # pins each tower only up to this sign.  The cross-node relations
-        # do fix it, and they force the signs to alternate along the path;
-        # o(1) = +1 keeps the single-node case aligned with the rank-one
-        # module.
-        am1[i] = Am1.scale(-f.one) if i % 2 == 0 else Am1
     return _grow_family(module, params, B, am1, T, R)
 
 
@@ -761,7 +720,7 @@ def braid_compat_check(i: int, module: AffineModule,
     At s = 0, evaluate M1 = T_{omega'_i}(B_i) through the module and
     subtract M2, the sum of the two nested brackets built from the
     plain F_j and from the dressed raisers Et_j = -c_j E_j K_j^-1 (the
-    same index pattern as the seed bracket).  Every surviving component
+    same ``node_bracket`` as the seed).  Every surviving component
     of M1 - M2 must raise the node-i root degree by exactly one and
     strictly raise some other node's degree; at rank one no such
     component exists, so the residual must vanish outright.
@@ -778,21 +737,9 @@ def braid_compat_check(i: int, module: AffineModule,
     M1 = _braid_images(omega_prime_word(i, N), eta_bmats(module, params),
                        _kvals(module, params), f)[0][i]
 
-    Et = {}
-    for j in typ.nodes:
-        cj = f.from_scalar(params.c[j])
-        Et[j] = (module.E[j] @ module.Kcinv[j]).scale(-cj)
-
-    def relevant(X):
-        left = [X[j] for j in range(i - 1, 0, -1)]
-        right = [X[j] for j in range(i + 1, N + 1)] + [X[0]]
-        rb = pk_bracket(right, f.q)
-        if not left:
-            return rb
-        lb = pk_bracket(left, f.q)
-        return lb @ rb - (rb @ lb).scale(f.q)
-
-    M2 = relevant(module.F) + relevant(Et)
+    Et = {j: (module.E[j] @ module.Kcinv[j]).scale(-f.from_scalar(params.c[j]))
+          for j in typ.nodes}
+    M2 = node_bracket(module.F, i, N, f.q) + node_bracket(Et, i, N, f.q)
     D = M1 - M2
     comps = degree_components(D, module.grading)
     rep = CheckReport(f"braid compatibility at node {i} on {module.describe()}")
@@ -813,14 +760,19 @@ def braid_compat_check(i: int, module: AffineModule,
 
 
 def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
-    """Tie the N = 1 towers on W_1(a) to the two-sided rank-one machinery,
-    which rebuilds the module as V_1(-q^-2 a); other modules, V_1 itself
-    included, have no such anchor.  Both seeders feed the one deterministic
-    core ``_grow_family``, so equal modules and seeds give equal towers:
-    anchor_towers compares A_{1,0} and A_{1,-1} with B1 and q^-2 c0^-1 B0
-    read through ``eta_embed``, and grows no second family.  At s = 0,
-    anchor_factorization runs on ``fam`` and, like every
-    ``factorization_check``, extends W_1(a)'s loop data in place."""
+    """Tie the N = 1 towers on W_1(a) to the loop picture of the same
+    algebra on V_1(-q^-2 a), rebuilt here; other modules, V_1 itself
+    included, have no such anchor.  anchor_module compares the Chevalley
+    matrices of the two builds.  anchor_towers compares A_{1,-1} and
+    A_{1,0}, the seeds of ``fam``, with the loop-side seeds of V_1,
+
+        seed(-1) = -q^-4 c0^-1 K x+_-1 + x-_1 + q^-2 c0^-1 s0 K,
+        seed0 = x-_0 - c1 q^2 K^-1 x+_0 + s1 K^-1,
+
+    so the seeds of one build are read through the loop generators of the
+    other; one core grows every family from its seeds, so no second family
+    is grown.  At s = 0, anchor_factorization runs on ``fam`` and, like
+    every ``factorization_check``, extends W_1(a)'s loop data in place."""
     module = fam.module
     if module.meta.get("builder") != "build_vector_evaluation":
         return
@@ -843,9 +795,14 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     if not ok:
         return
 
-    B = eta_embed(p, V)
+    c0, c1 = (f.from_scalar(x) for x in p.c)
+    s0, s1 = (f.from_scalar(x) for x in p.s)
+    q2 = f.q * f.q
+    u = f.one / (q2 * c0)
+    seeds = ((-1, (V.K @ V.xp[-1]).scale(-(u / q2)) + V.xm[1] + V.K.scale(u * s0)),
+             (0, V.xm[0] - (V.Kinv @ V.xp[0]).scale(c1 * q2) + V.Kinv.scale(s1)))
     wit = None
-    for r, theirs in ((-1, _rank_one_seed(p, B[0])), (0, B[1])):
+    for r, theirs in seeds:
         ok, w = _meq(fam.A[1][r], theirs, f)
         if not ok:
             wit = f"A[{r}]: {w}"
@@ -874,10 +831,10 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
     by the one-dimensional character, which obeys the C-reflection
     identity instead, so it is divided out before the quotient test.
     Cross-node commutativity of the towers is exact.  At N = 1 on W_1(a)
-    the module and the tower seeds are tied to the rank-one machinery on
-    V_1(-q^-2 a), which remains the quantitative anchor.  Closure failures
-    and unpaired numeric roots are reported as inconclusive entries; raise
-    T and retry.
+    ``_rank_one_anchor`` ties the module and the tower seeds to the loop
+    generators of V_1(-q^-2 a) and, at s = 0, adds the factorization
+    verdict of the family itself.  Closure failures and unpaired numeric
+    roots are reported as inconclusive entries; raise T and retry.
     Returns (report, data): data holds the line series, their closures,
     the certified G per exact line ("certificates") and the fit residual
     per numeric line ("residuals").

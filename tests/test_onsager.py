@@ -25,7 +25,7 @@ from qonsager.linmat import Matrix, _meq
 from qonsager.loopsl2 import EvalParams, build_evaluation, tensor
 from qonsager.onsager import (
     OnsagerParams,
-    eta_embed,
+    eta_bmats,
     generate_family,
     onedim_character,
     onedim_closed_form,
@@ -168,7 +168,7 @@ def test_numeric_csymmetry_is_decided_at_a_relative_tolerance(monkeypatch):
 def test_embed_cross_checked_on_evaluation():
     p = P("1", "1", "1", "q")
     mod = V(1, "q")
-    B = eta_embed(p, mod)
+    B = eta_bmats(mod, p)
     B0, B1 = B[0], B[1]
     # B1 = F1 - c1 E1 K1^-1 + s1 K1^-1 written out on the weight basis
     q = Q
@@ -182,7 +182,7 @@ def test_embed_cross_checked_on_evaluation():
 def test_qdolangrady_detects_damage():
     p = P("1", "1", "1", "q")
     mod = V(1, "q")
-    B = eta_embed(p, mod)
+    B = eta_bmats(mod, p)
     B0, B1 = B[0], B[1]
     rep = verify_qdolangrady(p, B0, B1.scale(Q))
     assert not rep.ok

@@ -21,8 +21,6 @@ Oracles, independent of the construction code:
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import ranka
@@ -364,38 +362,6 @@ def test_pk_bracket_small_cases():
     assert pk_bracket([x, y], f.q) == qbracket(x, y, f.q)
     with pytest.raises(DomainError):
         pk_bracket([], f.q)
-    with pytest.raises(DomainError):
-        pk_bracket([x, y], f.q, variant="middle")
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                min_size=3, max_size=5))
-def test_left_and_right_nesting_agree_on_almost_commuting(chains):
-    # y_m = c_m E_{m-1,m} + d_m E_{m,m-1} pairwise commute at distance > 1
-    k = len(chains)
-    ys = []
-    for m, (c, d) in enumerate(chains):
-        rows = [[F.zero] * (k + 1) for _ in range(k + 1)]
-        rows[m][m + 1] = F.from_scalar(Scalar(c))
-        rows[m + 1][m] = F.from_scalar(Scalar(d))
-        ys.append(Matrix(rows, F))
-    left = pk_bracket(ys, F.q)
-    right = pk_bracket(ys, F.q, variant="right")
-    assert (left - right).is_zero()
-
-
-def test_nesting_variants_differ_without_almost_commuting():
-    # For three arguments left - right = q [[y1, y3], y2]; with (E, E, F)
-    # the inner commutator is [E, F] = H and [H, E] = 2E, so the two
-    # nestings differ by 2q E.
-    f = F
-    x = Matrix([[f.zero, f.one], [f.zero, f.zero]], f)
-    y = Matrix([[f.zero, f.zero], [f.one, f.zero]], f)
-    diff = (pk_bracket([x, x, y], f.q)
-            - pk_bracket([x, x, y], f.q, variant="right"))
-    assert not diff.is_zero()
-    assert diff == x.scale(f.q * f.from_scalar(Scalar(2)))
 
 
 # ------------------------------------------------------------------- modules
@@ -565,6 +531,37 @@ def test_seed_dual_paths_agree_across_ranks():
             assert (br - wd).is_zero(), (N, i)
 
 
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "q0=1.3"])
+def test_matrix_seeds_are_the_symbolic_bracket(field):
+    # the seeder evaluates node_bracket on matrices; the seed expression of
+    # build_Ai_minus1, evaluated word by word, is its reference, up to the
+    # calibration sign o(i) = (-1)^(i-1)
+    cs = ("q^2", "q^-1", "q", "1", "q^3")
+    cases = [(build_vector_evaluation(N, parse_scalar(a), field=field), P(cs[:N + 1]))
+             for N, a in ((1, "q^2"), (2, "q"), (3, "q^-1"), (4, "q^3"))]
+    cases.append((build_vector_evaluation(1, parse_scalar("q^2"), field=field),
+                  P(cs[:2], ("1", "q"))))
+    cases.append((build_vector_evaluation(2, parse_scalar("q"), field=field).tensor(
+        build_vector_evaluation(2, parse_scalar("q^3"), field=field)), P(cs[:3])))
+    for mod, p in cases:
+        N = mod.typ.N
+        fam = generate_rankn_family(mod, p, T=1, R=1)
+        for i in range(1, N + 1):
+            want = evaluate_bexpr(build_Ai_minus1(i, N), mod, p)
+            want = want if i % 2 else want.scale(-field.one)
+            if field.exact:
+                assert fam.A[i][-1] == want, (mod.describe(), i)
+            else:
+                ok, w = _meq(fam.A[i][-1], want, field)
+                assert ok, (mod.describe(), i, w)
+    # the rank-one seeder on a loop-built module takes the same seed
+    V = build_evaluation(EvalParams(2, Q), window=1, T=1, field=field)
+    p = P(cs[:2], ("1", "q"))
+    ok, w = _meq(generate_family(p, V, T=1, R=1).A[1][-1],
+                 evaluate_bexpr(build_Ai_minus1(1, 1), V, p), field)
+    assert ok, w
+
+
 def test_seed_bracket_against_sympy_rebuild():
     """Independent recomputation of A_{1,-1} on W_2(q), c = (1,1,1)."""
     import sympy as sp
@@ -599,10 +596,16 @@ def test_seed_certification_catches_damage():
     word = evaluate_bexpr(apply_word(omega_word(1, 2), BExpr.gen(2, 1)),
                           mod, p)
     assert (good - word).is_zero()
-    # the certifier runs inside generation; damaging a module matrix after
-    # build desynchronises the two evaluation paths it compares
+    # damaging a module matrix after build changes the evaluated bracket
     mod.E[0] = mod.E[0].scale(mod.field.q)
     assert not (evaluate_bexpr(build_Ai_minus1(1, 2), mod, p) - good).is_zero()
+    # the certifier runs inside generation: with a diagonal entry added to
+    # F_1 of an uncertified W_3, node 2's bracket and braided word disagree
+    mod = build_vector_evaluation(3, Q, certify=False)
+    mod.F[1] = mod.F[1] + Matrix.diagonal([F.one] + [F.zero] * 3, F)
+    with pytest.raises(ConstructionError, match=r"seed A_\(2,-1\): dressed bracket "
+                       "and braided word disagree"):
+        generate_rankn_family(mod, P(("1",) * 4), T=1, R=1)
 
 
 # ------------------------------------------------------------ braided moves
@@ -947,6 +950,35 @@ def test_anchor_towers_fails_a_damaged_seed():
     assert got["anchor_module"] == (True, None)
     ok, wit = got["anchor_towers"]
     assert not ok and wit.startswith("A[-1]: "), wit
+
+
+def test_anchor_towers_fails_a_damaged_root():
+    # A_{1,0} = B_1 damaged, A_{1,-1} kept: the first seed compared passes
+    # and the second one fails
+    mod, p = W(1, "q^2"), P(("q^2", "q^-1"))
+    good = generate_rankn_family(mod, p, T=6, R=6)
+    B = eta_bmats(mod, p)
+    B[1] = B[1] + Matrix.diagonal([Q, F.zero], F)
+    bad = _grow_family(mod, p, B, {1: good.A[1][-1]}, 6, 6)
+    rep, _ = rankn_spectral_check(bad)
+    got = _anchor_entries(rep)
+    assert got["anchor_module"] == (True, None)
+    ok, wit = got["anchor_towers"]
+    assert not ok and wit.startswith("A[0]: "), wit
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "q0=1.3"])
+def test_anchor_factorization_fails_a_damaged_grave_tower(field):
+    # seeds intact, Theta-grave_{1,3} scaled by q: of the anchor entries
+    # only the factorization sees it, at the diagonal of order 3
+    fam = generate_rankn_family(build_vector_evaluation(1, parse_scalar("q^2"), field=field),
+                                P(("q^2", "q^-1")), T=6, R=6)
+    fam.theta_grave[1][3] = fam.theta_grave[1][3].scale(field.q)
+    rep, _ = rankn_spectral_check(fam)
+    got = _anchor_entries(rep)
+    assert got["anchor_module"] == got["anchor_towers"] == (True, None)
+    ok, wit = got["anchor_factorization"]
+    assert not ok and "name='diagonal', indices=(3,)" in wit, wit
 
 
 def test_anchor_module_fails_a_damaged_module():
