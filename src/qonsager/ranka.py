@@ -495,14 +495,13 @@ def generate_rankn_family(module: AffineModule, params: RankNParams,
     (``_braid_images``), before anything grows out of it.  Default R = 2T
     keeps every relation check in range.
     """
-    typ = module.typ
     f = module.field
     B = eta_bmats(module, params)
     am1 = _tower_seeds(B, params, f)
     if certify:
         kvals = _kvals(module, params)
         for i, Am1 in am1.items():
-            X, _ = _braid_images(omega_word(i, typ.N), B, kvals, f)
+            X, _ = _braid_images(omega_word(i, params.N), B, kvals, f)
             ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
             if not ok:
                 raise ConstructionError(
