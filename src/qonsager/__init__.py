@@ -6,7 +6,9 @@ Subpackage map:
 * scalars   — the exact coefficient field Q(q) and the numeric backend
 * linmat    — matrices as sparse exact image stores and dense numeric rows,
               gradings, q-brackets
-* series    — truncated power series, Pade reconstruction, rational functions
+* series    — truncated series as lists of their known coefficients, exp/log,
+              rational functions and their expansions at 0 and infinity,
+              Pade reconstruction
 * loopsl2   — the one module type over the affine A_N diagram, its tensor
               product and presentation suite; rank one (N = 1) adds the
               loop-sl2 generators, which extend_loop_data alone derives

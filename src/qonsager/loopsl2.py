@@ -56,7 +56,7 @@ from .errors import ConstructionError, DomainError
 from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_components
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
-from .series import TruncSeries, series_exp, series_log
+from .series import series_exp, series_log
 
 __all__ = [
     "EvalParams",
@@ -504,17 +504,15 @@ def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckRepo
     # stored psi/phi against the exponentials of the stored h
     Tchk = min(T, max(abs(k) for k in hkeys) if hkeys else 0)
     if Tchk >= 1:
-        s = TruncSeries({k: V.h[k].scale(qden) for k in range(1, Tchk + 1)},
-                        0, Tchk, zeroM, f)
-        e = series_exp(s, eye)
+        e = series_exp([zeroM] + [V.h[k].scale(qden) for k in range(1, Tchk + 1)],
+                       eye, f)
         for m in range(0, Tchk + 1):
-            ok, w = _meq(V.psi[m], V.K @ e.coeff(m), f)
+            ok, w = _meq(V.psi[m], V.K @ e[m], f)
             rep.add("psi_series_def", (m,), ok, w)
-        s = TruncSeries({k: -V.h[-k].scale(qden) for k in range(1, Tchk + 1)},
-                        0, Tchk, zeroM, f)
-        e = series_exp(s, eye)
+        e = series_exp([zeroM] + [-V.h[-k].scale(qden) for k in range(1, Tchk + 1)],
+                       eye, f)
         for m in range(0, Tchk + 1):
-            ok, w = _meq(V.phi[m], V.Kinv @ e.coeff(m), f)
+            ok, w = _meq(V.phi[m], V.Kinv @ e[m], f)
             rep.add("phi_series_def", (m,), ok, w)
 
     # degree purity: x^pm shift the total degree by pm1, h_k preserve it
@@ -592,19 +590,12 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
         phi[k] = -commutator(xp[-k], xm[0]).scale(kap)
 
     eye = Matrix.identity(M.dim, f)
-    zeroM = Matrix.zeros(M.dim, M.dim, f)
     hi = min(T, window)
-    l_psi = series_log(
-        TruncSeries({k: Kinv @ psi[k] for k in range(hi + 1)}, 0, hi, zeroM, f),
-        eye,
-    )
-    l_phi = series_log(
-        TruncSeries({k: K @ phi[k] for k in range(hi + 1)}, 0, hi, zeroM, f),
-        eye,
-    )
+    l_psi = series_log([Kinv @ psi[k] for k in range(hi + 1)], eye, f)
+    l_phi = series_log([K @ phi[k] for k in range(hi + 1)], eye, f)
     for k in range(2, hi + 1):
-        h[k] = l_psi.coeff(k).scale(kap_inv)
-        h[-k] = -l_phi.coeff(k).scale(kap_inv)
+        h[k] = l_psi[k].scale(kap_inv)
+        h[-k] = -l_phi[k].scale(kap_inv)
 
     M.window = window
     M.T = T
@@ -623,9 +614,9 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
 
 
 def phi_series(V: AffineModule, T=None):
-    """(Phi, Psi): the diagonal series as ascending TruncSeries of matrices;
-    coefficient k of Phi is phi_{-k} (the z^-k coefficient of Phi(z), i.e.
-    the z^k coefficient of Phi(z^-1)), coefficient k of Psi is psi_k.
+    """(Phi, Psi): the diagonal series as coefficient lists of matrices,
+    k = 0..T: Phi[k] is phi_{-k} (the z^-k coefficient of Phi(z), i.e. the
+    z^k coefficient of Phi(z^-1)), and Psi[k] is psi_k.
 
     Raises DomainError when the stored coefficients are not diagonal (the
     basis is then not an l-weight basis) or T exceeds the stored order.
@@ -645,10 +636,8 @@ def phi_series(V: AffineModule, T=None):
                     f"{name}_{k} is not diagonal: {w}; "
                     "the basis is not an l-weight basis"
                 )
-    zeroM = Matrix.zeros(V.dim, V.dim, f)
-    Phi = TruncSeries({k: V.phi[k] for k in range(T + 1)}, 0, T, zeroM, f)
-    Psi = TruncSeries({k: V.psi[k] for k in range(T + 1)}, 0, T, zeroM, f)
-    return Phi, Psi
+    return ([V.phi[k] for k in range(T + 1)],
+            [V.psi[k] for k in range(T + 1)])
 
 
 # -- consequence identities -----------------------------------------------------------

@@ -95,7 +95,7 @@ from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       node_bracket, onedim_closed_form, pk_bracket)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint
-from .series import TruncSeries, pade_reconstruct
+from .series import pade_reconstruct
 from .spectra import _line_certificate, _numeric_fit, factorization_check
 
 __all__ = [
@@ -482,32 +482,30 @@ def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,
 
 
 def generate_rankn_family(module: AffineModule, params: RankNParams,
-                          R: int | None = None, T: int = 6,
-                          certify: bool = True) -> RankNFamily:
+                          R: int | None = None, T: int = 6) -> RankNFamily:
     """Generate the per-node towers from the seed brackets.
 
     Each finite node i is seeded with A_{i,-1} from ``onsager._tower_seeds``,
     the dressed bracket on the seed matrices with its calibration sign o(i),
     and grows its towers in the core that builds every family
-    (``onsager._grow_family``).  With ``certify`` each seed is checked
-    against o(i) times the braided word T_{omega_i}(B_i), which is the image
-    X_i of B_i under ev . T_{omega_i}, built on matrices letter by letter
-    (``_braid_images``), before anything grows out of it.  Default R = 2T
-    keeps every relation check in range.
+    (``onsager._grow_family``).  Each seed is checked against o(i) times
+    the braided word T_{omega_i}(B_i), which is the image X_i of B_i under
+    ev . T_{omega_i}, built on matrices letter by letter (``_braid_images``),
+    before anything grows out of it.  Default R = 2T keeps every relation
+    check in range.
     """
     f = module.field
     B = eta_bmats(module, params)
     am1 = _tower_seeds(B, params, f)
-    if certify:
-        kvals = _kvals(module, params)
-        for i, Am1 in am1.items():
-            X, _ = _braid_images(omega_word(i, params.N), B, kvals, f)
-            ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
-            if not ok:
-                raise ConstructionError(
-                    f"seed A_({i},-1): dressed bracket and braided word "
-                    f"disagree: {w}"
-                )
+    kvals = _kvals(module, params)
+    for i, Am1 in am1.items():
+        X, _ = _braid_images(omega_word(i, params.N), B, kvals, f)
+        ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
+        if not ok:
+            raise ConstructionError(
+                f"seed A_({i},-1): dressed bracket and braided word "
+                f"disagree: {w}"
+            )
     return _grow_family(module, params, B, am1, T, R)
 
 
@@ -874,10 +872,8 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
                         "inconclusive: repeated weight vectors; the line "
                         "read-off needs a multiplicity-free module")
                 continue
-            ser = TruncSeries({s: grave[s].rows[b][b] for s in range(T + 1)},
-                              0, T, f.zero, f)
             bud = max((T - 1) // 2, 0)
-            rf = pade_reconstruct(ser, bud, bud)
+            rf = pade_reconstruct(data["line_series"][i][b], bud, bud, f)
             if rf is None:
                 rep.add("fit", (i, b), False,
                         f"inconclusive: no rational closure at order {T}; "

@@ -2,12 +2,9 @@
 coefficient field, exact Pade reconstruction, and expansions at 0 and at
 infinity.
 
-TruncSeries holds coefficients on a finite exponent window [lo, hi] together
-with the direction of truncation: an ascending series (``zero_below=True``)
-is exactly zero below lo and *unknown* above hi, a z^-1-type series
-(``zero_above=True``) is the mirror image.  Multiplication tracks how far the
-product is determined (min(a.hi + b.lo, b.hi + a.lo) for two ascending
-series) instead of silently pretending more orders are known.
+A truncated series is the list [c_0, ..., c_T] of its known coefficients:
+c_k is the coefficient of z^k in an ascending series, or of z^-k in an
+expansion at infinity, and every order above T is unknown.
 
 Coefficients may be field elements or matrices over the field; exp/log take
 the multiplicative identity explicitly so both cases share code, and run
@@ -38,8 +35,6 @@ from .linmat import Matrix
 from .scalars import ZERO, Scalar, _coerce
 
 __all__ = [
-    "TruncSeries",
-    "series_mul",
     "series_exp",
     "series_log",
     "log_terms",
@@ -56,151 +51,11 @@ def _is_zero_entry(x, field):
     return field.is_zero(x)
 
 
-class TruncSeries:
-    __slots__ = ("coeffs", "lo", "hi", "zero", "field", "zero_below", "zero_above")
-
-    def __init__(self, coeffs, lo, hi, zero, field, zero_below=True, zero_above=False):
-        if lo > hi:
-            raise DomainError("empty series window")
-        if zero_below == zero_above:
-            raise DomainError("series must be truncated on exactly one side")
-        self.coeffs = {k: v for k, v in coeffs.items() if lo <= k <= hi}
-        self.lo = lo
-        self.hi = hi
-        self.zero = zero
-        self.field = field
-        self.zero_below = zero_below
-        self.zero_above = zero_above
-
-    @classmethod
-    def from_list(cls, values, zero, field, start=0):
-        return cls(
-            dict(enumerate(values, start)),
-            start,
-            start + len(values) - 1,
-            zero,
-            field,
-        )
-
-    def coeff(self, k):
-        if k in self.coeffs:
-            return self.coeffs[k]
-        if self.lo <= k <= self.hi:
-            return self.zero
-        if k < self.lo and self.zero_below:
-            return self.zero
-        if k > self.hi and self.zero_above:
-            return self.zero
-        raise DomainError(f"coefficient {k} beyond the truncation window")
-
-    def known(self, k):
-        return (
-            self.lo <= k <= self.hi
-            or (k < self.lo and self.zero_below)
-            or (k > self.hi and self.zero_above)
-        )
-
-    def truncate(self, hi=None, lo=None):
-        return TruncSeries(
-            self.coeffs,
-            self.lo if lo is None else lo,
-            self.hi if hi is None else hi,
-            self.zero,
-            self.field,
-            self.zero_below,
-            self.zero_above,
-        )
-
-    def __add__(self, other):
-        if self.zero_below != other.zero_below:
-            raise DomainError("adding series truncated in opposite directions")
-        if self.zero_below:
-            lo, hi = min(self.lo, other.lo), min(self.hi, other.hi)
-        else:
-            lo, hi = max(self.lo, other.lo), max(self.hi, other.hi)
-        out = {}
-        for k in range(lo, hi + 1):
-            out[k] = self.coeff(k) + other.coeff(k)
-        return TruncSeries(
-            out, lo, hi, self.zero, self.field, self.zero_below, self.zero_above
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.from_int(-1))
-
-    def scale(self, c):
-        return TruncSeries(
-            {k: c * v for k, v in self.coeffs.items()},
-            self.lo,
-            self.hi,
-            self.zero,
-            self.field,
-            self.zero_below,
-            self.zero_above,
-        )
-
-    def is_zero(self, scale=1.0):
-        return all(
-            _is_zero_entry_scaled(v, self.field, scale)
-            for v in self.coeffs.values()
-        )
-
-    def __repr__(self):
-        kind = "asc" if self.zero_below else "desc"
-        return f"TruncSeries[{kind} {self.lo}..{self.hi}]"
-
-
-def _is_zero_entry_scaled(x, field, scale):
-    if isinstance(x, Matrix):
-        return x.is_zero(scale)
-    return field.is_zero(x, scale)
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product on the window where it is fully determined."""
-    if a.zero_below != b.zero_below:
-        raise DomainError("multiplying series truncated in opposite directions")
-    lo = a.lo + b.lo
-    if a.zero_below:
-        hi = min(a.hi + b.lo, b.hi + a.lo)
-        if hi < lo:
-            raise DomainError("product window is empty at this truncation")
-    else:
-        hi = a.hi + b.hi
-        lo = max(a.lo + b.hi, b.lo + a.hi)
-    out = {}
-    for k in range(lo, hi + 1):
-        acc = None
-        for i, va in a.coeffs.items():
-            j = k - i
-            vb = b.coeffs.get(j)
-            if vb is None:
-                continue
-            term = va * vb
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[k] = acc
-    return TruncSeries(
-        out, lo, hi, a.zero, a.field, a.zero_below, a.zero_above
-    )
-
-
-def _check_ascending(s: TruncSeries, name: str):
-    """Shared guard of series_exp and series_log: an ascending series whose
-    coefficients below z^0, if its window reaches there, are all zero."""
-    if not s.zero_below:
-        raise DomainError(f"{name} needs an ascending series")
-    for k in range(s.lo, min(s.hi, -1) + 1):
-        v = s.coeffs.get(k)
-        if v is not None and not _is_zero_entry(v, s.field):
-            raise DomainError(f"{name}: nonzero coefficient of z^{k}, below z^0")
-
-
-def series_exp(s: TruncSeries, one) -> TruncSeries:
-    """exp of an ascending series S with zero constant term.
+def series_exp(coeffs, one, field):
+    """exp of an ascending series S = [S_0, ..., S_T] with S_0 = 0.
 
     E = exp(S) satisfies E' = S' E when the coefficients of S commute, which
-    gives E_0 = one and, for n = 1..T (T = s.hi),
+    gives E_0 = one and, for n = 1..T,
 
         E_n = (1/n) Σ_{k=1}^{n} (k·S_k) E_{n-k}
 
@@ -211,55 +66,47 @@ def series_exp(s: TruncSeries, one) -> TruncSeries:
     S_k on the left, as in series_log, series_exp(series_log(S)) == S holds
     for every S with constant term one, commuting or not, exactly over the
     exact field.  ``one`` is the multiplicative identity of the
-    coefficients (a Scalar or an identity matrix).
+    coefficients (a Scalar or an identity matrix) and ``field`` their field.
     """
-    _check_ascending(s, "series_exp")
-    if s.known(0) and not _is_zero_entry(s.coeff(0), s.field):
+    if not coeffs or not _is_zero_entry(coeffs[0], field):
         raise DomainError("series_exp needs zero constant term")
-    field = s.field
-    ks = {k: field.from_int(k) * v for k, v in s.coeffs.items() if k >= 1}
-    e = {0: one}
-    for n in range(1, s.hi + 1):
+    ks = [field.from_int(k) * v for k, v in enumerate(coeffs)]
+    e = [one]
+    for n in range(1, len(coeffs)):
         # the k = n term is k·S_k times E_0 = one
-        acc = ks.get(n, s.zero)
+        acc = ks[n]
         for k in range(1, n):
-            v = ks.get(k)
-            if v is not None:
-                acc = acc + v * e[n - k]
-        e[n] = field.from_fraction(1, n) * acc
-    return TruncSeries(e, 0, s.hi, s.zero, field)
+            acc = acc + ks[k] * e[n - k]
+        e.append(field.from_fraction(1, n) * acc)
+    return e
 
 
-def log_terms(coeff, field, zero=None):
+def log_terms(coeff, field):
     """The coefficients L_1, L_2, ... of L = log(1 + D), one per ``next``.
 
     ``series_log``'s recurrence run one order at a time: the n-th ``next``
     calls ``coeff(n)`` once for D_n and returns L_n after n - 1 coefficient
     products, so a caller that stops at order m never makes D_n or L_n for
-    n > m.  ``coeff`` returns None for an absent D_n: ``zero`` stands in for
-    it, and its products are skipped.
+    n > m.
     """
     d = {}
     kl = {}  # k·L_k
     n = 0
     while True:
         n += 1
-        dn = d[n] = coeff(n)
-        acc = field.from_int(n) * (zero if dn is None else dn)
+        d[n] = coeff(n)
+        acc = field.from_int(n) * d[n]
         for k, v in kl.items():
-            dv = d[n - k]
-            if dv is not None:
-                acc = acc - v * dv
+            acc = acc - v * d[n - k]
         kl[n] = acc
         yield field.from_fraction(1, n) * acc
 
 
-def series_log(s: TruncSeries, one) -> TruncSeries:
-    """log of an ascending series S = 1 + D with constant term ``one``.
+def series_log(coeffs, one, field):
+    """log of an ascending series S = [one, D_1, ..., D_T].
 
     L = log(S) satisfies S' = L' S when the coefficients of S commute, which
-    gives L_0 = 0 and, for n = 1..T (T = s.hi), the recurrence of
-    ``log_terms``
+    gives L_0 = 0 and, for n = 1..T, the recurrence of ``log_terms``
 
         L_n = D_n - (1/n) Σ_{k=1}^{n-1} (k·L_k) D_{n-k}
 
@@ -269,15 +116,12 @@ def series_log(s: TruncSeries, one) -> TruncSeries:
     result is the formal log only when the D_k commute pairwise; with L_k
     on the left, series_exp(series_log(S)) == S holds for every S, exactly
     over the exact field.  ``one`` is the multiplicative identity of the
-    coefficients (a Scalar or an identity matrix).
+    coefficients (a Scalar or an identity matrix) and ``field`` their field.
     """
-    _check_ascending(s, "series_log")
-    field = s.field
-    if not s.known(0) or not _is_zero_entry(s.coeff(0) - one, field):
+    if not coeffs or not _is_zero_entry(coeffs[0] - one, field):
         raise DomainError("series_log needs constant term 1")
-    terms = log_terms(s.coeffs.get, field, s.zero)
-    out = {n: next(terms) for n in range(1, s.hi + 1)}
-    return TruncSeries(out, 0, s.hi, s.zero, field)
+    terms = log_terms(coeffs.__getitem__, field)
+    return [one - one] + [next(terms) for _ in coeffs[1:]]
 
 
 # -- polynomials and rational functions over the field --------------------------
@@ -636,34 +480,30 @@ class RationalFunction:
             raise DomainError("inverting the zero rational function")
         return RationalFunction._coprime(self.den, self.num)
 
-    def expand_at_zero(self, T) -> TruncSeries:
+    def expand_at_zero(self, T):
+        """[c_0, ..., c_T]: the coefficients of z^0..z^T of the expansion."""
         d0 = self.den.coeff(0)
         if self.field.is_zero(d0):
             raise DomainError("pole at z = 0")
         inv = self.field.one / d0
-        out = {}
+        out = []
         for k in range(0, T + 1):
             acc = self.num.coeff(k)
             for i in range(0, k):
                 acc = acc - out[i] * self.den.coeff(k - i)
-            out[k] = acc * inv
-        return TruncSeries(out, 0, T, self.field.zero, self.field)
+            out.append(acc * inv)
+        return out
 
-    def expand_at_infinity(self, T) -> TruncSeries:
-        """Expansion in z^-1: coefficients for exponents down to -T."""
-        d = max(self.num.degree, self.den.degree, 0)
-        nrev = self.num.reverse(d)
-        drev = self.den.reverse(d)
-        v = 0
-        while self.field.is_zero(drev.coeff(v)) and v <= drev.degree:
-            v += 1
-        core = FPoly(drev.coeffs[v:], self.field)
-        s = RationalFunction(nrev, core).expand_at_zero(T + v)
-        out = {v - m: c for m, c in s.coeffs.items() if -T <= v - m <= v}
-        return TruncSeries(
-            out, -T, v, self.field.zero, self.field,
-            zero_below=False, zero_above=True,
-        )
+    def expand_at_infinity(self, T):
+        """[c_0, ..., c_T]: the coefficients of z^0..z^-T of the expansion
+        in z^-1, which is the expansion of f(1/z) at zero.  Only a function
+        with deg num <= deg den has one; any other is refused."""
+        if self.num.degree > self.den.degree:
+            raise DomainError(
+                f"expand_at_infinity needs deg num <= deg den, got "
+                f"deg num = {self.num.degree} and deg den = {self.den.degree}"
+            )
+        return self.inv_z().expand_at_zero(T)
 
     def __str__(self):
         if self.den == FPoly.one(self.field):
@@ -750,10 +590,11 @@ def _solve_fraction_free(rows, rhs, n):
     return x
 
 
-def pade_reconstruct(s: TruncSeries, max_num_deg: int, max_den_deg: int):
+def pade_reconstruct(coeffs, max_num_deg: int, max_den_deg: int, field):
     """The rational function of degrees <= (m, n) = (max_num_deg,
-    max_den_deg) that matches every known coefficient of an ascending
-    scalar series, in lowest terms with den(0) = 1, or None.
+    max_den_deg) that matches every known coefficient of the ascending
+    scalar series ``coeffs`` = [c_0, ..., c_T], in lowest terms with
+    den(0) = 1, or None.
 
     One Hankel solve at the full budget: unknowns r_1..r_n, r_0 = 1, with
 
@@ -769,23 +610,18 @@ def pade_reconstruct(s: TruncSeries, max_num_deg: int, max_den_deg: int):
     r_{b+1}..r_{b+d}; Q has them zero, so the solution solve_linear gives,
     with free unknowns pinned to zero, is D = Q itself, and N = P.  The
     candidate is accepted only if its expansion reproduces every known
-    coefficient of s (within the field's tolerance at their scale on an
+    coefficient (within the field's tolerance at their scale on an
     inexact field); one that does is P/Q, already coprime, so it skips the
     constructor's gcd.
     """
-    if not s.zero_below:
-        raise DomainError("pade_reconstruct expects an ascending series")
-    if s.lo < 0:
-        raise DomainError("pade_reconstruct expects exponents >= 0")
     m, n = max_num_deg, max_den_deg
     for name, bound in (("max_num_deg", m), ("max_den_deg", n)):
         if bound < 0:
             raise DomainError(f"pade_reconstruct: {name} = {bound} is negative")
-    T = s.hi
+    c = coeffs
+    T = len(c) - 1
     if T < m + n + 1:
         raise DomainError(f"window T={T} too small for degrees ({m},{n})")
-    field = s.field
-    c = [s.coeff(k) for k in range(T + 1)]
     r = [field.one]
     if n:
         rows = [[c[k - i] if k >= i else field.zero for i in range(1, n + 1)]
@@ -803,6 +639,6 @@ def pade_reconstruct(s: TruncSeries, max_num_deg: int, max_den_deg: int):
     cand = RationalFunction._coprime(FPoly(num, field), FPoly(r, field))
     scale = 1.0 if field.exact else max([abs(v) for v in c] + [1.0])
     exp = cand.expand_at_zero(T)
-    if all(field.is_zero(exp.coeff(k) - c[k], scale) for k in range(T + 1)):
+    if all(field.is_zero(x - y, scale) for x, y in zip(exp, c)):
         return cand
     return None

@@ -43,8 +43,7 @@ from .onsager import (
     onedim_closed_form,
 )
 from .report import CheckReport
-from .series import (FPoly, RationalFunction, TruncSeries, _fraction_free,
-                     pade_reconstruct)
+from .series import FPoly, RationalFunction, _fraction_free, pade_reconstruct
 
 __all__ = [
     "LWeightLine",
@@ -150,10 +149,11 @@ class LWeightLine:
 def lweight_lines(V: AffineModule, T: int | None = None):
     """One LWeightLine per basis vector of a module with diagonal half towers.
 
-    The series are read through phi_series, which raises DomainError when
-    the stored psi/phi matrices are not diagonal (tensor towers generally
-    are not; their line data lives on the graded pieces instead) or T
-    exceeds the stored order.
+    Line j reads the j-th diagonal entries of the coefficient lists that
+    phi_series returns: dplus from Psi, dminus from Phi.  phi_series raises
+    DomainError when the stored psi/phi matrices are not diagonal (tensor
+    towers generally are not; their line data lives on the graded pieces
+    instead) or T exceeds the stored order.
     """
     Phi, Psi = phi_series(V, T)
     lines = []
@@ -162,8 +162,8 @@ def lweight_lines(V: AffineModule, T: int | None = None):
             f"line {j} (degree {V.grading.degrees[j]})",
             j,
             V.grading.degrees[j],
-            [Psi.coeff(k).rows[j][j] for k in range(Psi.hi + 1)],
-            [Phi.coeff(k).rows[j][j] for k in range(Phi.hi + 1)],
+            [M.rows[j][j] for M in Psi],
+            [M.rows[j][j] for M in Phi],
             V.field,
         ))
     return lines
@@ -192,11 +192,12 @@ def _fr_function(Qp: FPoly, Rp: FPoly, f) -> RationalFunction:
 
 def _fr_verify(Qp: FPoly, Rp: FPoly, dplus, dminus, f) -> bool:
     d = _fr_function(Qp, Rp, f)
-    s0 = d.expand_at_zero(len(dplus) - 1)
-    if any(not f.eq(s0.coeff(k), dplus[k]) for k in range(len(dplus))):
+    if not all(map(f.eq, d.expand_at_zero(len(dplus) - 1), dplus)):
         return False
-    si = d.expand_at_infinity(len(dminus) - 1)
-    return all(f.eq(si.coeff(-k), dminus[k]) for k in range(len(dminus)))
+    # a function with a pole at infinity has no expansion to match dminus
+    if d.num.degree > d.den.degree:
+        return False
+    return all(map(f.eq, d.expand_at_infinity(len(dminus) - 1), dminus))
 
 
 def _qspan(p: FPoly) -> int:
@@ -362,8 +363,7 @@ def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
     def stop(step, why):
         return DrinfeldData(None, None, False, True, f"{step}: {why}")
 
-    rf = pade_reconstruct(TruncSeries(dict(enumerate(dplus)), 0, T, f.zero, f),
-                          deg, deg)
+    rf = pade_reconstruct(dplus, deg, deg, f)
     if rf is None:
         return stop("closure", f"no rational function of degrees <= ({deg}, "
                                f"{deg}) matches dplus to order {T}")
@@ -495,12 +495,10 @@ def drf_extract(bq: FPoly, bqdag: FPoly, C, dseries=None):
 
     if dseries is not None:
         ser = ratio.expand_at_zero(len(dseries) - 1)
-        ok = all(f.eq(ser.coeff(k), dseries[k]) for k in range(len(dseries)))
-        wit = None
-        if not ok:
-            k = next(k for k in range(len(dseries))
-                     if not f.eq(ser.coeff(k), dseries[k]))
-            wit = f"order {k}"
+        k = next((k for k, (x, y) in enumerate(zip(ser, dseries))
+                  if not f.eq(x, y)), None)
+        ok = k is None
+        wit = None if ok else f"order {k}"
         rep.add("factorization_diagonal", (), ok, wit)
     return rep, drf
 
@@ -547,25 +545,22 @@ class DRFReport:
         return out
 
 
-def drf_reports(fam: RankNFamily, T: int | None = None,
-                budget: int | None = None):
+def drf_reports(fam: RankNFamily):
     """One DRFReport per l-weight line of the family's module.
 
     Chains line extraction, (Q, R) recovery, boundary polynomials and the
-    fraction identities; the factorization_diagonal verdict ties the
-    fraction back to the family's own grave tower on that line.
+    fraction identities, all to the family's order T; the
+    factorization_diagonal verdict ties the fraction back to the family's
+    own grave tower on that line.
     """
     p = _rank_one(fam.params)
     V = fam.module
     f = fam.field
-    if T is None:
-        T = fam.T
-    if budget is None:
-        budget = T
+    T = fam.T
     C = f.from_scalar(p.C)
     out = []
     for ln in lweight_lines(V, T):
-        dd = drinfeld_data(ln, budget=budget)
+        dd = drinfeld_data(ln, budget=T)
         if not dd.ok:
             out.append(DRFReport(ln.label, None, None, None, None, None, None,
                                  {"drinfeld_data": False},
@@ -615,7 +610,7 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
                 None if not bad else f"lowering shifts {bad}")
         want = Matrix.zeros(V.dim, V.dim, f)
         for u in range(s + 1):
-            want = want + diag0[s - u].scale(D.coeff(u))
+            want = want + diag0[s - u].scale(D[u])
         ok, wit = _meq(_shift_zero(th, gtot), want, f)
         rep.add("scaled_diagonal", (s,), ok, wit)
 

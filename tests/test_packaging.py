@@ -1,5 +1,5 @@
-"""pyproject.toml declares only files, entry points and test extras that
-exist or are used."""
+"""pyproject.toml declares only files, entry points, dependencies and test
+extras that exist or are used."""
 
 import ast
 import importlib
@@ -57,10 +57,22 @@ def _imported_roots(paths):
     return roots
 
 
+def _module_name(requirement):
+    """The import name a requirement such as ``numpy>=1.24`` provides."""
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+
+
 def test_declared_test_extras_are_imported():
     # a test extra nothing imports is a stale dependency
     test_dirs = (ROOT / "tests", ROOT / "perfbench" / "tests")
     roots = _imported_roots(p for d in test_dirs for p in d.rglob("*.py"))
     for requirement in PROJECT.get("optional-dependencies", {}).get("test", []):
-        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group()
-        assert name.lower().replace("-", "_") in roots, requirement
+        assert _module_name(requirement) in roots, requirement
+
+
+def test_declared_dependencies_are_imported():
+    # a runtime dependency that no package module imports is a stale one
+    roots = _imported_roots(p for root in _package_roots()
+                            for p in (root / "qonsager").rglob("*.py"))
+    for requirement in PROJECT.get("dependencies", []):
+        assert _module_name(requirement) in roots, requirement

@@ -218,9 +218,7 @@ def test_drinfeld_data_round_trip():
     from qonsager.spectra import _fr_function
 
     d = _fr_function(Qp, Rp, F)
-    dplus = [d.expand_at_zero(6).coeff(k) for k in range(7)]
-    dminus = [d.expand_at_infinity(6).coeff(-k) for k in range(7)]
-    dd = drinfeld_data((dplus, dminus), field=F)
+    dd = drinfeld_data((d.expand_at_zero(6), d.expand_at_infinity(6)), field=F)
     assert dd.ok and dd.Q == Qp and dd.R == Rp
 
 
