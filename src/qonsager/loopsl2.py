@@ -11,7 +11,8 @@ grading of that basis in simple-root coordinates relative to basis vector
 
 sum the factor degrees, and remember their factors (kron order: the left
 factor is the slow index).  verify_affine_presentation is the one
-Chevalley-level relation suite, for every rank.
+Chevalley-level relation suite, for every rank; every module a builder or
+a tensor product hands back has passed it.
 
 At rank one a module may also carry the loop generators: the invertible
 diagonal K, the mode operators x^+_k and x^-_k for |k| up to a window, the
@@ -179,7 +180,7 @@ class AffineModule:
 
     __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv", "grading",
                  "window", "T", "K", "Kinv", "xp", "xm", "h", "psi", "phi",
-                 "meta", "factors", "certified")
+                 "meta", "factors")
 
     def __init__(self, typ: AffineTypeA, field):
         self.typ = typ
@@ -201,7 +202,6 @@ class AffineModule:
         self.phi = {}
         self.meta = {}
         self.factors = None
-        self.certified = False
 
     @property
     def has_loop_data(self) -> bool:
@@ -225,13 +225,12 @@ class AffineModule:
             M.Kcinv[j] = one
         M.grading = Grading([tuple([0] * N)])
         M.meta = {"name": f"triv_{N}", "builder": "trivial"}
-        M.certified = True
         return M
 
-    def tensor(self, other: "AffineModule", certify: bool = True) -> "AffineModule":
+    def tensor(self, other: "AffineModule") -> "AffineModule":
         """Tensor product along the coproduct (see the module docstring);
-        the factor degrees add up.  ``certify`` runs the presentation suite
-        and raises ConstructionError on any failure."""
+        the factor degrees add up.  The presentation suite certifies the
+        product, and any failure raises ConstructionError."""
         if self.typ != other.typ:
             raise DomainError("tensor factors over different diagrams")
         if not self.E or not other.E:
@@ -257,9 +256,7 @@ class AffineModule:
         M.meta = {"name": "*".join(n if "*" not in n else f"({n})" for n in names),
                   "builder": "tensor"}
         M.factors = (self, other)
-        if certify:
-            _refuse_failure(M, verify_affine_presentation(M))
-            M.certified = True
+        _refuse_failure(M, verify_affine_presentation(M))
         return M
 
 
@@ -286,20 +283,15 @@ def _refuse_failure(M: AffineModule, rep: CheckReport):
 # -- construction ---------------------------------------------------------------
 
 
-def _assemble_evaluation(n, a, field, links_plus=None, links_minus=None) -> AffineModule:
+def _assemble_evaluation(n, a, field) -> AffineModule:
     """Assemble the Chevalley action of V_n(a) without certifying it.
 
-    links_plus / links_minus override the per-link geometric factors of
-    x^+ / x^- (length-n lists of exact scalars), which reach the action
-    through E_0 = -K^-1 x^-_1 and F_0 = -x^+_{-1} K; the defaults are the
-    canonical mu_j = a q^{n-2j} on both sides.
+    The link v_j <-> v_{j+1} carries the geometric factor mu_j = a q^{n-2j}
+    of x^+ and x^-, which reaches the action through E_0 = -K^-1 x^-_1 and
+    F_0 = -x^+_{-1} K.
     """
     d = n + 1
     mu = [a * Q ** (n - 2 * j) for j in range(n)]
-    if links_plus is None:
-        links_plus = mu
-    if links_minus is None:
-        links_minus = mu
 
     z = _EXACT.zero
     E1, F1, E0, F0 = ([[z] * d for _ in range(d)] for _ in range(4))
@@ -308,8 +300,8 @@ def _assemble_evaluation(n, a, field, links_plus=None, links_minus=None) -> Affi
         up, dn = _EXACT.qint(n - j), _EXACT.qint(j + 1)
         E1[j][j + 1] = up
         F1[j + 1][j] = dn
-        E0[j + 1][j] = -(Q ** (2 * j + 2 - n) * links_minus[j] * dn)
-        F0[j][j + 1] = -(Q ** (n - 2 * j - 2) * up / links_plus[j])
+        E0[j + 1][j] = -(Q ** (2 * j + 2 - n) * mu[j] * dn)
+        F0[j][j + 1] = -(Q ** (n - 2 * j - 2) * up / mu[j])
     E1, F1, E0, F0 = (Matrix(rows, _EXACT) for rows in (E1, F1, E0, F0))
     K = Matrix.diagonal([Q ** (n - 2 * j) for j in range(d)], _EXACT)
     Kinv = Matrix.diagonal([Q ** (2 * j - n) for j in range(d)], _EXACT)
@@ -328,23 +320,20 @@ def _assemble_evaluation(n, a, field, links_plus=None, links_minus=None) -> Affi
 
 
 def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
-                     field=None, certify: bool = True) -> AffineModule:
-    """The evaluation module V_n(a) with its loop data, certified by default.
+                     field=None) -> AffineModule:
+    """The certified evaluation module V_n(a) with its loop data.
 
     The Chevalley action is assembled exactly and mapped into ``field``;
-    ``certify`` runs verify_affine_presentation on it, and extend_loop_data
-    then derives the loop generators and runs verify_drinfeld_relations.
-    Raises ConstructionError when any defining relation fails (which, for
-    the canonical link factors, indicates a bug rather than bad input).
+    verify_affine_presentation certifies it, and extend_loop_data then
+    derives the loop generators and certifies them by
+    verify_drinfeld_relations.  Raises ConstructionError when any defining
+    relation fails, which indicates a bug rather than bad input.
     """
     if not isinstance(p, EvalParams):
         raise DomainError("build_evaluation expects EvalParams")
     V = _assemble_evaluation(p.n, p.a, _EXACT if field is None else field)
-    if certify:
-        _refuse_failure(V, verify_affine_presentation(V))
-    extend_loop_data(V, window, T, certify)
-    V.certified = certify
-    return V
+    _refuse_failure(V, verify_affine_presentation(V))
+    return extend_loop_data(V, window, T)
 
 
 # -- certification ----------------------------------------------------------------
@@ -423,22 +412,27 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     return rep
 
 
-def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckReport:
-    """Check every defining loop relation the stored window supports.
+def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
+    """Check the defining loop relations at the stored window W and order T.
 
-    Covers: invertibility of K, commutativity of the h_k (and with K),
-    K-conjugation of the mode operators, the h-x ladder
-    [h_k, x^pm_l] = pm([2k]/k) x^pm_{k+l}, the quadratic exchange relation
-    between same-sign modes, the mixed commutator
-    [x^+_k, x^-_l] = (psi_{k+l} - phi_{k+l})/(q - q^-1), consistency of the
-    stored psi/phi with the exponentials of the stored h, and purity of the
+    Covers: invertibility of K; commutativity of the stored h_k,
+    1 <= |k| <= min(T, W), among themselves and with K; K-conjugation of
+    the modes x^pm_k, |k| <= W; the h-x ladder
+    [h_k, x^pm_l] = pm([2k]/k) x^pm_{k+l} wherever |k + l| <= W; the
+    quadratic exchange relation between same-sign modes, -W <= k, l < W;
+    the mixed commutator [x^+_k, x^-_l] = (psi_{k+l} - phi_{k+l})/(q - q^-1)
+    for |k|, |l| <= W and |k + l| <= T; psi_m and phi_m against the
+    exponentials of the stored h for m <= min(T, W); and purity of the
     degree shifts.  Returns a CheckReport with one entry per instance.
+
+    So psi_m and phi_m meet an entry only up to m = min(T, 2W), and the
+    exponentials only up to min(T, W): above 2W the coefficients that
+    extend_loop_data derives from [x^+_{+-m}, x^-_0] are not certified.
     """
     if not V.has_loop_data:
         raise DomainError("module carries no loop-generator data")
     f = V.field
-    W = V.window if window is None else min(window, V.window)
-    T = V.T if T is None else min(T, V.T)
+    W, T = V.window, V.T
     q = f.q
     qden = q - f.one / q
     qden_inv = f.one / qden
@@ -452,7 +446,7 @@ def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckRepo
     ok, w = _meq(V.K @ V.Kinv, eye, f)
     rep.add("K_invertible", (), ok, w)
 
-    hkeys = sorted(k for k in V.h if -W <= k <= W)
+    hkeys = sorted(V.h)
     for i, k in enumerate(hkeys):
         ok, w = _meq(V.K @ V.h[k], V.h[k] @ V.K, f)
         rep.add("K_h_commute", (k,), ok, w)
@@ -460,7 +454,7 @@ def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckRepo
             ok, w = _meq(V.h[k] @ V.h[l], V.h[l] @ V.h[k], f)
             rep.add("h_commute", (k, l), ok, w)
 
-    xkeys = sorted(k for k in V.xp if -W <= k <= W)
+    xkeys = sorted(V.xp)
     for k in xkeys:
         ok, w = _meq(V.K @ V.xp[k], (V.xp[k] @ V.K).scale(q2), f)
         rep.add("K_conj_x", ("+", k), ok, w)
@@ -470,7 +464,7 @@ def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckRepo
     for k in hkeys:
         c = f.qint(2 * k) * f.from_fraction(1, k)
         for l in xkeys:
-            if k + l not in V.xp or not -W <= k + l <= W:
+            if k + l not in V.xp:
                 continue
             lhs = V.h[k] @ V.xp[l] - V.xp[l] @ V.h[k]
             ok, w = _meq(lhs, V.xp[k + l].scale(c), f)
@@ -502,18 +496,15 @@ def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckRepo
             rep.add("x_pair_commutator", (k, l), ok, w)
 
     # stored psi/phi against the exponentials of the stored h
-    Tchk = min(T, max(abs(k) for k in hkeys) if hkeys else 0)
-    if Tchk >= 1:
-        e = series_exp([zeroM] + [V.h[k].scale(qden) for k in range(1, Tchk + 1)],
-                       eye, f)
-        for m in range(0, Tchk + 1):
-            ok, w = _meq(V.psi[m], V.K @ e[m], f)
-            rep.add("psi_series_def", (m,), ok, w)
-        e = series_exp([zeroM] + [-V.h[-k].scale(qden) for k in range(1, Tchk + 1)],
-                       eye, f)
-        for m in range(0, Tchk + 1):
-            ok, w = _meq(V.phi[m], V.Kinv @ e[m], f)
-            rep.add("phi_series_def", (m,), ok, w)
+    hi = min(T, W)
+    e = series_exp([zeroM] + [V.h[k].scale(qden) for k in range(1, hi + 1)], eye, f)
+    for m in range(0, hi + 1):
+        ok, w = _meq(V.psi[m], V.K @ e[m], f)
+        rep.add("psi_series_def", (m,), ok, w)
+    e = series_exp([zeroM] + [-V.h[-k].scale(qden) for k in range(1, hi + 1)], eye, f)
+    for m in range(0, hi + 1):
+        ok, w = _meq(V.phi[m], V.Kinv @ e[m], f)
+        rep.add("phi_series_def", (m,), ok, w)
 
     # degree purity: x^pm shift the total degree by pm1, h_k preserve it
     gtot = V.grading.total()
@@ -527,13 +518,12 @@ def verify_drinfeld_relations(V: AffineModule, window=None, T=None) -> CheckRepo
     return rep
 
 
-def tensor(V: AffineModule, W: AffineModule, certify: bool = True) -> AffineModule:
-    """V (x) W through the coproduct; the same as ``V.tensor(W, certify)``."""
-    return V.tensor(W, certify)
+def tensor(V: AffineModule, W: AffineModule) -> AffineModule:
+    """V (x) W through the coproduct; the same as ``V.tensor(W)``."""
+    return V.tensor(W)
 
 
-def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
-                     certify: bool = True) -> AffineModule:
+def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6) -> AffineModule:
     """Derive the loop generators of a rank-one module from its Chevalley
     action, in place; the one source of loop data.
 
@@ -544,8 +534,8 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
     takes h_{+-k}, k >= 2, from the series logarithms of K^-1 Psi(z) and
     K Phi(z).  Everything is computed in the module's own field; on a
     tensor module this realizes the coproduct of every loop generator
-    without ever expanding coproduct formulas.  ``certify`` runs
-    verify_drinfeld_relations and raises ConstructionError on a failure.
+    without ever expanding coproduct formulas.  verify_drinfeld_relations
+    certifies the result, and a failure raises ConstructionError.
 
     A module whose stored window and order already cover the request is
     returned unchanged; a shallower one is derived again at the larger of
@@ -605,8 +595,7 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6,
     M.h = dict(sorted(h.items()))
     M.psi = psi
     M.phi = phi
-    if certify:
-        _refuse_failure(M, verify_drinfeld_relations(M))
+    _refuse_failure(M, verify_drinfeld_relations(M))
     return M
 
 
@@ -643,7 +632,7 @@ def phi_series(V: AffineModule, T=None):
 # -- consequence identities -----------------------------------------------------------
 
 
-def verify_aux_identities(V: AffineModule, T=None) -> CheckReport:
+def verify_aux_identities(V: AffineModule) -> CheckReport:
     """Three consequences of the defining relations that later layers lean on.
 
     * phi_x_homogeneous: phi_{-r} x^+_s + x^+_{s-1} phi_{-(r-1)}
@@ -656,8 +645,7 @@ def verify_aux_identities(V: AffineModule, T=None) -> CheckReport:
     if not V.has_loop_data:
         raise DomainError("module carries no loop-generator data")
     f = V.field
-    W = V.window
-    T = V.T if T is None else min(T, V.T)
+    W, T = V.window, V.T
     q = f.q
     q2 = q * q
     q2i = f.one / q2

@@ -478,7 +478,10 @@ def _theta_exchange(memo: ProductMemo, A, theta_at, c, C, r: int, s: int):
 
 
 def _check_windows(fam, rwin: int, mmax: int):
-    """Refuse relation windows that reach past the generated towers."""
+    """Refuse negative relation windows and windows that reach past the
+    generated towers."""
+    if rwin < 0 or mmax < 0:
+        raise DomainError(f"window (rwin={rwin}, mmax={mmax}) must be nonnegative")
     need_R = rwin + max(mmax, 1)
     need_T = max(mmax, 2 * rwin + 1)
     if fam.R < need_R or fam.T < need_T:

@@ -192,14 +192,15 @@ def omega_prime_word(i: int, N: int) -> WeylWord:
 # -- vector evaluation ------------------------------------------------------------
 
 
-def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> AffineModule:
-    """The evaluation module W_N(a) on field^(N+1), gauge as in the header.
+def build_vector_evaluation(N: int, a, field=None) -> AffineModule:
+    """The certified evaluation module W_N(a) on field^(N+1), gauge as in
+    the header.
 
     Assembled exactly, graded in closed form (e_b sits at
-    -(alpha_1 + .. + alpha_b)), then mapped into the requested field.
-    ``certify`` runs the full presentation suite, whose purity entries
-    certify that grading against E and F, and raises ConstructionError
-    on any failure.
+    -(alpha_1 + .. + alpha_b)), then mapped into the requested field.  The
+    full presentation suite, whose purity entries certify that grading
+    against E and F, runs on the result, and any failure raises
+    ConstructionError.
     """
     typ = AffineTypeA(N)
     a = _as_scalar(a)
@@ -240,9 +241,7 @@ def build_vector_evaluation(N: int, a, field=None, certify: bool = True) -> Affi
         M.Kcinv[j] = Matrix.diagonal([f.from_scalar(ONE / x) for x in kdiag[j]], f)
     M.grading = Grading([(-1,) * b + (0,) * (N - b) for b in range(dim)])
     M.meta = {"name": f"W_{N}({a})", "builder": "build_vector_evaluation", "a": a}
-    if certify:
-        _refuse_failure(M, verify_affine_presentation(M))
-        M.certified = True
+    _refuse_failure(M, verify_affine_presentation(M))
     return M
 
 
@@ -840,6 +839,8 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
         T = fam.T
     if T > fam.T:
         raise DomainError(f"order {T} exceeds the family window (T={fam.T})")
+    if T < 1:
+        raise DomainError(f"spectral check needs order T >= 1, got T={T}")
     f = fam.field
     module = fam.module
     g = module.grading
@@ -872,7 +873,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
                         "inconclusive: repeated weight vectors; the line "
                         "read-off needs a multiplicity-free module")
                 continue
-            bud = max((T - 1) // 2, 0)
+            bud = (T - 1) // 2
             rf = pade_reconstruct(data["line_series"][i][b], bud, bud, f)
             if rf is None:
                 rep.add("fit", (i, b), False,

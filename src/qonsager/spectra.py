@@ -86,13 +86,14 @@ def _second_factor_grading(V: AffineModule) -> Grading:
 def _coeffs_out(poly: FPoly, field):
     if field.exact:
         return poly.coeff_strings()
-    return [[c.real, c.imag] for c in poly.coeffs]
+    return [_scalar_out(c, field) for c in poly.coeffs]
 
 
 def _scalar_out(x, field):
     if field.exact:
         return str(x)
-    return [x.real, x.imag]
+    # + 0.0 turns a part -0.0 into 0.0, so a report never prints -0.0
+    return [x.real + 0.0, x.imag + 0.0]
 
 
 # -- reversal transforms and boundary polynomials ---------------------------------
@@ -325,7 +326,7 @@ def _numeric_fit(rf, field, T):
     return ok, res, f"{head}: residual {res:.3e} {verb} {tol:.0e}", (fzeros, fpoles)
 
 
-def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
+def drinfeld_data(lweight, field=None) -> DrinfeldData:
     """Minimal (Q, R) whose ratio reproduces both expansions of a line.
 
     lweight is an LWeightLine or a bare (dplus, dminus) pair (ascending
@@ -334,7 +335,7 @@ def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
     D(z) = q^(deg Q - deg R) F(q^-1 z)/F(q z), F = Q/R, in three steps:
 
       * closure: dplus closes by Pade to a rational D of degrees at most
-        min(budget, (T - 1)/2) in numerator and denominator;
+        (T - 1)/2 in numerator and denominator;
       * chain: over Q(q), D(qu)/D(0) = G(u)/G(q^2 u) is certified by
         q^2-gcd chains and (Q, R) = (num G, den G); over a numeric field
         the zeros and poles of D/D(0) pair off along q^2-chains of length
@@ -355,10 +356,8 @@ def drinfeld_data(lweight, budget: int = 6, field=None) -> DrinfeldData:
     if len(dplus) < 2 or not dminus:
         raise DomainError("need at least two coefficients of dplus and the "
                           "constant coefficient of dminus")
-    if budget < 0:
-        raise DomainError("degree budget must be nonnegative")
     T = len(dplus) - 1
-    deg = min(budget, (T - 1) // 2)
+    deg = (T - 1) // 2
 
     def stop(step, why):
         return DrinfeldData(None, None, False, True, f"{step}: {why}")
@@ -560,7 +559,7 @@ def drf_reports(fam: RankNFamily):
     C = f.from_scalar(p.C)
     out = []
     for ln in lweight_lines(V, T):
-        dd = drinfeld_data(ln, budget=T)
+        dd = drinfeld_data(ln)
         if not dd.ok:
             out.append(DRFReport(ln.label, None, None, None, None, None, None,
                                  {"drinfeld_data": False},

@@ -248,6 +248,18 @@ def test_window_guards():
         fam.a(1, 9)
 
 
+@pytest.mark.parametrize("check", [verify_presentation, tau_dual_check])
+def test_negative_windows_are_refused(check):
+    # a negative window walks no index and would pass with no entry
+    fam = generate_family(P("1", "1", "0", "0"), V(1, "q"), T=3, R=3)
+    for rwin, mmax in ((-2, -2), (-1, 2), (1, -1)):
+        with pytest.raises(DomainError, match=rf"window \(rwin={rwin}, "
+                                              rf"mmax={mmax}\) must be nonnegative"):
+            check(fam, rwin, mmax)
+    rep = check(fam, 0, 0)
+    assert rep.ok and rep.entries
+
+
 def test_rank_one_entry_points_refuse_other_ranks():
     # rank-one parameters on W_3(q) are refused by the seeds, and a rank-3
     # family by every rank-one suite, instead of checking nodes 0 and 1

@@ -370,7 +370,7 @@ def test_pk_bracket_small_cases():
 def test_vector_module_frozen_entries():
     mod = W(2, "q")
     f = mod.field
-    assert mod.dim == 3 and mod.certified
+    assert mod.dim == 3
     assert mod.E[1].rows[0][1] == f.one and mod.F[1].rows[1][0] == f.one
     assert mod.E[0].rows[2][0] == parse_scalar("q")      # a e_{N,0}
     assert mod.F[0].rows[0][2] == parse_scalar("q^-1")
@@ -426,7 +426,7 @@ def test_vector_module_grading_closed_form(N):
 
 
 def test_vector_module_swapped_degrees_fail_purity():
-    mod = build_vector_evaluation(3, parse_scalar("q"), certify=False)
+    mod = build_vector_evaluation(3, parse_scalar("q"))
     degrees = mod.grading.degrees
     degrees[1], degrees[2] = degrees[2], degrees[1]
     rep = verify_affine_presentation(mod)
@@ -435,7 +435,7 @@ def test_vector_module_swapped_degrees_fail_purity():
 
 def test_tensor_module_certifies_and_grades():
     t = W(1, "q").tensor(W(1, "q^5"))
-    assert t.dim == 4 and t.certified
+    assert t.dim == 4
     assert t.grading.degrees == [(0,), (-1,), (-1,), (-2,)]
 
 
@@ -446,7 +446,7 @@ def test_numeric_vector_module_is_the_mapped_exact_module(q0, kind):
     nf = NumericField(q0)
     num = build_vector_evaluation(2, parse_scalar("q"), field=nf)
     exact = W(2, "q")
-    assert num.certified and num.field is nf
+    assert num.field is nf
     assert {type(x) for M in num.E.values() for r in M.rows for x in r} == {kind}
     assert verify_affine_presentation(num).ok
     assert num.grading == exact.grading
@@ -457,14 +457,13 @@ def test_numeric_vector_module_is_the_mapped_exact_module(q0, kind):
             assert ours == getattr(exact, gens)[j].map_entries(nf.from_scalar, nf)
 
 
-@pytest.mark.parametrize("certify", [True, False])
-def test_numeric_tensor_refuses_different_q0(certify):
+def test_numeric_tensor_refuses_different_q0():
     a = build_vector_evaluation(1, parse_scalar("q"), field=NumericField(1.3))
     b = build_vector_evaluation(1, parse_scalar("q^5"), field=NumericField(1.7))
     with pytest.raises(DomainError):
-        a.tensor(b, certify=certify)
+        a.tensor(b)
     same = build_vector_evaluation(1, parse_scalar("q^5"), field=NumericField(1.3))
-    assert a.tensor(same, certify=certify).dim == 4
+    assert a.tensor(same).dim == 4
 
 
 def test_trivial_module_b_values_are_shifts():
@@ -600,8 +599,9 @@ def test_seed_certification_catches_damage():
     mod.E[0] = mod.E[0].scale(mod.field.q)
     assert not (evaluate_bexpr(build_Ai_minus1(1, 2), mod, p) - good).is_zero()
     # the certifier runs inside generation: with a diagonal entry added to
-    # F_1 of an uncertified W_3, node 2's bracket and braided word disagree
-    mod = build_vector_evaluation(3, Q, certify=False)
+    # F_1 of a certified W_3 after its build, node 2's bracket and braided
+    # word disagree
+    mod = build_vector_evaluation(3, Q)
     mod.F[1] = mod.F[1] + Matrix.diagonal([F.one] + [F.zero] * 3, F)
     with pytest.raises(ConstructionError, match=r"seed A_\(2,-1\): dressed bracket "
                        "and braided word disagree"):
@@ -741,6 +741,18 @@ def test_grel_window_guard():
     fam = generate_rankn_family(W(2, "q"), P(("1", "1", "1")), T=3, R=3)
     with pytest.raises(DomainError):
         verify_grel(fam, rwin=2, mmax=3)
+
+
+def test_grel_refuses_negative_windows():
+    # a negative window would walk no index of some groups and pass: at
+    # (-1, 2) grel2-grel6 would see no A at all
+    fam = generate_rankn_family(W(2, "q"), P(("1", "1", "1")), T=3, R=3)
+    for rwin, mmax in ((-3, -3), (-1, 2), (1, -1)):
+        with pytest.raises(DomainError, match=rf"window \(rwin={rwin}, "
+                                              rf"mmax={mmax}\) must be nonnegative"):
+            verify_grel(fam, rwin=rwin, mmax=mmax)
+    rep = verify_grel(fam, rwin=0, mmax=0)
+    assert rep.ok and rep.entries
 
 
 def _w2_towers(field=None, damaged=False):
@@ -982,10 +994,10 @@ def test_anchor_factorization_fails_a_damaged_grave_tower(field):
 
 
 def test_anchor_module_fails_a_damaged_module():
-    # one entry of E_0 changed on an uncertified W_1(a): the rebuilt
+    # one entry of E_0 changed on W_1(a) after its build: the rebuilt
     # V_1(-q^-2 a) disagrees at node 0 and nothing past the module runs
     a = parse_scalar("q^2")
-    mod = build_vector_evaluation(1, a, certify=False)
+    mod = build_vector_evaluation(1, a)
     mod.E[0] = Matrix([[F.zero, F.zero], [a + Scalar(1), F.zero]], F)
     fam = generate_rankn_family(mod, P(("q^2", "q^-1")), T=6, R=6)
     rep, _ = rankn_spectral_check(fam)
@@ -1108,3 +1120,6 @@ def test_spectral_window_guard():
     fam = generate_rankn_family(W(2, "q"), P(("1", "1", "1")), T=4, R=4)
     with pytest.raises(DomainError):
         rankn_spectral_check(fam, T=6)
+    for T in (0, -1):
+        with pytest.raises(DomainError, match=rf"needs order T >= 1, got T={T}$"):
+            rankn_spectral_check(fam, T=T)
