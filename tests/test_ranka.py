@@ -457,12 +457,16 @@ def test_numeric_vector_module_is_the_mapped_exact_module(q0, kind):
             assert ours == getattr(exact, gens)[j].map_entries(nf.from_scalar, nf)
 
 
-def test_numeric_tensor_refuses_different_q0():
+@pytest.mark.parametrize("swap", [True, False])
+def test_numeric_tensor_refuses_different_q0(swap):
+    # the refusal holds whichever factor sits on the left
     a = build_vector_evaluation(1, parse_scalar("q"), field=NumericField(1.3))
     b = build_vector_evaluation(1, parse_scalar("q^5"), field=NumericField(1.7))
+    if swap:
+        a, b = b, a
     with pytest.raises(DomainError):
         a.tensor(b)
-    same = build_vector_evaluation(1, parse_scalar("q^5"), field=NumericField(1.3))
+    same = build_vector_evaluation(1, parse_scalar("q^5"), field=a.field)
     assert a.tensor(same).dim == 4
 
 
