@@ -14,8 +14,9 @@ Subpackage map:
               loop-sl2 generators, which extend_loop_data alone derives
               from the Chevalley action, and their relation certificates
 * onsager   — the one parameter type and family type, the tower core that
-              builds every family, rank one (N = 1, node 1) generation and
-              its certification suites
+              builds every family, the i-Serre suite of the seeds
+              (verify_iserre, every rank), rank one (N = 1, node 1)
+              generation and its certification suites
 * spectra   — spectral factorization, Drinfeld data, coproduct checks
 * ranka     — vector evaluation modules W_N(a), braided seed words, the
               rank-N generator, its relation and spectral suites

@@ -86,6 +86,9 @@ degrees of its factors.  degree_components splits an operator by the
 shift vector (row degree minus column degree) into a plain dict, taking
 each shift once per pair of distinct degrees met.
 
+serre_sides gives the two sides of a Serre-type relation written as a
+nested q-bracket, the one form of both Serre-type suites.
+
 ProductMemo computes each product A @ B (and each q-bracket) once while it
 lives, for the relation suites, which multiply the same stored matrices
 again and again.  It keys on operand identity, never on entries, and keeps
@@ -131,6 +134,7 @@ __all__ = [
     "ProductMemo",
     "qbracket",
     "commutator",
+    "serre_sides",
     "degree_components",
 ]
 
@@ -344,19 +348,6 @@ class Matrix:
             return _image_scale(self, _scalar(c))
         return Matrix._adopt([list(map(mul, repeat(c), r)) for r in self.rows],
                              self.field)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise DomainError(f"negative matrix power {k}: no inverse is kept")
-        out = Matrix.identity(self.n, self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -665,6 +656,23 @@ def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
 def commutator(A: Matrix, B: Matrix) -> Matrix:
     """[A, B] = AB - BA, without qbracket's scaling by 1."""
     return A @ B - B @ A
+
+
+def serre_sides(X: Matrix, Y: Matrix, n: int, q):
+    """The two sides (X acc, q^(1-n) acc X) of the outermost bracket of
+
+        ad_{q^(1-n)}(X) .. ad_{q^(n-3)}(X) ad_{q^(n-1)}(X) Y,    ad_v(X)Y = XY - vYX,
+
+    acc being the inner n - 1 brackets applied to Y (a bracket at q^0 is
+    the commutator).  Left and right multiplication by X commute, so by the
+    q-binomial theorem the nested bracket, the difference of the two sides,
+    is the alternating sum sum_r (-1)^r [n r] X^(n-r) Y X^r for any X, Y:
+    the Serre-type relations with n = 1 - a_ij, in 2n products.
+    """
+    acc = Y
+    for e in range(n - 1, 1 - n, -2):
+        acc = commutator(X, acc) if e == 0 else qbracket(X, acc, q ** e)
+    return X @ acc, (acc @ X).scale(q ** (1 - n))
 
 
 class ProductMemo:

@@ -12,7 +12,16 @@ grading of that basis in simple-root coordinates relative to basis vector
 sum the factor degrees, and remember their factors (kron order: the left
 factor is the slow index).  verify_affine_presentation is the one
 Chevalley-level relation suite, for every rank; every module a builder or
-a tensor product hands back has passed it.
+a tensor product hands back has passed it.  It writes each q-Serre
+relation as a nested q-bracket, with n = 1 - a_ij,
+
+    ad_{q^(1-n)}(X_i) .. ad_{q^(n-3)}(X_i) ad_{q^(n-1)}(X_i) X_j = 0,
+    ad_v(X)Y = XY - vYX,
+
+which equals the alternating q-binomial sum of matrix powers, and compares
+the two sides of the outermost bracket (linmat.serre_sides): _meq judges
+an equality at the scale of its two sides, which a bracket tested against
+the zero matrix would lose.
 
 At rank one a module may also carry the loop generators: the invertible
 diagonal K, the mode operators x^+_k and x^-_k for |k| up to a window, the
@@ -54,9 +63,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_components
+from .linmat import (Grading, Matrix, ProductMemo, _meq, commutator, degree_components,
+                     serre_sides)
 from .report import CheckReport
-from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
+from .scalars import ExactField, Q, Scalar, parse_scalar
 from .series import series_exp, series_log
 
 __all__ = [
@@ -346,12 +356,16 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     over all nodes is 1), Cartan conjugation with the affine pairing,
     the [E, F] pairing, the q-Serre relations for every bond type, and
     purity of each Chevalley generator with respect to the grading.
+
+    The q-Serre entry (i, j) compares the two sides of the outermost
+    bracket of the nested form (``serre_sides``), at their own scale.
+    Their difference is the alternating sum, so an exact witness names an
+    entry and value of sum_r (-1)^r [n r] X_i^(n-r) X_j X_i^r.
     """
     typ = M.typ
     f = M.field
     kap = f.q - f.one / f.q
     I = Matrix.identity(M.dim, f)
-    Z = Matrix.zeros(M.dim, M.dim, f)
     rep = CheckReport(f"affine presentation on {M.describe()}")
 
     for i in typ.nodes:
@@ -393,12 +407,7 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
                 continue
             n = 1 - typ.cartan(i, j)
             for X, tag in ((M.E, "serre_e"), (M.F, "serre_f")):
-                # the even-r terms of the alternating sum against the odd-r ones
-                sides = [Z, Z]
-                for r in range(n + 1):
-                    term = (X[i] ** (n - r)) @ X[j] @ (X[i] ** r)
-                    sides[r % 2] = sides[r % 2] + term.scale(f.from_scalar(qbinom(n, r)))
-                ok, w = _meq(*sides, f)
+                ok, w = _meq(*serre_sides(X[i], X[j], n, f.q), f)
                 rep.add(tag, (i, j), ok, w)
 
     g = M.grading
@@ -608,13 +617,16 @@ def phi_series(V: AffineModule, T=None):
     z^k coefficient of Phi(z^-1)), and Psi[k] is psi_k.
 
     Raises DomainError when the stored coefficients are not diagonal (the
-    basis is then not an l-weight basis) or T exceeds the stored order.
+    basis is then not an l-weight basis) or T is negative or exceeds the
+    stored order.
     """
     if not V.has_loop_data:
         raise DomainError("module carries no loop-generator data")
     T = V.T if T is None else T
     if T > V.T:
         raise DomainError(f"series order {T} exceeds stored order {V.T}")
+    if T < 0:
+        raise DomainError(f"series order needs T >= 0, got T={T}")
     f = V.field
     for name, store in (("phi", V.phi), ("psi", V.psi)):
         for k in range(0, T + 1):

@@ -4,7 +4,8 @@ A realization starts from the seeds
 
     B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1,       j = 0, .., N,
 
-on a module with Chevalley data (``eta_bmats``).  One parameter type
+on a module with Chevalley data (``eta_bmats``); ``verify_iserre`` checks
+their i-Serre relations at every rank.  One parameter type
 (RankNParams) and one family type (RankNFamily) serve every rank; rank one,
 the q-Onsager algebra, is N = 1 with its towers at node 1.  One seeder,
 ``_tower_seeds``, gives each finite node i its seed A_{i,-1}, the dressed
@@ -29,10 +30,10 @@ from collections.abc import Mapping
 from itertools import islice
 
 from .errors import DomainError
-from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket
+from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket, serre_sides
 from .loopsl2 import AffineModule, EvalParams, build_evaluation
 from .report import CheckReport
-from .scalars import ExactField, Q, Scalar, parse_scalar, qbinom
+from .scalars import ExactField, Q, Scalar, parse_scalar
 from .series import FPoly, RationalFunction, log_terms, pade_reconstruct
 
 
@@ -433,23 +434,40 @@ def generate_family(p: RankNParams, V: AffineModule, T: int = 6,
 # -- presentation checks ---------------------------------------------------------
 
 
-def verify_qdolangrady(p: RankNParams, B0: Matrix, B1: Matrix) -> CheckReport:
-    """The q-deformed Dolan-Grady relations for the seed pair."""
-    f = B0.field
-    ctx = _Ctx(p, f)
-    rep = CheckReport("q-Dolan-Grady relations")
-    binom = [f.from_scalar(qbinom(3, r)) for r in range(4)]
+def verify_iserre(module: AffineModule, params: RankNParams) -> CheckReport:
+    """The i-Serre relations of the seeds B_j (``eta_bmats``), one entry
+    per ordered pair of nodes i != j, at every rank.
+
+    With n = 1 - a_ij, the nested bracket of ``serre_sides`` is
+    ad_{q^(1-n)}(B_i) .. ad_{q^(n-1)}(B_i) B_j, and by bond type
+
+        a_ij =  0:  B_i B_j = B_j B_i,
+        a_ij = -1:  ad_{q^-1}(B_i) ad_q(B_i) B_j = -q c_i B_j,
+        a_ij = -2:  ad_{q^-2}(B_i) ad_1(B_i) ad_{q^2}(B_i) B_j
+                        = -q c_i [2]^2 [B_i, B_j]   (q-Dolan-Grady)
+
+    (Letzter 2002; Kolb, Adv. Math. 267, 2014).  Each entry compares the
+    left side of the outermost bracket with its right side plus the bond's
+    right-hand term.
+    """
+    f = module.field
+    B = eta_bmats(module, params)
+    typ = module.typ
     two = f.qint(2)
-    cvals = (ctx.c0, ctx.c1)
-    for (i, j), (Bi, Bj) in (((0, 1), (B0, B1)), ((1, 0), (B1, B0))):
-        lhs = Matrix.zeros(B0.n, B0.n, f)
-        sign = f.one
-        for r in range(4):
-            lhs = lhs + ((Bi ** (3 - r)) @ Bj @ (Bi**r)).scale(sign * binom[r])
-            sign = -sign
-        rhs = commutator(Bi, Bj).scale(-(f.q * cvals[i] * two * two))
-        ok, w = _meq(lhs, rhs, f)
-        rep.add("qdolangrady", (i, j), ok, w)
+    rep = CheckReport(f"i-Serre relations on {module.describe()} ({params.describe()})")
+    for i in typ.nodes:
+        qc = f.q * f.from_scalar(params.c[i])
+        for j in typ.nodes:
+            if i == j:
+                continue
+            n = 1 - typ.cartan(i, j)
+            left, right = serre_sides(B[i], B[j], n, f.q)
+            if n == 2:
+                right = right - B[j].scale(qc)
+            elif n == 3:
+                right = right - commutator(B[i], B[j]).scale(qc * two * two)
+            ok, w = _meq(left, right, f)
+            rep.add("iserre", (i, j), ok, w)
     return rep
 
 

@@ -65,13 +65,12 @@ __all__ = [
 # -- small shared helpers ---------------------------------------------------------
 
 
-def _bad_shifts(M: Matrix, g: Grading, bound: int):
-    """Degree shifts < bound carrying a nonzero component of M."""
-    return [sh[0] for sh in sorted(degree_components(M, g)) if sh[0] < bound]
-
-
-def _shift_zero(M: Matrix, g: Grading) -> Matrix:
-    return degree_components(M, g).get((0,)) or Matrix.zeros(M.n, M.m, M.field)
+def _by_degree(M: Matrix, g: Grading, bound: int = 0):
+    """(shifts, part): the degree shifts < bound that carry a nonzero
+    component of M, and its shift-zero part, from one split of M."""
+    comps = degree_components(M, g)
+    return ([sh[0] for sh in sorted(comps) if sh[0] < bound],
+            comps.get((0,)) or Matrix.zeros(M.n, M.m, M.field))
 
 
 def _second_factor_grading(V: AffineModule) -> Grading:
@@ -154,7 +153,7 @@ def lweight_lines(V: AffineModule, T: int | None = None):
     phi_series returns: dplus from Psi, dminus from Phi.  phi_series raises
     DomainError when the stored psi/phi matrices are not diagonal (tensor
     towers generally are not; their line data lives on the graded pieces
-    instead) or T exceeds the stored order.
+    instead) or T is negative or exceeds the stored order.
     """
     Phi, Psi = phi_series(V, T)
     lines = []
@@ -408,17 +407,17 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
         T = fam.T
     if T > fam.T:
         raise DomainError(f"order {T} exceeds the family window (T={fam.T})")
+    if T < 0:
+        raise DomainError(f"factorization check needs order T >= 0, got T={T}")
     extend_loop_data(V, window=1, T=T)
     C = f.from_scalar(p.C)
     gtot = V.grading.total()
     rep = CheckReport(f"factorization on {V.describe()} ({p.describe()})")
     shift0 = []
     for s in range(T + 1):
-        th = fam.theta_grave[1][s]
-        bad = _bad_shifts(th, gtot, 0)
+        bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        d0 = _shift_zero(th, gtot)
         want = Matrix.zeros(V.dim, V.dim, f)
         for v in range(s + 1):
             want = want + (V.phi[s - v] @ V.psi[v]).scale(C ** v)
@@ -601,16 +600,15 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
     fam0 = generate_family(p.with_s_zero(), V, T=T, R=2 * T)
     D = onedim_closed_form(p, f).expand_at_zero(T)
     gtot = V.grading.total()
-    diag0 = [_shift_zero(fam0.theta_grave[1][s], gtot) for s in range(T + 1)]
+    diag0 = [_by_degree(fam0.theta_grave[1][s], gtot)[1] for s in range(T + 1)]
     for s in range(T + 1):
-        th = fam.theta_grave[1][s]
-        bad = _bad_shifts(th, gtot, 0)
+        bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
         want = Matrix.zeros(V.dim, V.dim, f)
         for u in range(s + 1):
             want = want + diag0[s - u].scale(D[u])
-        ok, wit = _meq(_shift_zero(th, gtot), want, f)
+        ok, wit = _meq(d0, want, f)
         rep.add("scaled_diagonal", (s,), ok, wit)
 
     if V.factors is not None:
@@ -619,16 +617,15 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
         famW0 = generate_family(p.with_s_zero(), W, T=T, R=2 * T)
         g2 = _second_factor_grading(V)
         gW = W.grading.total()
-        w0 = [_shift_zero(famW0.theta_grave[1][v], gW) for v in range(T + 1)]
+        w0 = [_by_degree(famW0.theta_grave[1][v], gW)[1] for v in range(T + 1)]
         for s in range(T + 1):
-            th = fam.theta_grave[1][s]
-            bad = _bad_shifts(th, g2, 0)
+            bad, d0 = _by_degree(fam.theta_grave[1][s], g2)
             rep.add("tensor_triangular", (s,), not bad,
                     None if not bad else f"right-lowering shifts {bad}")
             want = Matrix.zeros(V.dim, V.dim, f)
             for u in range(s + 1):
                 want = want + famX.theta_grave[1][u].kron(w0[s - u])
-            ok, wit = _meq(_shift_zero(th, g2), want, f)
+            ok, wit = _meq(d0, want, f)
             rep.add("tensor_diagonal", (s,), ok, wit)
     return rep
 
@@ -717,7 +714,7 @@ def coproduct_aplus_check(p: RankNParams, V: AffineModule, W: AffineModule,
                 leg = leg + kg[v]
             pred = pred + famV.a(1, u).kron(leg)
         diff = famT.a(1, r) - pred
-        bad = _bad_shifts(diff, g2, 2)
+        bad = _by_degree(diff, g2, 2)[0]
         rep.add("twisted_primitive", (r,), not bad,
                 None if not bad else f"right-shift components {bad}")
     return rep

@@ -17,8 +17,9 @@ from qonsager.linmat import (
     commutator,
     degree_components,
     qbracket,
+    serre_sides,
 )
-from qonsager.scalars import ExactField, NumericField, Q, Scalar, qint
+from qonsager.scalars import ExactField, NumericField, Q, Scalar, qbinom, qint
 
 F = ExactField()
 
@@ -566,12 +567,38 @@ def test_kron_mixed_product(A, B, C, D):
     assert A.kron(B) @ C.kron(D) == (A @ C).kron(B @ D)
 
 
-def test_negative_power_refused():
-    A = Matrix.diagonal([Q, Q**-1], F)
-    assert A ** 0 == Matrix.identity(2, F)
-    assert A ** 3 == Matrix.diagonal([Q**3, Q**-3], F)
-    with pytest.raises(DomainError):
-        A ** -1
+def serre_sum(X, Y, n, field):
+    """The reference form of a Serre-type relation: the alternating
+    q-binomial sum sum_r (-1)^r [n r] X^(n-r) Y X^r, powers by repeated
+    products."""
+    powers = [Matrix.identity(X.n, field)]
+    for _ in range(n):
+        powers.append(powers[-1] @ X)
+    out = Matrix.zeros(X.n, X.n, field)
+    for r in range(n + 1):
+        term = (powers[n - r] @ Y @ powers[r]).scale(field.from_scalar(qbinom(n, r)))
+        out = out - term if r % 2 else out + term
+    return out
+
+
+@given(mats(3), mats(3), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_nested_bracket_is_the_alternating_sum_exact(X, Y, n):
+    left, right = serre_sides(X, Y, n, F.q)
+    assert left - right == serre_sum(X, Y, n, F)
+
+
+@given(st.lists(st.floats(-2, 2), min_size=18, max_size=18), st.integers(1, 3),
+       st.sampled_from([1.3, 0.7, complex(0.6, 0.8)]))
+@settings(max_examples=60, deadline=None)
+def test_nested_bracket_is_the_alternating_sum_numeric(vals, n, q0):
+    # entries within 2 keep rounding far below the tolerance at scale 1
+    field = NumericField(q0)
+    X = Matrix([vals[0:3], vals[3:6], vals[6:9]], field)
+    Y = Matrix([vals[9:12], vals[12:15], vals[15:18]], field)
+    left, right = serre_sides(X, Y, n, field.q)
+    ok, w = _meq(left - right, serre_sum(X, Y, n, field), field)
+    assert ok, w
 
 
 # ------------------------------------------------------------------ gradings

@@ -40,6 +40,7 @@ from qonsager.loopsl2 import (
     verify_aux_identities,
     verify_drinfeld_relations,
 )
+from qonsager.ranka import build_vector_evaluation
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, qint, specialize
 from qonsager.series import FPoly, RationalFunction
 
@@ -250,6 +251,28 @@ def test_serre_certified_on_build():
     assert rep.ok
 
 
+@pytest.mark.parametrize("build, entry, want", [
+    (lambda: V(2, "q", window=1, T=1), (1, 0, 1), {
+        ("serre_e", (0, 1)): "entry (2,0) = q^12+2*q^10+2*q^8+q^6",
+        ("serre_e", (1, 0)): "entry (0,2) = -q^6-q^5-2*q^4-q^3-2*q^2-q-1"}),
+    (lambda: build_vector_evaluation(3, Q), (1, 0, 0), {
+        ("serre_e", (1, 0)): "entry (3,0) = q",
+        ("serre_e", (1, 2)): "entry (0,2) = 1"}),
+], ids=["double-bond", "single-bond"])
+def test_damaged_module_fails_serre_with_frozen_witnesses(build, entry, want):
+    # one entry of E_i raised by 1 after the build; each witness is the
+    # entry and value of the alternating q-binomial sum, frozen from the
+    # form that summed matrix powers
+    mod = build()
+    i, r, c = entry
+    rows = [list(x) for x in mod.E[i].rows]
+    rows[r][c] += F.one
+    mod.E[i] = Matrix(rows, F)
+    rep = verify_affine_presentation(mod)
+    assert {(e.name, e.indices): e.witness for e in rep.failures()
+            if e.name.startswith("serre")} == want
+
+
 @pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
 def test_dictionary_suite_is_the_affine_presentation(field):
     # rank one is A_1: the Chevalley action is certified by the rank-N suite
@@ -323,6 +346,13 @@ def test_phi_series_diagonal_and_guarded():
     mod.psi[1] = Matrix(damaged, F)
     with pytest.raises(DomainError):
         phi_series(mod)
+
+
+def test_phi_series_refuses_a_negative_order():
+    mod = V(1, "q")
+    with pytest.raises(DomainError, match="T=-1"):
+        phi_series(mod, -1)
+    assert phi_series(mod, 0) == ([mod.Kinv], [mod.K])
 
 
 def test_aux_identities_hold():

@@ -32,8 +32,8 @@ from qonsager.onsager import (
     onedim_drf,
     rationality_check,
     tau_dual_check,
+    verify_iserre,
     verify_presentation,
-    verify_qdolangrady,
 )
 from qonsager.ranka import (RankNParams, build_vector_evaluation, generate_rankn_family,
                             verify_grel)
@@ -176,18 +176,47 @@ def test_embed_cross_checked_on_evaluation():
     assert B1.rows[1][0] == Scalar(1)
     assert B1.rows[0][1] == -(q**2) * q**-1      # -c1 q^2 K^-1 x+_0 entry
     assert B1.rows[0][0] == parse_scalar("q") * q**-1
-    rep = verify_qdolangrady(p, B0, B1)
+    rep = verify_iserre(mod, p)
     assert rep.ok, rep.summary()
 
 
 def test_qdolangrady_detects_damage():
+    # B_1 scaled by q: F_1 and K_1^-1 scaled by q after the build
     p = P("1", "1", "1", "q")
     mod = V(1, "q")
-    B = eta_bmats(mod, p)
-    B0, B1 = B[0], B[1]
-    rep = verify_qdolangrady(p, B0, B1.scale(Q))
+    mod.F[1] = mod.F[1].scale(Q)
+    mod.Kcinv[1] = mod.Kcinv[1].scale(Q)
+    assert eta_bmats(mod, p)[1] == eta_bmats(V(1, "q"), p)[1].scale(Q)
+    rep = verify_iserre(mod, p)
     assert not rep.ok
-    assert any(e.name == "qdolangrady" for e in rep.failures())
+    assert any(e.name == "iserre" for e in rep.failures())
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
+def test_iserre_holds_at_every_bond_type(field):
+    # a_ij = -2 on V_n with shifts; a_ij = -1 and 0 on W_N tensors
+    for n in (1, 2, 3):
+        rep = verify_iserre(V(n, "q", window=1, T=1, field=field), P("q", "2", "1", "q"))
+        assert rep.ok and len(rep.entries) == 2, rep.summary()
+    for N in (2, 3, 4):
+        mod = tensor(build_vector_evaluation(N, Q, field=field),
+                     build_vector_evaluation(N, parse_scalar("q^3"), field=field))
+        rep = verify_iserre(mod, RankNParams([f"q^{k}" for k in range(N + 1)]))
+        assert rep.ok and len(rep.entries) == N * (N + 1), rep.summary()
+
+
+@pytest.mark.parametrize("N, failing", [(1, {(1, 0)}), (2, {(1, 0), (1, 2)}),
+                                        (3, {(1, 0), (1, 2)})])
+def test_iserre_fails_on_a_damaged_module(N, failing):
+    # one entry of E_1 raised by 1 after the build; at N <= 2 the braided
+    # seed certificate cannot see this, the i-Serre relations do
+    mod = build_vector_evaluation(N, Q)
+    rows = [list(r) for r in mod.E[1].rows]
+    rows[0][1] += F.one
+    mod.E[1] = Matrix(rows, F)
+    rep = verify_iserre(mod, RankNParams([1] * (N + 1)))
+    assert {e.indices for e in rep.failures()} == failing
+    assert {e.name for e in rep.failures()} == {"iserre"}
 
 
 def test_presentation_on_v1():

@@ -400,6 +400,21 @@ def test_factorization_rejects_nonzero_shifts():
         factorization_check(fam_on(PS, V(1, "q"), T=2))
 
 
+def test_factorization_refuses_a_negative_order():
+    fam = fam_on(P0, V(1, "q"), T=4)
+    with pytest.raises(DomainError, match="T=-1"):
+        factorization_check(fam, -1)
+    rep, _ = factorization_check(fam, 0)
+    assert rep.ok and len(rep.entries) == 2
+
+
+def test_lweight_lines_refuse_a_negative_order():
+    mod = V(1, "q")
+    with pytest.raises(DomainError, match="T=-1"):
+        lweight_lines(mod, -1)
+    assert [len(line.dplus) for line in lweight_lines(mod, 0)] == [1, 1]
+
+
 def test_factorization_gauge_independent():
     # conjugating by a grading-preserving diagonal must not change verdicts
     # or the diagonal line data
