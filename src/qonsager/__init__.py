@@ -13,13 +13,15 @@ Subpackage map:
               product and presentation suite; rank one (N = 1) adds the
               loop-sl2 generators, which extend_loop_data alone derives
               from the Chevalley action, and their relation certificates
-* onsager   — the one parameter type and family type, the tower core that
-              builds every family, the i-Serre suite of the seeds
-              (verify_iserre, every rank), rank one (N = 1, node 1)
-              generation and its certification suites
+* onsager   — the one parameter type and family type, the one generator
+              of every rank (generate_family: seeds certified by their
+              i-Serre relations, verify_iserre, then the tower core), and
+              the rank-one (N = 1, node 1) certification suites
 * spectra   — spectral factorization, Drinfeld data, coproduct checks
-* ranka     — vector evaluation modules W_N(a), braided seed words, the
-              rank-N generator, its relation and spectral suites
+* ranka     — vector evaluation modules W_N(a), braided seed words and
+              their relation suite, the rank-N relation suite, its
+              transpose dual and the spectral suite; generate_rankn_family
+              is generate_family with the arguments (module, params, R, T)
 """
 
 from ._kernel import KERNEL_NAME

@@ -222,7 +222,8 @@ class AffineModule:
 
     @classmethod
     def trivial(cls, N: int, field=None):
-        """The one-dimensional module: E = F = 0, K = 1."""
+        """The one-dimensional module: E = F = 0, K = 1, certified by the
+        presentation suite like every built module."""
         f = field if field is not None else _EXACT
         M = cls(AffineTypeA(N), f)
         M.dim = 1
@@ -235,6 +236,7 @@ class AffineModule:
             M.Kcinv[j] = one
         M.grading = Grading([tuple([0] * N)])
         M.meta = {"name": f"triv_{N}", "builder": "trivial"}
+        _refuse_failure(M, verify_affine_presentation(M))
         return M
 
     def tensor(self, other: "AffineModule") -> "AffineModule":

@@ -7,21 +7,20 @@ A realization starts from the seeds
 on a module with Chevalley data (``eta_bmats``); ``verify_iserre`` checks
 their i-Serre relations at every rank.  One parameter type
 (RankNParams) and one family type (RankNFamily) serve every rank; rank one,
-the q-Onsager algebra, is N = 1 with its towers at node 1.  One seeder,
-``_tower_seeds``, gives each finite node i its seed A_{i,-1}, the dressed
-bracket of ``node_bracket`` on the seed matrices (q^-2 c0^-1 B0 at N = 1);
-``generate_family`` (rank one) and ``ranka.generate_rankn_family``, which
-also certifies each seed against its braided word, both seed through it.
-One core, ``_grow_family``, builds every family from the B_j and these
-seeds: the two-sided ladder A_r, the commuting charges H_m and the central
-coefficients Theta_m with their reweighted forms.  The ladder and the Theta
-towers are built at once; H_m is the log of the Theta series and is grown
-on its first read, so a check pays only for the charges it reads.  Equal
-B_j and seeds give equal towers, so the rank-one anchor of ``ranka``
-compares seeds.
+the q-Onsager algebra, is N = 1 with its towers at node 1.  One generator,
+``generate_family``, serves every rank: it builds the B_j once, certifies
+them by their i-Serre relations, and seeds each finite node i through
+``_tower_seeds`` with A_{i,-1}, the dressed bracket of ``node_bracket`` on
+the seed matrices (q^-2 c0^-1 B0 at N = 1).  One core, ``_grow_family``,
+builds every family from the B_j and these seeds: the two-sided ladder
+A_r, the commuting charges H_m and the central coefficients Theta_m with
+their reweighted forms.  The ladder and the Theta towers are built at
+once; H_m is the log of the Theta series and is grown on its first read,
+so a check pays only for the charges it reads.  Equal B_j and seeds give
+equal towers, so the rank-one anchor of ``ranka`` compares seeds.
 The rank-one suites below read node 1 and refuse other ranks through one
-guard (``_rank_one``).  All series are truncated, nothing is formally
-inverted.
+guard (``_rank_one``); the rank-N suites, the transpose dual among them,
+live in ``ranka``.  All series are truncated, nothing is formally inverted.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from itertools import islice
 
 from .errors import DomainError
 from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket, serre_sides
-from .loopsl2 import AffineModule, EvalParams, build_evaluation
+from .loopsl2 import AffineModule, _refuse_failure
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
 from .series import FPoly, RationalFunction, log_terms, pade_reconstruct
@@ -388,7 +387,7 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
 
 
 def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
-                 R: int | None) -> RankNFamily:
+                 R: int) -> RankNFamily:
     """The one core that builds every family, rank one included.
 
     ``B`` holds the seeds B_j of every node and ``am1`` the seed A_{i,-1}
@@ -397,12 +396,8 @@ def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
         H_{i,1} = q^2 C_i^-1 [A_{i,-1}, B_i]_{q^-2},
 
     and then its towers from ``_grow_tower`` with the global C and node
-    weight c_i.  Default R = 2T keeps every relation check in range.
+    weight c_i.
     """
-    if R is None:
-        R = 2 * T
-    if T < 1 or R < max(1, T - 1):
-        raise DomainError(f"need T >= 1 and R >= T - 1, got T={T}, R={R}")
     f = module.field
     fam = RankNFamily(module, params, f)
     fam.T, fam.R = T, R
@@ -420,23 +415,33 @@ def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
 
 def generate_family(p: RankNParams, V: AffineModule, T: int = 6,
                     R: int | None = None) -> RankNFamily:
-    """The rank-one family on V: A_{1,r} (|r| <= R), H_{1,m} and Theta_{1,m}
-    (m <= T), seeded by ``_tower_seeds`` as every family is, which at N = 1
-    gives A_{1,-1} = q^-2 c0^-1 B0.
+    """The family on V at any rank: A_{i,r} (|r| <= R), H_{i,m} and
+    Theta_{i,m} (m <= T) at every finite node i.
 
-    Parameters of another rank are refused by ``_rank_one``, a module of
-    another rank by ``eta_bmats``.
+    The seeds B_j are built once and certified by their i-Serre relations,
+    the entries of ``verify_iserre``; a failing entry raises
+    ConstructionError, as the module builders do.  Each node is then seeded
+    by ``_tower_seeds`` (at N = 1, A_{1,-1} = q^-2 c0^-1 B0) and grown by
+    ``_grow_family``; default R = 2T keeps every relation check in range.
+    Windows without T >= 1 and R >= T - 1 are refused before any seed is
+    built, and parameters of another rank than V's by ``eta_bmats``.
     """
-    B = eta_bmats(V, _rank_one(p))
+    if R is None:
+        R = 2 * T
+    if T < 1 or R < max(1, T - 1):
+        raise DomainError(f"need T >= 1 and R >= T - 1, got T={T}, R={R}")
+    B = eta_bmats(V, p)
+    _refuse_failure(V, verify_iserre(V, p, B))
     return _grow_family(V, p, B, _tower_seeds(B, p, V.field), T, R)
 
 
 # -- presentation checks ---------------------------------------------------------
 
 
-def verify_iserre(module: AffineModule, params: RankNParams) -> CheckReport:
-    """The i-Serre relations of the seeds B_j (``eta_bmats``), one entry
-    per ordered pair of nodes i != j, at every rank.
+def verify_iserre(module: AffineModule, params: RankNParams, B=None) -> CheckReport:
+    """The i-Serre relations of the seeds B_j (``eta_bmats``, or ``B`` when
+    the caller has built them), one entry per ordered pair of nodes i != j,
+    at every rank.
 
     With n = 1 - a_ij, the nested bracket of ``serre_sides`` is
     ad_{q^(1-n)}(B_i) .. ad_{q^(n-1)}(B_i) B_j, and by bond type
@@ -448,10 +453,13 @@ def verify_iserre(module: AffineModule, params: RankNParams) -> CheckReport:
 
     (Letzter 2002; Kolb, Adv. Math. 267, 2014).  Each entry compares the
     left side of the outermost bracket with its right side plus the bond's
-    right-hand term.
+    right-hand term.  One ProductMemo serves the suite, so B_i B_j and
+    B_j B_i are taken once for both orders of the pair and for [B_i, B_j].
     """
     f = module.field
-    B = eta_bmats(module, params)
+    if B is None:
+        B = eta_bmats(module, params)
+    mul = ProductMemo().mul
     typ = module.typ
     two = f.qint(2)
     rep = CheckReport(f"i-Serre relations on {module.describe()} ({params.describe()})")
@@ -461,26 +469,28 @@ def verify_iserre(module: AffineModule, params: RankNParams) -> CheckReport:
             if i == j:
                 continue
             n = 1 - typ.cartan(i, j)
-            left, right = serre_sides(B[i], B[j], n, f.q)
+            left, right = serre_sides(B[i], B[j], n, f.q, mul)
             if n == 2:
                 right = right - B[j].scale(qc)
             elif n == 3:
-                right = right - commutator(B[i], B[j]).scale(qc * two * two)
+                right = right - (mul(B[i], B[j]) - mul(B[j], B[i])).scale(qc * two * two)
             ok, w = _meq(left, right, f)
             rep.add("iserre", (i, j), ok, w)
     return rep
 
 
-def _theta_exchange(memo: ProductMemo, A, theta_at, c, C, r: int, s: int):
-    """Both sides of the same-node Theta exchange relation at (r, s):
+def _theta_exchange(memo: ProductMemo, A, theta, c, C, r: int, s: int):
+    """Both sides of the same-node Theta exchange relation at r <= s:
 
         [A_r, A_{s+1}]_{q^-2} - q^-2 [A_{r+1}, A_s]_{q^2}
             = c (C^r Theta_{s-r+1} - q^-2 C^{r+1} Theta_{s-r-1}) + (r <-> s)
 
-    for one node's ladder ``A`` (a dict), its ``theta_at`` index function
-    (zero below index 0), node weight c and recursion constant C.  The
-    ladder products come from ``memo``: over a window of (r, s) the pair
-    (A_a, A_b) comes back from (r, s) = (a, b - 1) and (a - 1, b).
+    for one node's ladder ``A`` and Theta tower ``theta`` (dicts), node
+    weight c and recursion constant C.  Theta vanishes below index 0, so
+    the right side leaves out Theta_{r-s-1} always, Theta_{s-r-1} at s = r
+    and Theta_{r-s+1} at s >= r + 2.  The ladder products come from
+    ``memo``: over a window of (r, s) the pair (A_a, A_b) comes back from
+    (r, s) = (a, b - 1) and (a - 1, b).
     """
     f = A[r].field
     q2 = f.q * f.q
@@ -488,16 +498,17 @@ def _theta_exchange(memo: ProductMemo, A, theta_at, c, C, r: int, s: int):
     mul = memo.mul
     lhs = (mul(A[r], A[s + 1]) - mul(A[s + 1], A[r]).scale(qm2)) \
         - (mul(A[r + 1], A[s]) - mul(A[s], A[r + 1]).scale(q2)).scale(qm2)
-    rhs = theta_at(s - r + 1).scale(c * C**r) \
-        - theta_at(s - r - 1).scale(qm2 * c * C ** (r + 1)) \
-        + theta_at(r - s + 1).scale(c * C**s) \
-        - theta_at(r - s - 1).scale(qm2 * c * C ** (s + 1))
+    rhs = theta[s - r + 1].scale(c * C**r)
+    if s > r:
+        rhs = rhs - theta[s - r - 1].scale(qm2 * c * C ** (r + 1))
+    if s < r + 2:
+        rhs = rhs + theta[r - s + 1].scale(c * C**s)
     return lhs, rhs
 
 
 def _check_windows(fam, rwin: int, mmax: int):
     """Refuse negative relation windows and windows that reach past the
-    generated towers."""
+    generated towers; returns the (R, T) the window reads up to."""
     if rwin < 0 or mmax < 0:
         raise DomainError(f"window (rwin={rwin}, mmax={mmax}) must be nonnegative")
     need_R = rwin + max(mmax, 1)
@@ -507,24 +518,28 @@ def _check_windows(fam, rwin: int, mmax: int):
             f"window (rwin={rwin}, mmax={mmax}) needs R >= {need_R} and "
             f"T >= {need_T}; the family has R={fam.R}, T={fam.T}"
         )
+    return need_R, need_T
 
 
-def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
-                      rwin: int, mmax: int, prefix: str = ""):
-    """Shared core for the three defining relation groups.
+def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
+    """rel1-rel3 on a rank-one family, exactly, over the given windows.
 
-    ``A`` and ``H`` are mappings, ``theta_at`` an index function honouring
-    the zero-below-zero convention; the window reads H[1..mmax] and
-    Theta up to index 2 rwin + 1.  rel3 is symmetric under swapping
-    (r, s), so only r <= s is walked.
+    The window reads H_1..H_mmax and Theta up to index 2 rwin + 1.  rel3 is
+    symmetric under swapping (r, s), so only r <= s is walked.
     """
+    ctx = _Ctx(fam.params, fam.field)
+    _check_windows(fam, rwin, mmax)
     f = ctx.field
+    A, H = fam.A[1], fam.H[1]
+    rep = CheckReport(
+        f"presentation relations ({fam.params.describe()}, rwin={rwin}, m<={mmax})"
+    )
 
     memo = ProductMemo()  # H[m] @ H[m] once on the diagonal
     for m in range(1, mmax + 1):
         for n in range(m, mmax + 1):
             ok, w = _meq(memo.mul(H[m], H[n]), memo.mul(H[n], H[m]), f)
-            rep.add(prefix + "rel1", (m, n), ok, w)
+            rep.add("rel1", (m, n), ok, w)
 
     for m in range(1, mmax + 1):
         coef = f.qint(2 * m) * f.from_fraction(1, m)
@@ -533,49 +548,14 @@ def _relation_entries(rep: CheckReport, A, H, theta_at, ctx: _Ctx,
             lhs = commutator(H[m], A[r])
             rhs = (A[r + m] - A[r - m].scale(Cm)).scale(coef)
             ok, w = _meq(lhs, rhs, f)
-            rep.add(prefix + "rel2", (m, r), ok, w)
+            rep.add("rel2", (m, r), ok, w)
 
     memo = ProductMemo()
     for r in range(-rwin, rwin + 1):
         for s in range(r, rwin + 1):
-            lhs, rhs = _theta_exchange(memo, A, theta_at, ctx.c1, ctx.C, r, s)
+            lhs, rhs = _theta_exchange(memo, A, fam.theta[1], ctx.c1, ctx.C, r, s)
             ok, w = _meq(lhs, rhs, f)
-            rep.add(prefix + "rel3", (r, s), ok, w)
-
-
-def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
-    """rel1-rel3 on a rank-one family, exactly, over the given windows."""
-    ctx = _Ctx(fam.params, fam.field)
-    _check_windows(fam, rwin, mmax)
-    rep = CheckReport(
-        f"presentation relations ({fam.params.describe()}, rwin={rwin}, m<={mmax})"
-    )
-    _relation_entries(rep, fam.A[1], fam.H[1], lambda m: fam.theta_at(1, m), ctx,
-                      rwin, mmax)
-    return rep
-
-
-def tau_dual_check(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
-    """The transpose-dual family must satisfy the same presentation.
-
-    Dual data: A'_r = C^r (A_{-r})^t, H'_m = (H_m)^t, Theta'_m = (Theta_m)^t,
-    transposed only where the window reads them: H'_1..H'_mmax and
-    Theta'_0..Theta'_(2 rwin + 1).
-    """
-    ctx = _Ctx(fam.params, fam.field)
-    _check_windows(fam, rwin, mmax)
-    Ad = {r: fam.a(1, -r).transpose().scale(ctx.C**r)
-          for r in range(-fam.R, fam.R + 1)}
-    Hd = {m: fam.h(1, m).transpose() for m in range(1, mmax + 1)}
-    thd = {m: fam.theta_at(1, m).transpose() for m in range(0, 2 * rwin + 2)}
-
-    def theta_at(m):
-        if m < 0:
-            return Matrix.zeros(fam.I.n, fam.I.n, fam.field)
-        return thd[m]
-
-    rep = CheckReport(f"transpose-dual presentation ({fam.params.describe()})")
-    _relation_entries(rep, Ad, Hd, theta_at, ctx, rwin, mmax, prefix="dual_")
+            rep.add("rel3", (r, s), ok, w)
     return rep
 
 
@@ -747,8 +727,7 @@ def onedim_character(p: RankNParams, T: int = 6, field=None):
     Returns (report, closed form).
     """
     f = field or ExactField()
-    V = build_evaluation(EvalParams(0, Scalar(1)), window=1, T=1, field=f)
-    fam = generate_family(p, V, T=T, R=2 * T)
+    fam = generate_family(p, AffineModule.trivial(1, f), T=T, R=2 * T)
     ctx = _Ctx(p, f)
     rep = CheckReport(f"one-dimensional dual path ({p.describe()})")
 

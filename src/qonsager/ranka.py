@@ -1,4 +1,4 @@
-"""Higher-rank affine type A: braided seed words and per-node towers.
+"""Higher-rank affine type A: braided seed words and the rank-N suites.
 
 Conventions, fixed once and relied on everywhere below:
 
@@ -71,9 +71,12 @@ Conventions, fixed once and relied on everywhere below:
   evaluates it on the seed matrices for every family, rank one included,
   and ``build_Ai_minus1`` keeps it as a seed expression.  Up to the
   calibration sign o(i) the same element is the full word,
-  A_{i,-1} = T_{omega_i}(B_i); generation certifies the two against each
-  other.  The seeds go to the core that builds every family
-  (``onsager._grow_family``): from A_{i,0} = B_i and
+  A_{i,-1} = T_{omega_i}(B_i); ``verify_braid_relations`` certifies the two
+  against each other (its ``seed_word`` entries), a comparison that cannot
+  fail at N <= 2.  Generation certifies the B_j by their i-Serre relations,
+  which see a damaged module at every rank.  The one generator
+  (``onsager.generate_family``) hands the seeds to the core that builds
+  every family (``onsager._grow_family``): from A_{i,0} = B_i and
 
       H_{i,1} = q^2 C_i^-1 [A_{i,-1}, A_{i,0}]_{q^-2}
 
@@ -82,6 +85,10 @@ Conventions, fixed once and relied on everywhere below:
   log of Theta, and the acute/grave reweightings.  The parameter and
   family types (RankNParams, RankNFamily) and the seed matrices
   (``eta_bmats``) live there too.
+
+* Transpose dual.  A'_{i,r} = C^r (A_{i,-r})^t, H'_{i,m} = (H_{i,m})^t and
+  Theta'_{i,m} = (Theta_{i,m})^t satisfy the same relations, which
+  ``tau_dual_check`` certifies by running ``verify_grel`` on them.
 """
 
 from typing import NamedTuple
@@ -91,7 +98,7 @@ from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_compo
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
-                      _grow_family, _theta_exchange, _tower_seeds, eta_bmats,
+                      _theta_exchange, _tower_seeds, eta_bmats, generate_family,
                       node_bracket, onedim_closed_form, pk_bracket)
 from .report import CheckReport
 from .scalars import ExactField, ONE, Q, Scalar, qint
@@ -110,6 +117,7 @@ __all__ = [
     "evaluate_bexpr",
     "generate_rankn_family",
     "verify_grel",
+    "tau_dual_check",
     "verify_braid_relations",
     "braid_compat_check",
     "rankn_spectral_check",
@@ -482,30 +490,9 @@ def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,
 
 def generate_rankn_family(module: AffineModule, params: RankNParams,
                           R: int | None = None, T: int = 6) -> RankNFamily:
-    """Generate the per-node towers from the seed brackets.
-
-    Each finite node i is seeded with A_{i,-1} from ``onsager._tower_seeds``,
-    the dressed bracket on the seed matrices with its calibration sign o(i),
-    and grows its towers in the core that builds every family
-    (``onsager._grow_family``).  Each seed is checked against o(i) times
-    the braided word T_{omega_i}(B_i), which is the image X_i of B_i under
-    ev . T_{omega_i}, built on matrices letter by letter (``_braid_images``),
-    before anything grows out of it.  Default R = 2T keeps every relation
-    check in range.
-    """
-    f = module.field
-    B = eta_bmats(module, params)
-    am1 = _tower_seeds(B, params, f)
-    kvals = _kvals(module, params)
-    for i, Am1 in am1.items():
-        X, _ = _braid_images(omega_word(i, params.N), B, kvals, f)
-        ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
-        if not ok:
-            raise ConstructionError(
-                f"seed A_({i},-1): dressed bracket and braided word "
-                f"disagree: {w}"
-            )
-    return _grow_family(module, params, B, am1, T, R)
+    """``onsager.generate_family``, the one generator of every rank, with
+    its arguments in the order (module, params, R, T)."""
+    return generate_family(params, module, T, R)
 
 
 # -- relations -----------------------------------------------------------------------
@@ -606,8 +593,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         memo = ladder[i] = ProductMemo()
         for r in range(-rwin, rwin + 1):
             for s in range(r, rwin + 1):
-                lhs, rhs = _theta_exchange(
-                    memo, fam.A[i], lambda m, i=i: fam.theta_at(i, m), ci, C, r, s)
+                lhs, rhs = _theta_exchange(memo, fam.A[i], fam.theta[i], ci, C, r, s)
                 ok, w = _meq(lhs, rhs, f)
                 rep.add("grel5", (i, r, s), ok, w)
 
@@ -666,6 +652,28 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
     return rep
 
 
+def tau_dual_check(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
+    """``verify_grel`` on the transpose-dual family, at every rank.
+
+    Dual data: A'_{i,r} = C^r (A_{i,-r})^t, H'_{i,m} = (H_{i,m})^t and
+    Theta'_{i,m} = (Theta_{i,m})^t, transposed only where the window reads
+    them: |r| <= rwin + max(mmax, 1), H'_1..H'_mmax and Theta' up to index
+    max(mmax, 2 rwin + 1).
+    """
+    f = fam.field
+    C = f.from_scalar(fam.params.C)
+    dual = RankNFamily(fam.module, fam.params, f)
+    dual.R, dual.T = _check_windows(fam, rwin, mmax)
+    for i in fam.A:
+        dual.A[i] = {r: fam.a(i, -r).transpose().scale(C**r)
+                     for r in range(-dual.R, dual.R + 1)}
+        dual.H[i] = {m: fam.h(i, m).transpose() for m in range(1, mmax + 1)}
+        dual.theta[i] = {m: fam.theta_at(i, m).transpose() for m in range(dual.T + 1)}
+    rep = verify_grel(dual, rwin, mmax)
+    rep.title = "transpose-dual " + rep.title
+    return rep
+
+
 def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckReport:
     """Braid, commutation and rotation relations of the T_i on a module.
 
@@ -673,7 +681,9 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
     braid relation when a_ij = -1, compared on the evaluated image of
     each seed; plus pi T_i = T_{i+1} pi throughout, where the images of
     T_{i+1} are read at B_{k+1} = pi(B_k).  Double bonds only admit the
-    rotation check on their own seeds.
+    rotation check on their own seeds.  Per finite node i, ``seed_word``
+    compares the tower seed A_{i,-1} of ``onsager._tower_seeds`` with
+    o(i) T_{omega_i}(B_i), the image X_i of B_i under ev . T_{omega_i}.
     """
     typ = module.typ
     f = module.field
@@ -706,6 +716,11 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
                 continue
             ok, w = _meq(lhs[k], rhs[typ.rotate(k)], f)
             rep.add("rotation", (i, k), ok, w)
+
+    for i, Am1 in _tower_seeds(gens[0], params, f).items():
+        X = _braid_images(omega_word(i, typ.N), *gens, f)[0]
+        ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
+        rep.add("seed_word", (i,), ok, w)
     return rep
 
 

@@ -27,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qonsager import loopsl2
 from qonsager.errors import ConstructionError, DomainError
 from qonsager.linmat import Matrix, _meq, degree_components
 from qonsager.loopsl2 import (
+    AffineModule,
     EvalParams,
     _assemble_evaluation,
     build_evaluation,
@@ -41,6 +43,7 @@ from qonsager.loopsl2 import (
     verify_drinfeld_relations,
 )
 from qonsager.ranka import build_vector_evaluation
+from qonsager.report import CheckReport
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, qint, specialize
 from qonsager.series import FPoly, RationalFunction
 
@@ -319,6 +322,20 @@ def test_tensor_chevalley_certified():
     # nesting parenthesizes
     abc = tensor(ab, V(0, "1"))
     assert abc.describe() == "(V1(q)*V1(q^2))*V0(1)"
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "q0=1.3"])
+def test_trivial_module_certifies_itself(field, monkeypatch):
+    # trivial runs the presentation suite on what it hands back, as every
+    # builder does, and refuses a failing entry
+    for N in (1, 2, 3):
+        assert verify_affine_presentation(AffineModule.trivial(N, field)).ok
+    bad = CheckReport("forced")
+    bad.add("level_zero", (), False, "forced failure")
+    monkeypatch.setattr(loopsl2, "verify_affine_presentation", lambda M: bad)
+    with pytest.raises(ConstructionError,
+                       match=r"triv_2: relation level_zero\(\) failed \[forced failure\]"):
+        AffineModule.trivial(2, field)
 
 
 def test_tensor_mixed_backends_rejected():

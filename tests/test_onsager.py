@@ -31,12 +31,11 @@ from qonsager.onsager import (
     onedim_closed_form,
     onedim_drf,
     rationality_check,
-    tau_dual_check,
     verify_iserre,
     verify_presentation,
 )
 from qonsager.ranka import (RankNParams, build_vector_evaluation, generate_rankn_family,
-                            verify_grel)
+                            tau_dual_check, verify_grel)
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
 from qonsager.series import FPoly, RationalFunction
 from qonsager.spectra import drf_reports, factorization_check
@@ -205,18 +204,32 @@ def test_iserre_holds_at_every_bond_type(field):
         assert rep.ok and len(rep.entries) == N * (N + 1), rep.summary()
 
 
-@pytest.mark.parametrize("N, failing", [(1, {(1, 0)}), (2, {(1, 0), (1, 2)}),
-                                        (3, {(1, 0), (1, 2)})])
-def test_iserre_fails_on_a_damaged_module(N, failing):
-    # one entry of E_1 raised by 1 after the build; at N <= 2 the braided
-    # seed certificate cannot see this, the i-Serre relations do
+def _damaged_e1(N):
+    """W_N(q) with one entry of E_1 raised by 1 after the build."""
     mod = build_vector_evaluation(N, Q)
     rows = [list(r) for r in mod.E[1].rows]
     rows[0][1] += F.one
     mod.E[1] = Matrix(rows, F)
-    rep = verify_iserre(mod, RankNParams([1] * (N + 1)))
+    return mod
+
+
+@pytest.mark.parametrize("N, failing", [(1, {(1, 0)}), (2, {(1, 0), (1, 2)}),
+                                        (3, {(1, 0), (1, 2)})])
+def test_iserre_fails_on_a_damaged_module(N, failing):
+    # at N <= 2 the braided seed word cannot see this damage, the i-Serre
+    # relations do
+    rep = verify_iserre(_damaged_e1(N), RankNParams([1] * (N + 1)))
     assert {e.indices for e in rep.failures()} == failing
     assert {e.name for e in rep.failures()} == {"iserre"}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_generation_refuses_a_damaged_module(N):
+    # the one generator certifies its seeds by their i-Serre relations and
+    # names the first failing entry, at every rank
+    with pytest.raises(ConstructionError, match=r"W_%d\(q\): relation iserre\(1, 0\) "
+                                                r"failed \[entry " % N):
+        generate_family(RankNParams([1] * (N + 1)), _damaged_e1(N), T=1, R=1)
 
 
 def test_presentation_on_v1():
@@ -252,14 +265,14 @@ def test_presentation_detects_damage():
 @pytest.mark.parametrize("field", [None, NumericField(1.3)])
 def test_presentation_and_dual_pin_their_damage(field):
     # A_2 scaled by q: every rel2/rel3 instance that reads A_2 (or, in the
-    # dual, A'_{-2}) fails, exactly and at a numeric q0 alike
+    # dual's grel2/grel5, A'_{-2}) fails, exactly and at a numeric q0 alike
     p = P("q^2", "q^-2", "1", "q")
     fam = generate_family(p, V(1, "q", field=field), T=5, R=6)
     fam.A[1][2] = fam.A[1][2].scale(fam.field.q)
-    for check, want in ((verify_presentation, {"rel2": 6, "rel3": 9}),
-                        (tau_dual_check, {"dual_rel2": 6, "dual_rel3": 5})):
+    for check, count, want in ((verify_presentation, 36, {"rel2": 6, "rel3": 9}),
+                               (tau_dual_check, 33, {"grel2": 6, "grel5": 5})):
         rep = check(fam, rwin=2, mmax=3)
-        assert len(rep.entries) == 36
+        assert len(rep.entries) == count
         assert Counter(e.name for e in rep.failures()) == want, check.__name__
 
 
@@ -291,18 +304,19 @@ def test_negative_windows_are_refused(check):
 
 def test_rank_one_entry_points_refuse_other_ranks():
     # rank-one parameters on W_3(q) are refused by the seeds, and a rank-3
-    # family by every rank-one suite, instead of checking nodes 0 and 1
+    # family by every rank-one suite, instead of checking nodes 0 and 1;
+    # the one generator and the transpose dual run at rank 3
     w3 = build_vector_evaluation(3, parse_scalar("q"))
     with pytest.raises(DomainError, match="parameters for rank 1 on a rank 3 module"):
         generate_family(P(1, 1, 0, 0), w3, T=3, R=4)
     fam = generate_rankn_family(w3, RankNParams([1] * 4), T=3, R=4)
+    assert generate_family(fam.params, w3, T=3, R=4).A == fam.A
+    assert tau_dual_check(fam, rwin=1, mmax=1).ok
     suites = (lambda: verify_presentation(fam, rwin=1, mmax=1),
-              lambda: tau_dual_check(fam, rwin=1, mmax=1),
               lambda: rationality_check(fam),
               lambda: factorization_check(fam),
               lambda: drf_reports(fam),
-              lambda: onedim_closed_form(fam.params),
-              lambda: generate_family(fam.params, w3, T=3, R=4))
+              lambda: onedim_closed_form(fam.params))
     for suite in suites:
         with pytest.raises(DomainError, match="rank-one suite needs N = 1, got rank 3"):
             suite()
@@ -489,16 +503,18 @@ def test_charges_cost_products_only_when_read(monkeypatch):
 
 
 def test_dual_reads_the_charges_the_presentation_reads(monkeypatch):
-    # both suites read H_1..H_mmax only: on fresh families they take the
-    # same products, log products included
+    # both suites read H_1..H_mmax only, so on a fresh family neither grows
+    # a charge past mmax
     p = P("q^2", "q^-2", "1", "q")
-    counts = []
+    getitem = onsager._Charges.__getitem__
     for check in (verify_presentation, tau_dual_check):
         fam = generate_family(p, V(1, "q"), T=8, R=8)
-        calls = _count_products(monkeypatch)
+        read = set()
+        monkeypatch.setattr(onsager._Charges, "__getitem__",
+                            lambda H, m: read.add(m) or getitem(H, m))
         assert check(fam, rwin=2, mmax=3).ok
-        counts.append(calls[0])
-    assert counts[0] == counts[1]
+        monkeypatch.undo()
+        assert read == {1, 2, 3}, check.__name__
 
 
 def test_charges_are_a_read_only_mapping_over_their_window():

@@ -44,6 +44,7 @@ from qonsager.ranka import (
     omega_word,
     pk_bracket,
     rankn_spectral_check,
+    tau_dual_check,
     verify_affine_presentation,
     verify_braid_relations,
     verify_grel,
@@ -602,14 +603,47 @@ def test_seed_certification_catches_damage():
     # damaging a module matrix after build changes the evaluated bracket
     mod.E[0] = mod.E[0].scale(mod.field.q)
     assert not (evaluate_bexpr(build_Ai_minus1(1, 2), mod, p) - good).is_zero()
-    # the certifier runs inside generation: with a diagonal entry added to
-    # F_1 of a certified W_3 after its build, node 2's bracket and braided
-    # word disagree
+    # with a diagonal entry added to F_1 of a certified W_3 after its build,
+    # node 2's bracket and braided word disagree, and generation refuses the
+    # module by its i-Serre relations
     mod = build_vector_evaluation(3, Q)
     mod.F[1] = mod.F[1] + Matrix.diagonal([F.one] + [F.zero] * 3, F)
-    with pytest.raises(ConstructionError, match=r"seed A_\(2,-1\): dressed bracket "
-                       "and braided word disagree"):
+    rep = verify_braid_relations(mod, P(("1",) * 4))
+    assert [e.indices for e in rep.failures() if e.name == "seed_word"] == [(2,)]
+    with pytest.raises(ConstructionError, match=r"W_3\(q\): relation iserre\(0, 1\) failed"):
         generate_rankn_family(mod, P(("1",) * 4), T=1, R=1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_seed_word_entries_pass_on_vector_modules(N):
+    rep = verify_braid_relations(W(N, "q"), P([f"q^{k}" for k in range(N + 1)]))
+    assert rep.ok, rep.summary()
+    assert [e.indices for e in rep.entries if e.name == "seed_word"] == [
+        (i,) for i in range(1, N + 1)]
+
+
+def test_generation_builds_no_braid_images(monkeypatch):
+    # the towers grown from the braided-word seeds o(i) T_{omega_i}(B_i)
+    # are the towers generation grows, and generation builds no braid image
+    cases = []
+    for N, a in ((1, "q^2"), (2, "q"), (3, "q^-1"), (4, "q^3")):
+        mod, p = W(N, a), P([f"q^{k}" for k in range(N + 1)])
+        B = eta_bmats(mod, p)
+        words = {}
+        for i in range(1, N + 1):
+            X = _images(omega_word(i, N), mod, p)[0][i]
+            words[i] = X if i % 2 else X.scale(-F.one)
+        cases.append((mod, p, _grow_family(mod, p, B, words, 3, 4)))
+
+    def refuse(*args):
+        raise AssertionError("generation built braid images")
+
+    monkeypatch.setattr(ranka, "_braid_images", refuse)
+    for mod, p, want in cases:
+        fam = generate_rankn_family(mod, p, T=3, R=4)
+        for tower in ("B", "A", "Hbar1", "theta", "theta_acute", "theta_grave"):
+            assert getattr(fam, tower) == getattr(want, tower), (mod.describe(), tower)
+        assert all(fam.H[i][m] == want.H[i][m] for i in fam.H for m in range(1, 4))
 
 
 # ------------------------------------------------------------ braided moves
@@ -618,13 +652,14 @@ def test_seed_certification_catches_damage():
 def test_braid_relations_on_modules():
     rep = verify_braid_relations(W(2, "q"), P(("1", "q", "q^2")))
     assert rep.ok, rep.summary()
-    assert len(rep.entries) == 18
+    assert len(rep.entries) == 20
     rep3 = verify_braid_relations(W(3, "q^2"), P(("1", "q", "1", "q^-2")))
     assert rep3.ok, rep3.summary()
-    # rank one: only the rotation rows survive the double-bond skip
+    # rank one: the rotation rows survive the double-bond skip, beside the
+    # seed word of node 1
     rep1 = verify_braid_relations(W(1, "q"), P(("1", "q")))
     assert rep1.ok
-    assert {e.name for e in rep1.entries} == {"rotation"}
+    assert {e.name for e in rep1.entries} == {"rotation", "seed_word"}
 
 
 def _w2_tensor(field=None):
@@ -651,7 +686,7 @@ def test_numeric_braid_suites_are_the_exact_ones(damaged):
     for build in (w2, _w2_tensor):
         exact = entries(build, None)
         assert entries(build, NumericField(1.3)) == exact
-        assert [len(x) for x in exact] == [18, 1, 1]
+        assert [len(x) for x in exact] == [20, 1, 1]
         assert sum(not ok for x in exact for *_, ok in x) == (4 if damaged else 0)
 
 
@@ -697,6 +732,17 @@ def test_family_windows_and_identities():
         generate_rankn_family(W(2, "q"), P(("1", "1", "1")), T=0)
     with pytest.raises(DomainError):
         generate_rankn_family(W(2, "q"), P(("1", "1", "1")), T=5, R=2)
+
+
+def test_generation_refuses_a_window_before_building_seeds(monkeypatch):
+    # a window that cannot be grown is refused before the seeds are built
+    # and certified: no matrix product is taken
+    mod = W(3, "q")
+    calls = _count_products(monkeypatch)
+    for T, R in ((0, None), (5, 2)):
+        with pytest.raises(DomainError, match=r"need T >= 1 and R >= T - 1"):
+            generate_rankn_family(mod, P(("1",) * 4), T=T, R=R)
+    assert calls[0] == 0
 
 
 def test_trivial_module_towers_collapse():
@@ -757,6 +803,27 @@ def test_grel_refuses_negative_windows():
             verify_grel(fam, rwin=rwin, mmax=mmax)
     rep = verify_grel(fam, rwin=0, mmax=0)
     assert rep.ok and rep.entries
+
+
+@pytest.mark.parametrize("N, count", [(2, 91), (3, 207)])
+def test_transpose_dual_holds_at_higher_rank(N, count):
+    # A'_{i,r} = C^r (A_{i,-r})^t, H' = H^t and Theta' = Theta^t pass every
+    # tower relation on W_N(q) (x) W_N(q^3)
+    mod = W(N, "q").tensor(W(N, "q^3"))
+    fam = generate_rankn_family(mod, P(["1"] * (N + 1)), T=3, R=3)
+    rep = tau_dual_check(fam, rwin=1, mmax=2)
+    assert rep.ok and len(rep.entries) == count, rep.summary()
+    assert rep.title.startswith("transpose-dual ")
+
+
+def test_transpose_dual_detects_damage_at_rank_three():
+    # A_{2,1} scaled by q: the dual reads it as A'_{2,-1}, and every group
+    # that reads A'_{2,-1} fails
+    fam = generate_rankn_family(W(3, "q^-1"), P(("1", "q", "q^2", "q^-1")), T=5, R=5)
+    assert tau_dual_check(fam, rwin=1, mmax=2).ok
+    fam.A[2][1] = fam.A[2][1].scale(Q)
+    assert Counter(n for n, _ in fails(tau_dual_check(fam, rwin=1, mmax=2))) == {
+        "grel2": 12, "grel4": 6, "grel5": 3, "grel6": 30}
 
 
 def _w2_towers(field=None, damaged=False):
@@ -998,11 +1065,11 @@ def test_anchor_factorization_fails_a_damaged_grave_tower(field):
 
 
 def test_anchor_module_fails_a_damaged_module():
-    # one entry of E_0 changed on W_1(a) after its build: the rebuilt
-    # V_1(-q^-2 a) disagrees at node 0 and nothing past the module runs
-    a = parse_scalar("q^2")
-    mod = build_vector_evaluation(1, a)
-    mod.E[0] = Matrix([[F.zero, F.zero], [a + Scalar(1), F.zero]], F)
+    # W_1(q^2) that names its parameter q^3 after its build: the module
+    # keeps its relations, so generation grows it, but the rebuilt
+    # V_1(-q^-2 q^3) disagrees at node 0 and nothing past the module runs
+    mod = build_vector_evaluation(1, parse_scalar("q^2"))
+    mod.meta["a"] = parse_scalar("q^3")
     fam = generate_rankn_family(mod, P(("q^2", "q^-1")), T=6, R=6)
     rep, _ = rankn_spectral_check(fam)
     got = _anchor_entries(rep)
