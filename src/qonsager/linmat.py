@@ -122,7 +122,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, matmul, mul, neg, or_, sub
+from operator import add, itemgetter, mul, neg, or_, sub
 
 from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
 from .errors import DomainError
@@ -658,7 +658,7 @@ def commutator(A: Matrix, B: Matrix) -> Matrix:
     return A @ B - B @ A
 
 
-def serre_sides(X: Matrix, Y: Matrix, n: int, q, mul=matmul):
+def serre_sides(X: Matrix, Y: Matrix, n: int, q):
     """The two sides (X acc, q^(1-n) acc X) of the outermost bracket of
 
         ad_{q^(1-n)}(X) .. ad_{q^(n-3)}(X) ad_{q^(n-1)}(X) Y,    ad_v(X)Y = XY - vYX,
@@ -667,14 +667,12 @@ def serre_sides(X: Matrix, Y: Matrix, n: int, q, mul=matmul):
     the commutator).  Left and right multiplication by X commute, so by the
     q-binomial theorem the nested bracket, the difference of the two sides,
     is the alternating sum sum_r (-1)^r [n r] X^(n-r) Y X^r for any X, Y:
-    the Serre-type relations with n = 1 - a_ij, in 2n products, each taken
-    as ``mul``(left, right) (a ``ProductMemo.mul`` shares them across calls).
+    the Serre-type relations with n = 1 - a_ij, in 2n products.
     """
     acc = Y
     for e in range(n - 1, 1 - n, -2):
-        left, right = mul(X, acc), mul(acc, X)
-        acc = left - (right if e == 0 else right.scale(q ** e))
-    return mul(X, acc), mul(acc, X).scale(q ** (1 - n))
+        acc = commutator(X, acc) if e == 0 else qbracket(X, acc, q ** e)
+    return X @ acc, (acc @ X).scale(q ** (1 - n))
 
 
 class ProductMemo:

@@ -438,10 +438,9 @@ def generate_family(p: RankNParams, V: AffineModule, T: int = 6,
 # -- presentation checks ---------------------------------------------------------
 
 
-def verify_iserre(module: AffineModule, params: RankNParams, B=None) -> CheckReport:
-    """The i-Serre relations of the seeds B_j (``eta_bmats``, or ``B`` when
-    the caller has built them), one entry per ordered pair of nodes i != j,
-    at every rank.
+def verify_iserre(module: AffineModule, params: RankNParams, B) -> CheckReport:
+    """The i-Serre relations of the seeds B_j = ``B[j]`` (``eta_bmats``),
+    one entry per ordered pair of nodes i != j, at every rank.
 
     With n = 1 - a_ij, the nested bracket of ``serre_sides`` is
     ad_{q^(1-n)}(B_i) .. ad_{q^(n-1)}(B_i) B_j, and by bond type
@@ -453,13 +452,9 @@ def verify_iserre(module: AffineModule, params: RankNParams, B=None) -> CheckRep
 
     (Letzter 2002; Kolb, Adv. Math. 267, 2014).  Each entry compares the
     left side of the outermost bracket with its right side plus the bond's
-    right-hand term.  One ProductMemo serves the suite, so B_i B_j and
-    B_j B_i are taken once for both orders of the pair and for [B_i, B_j].
+    right-hand term.
     """
     f = module.field
-    if B is None:
-        B = eta_bmats(module, params)
-    mul = ProductMemo().mul
     typ = module.typ
     two = f.qint(2)
     rep = CheckReport(f"i-Serre relations on {module.describe()} ({params.describe()})")
@@ -469,11 +464,11 @@ def verify_iserre(module: AffineModule, params: RankNParams, B=None) -> CheckRep
             if i == j:
                 continue
             n = 1 - typ.cartan(i, j)
-            left, right = serre_sides(B[i], B[j], n, f.q, mul)
+            left, right = serre_sides(B[i], B[j], n, f.q)
             if n == 2:
                 right = right - B[j].scale(qc)
             elif n == 3:
-                right = right - (mul(B[i], B[j]) - mul(B[j], B[i])).scale(qc * two * two)
+                right = right - commutator(B[i], B[j]).scale(qc * two * two)
             ok, w = _meq(left, right, f)
             rep.add("iserre", (i, j), ok, w)
     return rep
@@ -727,8 +722,8 @@ def onedim_character(p: RankNParams, T: int = 6, field=None):
     Returns (report, closed form).
     """
     f = field or ExactField()
-    fam = generate_family(p, AffineModule.trivial(1, f), T=T, R=2 * T)
     ctx = _Ctx(p, f)
+    fam = generate_family(p, AffineModule.trivial(1, f), T=T, R=2 * T)
     rep = CheckReport(f"one-dimensional dual path ({p.describe()})")
 
     t = ctx.qm2 * ctx.s0 / ctx.c0

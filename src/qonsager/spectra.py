@@ -594,6 +594,7 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
     factor)_u x (right-degree-preserving tower at (c, 0) on the right
     factor)_v.
     """
+    p = _rank_one(p)
     f = V.field
     rep = CheckReport(f"group-like tower on {V.describe()} ({p.describe()})")
     fam = generate_family(p, V, T=T, R=2 * T)
@@ -692,6 +693,7 @@ def coproduct_aplus_check(p: RankNParams, V: AffineModule, W: AffineModule,
     The left-hand side comes from the family generated on the tensor
     module itself — never from coproduct formulas.
     """
+    p = _rank_one(p)
     extend_loop_data(W, window=1, T=max(T, 1))
     TW = tensor(V, W)
     f = TW.field

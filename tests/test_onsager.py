@@ -38,7 +38,7 @@ from qonsager.ranka import (RankNParams, build_vector_evaluation, generate_rankn
                             tau_dual_check, verify_grel)
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, parse_scalar, specialize
 from qonsager.series import FPoly, RationalFunction
-from qonsager.spectra import drf_reports, factorization_check
+from qonsager.spectra import coproduct_aplus_check, drf_reports, factorization_check, grouplike_check
 from test_ranka import _count_products
 from test_series import h_from_theta
 
@@ -175,7 +175,7 @@ def test_embed_cross_checked_on_evaluation():
     assert B1.rows[1][0] == Scalar(1)
     assert B1.rows[0][1] == -(q**2) * q**-1      # -c1 q^2 K^-1 x+_0 entry
     assert B1.rows[0][0] == parse_scalar("q") * q**-1
-    rep = verify_iserre(mod, p)
+    rep = verify_iserre(mod, p, B)
     assert rep.ok, rep.summary()
 
 
@@ -186,7 +186,7 @@ def test_qdolangrady_detects_damage():
     mod.F[1] = mod.F[1].scale(Q)
     mod.Kcinv[1] = mod.Kcinv[1].scale(Q)
     assert eta_bmats(mod, p)[1] == eta_bmats(V(1, "q"), p)[1].scale(Q)
-    rep = verify_iserre(mod, p)
+    rep = verify_iserre(mod, p, eta_bmats(mod, p))
     assert not rep.ok
     assert any(e.name == "iserre" for e in rep.failures())
 
@@ -194,13 +194,16 @@ def test_qdolangrady_detects_damage():
 @pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
 def test_iserre_holds_at_every_bond_type(field):
     # a_ij = -2 on V_n with shifts; a_ij = -1 and 0 on W_N tensors
+    p = P("q", "2", "1", "q")
     for n in (1, 2, 3):
-        rep = verify_iserre(V(n, "q", window=1, T=1, field=field), P("q", "2", "1", "q"))
+        mod = V(n, "q", window=1, T=1, field=field)
+        rep = verify_iserre(mod, p, eta_bmats(mod, p))
         assert rep.ok and len(rep.entries) == 2, rep.summary()
     for N in (2, 3, 4):
         mod = tensor(build_vector_evaluation(N, Q, field=field),
                      build_vector_evaluation(N, parse_scalar("q^3"), field=field))
-        rep = verify_iserre(mod, RankNParams([f"q^{k}" for k in range(N + 1)]))
+        p = RankNParams([f"q^{k}" for k in range(N + 1)])
+        rep = verify_iserre(mod, p, eta_bmats(mod, p))
         assert rep.ok and len(rep.entries) == N * (N + 1), rep.summary()
 
 
@@ -218,7 +221,8 @@ def _damaged_e1(N):
 def test_iserre_fails_on_a_damaged_module(N, failing):
     # at N <= 2 the braided seed word cannot see this damage, the i-Serre
     # relations do
-    rep = verify_iserre(_damaged_e1(N), RankNParams([1] * (N + 1)))
+    mod, p = _damaged_e1(N), RankNParams([1] * (N + 1))
+    rep = verify_iserre(mod, p, eta_bmats(mod, p))
     assert {e.indices for e in rep.failures()} == failing
     assert {e.name for e in rep.failures()} == {"iserre"}
 
@@ -304,8 +308,9 @@ def test_negative_windows_are_refused(check):
 
 def test_rank_one_entry_points_refuse_other_ranks():
     # rank-one parameters on W_3(q) are refused by the seeds, and a rank-3
-    # family by every rank-one suite, instead of checking nodes 0 and 1;
-    # the one generator and the transpose dual run at rank 3
+    # family or parameters by every rank-one suite before any family is
+    # grown, instead of checking nodes 0 and 1; the one generator and the
+    # transpose dual run at rank 3
     w3 = build_vector_evaluation(3, parse_scalar("q"))
     with pytest.raises(DomainError, match="parameters for rank 1 on a rank 3 module"):
         generate_family(P(1, 1, 0, 0), w3, T=3, R=4)
@@ -316,7 +321,10 @@ def test_rank_one_entry_points_refuse_other_ranks():
               lambda: rationality_check(fam),
               lambda: factorization_check(fam),
               lambda: drf_reports(fam),
-              lambda: onedim_closed_form(fam.params))
+              lambda: onedim_closed_form(fam.params),
+              lambda: onedim_character(fam.params, T=3),
+              lambda: grouplike_check(fam.params, w3, T=3),
+              lambda: coproduct_aplus_check(fam.params, w3, w3, T=3))
     for suite in suites:
         with pytest.raises(DomainError, match="rank-one suite needs N = 1, got rank 3"):
             suite()
