@@ -397,26 +397,29 @@ def _heuristic_gcd(a, b):
         c, g = pprim(_unpack(x, w))
         if g == [1]:
             return g, a, b
-        vg, g1 = x // c, sum(map(abs, g))
-        qa = _image_quotient(a, va // vg, g, g1, w)
+        vg, norms = x // c, (sum(map(abs, g)), max(map(abs, g)))
+        qa = _image_quotient(a, va // vg, g, norms, w)
         if qa is not None:
-            qb = _image_quotient(b, vb // vg, g, g1, w)
+            qb = _image_quotient(b, vb // vg, g, norms, w)
             if qb is not None:
                 return g, qa, qb
     return None
 
 
-def _image_quotient(a, qv, g, g1, w):
+def _image_quotient(a, qv, g, norms, w):
     """a / g, or None when g does not divide a, for qv = a(xi) / g(xi), an
     integer, at xi = 2^(8w), a's coefficients below xi/2 in absolute value
-    and g1 the 1-norm of g.
+    and norms = (|g|_1, |g|_inf).
 
-    Let u be the balanced digits of qv.  When g1 * max|u| < xi/2, every
-    coefficient of g*u is below xi/2 in absolute value, so g*u and a are
-    both the balanced digits of g(xi)*u(xi) = a(xi), and g*u = a in
-    ZZ[q].  A wider u proves nothing, and pdiv_exact decides."""
+    Let u be the balanced digits of qv.  Each coefficient of g*u is at
+    most both |g|_1 |u|_inf and |g|_inf |u|_1 in absolute value.  When the
+    smaller is below xi/2, g*u and a are both the balanced digits of
+    g(xi)*u(xi) = a(xi), and g*u = a in ZZ[q].  A wider u proves nothing,
+    and pdiv_exact decides."""
     u = _unpack(qv, w)
-    if g1 * max(map(abs, u)) < 1 << (8 * w - 1):
+    g1, gmax = norms
+    half = 1 << (8 * w - 1)
+    if g1 * max(map(abs, u)) < half or gmax * sum(map(abs, u)) < half:
         return u
     try:
         return pdiv_exact(a, g)

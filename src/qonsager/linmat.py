@@ -8,42 +8,45 @@ different shapes, as the product does.  The product is written either
 ``A @ B`` or ``A * B``; ``c * A`` with a scalar-like ``c`` scales
 entrywise.
 
-Exact matrices are sparse stores of integer images.  A matrix of Scalars
-keeps a shift K >= 0, a denominator D in ZZ[q] (positive leading
-coefficient, D(0) != 0), a slot width s = 8w bits and a height bound h, and
-holds each nonzero entry (i, j) as the integer P_ij(2^s), where P_ij =
-D q^K x_ij is a polynomial in ZZ[q] packed by ``_kernel._pack``, and h
-bounds the 1-norm of every P_ij.  The store is a dict of rows: row i maps
-to the dict {j: P_ij(2^s)} of its nonzero entries, and a row without one
-is absent.  While h < 2^(s-1) every coefficient of every P_ij lies in
+Both backends hold a matrix in one store, a dict of rows: row i maps to
+the dict {j: v_ij} of its nonzero entries, a row without one is absent,
+and no stored value is zero.  Every operation drops the entries that
+cancel, so the zero matrix stores nothing, and every operation walks the
+stored rows only: with nz(M) the nonzero entries of M, each costs
+O(nonzeros), never O(n m).  The row-walking is shared: a product is
+Gustavson's row-sparse product (ACM TOMS 4(3), 1978), in which each stored
+row of A meets the stored rows of B its entries select; a sum merges the
+rows stored on both sides and takes a row stored on one side alone;
+negation, the transpose and degree components move or negate stored
+values; the Kronecker product is O(nz(A) nz(B)), the size of its result.
+What a stored value is, and its arithmetic, belong to the backend.
+
+Exact matrices store integer images.  A matrix of Scalars keeps a shift K
+>= 0, a denominator D in ZZ[q] (positive leading coefficient, D(0) != 0),
+a slot width s = 8w bits and a height bound h, and stores each nonzero
+entry (i, j) as the integer P_ij(2^s), where P_ij = D q^K x_ij is a
+polynomial in ZZ[q] packed by ``_kernel._pack``, and h bounds the 1-norm
+of every P_ij.  While h < 2^(s-1) every coefficient of every P_ij lies in
 [-2^(s-1), 2^(s-1)), so P_ij is the balanced base-2^s digit string of its
 image: it decodes exactly with ``_kernel._unpack``, and an image is 0
-exactly when its entry is.  Every operation drops the entries that cancel,
-so the store holds no zero image and no empty row, and the zero matrix
-stores nothing.  Evaluation at 2^s is a ring homomorphism, so each
-operation runs on the images, entry by entry one big-integer operation
-(Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009), and bounds the
-height of its result from those of its operands, as GCDHEU bounds its
-digits (Char, Geddes and Gonnet, 1989).  With nz(M) the nonzero entries of
-M, each costs O(nonzeros), never O(n m):
+exactly when its entry is.  Evaluation at 2^s is a ring homomorphism, so
+each operation runs on the images, entry by entry one big-integer
+operation (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009), and
+bounds the height of its result from those of its operands, as GCDHEU
+bounds its digits (Char, Geddes and Gonnet, 1989):
 
-* a product is Gustavson's row-sparse product (ACM TOMS 4(3), 1978) on
-  the stored rows: each stored row of A meets the stored rows of B its
-  entries select, and the result row is summed in a dict by column; one
-  big-integer product per pair of nonzero entries that meet, plus
-  O(nz(A) + nz(AB)).  It adds the shifts and multiplies the denominators;
-  its height is at most r h_A h_B, r the longest stored row of A;
-* a sum or difference, O(nz(A) + nz(B)), takes a row stored on one side
-  as it is and merges the rows stored on both; it goes to the lcm D =
-  D_A (D_B / g), g = pgcd(D_A, D_B), one gcd per pair of matrices and none
-  when D_A = D_B, and to the larger shift: each operand's images are
-  multiplied by the image of its cofactor times q to its shift difference;
+* a product sums each result row in a dict by column: one big-integer
+  product per pair of nonzero entries that meet, plus O(nz(A) + nz(AB)).
+  It adds the shifts and multiplies the denominators; its height is at
+  most r h_A h_B, r the longest stored row of A;
+* a sum or difference, O(nz(A) + nz(B)), goes to the lcm D = D_A (D_B /
+  g), g = pgcd(D_A, D_B), one gcd per pair of matrices and none when D_A =
+  D_B, and to the larger shift: each operand's images are multiplied by
+  the image of its cofactor times q to its shift difference;
 * scaling by c = n / (q^t p), p(0) != 0, multiplies the images by n(2^s)
   and D by p, after taking the factor that n and D share out of both:
   O(nz(A)), and O(1) when c is 1 or 0;
-* negation, the transpose and degree components are O(nz(A)), image by
-  image; the Kronecker product is O(nz(A) nz(B)), the size of its result;
-  ``is_zero`` is O(1): an exact matrix is zero when it stores no row;
+* ``is_zero`` is O(1): an exact matrix is zero when it stores no row;
 * ``_meq`` and ``==`` bring both sides to one denominator and shift and
   compare the stores, O(nz(A) + nz(B)); the first differing entry in
   row-major order is the least differing stored position, since the
@@ -57,27 +60,40 @@ in wider slots.  Their values do not change, so this is done in place.  A
 product also takes out the power of q that all its entries share, so that
 the shift of a tower of products does not grow with each factor.  The
 stored form is not canonical, since P_ij and D q^K may share factors.
-An operation never writes into a store it did not build, so results may
-share rows with their operands.
+Construction coerces ints and Fractions to Scalars and refuses any other
+entry.
 
-Every exact matrix is held this way: construction coerces ints and
-Fractions to Scalars and refuses any other entry.  Canonical Scalars
-appear only when entries are read: ``rows`` decodes a dense view of the
-whole matrix on its first read and keeps it, ``nonzero_entries`` decodes
-only the stored images, and a failed ``_meq`` decodes both sides to name
-its witness.  The decoded rows refuse writes, which would miss the store:
-build a list of rows and construct a Matrix from it.
-
-A numeric matrix keeps its entries as dense rows: Python floats at a real
+Numeric matrices store their entries as they are: Python floats at a real
 q0 and complex numbers otherwise (see ``scalars.NumericField``); no
-operation here looks at which.  Its operations take the plain entrywise
-path, in C-level passes (``map`` over ``operator`` functions), with no
-zero-skipping in sums, differences, negation and scaling: a skipped
-``a + 0.0`` would keep a -0.0 that the addition turns into 0.0.  Its
-product is row-sparse too: it lists the nonzero entries of each row of the
-right operand once, then builds each row of the result from the nonzero
-entries of the matching row on the left, in ascending inner index, so
-numeric results are the same as the dense product's, bit for bit.
+operation here looks at which.  Two invariants hold: no stored value is
+zero (neither 0.0 nor -0.0, nor a complex zero of any signs), and the
+keys of every row ascend.  A zero entry therefore reads as the field's
+zero, never as -0.0.  Every result is the dense entry loop's on the
+entries as read, bit for bit, a zero result reading as the field's zero:
+
+* a product sums each row into a dense accumulator that starts at the
+  field's zero and adds a*b in ascending inner index, as the dense
+  inner-product loop does, and keeps its nonzero entries;
+* a sum adds a + b (a - b) where both sides store a row, the field's zero
+  standing for an unstored entry; a + 0, unlike a - 0, turns the -0.0
+  parts of a complex a into 0.0, so a sum computes it;
+* an unstored entry is an exact zero: a scalar or a Kronecker factor
+  that is inf or NaN leaves it 0;
+* scaling by c is deferred: the result shares its operand's store and
+  holds c, and the next operation that reads it takes c x in its own pass
+  over the entries.  A sum with it on the right, ``_meq``, ``max_abs`` and
+  ``is_zero`` apply it on the way (as BLAS folds alpha into AXPY), so no
+  scaled store is built for them; any other operation applies it first,
+  once, in place.  A product c x that is zero reads as the zero it would
+  have been stored as.
+
+Canonical entries appear only when they are read: ``rows`` decodes a dense
+view of the whole matrix on its first read and keeps it, on both
+backends; ``nonzero_entries`` decodes only the stored values, and a failed
+``_meq`` decodes both sides to name its witness.  The decoded rows refuse
+writes, which would miss the store: build a list of rows and construct a
+Matrix from it.  An operation never writes into a store it did not build,
+so results may share rows with their operands.
 
 A Grading assigns every basis index an integer degree *vector*; a module
 over the affine A_N diagram is graded in simple-root coordinates (length N,
@@ -104,10 +120,13 @@ backend tolerance of zero at the scale of the matrices it came from (their
 largest entry, and never below 1).  The rule bounds |entry|, so one
 ``field.is_zero`` call on the largest |entry|, taken in one C-level pass,
 decides it for a whole matrix or degree component, and a NaN entry is
-never zero.  _meq, the one matrix equality of the certification suites
-and the series layer, judges A = B at the scale of A and B and returns
-(ok, witness); degree_components keeps a degree component only when it is
-nonzero at the scale of the operator it splits.
+never zero.  No tolerance holds at an infinite or NaN scale: there
+nothing is zero.  _meq, the one matrix equality of the certification
+suites and the series layer, judges A = B at the scale of A and B from
+the largest |a - b|, taken without building A - B, and returns (ok,
+witness); so a matrix with a NaN or infinite entry equals no matrix.
+degree_components keeps a degree component only when it is nonzero at
+the scale of the operator it splits.
 Over the exact backend both reduce to exact comparison.  A relation is
 therefore checked by comparing its two sides, never by testing a
 difference against a zero matrix, whose scale would be lost.
@@ -122,11 +141,12 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul, neg, or_, sub
+from math import inf, isfinite
+from operator import mul, or_, sub
 
 from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
 from .errors import DomainError
-from .scalars import ZERO, Scalar, _coerce, _laurent
+from .scalars import Scalar, _coerce, _laurent
 
 __all__ = [
     "Matrix",
@@ -139,8 +159,13 @@ __all__ = [
 ]
 
 
+# Bytes per slot of a freshly encoded matrix (s = 32 bits).
+_W0 = 4
+_ONE = [1]
+
+
 class Matrix:
-    __slots__ = ("n", "m", "field", "_rows", "_nz", "_k", "_d", "_w", "_h")
+    __slots__ = ("n", "m", "field", "_rows", "_nz", "_c", "_k", "_d", "_w", "_h")
 
     def __init__(self, rows, field):
         rows = [list(r) for r in rows]
@@ -150,14 +175,19 @@ class Matrix:
         self._store(rows, field)
 
     def _store(self, rows, field):
-        """Hold rows: a numeric matrix as they are, an exact one as the
-        images of its nonzero entries, each coerced to a Scalar."""
+        """Hold the nonzero entries of rows: a numeric matrix's as they
+        are, an exact one's as images, each coerced to a Scalar."""
         self.n = len(rows)
         self.m = len(rows[0]) if rows else 0
         self.field = field
-        self._rows = rows
-        self._nz = None
+        self._rows = None
         if not field.exact:
+            nz = {}
+            for i, r in enumerate(rows):
+                row = {j: x for j, x in enumerate(r) if x}
+                if row:
+                    nz[i] = row
+            self._nz, self._c, self._k, self._d, self._w, self._h = nz, None, 0, _ONE, _W0, 0
             return
         k = 0
         parts = {}
@@ -193,8 +223,7 @@ class Matrix:
             row = {j: _encode(p, k - e, s, w) for j, (p, e) in enumerate(r) if p}
             if row:
                 nz[i] = row
-        self._rows = None
-        self._nz, self._k, self._d, self._w, self._h = nz, k, D, w, h
+        self._nz, self._c, self._k, self._d, self._w, self._h = nz, None, k, D, w, h
 
     @classmethod
     def _adopt(cls, rows, field):
@@ -205,29 +234,55 @@ class Matrix:
         return M
 
     @classmethod
-    def _image(cls, nz, n, m, k, d, w, h, field):
-        """The n x m exact matrix whose entry (i, j) is P_ij / (d q^k), where
-        nz[i][j] = P_ij(2^(8w)) for every nonzero P_ij, no other entry is
-        stored, and h bounds the 1-norm of every P_ij."""
+    def _image(cls, nz, n, m, field, k=0, d=_ONE, w=_W0, h=0):
+        """The n x m matrix that stores nz, and no other entry.  A numeric
+        nz[i][j] is the entry (i, j) itself, and k, d, w, h keep their
+        defaults.  An exact entry (i, j) is P_ij / (d q^k), where nz[i][j]
+        = P_ij(2^(8w)) and h bounds the 1-norm of every P_ij."""
         M = object.__new__(cls)
         M.n, M.m, M.field = n, m, field
         M._rows = None
-        M._nz, M._k, M._d, M._w, M._h = nz, k, d, w, h
+        M._nz, M._c, M._k, M._d, M._w, M._h = nz, None, k, d, w, h
         return M
+
+    def _settled(self):
+        """The store with no factor pending: a numeric factor still held
+        (see ``scale``) is applied first, once, in place, which does not
+        change the matrix.  Exact code reads ``_nz`` itself, since only a
+        numeric matrix holds a factor."""
+        c = self._c
+        if c is not None:
+            out = {}
+            for i, r in self._nz.items():
+                row = _kept({j: c * x for j, x in r.items()})
+                if row:
+                    out[i] = row
+            self._nz, self._c = out, None
+        return self._nz
+
+    def _values(self):
+        """Every stored value, the pending factor applied, in one C-level
+        pass; zero products stay in."""
+        vals = chain.from_iterable(map(dict.values, self._nz.values()))
+        c = self._c
+        return vals if c is None else map(mul, repeat(c), vals)
+
+    def _like(self, nz, n, m):
+        """The n x m matrix that stores nz at this matrix's shift,
+        denominator, slot width and height bound: nz holds this matrix's
+        stored values, moved or negated."""
+        return Matrix._image(nz, n, m, self.field, self._k, self._d, self._w, self._h)
 
     @property
     def rows(self):
-        """The entries, row by row.  An exact matrix decodes them on the
-        first read, into lists that refuse writes, since its images are
-        its store: build rows and construct a new Matrix instead."""
+        """The entries, row by row, decoded on the first read into lists
+        that refuse writes, since the store holds the matrix: build rows
+        and construct a new Matrix instead."""
         rows = self._rows
         if rows is None:
-            k, d, w = self._k, self._d, self._w
-            rows = [[ZERO] * self.m for _ in range(self.n)]
-            for i, r in self._nz.items():
-                row = rows[i]
-                for j, x in r.items():
-                    row[j] = _decode(x, k, d, w)
+            rows = [[self.field.zero] * self.m for _ in range(self.n)]
+            for i, j, x in self.nonzero_entries():
+                rows[i][j] = x
             rows = self._rows = _ReadOnly(map(_ReadOnly, rows))
         return rows
 
@@ -235,20 +290,13 @@ class Matrix:
 
     @classmethod
     def zeros(cls, n, m, field):
-        if field.exact:
-            return cls._image({}, n, m, 0, _ONE, _W0, 0, field)
-        z = field.zero
-        return cls._adopt([[z] * m for _ in range(n)], field)
+        return cls._image({}, n, m, field)
 
     @classmethod
     def identity(cls, n, field):
-        if field.exact:
-            return cls._image({i: {i: 1} for i in range(n)}, n, n, 0, _ONE, _W0,
-                              1 if n else 0, field)
-        z, one = field.zero, field.one
-        return cls._adopt(
-            [[one if i == j else z for j in range(n)] for i in range(n)], field
-        )
+        # the exact store holds the image of 1, at shift 0 over D = 1
+        one = 1 if field.exact else field.one
+        return cls._image({i: {i: one} for i in range(n)}, n, n, field, h=1)
 
     @classmethod
     def diagonal(cls, entries, field):
@@ -268,70 +316,26 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         _same_shape(self, other, "+")
-        if self._nz is not None and other._nz is not None:
-            return _image_sum(self, other, False)
-        return Matrix._adopt(
-            [list(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
-            self.field,
-        )
+        return _sum(self, other, False)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         _same_shape(self, other, "-")
-        if self._nz is not None and other._nz is not None:
-            return _image_sum(self, other, True)
-        return Matrix._adopt(
-            [list(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
-            self.field,
-        )
+        return _sum(self, other, True)
 
     def __neg__(self):
-        if self._nz is not None:
-            return Matrix._image(_times(self._nz, -1), self.n, self.m,
-                                 self._k, self._d, self._w, self._h, self.field)
-        return Matrix._adopt([list(map(neg, r)) for r in self._rows], self.field)
+        return self._like({i: {j: -x for j, x in r.items()} for i, r in self._settled().items()},
+                          self.n, self.m)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.m != other.n:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
-        p = other.m
-        if self._nz is not None and other._nz is not None:
-            # each entry of the product sums at most r products of entries,
-            # r the longest stored row of the left operand
-            r = max(map(len, self._nz.values()), default=0)
-            w, h = _fit((self, other), self._h * other._h * r, lambda ha, hb: ha * hb * r)
-            bnz = other._nz
-            out = {}
-            for i, ra in self._nz.items():
-                row = {}
-                get = row.get
-                for t, a in ra.items():
-                    bt = bnz.get(t)
-                    if bt is not None:
-                        for j, b in bt.items():
-                            row[j] = get(j, 0) + a * b
-                if 0 in row.values():
-                    row = {j: x for j, x in row.items() if x}
-                if row:
-                    out[i] = row
-            k = _unshifted(out, self._k + other._k, 8 * w)
-            return Matrix._image(out, self.n, p, k, _dmul(self._d, other._d), w, h,
-                                 self.field)
-        # k ascends, so every entry gets the same additions in the same order
-        # as the dense inner-product loop: results agree bit for bit.
-        out = []
-        z = self.field.zero
-        brows = [list(compress(enumerate(rb), rb)) for rb in other.rows]
-        for ra in self.rows:
-            row = [z] * p
-            for a, bk in compress(zip(ra, brows), ra):
-                for j, b in bk:
-                    row[j] = row[j] + a * b
-            out.append(row)
-        return Matrix._adopt(out, self.field)
+        if self.field.exact:
+            return _image_product(self, other)
+        return _number_product(self, other)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -344,17 +348,22 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c):
-        if self._nz is not None:
+        if self.field.exact:
             return _image_scale(self, _scalar(c))
-        return Matrix._adopt([list(map(mul, repeat(c), r)) for r in self.rows],
-                             self.field)
+        # the product c x of every entry is left to the next operation that
+        # reads the result, which takes it in its own pass over the entries
+        M = Matrix._image(self._settled(), self.n, self.m, self.field)
+        M._c = c
+        return M
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self._nz is not None and other._nz is not None:
-            return (self.n, self.m) == (other.n, other.m) and _image_diff(self, other) is None
-        return self.rows == other.rows
+        if (self.n, self.m) != (other.n, other.m) or self.field.exact != other.field.exact:
+            return False
+        if self.field.exact:
+            return _image_diff(self, other) is None
+        return self._settled() == other._settled()
 
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.rows))
@@ -362,53 +371,60 @@ class Matrix:
     # -- structure ------------------------------------------------------------
 
     def transpose(self):
-        if self._nz is not None:
-            out = {}
-            for i, r in self._nz.items():
-                for j, x in r.items():
-                    out.setdefault(j, {})[i] = x
-            return Matrix._image(out, self.m, self.n, self._k, self._d, self._w, self._h,
-                                 self.field)
-        return Matrix._adopt([list(c) for c in zip(*self._rows)], self.field)
+        # rows taken in ascending order give every column ascending keys
+        nz = self._settled()
+        out = {}
+        for i in sorted(nz):
+            for j, x in nz[i].items():
+                out.setdefault(j, {})[i] = x
+        return self._like(out, self.m, self.n)
 
     def kron(self, other):
-        if self._nz is not None and other._nz is not None:
+        n2, m2 = other.n, other.m
+        code = ()
+        if self.field.exact:
             w, h = _fit((self, other), self._h * other._h, mul)
-            n2, m2 = other.n, other.m
-            out = {i * n2 + i2: {j * m2 + j2: a * b for j, a in ra.items()
-                                 for j2, b in rb.items()}
-                   for i, ra in self._nz.items() for i2, rb in other._nz.items()}
-            return Matrix._image(out, self.n * n2, self.m * m2, self._k + other._k,
-                                 _dmul(self._d, other._d), w, h, self.field)
-        out = [[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows]
-        return Matrix._adopt(out, self.field)
+            code = (self._k + other._k, _dmul(self._d, other._d), w, h)
+        out = {}
+        for i, ra in self._settled().items():
+            for i2, rb in other._settled().items():
+                # a product of nonzero floats can underflow to zero
+                row = _kept({j * m2 + j2: a * b for j, a in ra.items() for j2, b in rb.items()})
+                if row:
+                    out[i * n2 + i2] = row
+        return Matrix._image(out, self.n * n2, self.m * m2, self.field, *code)
 
     def is_zero(self, scale=1.0):
-        if self._nz is not None:
+        if self.field.exact:
             return not self._nz
-        return self.field.is_zero(_largest(chain.from_iterable(self._rows)), scale)
+        return _vanishes(self.field, _largest(self._values()), scale)
 
     def max_abs(self):
-        """Largest |entry| after numeric coercion — the natural residual scale."""
+        """Largest |entry| after numeric coercion — the natural residual
+        scale; NaN when some |entry| is."""
         if self.field.exact:
             raise DomainError("max_abs is a numeric-backend notion")
-        return max(map(abs, chain.from_iterable(self._rows)), default=0.0)
+        return _largest(self._values())
+
+    @property
+    def nnz(self):
+        """The number of stored entries, which are the nonzero ones."""
+        return sum(map(len, self._settled().values()))
 
     def nonzero_entries(self):
         """(i, j, entry) for every nonzero entry, in row-major order; an
         exact matrix decodes only these."""
-        nz = self._nz
-        if nz is not None:
-            k, d, w = self._k, self._d, self._w
+        nz = self._settled()
+        if not self.field.exact:
             for i in sorted(nz):
-                r = nz[i]
-                for j in sorted(r):
-                    yield i, j, _decode(r[j], k, d, w)
+                for j, x in nz[i].items():
+                    yield i, j, x
             return
-        for i, r in enumerate(self._rows):
-            for j, a in enumerate(r):
-                if a:
-                    yield i, j, a
+        k, d, w = self._k, self._d, self._w
+        for i in sorted(nz):
+            r = nz[i]
+            for j in sorted(r):
+                yield i, j, _decode(r[j], k, d, w)
 
     def map_entries(self, fn, field):
         """The matrix of fn(entry) over ``field``, the field fn maps into."""
@@ -429,24 +445,142 @@ def _same_shape(A, B, op):
         raise DomainError(f"shape mismatch {A.n}x{A.m} {op} {B.n}x{B.m}")
 
 
-# -- integer images -------------------------------------------------------------
-
-# Bytes per slot of a freshly encoded matrix (s = 32 bits).
-_W0 = 4
-_ONE = [1]
-
+# -- the store ------------------------------------------------------------------
 
 class _ReadOnly(list):
-    """A list that refuses writes: the decoded rows of an exact matrix."""
+    """A list that refuses writes: the decoded rows of a matrix."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
-        raise DomainError("the rows of an exact matrix are read-only: "
+        raise DomainError("the rows of a matrix are read-only: "
                           "build rows and construct a Matrix from them")
 
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
     append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+
+def _kept(row):
+    """row without its zero values: numeric values can cancel or underflow."""
+    return row if all(row.values()) else {j: x for j, x in row.items() if x}
+
+
+def _sum(A, B, minus):
+    """A + B, or A - B when minus, of two matrices of one shape."""
+    if A.field.exact:
+        return _image_sum(A, B, minus)
+    return _number_sum(A, B, minus)
+
+
+def _number_sum(A, B, minus):
+    """A + B, or A - B when minus, over the numeric backend, entry by
+    entry as the dense sum a + b (a - b) with the field's zero at every
+    unstored entry, and the entries that cancel dropped; rows stored on
+    both sides come out in ascending column.  x - 0 is x bit for bit, so a
+    difference takes a row stored in A alone as it is; x + 0 turns -0.0
+    parts of a complex x into 0.0, so a sum computes it.  B's pending
+    factor c is applied in the same pass: b is c y."""
+    z = A.field.zero
+    a = A._settled()
+    b, c = B._nz, B._c
+    out = {}
+    for i, ra in a.items():
+        rb = b.get(i)
+        if rb is None:
+            row = ra if minus else {j: x + z for j, x in ra.items()}
+        else:
+            row = _kept(_merged(ra, rb, c, z, minus))
+        if row:
+            out[i] = row
+    for i, rb in b.items():
+        if i not in a:
+            if c is not None:
+                rb = _kept({j: c * y for j, y in rb.items()})
+            if rb:
+                out[i] = ({j: z - y for j, y in rb.items()} if minus
+                          else {j: z + y for j, y in rb.items()})
+    return Matrix._image(out, A.n, A.m, A.field)
+
+
+def _merged(ra, rb, c, z, minus):
+    """The row ra + c rb, or ra - c rb when minus, of two stored numeric
+    rows (c None: a factor of 1), in ascending column, the field's zero z
+    standing for an unstored entry, and for a product c y that is zero, as
+    ``scale`` would not store it; cancelled entries are kept."""
+    if len(ra) == len(rb):
+        # rows of one length whose columns differ fail on a KeyError
+        try:
+            if c is None:
+                if minus:
+                    return {j: x - rb[j] for j, x in ra.items()}
+                return {j: x + rb[j] for j, x in ra.items()}
+            if minus:
+                return {j: x - (y if (y := c * rb[j]) else z) for j, x in ra.items()}
+            return {j: x + (y if (y := c * rb[j]) else z) for j, x in ra.items()}
+        except KeyError:
+            pass
+    if c is not None:
+        rb = _kept({j: c * y for j, y in rb.items()})
+    if rb.keys() <= ra.keys():
+        keys = ra
+    elif ra.keys() <= rb.keys():
+        keys = rb
+    else:
+        keys = sorted(ra.keys() | rb.keys())
+    ga, gb = ra.get, rb.get
+    if minus:
+        return {j: ga(j, z) - gb(j, z) for j in keys}
+    return {j: ga(j, z) + gb(j, z) for j in keys}
+
+
+def _number_product(A, B):
+    """A @ B over the numeric backend: Gustavson's loop over the stored
+    rows into a dense accumulator row that starts at the field's zero and
+    adds a*b in ascending inner index, as the dense inner-product loop
+    does, so every entry is that loop's bit for bit."""
+    z, p = A.field.zero, B.m
+    # a stored row of B is walked once per entry of A in its column, and a
+    # list walks faster than a dict: listing them once costs O(nz(B))
+    brows = {t: list(r.items()) for t, r in B._settled().items()}
+    out = {}
+    for i, ra in A._settled().items():
+        acc = [z] * p
+        for a, bt in zip(ra.values(), map(brows.get, ra)):
+            if bt:
+                for j, b in bt:
+                    acc[j] = acc[j] + a * b
+        row = dict(compress(enumerate(acc), acc))
+        if row:
+            out[i] = row
+    return Matrix._image(out, A.n, p, A.field)
+
+
+def _image_product(A, B):
+    """A @ B over the exact backend: Gustavson's loop over the stored rows,
+    each result row summed in a dict by column."""
+    # each entry of the product sums at most r products of entries, r the
+    # longest stored row of the left operand
+    r = max(map(len, A._nz.values()), default=0)
+    w, h = _fit((A, B), A._h * B._h * r, lambda ha, hb: ha * hb * r)
+    bnz = B._nz
+    out = {}
+    for i, ra in A._nz.items():
+        row = {}
+        get = row.get
+        for t, a in ra.items():
+            bt = bnz.get(t)
+            if bt is not None:
+                for j, b in bt.items():
+                    row[j] = get(j, 0) + a * b
+        if 0 in row.values():
+            row = {j: x for j, x in row.items() if x}
+        if row:
+            out[i] = row
+    k = _unshifted(out, A._k + B._k, 8 * w)
+    return Matrix._image(out, A.n, B.m, A.field, k, _dmul(A._d, B._d), w, h)
+
+
+# -- integer images -------------------------------------------------------------
 
 
 def _scalar(x):
@@ -531,7 +665,7 @@ def _image_sum(A, B, minus):
                     del row[j]
         if row:
             out[i] = row
-    return Matrix._image(out, A.n, A.m, k, D, w, h, A.field)
+    return Matrix._image(out, A.n, A.m, A.field, k, D, w, h)
 
 
 def _lcm(da, db):
@@ -560,7 +694,7 @@ def _image_scale(A, c):
     hc = sum(map(abs, num))
     w, h = _fit((A,), A._h * hc, lambda ha: ha * hc)
     v = num[0] if len(num) == 1 else _pack(num, w)
-    return Matrix._image(_times(A._nz, v), A.n, A.m, A._k + t, D, w, h, A.field)
+    return Matrix._image(_times(A._nz, v), A.n, A.m, A.field, A._k + t, D, w, h)
 
 
 def _refit(M, w):
@@ -727,12 +861,59 @@ def _meq(A: Matrix, B: Matrix, field):
             return True, None
         i, j = ij
         return False, f"entry ({i},{j}) = {A.rows[i][j] - B.rows[i][j]}"
-    D = A - B
     scale = max(A.max_abs(), B.max_abs(), 1.0)
-    if D.is_zero(scale):
+    if _vanishes(field, _residual(A, B), scale):
         return True, None
-    i, j, v = max(D.nonzero_entries(), key=lambda t: abs(t[2]))
-    return False, f"entry ({i},{j}) residual {abs(v):.3e} at scale {scale:.3e}"
+    i, j, v = max((A - B).nonzero_entries(), key=lambda t: _modulus(t[2]))
+    return False, f"entry ({i},{j}) residual {_modulus(v):.3e} at scale {scale:.3e}"
+
+
+def _residual(A, B):
+    """The largest |a - b| over the entries of the numeric matrices A and
+    B, NaN when some |a - b| is, with no difference matrix built: the
+    values it measures are the entries of A - B, with B's alone negated.
+    Pending factors are applied on the way; a product that is zero leaves
+    |a - b| as the unstored zero would."""
+    z = A.field.zero
+    a, ca = A._nz, A._c
+    b, cb = B._nz, B._c
+    diffs = [_times_c(r, cb) for i, r in b.items() if i not in a]
+    for i, ra in a.items():
+        rb = b.get(i)
+        if rb is None:
+            diffs.append(_times_c(ra, ca))
+        elif ra.keys() == rb.keys():
+            diffs.append(map(sub, _times_c(ra, ca), _times_c(rb, cb)))
+        else:
+            if ca is not None:
+                ra = {j: ca * x for j, x in ra.items()}
+            if cb is not None:
+                rb = {j: cb * y for j, y in rb.items()}
+            keys = ra.keys() | rb.keys()
+            diffs.append(map(sub, map(ra.get, keys, repeat(z)), map(rb.get, keys, repeat(z))))
+    return _largest(chain.from_iterable(diffs))
+
+
+def _times_c(row, c):
+    """The values of a stored numeric row, times the factor c unless it is
+    None."""
+    return row.values() if c is None else map(mul, repeat(c), row.values())
+
+
+def _vanishes(field, largest, scale):
+    """The numeric zero rule: values whose largest |value| is ``largest``
+    are zero at ``scale``.  No tolerance holds at an infinite or NaN
+    scale."""
+    return isfinite(scale) and field.is_zero(largest, scale)
+
+
+def _modulus(v):
+    """|v|, and inf for a complex v whose modulus passes the largest
+    float, where abs raises."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return inf
 
 
 def _largest(values):
@@ -740,7 +921,11 @@ def _largest(values):
     NaN when some |v| is NaN, which max alone can pass over.  The numeric
     is_zero bounds |x|, so all the values are zero at a scale exactly when
     f.is_zero(_largest(values), scale) holds, and a NaN is never zero."""
-    mags = list(map(abs, values))
+    values = list(values)
+    try:
+        mags = list(map(abs, values))
+    except OverflowError:
+        mags = list(map(_modulus, values))
     total = sum(mags)
     return total if total != total else max(mags, default=0.0)
 
@@ -782,49 +967,35 @@ def degree_components(A: Matrix, g: Grading) -> dict:
     """{shift: component} of A by degree shift, row degree minus column
     degree.  Only the components that are nonzero at A's own scale are
     kept (exact: any nonzero entry), so summing the components gives A
-    back up to entries that vanish at that scale.  An exact component
-    shares A's shift, denominator, slot width and height bound, and
-    stores A's images of its entries."""
+    back up to entries that vanish at that scale.  A component stores A's
+    values of its entries, and an exact one shares A's shift, denominator,
+    slot width and height bound."""
     if A.n != g.dim or A.m != g.dim:
         raise DomainError("grading dimension does not match the matrix")
-    f = A.field
-    nz = A._nz
-    if nz is not None:
-        comps = {}
-        for s, e in _by_shift(((i, r.items()) for i, r in nz.items()), g).items():
-            cnz = {}
-            for i, j, x in e:
-                cnz.setdefault(i, {})[j] = x
-            comps[s] = Matrix._image(cnz, A.n, A.m, A._k, A._d, A._w, A._h, f)
+    comps = {s: A._like(nz, A.n, A.m) for s, nz in _by_shift(A._settled(), g).items()}
+    if A.field.exact:
         return comps
-    entries = _by_shift(((i, compress(enumerate(r), r)) for i, r in enumerate(A._rows)), g)
     scale = A.max_abs()
-    comps = {}
-    for s, e in entries.items():
-        if f.is_zero(_largest(map(itemgetter(2), e)), scale):
-            continue
-        rows = [[f.zero] * A.m for _ in range(A.n)]
-        for i, j, a in e:
-            rows[i][j] = a
-        comps[s] = Matrix._adopt(rows, f)
-    return comps
+    return {s: M for s, M in comps.items() if not M.is_zero(scale)}
 
 
-def _by_shift(rows, g):
-    """{shift: [(i, j, a), ...]} of the entries that ``rows`` yields as
-    (i, iterable of (j, a)), grouped by degree shift.  Basis indices of
-    one degree share a class, and Grading.shift runs once per pair of
-    classes met."""
+def _by_shift(nz, g):
+    """{shift: store} of the entries of the store nz, grouped by degree
+    shift, each row in its order in nz.  Basis indices of one degree share
+    a class, and Grading.shift runs once per pair of classes met."""
     classes = {}
     cls = [classes.setdefault(d, len(classes)) for d in g.degrees]
-    shifts = {}
+    shifts = [[None] * len(classes) for _ in classes]
     out = {}
-    for i, r in rows:
-        ci = cls[i]
-        for j, a in r:
-            key = (ci, cls[j])
-            s = shifts.get(key)
+    for i, r in nz.items():
+        srow = shifts[cls[i]]
+        parts = {}
+        for j, x in r.items():
+            cj = cls[j]
+            s = srow[cj]
             if s is None:
-                s = shifts[key] = g.shift(i, j)
-            out.setdefault(s, []).append((i, j, a))
+                s = srow[cj] = g.shift(i, j)
+            parts.setdefault(s, {})[j] = x
+        for s, part in parts.items():
+            out.setdefault(s, {})[i] = part
     return out

@@ -421,12 +421,12 @@ def _braid_images(word: WeylWord, bmats, kvals, field):
 def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
     """Sum over the words of e of (K-power coefficient) * (word matrix).
 
-    Word matrices are built prefix by prefix.  A prefix whose matrix has
-    no nonzero entry (by the entries' truthiness, not a tolerance) is
-    cached as None and ends its branch: the row-sparse product of an
-    all-zero left operand is all ``field.zero`` on either field, so every
-    longer word is zero too, and the words under it add nothing.  A
-    word's coefficient is computed only when its matrix is nonzero.
+    Word matrices are built prefix by prefix.  A prefix whose matrix
+    stores no entry (``nnz`` is 0: an exact zero, not a tolerance) is
+    cached as None and ends its branch: the product of a left operand that
+    stores nothing stores nothing, on either field, so every longer word
+    is zero too, and the words under it add nothing.  A word's coefficient
+    is computed only when its matrix is nonzero.
     """
     rows = [[field.zero] * dim for _ in range(dim)]
     wcache = {(): Matrix.identity(dim, field)}
@@ -436,9 +436,7 @@ def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
             head = wmat(word[:-1])
             if head is not None:
                 head = head @ bmats[word[-1]]
-                # exact is_zero is the entries' truthiness; the numeric
-                # one would apply the tolerance
-                if head.is_zero() if field.exact else not any(map(any, head.rows)):
+                if not head.nnz:
                     head = None
             wcache[word] = head
         return wcache[word]
@@ -530,7 +528,6 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
     q2 = f.q * f.q
     qm2 = f.one / q2
     two = f.qint(2)
-    Z = Matrix.zeros(fam.module.dim, fam.module.dim, f)
     nodes = list(typ.finite_nodes)
     rep = CheckReport(
         f"tower relations on {fam.module.describe()} ({p.describe()}), "
@@ -598,24 +595,18 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 rep.add("grel5", (i, r, s), ok, w)
 
     def cubic_rhs(memo, i, j, r1, r2, s):
+        # the right side's half at (r1, r2), r1 <= r2, summed from its
+        # first term; the half at (r2, r1) has no term unless r1 = r2
         d = r2 - r1
-        acc = Z
-        pp = 0
-        while d - 2 * pp - 1 >= 0:
-            acc = acc + memo.qbracket(fam.theta_at(i, d - 2 * pp - 1),
-                                      fam.a(j, s - 1), qm2) \
-                .scale((f.q ** (2 * pp)) * two * (C ** (pp + 1)))
-            pp += 1
-        pp = 1
-        while d - 2 * pp >= 0:
-            acc = acc + memo.qbracket(fam.a(j, s),
-                                      fam.theta_at(i, d - 2 * pp), qm2) \
-                .scale((f.q ** (2 * pp - 1)) * two * (C ** pp))
-            pp += 1
-        if d >= 0:
-            acc = acc + memo.qbracket(fam.a(j, s), fam.theta_at(i, d), qm2)
+        terms = [memo.qbracket(fam.theta_at(i, d - 2 * pp - 1), fam.a(j, s - 1), qm2)
+                 .scale((f.q ** (2 * pp)) * two * (C ** (pp + 1)))
+                 for pp in range((d + 1) // 2)]
+        terms += [memo.qbracket(fam.a(j, s), fam.theta_at(i, d - 2 * pp), qm2)
+                  .scale((f.q ** (2 * pp - 1)) * two * (C ** pp))
+                  for pp in range(1, d // 2 + 1)]
+        terms.append(memo.qbracket(fam.a(j, s), fam.theta_at(i, d), qm2))
         ci = f.from_scalar(p.c[i])
-        return acc.scale(-(q2 * ci * (C ** r1)))
+        return sum(terms[1:], terms[0]).scale(-(q2 * ci * (C ** r1)))
 
     for i in nodes:
         memo = ladder.pop(i)
@@ -635,8 +626,9 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                         else:
                             mid = mid + mul(a2, aj) @ a1
                         lhs = S @ aj - mid.scale(two) + aj @ S
-                        rhs = cubic_rhs(memo, i, j, r1, r2, s) \
-                            + cubic_rhs(memo, i, j, r2, r1, s)
+                        rhs = cubic_rhs(memo, i, j, r1, r2, s)
+                        if r1 == r2:
+                            rhs = rhs + rhs
                         ok, w = _meq(lhs, rhs, f)
                         rep.add("grel6", (i, r1, r2, j, s), ok, w)
 

@@ -11,18 +11,22 @@ methods of module-level classes; a definition counts as referenced when
 its name is read, as a name or an attribute, outside its own body in the
 package, the tests or the benchmark harness.
 
-An exact matrix keeps integer images and decodes ``.rows`` from them on
-first read, so those rows are read-only: no package module but ``linmat``
-writes into ``.rows``, directly or through a name bound to it.
+A matrix keeps its nonzero entries in a store, integer images over the
+exact backend, and decodes ``.rows`` from it on first read, so those rows
+are read-only: no package module but ``linmat`` writes into ``.rows``,
+directly or through a name bound to it.
 
 The numeric zero rule (a matrix vanishes at the scale of the matrices it
 came from) lives in ``linmat`` alone, so no other package module may read
 ``max_abs``, the scale that rule is taken at.
 
-An exact matrix stores the images of its nonzero entries at a slot width
-and shift that operations re-encode in place, so no package module but
-``linmat`` reads or writes the store (``_nz``, ``_k``, ``_d``, ``_w``,
-``_h``); ``scalars`` keeps its own ``_k`` and ``_h`` on Scalars.
+Both backends store a matrix's nonzero entries in one dict of rows,
+which operations may change in place without changing the matrix: an
+exact one re-encodes its images at a wider slot, and a numeric one
+applies a scale factor it still holds.  So no package module but
+``linmat`` reads or writes the store (``_nz`` and the pending factor
+``_c``) or the exact encoding (``_k``, ``_d``, ``_w``, ``_h``);
+``scalars`` keeps its own ``_k`` and ``_h`` on Scalars.
 
 ``linmat`` decides that rule by one ``field.is_zero`` call on the largest
 |entry|, and the field protocol is the one place a backend says what zero
@@ -395,8 +399,8 @@ def test_linmat_reads_no_tolerance():
                        "decide zero by field.is_zero")
 
 
-#: the attributes of an exact matrix's store
-STORE_ATTRS = ("_nz", "_k", "_d", "_w", "_h")
+#: the attributes of a matrix's store and of its exact encoding
+STORE_ATTRS = ("_nz", "_c", "_k", "_d", "_w", "_h")
 #: store-named attributes a module keeps on its own objects: a Scalar holds
 #: its power of q in ``_k`` and its hash in ``_h``; ``scalars`` sits below
 #: ``linmat`` and never holds a Matrix
@@ -433,12 +437,12 @@ def test_store_scan_flags_a_planted_access():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linmat"],
                          ids=lambda p: p.name)
 def test_only_linmat_touches_the_exact_store(path):
-    # the store holds only nonzero images at a slot width and shift that
-    # any operation may change in place; entries are read through .rows,
+    # the store holds only nonzero values, which operations may re-encode
+    # or rescale in place; entries are read through .rows,
     # nonzero_entries or _meq
     attrs = frozenset(STORE_ATTRS) - OWN_ATTRS.get(path.stem, frozenset())
     found = sorted(_store_access(ast.parse(path.read_text(), filename=str(path)), attrs))
-    assert not found, (f"{path.name} touches the exact store at {found}; "
+    assert not found, (f"{path.name} touches the matrix store at {found}; "
                        "read entries through .rows or nonzero_entries")
 
 

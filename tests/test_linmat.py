@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -158,12 +159,36 @@ def _reprs(rows):
     return [[repr(x) for x in r] for r in rows]
 
 
-def _check_product(pair):
-    nf = NumericField(1.3)
+def _read(rows, z):
+    """rows as a numeric matrix reads them back: it stores no zero, so a
+    zero entry of either sign reads as the field's zero z."""
+    return [[x if x else z for x in r] for r in rows]
+
+
+def dense_loop_product(a_rows, b_rows, z):
+    """Reference product: the dense numeric product the store replaced.  It
+    lists the nonzero entries of each row of the right operand, then builds
+    each result row from the field's zero z, adding a*b for the nonzero
+    entries a of the matching left row in ascending inner index."""
+    brows = [list(compress(enumerate(rb), rb)) for rb in b_rows]
+    out = []
+    for ra in a_rows:
+        row = [z] * len(b_rows[0])
+        for a, bk in compress(zip(ra, brows), ra):
+            for j, b in bk:
+                row[j] = row[j] + a * b
+        out.append(row)
+    return out
+
+
+def _check_product(pair, nf=NumericField(1.3)):
     A, B = (Matrix(rows, nf) for rows in pair)
     C = A @ B
     assert (C.n, C.m) == (A.n, B.m)
-    assert _reprs(C.rows) == _reprs(dense_product(A, B))
+    # a zero result reads as the field's zero, even where the loop made a
+    # complex zero at a real q0
+    assert _reprs(C.rows) == _reprs(_read(dense_product(A, B), nf.zero))
+    assert _reprs(C.rows) == _reprs(_read(dense_loop_product(*pair, nf.zero), nf.zero))
 
 
 numeric_entries = st.one_of(
@@ -191,6 +216,21 @@ def test_product_matches_dense_loop_float(pair):
     _check_product(pair)
 
 
+#: small values whose products and sums cancel exactly
+_cancelling = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
+
+
+@given(st.data(), st.sampled_from([1.3, complex(0.6, 0.8)]))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_dense_loop_with_cancellation(data, q0):
+    # entries of a product that cancel to zero are not stored, and every
+    # other entry is the dense loop's, at a real and at a complex q0
+    nf = NumericField(q0)
+    part = st.sampled_from(_cancelling)
+    entries = part if isinstance(nf.zero, float) else st.builds(complex, part, part)
+    _check_product(data.draw(product_pairs(entries, nf.zero)), nf)
+
+
 @st.composite
 def same_shape_pairs(draw, entries):
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -198,16 +238,22 @@ def same_shape_pairs(draw, entries):
 
 
 def _check_entrywise(pair, c):
-    # add, sub, neg and scale stay plain entrywise arithmetic: signed
-    # zeros and overflowing products come out as the reference's.
+    # add, sub, neg and scale are plain entrywise arithmetic on the entries
+    # as read: overflowing products and the signs of the zero parts of a
+    # nonzero complex entry come out as the reference's, and a zero result
+    # reads as the field's zero
     nf = NumericField(1.3)
-    a_rows, b_rows = pair
-    A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
+    z = nf.zero
+    A, B = Matrix(pair[0], nf), Matrix(pair[1], nf)
+    a_rows, b_rows = _read(pair[0], z), _read(pair[1], z)
+    assert _reprs(A.rows) == _reprs(a_rows)
     rows = list(zip(a_rows, b_rows))
-    assert _reprs((A + B).rows) == _reprs([[a + b for a, b in zip(ra, rb)] for ra, rb in rows])
-    assert _reprs((A - B).rows) == _reprs([[a - b for a, b in zip(ra, rb)] for ra, rb in rows])
-    assert _reprs((-A).rows) == _reprs([[-a for a in ra] for ra in a_rows])
-    scaled = _reprs([[c * a for a in ra] for ra in a_rows])
+    sums = [[a + b for a, b in zip(ra, rb)] for ra, rb in rows]
+    diffs = [[a - b for a, b in zip(ra, rb)] for ra, rb in rows]
+    assert _reprs((A + B).rows) == _reprs(_read(sums, z))
+    assert _reprs((A - B).rows) == _reprs(_read(diffs, z))
+    assert _reprs((-A).rows) == _reprs(_read([[-a for a in ra] for ra in a_rows], z))
+    scaled = _reprs(_read([[c * a for a in ra] for ra in a_rows], z))
     assert _reprs(A.scale(c).rows) == scaled
     assert _reprs((c * A).rows) == scaled
 
@@ -281,17 +327,26 @@ nan_floats = st.one_of(float_entries, st.sampled_from([_NAN, -_NAN, _INF, -_INF,
 
 
 def _check_entry_loops(pair, product, c):
-    # the C-level passes give the entry loops' arithmetic exactly: signed
-    # zeros, overflow to inf and NaN propagation included
+    # the store gives the entry loops' arithmetic on the entries as read
+    # exactly, overflow to inf and NaN propagation included.  An unstored
+    # entry is an exact zero: a scalar or a Kronecker factor that is inf
+    # or NaN leaves it zero, where the dense passes made it NaN.
     nf = NumericField(1.3)
-    a_rows, b_rows = pair
-    A, B = Matrix(a_rows, nf), Matrix(b_rows, nf)
-    assert _reprs((A + B).rows) == _reprs(_entrywise(a_rows, b_rows, lambda a, b: a + b))
-    assert _reprs((A - B).rows) == _reprs(_entrywise(a_rows, b_rows, lambda a, b: a - b))
-    assert _reprs((-A).rows) == _reprs([[-a for a in r] for r in a_rows])
-    assert _reprs(A.scale(c).rows) == _reprs([[c * a for a in r] for r in a_rows])
+    z = nf.zero
+    A, B = Matrix(pair[0], nf), Matrix(pair[1], nf)
+    a_rows, b_rows = _read(pair[0], z), _read(pair[1], z)
+    sums = _entrywise(a_rows, b_rows, lambda a, b: a + b)
+    assert _reprs((A + B).rows) == _reprs(_read(sums, z))
+    diffs = _entrywise(a_rows, b_rows, lambda a, b: a - b)
+    assert _reprs((A - B).rows) == _reprs(_read(diffs, z))
+    assert _reprs((-A).rows) == _reprs(_read([[-a for a in r] for r in a_rows], z))
+    scaled = [[c * a if a else z for a in r] for r in a_rows]
+    assert _reprs(A.scale(c).rows) == _reprs(_read(scaled, z))
+    kron = [[a * b if a and b else z for a in ra for b in rb] for ra in a_rows for rb in b_rows]
+    assert _reprs(A.kron(B).rows) == _reprs(_read(kron, z))
     P, R = (Matrix(r, nf) for r in product)
-    assert _reprs((P @ R).rows) == _reprs(dense_product(P, R))
+    assert _reprs((P @ R).rows) == _reprs(_read(dense_product(P, R), z))
+    assert _reprs((P @ R).rows) == _reprs(_read(dense_loop_product(*product, z), z))
 
 
 @given(same_shape_pairs(nan_entries), product_pairs(nan_entries, 0j), nan_entries)
@@ -433,12 +488,20 @@ def _components_reference(rows, g, field):
     return out
 
 
-def test_sparse_store_never_holds_a_zero_image():
-    A = Matrix([[Q, F.zero, 1 / (Q + 1)], [F.zero] * 3, [Q**-2, Scalar(2), F.zero]], F)
-    B = Matrix([[-Q, F.zero, F.one], [F.zero] * 3, [F.zero, Scalar(-2), Q]], F)
+@pytest.mark.parametrize("field", [F, NumericField(1.3), NumericField(complex(0.6, 0.8))],
+                         ids=["exact", "float", "complex"])
+def test_sparse_store_never_holds_a_zero_image(field):
+    # over every backend no operation stores a zero value or an empty row;
+    # the numeric matrices are the exact ones evaluated at q0
+    def mat(rows):
+        M = Matrix(rows, F)
+        return M if field is F else M.map_entries(field.from_scalar, field)
+
+    A = mat([[Q, F.zero, 1 / (Q + 1)], [F.zero] * 3, [Q**-2, Scalar(2), F.zero]])
+    B = mat([[-Q, F.zero, F.one], [F.zero] * 3, [F.zero, Scalar(-2), Q]])
     assert A._nz.keys() == {0, 2}
-    left = Matrix([[F.one, F.one], [F.one, F.zero]], F)
-    right = Matrix([[Q, F.one], [-Q, F.one]], F)
+    left = mat([[F.one, F.one], [F.one, F.zero]])
+    right = mat([[Q, F.one], [-Q, F.one]])
     g = Grading([(0,), (-1,), (-2,)])
     results = {
         "A": A,
@@ -446,17 +509,21 @@ def test_sparse_store_never_holds_a_zero_image():
         "A - A": A - A,
         "A + B": A + B,
         "product, row 0 cancels": left @ right,
-        "product, all cancels": Matrix([[Q, Q]], F) @ Matrix([[F.one], [-F.one]], F),
+        "product, all cancels": mat([[Q, Q]]) @ mat([[F.one], [-F.one]]),
         "scale(0)": A.scale(0),
-        "zeros": Matrix.zeros(4, 4, F),
+        "zeros": Matrix.zeros(4, 4, field),
         **{f"component {s}": M for s, M in degree_components(A + B, g).items()},
     }
-    for name, M in results.items():
-        assert all(r and 0 not in r.values() for r in M._nz.values()), name
-    assert (A + B).rows == [[F.zero, F.zero, F.one + 1 / (Q + 1)], [F.zero] * 3,
-                            [Q**-2, F.zero, Q]]
-    assert (left @ right)._nz.keys() == {0, 1} and (left @ right).rows[0][0] == F.zero
-    assert {name for name, M in results.items() if not M._nz} == {
+    # scale(0) holds its factor until read: the store it settles to is empty
+    stores = {name: M._settled() for name, M in results.items()}
+    for name, nz in stores.items():
+        assert all(r and 0 not in r.values() for r in nz.values()), name
+    assert [(i, j) for i, j, _ in (A + B).nonzero_entries()] == [(0, 2), (2, 0), (2, 2)]
+    if field is F:
+        assert (A + B).rows == [[F.zero, F.zero, F.one + 1 / (Q + 1)], [F.zero] * 3,
+                                [Q**-2, F.zero, Q]]
+    assert (left @ right)._nz.keys() == {0, 1} and (left @ right).rows[0][0] == field.zero
+    assert {name for name, nz in stores.items() if not nz} == {
         "A + (-A)", "A - A", "product, all cancels", "scale(0)", "zeros"}
     assert sorted(degree_components(A + B, g)) == [(-2,), (0,), (2,)]
 
@@ -693,3 +760,71 @@ def test_numeric_matrix_roundtrip():
     got = qbracket(K, E, nf.one)
     expected = E.scale(nf.q - 1 / nf.q)
     assert (got - expected).is_zero()
+
+
+@given(same_shape_pairs(nan_entries), nan_entries, st.sampled_from([1.3, complex(0.6, 0.8)]))
+@settings(max_examples=200, deadline=None)
+def test_deferred_scale_reads_as_the_scaled_store(pair, c, q0):
+    # B.scale(c) holds c until an operation reads it: a sum, _meq, max_abs
+    # and is_zero take c y in their own pass, anything else stores the
+    # products first.  Each gives, bit for bit, what it gives on the matrix
+    # built from the scaled entries, underflow to zero included.
+    nf = NumericField(q0)
+    A, B = Matrix(pair[0], nf), Matrix(pair[1], nf)
+    built = Matrix(B.scale(c).rows, nf)
+    assert _reprs((A - B.scale(c)).rows) == _reprs((A - built).rows)
+    assert _reprs((A + B.scale(c)).rows) == _reprs((A + built).rows)
+    assert _reprs((B.scale(c) - A).rows) == _reprs((built - A).rows)
+    assert _reprs((A.transpose() @ B.scale(c)).rows) == _reprs((A.transpose() @ built).rows)
+    assert repr(B.scale(c).max_abs()) == repr(built.max_abs())
+    for s in (1.0, 1e12):
+        assert B.scale(c).is_zero(s) == built.is_zero(s)
+    assert _meq(A, B.scale(c), nf) == _meq(A, built, nf)
+    assert _meq(B.scale(c), A, nf) == _meq(built, A, nf)
+    assert _reprs(B.scale(c).rows) == _reprs(built.rows)
+
+
+_NON_FINITE = [_NAN, -_NAN, complex(_NAN, 0.0), complex(0.0, _NAN), complex(_INF, _NAN),
+               _INF, -_INF, complex(0.0, -_INF)]
+
+
+@given(same_shape_pairs(nan_entries), st.data(), st.sampled_from(_NON_FINITE),
+       st.sampled_from([1.3, complex(0.6, 0.8)]))
+@settings(max_examples=150, deadline=None)
+def test_meq_never_passes_a_nan_entry(pair, data, bad, q0):
+    # a NaN or infinite entry is stored (it is not zero), so it reaches
+    # the difference, or the scale, which is then not finite: no matrix with
+    # one equals anything, itself and a copy with the same entry included.
+    # |inf + nan j| is inf, so at the infinite scale it sets, a tolerance
+    # would have passed it against any matrix.
+    nf = NumericField(q0)
+    a_rows, b_rows = pair
+    i = data.draw(st.integers(0, len(a_rows) - 1))
+    j = data.draw(st.integers(0, len(a_rows[0]) - 1))
+    a_rows[i][j] = bad
+    A = Matrix(a_rows, nf)
+    for B in (A, Matrix(a_rows, nf), Matrix(b_rows, nf)):
+        assert _meq(A, B, nf)[0] is False
+        assert _meq(B, A, nf)[0] is False
+
+
+def test_numeric_family_stores_no_negative_zero():
+    # the dense float store kept a -0.0 wherever a sum of zeros or a
+    # negation made one: 21 of the 765 family entries of W_2(q) at q0 = 1.3,
+    # where the complex run reads 0.0.  The sparse store holds no zero, so
+    # every zero entry reads as the field's 0.0.
+    from qonsager.onsager import RankNParams
+    from qonsager.ranka import build_vector_evaluation, generate_rankn_family
+
+    nf = NumericField(1.3)
+    fam = generate_rankn_family(build_vector_evaluation(2, Q, nf), RankNParams([1, 1, 1]),
+                                R=6, T=6)
+    mats = list(fam.B.values())
+    for i in fam.A:
+        mats += [*fam.A[i].values(), *(fam.H[i][m] for m in fam.H[i]), fam.Hbar1[i],
+                 *fam.theta[i].values(), *fam.theta_acute[i].values(),
+                 *fam.theta_grave[i].values()]
+    entries = [x for M in mats for r in M.rows for x in r]
+    assert len(entries) == 765
+    zeros = [repr(x) for x in entries if not x]
+    assert zeros and set(zeros) == {"0.0"}

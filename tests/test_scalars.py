@@ -659,6 +659,45 @@ def test_heuristic_cofactor_too_wide_for_the_images_is_divided(monkeypatch):
     assert calls == [(a, g0)]
 
 
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=20),
+       st.lists(st.integers(-120, 120), min_size=1, max_size=8).filter(any),
+       st.sampled_from([1, 2]))
+@example([1] * 10, [100], 1)  # |g|_1 |u|_inf = 1000, |g|_inf |u|_1 = 100: only the second bound
+@example([1, -1] * 6, [0, 90, 0, -30], 1)
+@example([1, 1], [102] + [101 * (-1) ** i for i in range(1, 17)], 1)  # neither bound
+@settings(max_examples=200, deadline=None)
+def test_image_quotient_accepts_only_true_quotients(g, u, w):
+    # qv = a(xi) / g(xi) for a = the balanced digits of g(xi) u(xi): g * u = a
+    # unless a carry crossed a slot.  A quotient the bounds accept needs no
+    # division and is exact; otherwise pdiv_exact decides.
+    while g and not g[-1]:
+        g.pop()
+    if not g:
+        return
+    qv = _pack(g, w) * _pack(u, w)
+    a = _unpack(qv, w)
+    digits = _unpack(_pack(u, w), w)
+    norms = (sum(map(abs, g)), max(map(abs, g)))
+    half = 1 << (8 * w - 1)
+    calls = []
+    divide = _kernel.pdiv_exact
+
+    def counted(x, y):
+        calls.append(y)
+        return divide(x, y)
+
+    _kernel.pdiv_exact = counted
+    try:
+        got = _kernel._image_quotient(a, _pack(u, w), g, norms, w)
+    finally:
+        _kernel.pdiv_exact = divide
+    assert got is None or pmul(g, got) == a
+    if min(norms[0] * max(map(abs, digits)), norms[1] * sum(map(abs, digits))) < half:
+        assert calls == [] and got == digits
+    else:
+        assert calls == [g]
+
+
 def test_gcd_falls_back_to_the_pseudo_remainder_sequence():
     # a0 and b0 vanish at q = 2^16, 2^24 and 2^32 modulo a prime above half
     # that point (a pair found by lattice reduction), and so do a and b,
