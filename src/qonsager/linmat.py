@@ -78,14 +78,7 @@ entries as read, bit for bit, a zero result reading as the field's zero:
   standing for an unstored entry; a + 0, unlike a - 0, turns the -0.0
   parts of a complex a into 0.0, so a sum computes it;
 * an unstored entry is an exact zero: a scalar or a Kronecker factor
-  that is inf or NaN leaves it 0;
-* scaling by c is deferred: the result shares its operand's store and
-  holds c, and the next operation that reads it takes c x in its own pass
-  over the entries.  A sum with it on the right, ``_meq``, ``max_abs`` and
-  ``is_zero`` apply it on the way (as BLAS folds alpha into AXPY), so no
-  scaled store is built for them; any other operation applies it first,
-  once, in place.  A product c x that is zero reads as the zero it would
-  have been stored as.
+  that is inf or NaN leaves it 0.
 
 Canonical entries appear only when they are read: ``rows`` decodes a dense
 view of the whole matrix on its first read and keeps it, on both
@@ -123,8 +116,8 @@ decides it for a whole matrix or degree component, and a NaN entry is
 never zero.  No tolerance holds at an infinite or NaN scale: there
 nothing is zero.  _meq, the one matrix equality of the certification
 suites and the series layer, judges A = B at the scale of A and B from
-the largest |a - b|, taken without building A - B, and returns (ok,
-witness); so a matrix with a NaN or infinite entry equals no matrix.
+the largest entry of A - B, and returns (ok, witness); so a matrix with
+a NaN or infinite entry equals no matrix.
 degree_components keeps a degree component only when it is nonzero at
 the scale of the operator it splits.
 Over the exact backend both reduce to exact comparison.  A relation is
@@ -142,7 +135,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress, repeat
 from math import inf, isfinite
-from operator import mul, or_, sub
+from operator import mul, or_
 
 from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
 from .errors import DomainError
@@ -165,7 +158,7 @@ _ONE = [1]
 
 
 class Matrix:
-    __slots__ = ("n", "m", "field", "_rows", "_nz", "_c", "_k", "_d", "_w", "_h")
+    __slots__ = ("n", "m", "field", "_rows", "_nz", "_k", "_d", "_w", "_h")
 
     def __init__(self, rows, field):
         rows = [list(r) for r in rows]
@@ -187,7 +180,7 @@ class Matrix:
                 row = {j: x for j, x in enumerate(r) if x}
                 if row:
                     nz[i] = row
-            self._nz, self._c, self._k, self._d, self._w, self._h = nz, None, 0, _ONE, _W0, 0
+            self._nz, self._k, self._d, self._w, self._h = nz, 0, _ONE, _W0, 0
             return
         k = 0
         parts = {}
@@ -223,7 +216,7 @@ class Matrix:
             row = {j: _encode(p, k - e, s, w) for j, (p, e) in enumerate(r) if p}
             if row:
                 nz[i] = row
-        self._nz, self._c, self._k, self._d, self._w, self._h = nz, None, k, D, w, h
+        self._nz, self._k, self._d, self._w, self._h = nz, k, D, w, h
 
     @classmethod
     def _adopt(cls, rows, field):
@@ -242,30 +235,8 @@ class Matrix:
         M = object.__new__(cls)
         M.n, M.m, M.field = n, m, field
         M._rows = None
-        M._nz, M._c, M._k, M._d, M._w, M._h = nz, None, k, d, w, h
+        M._nz, M._k, M._d, M._w, M._h = nz, k, d, w, h
         return M
-
-    def _settled(self):
-        """The store with no factor pending: a numeric factor still held
-        (see ``scale``) is applied first, once, in place, which does not
-        change the matrix.  Exact code reads ``_nz`` itself, since only a
-        numeric matrix holds a factor."""
-        c = self._c
-        if c is not None:
-            out = {}
-            for i, r in self._nz.items():
-                row = _kept({j: c * x for j, x in r.items()})
-                if row:
-                    out[i] = row
-            self._nz, self._c = out, None
-        return self._nz
-
-    def _values(self):
-        """Every stored value, the pending factor applied, in one C-level
-        pass; zero products stay in."""
-        vals = chain.from_iterable(map(dict.values, self._nz.values()))
-        c = self._c
-        return vals if c is None else map(mul, repeat(c), vals)
 
     def _like(self, nz, n, m):
         """The n x m matrix that stores nz at this matrix's shift,
@@ -325,7 +296,7 @@ class Matrix:
         return _sum(self, other, True)
 
     def __neg__(self):
-        return self._like({i: {j: -x for j, x in r.items()} for i, r in self._settled().items()},
+        return self._like({i: {j: -x for j, x in r.items()} for i, r in self._nz.items()},
                           self.n, self.m)
 
     def __matmul__(self, other):
@@ -350,11 +321,13 @@ class Matrix:
     def scale(self, c):
         if self.field.exact:
             return _image_scale(self, _scalar(c))
-        # the product c x of every entry is left to the next operation that
-        # reads the result, which takes it in its own pass over the entries
-        M = Matrix._image(self._settled(), self.n, self.m, self.field)
-        M._c = c
-        return M
+        out = {}
+        for i, r in self._nz.items():
+            # a product of nonzero floats can underflow to zero
+            row = _kept({j: c * x for j, x in r.items()})
+            if row:
+                out[i] = row
+        return Matrix._image(out, self.n, self.m, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -363,7 +336,7 @@ class Matrix:
             return False
         if self.field.exact:
             return _image_diff(self, other) is None
-        return self._settled() == other._settled()
+        return self._nz == other._nz
 
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.rows))
@@ -372,7 +345,7 @@ class Matrix:
 
     def transpose(self):
         # rows taken in ascending order give every column ascending keys
-        nz = self._settled()
+        nz = self._nz
         out = {}
         for i in sorted(nz):
             for j, x in nz[i].items():
@@ -386,8 +359,8 @@ class Matrix:
             w, h = _fit((self, other), self._h * other._h, mul)
             code = (self._k + other._k, _dmul(self._d, other._d), w, h)
         out = {}
-        for i, ra in self._settled().items():
-            for i2, rb in other._settled().items():
+        for i, ra in self._nz.items():
+            for i2, rb in other._nz.items():
                 # a product of nonzero floats can underflow to zero
                 row = _kept({j * m2 + j2: a * b for j, a in ra.items() for j2, b in rb.items()})
                 if row:
@@ -397,24 +370,24 @@ class Matrix:
     def is_zero(self, scale=1.0):
         if self.field.exact:
             return not self._nz
-        return _vanishes(self.field, _largest(self._values()), scale)
+        return _vanishes(self.field, self.max_abs(), scale)
 
     def max_abs(self):
         """Largest |entry| after numeric coercion — the natural residual
         scale; NaN when some |entry| is."""
         if self.field.exact:
             raise DomainError("max_abs is a numeric-backend notion")
-        return _largest(self._values())
+        return _largest(chain.from_iterable(map(dict.values, self._nz.values())))
 
     @property
     def nnz(self):
         """The number of stored entries, which are the nonzero ones."""
-        return sum(map(len, self._settled().values()))
+        return sum(map(len, self._nz.values()))
 
     def nonzero_entries(self):
         """(i, j, entry) for every nonzero entry, in row-major order; an
         exact matrix decodes only these."""
-        nz = self._settled()
+        nz = self._nz
         if not self.field.exact:
             for i in sorted(nz):
                 for j, x in nz[i].items():
@@ -478,50 +451,34 @@ def _number_sum(A, B, minus):
     unstored entry, and the entries that cancel dropped; rows stored on
     both sides come out in ascending column.  x - 0 is x bit for bit, so a
     difference takes a row stored in A alone as it is; x + 0 turns -0.0
-    parts of a complex x into 0.0, so a sum computes it.  B's pending
-    factor c is applied in the same pass: b is c y."""
+    parts of a complex x into 0.0, so a sum computes it."""
     z = A.field.zero
-    a = A._settled()
-    b, c = B._nz, B._c
+    a, b = A._nz, B._nz
     out = {}
     for i, ra in a.items():
         rb = b.get(i)
         if rb is None:
             row = ra if minus else {j: x + z for j, x in ra.items()}
         else:
-            row = _kept(_merged(ra, rb, c, z, minus))
+            row = _kept(_merged(ra, rb, z, minus))
         if row:
             out[i] = row
     for i, rb in b.items():
         if i not in a:
-            if c is not None:
-                rb = _kept({j: c * y for j, y in rb.items()})
-            if rb:
-                out[i] = ({j: z - y for j, y in rb.items()} if minus
-                          else {j: z + y for j, y in rb.items()})
+            out[i] = ({j: z - y for j, y in rb.items()} if minus
+                      else {j: z + y for j, y in rb.items()})
     return Matrix._image(out, A.n, A.m, A.field)
 
 
-def _merged(ra, rb, c, z, minus):
-    """The row ra + c rb, or ra - c rb when minus, of two stored numeric
-    rows (c None: a factor of 1), in ascending column, the field's zero z
-    standing for an unstored entry, and for a product c y that is zero, as
-    ``scale`` would not store it; cancelled entries are kept."""
-    if len(ra) == len(rb):
-        # rows of one length whose columns differ fail on a KeyError
-        try:
-            if c is None:
-                if minus:
-                    return {j: x - rb[j] for j, x in ra.items()}
-                return {j: x + rb[j] for j, x in ra.items()}
-            if minus:
-                return {j: x - (y if (y := c * rb[j]) else z) for j, x in ra.items()}
-            return {j: x + (y if (y := c * rb[j]) else z) for j, x in ra.items()}
-        except KeyError:
-            pass
-    if c is not None:
-        rb = _kept({j: c * y for j, y in rb.items()})
+def _merged(ra, rb, z, minus):
+    """The row ra + rb, or ra - rb when minus, of two stored numeric rows,
+    in ascending column, the field's zero z standing for an unstored
+    entry; cancelled entries are kept."""
     if rb.keys() <= ra.keys():
+        if len(rb) == len(ra):
+            # one set of columns: every entry is stored on both sides
+            return ({j: x - rb[j] for j, x in ra.items()} if minus
+                    else {j: x + rb[j] for j, x in ra.items()})
         keys = ra
     elif ra.keys() <= rb.keys():
         keys = rb
@@ -541,9 +498,9 @@ def _number_product(A, B):
     z, p = A.field.zero, B.m
     # a stored row of B is walked once per entry of A in its column, and a
     # list walks faster than a dict: listing them once costs O(nz(B))
-    brows = {t: list(r.items()) for t, r in B._settled().items()}
+    brows = {t: list(r.items()) for t, r in B._nz.items()}
     out = {}
-    for i, ra in A._settled().items():
+    for i, ra in A._nz.items():
         acc = [z] * p
         for a, bt in zip(ra.values(), map(brows.get, ra)):
             if bt:
@@ -862,42 +819,11 @@ def _meq(A: Matrix, B: Matrix, field):
         i, j = ij
         return False, f"entry ({i},{j}) = {A.rows[i][j] - B.rows[i][j]}"
     scale = max(A.max_abs(), B.max_abs(), 1.0)
-    if _vanishes(field, _residual(A, B), scale):
+    R = A - B
+    if R.is_zero(scale):
         return True, None
-    i, j, v = max((A - B).nonzero_entries(), key=lambda t: _modulus(t[2]))
+    i, j, v = max(R.nonzero_entries(), key=lambda t: _modulus(t[2]))
     return False, f"entry ({i},{j}) residual {_modulus(v):.3e} at scale {scale:.3e}"
-
-
-def _residual(A, B):
-    """The largest |a - b| over the entries of the numeric matrices A and
-    B, NaN when some |a - b| is, with no difference matrix built: the
-    values it measures are the entries of A - B, with B's alone negated.
-    Pending factors are applied on the way; a product that is zero leaves
-    |a - b| as the unstored zero would."""
-    z = A.field.zero
-    a, ca = A._nz, A._c
-    b, cb = B._nz, B._c
-    diffs = [_times_c(r, cb) for i, r in b.items() if i not in a]
-    for i, ra in a.items():
-        rb = b.get(i)
-        if rb is None:
-            diffs.append(_times_c(ra, ca))
-        elif ra.keys() == rb.keys():
-            diffs.append(map(sub, _times_c(ra, ca), _times_c(rb, cb)))
-        else:
-            if ca is not None:
-                ra = {j: ca * x for j, x in ra.items()}
-            if cb is not None:
-                rb = {j: cb * y for j, y in rb.items()}
-            keys = ra.keys() | rb.keys()
-            diffs.append(map(sub, map(ra.get, keys, repeat(z)), map(rb.get, keys, repeat(z))))
-    return _largest(chain.from_iterable(diffs))
-
-
-def _times_c(row, c):
-    """The values of a stored numeric row, times the factor c unless it is
-    None."""
-    return row.values() if c is None else map(mul, repeat(c), row.values())
 
 
 def _vanishes(field, largest, scale):
@@ -972,7 +898,7 @@ def degree_components(A: Matrix, g: Grading) -> dict:
     slot width and height bound."""
     if A.n != g.dim or A.m != g.dim:
         raise DomainError("grading dimension does not match the matrix")
-    comps = {s: A._like(nz, A.n, A.m) for s, nz in _by_shift(A._settled(), g).items()}
+    comps = {s: A._like(nz, A.n, A.m) for s, nz in _by_shift(A._nz, g).items()}
     if A.field.exact:
         return comps
     scale = A.max_abs()

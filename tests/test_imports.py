@@ -22,11 +22,10 @@ came from) lives in ``linmat`` alone, so no other package module may read
 
 Both backends store a matrix's nonzero entries in one dict of rows,
 which operations may change in place without changing the matrix: an
-exact one re-encodes its images at a wider slot, and a numeric one
-applies a scale factor it still holds.  So no package module but
-``linmat`` reads or writes the store (``_nz`` and the pending factor
-``_c``) or the exact encoding (``_k``, ``_d``, ``_w``, ``_h``);
-``scalars`` keeps its own ``_k`` and ``_h`` on Scalars.
+exact one re-encodes its images at a wider slot.  So no package module
+but ``linmat`` reads or writes the store (``_nz``) or the exact encoding
+(``_k``, ``_d``, ``_w``, ``_h``); ``scalars`` keeps its own ``_k`` and
+``_h`` on Scalars.
 
 ``linmat`` decides that rule by one ``field.is_zero`` call on the largest
 |entry|, and the field protocol is the one place a backend says what zero
@@ -400,7 +399,7 @@ def test_linmat_reads_no_tolerance():
 
 
 #: the attributes of a matrix's store and of its exact encoding
-STORE_ATTRS = ("_nz", "_c", "_k", "_d", "_w", "_h")
+STORE_ATTRS = ("_nz", "_k", "_d", "_w", "_h")
 #: store-named attributes a module keeps on its own objects: a Scalar holds
 #: its power of q in ``_k`` and its hash in ``_h``; ``scalars`` sits below
 #: ``linmat`` and never holds a Matrix
@@ -438,8 +437,7 @@ def test_store_scan_flags_a_planted_access():
                          ids=lambda p: p.name)
 def test_only_linmat_touches_the_exact_store(path):
     # the store holds only nonzero values, which operations may re-encode
-    # or rescale in place; entries are read through .rows,
-    # nonzero_entries or _meq
+    # in place; entries are read through .rows, nonzero_entries or _meq
     attrs = frozenset(STORE_ATTRS) - OWN_ATTRS.get(path.stem, frozenset())
     found = sorted(_store_access(ast.parse(path.read_text(), filename=str(path)), attrs))
     assert not found, (f"{path.name} touches the matrix store at {found}; "

@@ -11,6 +11,7 @@ Oracles, independent of the generation code:
   zero, grave tower the constant series 1).
 """
 
+import math
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -277,6 +278,20 @@ def test_presentation_and_dual_pin_their_damage(field):
                                (tau_dual_check, 33, {"grel2": 6, "grel5": 5})):
         rep = check(fam, rwin=2, mmax=3)
         assert len(rep.entries) == count
+        assert Counter(e.name for e in rep.failures()) == want, check.__name__
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_presentation_and_dual_fail_at_a_non_finite_scale(bad):
+    # A_2 scaled by inf or NaN keeps its unstored entries at 0, so it is
+    # not the dense matrix of NaN; every instance that reads it still fails,
+    # since no tolerance holds at a scale that is not finite
+    p = P("q^2", "q^-2", "1", "q")
+    fam = generate_family(p, V(1, "q", field=NumericField(1.3)), T=5, R=6)
+    fam.A[1][2] = fam.A[1][2].scale(bad)
+    for check, want in ((verify_presentation, {"rel2": 6, "rel3": 9}),
+                        (tau_dual_check, {"grel2": 6, "grel5": 5})):
+        rep = check(fam, rwin=2, mmax=3)
         assert Counter(e.name for e in rep.failures()) == want, check.__name__
 
 
