@@ -6,7 +6,9 @@ all binary operations assume both operands live over the same backend,
 and the entrywise ones (``+``, ``-``, ``_meq``) refuse operands of
 different shapes, as the product does.  The product is written either
 ``A @ B`` or ``A * B``; ``c * A`` with a scalar-like ``c`` scales
-entrywise.
+entrywise.  ``combine`` evaluates a linear combination of matrices and
+products, sum_k c_k M_k + sum_k c_k X_k Y_k, the form of every tower step
+and relation side of the package.
 
 Both backends hold a matrix in one store, a dict of rows: row i maps to
 the dict {j: v_ij} of its nonzero entries, a row without one is absent,
@@ -51,7 +53,11 @@ bounds its digits (Char, Geddes and Gonnet, 1989):
   compare the stores, O(nz(A) + nz(B)); the first differing entry in
   row-major order is the least differing stored position, since the
   comparison is exact while the two heights, each times its cofactor's
-  1-norm, add to less than 2^(s-1).
+  1-norm, add to less than 2^(s-1);
+* ``combine`` folds these operations, one ``@`` per product term: it
+  sums the terms of one denominator, and among them those of one
+  coefficient object, before it scales them once or adds another
+  denominator: sums over one denominator, which take no gcd, come first.
 
 An operation whose height bound would reach 2^(s-1) first re-encodes its
 operands, O(nz) each: it decodes them, takes their heights down to the
@@ -73,10 +79,22 @@ entries as read, bit for bit, a zero result reading as the field's zero:
 
 * a product sums each row into a dense accumulator that starts at the
   field's zero and adds a*b in ascending inner index, as the dense
-  inner-product loop does, and keeps its nonzero entries;
+  inner-product loop does, and keeps its nonzero entries.  It is the
+  one-product case of ``combine``, whose numeric pass is the only numeric
+  product: every term of a combination adds into the same accumulator
+  row, a product term's coefficient and sign folded into its left entry
+  (acc[j] += (c x) y) and a matrix term adding c x, and each row becomes a
+  dict once.  Level-3 BLAS fuses C <- alpha AB + beta C into its product
+  the same way (Dongarra, Du Croz, Hammarling and Duff, ACM TOMS 16(1),
+  1990), so a combination builds no product, scaled term or partial sum.
+  A combination rounds as its own pass does, not as the chain of ``@``,
+  ``scale`` and ``+`` it stands for;
 * a sum adds a + b (a - b) where both sides store a row, the field's zero
   standing for an unstored entry; a + 0, unlike a - 0, turns the -0.0
-  parts of a complex a into 0.0, so a sum computes it;
+  parts of a complex a into 0.0, so a sum computes it.  ``+`` and ``-``
+  keep this merge of stored rows rather than the pass of ``combine``: an
+  accumulator that starts at the field's zero computes (0 + a) - b, whose
+  complex zero parts can take another sign than those of a - b;
 * an unstored entry is an exact zero: a scalar or a Kronecker factor
   that is inf or NaN leaves it 0.
 
@@ -117,7 +135,10 @@ never zero.  No tolerance holds at an infinite or NaN scale: there
 nothing is zero.  _meq, the one matrix equality of the certification
 suites and the series layer, judges A = B at the scale of A and B from
 the largest entry of A - B, and returns (ok, witness); so a matrix with
-a NaN or infinite entry equals no matrix.
+a NaN or infinite entry equals no matrix.  The scale is taken over the
+entries of both sides in one pass, so a NaN on either side makes it NaN
+whatever the order of A and B, and the witness names a non-finite
+residual before any finite one.
 degree_components keeps a degree component only when it is nonzero at
 the scale of the operator it splits.
 Over the exact backend both reduce to exact comparison.  A relation is
@@ -132,10 +153,10 @@ leave Q(q).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat
 from math import inf, isfinite
-from operator import mul, or_
+from operator import mul, neg, or_
 
 from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
 from .errors import DomainError
@@ -145,6 +166,7 @@ __all__ = [
     "Matrix",
     "Grading",
     "ProductMemo",
+    "combine",
     "qbracket",
     "commutator",
     "serre_sides",
@@ -306,7 +328,7 @@ class Matrix:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
         if self.field.exact:
             return _image_product(self, other)
-        return _number_product(self, other)
+        return _number_combine(((1, None, self, other),), self.n, other.m, self.field)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -377,7 +399,7 @@ class Matrix:
         scale; NaN when some |entry| is."""
         if self.field.exact:
             raise DomainError("max_abs is a numeric-backend notion")
-        return _largest(chain.from_iterable(map(dict.values, self._nz.values())))
+        return _largest(_values(self))
 
     @property
     def nnz(self):
@@ -490,26 +512,45 @@ def _merged(ra, rb, z, minus):
     return {j: ga(j, z) + gb(j, z) for j in keys}
 
 
-def _number_product(A, B):
-    """A @ B over the numeric backend: Gustavson's loop over the stored
-    rows into a dense accumulator row that starts at the field's zero and
-    adds a*b in ascending inner index, as the dense inner-product loop
-    does, so every entry is that loop's bit for bit."""
-    z, p = A.field.zero, B.m
-    # a stored row of B is walked once per entry of A in its column, and a
-    # list walks faster than a dict: listing them once costs O(nz(B))
-    brows = {t: list(r.items()) for t, r in B._nz.items()}
+def _number_combine(terms, n, m, field):
+    """The n x m sum of the terms of ``combine`` over the numeric backend
+    in one row pass: Gustavson's loop, every term adding into one dense
+    accumulator per result row that starts at the field's zero.  A term's
+    coefficient, and its sign, are folded into its left entries x, so a
+    product adds (c x) y in ascending inner index and a matrix term adds
+    c x; each row becomes a dict once, without its zero entries.  The one
+    product with neither coefficient nor sign is the dense inner-product
+    loop, bit for bit."""
+    z = field.zero
+    accs = {}
+    for s, c, X, *Y in terms:
+        if c is None:
+            left = None if s > 0 else partial(map, neg)
+        else:
+            left = partial(map, partial(mul, -c if s < 0 else c))
+        if Y:
+            # a stored row of Y is walked once per entry of X in its
+            # column, and a list walks faster than a dict
+            brows = {t: list(r.items()) for t, r in Y[0]._nz.items()}
+        for i, ra in X._nz.items():
+            acc = accs.get(i)
+            if acc is None:
+                acc = accs[i] = [z] * m
+            vals = ra.values() if left is None else left(ra.values())
+            if not Y:
+                for j, a in zip(ra, vals):
+                    acc[j] = acc[j] + a
+                continue
+            for a, bt in zip(vals, map(brows.get, ra)):
+                if bt:
+                    for j, b in bt:
+                        acc[j] = acc[j] + a * b
     out = {}
-    for i, ra in A._nz.items():
-        acc = [z] * p
-        for a, bt in zip(ra.values(), map(brows.get, ra)):
-            if bt:
-                for j, b in bt:
-                    acc[j] = acc[j] + a * b
+    for i, acc in accs.items():
         row = dict(compress(enumerate(acc), acc))
         if row:
             out[i] = row
-    return Matrix._image(out, A.n, p, A.field)
+    return Matrix._image(out, n, m, field)
 
 
 def _image_product(A, B):
@@ -739,18 +780,76 @@ def _image_diff(A, B):
     return i, min(j for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
 
 
+def combine(terms) -> Matrix:
+    """The linear combination sum_k s_k c_k M_k + sum_k s_k c_k X_k Y_k.
+
+    A term is (s, c, M) or (s, c, X, Y): its sign s, +1 or -1, its
+    coefficient c, a field element or None for 1, and one matrix or two
+    factors whose product it adds.  A sign of -1 subtracts the term: it
+    never multiplies it by -1.  Every term has one shape, and the factors
+    of a product fit, or DomainError names the shapes.  One unscaled
+    matrix term alone is returned as it is.
+
+    Over the numeric backend the whole sum is one row pass
+    (``_number_combine``), as Level-3 BLAS folds C <- alpha AB + beta C
+    into one product: no product, scaled term or partial sum is built.
+    Over the exact backend it is a fold of the image operations, one ``@``
+    per product term.  A sum of two image matrices takes a gcd unless they
+    share a denominator, so the fold sums the terms of one denominator
+    first, and among them those of one coefficient object before it scales
+    them once, in the order the terms come; it then adds the sums of the
+    denominators in that order.  So the two products of a bracket, which
+    share a denominator, are summed without a gcd, as the bracketed chains
+    that combine replaced summed them.
+    """
+    terms = tuple(terms)
+    if not terms:
+        raise DomainError("combine needs at least one term")
+    # a term's rows are its first matrix's, its columns its last one's
+    n, m = terms[0][2].n, terms[0][-1].m
+    for t in terms:
+        X = t[2]
+        if len(t) > 3 and X.m != t[3].n:
+            raise DomainError(f"shape mismatch {X.n}x{X.m} @ {t[3].n}x{t[3].m}")
+        if X.n != n or t[-1].m != m:
+            raise DomainError(f"shape mismatch {n}x{m} + {X.n}x{t[-1].m}")
+    s, c, M, *Y = terms[0]
+    if len(terms) == 1 and s > 0 and c is None and not Y:
+        return M
+    if not M.field.exact:
+        return _number_combine(terms, n, m, M.field)
+    # the terms summed by (denominator, coefficient), then by denominator
+    by_c = {}
+    for s, c, X, *Y in terms:
+        M = X @ Y[0] if Y else X
+        key = tuple(M._d), id(c)
+        g = by_c.get(key)
+        by_c[key] = (c, s, M) if g is None else (c, g[1], _image_sum(g[2], M, s != g[1]))
+    by_d = {}
+    for (d, _), (c, s, M) in by_c.items():
+        if c is not None:
+            M = _image_scale(M, _scalar(c))
+        g = by_d.get(d)
+        by_d[d] = (s, M) if g is None else (g[0], _image_sum(g[1], M, s != g[0]))
+    (s, M), *rest = by_d.values()
+    for t, N in rest:
+        M = _image_sum(M, N, t != s)
+    return -M if s < 0 else M
+
+
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
     """[A, B]_v = AB - v BA; v = 1 is the plain commutator."""
-    return A @ B - (B @ A).scale(v)
+    return combine(((1, None, A, B), (-1, v, B, A)))
 
 
 def commutator(A: Matrix, B: Matrix) -> Matrix:
     """[A, B] = AB - BA, without qbracket's scaling by 1."""
-    return A @ B - B @ A
+    return combine(((1, None, A, B), (-1, None, B, A)))
 
 
-def serre_sides(X: Matrix, Y: Matrix, n: int, q):
-    """The two sides (X acc, q^(1-n) acc X) of the outermost bracket of
+def serre_sides(X: Matrix, Y: Matrix, n: int, q, extra=()):
+    """The two sides (X acc, q^(1-n) acc X + extra) of the outermost
+    bracket of
 
         ad_{q^(1-n)}(X) .. ad_{q^(n-3)}(X) ad_{q^(n-1)}(X) Y,    ad_v(X)Y = XY - vYX,
 
@@ -758,12 +857,13 @@ def serre_sides(X: Matrix, Y: Matrix, n: int, q):
     the commutator).  Left and right multiplication by X commute, so by the
     q-binomial theorem the nested bracket, the difference of the two sides,
     is the alternating sum sum_r (-1)^r [n r] X^(n-r) Y X^r for any X, Y:
-    the Serre-type relations with n = 1 - a_ij, in 2n products.
+    the Serre-type relations with n = 1 - a_ij, in 2n products.  The
+    terms ``extra`` of ``combine`` are added to the right side in its pass.
     """
     acc = Y
     for e in range(n - 1, 1 - n, -2):
         acc = commutator(X, acc) if e == 0 else qbracket(X, acc, q ** e)
-    return X @ acc, (acc @ X).scale(q ** (1 - n))
+    return X @ acc, combine(((1, q ** (1 - n), acc, X), *extra))
 
 
 class ProductMemo:
@@ -773,9 +873,10 @@ class ProductMemo:
     Keys are operand identities: ``mul(A, B)`` returns the same object on
     every call with these two objects, and equal but distinct matrices are
     different keys.  Every entry holds its operands (and the bracket's
-    scalar), so no id in a live key can be reused by a new object.  Values
-    are those of ``A @ B`` and ``qbracket``, operation for operation, so
-    exact and numeric results are unchanged.  Memory grows with the
+    scalar), so no id in a live key can be reused by a new object.  A
+    product is ``A @ B``, and a bracket the ``combine`` of the two cached
+    products, so exact results equal ``qbracket``'s and numeric ones round
+    as that one pass does.  Memory grows with the
     distinct pairs seen, and every product stays alive with the memo:
     scope a memo to the stretch of a relation suite in which its products
     recur (a node pair, or one node across the groups that multiply its
@@ -798,7 +899,8 @@ class ProductMemo:
         key = (id(A), id(B), id(v))
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = (self.mul(A, B) - self.mul(B, A).scale(v), A, B, v)
+            hit = self._cache[key] = (
+                combine(((1, None, self.mul(A, B)), (-1, v, self.mul(B, A)))), A, B, v)
         return hit[0]
 
 
@@ -818,12 +920,21 @@ def _meq(A: Matrix, B: Matrix, field):
             return True, None
         i, j = ij
         return False, f"entry ({i},{j}) = {A.rows[i][j] - B.rows[i][j]}"
-    scale = max(A.max_abs(), B.max_abs(), 1.0)
+    scale = _largest(_values(A, B))
+    if scale < 1.0:  # false for a NaN scale, which stays
+        scale = 1.0
     R = A - B
     if R.is_zero(scale):
         return True, None
-    i, j, v = max(R.nonzero_entries(), key=lambda t: _modulus(t[2]))
+    i, j, v = max(R.nonzero_entries(), key=_badness)
     return False, f"entry ({i},{j}) residual {_modulus(v):.3e} at scale {scale:.3e}"
+
+
+def _badness(entry):
+    """|v| of an (i, j, v) entry, inf for a NaN |v|: the largest residual
+    of a failed equality, a non-finite one ranked first."""
+    m = _modulus(entry[2])
+    return m if m == m else inf
 
 
 def _vanishes(field, largest, scale):
@@ -840,6 +951,11 @@ def _modulus(v):
         return abs(v)
     except OverflowError:
         return inf
+
+
+def _values(*ms):
+    """The stored values of the numeric matrices ms."""
+    return chain.from_iterable(map(dict.values, chain.from_iterable(M._nz.values() for M in ms)))
 
 
 def _largest(values):

@@ -63,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .linmat import (Grading, Matrix, ProductMemo, _meq, commutator, degree_components,
-                     serre_sides)
+from .linmat import (Grading, Matrix, ProductMemo, _meq, combine, commutator,
+                     degree_components, serre_sides)
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
 from .series import series_exp, series_log
@@ -467,9 +467,9 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
 
     xkeys = sorted(V.xp)
     for k in xkeys:
-        ok, w = _meq(V.K @ V.xp[k], (V.xp[k] @ V.K).scale(q2), f)
+        ok, w = _meq(V.K @ V.xp[k], combine(((1, q2, V.xp[k], V.K),)), f)
         rep.add("K_conj_x", ("+", k), ok, w)
-        ok, w = _meq(V.K @ V.xm[k], (V.xm[k] @ V.K).scale(q2i), f)
+        ok, w = _meq(V.K @ V.xm[k], combine(((1, q2i, V.xm[k], V.K),)), f)
         rep.add("K_conj_x", ("-", k), ok, w)
 
     for k in hkeys:
@@ -477,11 +477,9 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
         for l in xkeys:
             if k + l not in V.xp:
                 continue
-            lhs = V.h[k] @ V.xp[l] - V.xp[l] @ V.h[k]
-            ok, w = _meq(lhs, V.xp[k + l].scale(c), f)
+            ok, w = _meq(commutator(V.h[k], V.xp[l]), V.xp[k + l].scale(c), f)
             rep.add("h_x_ladder", (k, "+", l), ok, w)
-            lhs = V.h[k] @ V.xm[l] - V.xm[l] @ V.h[k]
-            ok, w = _meq(lhs, -V.xm[k + l].scale(c), f)
+            ok, w = _meq(commutator(V.h[k], V.xm[l]), combine(((-1, c, V.xm[k + l]),)), f)
             rep.add("h_x_ladder", (k, "-", l), ok, w)
 
     # a mode product x_a x_b is taken at up to four (k, l): (a - 1, b),
@@ -490,8 +488,10 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
         mul = ProductMemo().mul
         for k in range(-W, W):
             for l in range(-W, W):
-                lhs = mul(xd[k + 1], xd[l]) - mul(xd[l], xd[k + 1]).scale(v)
-                rhs = mul(xd[k], xd[l + 1]).scale(v) - mul(xd[l + 1], xd[k])
+                lhs = combine(((1, None, mul(xd[k + 1], xd[l])),
+                               (-1, v, mul(xd[l], xd[k + 1]))))
+                rhs = combine(((1, v, mul(xd[k], xd[l + 1])),
+                               (-1, None, mul(xd[l + 1], xd[k]))))
                 ok, w = _meq(lhs, rhs, f)
                 rep.add("x_exchange", (sign, k, l), ok, w)
 
@@ -500,10 +500,14 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
             m = k + l
             if abs(m) > T:
                 continue
-            lhs = V.xp[k] @ V.xm[l] - V.xm[l] @ V.xp[k]
-            psi_m = V.psi[m] if m >= 0 else zeroM
-            phi_m = V.phi[-m] if m <= 0 else zeroM
-            ok, w = _meq(lhs, (psi_m - phi_m).scale(qden_inv), f)
+            # (psi_m - phi_m) / (q - q^-1), psi and phi vanishing at m < 0
+            # and m > 0
+            rhs = []
+            if m >= 0:
+                rhs.append((1, qden_inv, V.psi[m]))
+            if m <= 0:
+                rhs.append((-1, qden_inv, V.phi[-m]))
+            ok, w = _meq(commutator(V.xp[k], V.xm[l]), combine(rhs), f)
             rep.add("x_pair_commutator", (k, l), ok, w)
 
     # stored psi/phi against the exponentials of the stored h

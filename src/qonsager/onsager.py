@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from itertools import islice
 
 from .errors import DomainError
-from .linmat import Matrix, ProductMemo, _meq, commutator, qbracket, serre_sides
+from .linmat import Matrix, ProductMemo, _meq, combine, commutator, qbracket, serre_sides
 from .loopsl2 import AffineModule, _refuse_failure
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
@@ -336,31 +336,44 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     multiplies Theta(z) by (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
     rescales it by (q - q^-1) so that index 0 becomes the identity.
 
+    Each ladder step, each Theta step and each acute coefficient is one
+    ``combine`` of the products and matrices it reads, with the rule's
+    constants multiplied into its coefficients: over the numeric backend
+    one row pass that builds one matrix, over the exact one the image
+    operations of the bracketed rule.  A grave coefficient stays one
+    scaling of its acute one: the acute one is kept anyway, and spreading
+    q - q^-1 over its terms would scale each of them a second time.
+
     Returns (A, H, Hbar1, theta, theta_acute, theta_grave).
     """
     f = I.field
-    q2 = f.q * f.q
-    qm2 = f.one / q2
+    qm2 = f.one / (f.q * f.q)
     kap = f.q - f.one / f.q
     Cinv = f.one / C
     Hbar1 = H1.scale(f.one / f.qint(2))
 
     A = {0: A0, -1: Am1}
     for r in range(0, R):
-        A[r + 1] = commutator(Hbar1, A[r]) + A[r - 1].scale(C)
+        A[r + 1] = combine(((1, None, Hbar1, A[r]), (-1, None, A[r], Hbar1),
+                            (1, C, A[r - 1])))
     for r in range(-1, -R, -1):
-        A[r - 1] = (A[r + 1] - commutator(Hbar1, A[r])).scale(Cinv)
+        A[r - 1] = combine(((1, Cinv, A[r + 1]), (-1, Cinv, Hbar1, A[r]),
+                            (1, Cinv, A[r], Hbar1)))
 
+    # Theta[s+2] = C (q^-2 Theta[s] + c^-1 ([A_-1, A_s+1]_{q^-2}
+    #     - q^-2 [A_0, A_s]_{q^2})) - C Theta[0] at s = 0, expanded into
+    # its four products
     theta0 = I.scale(f.one / kap)
     theta = {0: theta0, 1: H1}
-    cinv = f.one / c
+    Cq = C * qm2
+    Cc = C / c
+    Ccq = Cc * qm2
     for s in range(0, T - 1):
-        step = qbracket(A[-1], A[s + 1], qm2) \
-            - qbracket(A[0], A[s], q2).scale(qm2)
-        acc = theta[s].scale(qm2) + step.scale(cinv)
+        terms = [(1, Cq, theta[s]), (1, Cc, A[-1], A[s + 1]), (1, Cc, A[s], A[0]),
+                 (-1, Ccq, A[s + 1], A[-1]), (-1, Ccq, A[0], A[s])]
         if s == 0:
-            acc = acc - theta0
-        theta[s + 2] = acc.scale(C)
+            terms.append((-1, C, theta0))
+        theta[s + 2] = combine(terms)
 
     # For commuting Theta[1..T] the log recurrence gives exactly the formal
     # log.  For Theta that do not commute, the H it returns do not commute
@@ -372,17 +385,16 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     # past its window mmax, and the spectra read Theta only.
     H = _Charges(H1, theta, T, f)
 
+    # acute[s] = Theta[s] + sum_k (1 - q^-2) C^k Theta[s - 2k]
+    wc = [(f.one - qm2) * C]
+    for k in range(2, T // 2 + 1):
+        wc.append(wc[-1] * C)
     acute = {}
     grave = {}
-    w = f.one - qm2
     for s in range(0, T + 1):
-        acc = theta[s]
-        cp = C
-        for k in range(1, s // 2 + 1):
-            acc = acc + theta[s - 2 * k].scale(w * cp)
-            cp = cp * C
-        acute[s] = acc
-        grave[s] = acc.scale(kap)
+        acute[s] = combine([(1, None, theta[s])]
+                           + [(1, wc[k - 1], theta[s - 2 * k]) for k in range(1, s // 2 + 1)])
+        grave[s] = acute[s].scale(kap)
     return A, H, Hbar1, theta, acute, grave
 
 
@@ -464,12 +476,13 @@ def verify_iserre(module: AffineModule, params: RankNParams, B) -> CheckReport:
             if i == j:
                 continue
             n = 1 - typ.cartan(i, j)
-            left, right = serre_sides(B[i], B[j], n, f.q)
+            extra = ()
             if n == 2:
-                right = right - B[j].scale(qc)
+                extra = ((-1, qc, B[j]),)
             elif n == 3:
-                right = right - commutator(B[i], B[j]).scale(qc * two * two)
-            ok, w = _meq(left, right, f)
+                qc4 = qc * two * two
+                extra = ((-1, qc4, B[i], B[j]), (1, qc4, B[j], B[i]))
+            ok, w = _meq(*serre_sides(B[i], B[j], n, f.q, extra), f)
             rep.add("iserre", (i, j), ok, w)
     return rep
 
@@ -485,20 +498,22 @@ def _theta_exchange(memo: ProductMemo, A, theta, c, C, r: int, s: int):
     the right side leaves out Theta_{r-s-1} always, Theta_{s-r-1} at s = r
     and Theta_{r-s+1} at s >= r + 2.  The ladder products come from
     ``memo``: over a window of (r, s) the pair (A_a, A_b) comes back from
-    (r, s) = (a, b - 1) and (a - 1, b).
+    (r, s) = (a, b - 1) and (a - 1, b).  They stay materialized, since each
+    is read by up to four (r, s), and each side is one ``combine`` of them
+    or of the Theta terms: over the numeric backend each side builds one
+    matrix.
     """
     f = A[r].field
-    q2 = f.q * f.q
-    qm2 = f.one / q2
+    qm2 = f.one / (f.q * f.q)
     mul = memo.mul
-    lhs = (mul(A[r], A[s + 1]) - mul(A[s + 1], A[r]).scale(qm2)) \
-        - (mul(A[r + 1], A[s]) - mul(A[s], A[r + 1]).scale(q2)).scale(qm2)
-    rhs = theta[s - r + 1].scale(c * C**r)
+    lhs = combine(((1, None, mul(A[r], A[s + 1])), (-1, qm2, mul(A[s + 1], A[r])),
+                   (-1, qm2, mul(A[r + 1], A[s])), (1, None, mul(A[s], A[r + 1]))))
+    rhs = [(1, c * C**r, theta[s - r + 1])]
     if s > r:
-        rhs = rhs - theta[s - r - 1].scale(qm2 * c * C ** (r + 1))
+        rhs.append((-1, qm2 * c * C ** (r + 1), theta[s - r - 1]))
     if s < r + 2:
-        rhs = rhs + theta[r - s + 1].scale(c * C**s)
-    return lhs, rhs
+        rhs.append((1, c * C**s, theta[r - s + 1]))
+    return lhs, combine(rhs)
 
 
 def _check_windows(fam, rwin: int, mmax: int):
@@ -539,9 +554,10 @@ def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
     for m in range(1, mmax + 1):
         coef = f.qint(2 * m) * f.from_fraction(1, m)
         Cm = ctx.C**m
+        coef_Cm = coef * Cm
         for r in range(-rwin, rwin + 1):
             lhs = commutator(H[m], A[r])
-            rhs = (A[r + m] - A[r - m].scale(Cm)).scale(coef)
+            rhs = combine(((1, coef, A[r + m]), (-1, coef_Cm, A[r - m])))
             ok, w = _meq(lhs, rhs, f)
             rep.add("rel2", (m, r), ok, w)
 
@@ -602,9 +618,10 @@ def rationality_check(fam: RankNFamily):
     rep = CheckReport(f"rationality / C-symmetry ({fam.params.describe()})")
 
     # the two-term recursion itself, coefficientwise over the whole window
+    Hb = fam.Hbar1[1]
     for r in range(-R + 2, R + 1):
         lhs = A[r]
-        rhs = commutator(fam.Hbar1[1], A[r - 1]) + A[r - 2].scale(ctx.C)
+        rhs = combine(((1, None, Hb, A[r - 1]), (-1, None, A[r - 1], Hb), (1, ctx.C, A[r - 2])))
         ok, w = _meq(lhs, rhs, f)
         rep.add("recursion", (r,), ok, w)
 

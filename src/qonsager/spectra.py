@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DomainError
-from .linmat import Grading, Matrix, _meq, degree_components
+from .linmat import Grading, Matrix, _meq, combine, degree_components
 from .loopsl2 import AffineModule, extend_loop_data, phi_series, tensor
 from .onsager import (
     RankNFamily,
@@ -418,9 +418,8 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
         bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        want = Matrix.zeros(V.dim, V.dim, f)
-        for v in range(s + 1):
-            want = want + (V.phi[s - v] @ V.psi[v]).scale(C ** v)
+        want = combine([(1, None, V.phi[s], V.psi[0])]
+                       + [(1, C ** v, V.phi[s - v], V.psi[v]) for v in range(1, s + 1)])
         ok, wit = _meq(d0, want, f)
         rep.add("diagonal", (s,), ok, wit)
         shift0.append(d0)
@@ -606,9 +605,7 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
         bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        want = Matrix.zeros(V.dim, V.dim, f)
-        for u in range(s + 1):
-            want = want + diag0[s - u].scale(D[u])
+        want = combine([(1, D[u], diag0[s - u]) for u in range(s + 1)])
         ok, wit = _meq(d0, want, f)
         rep.add("scaled_diagonal", (s,), ok, wit)
 
@@ -670,9 +667,7 @@ def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
         g2[v] = g1[v] if v == 1 else g1[v] + ada(g2[v - 1]).scale(q2)
     out = {}
     for v in range(1, T + 1):
-        gam = Matrix.zeros(W.dim, W.dim, f)
-        for m in range(0, v):
-            gam = gam + W.phi[m] @ g2[v - m]
+        gam = combine([(1, None, W.phi[m], g2[v - m]) for m in range(0, v)])
         out[v] = (gam.scale(s1) + adb(gam).scale(C * t)).scale(-kap)
     return out
 

@@ -15,6 +15,7 @@ from qonsager.linmat import (
     ProductMemo,
     _meq,
     _refit,
+    combine,
     commutator,
     degree_components,
     qbracket,
@@ -667,6 +668,137 @@ def test_nested_bracket_is_the_alternating_sum_numeric(vals, n, q0):
     assert ok, w
 
 
+# ------------------------------------------------------------------ combine
+
+_FIELDS = {"exact": F, "float": NumericField(1.3), "complex": NumericField(complex(0.6, 0.8))}
+
+
+def _fold(terms):
+    """Reference: the combination as the chain of ``@``, ``scale``, ``+``
+    and ``-`` it stands for, left to right."""
+    acc = None
+    for s, c, X, *Y in terms:
+        M = X @ Y[0] if Y else X
+        if c is not None:
+            M = M.scale(c)
+        if acc is None:
+            acc = M if s > 0 else -M
+        else:
+            acc = acc + M if s > 0 else acc - M
+    return acc
+
+
+@st.composite
+def combinations(draw, entries, coeffs):
+    """1 to 6 terms (s, c, M) or (s, c, X, Y) of one n x m shape, their
+    rows drawn from ``entries`` and their coefficients from ``coeffs``."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def block(r, c):
+        return [[draw(entries) for _ in range(c)] for _ in range(r)]
+
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        s, c = draw(st.sampled_from([1, -1])), draw(coeffs)
+        if draw(st.booleans()):
+            p = draw(st.integers(1, 4))
+            terms.append((s, c, block(n, p), block(p, m)))
+        else:
+            terms.append((s, c, block(n, m)))
+    return terms
+
+
+def _matrices(terms, field):
+    return [(s, c, *(Matrix(rows, field) for rows in ms)) for s, c, *ms in terms]
+
+
+@pytest.mark.parametrize("name", ["float", "complex"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_combine_one_product_is_the_dense_loop_bit_for_bit(name, data):
+    # the one product with neither coefficient nor sign is the numeric
+    # product itself, overflow to inf and NaN propagation included
+    nf = _FIELDS[name]
+    z = nf.zero
+    pair = data.draw(product_pairs(nan_floats if name == "float" else nan_entries, z))
+    A, B = (Matrix(rows, nf) for rows in pair)
+    C = combine([(1, None, A, B)])
+    assert _reprs(C.rows) == _reprs(_read(dense_loop_product(*pair, z), z))
+    assert _reprs((A @ B).rows) == _reprs(C.rows)
+
+
+@pytest.mark.parametrize("name", ["float", "complex"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_combine_sign_subtracts(name, data):
+    # a sign of -1 subtracts each entry from the field's zero, as the dense
+    # difference does; multiplying an infinite complex entry by -1 would
+    # make a NaN part instead
+    nf = _FIELDS[name]
+    rows = data.draw(same_shape_pairs(nan_floats if name == "float" else nan_entries))[0]
+    A = Matrix(rows, nf)
+    Z = Matrix.zeros(A.n, A.m, nf)
+    assert _reprs(combine([(-1, None, A)]).rows) == _reprs((Z - A).rows)
+    assert _reprs(combine([(1, None, A), (-1, None, A)]).rows) == _reprs((A - A).rows)
+
+
+_float_coeffs = st.one_of(st.none(), st.floats(-3, 3))
+_complex_coeffs = st.one_of(st.none(), st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)))
+
+
+@pytest.mark.parametrize("name", ["float", "complex"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_combine_agrees_with_the_fold(name, data):
+    # one row pass rounds otherwise than the chain of products, scalings
+    # and sums, within 1e-13 of the fold's scale: the largest entry of the
+    # same chain on absolute values, which bounds every partial sum
+    nf = _FIELDS[name]
+    entries = (st.floats(-10, 10) if name == "float"
+               else st.builds(complex, st.floats(-10, 10), st.floats(-10, 10)))
+    coeffs = _float_coeffs if name == "float" else _complex_coeffs
+    terms = _matrices(data.draw(combinations(entries, coeffs)), nf)
+    got, want = combine(terms), _fold(terms)
+    absolute = _fold([(1, None if c is None else abs(c),
+                       *(Matrix([[abs(x) for x in r] for r in M.rows], nf) for M in ms))
+                      for _, c, *ms in terms])
+    scale = max(1.0, absolute.max_abs())
+    assert (got.n, got.m) == (want.n, want.m)
+    worst = max((abs(a - b) for ra, rb in zip(got.rows, want.rows) for a, b in zip(ra, rb)),
+                default=0.0)
+    assert worst <= 1e-13 * scale, (worst, scale)
+
+
+#: coefficient objects that recur, so that terms share one
+_exact_coeffs = st.sampled_from([None, Q, Q**-2, Scalar(2), Scalar(-1, 3), Q + 1,
+                                 1 / (Q + Q**-1)])
+
+
+@given(combinations(st.sampled_from(image_pool), _exact_coeffs))
+@settings(max_examples=100, deadline=None)
+def test_combine_is_the_fold_exactly(terms):
+    # grouping the terms by denominator and coefficient changes no entry
+    terms = _matrices(terms, F)
+    assert combine(terms) == _fold(terms)
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+def test_combine_refuses_no_terms_and_mismatched_shapes(name):
+    field = _FIELDS[name]
+    I2, I3 = Matrix.identity(2, field), Matrix.identity(3, field)
+    Z23 = Matrix.zeros(2, 3, field)
+    with pytest.raises(DomainError, match="at least one term"):
+        combine([])
+    with pytest.raises(DomainError, match="shape mismatch 2x2 \\+ 3x3"):
+        combine([(1, None, I2), (1, None, I3)])
+    with pytest.raises(DomainError, match="shape mismatch 2x2 \\+ 3x3"):
+        combine([(1, None, I2, I2), (-1, field.one, I3, I3)])
+    with pytest.raises(DomainError, match="shape mismatch 2x3 @ 2x2"):
+        combine([(1, None, Z23, I2)])
+    # one unscaled matrix is returned as it is
+    assert combine([(1, None, I3)]) is I3
+
+
 # ------------------------------------------------------------------ gradings
 
 
@@ -783,6 +915,21 @@ def test_meq_never_passes_a_nan_entry(pair, data, bad, q0):
     for B in (A, Matrix(a_rows, nf), Matrix(b_rows, nf)):
         assert _meq(A, B, nf)[0] is False
         assert _meq(B, A, nf)[0] is False
+
+
+@pytest.mark.parametrize("q0", [1.3, complex(0.6, 0.8)])
+def test_meq_reads_a_nan_side_in_either_order(q0):
+    # the scale is taken over both sides at once, so a NaN on either side
+    # makes it NaN, and the witness names the NaN residual before the
+    # finite one at (0, 1); max(a, b, 1.0) kept its first argument against
+    # a NaN, and max by |residual| could pass the NaN over
+    nf = NumericField(q0)
+    A = Matrix([[1.0, 2.0], [3.0, 4.0]], nf)
+    C = Matrix([[1.0, 2.5], [3.0, _NAN]], nf)
+    for X, Y in ((A, C), (C, A)):
+        ok, witness = _meq(X, Y, nf)
+        assert not ok
+        assert witness == "entry (1,1) residual nan at scale nan"
 
 
 def test_numeric_family_stores_no_negative_zero():

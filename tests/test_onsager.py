@@ -525,6 +525,49 @@ def test_charges_cost_products_only_when_read(monkeypatch):
         read = max(read, m)
 
 
+def _count_images(monkeypatch):
+    """A one-element list that counts every matrix built from now on."""
+    calls = [0]
+    image = Matrix._image.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return image(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "_image", classmethod(counted))
+    return calls
+
+
+def test_numeric_tower_steps_build_one_matrix_each(monkeypatch):
+    # a ladder step, a Theta step and each side of the Theta exchange are
+    # one combination: over the numeric backend each builds one matrix, and
+    # no product, scaled term or partial sum on the way
+    nf = NumericField(1.3)
+    fam = generate_family(P("q^2", "q^-1", "0", "0"), V(1, "q", field=nf), T=5, R=5)
+    f = fam.field
+    C, c = f.from_scalar(fam.params.C), f.from_scalar(fam.params.c[1])
+    A, theta = fam.A[1], fam.theta[1]
+
+    def built(T, R):
+        calls = _count_images(monkeypatch)
+        onsager._grow_tower(A[0], A[-1], fam.H[1][1], C, c, T, R, fam.I)
+        monkeypatch.undo()
+        return calls[0]
+
+    # one more rung adds one ascending and one descending ladder step
+    assert built(3, 4) - built(3, 3) == 2
+    # one more order adds one Theta step, one acute coefficient and the
+    # grave one, its scaling
+    assert built(4, 4) - built(3, 4) == 3
+    memo = onsager.ProductMemo()
+    for r, s in ((0, 0), (0, 1), (-1, 1), (-2, 2)):
+        onsager._theta_exchange(memo, A, theta, c, C, r, s)  # the memo's products
+        calls = _count_images(monkeypatch)
+        onsager._theta_exchange(memo, A, theta, c, C, r, s)
+        monkeypatch.undo()
+        assert calls[0] == 2, (r, s)
+
+
 def test_dual_reads_the_charges_the_presentation_reads(monkeypatch):
     # both suites read H_1..H_mmax only, so on a fresh family neither grows
     # a charge past mmax
