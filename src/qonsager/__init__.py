@@ -4,8 +4,9 @@ quantum loop algebras.
 Subpackage map:
 
 * scalars   — the exact coefficient field Q(q) and the numeric backend
-* linmat    — matrices as sparse exact image stores and dense numeric rows,
-              gradings, q-brackets
+* linmat    — matrices in one sparse row store (integer images when exact,
+              nonzero floats or complex numbers when numeric), linear
+              combinations, gradings, q-brackets
 * series    — truncated series as lists of their known coefficients, exp/log,
               rational functions and their expansions at 0 and infinity,
               Pade reconstruction

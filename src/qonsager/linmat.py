@@ -17,8 +17,8 @@ cancel, so the zero matrix stores nothing, and every operation walks the
 stored rows only: with nz(M) the nonzero entries of M, each costs
 O(nonzeros), never O(n m).  The row-walking is shared: a product is
 Gustavson's row-sparse product (ACM TOMS 4(3), 1978), in which each stored
-row of A meets the stored rows of B its entries select; a sum merges the
-rows stored on both sides and takes a row stored on one side alone;
+row of A meets the stored rows of B its entries select, and a numeric sum
+is its two-term pass; an exact sum merges the rows stored on both sides;
 negation, the transpose and degree components move or negate stored
 values; the Kronecker product is O(nz(A) nz(B)), the size of its result.
 What a stored value is, and its arithmetic, belong to the backend.
@@ -75,7 +75,8 @@ operation here looks at which.  Two invariants hold: no stored value is
 zero (neither 0.0 nor -0.0, nor a complex zero of any signs), and the
 keys of every row ascend.  A zero entry therefore reads as the field's
 zero, never as -0.0.  Every result is the dense entry loop's on the
-entries as read, bit for bit, a zero result reading as the field's zero:
+entries as read, bit for bit, a zero result reading as the field's zero,
+save the sign of a complex zero part in a sum (below):
 
 * a product sums each row into a dense accumulator that starts at the
   field's zero and adds a*b in ascending inner index, as the dense
@@ -89,12 +90,11 @@ entries as read, bit for bit, a zero result reading as the field's zero:
   1990), so a combination builds no product, scaled term or partial sum.
   A combination rounds as its own pass does, not as the chain of ``@``,
   ``scale`` and ``+`` it stands for;
-* a sum adds a + b (a - b) where both sides store a row, the field's zero
-  standing for an unstored entry; a + 0, unlike a - 0, turns the -0.0
-  parts of a complex a into 0.0, so a sum computes it.  ``+`` and ``-``
-  keep this merge of stored rows rather than the pass of ``combine``: an
-  accumulator that starts at the field's zero computes (0 + a) - b, whose
-  complex zero parts can take another sign than those of a - b;
+* ``+`` and ``-`` are the two-term pass of ``combine``, O(m) a stored
+  row: an entry is (0 + a) + b or (0 + a) - b, 0 the field's zero and an
+  unstored entry adding nothing.  On floats that is a + b (a - b) bit for
+  bit; on complex entries 0 + a turns the -0.0 parts of a into 0.0, a sign
+  no branch cut or zero test of the package reads (``scalars.NumericField``);
 * an unstored entry is an exact zero: a scalar or a Kronecker factor
   that is inf or NaN leaves it 0.
 
@@ -464,52 +464,7 @@ def _sum(A, B, minus):
     """A + B, or A - B when minus, of two matrices of one shape."""
     if A.field.exact:
         return _image_sum(A, B, minus)
-    return _number_sum(A, B, minus)
-
-
-def _number_sum(A, B, minus):
-    """A + B, or A - B when minus, over the numeric backend, entry by
-    entry as the dense sum a + b (a - b) with the field's zero at every
-    unstored entry, and the entries that cancel dropped; rows stored on
-    both sides come out in ascending column.  x - 0 is x bit for bit, so a
-    difference takes a row stored in A alone as it is; x + 0 turns -0.0
-    parts of a complex x into 0.0, so a sum computes it."""
-    z = A.field.zero
-    a, b = A._nz, B._nz
-    out = {}
-    for i, ra in a.items():
-        rb = b.get(i)
-        if rb is None:
-            row = ra if minus else {j: x + z for j, x in ra.items()}
-        else:
-            row = _kept(_merged(ra, rb, z, minus))
-        if row:
-            out[i] = row
-    for i, rb in b.items():
-        if i not in a:
-            out[i] = ({j: z - y for j, y in rb.items()} if minus
-                      else {j: z + y for j, y in rb.items()})
-    return Matrix._image(out, A.n, A.m, A.field)
-
-
-def _merged(ra, rb, z, minus):
-    """The row ra + rb, or ra - rb when minus, of two stored numeric rows,
-    in ascending column, the field's zero z standing for an unstored
-    entry; cancelled entries are kept."""
-    if rb.keys() <= ra.keys():
-        if len(rb) == len(ra):
-            # one set of columns: every entry is stored on both sides
-            return ({j: x - rb[j] for j, x in ra.items()} if minus
-                    else {j: x + rb[j] for j, x in ra.items()})
-        keys = ra
-    elif ra.keys() <= rb.keys():
-        keys = rb
-    else:
-        keys = sorted(ra.keys() | rb.keys())
-    ga, gb = ra.get, rb.get
-    if minus:
-        return {j: ga(j, z) - gb(j, z) for j in keys}
-    return {j: ga(j, z) + gb(j, z) for j in keys}
+    return _number_combine(((1, None, A), (-1 if minus else 1, None, B)), A.n, A.m, A.field)
 
 
 def _number_combine(terms, n, m, field):

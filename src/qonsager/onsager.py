@@ -193,18 +193,18 @@ class RankNFamily:
 
     ``B[j]`` are the seeds for j in I.  For each seeded finite node i,
     ``A[i][r]`` (|r| <= R), ``H[i][m]`` and ``theta[i][m]`` (m <= T)
-    with the acute/grave reweightings; ``Hbar1[i]`` is H_{i,1}/[2].
-    ``A`` and the Theta towers are dicts; ``H[i]`` is a read-only mapping
-    over m = 1..T that grows each H_{i,m} on its first read.
-    A rank-one family has the one node i = 1.
+    with the grave reweighting.  ``A`` and the Theta towers are dicts;
+    ``H[i]`` is a read-only mapping over m = 1..T that grows each H_{i,m}
+    on its first read.  A rank-one family has the one node i = 1.
 
-    Theta_{i,0} = 1/(q - q^-1), and the acute tower is the series
-    Theta_i(z) (1 - q^-2 C z^2)/(1 - C z^2); the grave tower is the acute
-    one times (q - q^-1), so its index 0 is the identity.
+    Theta_{i,0} = 1/(q - q^-1), and the grave tower is the series
+    (q - q^-1) Theta_i(z) (1 - q^-2 C z^2)/(1 - C z^2), so its index 0 is
+    the identity.  Each tower is stored once: the acute series, the grave
+    one over (q - q^-1), and H_{i,1}/[2] are scalings of stored ones.
     """
 
-    __slots__ = ("typ", "module", "params", "field", "B", "A", "H", "Hbar1",
-                 "theta", "theta_acute", "theta_grave", "R", "T", "I")
+    __slots__ = ("typ", "module", "params", "field", "B", "A", "H",
+                 "theta", "theta_grave", "R", "T", "I")
 
     def __init__(self, module: AffineModule, params: RankNParams, field):
         self.typ = module.typ
@@ -214,9 +214,7 @@ class RankNFamily:
         self.B = {}
         self.A = {}
         self.H = {}
-        self.Hbar1 = {}
         self.theta = {}
-        self.theta_acute = {}
         self.theta_grave = {}
         self.R = 0
         self.T = 0
@@ -332,19 +330,19 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     A[r+1] = [Hbar1, A[r]] + C A[r-1], the Theta tower follows the
     two-step rule with the index-0 correction and the node weight c, and
     H is the log of the Theta series, a ``_Charges`` mapping that grows
-    H[2..T] only as far as they are read.  The acute tower
-    multiplies Theta(z) by (1 - q^-2 C z^2)/(1 - C z^2); the grave tower
-    rescales it by (q - q^-1) so that index 0 becomes the identity.
+    H[2..T] only as far as they are read.  The grave tower is the acute
+    series Theta(z) (1 - q^-2 C z^2)/(1 - C z^2) times (q - q^-1), so
+    that index 0 becomes the identity.
 
     Each ladder step, each Theta step and each acute coefficient is one
     ``combine`` of the products and matrices it reads, with the rule's
     constants multiplied into its coefficients: over the numeric backend
     one row pass that builds one matrix, over the exact one the image
     operations of the bracketed rule.  A grave coefficient stays one
-    scaling of its acute one: the acute one is kept anyway, and spreading
-    q - q^-1 over its terms would scale each of them a second time.
+    scaling of its acute one, which is a local: spreading q - q^-1 over
+    the terms would scale each of them a second time.
 
-    Returns (A, H, Hbar1, theta, theta_acute, theta_grave).
+    Returns (A, H, theta, theta_grave).
     """
     f = I.field
     qm2 = f.one / (f.q * f.q)
@@ -389,13 +387,12 @@ def _grow_tower(A0: Matrix, Am1: Matrix, H1: Matrix, C, c, T: int, R: int,
     wc = [(f.one - qm2) * C]
     for k in range(2, T // 2 + 1):
         wc.append(wc[-1] * C)
-    acute = {}
     grave = {}
     for s in range(0, T + 1):
-        acute[s] = combine([(1, None, theta[s])]
-                           + [(1, wc[k - 1], theta[s - 2 * k]) for k in range(1, s // 2 + 1)])
-        grave[s] = acute[s].scale(kap)
-    return A, H, Hbar1, theta, acute, grave
+        acute = combine([(1, None, theta[s])]
+                        + [(1, wc[k - 1], theta[s - 2 * k]) for k in range(1, s // 2 + 1)])
+        grave[s] = acute.scale(kap)
+    return A, H, theta, grave
 
 
 def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
@@ -420,8 +417,8 @@ def _grow_family(module: AffineModule, params: RankNParams, B, am1, T: int,
     for i, Am1 in am1.items():
         c = f.from_scalar(params.c[i])
         H1 = qbracket(Am1, B[i], qm2).scale(f.from_scalar(Q * Q / params.cconst(i)))
-        (fam.A[i], fam.H[i], fam.Hbar1[i], fam.theta[i], fam.theta_acute[i],
-         fam.theta_grave[i]) = _grow_tower(B[i], Am1, H1, C, c, T, R, fam.I)
+        fam.A[i], fam.H[i], fam.theta[i], fam.theta_grave[i] = _grow_tower(
+            B[i], Am1, H1, C, c, T, R, fam.I)
     return fam
 
 
@@ -535,7 +532,10 @@ def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
     """rel1-rel3 on a rank-one family, exactly, over the given windows.
 
     The window reads H_1..H_mmax and Theta up to index 2 rwin + 1.  rel3 is
-    symmetric under swapping (r, s), so only r <= s is walked.
+    symmetric under swapping (r, s), so only r <= s is walked.  rel1 walks
+    m <= n, and at (m, m) it compares the one memo product H_m H_m with
+    itself: those entries pass for every H_m with finite entries and check
+    nothing else.
     """
     ctx = _Ctx(fam.params, fam.field)
     _check_windows(fam, rwin, mmax)
@@ -617,8 +617,9 @@ def rationality_check(fam: RankNFamily):
     A = fam.A[1]
     rep = CheckReport(f"rationality / C-symmetry ({fam.params.describe()})")
 
-    # the two-term recursion itself, coefficientwise over the whole window
-    Hb = fam.Hbar1[1]
+    # the two-term recursion itself, coefficientwise over the whole window,
+    # with H_1/[2] scaled as _grow_tower scales it
+    Hb = fam.H[1][1].scale(f.one / f.qint(2))
     for r in range(-R + 2, R + 1):
         lhs = A[r]
         rhs = combine(((1, None, Hb, A[r - 1]), (-1, None, A[r - 1], Hb), (1, ctx.C, A[r - 2])))
@@ -673,12 +674,14 @@ def rationality_check(fam: RankNFamily):
 
     theta_ser = [[theta_rf[i][j].expand_at_zero(T) for j in range(n)]
                  for i in range(n)]
+    # against the acute series, the grave tower over (q - q^-1)
     for s in range(0, T + 1):
+        acute = fam.theta_grave[1][s].scale(f.one / ctx.kap).rows
         ok, wit = True, None
         for i in range(n):
             for j in range(n):
                 got = theta_ser[i][j][s]
-                want = fam.theta_acute[1][s].rows[i][j]
+                want = acute[i][j]
                 if not f.eq(got, want):
                     ok, wit = False, f"entry ({i},{j})"
                     break

@@ -82,7 +82,7 @@ Conventions, fixed once and relied on everywhere below:
 
   it grows each node's ladder A_{i,r+1} = [H_{i,1}/[2], A_{i,r}] + C A_{i,r-1},
   the Theta tower from the two-step rule with node weight c_i, H from the
-  log of Theta, and the acute/grave reweightings.  The parameter and
+  log of Theta, and its grave reweighting.  The parameter and
   family types (RankNParams, RankNFamily) and the seed matrices
   (``eta_bmats``) live there too.
 

@@ -602,6 +602,13 @@ class NumericField:
     infinity; neither is zero.  Floats are cheaper, since CPython
     specializes float arithmetic and not complex.
 
+    The sign of a zero part is immaterial throughout: no branch cut and no
+    zero test of the package reads it, and reports print none
+    (``spectra._scalar_out``).  So matrix sums run the accumulator pass of
+    ``linmat.combine``, (0 + a) +- b with 0 this field's zero, which is
+    a +- b bit for bit on floats but turns the -0.0 parts of a complex a
+    into 0.0.
+
     q0 must be finite and stay away from 0 and from roots of unity of order
     <= 48 (the q-integers appearing in any supported window must not
     vanish); tol must be finite and non-negative.

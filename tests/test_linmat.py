@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonsager.errors import DomainError
@@ -238,19 +238,31 @@ def same_shape_pairs(draw, entries):
     return tuple([[draw(entries) for _ in range(m)] for _ in range(n)] for _ in range(2))
 
 
+def _sum_references(a_rows, b_rows, z):
+    """The numeric references of ``+`` and ``-``: the accumulator pass of
+    ``combine``, which starts each entry at the field's zero z, adds a and
+    then adds or subtracts b, (z + a) + b and (z + a) - b.  On float
+    entries as read they are the dense a + b and a - b, bit for bit."""
+    sums = _entrywise(a_rows, b_rows, lambda a, b: (z + a) + b)
+    diffs = _entrywise(a_rows, b_rows, lambda a, b: (z + a) - b)
+    if all(type(x) is float for r in a_rows + b_rows for x in r):
+        assert _reprs(sums) == _reprs(_entrywise(a_rows, b_rows, lambda a, b: a + b))
+        assert _reprs(diffs) == _reprs(_entrywise(a_rows, b_rows, lambda a, b: a - b))
+    return sums, diffs
+
+
 def _check_entrywise(pair, c):
     # add, sub, neg and scale are plain entrywise arithmetic on the entries
     # as read: overflowing products and the signs of the zero parts of a
     # nonzero complex entry come out as the reference's, and a zero result
-    # reads as the field's zero
+    # reads as the field's zero.  A sum's reference is the accumulator's
+    # (z + a) +- b, where z + a turns the -0.0 parts of a complex a into 0.0
     nf = NumericField(1.3)
     z = nf.zero
     A, B = Matrix(pair[0], nf), Matrix(pair[1], nf)
     a_rows, b_rows = _read(pair[0], z), _read(pair[1], z)
     assert _reprs(A.rows) == _reprs(a_rows)
-    rows = list(zip(a_rows, b_rows))
-    sums = [[a + b for a, b in zip(ra, rb)] for ra, rb in rows]
-    diffs = [[a - b for a, b in zip(ra, rb)] for ra, rb in rows]
+    sums, diffs = _sum_references(a_rows, b_rows, z)
     assert _reprs((A + B).rows) == _reprs(_read(sums, z))
     assert _reprs((A - B).rows) == _reprs(_read(diffs, z))
     assert _reprs((-A).rows) == _reprs(_read([[-a for a in ra] for ra in a_rows], z))
@@ -260,6 +272,7 @@ def _check_entrywise(pair, c):
 
 
 @given(same_shape_pairs(numeric_entries), numeric_entries)
+@example(pair=([[complex(-0.0, -2.0), 1j]], [[0j, complex(-0.0, -0.0)]]), c=1j)
 @settings(max_examples=150, deadline=None)
 def test_entrywise_ops_match_reference_numeric(pair, c):
     _check_entrywise(pair, c)
@@ -329,16 +342,16 @@ nan_floats = st.one_of(float_entries, st.sampled_from([_NAN, -_NAN, _INF, -_INF,
 
 def _check_entry_loops(pair, product, c):
     # the store gives the entry loops' arithmetic on the entries as read
-    # exactly, overflow to inf and NaN propagation included.  An unstored
-    # entry is an exact zero: a scalar or a Kronecker factor that is inf
-    # or NaN leaves it zero, where the dense passes made it NaN.
+    # exactly, overflow to inf and NaN propagation included; a sum gives
+    # the accumulator's (z + a) +- b, an unstored entry adding nothing.  An
+    # unstored entry is an exact zero: a scalar or a Kronecker factor that
+    # is inf or NaN leaves it zero, where the dense passes made it NaN.
     nf = NumericField(1.3)
     z = nf.zero
     A, B = Matrix(pair[0], nf), Matrix(pair[1], nf)
     a_rows, b_rows = _read(pair[0], z), _read(pair[1], z)
-    sums = _entrywise(a_rows, b_rows, lambda a, b: a + b)
+    sums, diffs = _sum_references(a_rows, b_rows, z)
     assert _reprs((A + B).rows) == _reprs(_read(sums, z))
-    diffs = _entrywise(a_rows, b_rows, lambda a, b: a - b)
     assert _reprs((A - B).rows) == _reprs(_read(diffs, z))
     assert _reprs((-A).rows) == _reprs(_read([[-a for a in r] for r in a_rows], z))
     scaled = [[c * a if a else z for a in r] for r in a_rows]
@@ -351,6 +364,8 @@ def _check_entry_loops(pair, product, c):
 
 
 @given(same_shape_pairs(nan_entries), product_pairs(nan_entries, 0j), nan_entries)
+@example(pair=([[complex(-0.0, _NAN)], [complex(-0.0, -2.0)]], [[0j], [complex(_INF, _NAN)]]),
+         product=([[1j]], [[1j]]), c=complex(-0.0, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_numeric_ops_are_the_entry_loops_bit_for_bit(pair, product, c):
     _check_entry_loops(pair, product, c)
@@ -742,6 +757,29 @@ def test_combine_sign_subtracts(name, data):
     assert _reprs(combine([(1, None, A), (-1, None, A)]).rows) == _reprs((A - A).rows)
 
 
+def _store(M):
+    """Everything a matrix holds, as text: NaNs print alike."""
+    return repr((M.n, M.m, M._nz, M._k, M._d, M._w, M._h))
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sum_and_difference_are_the_two_term_combination(name, data):
+    # A + B and A - B store what combine stores for (1, A) and (+-1, B):
+    # over the numeric backend one accumulator pass, over the exact one
+    # the sum of images; each side gets operands of its own, since an
+    # exact operation may re-encode its operands in wider slots
+    field = _FIELDS[name]
+    entries = {"exact": image_entries, "float": nan_floats}.get(name, nan_entries)
+    pair = data.draw(same_shape_pairs(entries))
+    for sign, op in ((1, Matrix.__add__), (-1, Matrix.__sub__)):
+        A, B = (Matrix(rows, field) for rows in pair)
+        got = op(A, B)
+        A, B = (Matrix(rows, field) for rows in pair)
+        assert _store(got) == _store(combine(((1, None, A), (sign, None, B)))), sign
+
+
 _float_coeffs = st.one_of(st.none(), st.floats(-3, 3))
 _complex_coeffs = st.one_of(st.none(), st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)))
 
@@ -934,9 +972,10 @@ def test_meq_reads_a_nan_side_in_either_order(q0):
 
 def test_numeric_family_stores_no_negative_zero():
     # the dense float store kept a -0.0 wherever a sum of zeros or a
-    # negation made one: 21 of the 765 family entries of W_2(q) at q0 = 1.3,
-    # where the complex run reads 0.0.  The sparse store holds no zero, so
-    # every zero entry reads as the field's 0.0.
+    # negation made one: 21 of the 765 family entries of W_2(q) at q0 = 1.3
+    # (H_1/[2] and the acute tower then stored too), where the complex run
+    # reads 0.0.  The sparse store holds no zero, so every zero entry of the
+    # 69 family matrices reads as the field's 0.0.
     from qonsager.onsager import RankNParams
     from qonsager.ranka import build_vector_evaluation, generate_rankn_family
 
@@ -945,10 +984,9 @@ def test_numeric_family_stores_no_negative_zero():
                                 R=6, T=6)
     mats = list(fam.B.values())
     for i in fam.A:
-        mats += [*fam.A[i].values(), *(fam.H[i][m] for m in fam.H[i]), fam.Hbar1[i],
-                 *fam.theta[i].values(), *fam.theta_acute[i].values(),
-                 *fam.theta_grave[i].values()]
+        mats += [*fam.A[i].values(), *(fam.H[i][m] for m in fam.H[i]),
+                 *fam.theta[i].values(), *fam.theta_grave[i].values()]
     entries = [x for M in mats for r in M.rows for x in r]
-    assert len(entries) == 765
+    assert len(entries) == 621
     zeros = [repr(x) for x in entries if not x]
     assert zeros and set(zeros) == {"0.0"}

@@ -399,7 +399,7 @@ class ComplexAtRealQ0(NumericField):
         return z
 
 
-_TOWERS = ("B", "A", "H", "Hbar1", "theta", "theta_acute", "theta_grave")
+_TOWERS = ("B", "A", "H", "theta", "theta_grave")
 
 
 def _family_entries(fam):

@@ -641,7 +641,7 @@ def test_generation_builds_no_braid_images(monkeypatch):
     monkeypatch.setattr(ranka, "_braid_images", refuse)
     for mod, p, want in cases:
         fam = generate_rankn_family(mod, p, T=3, R=4)
-        for tower in ("B", "A", "Hbar1", "theta", "theta_acute", "theta_grave"):
+        for tower in ("B", "A", "theta", "theta_grave"):
             assert getattr(fam, tower) == getattr(want, tower), (mod.describe(), tower)
         assert all(fam.H[i][m] == want.H[i][m] for i in fam.H for m in range(1, 4))
 
@@ -749,7 +749,7 @@ def test_trivial_module_towers_collapse():
     # A = 0 on the trivial module, so grel5 at (r, s) = (0, 1) leaves
     # Theta_i(z) = Theta_{i,0} (1 - C z^2)/(1 - q^-2 C z^2): the odd
     # Theta_{i,m} vanish and Theta_{i,2k} = -q^(1-2k) C^k (C = q^9 here).
-    # The acute reweighting by (1 - q^-2 C z^2)/(1 - C z^2) collapses the
+    # The grave reweighting by (1 - q^-2 C z^2)/(1 - C z^2) collapses the
     # tower to its constant term.
     fam = generate_rankn_family(AffineModule.trivial(2, F),
                                 P(("1", "q", "q^2")), T=4, R=4)
@@ -759,7 +759,7 @@ def test_trivial_module_towers_collapse():
         for r in range(-4, 5):
             assert fam.A[i][r].is_zero(), (i, r)
         for m in range(1, 5):
-            assert fam.theta_acute[i][m].is_zero(), (i, m)
+            assert fam.theta_grave[i][m].is_zero(), (i, m)
             want = Scalar(0) if m % 2 else -(Q ** (1 - m)) * C ** (m // 2)
             assert fam.theta[i][m] == fam.I.scale(want), (i, m)
 
@@ -872,8 +872,7 @@ def _twist_node(fam, i):
                 for r, M in fam.A[i].items()}
     fam.H[i] = {m: (M if m % 2 == 0 else M.scale(neg))
                 for m, M in fam.H[i].items()}
-    fam.Hbar1[i] = fam.Hbar1[i].scale(neg)
-    for tower in (fam.theta, fam.theta_acute, fam.theta_grave):
+    for tower in (fam.theta, fam.theta_grave):
         tower[i] = {m: (M if m % 2 == 0 else M.scale(neg))
                     for m, M in tower[i].items()}
 
@@ -925,7 +924,7 @@ def test_numeric_rank_one_towers_match_the_loop_family():
     V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=4,
                          field=nf)
     ofam = generate_family(OnsagerParams(*p.c, *p.s), V, T=4, R=5)
-    for tower in ("A", "H", "theta", "theta_acute", "theta_grave"):
+    for tower in ("A", "H", "theta", "theta_grave"):
         ours = getattr(fam, tower)[1]
         theirs = getattr(ofam, tower)[1]
         assert ours.keys() == theirs.keys(), tower
@@ -942,7 +941,7 @@ def test_rank_one_seeders_give_equal_towers():
     V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=4)
     ofam = generate_family(p, V, T=4, R=5)
     assert fam.B == ofam.B
-    for tower in ("A", "H", "Hbar1", "theta", "theta_acute", "theta_grave"):
+    for tower in ("A", "H", "theta", "theta_grave"):
         assert getattr(fam, tower) == getattr(ofam, tower), tower
 
 
