@@ -409,22 +409,34 @@ def _heuristic_gcd(a, b):
 def _image_quotient(a, qv, g, norms, w):
     """a / g, or None when g does not divide a, for qv = a(xi) / g(xi), an
     integer, at xi = 2^(8w), a's coefficients below xi/2 in absolute value
-    and norms = (|g|_1, |g|_inf).
-
-    Let u be the balanced digits of qv.  Each coefficient of g*u is at
-    most both |g|_1 |u|_inf and |g|_inf |u|_1 in absolute value.  When the
-    smaller is below xi/2, g*u and a are both the balanced digits of
-    g(xi)*u(xi) = a(xi), and g*u = a in ZZ[q].  A wider u proves nothing,
-    and pdiv_exact decides."""
-    u = _unpack(qv, w)
-    g1, gmax = norms
-    half = 1 << (8 * w - 1)
-    if g1 * max(map(abs, u)) < half or gmax * sum(map(abs, u)) < half:
+    and norms = (|g|_1, |g|_inf): the quotient of the images when it
+    proves itself (_proved_quotient), and pdiv_exact's verdict when it is
+    too wide to."""
+    u = _proved_quotient(qv, norms, w)
+    if u is not None:
         return u
     try:
         return pdiv_exact(a, g)
     except ValueError:
         return None
+
+
+def _proved_quotient(qv, norms, w):
+    """u = a / g in ZZ[q], or None when the images do not prove it, for a
+    nonzero qv = a(xi) / g(xi), an integer, at xi = 2^(8w), a's
+    coefficients below xi/2 in absolute value and norms = (|g|_1,
+    |g|_inf).
+
+    Let u be the balanced digits of qv.  Each coefficient of g*u is at
+    most both |g|_1 |u|_inf and |g|_inf |u|_1 in absolute value.  When the
+    smaller is below xi/2, g*u and a are both the balanced digits of
+    g(xi)*u(xi) = a(xi), and g*u = a in ZZ[q].  A wider u proves nothing."""
+    u = _unpack(qv, w)
+    g1, gmax = norms
+    half = 1 << (8 * w - 1)
+    if g1 * max(map(abs, u)) < half or gmax * sum(map(abs, u)) < half:
+        return u
+    return None
 
 
 def _prs_gcd(a, b):

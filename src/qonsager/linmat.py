@@ -44,7 +44,8 @@ bounds its digits (Char, Geddes and Gonnet, 1989):
 * a sum or difference, O(nz(A) + nz(B)), goes to the lcm D = D_A (D_B /
   g), g = pgcd(D_A, D_B), one gcd per pair of matrices and none when D_A =
   D_B, and to the larger shift: each operand's images are multiplied by
-  the image of its cofactor times q to its shift difference;
+  the image of its cofactor times q to its shift difference; the result
+  is then taken to lower terms (below);
 * scaling by c = n / (q^t p), p(0) != 0, multiplies the images by n(2^s)
   and D by p, after taking the factor that n and D share out of both:
   O(nz(A)), and O(1) when c is 1 or 0;
@@ -58,16 +59,31 @@ bounds its digits (Char, Geddes and Gonnet, 1989):
   sums the terms of one denominator, and among them those of one
   coefficient object, before it scales them once or adds another
   denominator: sums over one denominator, which take no gcd, come first.
+  Its result is taken to lower terms once.
 
 An operation whose height bound would reach 2^(s-1) first re-encodes its
 operands, O(nz) each: it decodes them, takes their heights down to the
 exact largest 1-norm and, if the bound still reaches the slot, packs them
 in wider slots.  Their values do not change, so this is done in place.  A
 product also takes out the power of q that all its entries share, so that
-the shift of a tower of products does not grow with each factor.  The
-stored form is not canonical, since P_ij and D q^K may share factors.
-Construction coerces ints and Fractions to Scalars and refuses any other
-entry.
+the shift of a tower of products does not grow with each factor.
+
+The stored form is not canonical, since P_ij and D q^K may share factors:
+a product multiplies the denominators, a scaling multiplies D by the
+scalar's, and the factors the numerators share pile up.  Sums and
+combinations, of which towers are built, take their result to lower terms
+with one integer gcd, as GCDHEU finds a polynomial gcd: x = gcd(D(2^s),
+every image), and the primitive part g of x's balanced digits is the
+candidate.  While D's 1-norm is below half a slot, each quotient of an
+image by g(2^s) proves itself the image of a polynomial quotient by the
+no-carry bound of the kernel's heuristic gcd, and the result stores these
+quotients over D/g, at their exact largest 1-norm.  Where x finds no
+factor of positive degree, or the bound proves none, the result keeps its
+form; either form decodes to the same entries.  It costs one pass of C
+gcds over the images, plus one division and one unpack per entry when a
+factor is found.  Products and scalings are not reduced: their operands
+are, and their results feed the sums that are.  Construction coerces ints
+and Fractions to Scalars and refuses any other entry.
 
 Numeric matrices store their entries as they are: Python floats at a real
 q0 and complex numbers otherwise (see ``scalars.NumericField``); no
@@ -155,10 +171,11 @@ from __future__ import annotations
 
 from functools import partial, reduce
 from itertools import chain, compress, repeat
-from math import inf, isfinite
+from math import gcd, inf, isfinite
 from operator import mul, neg, or_
 
-from ._kernel import _gcd_cofactors, _pack, _unpack, _width, pdiv_exact, pmul
+from ._kernel import (_gcd_cofactors, _pack, _proved_quotient, _unpack, _width, pdiv_exact,
+                      pmul, pprim)
 from .errors import DomainError
 from .scalars import Scalar, _coerce, _laurent
 
@@ -463,7 +480,7 @@ def _kept(row):
 def _sum(A, B, minus):
     """A + B, or A - B when minus, of two matrices of one shape."""
     if A.field.exact:
-        return _image_sum(A, B, minus)
+        return _reduced(_image_sum(A, B, minus))
     return _number_combine(((1, None, A), (-1 if minus else 1, None, B)), A.n, A.m, A.field)
 
 
@@ -621,6 +638,46 @@ def _image_sum(A, B, minus):
     return Matrix._image(out, A.n, A.m, A.field, k, D, w, h)
 
 
+def _reduced(M):
+    """The exact matrix M over D/g, for the factor g of positive degree
+    that one integer gcd finds shared by D and every P_ij; M itself when
+    it finds none, or cannot prove it.  As in GCDHEU (Char, Geddes and
+    Gonnet, 1989), x = gcd(D(2^s), images) is positive, so pp of its
+    balanced digits is a candidate g with a positive leading coefficient,
+    and g(2^s) = x / content divides every image.  Each quotient of images
+    may prove itself a quotient of polynomials
+    (``_kernel._proved_quotient``), which needs the coefficients of the
+    dividend below half a slot: the height bound keeps those of every
+    P_ij there, and D's 1-norm below it keeps D's.  The result holds the
+    quotients' images at their exact largest 1-norm, below half a slot,
+    and every entry decodes to the Scalar it did in M."""
+    D, w = M._d, M._w
+    if len(D) < 2 or sum(map(abs, D)).bit_length() >= 8 * w:
+        return M
+    vd = _pack(D, w)
+    x = gcd(vd, *chain.from_iterable(map(dict.values, M._nz.values())))
+    c, g = pprim(_unpack(x, w))
+    if len(g) < 2:
+        return M
+    vg, norms = x // c, (sum(map(abs, g)), max(map(abs, g)))
+    d = _proved_quotient(vd // vg, norms, w)
+    if d is None:
+        return M
+    nz, h = {}, 0
+    for i, r in M._nz.items():
+        row = nz[i] = {}
+        for j, v in r.items():
+            v //= vg
+            u = _proved_quotient(v, norms, w)
+            if u is None:
+                return M
+            row[j] = v
+            h = max(h, sum(map(abs, u)))
+    if h.bit_length() >= 8 * w:
+        return M
+    return Matrix._image(nz, M.n, M.m, M.field, M._k, d, w, h)
+
+
 def _lcm(da, db):
     """(D, fa, fb): the lcm D of the denominators da and db, and D/da,
     D/db; one pgcd, and none when they are equal."""
@@ -755,7 +812,8 @@ def combine(terms) -> Matrix:
     them once, in the order the terms come; it then adds the sums of the
     denominators in that order.  So the two products of a bracket, which
     share a denominator, are summed without a gcd, as the bracketed chains
-    that combine replaced summed them.
+    that combine replaced summed them.  The exact result is taken to lower
+    terms once (``_reduced``), as a sum's is.
     """
     terms = tuple(terms)
     if not terms:
@@ -789,7 +847,7 @@ def combine(terms) -> Matrix:
     (s, M), *rest = by_d.values()
     for t, N in rest:
         M = _image_sum(M, N, t != s)
-    return -M if s < 0 else M
+    return _reduced(-M if s < 0 else M)
 
 
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:

@@ -94,7 +94,8 @@ Conventions, fixed once and relied on everywhere below:
 from typing import NamedTuple
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, ProductMemo, _meq, commutator, degree_components
+from .linmat import (Grading, Matrix, ProductMemo, _meq, combine, commutator,
+                     degree_components)
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
@@ -553,8 +554,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 coef = f.from_scalar(qint(m * aij) / Scalar(m))
                 for r in range(-rwin, rwin + 1):
                     lhs = commutator(fam.h(i, m), fam.a(j, r))
-                    rhs = (fam.a(j, r + m)
-                           - fam.a(j, r - m).scale(C ** m)).scale(coef)
+                    rhs = combine(((1, coef, fam.a(j, r + m)),
+                                   (-1, coef * C ** m, fam.a(j, r - m))))
                     ok, w = _meq(lhs, rhs, f)
                     rep.add("grel2", (i, m, j, r), ok, w)
 
@@ -579,8 +580,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 for s in range(-rwin, rwin + 1):
                     ai0, ai1 = fam.a(i, r), fam.a(i, r + 1)
                     aj0, aj1 = fam.a(j, s), fam.a(j, s + 1)
-                    lhs = mul(ai0, aj1) + mul(aj0, ai1)
-                    rhs = (mul(aj1, ai0) + mul(ai1, aj0)).scale(qma)
+                    lhs = combine(((1, None, mul(ai0, aj1)), (1, None, mul(aj0, ai1))))
+                    rhs = combine(((1, qma, mul(aj1, ai0)), (1, qma, mul(ai1, aj0))))
                     ok, w = _meq(lhs, rhs, f)
                     rep.add("grel4", (i, r, j, s), ok, w)
 

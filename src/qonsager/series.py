@@ -61,7 +61,8 @@ def series_exp(coeffs, one, field):
 
     (Knuth, TAOCP Vol. 2, §4.7; Brent and Kung, J. ACM 25(4), 1978): about
     T²/2 coefficient products, where the power sum Σ S^k/k! takes about
-    T³/6.  Each k·S_k is formed once and 1/n is applied once per n.  The
+    T³/6.  Each k·S_k is formed once and 1/n is applied once per n, and
+    neither factor is applied where it is 1 (k = 1, n = 1).  The
     result is the formal exp only when the S_k commute pairwise.  With
     S_k on the left, as in series_log, series_exp(series_log(S)) == S holds
     for every S with constant term one, commuting or not, exactly over the
@@ -70,14 +71,15 @@ def series_exp(coeffs, one, field):
     """
     if not coeffs or not _is_zero_entry(coeffs[0], field):
         raise DomainError("series_exp needs zero constant term")
-    ks = [field.from_int(k) * v for k, v in enumerate(coeffs)]
+    # ks[0] = S_0 is never read
+    ks = [field.from_int(k) * v if k > 1 else v for k, v in enumerate(coeffs)]
     e = [one]
     for n in range(1, len(coeffs)):
         # the k = n term is k·S_k times E_0 = one
         acc = ks[n]
         for k in range(1, n):
             acc = acc + ks[k] * e[n - k]
-        e.append(field.from_fraction(1, n) * acc)
+        e.append(field.from_fraction(1, n) * acc if n > 1 else acc)
     return e
 
 
@@ -87,11 +89,12 @@ def log_terms(coeff, field):
     ``series_log``'s recurrence run one order at a time: the n-th ``next``
     calls ``coeff(n)`` once for D_n and returns L_n after n - 1 coefficient
     products, so a caller that stops at order m never makes D_n or L_n for
-    n > m.
+    n > m.  L_1 = D_1, with no factor n or 1/n.
     """
-    d = {}
-    kl = {}  # k·L_k
-    n = 0
+    d = {1: coeff(1)}
+    kl = {1: d[1]}  # k·L_k
+    yield d[1]
+    n = 1
     while True:
         n += 1
         d[n] = coeff(n)

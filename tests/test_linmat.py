@@ -2,18 +2,21 @@
 
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qonsager._kernel import _pack, _unpack, padd, pgcd, pmul, pnorm
 from qonsager.errors import DomainError
 from qonsager.linmat import (
     Grading,
     Matrix,
     ProductMemo,
     _meq,
+    _reduced,
     _refit,
     combine,
     commutator,
@@ -990,3 +993,117 @@ def test_numeric_family_stores_no_negative_zero():
     assert len(entries) == 621
     zeros = [repr(x) for x in entries if not x]
     assert zeros and set(zeros) == {"0.0"}
+
+
+# ------------------------------------------------------------------ reduction
+
+#: primitive factors with a positive leading coefficient and f(0) != 0
+_FACTORS = [[1, 0, 1], [-3, 2], [1, 1], [1, 1, 1], [-1, 0, 1]]
+_small_polys = st.lists(st.integers(-5, 5), max_size=4).map(pnorm)
+_nonzero_polys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(lambda p: p[-1])
+_denominators = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+    lambda p: p[0] and p[-1] > 0)
+
+
+def _image_matrix(polys, d, k=0, w=4):
+    """The matrix that stores P_ij = polys[i][j] over the denominator d at
+    the shift k, in slots of w bytes, as the image operations leave it:
+    nothing that P_ij and d share is taken out."""
+    nz = {}
+    for i, r in enumerate(polys):
+        row = {j: _pack(p, w) for j, p in enumerate(r) if p}
+        if row:
+            nz[i] = row
+    h = max((sum(map(abs, p)) for r in polys for p in r), default=0)
+    assert h.bit_length() < 8 * w
+    return Matrix._image(nz, len(polys), len(polys[0]), F, k, d, w, h)
+
+
+def _check_reduced(M, polys):
+    """_reduced(M) for M = _image_matrix(polys, ...), checked: each entry
+    is still P_ij / (D q^k), the store is valid and its height is the
+    exact largest 1-norm of its images, below half a slot."""
+    R = _stored(_reduced(M))
+    want = [[Scalar(p, [0] * M._k + M._d) if p else F.zero for p in r] for r in polys]
+    assert R.rows == want and R == M
+    norms = [sum(map(abs, _unpack(v, R._w))) for r in R._nz.values() for v in r.values()]
+    assert R._h == max(norms, default=0) and R._h.bit_length() < 8 * R._w
+    assert R._d[-1] > 0 and R._d[0]
+    return R
+
+
+@given(st.data(), st.sampled_from(_FACTORS), st.integers(1, 3), _denominators,
+       st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_reduction_takes_out_a_planted_factor(data, f, e, d, k):
+    # P_ij = f^e P'_ij over D = f^e D': D loses at least the degree of f^e
+    # (more when the P'_ij and D' share a factor), and every entry reads
+    # as before.  Values of coprime P' and D' of degree <= 3 and
+    # coefficients <= 5 share no integer factor above their resultant,
+    # so the digits of the gcd are the shared polynomial's
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    base = data.draw(st.lists(st.lists(_small_polys, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    fe = reduce(pmul, [f] * e)
+    polys = [[pmul(p, fe) for p in r] for r in base]
+    M = _image_matrix(polys, pmul(d, fe), k)
+    R = _check_reduced(M, polys)
+    assert len(R._d) <= len(M._d) - (len(fe) - 1)
+    assert (R._k, R._w) == (M._k, M._w)
+
+
+@given(st.data(), st.integers(2, 1000), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_reduction_keeps_a_shared_integer_factor(data, t, content):
+    # D = content (q + c) with t | D(2^32), and P_ij = content (u_ij (q + c)
+    # + t v_ij): every image is a multiple of content t, but no polynomial
+    # of positive degree divides D and every P_ij, so the matrix comes
+    # back as it is
+    c = (-(2**32)) % t or t
+    d = [content * c, content]
+    n = data.draw(st.integers(1, 3))
+    pairs = data.draw(st.lists(st.tuples(_small_polys, _nonzero_polys),
+                               min_size=2 * n, max_size=2 * n))
+    polys = [[pmul([content], padd(pmul(u, [c, 1]), pmul([t], v)))
+              for u, v in pairs[i:i + 2]] for i in range(0, 2 * n, 2)]
+    assume(len(reduce(pgcd, (p for r in polys for p in r), d)) == 1)
+    M = _image_matrix(polys, d)
+    assert all(v % (content * t) == 0 for r in M._nz.values() for v in r.values())
+    assert _check_reduced(M, polys) is M
+
+
+@given(st.sampled_from([2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1]), st.integers(0, 4),
+       st.sampled_from([[1], [-1, 2], [(2**31 - 1) // 5], [-((2**31 - 6) // 5), 0, 1]]))
+@settings(max_examples=60, deadline=None)
+def test_reduction_at_the_slot_edge(norm, b, p):
+    # D = (2q - 3)(a q + b) has 1-norm 5a + b.  Up to 2^31 - 1 it fits a
+    # 32-bit slot, and the reduction leaves D = a q + b; from 2^31 on the
+    # matrix comes back as it is.  The entries are 2q - 3, which makes the
+    # gcd of the images exactly 2^33 - 3, and (2q - 3) p, up to a 1-norm
+    # of 2^31 - 3 at the edge of its own slot
+    b += 1
+    a = (norm - b) // 5
+    b = norm - 5 * a
+    d = pmul([-3, 2], [b, a])
+    assert sum(map(abs, d)) == norm and 2 * b < 3 * a
+    polys = [[[-3, 2], pmul([-3, 2], p)]]
+    M = _image_matrix(polys, d)
+    R = _check_reduced(M, polys)
+    if norm < 2**31:
+        assert R._d == [b, a] and R._h == sum(map(abs, p))
+    else:
+        assert R is M
+
+
+def test_reduction_keeps_a_quotient_wider_than_its_slot():
+    # P = (q + 1) u for u = 2^29 (1 - q + q^2 - q^3 + q^4) is 2^29 (1 + q^5),
+    # of 1-norm 2^30; the images prove u, but its 1-norm 5 * 2^29 passes
+    # half a 32-bit slot, so the matrix comes back as it is
+    u = [2**29, -(2**29)] * 2 + [2**29]
+    polys = [[pmul([1, 1], u), [1, 1]]]
+    assert polys[0][0] == [2**29, 0, 0, 0, 0, 2**29]
+    M = _image_matrix(polys, [1, 1])
+    assert _check_reduced(M, polys) is M
+    # at 2^28 the quotients fit, and D = q + 1 goes
+    polys = [[pmul([1, 1], [x // 2 for x in u]), [1, 1]]]
+    assert _check_reduced(_image_matrix(polys, [1, 1]), polys)._d == [1]

@@ -953,6 +953,19 @@ def test_towers_with_shifts_at_rank_one():
     assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("c", [("q^2", "q^-1"), ("q^-1", "q^2")])
+def test_shifted_rank_one_towers_keep_low_denominators(c):
+    # the ladder steps by Hbar1 = H1/[2], so without the reduction of sums
+    # and combinations each rung multiplied D by q^2 + 1, up to (q^2 + 1)^13
+    # (degree 26) at T = R = 13; the towers hold Laurent entries or entries
+    # over q^2 + 1 only
+    fam = generate_rankn_family(W(1, "q^2"), P(c, ("1", "q")), T=13, R=13)
+    towers = [fam.A[1], fam.H[1], fam.theta[1], fam.theta_grave[1]]
+    degrees = [len(M._d) - 1 for tower in towers for M in tower.values()]
+    assert len(degrees) == 27 + 13 + 14 + 14
+    assert max(degrees) <= 2
+
+
 # ------------------------------------------------------------------ spectra
 
 
