@@ -8,7 +8,8 @@ different shapes, as the product does.  The product is written either
 ``A @ B`` or ``A * B``; ``c * A`` with a scalar-like ``c`` scales
 entrywise.  ``combine`` evaluates a linear combination of matrices and
 products, sum_k c_k M_k + sum_k c_k X_k Y_k, the form of every tower step
-and relation side of the package.
+and relation side of the package, and ``relation`` judges an identity
+between two such combinations.
 
 Both backends hold a matrix in one store, a dict of rows: row i maps to
 the dict {j: v_ij} of its nonzero entries, a row without one is absent,
@@ -17,9 +18,8 @@ cancel, so the zero matrix stores nothing, and every operation walks the
 stored rows only: with nz(M) the nonzero entries of M, each costs
 O(nonzeros), never O(n m).  The row-walking is shared: a product is
 Gustavson's row-sparse product (ACM TOMS 4(3), 1978), in which each stored
-row of A meets the stored rows of B its entries select, and a numeric sum
-is its two-term pass; an exact sum merges the rows stored on both sides;
-negation, the transpose and degree components move or negate stored
+row of A meets the stored rows of B its entries select, and a sum is its
+two-term pass; negation, the transpose and degree components move or negate stored
 values; the Kronecker product is O(nz(A) nz(B)), the size of its result.
 What a stored value is, and its arithmetic, belong to the backend.
 
@@ -37,36 +37,44 @@ operation (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009), and
 bounds the height of its result from those of its operands, as GCDHEU
 bounds its digits (Char, Geddes and Gonnet, 1989):
 
-* a product sums each result row in a dict by column: one big-integer
-  product per pair of nonzero entries that meet, plus O(nz(A) + nz(AB)).
-  It adds the shifts and multiplies the denominators; its height is at
-  most r h_A h_B, r the longest stored row of A;
-* a sum or difference, O(nz(A) + nz(B)), goes to the lcm D = D_A (D_B /
-  g), g = pgcd(D_A, D_B), one gcd per pair of matrices and none when D_A =
-  D_B, and to the larger shift: each operand's images are multiplied by
-  the image of its cofactor times q to its shift difference; the result
-  is then taken to lower terms (below);
+* ``combine`` groups its terms by denominator: a term's is the product
+  of its matrices' denominators and of the part of its coefficient's
+  that is prime to q.  Each group is one row pass of Gustavson's loop,
+  every term adding into one dict per result row: a product term adds
+  (a v) b, one big-integer product per pair of nonzero entries that
+  meet, and a matrix term adds a v, where v folds the term's sign, the
+  image of its coefficient's numerator and q to the shift it lacks
+  against the group's largest, as the numeric pass folds a coefficient
+  into its left entries.  The group's height is at most the sum of its
+  terms' bounds, r h_X h_Y ||n||_1 for a product (r the longest stored
+  row of X) and h_M ||n||_1 for a matrix, and its operands share a slot
+  width that holds it.  No product, scaled term or partial sum is built;
+* the groups are added at the lcm D = D_A (D_B / g), g = pgcd(D_A, D_B),
+  of their denominators, one gcd per pair, and at the larger shift: each
+  side's images are multiplied by the image of its cofactor times q to
+  its shift difference.  The result is taken to lower terms once (below).
+  A product is the one-product pass, and a sum or difference, O(nz(A) +
+  nz(B)), the two-term combination;
 * scaling by c = n / (q^t p), p(0) != 0, multiplies the images by n(2^s)
   and D by p, after taking the factor that n and D share out of both:
   O(nz(A)), and O(1) when c is 1 or 0;
 * ``is_zero`` is O(1): an exact matrix is zero when it stores no row;
+* ``relation`` adds one side and the negated other in one ``combine``
+  pass, not taken to lower terms, and the relation holds exactly when
+  that stores no row: neither side is built;
 * ``_meq`` and ``==`` bring both sides to one denominator and shift and
   compare the stores, O(nz(A) + nz(B)); the first differing entry in
   row-major order is the least differing stored position, since the
   comparison is exact while the two heights, each times its cofactor's
-  1-norm, add to less than 2^(s-1);
-* ``combine`` folds these operations, one ``@`` per product term: it
-  sums the terms of one denominator, and among them those of one
-  coefficient object, before it scales them once or adds another
-  denominator: sums over one denominator, which take no gcd, come first.
-  Its result is taken to lower terms once.
+  1-norm, add to less than 2^(s-1).  A failed ``relation`` builds its
+  two sides for ``_meq`` to name that entry.
 
 An operation whose height bound would reach 2^(s-1) first re-encodes its
 operands, O(nz) each: it decodes them, takes their heights down to the
 exact largest 1-norm and, if the bound still reaches the slot, packs them
 in wider slots.  Their values do not change, so this is done in place.  A
-product also takes out the power of q that all its entries share, so that
-the shift of a tower of products does not grow with each factor.
+row pass also takes out the power of q that all its entries share, so
+that the shift of a tower of products does not grow with each factor.
 
 The stored form is not canonical, since P_ij and D q^K may share factors:
 a product multiplies the denominators, a scaling multiplies D by the
@@ -130,7 +138,8 @@ shift vector (row degree minus column degree) into a plain dict, taking
 each shift once per pair of distinct degrees met.
 
 serre_sides gives the two sides of a Serre-type relation written as a
-nested q-bracket, the one form of both Serre-type suites.
+nested q-bracket, as ``combine`` terms for ``relation``: the one form of
+both Serre-type suites.
 
 ProductMemo computes each product A @ B (and each q-bracket) once while it
 lives, for the relation suites, which multiply the same stored matrices
@@ -157,9 +166,11 @@ whatever the order of A and B, and the witness names a non-finite
 residual before any finite one.
 degree_components keeps a degree component only when it is nonzero at
 the scale of the operator it splits.
-Over the exact backend both reduce to exact comparison.  A relation is
-therefore checked by comparing its two sides, never by testing a
-difference against a zero matrix, whose scale would be lost.
+Over the exact backend both reduce to exact comparison, and ``relation``
+judges an exact relation by the zero test of lhs - rhs, which is exact.
+A numeric relation is still checked by comparing its two sides at their
+scale, never by testing a difference against a zero matrix, whose scale
+would be lost.
 
 The module is plain Python over both backends (numeric entries are Python
 floats at a real q0 and complex numbers otherwise) and imports no numeric
@@ -172,7 +183,7 @@ from __future__ import annotations
 from functools import partial, reduce
 from itertools import chain, compress, repeat
 from math import gcd, inf, isfinite
-from operator import mul, neg, or_
+from operator import attrgetter, mul, neg, or_
 
 from ._kernel import (_gcd_cofactors, _pack, _proved_quotient, _unpack, _width, pdiv_exact,
                       pmul, pprim)
@@ -184,6 +195,7 @@ __all__ = [
     "Grading",
     "ProductMemo",
     "combine",
+    "relation",
     "qbracket",
     "commutator",
     "serre_sides",
@@ -194,6 +206,7 @@ __all__ = [
 # Bytes per slot of a freshly encoded matrix (s = 32 bits).
 _W0 = 4
 _ONE = [1]
+_slot = attrgetter("_w")
 
 
 class Matrix:
@@ -344,7 +357,8 @@ class Matrix:
         if self.m != other.n:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
         if self.field.exact:
-            return _image_product(self, other)
+            term = (1, _ONE, self._k + other._k, self, other)
+            return _image_pass(_dmul(self._d, other._d), (term,), self.n, other.m, self.field)
         return _number_combine(((1, None, self, other),), self.n, other.m, self.field)
 
     def __mul__(self, other):
@@ -395,7 +409,7 @@ class Matrix:
         n2, m2 = other.n, other.m
         code = ()
         if self.field.exact:
-            w, h = _fit((self, other), self._h * other._h, mul)
+            w, h = _fit((self, other), self._h * other._h, lambda: self._h * other._h)
             code = (self._k + other._k, _dmul(self._d, other._d), w, h)
         out = {}
         for i, ra in self._nz.items():
@@ -478,10 +492,12 @@ def _kept(row):
 
 
 def _sum(A, B, minus):
-    """A + B, or A - B when minus, of two matrices of one shape."""
+    """A + B, or A - B when minus, of two matrices of one shape: the
+    two-term pass of ``combine`` on both backends."""
+    terms = ((1, None, A), (-1 if minus else 1, None, B))
     if A.field.exact:
-        return _reduced(_image_sum(A, B, minus))
-    return _number_combine(((1, None, A), (-1 if minus else 1, None, B)), A.n, A.m, A.field)
+        return _reduced(_image_combine(terms, A.n, A.m, A.field))
+    return _number_combine(terms, A.n, A.m, A.field)
 
 
 def _number_combine(terms, n, m, field):
@@ -525,29 +541,117 @@ def _number_combine(terms, n, m, field):
     return Matrix._image(out, n, m, field)
 
 
-def _image_product(A, B):
-    """A @ B over the exact backend: Gustavson's loop over the stored rows,
-    each result row summed in a dict by column."""
-    # each entry of the product sums at most r products of entries, r the
-    # longest stored row of the left operand
-    r = max(map(len, A._nz.values()), default=0)
-    w, h = _fit((A, B), A._h * B._h * r, lambda ha, hb: ha * hb * r)
-    bnz = B._nz
+def _image_combine(terms, n, m, field):
+    """The n x m sum of the terms of ``combine`` over the exact backend,
+    before it is taken to lower terms.  A term over D q^k, D the product
+    of its matrices' denominators and of the part of its coefficient's
+    that is prime to q, joins the other terms over D: the terms of one
+    denominator are summed in one row pass (``_image_pass``), in the
+    order they come, and the passes' sums are added by ``_image_sum``,
+    which takes a gcd per pair of denominators.  A term with a zero
+    coefficient, or a factor that stores nothing, adds nothing."""
+    groups = {}
+    for t in terms:
+        X, Y = t[2], t[3] if len(t) > 3 else None
+        if not X._nz or Y is not None and not Y._nz:
+            continue
+        k, d, num, c = X._k, X._d, _ONE, t[1]
+        if Y is not None:
+            k += Y._k
+            d = _dmul(d, Y._d)
+        if c is not None:
+            c = _scalar(c)
+            num = c.num
+            if not num:
+                continue
+            e = c._k
+            if e < 0:
+                e, dp = _split(c.den)
+                d = _dmul(d, dp)
+            k += e
+        key = tuple(d)
+        g = groups.get(key)
+        if g is None:
+            groups[key] = d, [(t[0], num, k, X, Y)]
+        else:
+            g[1].append((t[0], num, k, X, Y))
+    M = None
+    for d, g in groups.values():
+        P = _image_pass(d, g, n, m, field)
+        M = P if M is None else _image_sum(M, P)
+    return Matrix.zeros(n, m, field) if M is None else M
+
+
+def _image_pass(d, terms, n, m, field):
+    """The n x m sum over the one denominator d of the terms (s, num, k,
+    X, Y), each s num / q^k times the matrix X (Y None) or the product X Y,
+    in one pass of Gustavson's loop over the stored rows.  Each result row
+    sums in a dict by column.  A term's sign, the image of num and q to the
+    shift it lacks, K - k for the largest shift K, fold into one integer v:
+    a product term adds (a v) b, and a matrix term a v.  The operands share
+    one slot width, which holds the sum of the terms' height bounds:
+    h_X ||num||_1 for a matrix, and r h_X h_Y ||num||_1 for a product, r the
+    longest stored row of X."""
+    h, K, ms = _height(terms)
+    w, h = _fit(ms, h, lambda: _height(terms)[0])
+    accs = {}
+    for s, num, k, X, Y in terms:
+        v = s if num is _ONE and k == K else _coefficient(num, s, K - k, w)
+        if Y is None:
+            for i, rb in X._nz.items():
+                rb = dict(rb) if v == 1 else dict(zip(rb, map(mul, rb.values(), repeat(v))))
+                row = accs.get(i)
+                if row is None:
+                    accs[i] = rb
+                else:
+                    for j in row.keys() & rb.keys():
+                        rb[j] += row[j]
+                    row |= rb
+            continue
+        bnz = Y._nz
+        for i, ra in X._nz.items():
+            row = accs.get(i)
+            if row is None:
+                row = accs[i] = {}
+            get = row.get
+            for t, a in ra.items():
+                bt = bnz.get(t)
+                if bt is not None:
+                    if v != 1:
+                        a *= v
+                    for j, b in bt.items():
+                        row[j] = get(j, 0) + a * b
     out = {}
-    for i, ra in A._nz.items():
-        row = {}
-        get = row.get
-        for t, a in ra.items():
-            bt = bnz.get(t)
-            if bt is not None:
-                for j, b in bt.items():
-                    row[j] = get(j, 0) + a * b
+    for i, row in accs.items():
         if 0 in row.values():
             row = {j: x for j, x in row.items() if x}
         if row:
             out[i] = row
-    k = _unshifted(out, A._k + B._k, 8 * w)
-    return Matrix._image(out, A.n, B.m, A.field, k, _dmul(A._d, B._d), w, h)
+    return Matrix._image(out, n, m, field, _unshifted(out, K, 8 * w), d, w, h)
+
+
+def _height(terms):
+    """(h, K, ms) for the terms of ``_image_pass``: the sum h of their
+    height bounds, their largest shift K and their matrices ms."""
+    h, K, ms = 0, 0, []
+    for _, num, k, X, Y in terms:
+        if k > K:
+            K = k
+        ms.append(X)
+        f = X._h if num is _ONE else X._h * sum(map(abs, num))
+        if Y is not None:
+            ms.append(Y)
+            f = f * Y._h * max(map(len, X._nz.values())) if X._nz else 0
+        h += f
+    return h, K, ms
+
+
+def _coefficient(num, s, e, w):
+    """s num q^e at q = 2^(8w): a term's sign, coefficient and shift."""
+    v = num[0] if len(num) == 1 else _pack(num, w)
+    if e:
+        v <<= 8 * w * e
+    return -v if s < 0 else v
 
 
 # -- integer images -------------------------------------------------------------
@@ -612,15 +716,15 @@ def _times(nz, v):
     return {i: dict(zip(r, map(mul, repeat(v), r.values()))) for i, r in nz.items()}
 
 
-def _image_sum(A, B, minus):
-    """A + B, or A - B when minus, on images, over the lcm of the two
-    denominators and at the larger shift.  A row stored on one side only
-    is taken as it is; where both sides store a row, the entries stored on
-    both are added and dropped when they cancel."""
+def _image_sum(A, B):
+    """A + B on images, over the lcm of the two denominators and at the
+    larger shift.  A row stored on one side only is taken as it is; where
+    both sides store a row, the entries stored on both are added and
+    dropped when they cancel."""
     D, fa, fb = _lcm(A._d, B._d)
     na, nb = sum(map(abs, fa)), sum(map(abs, fb))
-    w, h = _fit((A, B), A._h * na + B._h * nb, lambda ha, hb: ha * na + hb * nb)
-    a, b, k = _common(A, B, fa, fb, w, minus)
+    w, h = _fit((A, B), A._h * na + B._h * nb, lambda: A._h * na + B._h * nb)
+    a, b, k = _common(A, B, fa, fb, w)
     out = dict(a)
     for i, rb in b.items():
         ra = out.pop(i, None)
@@ -702,7 +806,7 @@ def _image_scale(A, c):
     if D != _ONE:
         _, num, D = _gcd_cofactors(num, D)
     hc = sum(map(abs, num))
-    w, h = _fit((A,), A._h * hc, lambda ha: ha * hc)
+    w, h = _fit((A,), A._h * hc, lambda: A._h * hc)
     v = num[0] if len(num) == 1 else _pack(num, w)
     return Matrix._image(_times(A._nz, v), A.n, A.m, A.field, A._k + t, D, w, h)
 
@@ -719,19 +823,16 @@ def _refit(M, w):
 
 
 def _fit(ms, h, bound):
-    """(w, h): a common slot width of the one or two image matrices ms,
-    each re-encoded there, and a height bound h of the result of an
-    operation on them, below 2^(8w-1), so that the result decodes exactly
-    and its zero test is exact.  h = bound(heights) on entry, and bound
-    gives it again when a re-encoding lowers the heights."""
-    w = ms[0]._w
-    if ms[-1]._w == w and h.bit_length() < 8 * w:
-        return w, h
-    w = max(M._w for M in ms)
+    """(w, h): a common slot width of the image matrices ms, each
+    re-encoded there, and a height bound h of the result of an operation
+    on them, below 2^(8w-1), so that the result decodes exactly and its
+    zero test is exact.  h is bound() on entry, and bound, which reads the
+    heights of ms, gives it again when a re-encoding lowers them."""
+    w = max(map(_slot, ms))
     if h.bit_length() >= 8 * w:
         for M in ms:
             _refit(M, M._w)
-        h = bound(*(M._h for M in ms))
+        h = bound()
         if h.bit_length() >= 8 * w:
             w = _width(h.bit_length() + 1)
     for M in ms:
@@ -740,35 +841,39 @@ def _fit(ms, h, bound):
     return w, h
 
 
-def _common(A, B, fa, fb, w, minus=False):
+def _common(A, B, fa, fb, w):
     """A's and B's stores, both in slots of w bytes, times the cofactors
     fa and fb that bring them to one denominator, at the common shift
-    max(k_A, k_B), B's negated when minus; and that shift."""
+    max(k_A, k_B); and that shift."""
     k = max(A._k, B._k)
-    return _lifted(A, fa, k, w, False), _lifted(B, fb, k, w, minus), k
+    return _lifted(A, fa, k, w), _lifted(B, fb, k, w), k
 
 
-def _lifted(M, f, k, w, minus):
-    """M's store times the polynomial f and q^(k - k_M), at q = 2^(8w),
-    and negated when minus.  An empty store is returned as it is, so f is
-    packed only when M's height bounds it."""
+def _lifted(M, f, k, w):
+    """M's store times the polynomial f and q^(k - k_M), at q = 2^(8w).
+    An empty store is returned as it is, so f is packed only when M's
+    height bounds it."""
     if not M._nz:
         return M._nz
     v = f[0] if len(f) == 1 else _pack(f, w)
     v <<= 8 * w * (k - M._k)
-    return _times(M._nz, -v if minus else v)
+    return _times(M._nz, v)
 
 
 def _unshifted(nz, k, s):
     """The shift k less the power of q, up to q^k, that every image of the
-    store nz shares, taken out of the images in place: nz is a product's
+    store nz shares, taken out of the images in place: nz is a row pass's
     fresh store.  A nonzero coefficient is below 2^(s-1) in absolute
     value, so the lowest one, at q^v, leaves fewer than s - 1 trailing
     zero bits above the s * v of its slot; the lowest bit set in any image
-    is the lowest bit of their bitwise or."""
+    is the lowest bit of their bitwise or, and none is shared when some
+    image has a nonzero lowest slot."""
     if not k or not nz:
         return k
-    low = reduce(or_, chain.from_iterable(map(dict.values, nz.values())))
+    images = list(chain.from_iterable(map(dict.values, nz.values())))
+    if any(map(((1 << s) - 1).__and__, images)):
+        return k
+    low = reduce(or_, images)
     v = min(((low & -low).bit_length() - 1) // s, k)
     if v > 0:
         b = s * v
@@ -783,7 +888,7 @@ def _image_diff(A, B):
     B differ, or None."""
     _, fa, fb = _lcm(A._d, B._d)
     na, nb = sum(map(abs, fa)), sum(map(abs, fb))
-    w, _ = _fit((A, B), A._h * na + B._h * nb, lambda ha, hb: ha * na + hb * nb)
+    w, _ = _fit((A, B), A._h * na + B._h * nb, lambda: A._h * na + B._h * nb)
     a, b, _ = _common(A, B, fa, fb, w)
     if a == b:
         return None
@@ -802,20 +907,26 @@ def combine(terms) -> Matrix:
     of a product fit, or DomainError names the shapes.  One unscaled
     matrix term alone is returned as it is.
 
-    Over the numeric backend the whole sum is one row pass
-    (``_number_combine``), as Level-3 BLAS folds C <- alpha AB + beta C
-    into one product: no product, scaled term or partial sum is built.
-    Over the exact backend it is a fold of the image operations, one ``@``
-    per product term.  A sum of two image matrices takes a gcd unless they
-    share a denominator, so the fold sums the terms of one denominator
-    first, and among them those of one coefficient object before it scales
-    them once, in the order the terms come; it then adds the sums of the
-    denominators in that order.  So the two products of a bracket, which
-    share a denominator, are summed without a gcd, as the bracketed chains
-    that combine replaced summed them.  The exact result is taken to lower
-    terms once (``_reduced``), as a sum's is.
+    Over either backend the sum is a row pass, as Level-3 BLAS folds
+    C <- alpha AB + beta C into one product: no product, scaled term or
+    partial sum is built.  The numeric pass (``_number_combine``) adds
+    every term into one accumulator; the exact one (``_image_combine``)
+    makes one pass per denominator and adds their sums, and its result is
+    taken to lower terms once (``_reduced``).
     """
     terms = tuple(terms)
+    n, m = _shape(terms)
+    s, c, M, *Y = terms[0]
+    if len(terms) == 1 and s > 0 and c is None and not Y:
+        return M
+    if not M.field.exact:
+        return _number_combine(terms, n, m, M.field)
+    return _reduced(_image_combine(terms, n, m, M.field))
+
+
+def _shape(terms):
+    """(n, m): the one shape of the ``combine`` terms, whose product
+    factors fit; DomainError names the shapes otherwise."""
     if not terms:
         raise DomainError("combine needs at least one term")
     # a term's rows are its first matrix's, its columns its last one's
@@ -826,28 +937,29 @@ def combine(terms) -> Matrix:
             raise DomainError(f"shape mismatch {X.n}x{X.m} @ {t[3].n}x{t[3].m}")
         if X.n != n or t[-1].m != m:
             raise DomainError(f"shape mismatch {n}x{m} + {X.n}x{t[-1].m}")
-    s, c, M, *Y = terms[0]
-    if len(terms) == 1 and s > 0 and c is None and not Y:
-        return M
-    if not M.field.exact:
-        return _number_combine(terms, n, m, M.field)
-    # the terms summed by (denominator, coefficient), then by denominator
-    by_c = {}
-    for s, c, X, *Y in terms:
-        M = X @ Y[0] if Y else X
-        key = tuple(M._d), id(c)
-        g = by_c.get(key)
-        by_c[key] = (c, s, M) if g is None else (c, g[1], _image_sum(g[2], M, s != g[1]))
-    by_d = {}
-    for (d, _), (c, s, M) in by_c.items():
-        if c is not None:
-            M = _image_scale(M, _scalar(c))
-        g = by_d.get(d)
-        by_d[d] = (s, M) if g is None else (g[0], _image_sum(g[1], M, s != g[0]))
-    (s, M), *rest = by_d.values()
-    for t, N in rest:
-        M = _image_sum(M, N, t != s)
-    return _reduced(-M if s < 0 else M)
+    return n, m
+
+
+def relation(lhs, rhs, field):
+    """(ok, witness) for the relation sum(lhs) = sum(rhs), each side a
+    nonempty sequence of ``combine`` terms: the one judge of a relation
+    whose sides are combinations.
+
+    Over the exact backend one pass (``_image_combine``) adds the terms of
+    lhs and the negated terms of rhs, and builds neither side: the
+    relation holds exactly when that difference stores no row.  Only a
+    failed relation builds both sides with ``combine``, for ``_meq`` to
+    name the first differing entry.  Over the numeric backend equality is
+    judged at the scale of the two sides, so it is ``_meq`` of the two
+    ``combine`` results."""
+    lhs, rhs = tuple(lhs), tuple(rhs)
+    if not lhs or not rhs:
+        raise DomainError("a relation needs a term on each side")
+    terms = lhs + tuple((-s, *t) for s, *t in rhs)
+    n, m = _shape(terms)
+    if field.exact and not _image_combine(terms, n, m, field)._nz:
+        return True, None
+    return _meq(combine(lhs), combine(rhs), field)
 
 
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
@@ -861,22 +973,23 @@ def commutator(A: Matrix, B: Matrix) -> Matrix:
 
 
 def serre_sides(X: Matrix, Y: Matrix, n: int, q, extra=()):
-    """The two sides (X acc, q^(1-n) acc X + extra) of the outermost
+    """The two sides X acc and q^(1-n) acc X + extra of the outermost
     bracket of
 
         ad_{q^(1-n)}(X) .. ad_{q^(n-3)}(X) ad_{q^(n-1)}(X) Y,    ad_v(X)Y = XY - vYX,
 
-    acc being the inner n - 1 brackets applied to Y (a bracket at q^0 is
-    the commutator).  Left and right multiplication by X commute, so by the
-    q-binomial theorem the nested bracket, the difference of the two sides,
-    is the alternating sum sum_r (-1)^r [n r] X^(n-r) Y X^r for any X, Y:
-    the Serre-type relations with n = 1 - a_ij, in 2n products.  The
-    terms ``extra`` of ``combine`` are added to the right side in its pass.
+    as lists of ``combine`` terms for ``relation``, acc being the inner
+    n - 1 brackets applied to Y (a bracket at q^0 is the commutator).
+    Left and right multiplication by X commute, so by the q-binomial
+    theorem the nested bracket, the difference of the two sides, is the
+    alternating sum sum_r (-1)^r [n r] X^(n-r) Y X^r for any X, Y: the
+    Serre-type relations with n = 1 - a_ij, in 2n products.  The terms
+    ``extra`` join the right side.
     """
     acc = Y
     for e in range(n - 1, 1 - n, -2):
         acc = commutator(X, acc) if e == 0 else qbracket(X, acc, q ** e)
-    return X @ acc, combine(((1, q ** (1 - n), acc, X), *extra))
+    return [(1, None, X, acc)], [(1, q ** (1 - n), acc, X), *extra]
 
 
 class ProductMemo:

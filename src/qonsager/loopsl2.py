@@ -19,9 +19,10 @@ relation as a nested q-bracket, with n = 1 - a_ij,
     ad_v(X)Y = XY - vYX,
 
 which equals the alternating q-binomial sum of matrix powers, and compares
-the two sides of the outermost bracket (linmat.serre_sides): _meq judges
-an equality at the scale of its two sides, which a bracket tested against
-the zero matrix would lose.
+the two sides of the outermost bracket (linmat.serre_sides): relation
+judges a numeric equality at the scale of its two sides, which a bracket
+tested against the zero matrix would lose, and an exact one by the zero
+test of their difference.
 
 At rank one a module may also carry the loop generators: the invertible
 diagonal K, the mode operators x^+_k and x^-_k for |k| up to a window, the
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
 from .linmat import (Grading, Matrix, ProductMemo, _meq, combine, commutator,
-                     degree_components, serre_sides)
+                     degree_components, relation, serre_sides)
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
 from .series import series_exp, series_log
@@ -359,10 +360,11 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     the [E, F] pairing, the q-Serre relations for every bond type, and
     purity of each Chevalley generator with respect to the grading.
 
-    The q-Serre entry (i, j) compares the two sides of the outermost
-    bracket of the nested form (``serre_sides``), at their own scale.
-    Their difference is the alternating sum, so an exact witness names an
-    entry and value of sum_r (-1)^r [n r] X_i^(n-r) X_j X_i^r.
+    The q-Serre entry (i, j) judges the two sides of the outermost bracket
+    of the nested form (``serre_sides``) by ``relation``: exactly by one
+    pass over their difference, numerically at their own scale.  Their
+    difference is the alternating sum, so an exact witness names an entry
+    and value of sum_r (-1)^r [n r] X_i^(n-r) X_j X_i^r.
     """
     typ = M.typ
     f = M.field
@@ -409,7 +411,7 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
                 continue
             n = 1 - typ.cartan(i, j)
             for X, tag in ((M.E, "serre_e"), (M.F, "serre_f")):
-                ok, w = _meq(*serre_sides(X[i], X[j], n, f.q), f)
+                ok, w = relation(*serre_sides(X[i], X[j], n, f.q), f)
                 rep.add(tag, (i, j), ok, w)
 
     g = M.grading

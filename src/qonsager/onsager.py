@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from itertools import islice
 
 from .errors import DomainError
-from .linmat import Matrix, ProductMemo, _meq, combine, commutator, qbracket, serre_sides
+from .linmat import Matrix, ProductMemo, _meq, combine, qbracket, relation, serre_sides
 from .loopsl2 import AffineModule, _refuse_failure
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
@@ -461,7 +461,7 @@ def verify_iserre(module: AffineModule, params: RankNParams, B) -> CheckReport:
 
     (Letzter 2002; Kolb, Adv. Math. 267, 2014).  Each entry compares the
     left side of the outermost bracket with its right side plus the bond's
-    right-hand term.
+    right-hand term, as ``relation`` judges it.
     """
     f = module.field
     typ = module.typ
@@ -479,13 +479,14 @@ def verify_iserre(module: AffineModule, params: RankNParams, B) -> CheckReport:
             elif n == 3:
                 qc4 = qc * two * two
                 extra = ((-1, qc4, B[i], B[j]), (1, qc4, B[j], B[i]))
-            ok, w = _meq(*serre_sides(B[i], B[j], n, f.q, extra), f)
+            ok, w = relation(*serre_sides(B[i], B[j], n, f.q, extra), f)
             rep.add("iserre", (i, j), ok, w)
     return rep
 
 
 def _theta_exchange(memo: ProductMemo, A, theta, c, C, r: int, s: int):
-    """Both sides of the same-node Theta exchange relation at r <= s:
+    """Both sides of the same-node Theta exchange relation at r <= s, as
+    lists of ``combine`` terms for ``relation``:
 
         [A_r, A_{s+1}]_{q^-2} - q^-2 [A_{r+1}, A_s]_{q^2}
             = c (C^r Theta_{s-r+1} - q^-2 C^{r+1} Theta_{s-r-1}) + (r <-> s)
@@ -496,21 +497,20 @@ def _theta_exchange(memo: ProductMemo, A, theta, c, C, r: int, s: int):
     and Theta_{r-s+1} at s >= r + 2.  The ladder products come from
     ``memo``: over a window of (r, s) the pair (A_a, A_b) comes back from
     (r, s) = (a, b - 1) and (a - 1, b).  They stay materialized, since each
-    is read by up to four (r, s), and each side is one ``combine`` of them
-    or of the Theta terms: over the numeric backend each side builds one
-    matrix.
+    is read by up to four (r, s), and are the left side's matrix terms;
+    the right side's are the Theta terms.
     """
     f = A[r].field
     qm2 = f.one / (f.q * f.q)
     mul = memo.mul
-    lhs = combine(((1, None, mul(A[r], A[s + 1])), (-1, qm2, mul(A[s + 1], A[r])),
-                   (-1, qm2, mul(A[r + 1], A[s])), (1, None, mul(A[s], A[r + 1]))))
+    lhs = [(1, None, mul(A[r], A[s + 1])), (-1, qm2, mul(A[s + 1], A[r])),
+           (-1, qm2, mul(A[r + 1], A[s])), (1, None, mul(A[s], A[r + 1]))]
     rhs = [(1, c * C**r, theta[s - r + 1])]
     if s > r:
         rhs.append((-1, qm2 * c * C ** (r + 1), theta[s - r - 1]))
     if s < r + 2:
         rhs.append((1, c * C**s, theta[r - s + 1]))
-    return lhs, combine(rhs)
+    return lhs, rhs
 
 
 def _check_windows(fam, rwin: int, mmax: int):
@@ -535,7 +535,7 @@ def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
     symmetric under swapping (r, s), so only r <= s is walked.  rel1 walks
     m <= n, and at (m, m) it compares the one memo product H_m H_m with
     itself: those entries pass for every H_m with finite entries and check
-    nothing else.
+    nothing else.  Every entry is judged by ``relation``.
     """
     ctx = _Ctx(fam.params, fam.field)
     _check_windows(fam, rwin, mmax)
@@ -548,7 +548,8 @@ def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
     memo = ProductMemo()  # H[m] @ H[m] once on the diagonal
     for m in range(1, mmax + 1):
         for n in range(m, mmax + 1):
-            ok, w = _meq(memo.mul(H[m], H[n]), memo.mul(H[n], H[m]), f)
+            ok, w = relation([(1, None, memo.mul(H[m], H[n]))],
+                             [(1, None, memo.mul(H[n], H[m]))], f)
             rep.add("rel1", (m, n), ok, w)
 
     for m in range(1, mmax + 1):
@@ -556,16 +557,14 @@ def verify_presentation(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
         Cm = ctx.C**m
         coef_Cm = coef * Cm
         for r in range(-rwin, rwin + 1):
-            lhs = commutator(H[m], A[r])
-            rhs = combine(((1, coef, A[r + m]), (-1, coef_Cm, A[r - m])))
-            ok, w = _meq(lhs, rhs, f)
+            ok, w = relation([(1, None, H[m], A[r]), (-1, None, A[r], H[m])],
+                             [(1, coef, A[r + m]), (-1, coef_Cm, A[r - m])], f)
             rep.add("rel2", (m, r), ok, w)
 
     memo = ProductMemo()
     for r in range(-rwin, rwin + 1):
         for s in range(r, rwin + 1):
-            lhs, rhs = _theta_exchange(memo, A, fam.theta[1], ctx.c1, ctx.C, r, s)
-            ok, w = _meq(lhs, rhs, f)
+            ok, w = relation(*_theta_exchange(memo, A, fam.theta[1], ctx.c1, ctx.C, r, s), f)
             rep.add("rel3", (r, s), ok, w)
     return rep
 

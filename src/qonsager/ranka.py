@@ -94,8 +94,7 @@ Conventions, fixed once and relied on everywhere below:
 from typing import NamedTuple
 
 from .errors import ConstructionError, DomainError
-from .linmat import (Grading, Matrix, ProductMemo, _meq, combine, commutator,
-                     degree_components)
+from .linmat import Grading, Matrix, ProductMemo, _meq, degree_components, qbracket, relation
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
@@ -395,7 +394,7 @@ def _kvals(module: AffineModule, params: RankNParams):
 
 def _braid_images(word: WeylWord, bmats, kvals, field):
     """The images (X_j, kappa_j) of B_j and KK_j under ev . T_w, composed
-    as in the header: at most four matrix products per letter.  An image
+    as in the header: at most two q-brackets per letter.  An image
     across the double bond of A_1, or built from one, is left out of X.
     """
     typ = word.typ
@@ -410,7 +409,7 @@ def _braid_images(word: WeylWord, bmats, kvals, field):
                 continue
             kap[j] = kap[j] * kr ** -a
             if a == -1 and xr is not None and j in X:
-                X[j] = X[j] @ xr - (xr @ X[j]).scale(field.q)
+                X[j] = qbracket(X[j], xr, field.q)
             else:
                 X.pop(j, None)
         kap[r] = field.one / kr
@@ -506,13 +505,19 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
     r <-> s, and the cubic is symmetrized in (r1, r2) on both sides.
     Cross-node commutativity of the Theta towers is checked directly.
 
-    The symmetrized cubic (grel6) is evaluated as
+    Every entry is judged by ``relation`` on the two sides as lists of
+    ``combine`` terms: over the exact backend one row pass over their
+    difference, which builds neither side.  The symmetrized cubic (grel6)
+    has the left side
 
-        S A_j - [2] (A_{i,r1} A_j A_{i,r2} + A_{i,r2} A_j A_{i,r1}) + A_j S,
+        S A_j - [2] (A_{i,r1} A_j) A_{i,r2} - [2] (A_{i,r2} A_j) A_{i,r1} + A_j S,
         S = A_{i,r1} A_{i,r2} + A_{i,r2} A_{i,r1},  A_j = A_{j,s},
 
     which is the sum of the cubic at (r1, r2) and at (r2, r1) regrouped:
-    S once per (r1, r2), then four fresh products per s.  grel4, grel5
+    S once per (r1, r2), then four product terms per s, the two middle
+    ones one term of coefficient 2 [2] at r1 = r2.  Its right side is the
+    right-hand brackets, each with its coefficient times -q^2 c_i C^r1,
+    doubled at r1 = r2.  grel4, grel5
     and grel6 take repeated products (and grel6's right-hand brackets,
     which depend on r2 - r1 only) from ProductMemos: one per node pair
     for grel4, and one per node i shared by grel5 and grel6, whose S
@@ -544,7 +549,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                     if i == j and n == m:
                         continue
                     him, hjn = fam.h(i, m), fam.h(j, n)
-                    ok, w = _meq(him @ hjn, hjn @ him, f)
+                    ok, w = relation([(1, None, him, hjn)], [(1, None, hjn, him)], f)
                     rep.add("grel1", (i, m, j, n), ok, w)
 
     for i in nodes:
@@ -553,10 +558,10 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             for m in range(1, mmax + 1):
                 coef = f.from_scalar(qint(m * aij) / Scalar(m))
                 for r in range(-rwin, rwin + 1):
-                    lhs = commutator(fam.h(i, m), fam.a(j, r))
-                    rhs = combine(((1, coef, fam.a(j, r + m)),
-                                   (-1, coef * C ** m, fam.a(j, r - m))))
-                    ok, w = _meq(lhs, rhs, f)
+                    him, ajr = fam.h(i, m), fam.a(j, r)
+                    ok, w = relation([(1, None, him, ajr), (-1, None, ajr, him)],
+                                     [(1, coef, fam.a(j, r + m)),
+                                      (-1, coef * C ** m, fam.a(j, r - m))], f)
                     rep.add("grel2", (i, m, j, r), ok, w)
 
     for i in nodes:
@@ -566,7 +571,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             for r in range(-rwin, rwin + 1):
                 for s in range(-rwin, rwin + 1):
                     air, ajs = fam.a(i, r), fam.a(j, s)
-                    ok, w = _meq(air @ ajs, ajs @ air, f)
+                    ok, w = relation([(1, None, air, ajs)], [(1, None, ajs, air)], f)
                     rep.add("grel3", (i, r, j, s), ok, w)
 
     for i in nodes:
@@ -580,9 +585,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 for s in range(-rwin, rwin + 1):
                     ai0, ai1 = fam.a(i, r), fam.a(i, r + 1)
                     aj0, aj1 = fam.a(j, s), fam.a(j, s + 1)
-                    lhs = combine(((1, None, mul(ai0, aj1)), (1, None, mul(aj0, ai1))))
-                    rhs = combine(((1, qma, mul(aj1, ai0)), (1, qma, mul(ai1, aj0))))
-                    ok, w = _meq(lhs, rhs, f)
+                    ok, w = relation([(1, None, mul(ai0, aj1)), (1, None, mul(aj0, ai1))],
+                                     [(1, qma, mul(aj1, ai0)), (1, qma, mul(ai1, aj0))], f)
                     rep.add("grel4", (i, r, j, s), ok, w)
 
     ladder = {}
@@ -591,23 +595,25 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         memo = ladder[i] = ProductMemo()
         for r in range(-rwin, rwin + 1):
             for s in range(r, rwin + 1):
-                lhs, rhs = _theta_exchange(memo, fam.A[i], fam.theta[i], ci, C, r, s)
-                ok, w = _meq(lhs, rhs, f)
+                ok, w = relation(*_theta_exchange(memo, fam.A[i], fam.theta[i], ci, C, r, s), f)
                 rep.add("grel5", (i, r, s), ok, w)
 
     def cubic_rhs(memo, i, j, r1, r2, s):
-        # the right side's half at (r1, r2), r1 <= r2, summed from its
-        # first term; the half at (r2, r1) has no term unless r1 = r2
+        # the right side's half at (r1, r2), r1 <= r2, as terms: its memo
+        # brackets times -q^2 c_i C^r1 and their own coefficients; the half
+        # at (r2, r1) has no term unless r1 = r2, where it doubles the half
         d = r2 - r1
-        terms = [memo.qbracket(fam.theta_at(i, d - 2 * pp - 1), fam.a(j, s - 1), qm2)
-                 .scale((f.q ** (2 * pp)) * two * (C ** (pp + 1)))
+        cr = q2 * f.from_scalar(p.c[i]) * (C ** r1)
+        if d == 0:
+            cr = cr + cr
+        terms = [(-1, cr * (f.q ** (2 * pp)) * two * (C ** (pp + 1)),
+                  memo.qbracket(fam.theta_at(i, d - 2 * pp - 1), fam.a(j, s - 1), qm2))
                  for pp in range((d + 1) // 2)]
-        terms += [memo.qbracket(fam.a(j, s), fam.theta_at(i, d - 2 * pp), qm2)
-                  .scale((f.q ** (2 * pp - 1)) * two * (C ** pp))
+        terms += [(-1, cr * (f.q ** (2 * pp - 1)) * two * (C ** pp),
+                   memo.qbracket(fam.a(j, s), fam.theta_at(i, d - 2 * pp), qm2))
                   for pp in range(1, d // 2 + 1)]
-        terms.append(memo.qbracket(fam.a(j, s), fam.theta_at(i, d), qm2))
-        ci = f.from_scalar(p.c[i])
-        return sum(terms[1:], terms[0]).scale(-(q2 * ci * (C ** r1)))
+        terms.append((-1, cr, memo.qbracket(fam.a(j, s), fam.theta_at(i, d), qm2)))
+        return terms
 
     for i in nodes:
         memo = ladder.pop(i)
@@ -621,16 +627,12 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                     S = mul(a1, a2) + mul(a2, a1)
                     for s in range(-rwin, rwin + 1):
                         aj = fam.a(j, s)
-                        mid = mul(a1, aj) @ a2
                         if r1 == r2:
-                            mid = mid + mid
+                            mid = [(-1, two + two, mul(a1, aj), a1)]
                         else:
-                            mid = mid + mul(a2, aj) @ a1
-                        lhs = S @ aj - mid.scale(two) + aj @ S
-                        rhs = cubic_rhs(memo, i, j, r1, r2, s)
-                        if r1 == r2:
-                            rhs = rhs + rhs
-                        ok, w = _meq(lhs, rhs, f)
+                            mid = [(-1, two, mul(a1, aj), a2), (-1, two, mul(a2, aj), a1)]
+                        lhs = [(1, None, S, aj), *mid, (1, None, aj, S)]
+                        ok, w = relation(lhs, cubic_rhs(memo, i, j, r1, r2, s), f)
                         rep.add("grel6", (i, r1, r2, j, s), ok, w)
 
     for i in nodes:
@@ -640,7 +642,7 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             for m in range(1, mmax + 1):
                 for n in range(1, mmax + 1):
                     tim, tjn = fam.theta_at(i, m), fam.theta_at(j, n)
-                    ok, w = _meq(tim @ tjn, tjn @ tim, f)
+                    ok, w = relation([(1, None, tim, tjn)], [(1, None, tjn, tim)], f)
                     rep.add("theta_commute", (i, m, j, n), ok, w)
     return rep
 

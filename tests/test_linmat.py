@@ -22,6 +22,7 @@ from qonsager.linmat import (
     commutator,
     degree_components,
     qbracket,
+    relation,
     serre_sides,
 )
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, qbinom, qint
@@ -669,7 +670,7 @@ def serre_sum(X, Y, n, field):
 @given(mats(3), mats(3), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_nested_bracket_is_the_alternating_sum_exact(X, Y, n):
-    left, right = serre_sides(X, Y, n, F.q)
+    left, right = map(combine, serre_sides(X, Y, n, F.q))
     assert left - right == serre_sum(X, Y, n, F)
 
 
@@ -681,7 +682,7 @@ def test_nested_bracket_is_the_alternating_sum_numeric(vals, n, q0):
     field = NumericField(q0)
     X = Matrix([vals[0:3], vals[3:6], vals[6:9]], field)
     Y = Matrix([vals[9:12], vals[12:15], vals[15:18]], field)
-    left, right = serre_sides(X, Y, n, field.q)
+    left, right = map(combine, serre_sides(X, Y, n, field.q))
     ok, w = _meq(left - right, serre_sum(X, Y, n, field), field)
     assert ok, w
 
@@ -818,9 +819,115 @@ _exact_coeffs = st.sampled_from([None, Q, Q**-2, Scalar(2), Scalar(-1, 3), Q + 1
 @given(combinations(st.sampled_from(image_pool), _exact_coeffs))
 @settings(max_examples=100, deadline=None)
 def test_combine_is_the_fold_exactly(terms):
-    # grouping the terms by denominator and coefficient changes no entry
+    # grouping the terms by denominator changes no entry
     terms = _matrices(terms, F)
     assert combine(terms) == _fold(terms)
+
+
+#: the denominators of the exact pass's operands, numerators with shifts,
+#: and numerators whose products pass half a 32-bit slot
+_PASS_DENS = [Scalar(1), Q**2 - 1, Q**2 + 1]
+_PASS_NUMS = [F.zero, F.zero, Scalar(1), Scalar(-2), Q, Q**-1, Q**-3 + 2, (Q**3 - 1) * Q**-2,
+              Scalar(2**20) * Q**-1, Scalar(2**20) + Q, Scalar(2**19) - Q**2]
+#: q^-2, [2], 1/[2] and [2m]/m, and one coefficient in lowest terms
+_PASS_COEFFS = [None, Q**-2, qint(2), 1 / qint(2), qint(4) / 2, qint(6) / 3, Scalar(-1, 3)]
+
+
+@st.composite
+def exact_combinations(draw):
+    """1 to 5 exact terms of one n x m shape, each of both signs; every
+    matrix has entries over one denominator of ``_PASS_DENS``."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(r, c):
+        den = draw(st.sampled_from(_PASS_DENS))
+        return Matrix([[draw(st.sampled_from(_PASS_NUMS)) / den for _ in range(c)]
+                       for _ in range(r)], F)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        s, c = draw(st.sampled_from([1, -1])), draw(st.sampled_from(_PASS_COEFFS))
+        if draw(st.booleans()):
+            p = draw(st.integers(1, 3))
+            terms.append((s, c, block(n, p), block(p, m)))
+        else:
+            terms.append((s, c, block(n, m)))
+    return terms
+
+
+def _scalar_sum(terms):
+    """Reference: the combination entry by entry in Scalar arithmetic on
+    the decoded rows."""
+    n, m = terms[0][2].n, terms[0][-1].m
+    out = [[F.zero] * m for _ in range(n)]
+    for s, c, X, *Y in terms:
+        rows = _dense(X.rows, Y[0].rows) if Y else X.rows
+        c = F.one if c is None else c
+        for i in range(n):
+            for j in range(m):
+                x = rows[i][j] * c
+                out[i][j] = out[i][j] + x if s > 0 else out[i][j] - x
+    return out
+
+
+@given(exact_combinations())
+@settings(max_examples=200, deadline=None)
+def test_exact_pass_is_the_chain_of_products_scalings_and_sums(terms):
+    # one row pass per denominator, with each term's sign, coefficient and
+    # shift folded into one integer and the operands refitted to one slot
+    want = _scalar_sum(terms)
+    got = combine(terms)
+    assert _stored(got).rows == want
+    assert got == _fold(terms)
+
+
+def test_exact_pass_refits_and_widens_its_operands():
+    # a stale height bound is taken down before a slot is widened; a bound
+    # that still passes half the slot widens it
+    X = Matrix([[Scalar(2**30)]], F) + Matrix([[Scalar(1 - 2**30)]], F)
+    assert X.rows == [[F.one]] and X._h >= 2**31 - 1
+    P = combine([(1, Q**-2, X, X), (-1, None, X)])
+    assert P.rows == [[Q**-2 - 1]] and P._w == 4 and X._h == 1
+    A, B = Matrix([[Scalar(2**20) * Q**-1]], F), Matrix([[Scalar(2**20) + Q]], F)
+    W = combine([(1, qint(2), A, B), (1, None, B)])
+    assert W._w > 4 and A._w == B._w == W._w
+    assert W.rows == [[qint(2) * (Scalar(2**40) * Q**-1 + Scalar(2**20)) + Scalar(2**20) + Q]]
+
+
+@st.composite
+def damaged_relations(draw, name):
+    """(lhs, rhs): a combination and the same terms reversed, plus, when
+    damaged, a term that changes one entry."""
+    field = _FIELDS[name]
+    if field.exact:
+        lhs = draw(exact_combinations())
+    else:
+        entries = (st.floats(-3, 3) if name == "float"
+                   else st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)))
+        coeffs = _float_coeffs if name == "float" else _complex_coeffs
+        lhs = _matrices(draw(combinations(entries, coeffs)), field)
+    rhs = lhs[::-1]
+    if draw(st.booleans()):
+        n, m = lhs[0][2].n, lhs[0][-1].m
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        rows = [[field.zero] * m for _ in range(n)]
+        rows[i][j] = field.one if field.exact else draw(st.sampled_from([1e-9, 0.5, 3.0]))
+        rhs = [*rhs, (draw(st.sampled_from([1, -1])), None, Matrix(rows, field))]
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_relation_judges_as_meq_of_the_combined_sides(name, data):
+    # the exact judge builds no side unless the relation fails, and then
+    # names the witness _meq names; the numeric judge is _meq itself
+    field = _FIELDS[name]
+    lhs, rhs = data.draw(damaged_relations(name))
+    got = relation(lhs, rhs, field)
+    assert got == _meq(combine(lhs), combine(rhs), field)
+    if field.exact:
+        assert got[0] == (len(rhs) == len(lhs))
 
 
 @pytest.mark.parametrize("name", sorted(_FIELDS))
@@ -836,6 +943,10 @@ def test_combine_refuses_no_terms_and_mismatched_shapes(name):
         combine([(1, None, I2, I2), (-1, field.one, I3, I3)])
     with pytest.raises(DomainError, match="shape mismatch 2x3 @ 2x2"):
         combine([(1, None, Z23, I2)])
+    with pytest.raises(DomainError, match="a term on each side"):
+        relation([(1, None, I2)], [], field)
+    with pytest.raises(DomainError, match="shape mismatch 2x2 \\+ 3x3"):
+        relation([(1, None, I2)], [(1, None, I3)], field)
     # one unscaled matrix is returned as it is
     assert combine([(1, None, I3)]) is I3
 

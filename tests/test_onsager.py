@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import onsager
-from qonsager.linmat import Matrix, _meq
+from qonsager.linmat import Matrix, _meq, combine
 from qonsager.loopsl2 import EvalParams, build_evaluation, tensor
 from qonsager.onsager import (
     OnsagerParams,
@@ -563,7 +563,8 @@ def test_numeric_tower_steps_build_one_matrix_each(monkeypatch):
     for r, s in ((0, 0), (0, 1), (-1, 1), (-2, 2)):
         onsager._theta_exchange(memo, A, theta, c, C, r, s)  # the memo's products
         calls = _count_images(monkeypatch)
-        onsager._theta_exchange(memo, A, theta, c, C, r, s)
+        for side in onsager._theta_exchange(memo, A, theta, c, C, r, s):
+            combine(side)
         monkeypatch.undo()
         assert calls[0] == 2, (r, s)
 

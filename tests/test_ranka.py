@@ -18,12 +18,14 @@ Oracles, independent of the construction code:
   (``_ref_apply``).
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from qonsager.errors import ConstructionError, DomainError
-from qonsager import ranka
+from qonsager import linmat, ranka
 from qonsager.linmat import Matrix, _meq, qbracket
 from qonsager.loopsl2 import EvalParams, build_evaluation
 from qonsager.onsager import OnsagerParams, _grow_family, generate_family
@@ -70,15 +72,23 @@ def fails(rep):
 
 
 def _count_products(monkeypatch):
-    """A one-element list that counts every matrix product from now on."""
+    """A one-element list that counts every matrix product from now on:
+    the product terms of every row pass, where ``@``, ``combine`` and
+    ``relation`` form their products.  A numeric pass takes the terms of
+    ``combine``, and an exact one a denominator's terms (s, num, k, X, Y),
+    a product when Y is a matrix."""
     calls = [0]
-    matmul = Matrix.__matmul__
 
-    def counted(a, b):
-        calls[0] += 1
-        return matmul(a, b)
+    def counting(run, pos, is_product):
+        def counted(*args):
+            calls[0] += sum(map(is_product, args[pos]))
+            return run(*args)
+        return counted
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    monkeypatch.setattr(linmat, "_number_combine",
+                        counting(linmat._number_combine, 0, lambda t: len(t) == 4))
+    monkeypatch.setattr(linmat, "_image_pass",
+                        counting(linmat._image_pass, 1, lambda t: t[4] is not None))
     return calls
 
 
@@ -841,6 +851,26 @@ def test_grel_detects_damage():
     # every group that reads A_{1,2} fails, each at the same count
     assert Counter(n for n, _ in fails(rep)) == {
         "grel2": 12, "grel4": 10, "grel5": 9, "grel6": 35}
+
+
+def test_grel_damage_witnesses_are_pinned():
+    # the first stored entry of A_{2,0} on W_3(q) (x) W_3(q^3) raised by 1:
+    # each group that reads A_{2,0} fails at pinned entries, each naming
+    # its first differing entry and value, and so does the transpose-dual
+    # check; tests/data/grel_damage_witnesses.json holds both lists
+    want = json.loads((Path(__file__).resolve().parent / "data"
+                       / "grel_damage_witnesses.json").read_text())
+    module = W(3, "q").tensor(W(3, "q^3"))
+    fam = generate_rankn_family(module, P(("1",) * 4), R=3, T=3)
+    i, j, x = next(fam.A[2][0].nonzero_entries())
+    rows = [list(r) for r in fam.A[2][0].rows]
+    rows[i][j] = x + 1
+    fam.A[2][0] = Matrix(rows, fam.field)
+    for key, check in (("grel", verify_grel), ("dual", tau_dual_check)):
+        rep = check(fam, rwin=1, mmax=2)
+        assert len(rep.entries) == want[key + "_entries"]
+        assert [[e.name, list(e.indices), e.witness]
+                for e in rep.entries if not e.ok] == want[key], key
 
 
 @pytest.mark.parametrize("damaged", [False, True])
