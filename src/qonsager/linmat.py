@@ -3,13 +3,14 @@ bookkeeping every certification suite leans on.
 
 A Matrix is an n x m array over a field backend (see qonsager.scalars);
 all binary operations assume both operands live over the same backend,
-and the entrywise ones (``+``, ``-``, ``_meq``) refuse operands of
+and the entrywise ones (``+``, ``-``, ``relation``) refuse operands of
 different shapes, as the product does.  The product is written either
 ``A @ B`` or ``A * B``; ``c * A`` with a scalar-like ``c`` scales
 entrywise.  ``combine`` evaluates a linear combination of matrices and
 products, sum_k c_k M_k + sum_k c_k X_k Y_k, the form of every tower step
 and relation side of the package, and ``relation`` judges an identity
-between two such combinations.
+between two such combinations: it is the one judge of every relation the
+certification suites check, on both backends.
 
 Both backends hold a matrix in one store, a dict of rows: row i maps to
 the dict {j: v_ij} of its nonzero entries, a row without one is absent,
@@ -60,14 +61,11 @@ bounds its digits (Char, Geddes and Gonnet, 1989):
   O(nz(A)), and O(1) when c is 1 or 0;
 * ``is_zero`` is O(1): an exact matrix is zero when it stores no row;
 * ``relation`` adds one side and the negated other in one ``combine``
-  pass, not taken to lower terms, and the relation holds exactly when
-  that stores no row: neither side is built;
-* ``_meq`` and ``==`` bring both sides to one denominator and shift and
-  compare the stores, O(nz(A) + nz(B)); the first differing entry in
-  row-major order is the least differing stored position, since the
-  comparison is exact while the two heights, each times its cofactor's
-  1-norm, add to less than 2^(s-1).  A failed ``relation`` builds its
-  two sides for ``_meq`` to name that entry.
+  pass, not taken to lower terms.  The relation holds exactly when that
+  stores no row; otherwise its first stored entry in row-major order,
+  decoded, is the witness: the first entry where the sides differ, and
+  their difference there.  Neither side is built on either outcome, and
+  ``==`` is the same pass over two one-matrix terms.
 
 An operation whose height bound would reach 2^(s-1) first re-encodes its
 operands, O(nz) each: it decodes them, takes their heights down to the
@@ -125,9 +123,9 @@ save the sign of a complex zero part in a sum (below):
 Canonical entries appear only when they are read: ``rows`` decodes a dense
 view of the whole matrix on its first read and keeps it, on both
 backends; ``nonzero_entries`` decodes only the stored values, and a failed
-``_meq`` decodes both sides to name its witness.  The decoded rows refuse
-writes, which would miss the store: build a list of rows and construct a
-Matrix from it.  An operation never writes into a store it did not build,
+exact ``relation`` decodes the one entry its witness names.  The decoded
+rows refuse writes, which would miss the store: build a list of rows and
+construct a Matrix from it.  An operation never writes into a store it did not build,
 so results may share rows with their operands.
 
 A Grading assigns every basis index an integer degree *vector*; a module
@@ -157,20 +155,17 @@ largest entry, and never below 1).  The rule bounds |entry|, so one
 ``field.is_zero`` call on the largest |entry|, taken in one C-level pass,
 decides it for a whole matrix or degree component, and a NaN entry is
 never zero.  No tolerance holds at an infinite or NaN scale: there
-nothing is zero.  _meq, the one matrix equality of the certification
-suites and the series layer, judges A = B at the scale of A and B from
-the largest entry of A - B, and returns (ok, witness); so a matrix with
-a NaN or infinite entry equals no matrix.  The scale is taken over the
-entries of both sides in one pass, so a NaN on either side makes it NaN
-whatever the order of A and B, and the witness names a non-finite
-residual before any finite one.
+nothing is zero.  ``relation`` judges a numeric relation by ``_meq`` of
+its two sides, built by ``combine``: A = B at the scale of A and B from
+the largest entry of A - B, so a matrix with a NaN or infinite entry
+equals no matrix.  The scale is taken over the entries of both sides in
+one pass, so a NaN on either side makes it NaN whatever the order of A
+and B, and the witness names a non-finite residual before any finite
+one.  A numeric relation is compared at the scale of its two sides,
+never by testing a difference against a zero matrix, whose scale would
+be lost; an exact one is the zero test of lhs - rhs, which is exact.
 degree_components keeps a degree component only when it is nonzero at
-the scale of the operator it splits.
-Over the exact backend both reduce to exact comparison, and ``relation``
-judges an exact relation by the zero test of lhs - rhs, which is exact.
-A numeric relation is still checked by comparing its two sides at their
-scale, never by testing a difference against a zero matrix, whose scale
-would be lost.
+the scale of the operator it splits, and is exact over Q(q).
 
 The module is plain Python over both backends (numeric entries are Python
 floats at a real q0 and complex numbers otherwise) and imports no numeric
@@ -388,7 +383,8 @@ class Matrix:
         if (self.n, self.m) != (other.n, other.m) or self.field.exact != other.field.exact:
             return False
         if self.field.exact:
-            return _image_diff(self, other) is None
+            return not _image_combine(((1, None, self), (-1, None, other)),
+                                      self.n, self.m, self.field)._nz
         return self._nz == other._nz
 
     def __hash__(self):
@@ -724,8 +720,9 @@ def _image_sum(A, B):
     D, fa, fb = _lcm(A._d, B._d)
     na, nb = sum(map(abs, fa)), sum(map(abs, fb))
     w, h = _fit((A, B), A._h * na + B._h * nb, lambda: A._h * na + B._h * nb)
-    a, b, k = _common(A, B, fa, fb, w)
-    out = dict(a)
+    k = max(A._k, B._k)
+    b = _lifted(B, fb, k, w)
+    out = dict(_lifted(A, fa, k, w))
     for i, rb in b.items():
         ra = out.pop(i, None)
         row = rb
@@ -841,14 +838,6 @@ def _fit(ms, h, bound):
     return w, h
 
 
-def _common(A, B, fa, fb, w):
-    """A's and B's stores, both in slots of w bytes, times the cofactors
-    fa and fb that bring them to one denominator, at the common shift
-    max(k_A, k_B); and that shift."""
-    k = max(A._k, B._k)
-    return _lifted(A, fa, k, w), _lifted(B, fb, k, w), k
-
-
 def _lifted(M, f, k, w):
     """M's store times the polynomial f and q^(k - k_M), at q = 2^(8w).
     An empty store is returned as it is, so f is packed only when M's
@@ -883,20 +872,6 @@ def _unshifted(nz, k, s):
     return k - v
 
 
-def _image_diff(A, B):
-    """The first (i, j), in row-major order, where the exact matrices A and
-    B differ, or None."""
-    _, fa, fb = _lcm(A._d, B._d)
-    na, nb = sum(map(abs, fa)), sum(map(abs, fb))
-    w, _ = _fit((A, B), A._h * na + B._h * nb, lambda: A._h * na + B._h * nb)
-    a, b, _ = _common(A, B, fa, fb, w)
-    if a == b:
-        return None
-    i = min(i for i in a.keys() | b.keys() if a.get(i) != b.get(i))
-    ra, rb = a.get(i, {}), b.get(i, {})
-    return i, min(j for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
-
-
 def combine(terms) -> Matrix:
     """The linear combination sum_k s_k c_k M_k + sum_k s_k c_k X_k Y_k.
 
@@ -912,7 +887,8 @@ def combine(terms) -> Matrix:
     partial sum is built.  The numeric pass (``_number_combine``) adds
     every term into one accumulator; the exact one (``_image_combine``)
     makes one pass per denominator and adds their sums, and its result is
-    taken to lower terms once (``_reduced``).
+    taken to lower terms once (``_reduced``).  ``relation`` judges an
+    exact relation by that pass over lhs - rhs, not taken to lower terms.
     """
     terms = tuple(terms)
     n, m = _shape(terms)
@@ -942,24 +918,30 @@ def _shape(terms):
 
 def relation(lhs, rhs, field):
     """(ok, witness) for the relation sum(lhs) = sum(rhs), each side a
-    nonempty sequence of ``combine`` terms: the one judge of a relation
-    whose sides are combinations.
+    nonempty sequence of ``combine`` terms: the one judge of the
+    certification suites, on both backends.
 
     Over the exact backend one pass (``_image_combine``) adds the terms of
-    lhs and the negated terms of rhs, and builds neither side: the
-    relation holds exactly when that difference stores no row.  Only a
-    failed relation builds both sides with ``combine``, for ``_meq`` to
-    name the first differing entry.  Over the numeric backend equality is
-    judged at the scale of the two sides, so it is ``_meq`` of the two
-    ``combine`` results."""
+    lhs and the negated terms of rhs, and builds neither side, whatever
+    the outcome: the relation holds exactly when that difference stores no
+    row, and otherwise its first stored entry in row-major order, decoded,
+    is the witness, the value lhs - rhs at the first entry where the two
+    sides differ.  Over the numeric backend equality is judged at the
+    scale of the two sides, so it is ``_meq`` of the two ``combine``
+    results."""
     lhs, rhs = tuple(lhs), tuple(rhs)
     if not lhs or not rhs:
         raise DomainError("a relation needs a term on each side")
     terms = lhs + tuple((-s, *t) for s, *t in rhs)
     n, m = _shape(terms)
-    if field.exact and not _image_combine(terms, n, m, field)._nz:
+    if not field.exact:
+        return _meq(combine(lhs), combine(rhs))
+    R = _image_combine(terms, n, m, field)
+    if not R._nz:
         return True, None
-    return _meq(combine(lhs), combine(rhs), field)
+    i = min(R._nz)
+    j = min(R._nz[i])
+    return False, f"entry ({i},{j}) = {_decode(R._nz[i][j], R._k, R._d, R._w)}"
 
 
 def qbracket(A: Matrix, B: Matrix, v) -> Matrix:
@@ -1030,22 +1012,14 @@ class ProductMemo:
         return hit[0]
 
 
-def _meq(A: Matrix, B: Matrix, field):
-    """(ok, witness) for A = B at the backend's notion of zero: the one
-    matrix equality of the certification suites.
+def _meq(A: Matrix, B: Matrix):
+    """(ok, witness) for A = B over the numeric backend: the judge that
+    ``relation`` applies to its two built sides.
 
-    Numeric entries compare at the scale of the larger operand, so an
-    equality between large matrices is not judged by an absolute
-    tolerance.  Exact matrices compare their images, and compute a - b
-    only at the first differing entry, in row-major order.  Matrices of
-    different shapes are refused, never compared."""
+    Entries compare at the scale of the larger operand, so an equality
+    between large matrices is not judged by an absolute tolerance.
+    Matrices of different shapes are refused, never compared."""
     _same_shape(A, B, "==")
-    if field.exact:
-        ij = _image_diff(A, B)
-        if ij is None:
-            return True, None
-        i, j = ij
-        return False, f"entry ({i},{j}) = {A.rows[i][j] - B.rows[i][j]}"
     scale = _largest(_values(A, B))
     if scale < 1.0:  # false for a NaN scale, which stays
         scale = 1.0

@@ -62,10 +62,12 @@ data is then derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 from .errors import ConstructionError, DomainError
-from .linmat import (Grading, Matrix, ProductMemo, _meq, combine, commutator,
-                     degree_components, relation, serre_sides)
+from .linmat import (Grading, Matrix, ProductMemo, commutator, degree_components, relation,
+                     serre_sides)
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
 from .series import series_exp, series_log
@@ -360,11 +362,12 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     the [E, F] pairing, the q-Serre relations for every bond type, and
     purity of each Chevalley generator with respect to the grading.
 
-    The q-Serre entry (i, j) judges the two sides of the outermost bracket
-    of the nested form (``serre_sides``) by ``relation``: exactly by one
-    pass over their difference, numerically at their own scale.  Their
-    difference is the alternating sum, so an exact witness names an entry
-    and value of sum_r (-1)^r [n r] X_i^(n-r) X_j X_i^r.
+    Every entry but purity states its two sides as ``combine`` terms for
+    ``relation``: exactly one pass over their difference, numerically a
+    comparison at their own scale.  The q-Serre entry (i, j) takes the two
+    sides of the outermost bracket of the nested form (``serre_sides``).
+    Their difference is the alternating sum, so an exact witness names an
+    entry and value of sum_r (-1)^r [n r] X_i^(n-r) X_j X_i^r.
     """
     typ = M.typ
     f = M.field
@@ -373,36 +376,34 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     rep = CheckReport(f"affine presentation on {M.describe()}")
 
     for i in typ.nodes:
-        ok, w = _meq(M.Kc[i] @ M.Kcinv[i], I, f)
+        ok, w = relation([(1, None, M.Kc[i], M.Kcinv[i])], [(1, None, I)], f)
         rep.add("k_invertible", (i,), ok, w)
     for i in typ.nodes:
         for j in typ.nodes:
             if i < j:
-                ok, w = _meq(M.Kc[i] @ M.Kc[j], M.Kc[j] @ M.Kc[i], f)
+                ok, w = relation([(1, None, M.Kc[i], M.Kc[j])], [(1, None, M.Kc[j], M.Kc[i])], f)
                 rep.add("k_commute", (i, j), ok, w)
-    level = I
-    for i in typ.nodes:
-        level = level @ M.Kc[i]
-    ok, w = _meq(level, I, f)
+    *first, last = typ.nodes
+    ok, w = relation([(1, None, reduce(matmul, (M.Kc[i] for i in first)), M.Kc[last])],
+                     [(1, None, I)], f)
     rep.add("level_zero", (), ok, w)
 
     for i in typ.nodes:
         for j in typ.nodes:
-            aij = typ.cartan(i, j)
-            qa = f.q ** aij
-            ok, w = _meq(M.Kc[i] @ M.E[j] @ M.Kcinv[i], M.E[j].scale(qa), f)
-            rep.add("cartan_conj_e", (i, j), ok, w)
-            ok, w = _meq(M.Kc[i] @ M.F[j] @ M.Kcinv[i],
-                         M.F[j].scale(f.one / qa), f)
-            rep.add("cartan_conj_f", (i, j), ok, w)
+            qa = f.q ** typ.cartan(i, j)
+            for X, tag, c in ((M.E, "cartan_conj_e", qa), (M.F, "cartan_conj_f", f.one / qa)):
+                ok, w = relation([(1, None, M.Kc[i] @ X[j], M.Kcinv[i])], [(1, c, X[j])], f)
+                rep.add(tag, (i, j), ok, w)
 
     for i in typ.nodes:
         for j in typ.nodes:
-            ef, fe = M.E[i] @ M.F[j], M.F[j] @ M.E[i]
+            ef, fe = (M.E[i], M.F[j]), (M.F[j], M.E[i])
             if i == j:
-                ok, w = _meq(ef - fe, (M.Kc[i] - M.Kcinv[i]).scale(f.one / kap), f)
+                c = f.one / kap
+                ok, w = relation([(1, None, *ef), (-1, None, *fe)],
+                                 [(1, c, M.Kc[i]), (-1, c, M.Kcinv[i])], f)
             else:
-                ok, w = _meq(ef, fe, f)
+                ok, w = relation([(1, None, *ef)], [(1, None, *fe)], f)
             rep.add("ef_pair", (i, j), ok, w)
 
     for i in typ.nodes:
@@ -456,33 +457,35 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
     zeroM = Matrix.zeros(d, d, f)
     rep = CheckReport(f"loop relations on {V.describe()}")
 
-    ok, w = _meq(V.K @ V.Kinv, eye, f)
+    ok, w = relation([(1, None, V.K, V.Kinv)], [(1, None, eye)], f)
     rep.add("K_invertible", (), ok, w)
+
+    def commute(X, Y):
+        return relation([(1, None, X, Y)], [(1, None, Y, X)], f)
 
     hkeys = sorted(V.h)
     for i, k in enumerate(hkeys):
-        ok, w = _meq(V.K @ V.h[k], V.h[k] @ V.K, f)
+        ok, w = commute(V.K, V.h[k])
         rep.add("K_h_commute", (k,), ok, w)
         for l in hkeys[i + 1:]:
-            ok, w = _meq(V.h[k] @ V.h[l], V.h[l] @ V.h[k], f)
+            ok, w = commute(V.h[k], V.h[l])
             rep.add("h_commute", (k, l), ok, w)
 
     xkeys = sorted(V.xp)
     for k in xkeys:
-        ok, w = _meq(V.K @ V.xp[k], combine(((1, q2, V.xp[k], V.K),)), f)
-        rep.add("K_conj_x", ("+", k), ok, w)
-        ok, w = _meq(V.K @ V.xm[k], combine(((1, q2i, V.xm[k], V.K),)), f)
-        rep.add("K_conj_x", ("-", k), ok, w)
+        for sign, x, v in (("+", V.xp[k], q2), ("-", V.xm[k], q2i)):
+            ok, w = relation([(1, None, V.K, x)], [(1, v, x, V.K)], f)
+            rep.add("K_conj_x", (sign, k), ok, w)
 
     for k in hkeys:
         c = f.qint(2 * k) * f.from_fraction(1, k)
         for l in xkeys:
             if k + l not in V.xp:
                 continue
-            ok, w = _meq(commutator(V.h[k], V.xp[l]), V.xp[k + l].scale(c), f)
-            rep.add("h_x_ladder", (k, "+", l), ok, w)
-            ok, w = _meq(commutator(V.h[k], V.xm[l]), combine(((-1, c, V.xm[k + l]),)), f)
-            rep.add("h_x_ladder", (k, "-", l), ok, w)
+            for sign, xd, s in (("+", V.xp, 1), ("-", V.xm, -1)):
+                ok, w = relation([(1, None, V.h[k], xd[l]), (-1, None, xd[l], V.h[k])],
+                                 [(s, c, xd[k + l])], f)
+                rep.add("h_x_ladder", (k, sign, l), ok, w)
 
     # a mode product x_a x_b is taken at up to four (k, l): (a - 1, b),
     # (b - 1, a), (a, b - 1) and (b, a - 1); one memo per sign makes it once
@@ -490,11 +493,10 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
         mul = ProductMemo().mul
         for k in range(-W, W):
             for l in range(-W, W):
-                lhs = combine(((1, None, mul(xd[k + 1], xd[l])),
-                               (-1, v, mul(xd[l], xd[k + 1]))))
-                rhs = combine(((1, v, mul(xd[k], xd[l + 1])),
-                               (-1, None, mul(xd[l + 1], xd[k]))))
-                ok, w = _meq(lhs, rhs, f)
+                ok, w = relation([(1, None, mul(xd[k + 1], xd[l])),
+                                  (-1, v, mul(xd[l], xd[k + 1]))],
+                                 [(1, v, mul(xd[k], xd[l + 1])),
+                                  (-1, None, mul(xd[l + 1], xd[k]))], f)
                 rep.add("x_exchange", (sign, k, l), ok, w)
 
     for k in xkeys:
@@ -509,18 +511,19 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
                 rhs.append((1, qden_inv, V.psi[m]))
             if m <= 0:
                 rhs.append((-1, qden_inv, V.phi[-m]))
-            ok, w = _meq(commutator(V.xp[k], V.xm[l]), combine(rhs), f)
+            ok, w = relation([(1, None, V.xp[k], V.xm[l]), (-1, None, V.xm[l], V.xp[k])],
+                             rhs, f)
             rep.add("x_pair_commutator", (k, l), ok, w)
 
     # stored psi/phi against the exponentials of the stored h
     hi = min(T, W)
     e = series_exp([zeroM] + [V.h[k].scale(qden) for k in range(1, hi + 1)], eye, f)
     for m in range(0, hi + 1):
-        ok, w = _meq(V.psi[m], V.K @ e[m], f)
+        ok, w = relation([(1, None, V.psi[m])], [(1, None, V.K, e[m])], f)
         rep.add("psi_series_def", (m,), ok, w)
     e = series_exp([zeroM] + [-V.h[-k].scale(qden) for k in range(1, hi + 1)], eye, f)
     for m in range(0, hi + 1):
-        ok, w = _meq(V.phi[m], V.Kinv @ e[m], f)
+        ok, w = relation([(1, None, V.phi[m])], [(1, None, V.Kinv, e[m])], f)
         rep.add("phi_series_def", (m,), ok, w)
 
     # degree purity: x^pm shift the total degree by pm1, h_k preserve it
@@ -639,7 +642,8 @@ def phi_series(V: AffineModule, T=None):
     for name, store in (("phi", V.phi), ("psi", V.psi)):
         for k in range(0, T + 1):
             M = store[k]
-            ok, w = _meq(M, Matrix.diagonal([M.rows[i][i] for i in range(M.n)], f), f)
+            diag = Matrix.diagonal([M.rows[i][i] for i in range(M.n)], f)
+            ok, w = relation([(1, None, M)], [(1, None, diag)], f)
             if not ok:
                 raise DomainError(
                     f"{name}_{k} is not diagonal: {w}; "
@@ -674,30 +678,28 @@ def verify_aux_identities(V: AffineModule) -> CheckReport:
 
     for r in range(1, T + 1):
         for s in range(-W + 1, W + 1):
-            lhs = V.phi[r] @ V.xp[s] + V.xp[s - 1] @ V.phi[r - 1]
-            rhs = (V.xp[s] @ V.phi[r] + V.phi[r - 1] @ V.xp[s - 1]).scale(q2i)
-            ok, w = _meq(lhs, rhs, f)
+            ok, w = relation([(1, None, V.phi[r], V.xp[s]), (1, None, V.xp[s - 1], V.phi[r - 1])],
+                             [(1, q2i, V.xp[s], V.phi[r]), (1, q2i, V.phi[r - 1], V.xp[s - 1])],
+                             f)
             rep.add("phi_x_homogeneous", (r, s), ok, w)
 
     for r in range(0, T + 1):
         for k in range(max(-W, r - W), W + 1):
-            lhs = V.xp[k] @ V.phi[r]
-            rhs = (V.phi[r] @ V.xp[k]).scale(q2)
-            for s in range(1, r + 1):
-                term = V.phi[r - s] @ V.xp[k - s]
-                rhs = rhs + term.scale(q4m1 * q ** (2 * (s - 1)))
-            ok, w = _meq(lhs, rhs, f)
+            rhs = [(1, q2, V.phi[r], V.xp[k])]
+            rhs += [(1, q4m1 * q ** (2 * (s - 1)), V.phi[r - s], V.xp[k - s])
+                    for s in range(1, r + 1)]
+            ok, w = relation([(1, None, V.xp[k], V.phi[r])], rhs, f)
             rep.add("phi_x_expansion", (r, k), ok, w)
 
     for m in range(-1, T):
         # the two sides of x^-_1 phi_{-(m+1)} + phi_{-m} x^-_0
         # = q^-2 (phi_{-(m+1)} x^-_1 + x^-_0 phi_{-m}); at m = -1 the
         # phi_{-m} terms drop, as phi has no positive modes
-        lhs = V.xm[1] @ V.phi[m + 1]
-        rhs = V.phi[m + 1] @ V.xm[1]
+        lhs = [(1, None, V.xm[1], V.phi[m + 1])]
+        rhs = [(1, q2i, V.phi[m + 1], V.xm[1])]
         if m >= 0:
-            lhs = lhs + V.phi[m] @ V.xm[0]
-            rhs = rhs + V.xm[0] @ V.phi[m]
-        ok, w = _meq(lhs, rhs.scale(q2i), f)
+            lhs.append((1, None, V.phi[m], V.xm[0]))
+            rhs.append((1, q2i, V.xm[0], V.phi[m]))
+        ok, w = relation(lhs, rhs, f)
         rep.add("phi_xminus_qcomm", (m,), ok, w)
     return rep

@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from itertools import islice
 
 from .errors import DomainError
-from .linmat import Matrix, ProductMemo, _meq, combine, qbracket, relation, serre_sides
+from .linmat import Matrix, ProductMemo, combine, qbracket, relation, serre_sides
 from .loopsl2 import AffineModule, _refuse_failure
 from .report import CheckReport
 from .scalars import ExactField, Q, Scalar, parse_scalar
@@ -620,9 +620,9 @@ def rationality_check(fam: RankNFamily):
     # with H_1/[2] scaled as _grow_tower scales it
     Hb = fam.H[1][1].scale(f.one / f.qint(2))
     for r in range(-R + 2, R + 1):
-        lhs = A[r]
-        rhs = combine(((1, None, Hb, A[r - 1]), (-1, None, A[r - 1], Hb), (1, ctx.C, A[r - 2])))
-        ok, w = _meq(lhs, rhs, f)
+        ok, w = relation([(1, None, A[r])],
+                         [(1, None, Hb, A[r - 1]), (-1, None, A[r - 1], Hb), (1, ctx.C, A[r - 2])],
+                         f)
         rep.add("recursion", (r,), ok, w)
 
     budget = max((R - 1) // 2, 0)

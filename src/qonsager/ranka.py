@@ -94,7 +94,7 @@ Conventions, fixed once and relied on everywhere below:
 from typing import NamedTuple
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, ProductMemo, _meq, degree_components, qbracket, relation
+from .linmat import Grading, Matrix, ProductMemo, degree_components, qbracket, relation
 from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
                       build_evaluation, verify_affine_presentation)
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
@@ -701,7 +701,7 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
             else:
                 name, lhs, rhs = "braid", images(0, i, j, i), images(0, j, i, j)
             for k in typ.nodes:
-                ok, w = _meq(lhs[k], rhs[k], f)
+                ok, w = relation([(1, None, lhs[k])], [(1, None, rhs[k])], f)
                 rep.add(name, (i, j, k), ok, w)
 
     for i in typ.nodes:
@@ -709,12 +709,12 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
         for k in typ.nodes:
             if typ.cartan(i, k) == -2:
                 continue
-            ok, w = _meq(lhs[k], rhs[typ.rotate(k)], f)
+            ok, w = relation([(1, None, lhs[k])], [(1, None, rhs[typ.rotate(k)])], f)
             rep.add("rotation", (i, k), ok, w)
 
     for i, Am1 in _tower_seeds(gens[0], params, f).items():
         X = _braid_images(omega_word(i, typ.N), *gens, f)[0]
-        ok, w = _meq(Am1, X[i] if i % 2 else X[i].scale(-f.one), f)
+        ok, w = relation([(1, None, Am1)], [(1 if i % 2 else -1, None, X[i])], f)
         rep.add("seed_word", (i,), ok, w)
     return rep
 
@@ -791,7 +791,7 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     for j in (0, 1):
         for ours, theirs in ((module.E[j], V.E[j]), (module.F[j], V.F[j]),
                              (module.Kc[j], V.Kc[j])):
-            okj, wj = _meq(ours, theirs, f)
+            okj, wj = relation([(1, None, ours)], [(1, None, theirs)], f)
             if not okj:
                 ok, wit = False, f"node {j}: {wj}"
                 break
@@ -805,11 +805,11 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     s0, s1 = (f.from_scalar(x) for x in p.s)
     q2 = f.q * f.q
     u = f.one / (q2 * c0)
-    seeds = ((-1, (V.K @ V.xp[-1]).scale(-(u / q2)) + V.xm[1] + V.K.scale(u * s0)),
-             (0, V.xm[0] - (V.Kinv @ V.xp[0]).scale(c1 * q2) + V.Kinv.scale(s1)))
+    seeds = ((-1, [(-1, u / q2, V.K, V.xp[-1]), (1, None, V.xm[1]), (1, u * s0, V.K)]),
+             (0, [(1, None, V.xm[0]), (-1, c1 * q2, V.Kinv, V.xp[0]), (1, s1, V.Kinv)]))
     wit = None
     for r, theirs in seeds:
-        ok, w = _meq(fam.A[1][r], theirs, f)
+        ok, w = relation([(1, None, fam.A[1][r])], theirs, f)
         if not ok:
             wit = f"A[{r}]: {w}"
             break
@@ -915,7 +915,7 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
             for m in range(1, T + 1):
                 for n in range(1, T + 1):
                     tim, tjn = fam.theta_grave[i][m], fam.theta_grave[j][n]
-                    ok, w = _meq(tim @ tjn, tjn @ tim, f)
+                    ok, w = relation([(1, None, tim, tjn)], [(1, None, tjn, tim)], f)
                     rep.add("cross_node", (i, m, j, n), ok, w)
 
     if fam.typ.N == 1:

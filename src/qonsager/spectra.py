@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DomainError
-from .linmat import Grading, Matrix, _meq, combine, degree_components
+from .linmat import Grading, Matrix, combine, degree_components, relation
 from .loopsl2 import AffineModule, extend_loop_data, phi_series, tensor
 from .onsager import (
     RankNFamily,
@@ -418,9 +418,9 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
         bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        want = combine([(1, None, V.phi[s], V.psi[0])]
-                       + [(1, C ** v, V.phi[s - v], V.psi[v]) for v in range(1, s + 1)])
-        ok, wit = _meq(d0, want, f)
+        ok, wit = relation([(1, None, d0)],
+                           [(1, None, V.phi[s], V.psi[0])]
+                           + [(1, C ** v, V.phi[s - v], V.psi[v]) for v in range(1, s + 1)], f)
         rep.add("diagonal", (s,), ok, wit)
         shift0.append(d0)
     data = {
@@ -605,8 +605,7 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
         bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        want = combine([(1, D[u], diag0[s - u]) for u in range(s + 1)])
-        ok, wit = _meq(d0, want, f)
+        ok, wit = relation([(1, None, d0)], [(1, D[u], diag0[s - u]) for u in range(s + 1)], f)
         rep.add("scaled_diagonal", (s,), ok, wit)
 
     if V.factors is not None:
@@ -620,10 +619,9 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
             bad, d0 = _by_degree(fam.theta_grave[1][s], g2)
             rep.add("tensor_triangular", (s,), not bad,
                     None if not bad else f"right-lowering shifts {bad}")
-            want = Matrix.zeros(V.dim, V.dim, f)
-            for u in range(s + 1):
-                want = want + famX.theta_grave[1][u].kron(w0[s - u])
-            ok, wit = _meq(d0, want, f)
+            ok, wit = relation([(1, None, d0)],
+                               [(1, None, famX.theta_grave[1][u].kron(w0[s - u]))
+                                for u in range(s + 1)], f)
             rep.add("tensor_diagonal", (s,), ok, wit)
     return rep
 

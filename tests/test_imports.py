@@ -18,7 +18,9 @@ directly or through a name bound to it.
 
 The numeric zero rule (a matrix vanishes at the scale of the matrices it
 came from) lives in ``linmat`` alone, so no other package module may read
-``max_abs``, the scale that rule is taken at.
+``max_abs``, the scale that rule is taken at.  ``linmat.relation`` is the
+one judge of a relation on both backends, and ``_meq`` is only its numeric
+step, so no other package module reads ``_meq`` either.
 
 Both backends store a matrix's nonzero entries in one dict of rows,
 which operations may change in place without changing the matrix: an
@@ -363,7 +365,7 @@ def test_read_scan_flags_names_and_attributes():
 def test_only_linmat_reads_max_abs(path):
     lines = sorted(_reads(ast.parse(path.read_text(), filename=str(path)), "max_abs"))
     assert not lines, (f"{path.name} reads max_abs at lines {lines}; "
-                       "compare with linmat._meq or split with degree_components")
+                       "judge with linmat.relation or split with degree_components")
 
 
 def _attribute_reads(tree, attr):
@@ -396,6 +398,36 @@ def test_linmat_reads_no_tolerance():
     lines = sorted(_attribute_reads(ast.parse(path.read_text(), filename=str(path)), "tol"))
     assert not lines, (f"linmat.py reads .tol at lines {lines}; "
                        "decide zero by field.is_zero")
+
+
+def _meq_reads(tree):
+    """Line numbers where ``tree`` reads ``_meq``: as a name or an
+    attribute, through ``getattr`` with a constant name, or in an import."""
+    lines = set(_reads(tree, "_meq")) | set(_attribute_reads(tree, "_meq"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_meq" for a in node.names):
+            lines.add(node.lineno)
+    return lines
+
+
+def test_meq_scan_flags_a_planted_access():
+    tree = ast.parse(
+        "from .linmat import Matrix, _meq\n"
+        "ok, w = _meq(A, B)\n"
+        "judge = linmat._meq\n"
+        "judge = getattr(linmat, '_meq')\n"
+        "_meq = None\n"
+        "ok = _meq_of(A, B) and relation(lhs, rhs, f)\n"
+    )
+    assert sorted(_meq_reads(tree)) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linmat"],
+                         ids=lambda p: p.name)
+def test_only_linmat_reads_meq(path):
+    lines = sorted(_meq_reads(ast.parse(path.read_text(), filename=str(path))))
+    assert not lines, (f"{path.name} reads _meq at lines {lines}; "
+                       "state both sides as combine terms for linmat.relation")
 
 
 #: the attributes of a matrix's store and of its exact encoding
@@ -437,7 +469,7 @@ def test_store_scan_flags_a_planted_access():
                          ids=lambda p: p.name)
 def test_only_linmat_touches_the_exact_store(path):
     # the store holds only nonzero values, which operations may re-encode
-    # in place; entries are read through .rows, nonzero_entries or _meq
+    # in place; entries are read through .rows, nonzero_entries or relation
     attrs = frozenset(STORE_ATTRS) - OWN_ATTRS.get(path.stem, frozenset())
     found = sorted(_store_access(ast.parse(path.read_text(), filename=str(path)), attrs))
     assert not found, (f"{path.name} touches the matrix store at {found}; "

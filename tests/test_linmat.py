@@ -429,9 +429,9 @@ def _check_image_ops(a_rows, b_rows, p_rows, r_rows, c, v):
     diffs = [(i, j, a - b) for i, (ra, rb) in enumerate(zip(a_rows, b_rows))
              for j, (a, b) in enumerate(zip(ra, rb)) if a != b]
     want = (True, None) if not diffs else (False, "entry ({},{}) = {}".format(*diffs[0]))
-    assert _meq(A, B, F) == want
+    assert relation([(1, None, A)], [(1, None, B)], F) == want
     assert (A == B) == (not diffs)
-    assert _meq(A, Matrix(a_rows, F), F) == (True, None)
+    assert relation([(1, None, A)], [(1, None, Matrix(a_rows, F))], F) == (True, None)
     P, R = (Matrix(r, F) for r in (p_rows, r_rows))
     p_r = _dense(p_rows, r_rows)
     assert _stored(P @ R).rows == p_r
@@ -549,13 +549,13 @@ def test_sparse_store_never_holds_a_zero_image(field):
 
 @pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "numeric"])
 def test_entrywise_ops_refuse_mismatched_shapes(field):
-    # a 2x2 and a 3x3 matrix are neither added nor compared by _meq: zip
-    # would truncate to the smaller shape, and _meq would call them equal
+    # a 2x2 and a 3x3 matrix are neither added nor judged by relation: zip
+    # would truncate to the smaller shape, and call them equal
     I2, I3 = Matrix.identity(2, field), Matrix.identity(3, field)
     Z23, Z32 = Matrix.zeros(2, 3, field), Matrix.zeros(3, 2, field)
     for X, Y, shapes in ((I2, I3, ("2x2", "3x3")), (Z23, Z32, ("2x3", "3x2"))):
         for op, run in (("+", lambda: X + Y), ("-", lambda: X - Y),
-                        ("==", lambda: _meq(X, Y, field))):
+                        ("+", lambda: relation([(1, None, X)], [(1, None, Y)], field))):
             with pytest.raises(DomainError, match=re.escape(f"shape mismatch {shapes[0]} {op} "
                                                             f"{shapes[1]}")):
                 run()
@@ -588,7 +588,7 @@ def test_image_slot_edges():
     assert (X - Y).rows == [[Scalar([2**32, -1])]]
     assert not (X - Y).is_zero()
     assert X != Y
-    assert _meq(X, Y, F) == (False, "entry (0,0) = -q+4294967296")
+    assert relation([(1, None, X)], [(1, None, Y)], F) == (False, "entry (0,0) = -q+4294967296")
 
 
 def test_image_product_takes_out_the_shared_power_of_q():
@@ -683,7 +683,8 @@ def test_nested_bracket_is_the_alternating_sum_numeric(vals, n, q0):
     X = Matrix([vals[0:3], vals[3:6], vals[6:9]], field)
     Y = Matrix([vals[9:12], vals[12:15], vals[15:18]], field)
     left, right = map(combine, serre_sides(X, Y, n, field.q))
-    ok, w = _meq(left - right, serre_sum(X, Y, n, field), field)
+    ok, w = relation([(1, None, left), (-1, None, right)], [(1, None, serre_sum(X, Y, n, field))],
+                     field)
     assert ok, w
 
 
@@ -834,10 +835,11 @@ _PASS_COEFFS = [None, Q**-2, qint(2), 1 / qint(2), qint(4) / 2, qint(6) / 3, Sca
 
 
 @st.composite
-def exact_combinations(draw):
-    """1 to 5 exact terms of one n x m shape, each of both signs; every
-    matrix has entries over one denominator of ``_PASS_DENS``."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def exact_combinations(draw, shape=None):
+    """1 to 5 exact terms of one n x m shape, drawn when shape is None,
+    each of both signs; every matrix has entries over one denominator of
+    ``_PASS_DENS``."""
+    n, m = shape or (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
 
     def block(r, c):
         den = draw(st.sampled_from(_PASS_DENS))
@@ -920,14 +922,62 @@ def damaged_relations(draw, name):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_relation_judges_as_meq_of_the_combined_sides(name, data):
-    # the exact judge builds no side unless the relation fails, and then
-    # names the witness _meq names; the numeric judge is _meq itself
+    # the numeric judge is _meq of the two combined sides; the exact judge
+    # builds neither side, and names the entry and value the built sides
+    # differ by first
     field = _FIELDS[name]
     lhs, rhs = data.draw(damaged_relations(name))
     got = relation(lhs, rhs, field)
-    assert got == _meq(combine(lhs), combine(rhs), field)
-    if field.exact:
-        assert got[0] == (len(rhs) == len(lhs))
+    if not field.exact:
+        assert got == _meq(combine(lhs), combine(rhs))
+        return
+    assert got == _first_difference(combine(lhs), combine(rhs))
+    assert got[0] == (len(rhs) == len(lhs))
+
+
+def _first_difference(A, B):
+    """Reference: (ok, witness) of A = B on the decoded rows of the built
+    sides, the witness naming their first differing entry in row-major
+    order and A - B there."""
+    for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
+        for j, (a, b) in enumerate(zip(ra, rb)):
+            if a != b:
+                return False, f"entry ({i},{j}) = {a - b}"
+    return True, None
+
+
+@st.composite
+def grouped_relations(draw):
+    """(lhs, rhs): two exact combinations of one shape, or one and its
+    terms reversed, and then one more term, the same on both sides, which
+    cancels in lhs - rhs.  The terms' matrices lie over the denominators
+    of ``_PASS_DENS``, so the difference pass sums several denominator
+    groups."""
+    lhs = draw(exact_combinations())
+    shape = lhs[0][2].n, lhs[0][-1].m
+    rhs = lhs[::-1] if draw(st.booleans()) else draw(exact_combinations(shape))
+    pair = draw(exact_combinations(shape))[0]
+    at = draw(st.integers(0, len(lhs)))
+    return [*lhs[:at], pair, *lhs[at:]], [pair, *rhs]
+
+
+@given(grouped_relations())
+@settings(max_examples=200, deadline=None)
+def test_exact_relation_witness_is_the_first_difference_of_the_sides(sides):
+    # the witness is read off the difference pass, over the lcm of its
+    # groups' denominators, and decodes to the canonical value of
+    # lhs - rhs at the first entry where the built sides differ
+    lhs, rhs = sides
+    assert relation(lhs, rhs, F) == _first_difference(combine(lhs), combine(rhs))
+
+
+def test_exact_relation_witness_over_two_denominator_groups():
+    # a cancelling pair over q^2 - 1 and two terms over q^2 + 1 that differ
+    # at (0, 0) by 4 q^-2 / (q^2 + 1)
+    pair = (1, None, Matrix([[Scalar(1) / (Q**2 - 1), Q]], F))
+    lhs = [pair, (1, Q**-2, Matrix([[Scalar(2) / (Q**2 + 1), F.one]], F))]
+    rhs = [pair, (-1, Q**-2, Matrix([[Scalar(2) / (Q**2 + 1), F.zero]], F))]
+    assert relation(lhs, rhs, F) == (False, "entry (0,0) = (4)/(q^4+q^2)")
 
 
 @pytest.mark.parametrize("name", sorted(_FIELDS))
@@ -1031,9 +1081,9 @@ def test_numeric_zero_test_is_one_bound_on_the_largest_entry():
         assert M.is_zero(scale) == all(nf.is_zero(a, scale) for r in rows for a in r)
     for bad in (nan, _NAN, _INF):
         A = Matrix([[1.0, 0.0], [0.0, bad]], nf)
-        assert _meq(A, A, nf)[0] is False
+        assert _meq(A, A)[0] is False
     A, B = Matrix([[2.0, 1.0], [0j, 3.0]], nf), Matrix([[2.0, 1.0], [1e-6, 3.0]], nf)
-    assert _meq(A, B, nf) == (False, "entry (1,0) residual 1.000e-06 at scale 3.000e+00")
+    assert _meq(A, B) == (False, "entry (1,0) residual 1.000e-06 at scale 3.000e+00")
 
 
 def test_numeric_matrix_roundtrip():
@@ -1065,8 +1115,8 @@ def test_meq_never_passes_a_nan_entry(pair, data, bad, q0):
     a_rows[i][j] = bad
     A = Matrix(a_rows, nf)
     for B in (A, Matrix(a_rows, nf), Matrix(b_rows, nf)):
-        assert _meq(A, B, nf)[0] is False
-        assert _meq(B, A, nf)[0] is False
+        assert _meq(A, B)[0] is False
+        assert _meq(B, A)[0] is False
 
 
 @pytest.mark.parametrize("q0", [1.3, complex(0.6, 0.8)])
@@ -1079,7 +1129,7 @@ def test_meq_reads_a_nan_side_in_either_order(q0):
     A = Matrix([[1.0, 2.0], [3.0, 4.0]], nf)
     C = Matrix([[1.0, 2.5], [3.0, _NAN]], nf)
     for X, Y in ((A, C), (C, A)):
-        ok, witness = _meq(X, Y, nf)
+        ok, witness = _meq(X, Y)
         assert not ok
         assert witness == "entry (1,1) residual nan at scale nan"
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from qonsager import loopsl2
 from qonsager.errors import ConstructionError, DomainError
-from qonsager.linmat import Matrix, _meq, degree_components
+from qonsager.linmat import Matrix, degree_components, relation
 from qonsager.loopsl2 import (
     AffineModule,
     EvalParams,
@@ -215,10 +215,13 @@ def test_exact_equality_witness_is_first_differing_entry():
     # rows 0 agree; row 1 differs at (1,1) and (1,2)
     A = Matrix([[Q, Scalar(0), Scalar(1)], [qint(2), Q**-1, Scalar(0)]], F)
     B = Matrix([[Q, Scalar(0), Scalar(1)], [qint(2), Q**-2, Q]], F)
-    assert _meq(A, A, F) == (True, None)
-    assert _meq(A, B, F) == (False, "entry (1,1) = (q-1)/(q^2)")
+    def judge(X, Y):
+        return relation([(1, None, X)], [(1, None, Y)], F)
+
+    assert judge(A, A) == (True, None)
+    assert judge(A, B) == (False, "entry (1,1) = (q-1)/(q^2)")
     i, j, v = next((A - B).nonzero_entries())
-    assert _meq(A, B, F)[1] == f"entry ({i},{j}) = {v}"
+    assert judge(A, B)[1] == f"entry ({i},{j}) = {v}"
 
 
 def test_damaged_module_witnesses_are_pinned():
@@ -286,7 +289,7 @@ def test_dictionary_suite_is_the_affine_presentation(field):
     pairs = [(mod.E[1], mod.xp[0]), (mod.F[1], mod.xm[0]),
              (mod.E[0], -(mod.Kinv @ mod.xm[1])), (mod.F[0], -(mod.xp[-1] @ mod.K)),
              (mod.Kc[1], mod.K), (mod.Kc[0], mod.Kinv)]
-    assert all(_meq(X, Y, field)[0] for X, Y in pairs)
+    assert all(relation([(1, None, X)], [(1, None, Y)], field)[0] for X, Y in pairs)
 
 
 def test_scaled_e0_refused_by_build_and_tensor():

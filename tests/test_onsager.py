@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import onsager
-from qonsager.linmat import Matrix, _meq, combine
+from qonsager.linmat import Matrix, combine, relation
 from qonsager.loopsl2 import EvalParams, build_evaluation, tensor
 from qonsager.onsager import (
     OnsagerParams,
@@ -456,7 +456,7 @@ def test_numeric_theta_commute_at_their_scale():
                           T=8)
     H = h_from_theta([fam.theta[1][m] for m in range(1, 9)], 8, nf, fam.I)
     for m in range(1, 9):
-        assert _meq(H[m - 1], fam.H[1][m], nf) == (True, None), m
+        assert relation([(1, None, H[m - 1])], [(1, None, fam.H[1][m])], nf) == (True, None), m
 
 
 # ------------------------------------------------------- charges grown on read

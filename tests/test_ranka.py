@@ -26,7 +26,7 @@ import pytest
 
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import linmat, ranka
-from qonsager.linmat import Matrix, _meq, qbracket
+from qonsager.linmat import Matrix, qbracket, relation
 from qonsager.loopsl2 import EvalParams, build_evaluation
 from qonsager.onsager import OnsagerParams, _grow_family, generate_family
 from qonsager.ranka import (
@@ -305,7 +305,7 @@ def test_images_match_the_reference_expansion(field):
                 if field is None:
                     assert got == want, (N, i, w)
                 else:
-                    ok, wit = _meq(got, want, mod.field)
+                    ok, wit = relation([(1, None, got)], [(1, None, want)], mod.field)
                     assert ok, (N, i, w, wit)
 
 
@@ -344,7 +344,7 @@ def test_word_evaluation_prunes_vanishing_prefixes(monkeypatch, a, field):
     if field is None:
         assert got == want
     else:
-        ok, w = _meq(got, want, module.field)
+        ok, w = relation([(1, None, got)], [(1, None, want)], module.field)
         assert ok, w
     assert not got.is_zero()
 
@@ -566,13 +566,13 @@ def test_matrix_seeds_are_the_symbolic_bracket(field):
             if field.exact:
                 assert fam.A[i][-1] == want, (mod.describe(), i)
             else:
-                ok, w = _meq(fam.A[i][-1], want, field)
+                ok, w = relation([(1, None, fam.A[i][-1])], [(1, None, want)], field)
                 assert ok, (mod.describe(), i, w)
     # the rank-one seeder on a loop-built module takes the same seed
     V = build_evaluation(EvalParams(2, Q), window=1, T=1, field=field)
     p = P(cs[:2], ("1", "q"))
-    ok, w = _meq(generate_family(p, V, T=1, R=1).A[1][-1],
-                 evaluate_bexpr(build_Ai_minus1(1, 1), V, p), field)
+    ok, w = relation([(1, None, generate_family(p, V, T=1, R=1).A[1][-1])],
+                     [(1, None, evaluate_bexpr(build_Ai_minus1(1, 1), V, p))], field)
     assert ok, w
 
 

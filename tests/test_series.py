@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qonsager._kernel import _bareiss_solve, _pack, _unpack, _width
 from qonsager.errors import DomainError
-from qonsager.linmat import Matrix, _meq
+from qonsager.linmat import Matrix, relation
 from qonsager.scalars import ExactField, NumericField, Q, Scalar, _coerce, parse_scalar
 from qonsager.series import (
     FPoly,
@@ -85,7 +85,7 @@ def h_from_theta(theta_list, T, field, one, check_commuting=True):
             for j in range(i + 1, len(theta_list)):
                 a, b = theta_list[i], theta_list[j]
                 if isinstance(a, Matrix):
-                    ok, w = _meq(a @ b, b @ a, field)
+                    ok, w = relation([(1, None, a, b)], [(1, None, b, a)], field)
                     if not ok:
                         raise DomainError(
                             f"theta coefficients (m, n) = ({i + 1}, {j + 1}) "

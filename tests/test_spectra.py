@@ -34,6 +34,7 @@ from qonsager.series import FPoly
 from qonsager.spectra import (
     DRF,
     DRFReport,
+    _fr_function,
     boundary_poly,
     coproduct_aplus_check,
     drf_extract,
@@ -296,14 +297,20 @@ def test_numeric_drf_reports_match_the_exact_ones(n, a, T):
 
 
 def test_numeric_verify_failure_is_inconclusive():
-    # V_5(q) at T = 10, q0 = 1.3: the last two lines pair off along
-    # q^2-chains, but the assembled (Q, R) misses an expansion coefficient
-    # by more than tol; that is no verdict on the line
-    lines = lweight_lines(vn(5, "q", 10, field=NF))
-    for ln in lines[4:]:
-        dd = drinfeld_data(ln)
-        assert not dd.ok and dd.inconclusive and dd.Q is None
-        assert dd.witness.startswith("verify:"), dd.witness
+    # V_3(q) at T = 8, q0 = 1.3: line 2 closes and pairs off on dplus
+    # alone, and its (Q, R) reproduces dminus; with the last coefficient of
+    # dminus raised by 1 the same (Q, R) misses it by 1, about 1e8 times
+    # tol at its scale, so the verify step stops the line without a verdict
+    ln = lweight_lines(vn(3, "q", 8, field=NF))[2]
+    good = drinfeld_data(ln)
+    assert good.ok
+    dminus = list(ln.dminus)
+    dminus[8] = dminus[8] + NF.one
+    top = _fr_function(good.Q, good.R, NF).expand_at_infinity(8)[8]
+    assert abs(top - dminus[8]) > 1e7 * NF.tol * max(1.0, abs(dminus[8]))
+    dd = drinfeld_data((list(ln.dplus), dminus), field=NF)
+    assert not dd.ok and dd.inconclusive and dd.Q is None
+    assert dd.witness == "verify: (Q, R) of degrees (1, 2) does not reproduce both expansions"
 
 
 def test_numeric_chain_longer_than_the_order_is_inconclusive():
