@@ -20,9 +20,10 @@ stored rows only: with nz(M) the nonzero entries of M, each costs
 O(nonzeros), never O(n m).  The row-walking is shared: a product is
 Gustavson's row-sparse product (ACM TOMS 4(3), 1978), in which each stored
 row of A meets the stored rows of B its entries select, and a sum is its
-two-term pass; negation, the transpose and degree components move or negate stored
-values; the Kronecker product is O(nz(A) nz(B)), the size of its result.
-What a stored value is, and its arithmetic, belong to the backend.
+two-term pass; negation, the transpose and degree components move or
+negate stored values; the Kronecker product is O(nz(A) nz(B)), the size
+of its result.  What a stored value is, and its arithmetic, belong to the
+backend.
 
 Exact matrices store integer images.  A matrix of Scalars keeps a shift K
 >= 0, a denominator D in ZZ[q] (positive leading coefficient, D(0) != 0),
@@ -38,27 +39,24 @@ operation (Kronecker substitution; Harvey, J. Symb. Comp. 44, 2009), and
 bounds the height of its result from those of its operands, as GCDHEU
 bounds its digits (Char, Geddes and Gonnet, 1989):
 
-* ``combine`` groups its terms by denominator: a term's is the product
-  of its matrices' denominators and of the part of its coefficient's
-  that is prime to q.  Each group is one row pass of Gustavson's loop,
-  every term adding into one dict per result row: a product term adds
-  (a v) b, one big-integer product per pair of nonzero entries that
-  meet, and a matrix term adds a v, where v folds the term's sign, the
-  image of its coefficient's numerator and q to the shift it lacks
-  against the group's largest, as the numeric pass folds a coefficient
-  into its left entries.  The group's height is at most the sum of its
-  terms' bounds, r h_X h_Y ||n||_1 for a product (r the longest stored
-  row of X) and h_M ||n||_1 for a matrix, and its operands share a slot
-  width that holds it.  No product, scaled term or partial sum is built;
-* the groups are added at the lcm D = D_A (D_B / g), g = pgcd(D_A, D_B),
-  of their denominators, one gcd per pair, and at the larger shift: each
-  side's images are multiplied by the image of its cofactor times q to
-  its shift difference.  The result is taken to lower terms once (below).
-  A product is the one-product pass, and a sum or difference, O(nz(A) +
-  nz(B)), the two-term combination;
-* scaling by c = n / (q^t p), p(0) != 0, multiplies the images by n(2^s)
-  and D by p, after taking the factor that n and D share out of both:
-  O(nz(A)), and O(1) when c is 1 or 0;
+* ``combine`` sums its terms in one row pass of Gustavson's loop, every
+  term adding into one dict per result row.  A term is over d q^k, d the
+  product of its matrices' denominators and of the part of its
+  coefficient's that is prime to q, and the pass runs over the lcm D of
+  the terms' d, found with one gcd per distinct d after the first, and
+  over no lcm when they share one d.  A product term adds (a v) b, one
+  big-integer product per pair of nonzero entries that meet, and a
+  matrix term adds a v, where v folds the term's sign, the image of its
+  coefficient's numerator, that of its cofactor D/d and q to the shift
+  it lacks against the largest, as the numeric pass folds a coefficient
+  into its left entries.  The result's height is at most the sum of the
+  terms' bounds, r h_X h_Y ||n||_1 ||D/d||_1 for a product (r the
+  longest stored row of X) and h_M ||n||_1 ||D/d||_1 for a matrix, and
+  the operands share a slot width that holds it.  No product, scaled
+  term or partial sum is built, and the result is taken to lower terms
+  once (below).  A product is the one-product pass, a sum or difference,
+  O(nz(A) + nz(B)), the two-term pass, and scaling by c the one-term
+  pass, O(nz(A)); products and scalings are not taken to lower terms;
 * ``is_zero`` is O(1): an exact matrix is zero when it stores no row;
 * ``relation`` adds one side and the negated other in one ``combine``
   pass, not taken to lower terms.  The relation holds exactly when that
@@ -76,12 +74,13 @@ that the shift of a tower of products does not grow with each factor.
 
 The stored form is not canonical, since P_ij and D q^K may share factors:
 a product multiplies the denominators, a scaling multiplies D by the
-scalar's, and the factors the numerators share pile up.  Sums and
-combinations, of which towers are built, take their result to lower terms
-with one integer gcd, as GCDHEU finds a polynomial gcd: x = gcd(D(2^s),
-every image), and the primitive part g of x's balanced digits is the
-candidate.  While D's 1-norm is below half a slot, each quotient of an
-image by g(2^s) proves itself the image of a polynomial quotient by the
+part of the scalar's prime to q, keeping any factor that D shares with
+the scalar's numerator, and the factors the numerators share pile up.
+Sums and combinations, of which towers are built, take their result to
+lower terms with one integer gcd, as GCDHEU finds a polynomial gcd: x =
+gcd(D(2^s), every image), and the primitive part g of x's balanced digits
+is the candidate.  While D's 1-norm is below half a slot, each quotient of
+an image by g(2^s) proves itself the image of a polynomial quotient by the
 no-carry bound of the kernel's heuristic gcd, and the result stores these
 quotients over D/g, at their exact largest 1-norm.  Where x finds no
 factor of positive degree, or the bound proves none, the result keeps its
@@ -180,8 +179,7 @@ from itertools import chain, compress, repeat
 from math import gcd, inf, isfinite
 from operator import attrgetter, mul, neg, or_
 
-from ._kernel import (_gcd_cofactors, _pack, _proved_quotient, _unpack, _width, pdiv_exact,
-                      pmul, pprim)
+from ._kernel import _gcd_cofactors, _pack, _proved_quotient, _unpack, _width, pmul, pprim
 from .errors import DomainError
 from .scalars import Scalar, _coerce, _laurent
 
@@ -245,12 +243,10 @@ class Matrix:
         if coerced:
             rows = [[_scalar(x) for x in r] for r in rows]
         if parts:
-            # D = lcm of the denominators' parts prime to q; each entry
-            # becomes (its numerator times D over its part, its q-power)
-            D = [1]
-            for dp in parts.values():
-                D = pmul(D, _gcd_cofactors(D, dp)[2])
-            cof = {t: pdiv_exact(D, dp) for t, dp in parts.items()}
+            # D = lcm of the denominators' parts prime to q (``_lcm``);
+            # each entry becomes (its numerator times D over its part, its
+            # q-power)
+            D, cof = _lcm(parts)
             ents = [[_over(x, D, cof) for x in r] for r in rows]
         else:
             D = _ONE
@@ -352,7 +348,7 @@ class Matrix:
         if self.m != other.n:
             raise DomainError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
         if self.field.exact:
-            term = (1, _ONE, self._k + other._k, self, other)
+            term = (1, (), self._k + other._k, self, other)
             return _image_pass(_dmul(self._d, other._d), (term,), self.n, other.m, self.field)
         return _number_combine(((1, None, self, other),), self.n, other.m, self.field)
 
@@ -368,7 +364,7 @@ class Matrix:
 
     def scale(self, c):
         if self.field.exact:
-            return _image_scale(self, _scalar(c))
+            return _image_combine(((1, c, self),), self.n, self.m, self.field)
         out = {}
         for i, r in self._nz.items():
             # a product of nonzero floats can underflow to zero
@@ -539,60 +535,63 @@ def _number_combine(terms, n, m, field):
 
 def _image_combine(terms, n, m, field):
     """The n x m sum of the terms of ``combine`` over the exact backend,
-    before it is taken to lower terms.  A term over D q^k, D the product
-    of its matrices' denominators and of the part of its coefficient's
-    that is prime to q, joins the other terms over D: the terms of one
-    denominator are summed in one row pass (``_image_pass``), in the
-    order they come, and the passes' sums are added by ``_image_sum``,
-    which takes a gcd per pair of denominators.  A term with a zero
+    before it is taken to lower terms, in one row pass (``_image_pass``)
+    that adds the terms in the order they come.  A term is over d q^k, d
+    the product of its matrices' denominators and of the part of its
+    coefficient's that is prime to q.  When every term has one d, the
+    pass runs over it; otherwise over the lcm D of the d's (``_lcm``), and
+    each term's numerator gains the factor D/d.  A term with a zero
     coefficient, or a factor that stores nothing, adds nothing."""
-    groups = {}
+    parts, keys, run = {}, [], []
     for t in terms:
         X, Y = t[2], t[3] if len(t) > 3 else None
         if not X._nz or Y is not None and not Y._nz:
             continue
-        k, d, num, c = X._k, X._d, _ONE, t[1]
+        k, d, num, c = X._k, X._d, (), t[1]
         if Y is not None:
             k += Y._k
             d = _dmul(d, Y._d)
         if c is not None:
             c = _scalar(c)
-            num = c.num
-            if not num:
+            if not c.num:
                 continue
+            num = (c.num,)
             e = c._k
             if e < 0:
                 e, dp = _split(c.den)
                 d = _dmul(d, dp)
             k += e
         key = tuple(d)
-        g = groups.get(key)
-        if g is None:
-            groups[key] = d, [(t[0], num, k, X, Y)]
-        else:
-            g[1].append((t[0], num, k, X, Y))
-    M = None
-    for d, g in groups.values():
-        P = _image_pass(d, g, n, m, field)
-        M = P if M is None else _image_sum(M, P)
-    return Matrix.zeros(n, m, field) if M is None else M
+        parts[key] = d
+        keys.append(key)
+        run.append((t[0], num, k, X, Y))
+    if not run:
+        return Matrix.zeros(n, m, field)
+    if len(parts) == 1:
+        (D,) = parts.values()
+    else:
+        D, cof = _lcm(parts)
+        run = [(s, (*num, cof[key]), k, X, Y) for (s, num, k, X, Y), key in zip(run, keys)]
+    return _image_pass(D, run, n, m, field)
 
 
 def _image_pass(d, terms, n, m, field):
     """The n x m sum over the one denominator d of the terms (s, num, k,
     X, Y), each s num / q^k times the matrix X (Y None) or the product X Y,
-    in one pass of Gustavson's loop over the stored rows.  Each result row
-    sums in a dict by column.  A term's sign, the image of num and q to the
-    shift it lacks, K - k for the largest shift K, fold into one integer v:
-    a product term adds (a v) b, and a matrix term a v.  The operands share
-    one slot width, which holds the sum of the terms' height bounds:
-    h_X ||num||_1 for a matrix, and r h_X h_Y ||num||_1 for a product, r the
-    longest stored row of X."""
+    in one pass of Gustavson's loop over the stored rows; num is a tuple
+    of polynomials whose product is the term's numerator, () for 1.  Each
+    result row sums in a dict by column.  A term's sign, the images of
+    num's polynomials and q to the shift it lacks, K - k for the largest
+    shift K, fold into one integer v: a product term adds (a v) b, and a
+    matrix term a v.  The operands share one slot width, which holds the
+    sum of the terms' height bounds: h_X ||num||_1 for a matrix, and
+    r h_X h_Y ||num||_1 for a product, r the longest stored row of X and
+    ||num||_1 the product of the 1-norms of num's polynomials."""
     h, K, ms = _height(terms)
     w, h = _fit(ms, h, lambda: _height(terms)[0])
     accs = {}
     for s, num, k, X, Y in terms:
-        v = s if num is _ONE and k == K else _coefficient(num, s, K - k, w)
+        v = s if not num and k == K else _coefficient(num, s, K - k, w)
         if Y is None:
             for i, rb in X._nz.items():
                 rb = dict(rb) if v == 1 else dict(zip(rb, map(mul, rb.values(), repeat(v))))
@@ -634,7 +633,9 @@ def _height(terms):
         if k > K:
             K = k
         ms.append(X)
-        f = X._h if num is _ONE else X._h * sum(map(abs, num))
+        f = X._h
+        for p in num:
+            f *= sum(map(abs, p))
         if Y is not None:
             ms.append(Y)
             f = f * Y._h * max(map(len, X._nz.values())) if X._nz else 0
@@ -643,11 +644,12 @@ def _height(terms):
 
 
 def _coefficient(num, s, e, w):
-    """s num q^e at q = 2^(8w): a term's sign, coefficient and shift."""
-    v = num[0] if len(num) == 1 else _pack(num, w)
-    if e:
-        v <<= 8 * w * e
-    return -v if s < 0 else v
+    """s q^e times the product of the polynomials num, at q = 2^(8w): a
+    term's sign, numerator and shift."""
+    v = s
+    for p in num:
+        v *= p[0] if len(p) == 1 else _pack(p, w)
+    return v << 8 * w * e if e else v
 
 
 # -- integer images -------------------------------------------------------------
@@ -703,42 +705,6 @@ def _dmul(da, db):
     return db if da == _ONE else pmul(da, db)
 
 
-def _times(nz, v):
-    """The store nz with every image times the nonzero integer v; nz
-    itself when v = 1, since no operation writes into a store it did not
-    build."""
-    if v == 1:
-        return nz
-    return {i: dict(zip(r, map(mul, repeat(v), r.values()))) for i, r in nz.items()}
-
-
-def _image_sum(A, B):
-    """A + B on images, over the lcm of the two denominators and at the
-    larger shift.  A row stored on one side only is taken as it is; where
-    both sides store a row, the entries stored on both are added and
-    dropped when they cancel."""
-    D, fa, fb = _lcm(A._d, B._d)
-    na, nb = sum(map(abs, fa)), sum(map(abs, fb))
-    w, h = _fit((A, B), A._h * na + B._h * nb, lambda: A._h * na + B._h * nb)
-    k = max(A._k, B._k)
-    b = _lifted(B, fb, k, w)
-    out = dict(_lifted(A, fa, k, w))
-    for i, rb in b.items():
-        ra = out.pop(i, None)
-        row = rb
-        if ra is not None:
-            row = ra | rb
-            for j in ra.keys() & rb.keys():
-                x = ra[j] + rb[j]
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-        if row:
-            out[i] = row
-    return Matrix._image(out, A.n, A.m, A.field, k, D, w, h)
-
-
 def _reduced(M):
     """The exact matrix M over D/g, for the factor g of positive degree
     that one integer gcd finds shared by D and every P_ij; M itself when
@@ -779,33 +745,22 @@ def _reduced(M):
     return Matrix._image(nz, M.n, M.m, M.field, M._k, d, w, h)
 
 
-def _lcm(da, db):
-    """(D, fa, fb): the lcm D of the denominators da and db, and D/da,
-    D/db; one pgcd, and none when they are equal."""
-    if da == db:
-        return da, _ONE, _ONE
-    _, fb, fa = _gcd_cofactors(da, db)
-    return pmul(da, fa), fa, fb
-
-
-def _image_scale(A, c):
-    """c A on images, for a Scalar c = n / (q^t p), p(0) != 0: the images
-    times n, the shift plus t, the denominator times p, with the factor
-    that n and the new denominator share taken out of both."""
-    num = c.num
-    if not num or not A._nz:
-        return Matrix.zeros(A.n, A.m, A.field)
-    t = c._k
-    D = A._d
-    if t < 0:
-        t, dp = _split(c.den)
-        D = _dmul(D, dp)
-    if D != _ONE:
-        _, num, D = _gcd_cofactors(num, D)
-    hc = sum(map(abs, num))
-    w, h = _fit((A,), A._h * hc, lambda: A._h * hc)
-    v = num[0] if len(num) == 1 else _pack(num, w)
-    return Matrix._image(_times(A._nz, v), A.n, A.m, A.field, A._k + t, D, w, h)
+def _lcm(parts):
+    """(D, cof): the lcm D of the denominators of parts = {key: d}, and
+    cof = {key: D/d}.  Each d after the first takes one gcd g with the lcm
+    so far, which hands back the cofactors D/g and d/g (no division): the
+    lcm, and every cofactor before d, gains the factor d/g, and D/g is
+    d's cofactor."""
+    keys = iter(parts)
+    key = next(keys)
+    D, cof = parts[key], {key: _ONE}
+    for key in keys:
+        _, a, b = _gcd_cofactors(D, parts[key])
+        if b != _ONE:
+            D = pmul(D, b)
+            cof = {t: _dmul(f, b) for t, f in cof.items()}
+        cof[key] = a
+    return D, cof
 
 
 def _refit(M, w):
@@ -836,17 +791,6 @@ def _fit(ms, h, bound):
         if M._w != w:
             _refit(M, w)
     return w, h
-
-
-def _lifted(M, f, k, w):
-    """M's store times the polynomial f and q^(k - k_M), at q = 2^(8w).
-    An empty store is returned as it is, so f is packed only when M's
-    height bounds it."""
-    if not M._nz:
-        return M._nz
-    v = f[0] if len(f) == 1 else _pack(f, w)
-    v <<= 8 * w * (k - M._k)
-    return _times(M._nz, v)
 
 
 def _unshifted(nz, k, s):
@@ -886,9 +830,10 @@ def combine(terms) -> Matrix:
     C <- alpha AB + beta C into one product: no product, scaled term or
     partial sum is built.  The numeric pass (``_number_combine``) adds
     every term into one accumulator; the exact one (``_image_combine``)
-    makes one pass per denominator and adds their sums, and its result is
-    taken to lower terms once (``_reduced``).  ``relation`` judges an
-    exact relation by that pass over lhs - rhs, not taken to lower terms.
+    adds every term's images in one pass over the lcm of the terms'
+    denominators, and its result is taken to lower terms once
+    (``_reduced``).  ``relation`` judges an exact relation by that pass
+    over lhs - rhs, not taken to lower terms.
     """
     terms = tuple(terms)
     n, m = _shape(terms)
@@ -922,13 +867,13 @@ def relation(lhs, rhs, field):
     certification suites, on both backends.
 
     Over the exact backend one pass (``_image_combine``) adds the terms of
-    lhs and the negated terms of rhs, and builds neither side, whatever
-    the outcome: the relation holds exactly when that difference stores no
-    row, and otherwise its first stored entry in row-major order, decoded,
-    is the witness, the value lhs - rhs at the first entry where the two
-    sides differ.  Over the numeric backend equality is judged at the
-    scale of the two sides, so it is ``_meq`` of the two ``combine``
-    results."""
+    lhs and the negated terms of rhs over the lcm of their denominators,
+    and builds neither side, whatever the outcome: the relation holds
+    exactly when that difference stores no row, and otherwise its first
+    stored entry in row-major order, decoded, is the witness, the value
+    lhs - rhs at the first entry where the two sides differ.  Over the
+    numeric backend equality is judged at the scale of the two sides, so
+    it is ``_meq`` of the two ``combine`` results."""
     lhs, rhs = tuple(lhs), tuple(rhs)
     if not lhs or not rhs:
         raise DomainError("a relation needs a term on each side")

@@ -670,15 +670,17 @@ def tau_dual_check(fam: RankNFamily, rwin: int, mmax: int) -> CheckReport:
 
 
 def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckReport:
-    """Braid, commutation and rotation relations of the T_i on a module.
+    """Braid and commutation relations of the T_i on a module.
 
     For every bond: T_i T_j = T_j T_i when a_ij = 0 and the length-three
     braid relation when a_ij = -1, compared on the evaluated image of
-    each seed; plus pi T_i = T_{i+1} pi throughout, where the images of
-    T_{i+1} are read at B_{k+1} = pi(B_k).  Double bonds only admit the
-    rotation check on their own seeds.  Per finite node i, ``seed_word``
-    compares the tower seed A_{i,-1} of ``onsager._tower_seeds`` with
-    o(i) T_{omega_i}(B_i), the image X_i of B_i under ev . T_{omega_i}.
+    each seed; a double bond (rank one) has neither.  Per finite node i,
+    ``seed_word`` compares the tower seed A_{i,-1} of
+    ``onsager._tower_seeds`` with o(i) T_{omega_i}(B_i), the image X_i of
+    B_i under ev . T_{omega_i}.  The rotation pi T_i = T_{i+1} pi is not
+    checked: the images apply pi by relabelling the seeds, so its two
+    sides take the same q-brackets of the same seed matrices, and no
+    damage to a module could fail it.
     """
     typ = module.typ
     f = module.field
@@ -686,8 +688,8 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
     rep = CheckReport(f"braided symmetries on {module.describe()} "
                       f"({params.describe()})")
 
-    def images(p, *refs):
-        return _braid_images(WeylWord(typ, p, refs), *gens, f)[0]
+    def images(*refs):
+        return _braid_images(WeylWord(typ, 0, refs), *gens, f)[0]
 
     for i in typ.nodes:
         for j in typ.nodes:
@@ -697,20 +699,12 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
             if aij == -2:
                 continue
             if aij == 0:
-                name, lhs, rhs = "commute", images(0, i, j), images(0, j, i)
+                name, lhs, rhs = "commute", images(i, j), images(j, i)
             else:
-                name, lhs, rhs = "braid", images(0, i, j, i), images(0, j, i, j)
+                name, lhs, rhs = "braid", images(i, j, i), images(j, i, j)
             for k in typ.nodes:
                 ok, w = relation([(1, None, lhs[k])], [(1, None, rhs[k])], f)
                 rep.add(name, (i, j, k), ok, w)
-
-    for i in typ.nodes:
-        lhs, rhs = images(1, i), images(0, typ.rotate(i))
-        for k in typ.nodes:
-            if typ.cartan(i, k) == -2:
-                continue
-            ok, w = relation([(1, None, lhs[k])], [(1, None, rhs[typ.rotate(k)])], f)
-            rep.add("rotation", (i, k), ok, w)
 
     for i, Am1 in _tower_seeds(gens[0], params, f).items():
         X = _braid_images(omega_word(i, typ.N), *gens, f)[0]

@@ -8,9 +8,11 @@ failing entry is pinned, index and exact witness.  A damage either scales
 a matrix by q or raises one entry by 1.  The names of the Chevalley and
 Drinfeld suites run again at q0 = 1.3, where the same entry fails.
 
-``rotation`` (``ranka.verify_braid_relations``) has no control: its two
-sides take the same q-brackets of the same seed matrices under labels
-rotated by one, so no damage to a module or its parameters can fail it.
+``ranka.verify_braid_relations`` emits ``commute``, ``braid`` and
+``seed_word`` entries, each with a control here.  It checks no rotation
+pi T_i = T_{i+1} pi: the braid images apply pi by relabelling the seeds,
+so the two sides would take the same q-brackets of the same seed
+matrices, and no damage to a module or its parameters could fail it.
 """
 
 import pytest

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qonsager import linmat
 from qonsager._kernel import _pack, _unpack, padd, pgcd, pmul, pnorm
 from qonsager.errors import DomainError
 from qonsager.linmat import (
@@ -820,7 +821,7 @@ _exact_coeffs = st.sampled_from([None, Q, Q**-2, Scalar(2), Scalar(-1, 3), Q + 1
 @given(combinations(st.sampled_from(image_pool), _exact_coeffs))
 @settings(max_examples=100, deadline=None)
 def test_combine_is_the_fold_exactly(terms):
-    # grouping the terms by denominator changes no entry
+    # summing the terms over the lcm of their denominators changes no entry
     terms = _matrices(terms, F)
     assert combine(terms) == _fold(terms)
 
@@ -875,8 +876,9 @@ def _scalar_sum(terms):
 @given(exact_combinations())
 @settings(max_examples=200, deadline=None)
 def test_exact_pass_is_the_chain_of_products_scalings_and_sums(terms):
-    # one row pass per denominator, with each term's sign, coefficient and
-    # shift folded into one integer and the operands refitted to one slot
+    # one row pass over the lcm of the denominators, with each term's sign,
+    # coefficient, cofactor and shift folded into one integer and the
+    # operands refitted to one slot
     want = _scalar_sum(terms)
     got = combine(terms)
     assert _stored(got).rows == want
@@ -931,15 +933,15 @@ def test_relation_judges_as_meq_of_the_combined_sides(name, data):
     if not field.exact:
         assert got == _meq(combine(lhs), combine(rhs))
         return
-    assert got == _first_difference(combine(lhs), combine(rhs))
+    assert got == _first_difference(combine(lhs).rows, combine(rhs).rows)
     assert got[0] == (len(rhs) == len(lhs))
 
 
-def _first_difference(A, B):
+def _first_difference(a_rows, b_rows):
     """Reference: (ok, witness) of A = B on the decoded rows of the built
     sides, the witness naming their first differing entry in row-major
     order and A - B there."""
-    for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
+    for i, (ra, rb) in enumerate(zip(a_rows, b_rows)):
         for j, (a, b) in enumerate(zip(ra, rb)):
             if a != b:
                 return False, f"entry ({i},{j}) = {a - b}"
@@ -951,8 +953,8 @@ def grouped_relations(draw):
     """(lhs, rhs): two exact combinations of one shape, or one and its
     terms reversed, and then one more term, the same on both sides, which
     cancels in lhs - rhs.  The terms' matrices lie over the denominators
-    of ``_PASS_DENS``, so the difference pass sums several denominator
-    groups."""
+    of ``_PASS_DENS``, so the difference pass sums terms over several
+    denominators."""
     lhs = draw(exact_combinations())
     shape = lhs[0][2].n, lhs[0][-1].m
     rhs = lhs[::-1] if draw(st.booleans()) else draw(exact_combinations(shape))
@@ -965,10 +967,10 @@ def grouped_relations(draw):
 @settings(max_examples=200, deadline=None)
 def test_exact_relation_witness_is_the_first_difference_of_the_sides(sides):
     # the witness is read off the difference pass, over the lcm of its
-    # groups' denominators, and decodes to the canonical value of
+    # terms' denominators, and decodes to the canonical value of
     # lhs - rhs at the first entry where the built sides differ
     lhs, rhs = sides
-    assert relation(lhs, rhs, F) == _first_difference(combine(lhs), combine(rhs))
+    assert relation(lhs, rhs, F) == _first_difference(combine(lhs).rows, combine(rhs).rows)
 
 
 def test_exact_relation_witness_over_two_denominator_groups():
@@ -978,6 +980,115 @@ def test_exact_relation_witness_over_two_denominator_groups():
     lhs = [pair, (1, Q**-2, Matrix([[Scalar(2) / (Q**2 + 1), F.one]], F))]
     rhs = [pair, (-1, Q**-2, Matrix([[Scalar(2) / (Q**2 + 1), F.zero]], F))]
     assert relation(lhs, rhs, F) == (False, "entry (0,0) = (4)/(q^4+q^2)")
+
+
+#: scalars whose denominators have a part prime to q
+_SCALES = [1 / qint(2), Scalar(-1, 3), qint(6) / 3, (Q**2 - 1) / 5]
+
+
+@st.composite
+def multi_denominator_combinations(draw):
+    """Exact terms of one shape, in a drawn order, over at least three
+    distinct denominators: a matrix term over q^2 - 1, a product term
+    whose coefficient 1/[2] brings q^2 + 1, and a term whose coefficient
+    brings 3; then a product term and its negation, which cancel, and the
+    terms of ``exact_combinations``."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def block(r, c, den=None):
+        den = den or draw(st.sampled_from(_PASS_DENS))
+        rows = [[draw(st.sampled_from(_PASS_NUMS)) / den for _ in range(c)] for _ in range(r)]
+        # an entry 1/den keeps den in the matrix's denominator, and the
+        # matrix nonzero
+        rows[0][0] = 1 / den
+        return Matrix(rows, F)
+
+    p = draw(st.integers(1, 3))
+    sign = st.sampled_from([1, -1])
+    pair = (draw(sign), draw(st.sampled_from(_PASS_COEFFS)), block(n, p), block(p, m))
+    terms = [(draw(sign), None, block(n, m, Q**2 - 1)),
+             (draw(sign), 1 / qint(2), block(n, p, Scalar(1)), block(p, m, Scalar(1))),
+             (draw(sign), Scalar(-1, 3), block(n, m)),
+             pair, (-pair[0], *pair[1:]),
+             *draw(exact_combinations((n, m)))]
+    return draw(st.permutations(terms))
+
+
+def _bounded(M):
+    """M, after checking that its height bound holds every decoded 1-norm
+    and stays below half a slot."""
+    assert M._h.bit_length() < 8 * M._w
+    assert all(sum(map(abs, _unpack(v, M._w))) <= M._h
+               for r in M._nz.values() for v in r.values())
+    return M
+
+
+def _one_pass(op, want=1):
+    """op(), checking that it runs ``_image_pass`` want times, once unless
+    every operand stores nothing, and that each pass's result is
+    ``_bounded``."""
+    passes = []
+    run = linmat._image_pass
+
+    def counted(*args):
+        passes.append(_bounded(run(*args)))
+        return passes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linmat, "_image_pass", counted)
+        got = op()
+    assert len(passes) == want
+    return got
+
+
+@given(multi_denominator_combinations(), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_every_exact_linear_operation_is_one_pass(terms, at):
+    # however many denominators its terms have, each exact combination,
+    # relation, sum, difference, equality and scaling sums its terms in
+    # one row pass over their lcm, and gives the Scalar arithmetic of the
+    # decoded rows
+    at = min(at, len(terms) - 1)
+    lhs, rest = terms[:at], terms[at:]
+    rhs = [(-s, *t) for s, *t in rest]
+    want = _scalar_sum(terms)
+    assert _bounded(_stored(_one_pass(lambda: combine(terms)))).rows == want
+    assert _one_pass(lambda: relation(lhs, rhs, F)) == _first_difference(
+        _scalar_sum(lhs), _scalar_sum(rhs))
+    assert _one_pass(lambda: relation(terms, terms[::-1], F)) == (True, None)
+    # a sum of terms can cancel to a matrix that stores nothing
+    A, B = combine(lhs), combine(rest)
+    a_rows, b_rows = A.rows, B.rows
+    both, one = int(bool(A._nz or B._nz)), int(bool(A._nz))
+    assert _bounded(_stored(_one_pass(lambda: A + B, both))).rows == want
+    assert _bounded(_stored(_one_pass(lambda: A - B, both))).rows == _entrywise(
+        a_rows, b_rows, lambda a, b: a - b)
+    assert _one_pass(lambda: A == B, both) == (a_rows == b_rows)
+    for c in _SCALES:
+        S = _bounded(_stored(_one_pass(lambda: A.scale(c), one)))
+        assert S.rows == [[c * a for a in r] for r in a_rows]
+
+
+def test_exact_scaling_keeps_the_factor_it_shares_with_the_denominator():
+    # [2] = (q^2 + 1)/q shares q^2 + 1 with A's denominator, and scaling
+    # leaves it in both: the images are multiplied, D is kept, and the
+    # entries decode to their canonical values all the same
+    rows = [[1 / (Q**2 + 1), Q / (Q**2 + 1)], [F.zero, Scalar(2)]]
+    A = Matrix(rows, F)
+    assert A._d == [1, 0, 1]
+    c = qint(2)
+    S = A.scale(c)
+    assert S._d == A._d
+    assert S.rows == [[c * a for a in r] for r in rows]
+    assert S.scale(1 / c) == A and (1 / c) * S == A
+    T = A.scale((Q**2 + 1) / (Q - 1))
+    assert T._d == pmul(A._d, [-1, 1])
+    assert T.scale((Q - 1) / (Q**2 + 1)) == A
+    # scaling by zero, or scaling the zero matrix, stores nothing
+    for z in (0, F.zero, Scalar(0), _CANCELLED):
+        assert A.scale(z)._nz == {} and A.scale(z).is_zero()
+    for Z in (Matrix.zeros(2, 3, F), Matrix([[F.zero] * 3] * 2, F)):
+        assert Z.scale(c)._nz == {} and Z.scale(c) == Matrix.zeros(2, 3, F)
 
 
 @pytest.mark.parametrize("name", sorted(_FIELDS))

@@ -75,8 +75,8 @@ def _count_products(monkeypatch):
     """A one-element list that counts every matrix product from now on:
     the product terms of every row pass, where ``@``, ``combine`` and
     ``relation`` form their products.  A numeric pass takes the terms of
-    ``combine``, and an exact one a denominator's terms (s, num, k, X, Y),
-    a product when Y is a matrix."""
+    ``combine``, and an exact one every term over their lcm denominator,
+    each as (s, num, k, X, Y), a product when Y is a matrix."""
     calls = [0]
 
     def counting(run, pos, is_product):
@@ -662,14 +662,15 @@ def test_generation_builds_no_braid_images(monkeypatch):
 def test_braid_relations_on_modules():
     rep = verify_braid_relations(W(2, "q"), P(("1", "q", "q^2")))
     assert rep.ok, rep.summary()
-    assert len(rep.entries) == 20
+    # nine braid entries (three bonds, three seeds each) and two seed words
+    assert len(rep.entries) == 11
     rep3 = verify_braid_relations(W(3, "q^2"), P(("1", "q", "1", "q^-2")))
     assert rep3.ok, rep3.summary()
-    # rank one: the rotation rows survive the double-bond skip, beside the
-    # seed word of node 1
+    # rank one: the double bond skips every braid row, leaving the seed
+    # word of node 1
     rep1 = verify_braid_relations(W(1, "q"), P(("1", "q")))
     assert rep1.ok
-    assert {e.name for e in rep1.entries} == {"rotation", "seed_word"}
+    assert {e.name for e in rep1.entries} == {"seed_word"}
 
 
 def _w2_tensor(field=None):
@@ -696,7 +697,7 @@ def test_numeric_braid_suites_are_the_exact_ones(damaged):
     for build in (w2, _w2_tensor):
         exact = entries(build, None)
         assert entries(build, NumericField(1.3)) == exact
-        assert [len(x) for x in exact] == [20, 1, 1]
+        assert [len(x) for x in exact] == [11, 1, 1]
         assert sum(not ok for x in exact for *_, ok in x) == (4 if damaged else 0)
 
 
