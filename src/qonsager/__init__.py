@@ -10,10 +10,12 @@ Subpackage map:
 * series    — truncated series as lists of their known coefficients, exp/log,
               rational functions and their expansions at 0 and infinity,
               Pade reconstruction
-* loopsl2   — the one module type over the affine A_N diagram, its tensor
-              product and presentation suite; rank one (N = 1) adds the
-              loop-sl2 generators, which extend_loop_data alone derives
-              from the Chevalley action, and their relation certificates
+* loopsl2   — the one module type over the affine A_N diagram, whose
+              constructor certifies the Chevalley action it is given by
+              the presentation suite, and its tensor product; rank one
+              (N = 1) adds the loop-sl2 generators, which
+              extend_loop_data alone derives from the Chevalley action,
+              and their relation certificates
 * onsager   — the one parameter type and family type, the one generator
               of every rank (generate_family: seeds certified by their
               i-Serre relations, verify_iserre, then the tower core), and

@@ -45,13 +45,12 @@ Division conventions:
 * pgcd(a, b) is the full ZZ[q] gcd (content included), normalised to a
   positive leading coefficient.  When one operand is a monomial c*q^k the
   gcd is gcd(c, content(other)) * q^min(k, val(other)), where val is the
-  q-adic valuation (lowest degree with a nonzero coefficient).  Otherwise,
-  when an operand has at least 16 coefficients, the primitive parts go to
-  the heuristic gcd (GCDHEU: the integer gcd of the images, lifted in
-  balanced digits and accepted only if it divides both, which the
-  quotients of the images prove when they are narrow enough); shorter
-  operands, and any pair the heuristic fails on at three points, go to
-  the primitive pseudo-remainder sequence.  The gcd is unique up to sign,
+  q-adic valuation (lowest degree with a nonzero coefficient).  Otherwise
+  the primitive parts go to the heuristic gcd (GCDHEU: the integer gcd of
+  the images, lifted in balanced digits and accepted only if it divides
+  both, which the quotients of the images prove when they are narrow
+  enough); any pair the heuristic fails on at three points goes to the
+  primitive pseudo-remainder sequence.  The gcd is unique up to sign,
   so both give the same result.
 * _gcd_cofactors(a, b) is (pgcd(a, b), a / g, b / g), for the callers that
   divide by the gcd next: the heuristic gcd returns the quotients of the
@@ -338,9 +337,7 @@ def _gcd(a, b):
     ca, pa = pprim(a)
     cb, pb = pprim(b)
     cg = _igcd(ca, cb)
-    r = None
-    if len(pa) >= _HEU_MIN or len(pb) >= _HEU_MIN:
-        r = _heuristic_gcd(pa, pb)
+    r = _heuristic_gcd(pa, pb)
     if r is None:
         g = _prs_gcd(pa, pb)
         return (pmul_int(g, cg) if cg != 1 else g), None, None
@@ -357,19 +354,17 @@ def _monomial_quotient(a, g):
     return a[v:] if c == 1 else [x // c for x in a[v:]]
 
 
-# pgcd tries the heuristic when an operand has at least _HEU_MIN
-# coefficients, at up to _HEU_POINTS evaluation points, before the
-# pseudo-remainder sequence.  The heuristic costs 10 to 40 us at any size:
-# a few packs, one integer gcd and, when the gcd is nontrivial, one
-# division of images per operand; the sequence costs about len(a)^2 steps
-# for its first pseudo-remainder alone, but stops after one when one
-# operand divides the other.  Timed on every non-monomial gcd of two
-# verdicts, one per variant (seconds, least of 25 replays on a 2-vCPU
-# virtual machine under Python 3.11; heuristic throughout / sequence
-# throughout / heuristic from 16): rank1-shift-T13, 786 calls,
-# 0.025 / 0.120 / 0.027; tensor16-A3, 618 calls, sparse and mostly with a
-# nontrivial gcd, 0.007 / 0.007 / 0.007.
-_HEU_MIN = 16
+# pgcd tries the heuristic on every pair of non-monomial operands, at up
+# to _HEU_POINTS evaluation points, before the pseudo-remainder sequence.
+# The heuristic costs 10 to 40 us at any size: a few packs, one integer gcd
+# and, when the gcd is nontrivial, one division of images per operand; the
+# sequence costs about len(a)^2 steps for its first pseudo-remainder alone,
+# but stops after one when one operand divides the other.  Timed on every
+# non-monomial gcd of two verdicts, one per variant (seconds, least of 25
+# replays on a 2-vCPU virtual machine under Python 3.11; heuristic
+# throughout / sequence throughout / heuristic from 16 coefficients):
+# rank1-shift-T13, 786 calls, 0.025 / 0.120 / 0.027; tensor16-A3, 618
+# calls, sparse and mostly with a nontrivial gcd, 0.007 / 0.007 / 0.007.
 _HEU_POINTS = 3
 
 

@@ -4,16 +4,20 @@ with rank one (N = 1) carrying the loop generators of sl2 as well.
 An AffineModule is given by its Chevalley action E_i, F_i, K_i on a chosen
 basis, for every node i of the affine diagram (AffineTypeA), and by the
 grading of that basis in simple-root coordinates relative to basis vector
-0.  Tensor products go through the coproduct
+0.  Its constructor takes that whole action and certifies it: it runs
+verify_affine_presentation, the one Chevalley-level relation suite for
+every rank, and raises ConstructionError on a failing entry, so no module
+exists that has not passed it.  The builders (``AffineModule.trivial``,
+``AffineModule.tensor``, and ``AffineModule.from_entries`` under
+build_evaluation and ``ranka.build_vector_evaluation``) only assemble the
+action.  Tensor products go through the coproduct
 
     Delta(E_i) = E_i x 1 + K_i x E_i,  Delta(F_i) = F_i x K_i^-1 + 1 x F_i,
     Delta(K_i) = K_i x K_i,
 
 sum the factor degrees, and remember their factors (kron order: the left
-factor is the slow index).  verify_affine_presentation is the one
-Chevalley-level relation suite, for every rank; every module a builder or
-a tensor product hands back has passed it.  It writes each q-Serre
-relation as a nested q-bracket, with n = 1 - a_ij,
+factor is the slow index).  verify_affine_presentation writes each
+q-Serre relation as a nested q-bracket, with n = 1 - a_ij,
 
     ad_{q^(1-n)}(X_i) .. ad_{q^(n-3)}(X_i) ad_{q^(n-1)}(X_i) X_j = 0,
     ad_v(X)Y = XY - vYX,
@@ -24,15 +28,15 @@ judges a numeric equality at the scale of its two sides, which a bracket
 tested against the zero matrix would lose, and an exact one by the zero
 test of their difference.
 
-At rank one a module may also carry the loop generators: the invertible
-diagonal K, the mode operators x^+_k and x^-_k for |k| up to a window, the
-commuting h_k, and the coefficients psi_k / phi_{-k} of the two diagonal
-generating series
+At rank one a module may also carry the loop generators: the mode
+operators x^+_k and x^-_k for |k| up to a window, the commuting h_k, and
+the coefficients psi_k / phi_{-k} of the two diagonal generating series
 
     Psi(z) = K exp( (q - q^-1) sum_{k>=1} h_k   z^k ),
     Phi(z) = K^-1 exp( -(q - q^-1) sum_{k>=1} h_{-k} z^-k ),
 
-tied to the Chevalley generators by the standard dictionary
+with K = K_1, and tied to the Chevalley generators by the standard
+dictionary
 
     E_1 = x^+_0,  F_1 = x^-_0,  K_1 = K,
     E_0 = -K^-1 x^-_1,  F_0 = -x^+_{-1} K,  K_0 = K^-1.
@@ -50,9 +54,9 @@ deg v_j = -j) the dictionary is read against the mode operators
     x^+_k v_j = mu_{j-1}^k [n-j+1] v_{j-1},      K v_j = q^{n-2j} v_j,
 
 at k = 0 and k = +-1 only.  The action is certified against the affine
-presentation, and the loop data that extend_loop_data derives from it
-against the full loop relation suite, before the module is handed back
-(ConstructionError otherwise).
+presentation as the module is built, and the loop data that
+extend_loop_data derives from it against the full loop relation suite,
+before the module is handed back (ConstructionError otherwise).
 
 Everything works over either coefficient backend: the Chevalley action is
 built exactly and mapped entrywise into the module's field, where its loop
@@ -69,7 +73,7 @@ from .errors import ConstructionError, DomainError
 from .linmat import (Grading, Matrix, ProductMemo, commutator, degree_components, relation,
                      serre_sides)
 from .report import CheckReport
-from .scalars import ExactField, Q, Scalar, parse_scalar
+from .scalars import ONE, ExactField, Q, Scalar, parse_scalar
 from .series import series_exp, series_log
 
 __all__ = [
@@ -176,45 +180,51 @@ class AffineTypeA:
 
 
 class AffineModule:
-    """A finite module in Chevalley form over the affine diagram.
+    """A finite module in Chevalley form over the affine diagram, certified
+    when it is built.
 
-    ``E``, ``F``, ``Kc``, ``Kcinv`` are dicts keyed by node in I;
-    ``grading`` carries each basis weight relative to basis vector 0, in
-    simple-root coordinates (arity N).  ``meta`` holds the printable
-    ``name`` and the ``builder`` that made the module; a tensor product
-    keeps its two ``factors``.
+    The constructor takes the whole Chevalley action: ``E``, ``F``, ``Kc``,
+    ``Kcinv``, dicts of matrices keyed by node in I; ``grading``, each
+    basis weight relative to basis vector 0 in simple-root coordinates
+    (arity N); ``meta``, the printable ``name`` and the ``builder`` that
+    made the module; and, for a tensor product, its two ``factors``.
+    ``field`` and ``dim`` are read off the matrices.  It then runs
+    verify_affine_presentation and raises ConstructionError naming the
+    first failing entry, so every module has passed the presentation
+    suite.  The builders are ``trivial``, ``tensor``, ``from_entries``
+    (exact sparse entries mapped into a field: build_evaluation and
+    ``ranka.build_vector_evaluation``) and nothing else.
 
     Rank-one modules may carry the loop generators as well (empty until
-    extend_loop_data derives them): ``K``/``Kinv``, the modes
-    ``xp[k]``/``xm[k]`` for |k| <= ``window``, ``h[k]``, and
-    ``psi[k]``/``phi[k]`` for k <= ``T``, the coefficients of z^k in Psi(z)
-    and of z^-k in Phi(z).
+    extend_loop_data derives them): the modes ``xp[k]``/``xm[k]`` for
+    |k| <= ``window``, ``h[k]``, and ``psi[k]``/``phi[k]`` for k <= ``T``,
+    the coefficients of z^k in Psi(z) and of z^-k in Phi(z); K and K^-1
+    are ``Kc[1]`` and ``Kcinv[1]``.
     """
 
     __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv", "grading",
-                 "window", "T", "K", "Kinv", "xp", "xm", "h", "psi", "phi",
-                 "meta", "factors")
+                 "window", "T", "xp", "xm", "h", "psi", "phi", "meta", "factors")
 
-    def __init__(self, typ: AffineTypeA, field):
+    def __init__(self, typ: AffineTypeA, E, F, Kc, Kcinv, grading: Grading, meta,
+                 factors=None):
         self.typ = typ
-        self.field = field
-        self.dim = 0
-        self.E = {}
-        self.F = {}
-        self.Kc = {}
-        self.Kcinv = {}
-        self.grading = None
+        self.field = Kc[0].field
+        self.dim = Kc[0].n
+        self.E = E
+        self.F = F
+        self.Kc = Kc
+        self.Kcinv = Kcinv
+        self.grading = grading
+        self.meta = meta
+        self.factors = factors
         self.window = None
         self.T = None
-        self.K = None
-        self.Kinv = None
         self.xp = {}
         self.xm = {}
         self.h = {}
         self.psi = {}
         self.phi = {}
-        self.meta = {}
-        self.factors = None
+        _refuse_failure(self, verify_affine_presentation(self))
 
     @property
     def has_loop_data(self) -> bool:
@@ -224,55 +234,64 @@ class AffineModule:
         return self.meta.get("name", f"affine A{self.typ.N} module, dim {self.dim}")
 
     @classmethod
+    def from_entries(cls, typ: AffineTypeA, E, F, K, grading: Grading, meta, field):
+        """The module whose E_j and F_j have the exact entries E[j] and F[j],
+        dicts {(row, col): Scalar}, and whose K_j is the diagonal of the
+        exact list K[j], every entry mapped into ``field``; K_j^-1 is the
+        diagonal of the inverses."""
+        dim = len(K[0])
+        z = field.zero
+
+        def matrix(entries):
+            rows = [[z] * dim for _ in range(dim)]
+            for (r, c), x in entries.items():
+                rows[r][c] = field.from_scalar(x)
+            return Matrix(rows, field)
+
+        def diagonal(xs):
+            return Matrix.diagonal([field.from_scalar(x) for x in xs], field)
+
+        nodes = typ.nodes
+        return cls(typ, {j: matrix(E[j]) for j in nodes}, {j: matrix(F[j]) for j in nodes},
+                   {j: diagonal(K[j]) for j in nodes},
+                   {j: diagonal([ONE / x for x in K[j]]) for j in nodes}, grading, meta)
+
+    @classmethod
     def trivial(cls, N: int, field=None):
-        """The one-dimensional module: E = F = 0, K = 1, certified by the
-        presentation suite like every built module."""
+        """The one-dimensional module: E = F = 0, K = 1."""
         f = field if field is not None else _EXACT
-        M = cls(AffineTypeA(N), f)
-        M.dim = 1
+        typ = AffineTypeA(N)
         one = Matrix.identity(1, f)
         zero = Matrix.zeros(1, 1, f)
-        for j in M.typ.nodes:
-            M.E[j] = zero
-            M.F[j] = zero
-            M.Kc[j] = one
-            M.Kcinv[j] = one
-        M.grading = Grading([tuple([0] * N)])
-        M.meta = {"name": f"triv_{N}", "builder": "trivial"}
-        _refuse_failure(M, verify_affine_presentation(M))
-        return M
+        return cls(typ, dict.fromkeys(typ.nodes, zero), dict.fromkeys(typ.nodes, zero),
+                   dict.fromkeys(typ.nodes, one), dict.fromkeys(typ.nodes, one),
+                   Grading([tuple([0] * N)]), {"name": f"triv_{N}", "builder": "trivial"})
 
     def tensor(self, other: "AffineModule") -> "AffineModule":
         """Tensor product along the coproduct (see the module docstring);
-        the factor degrees add up.  The presentation suite certifies the
-        product, and any failure raises ConstructionError."""
+        the factor degrees add up."""
         if self.typ != other.typ:
             raise DomainError("tensor factors over different diagrams")
-        if not self.E or not other.E:
-            raise DomainError("tensor factors need Chevalley data")
         f = self.field
         if not _same_field(f, other.field):
             raise DomainError("tensor factors live over different backends")
-        M = AffineModule(self.typ, f)
-        M.dim = self.dim * other.dim
         il = Matrix.identity(self.dim, f)
         ir = Matrix.identity(other.dim, f)
+        E, F, Kc, Kcinv = {}, {}, {}, {}
         for j in self.typ.nodes:
-            M.E[j] = self.E[j].kron(ir) + self.Kc[j].kron(other.E[j])
-            M.F[j] = self.F[j].kron(other.Kcinv[j]) + il.kron(other.F[j])
-            M.Kc[j] = self.Kc[j].kron(other.Kc[j])
-            M.Kcinv[j] = self.Kcinv[j].kron(other.Kcinv[j])
-        M.grading = Grading([
+            E[j] = self.E[j].kron(ir) + self.Kc[j].kron(other.E[j])
+            F[j] = self.F[j].kron(other.Kcinv[j]) + il.kron(other.F[j])
+            Kc[j] = self.Kc[j].kron(other.Kc[j])
+            Kcinv[j] = self.Kcinv[j].kron(other.Kcinv[j])
+        grading = Grading([
             tuple(x + y for x, y in zip(da, db))
             for da in self.grading.degrees
             for db in other.grading.degrees
         ])
         names = [X.describe() for X in (self, other)]
-        M.meta = {"name": "*".join(n if "*" not in n else f"({n})" for n in names),
-                  "builder": "tensor"}
-        M.factors = (self, other)
-        _refuse_failure(M, verify_affine_presentation(M))
-        return M
+        meta = {"name": "*".join(n if "*" not in n else f"({n})" for n in names),
+                "builder": "tensor"}
+        return AffineModule(self.typ, E, F, Kc, Kcinv, grading, meta, factors=(self, other))
 
 
 def _same_field(f1, f2) -> bool:
@@ -299,55 +318,41 @@ def _refuse_failure(M: AffineModule, rep: CheckReport):
 
 
 def _assemble_evaluation(n, a, field) -> AffineModule:
-    """Assemble the Chevalley action of V_n(a) without certifying it.
+    """The certified Chevalley action of V_n(a), without its loop data.
 
     The link v_j <-> v_{j+1} carries the geometric factor mu_j = a q^{n-2j}
     of x^+ and x^-, which reaches the action through E_0 = -K^-1 x^-_1 and
     F_0 = -x^+_{-1} K.
     """
-    d = n + 1
-    mu = [a * Q ** (n - 2 * j) for j in range(n)]
-
-    z = _EXACT.zero
-    E1, F1, E0, F0 = ([[z] * d for _ in range(d)] for _ in range(4))
+    E1, F1, E0, F0 = {}, {}, {}, {}
     for j in range(n):
         # the link v_j <-> v_{j+1}: x^+_k carries mu_j^k [n-j], x^-_k mu_j^k [j+1]
+        mu = a * Q ** (n - 2 * j)
         up, dn = _EXACT.qint(n - j), _EXACT.qint(j + 1)
-        E1[j][j + 1] = up
-        F1[j + 1][j] = dn
-        E0[j + 1][j] = -(Q ** (2 * j + 2 - n) * mu[j] * dn)
-        F0[j][j + 1] = -(Q ** (n - 2 * j - 2) * up / mu[j])
-    E1, F1, E0, F0 = (Matrix(rows, _EXACT) for rows in (E1, F1, E0, F0))
-    K = Matrix.diagonal([Q ** (n - 2 * j) for j in range(d)], _EXACT)
-    Kinv = Matrix.diagonal([Q ** (2 * j - n) for j in range(d)], _EXACT)
-
-    V = AffineModule(AffineTypeA(1), field)
-    V.dim = d
-    K, Kinv, E1, F1, E0, F0 = (X.map_entries(field.from_scalar, field)
-                               for X in (K, Kinv, E1, F1, E0, F0))
-    V.E = {1: E1, 0: E0}
-    V.F = {1: F1, 0: F0}
-    V.Kc = {1: K, 0: Kinv}
-    V.Kcinv = {1: Kinv, 0: K}
-    V.grading = Grading([(-j,) for j in range(d)])
-    V.meta = {"name": f"V{n}({a})", "builder": "build_evaluation"}
-    return V
+        E1[j, j + 1] = up
+        F1[j + 1, j] = dn
+        E0[j + 1, j] = -(Q ** (2 * j + 2 - n) * mu * dn)
+        F0[j, j + 1] = -(Q ** (n - 2 * j - 2) * up / mu)
+    K = [Q ** (n - 2 * j) for j in range(n + 1)]
+    return AffineModule.from_entries(
+        AffineTypeA(1), {1: E1, 0: E0}, {1: F1, 0: F0}, {1: K, 0: [ONE / x for x in K]},
+        Grading([(-j,) for j in range(n + 1)]),
+        {"name": f"V{n}({a})", "builder": "build_evaluation"}, field)
 
 
 def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
                      field=None) -> AffineModule:
     """The certified evaluation module V_n(a) with its loop data.
 
-    The Chevalley action is assembled exactly and mapped into ``field``;
-    verify_affine_presentation certifies it, and extend_loop_data then
-    derives the loop generators and certifies them by
-    verify_drinfeld_relations.  Raises ConstructionError when any defining
-    relation fails, which indicates a bug rather than bad input.
+    The Chevalley action is assembled exactly, mapped into ``field`` and
+    certified by the presentation suite as the module is built, and
+    extend_loop_data then derives the loop generators and certifies them
+    by verify_drinfeld_relations.  Raises ConstructionError when any
+    defining relation fails, which indicates a bug rather than bad input.
     """
     if not isinstance(p, EvalParams):
         raise DomainError("build_evaluation expects EvalParams")
     V = _assemble_evaluation(p.n, p.a, _EXACT if field is None else field)
-    _refuse_failure(V, verify_affine_presentation(V))
     return extend_loop_data(V, window, T)
 
 
@@ -376,35 +381,35 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     rep = CheckReport(f"affine presentation on {M.describe()}")
 
     for i in typ.nodes:
-        ok, w = relation([(1, None, M.Kc[i], M.Kcinv[i])], [(1, None, I)], f)
-        rep.add("k_invertible", (i,), ok, w)
+        rep.add("k_invertible", (i,),
+                *relation([(1, None, M.Kc[i], M.Kcinv[i])], [(1, None, I)], f))
     for i in typ.nodes:
         for j in typ.nodes:
             if i < j:
-                ok, w = relation([(1, None, M.Kc[i], M.Kc[j])], [(1, None, M.Kc[j], M.Kc[i])], f)
-                rep.add("k_commute", (i, j), ok, w)
+                rep.add("k_commute", (i, j),
+                        *relation([(1, None, M.Kc[i], M.Kc[j])], [(1, None, M.Kc[j], M.Kc[i])], f))
     *first, last = typ.nodes
-    ok, w = relation([(1, None, reduce(matmul, (M.Kc[i] for i in first)), M.Kc[last])],
-                     [(1, None, I)], f)
-    rep.add("level_zero", (), ok, w)
+    rep.add("level_zero", (),
+            *relation([(1, None, reduce(matmul, (M.Kc[i] for i in first)), M.Kc[last])],
+                      [(1, None, I)], f))
 
     for i in typ.nodes:
         for j in typ.nodes:
             qa = f.q ** typ.cartan(i, j)
             for X, tag, c in ((M.E, "cartan_conj_e", qa), (M.F, "cartan_conj_f", f.one / qa)):
-                ok, w = relation([(1, None, M.Kc[i] @ X[j], M.Kcinv[i])], [(1, c, X[j])], f)
-                rep.add(tag, (i, j), ok, w)
+                rep.add(tag, (i, j),
+                        *relation([(1, None, M.Kc[i] @ X[j], M.Kcinv[i])], [(1, c, X[j])], f))
 
     for i in typ.nodes:
         for j in typ.nodes:
             ef, fe = (M.E[i], M.F[j]), (M.F[j], M.E[i])
             if i == j:
                 c = f.one / kap
-                ok, w = relation([(1, None, *ef), (-1, None, *fe)],
-                                 [(1, c, M.Kc[i]), (-1, c, M.Kcinv[i])], f)
+                lhs = [(1, None, *ef), (-1, None, *fe)]
+                rhs = [(1, c, M.Kc[i]), (-1, c, M.Kcinv[i])]
             else:
-                ok, w = relation([(1, None, *ef)], [(1, None, *fe)], f)
-            rep.add("ef_pair", (i, j), ok, w)
+                lhs, rhs = [(1, None, *ef)], [(1, None, *fe)]
+            rep.add("ef_pair", (i, j), *relation(lhs, rhs, f))
 
     for i in typ.nodes:
         for j in typ.nodes:
@@ -412,8 +417,7 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
                 continue
             n = 1 - typ.cartan(i, j)
             for X, tag in ((M.E, "serre_e"), (M.F, "serre_f")):
-                ok, w = relation(*serre_sides(X[i], X[j], n, f.q), f)
-                rep.add(tag, (i, j), ok, w)
+                rep.add(tag, (i, j), *relation(*serre_sides(X[i], X[j], n, f.q), f))
 
     g = M.grading
     for i in typ.nodes:
@@ -453,29 +457,26 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
     q2 = q * q
     q2i = f.one / q2
     d = V.dim
+    K, Kinv = V.Kc[1], V.Kcinv[1]
     eye = Matrix.identity(d, f)
     zeroM = Matrix.zeros(d, d, f)
     rep = CheckReport(f"loop relations on {V.describe()}")
 
-    ok, w = relation([(1, None, V.K, V.Kinv)], [(1, None, eye)], f)
-    rep.add("K_invertible", (), ok, w)
+    rep.add("K_invertible", (), *relation([(1, None, K, Kinv)], [(1, None, eye)], f))
 
     def commute(X, Y):
         return relation([(1, None, X, Y)], [(1, None, Y, X)], f)
 
     hkeys = sorted(V.h)
     for i, k in enumerate(hkeys):
-        ok, w = commute(V.K, V.h[k])
-        rep.add("K_h_commute", (k,), ok, w)
+        rep.add("K_h_commute", (k,), *commute(K, V.h[k]))
         for l in hkeys[i + 1:]:
-            ok, w = commute(V.h[k], V.h[l])
-            rep.add("h_commute", (k, l), ok, w)
+            rep.add("h_commute", (k, l), *commute(V.h[k], V.h[l]))
 
     xkeys = sorted(V.xp)
     for k in xkeys:
         for sign, x, v in (("+", V.xp[k], q2), ("-", V.xm[k], q2i)):
-            ok, w = relation([(1, None, V.K, x)], [(1, v, x, V.K)], f)
-            rep.add("K_conj_x", (sign, k), ok, w)
+            rep.add("K_conj_x", (sign, k), *relation([(1, None, K, x)], [(1, v, x, K)], f))
 
     for k in hkeys:
         c = f.qint(2 * k) * f.from_fraction(1, k)
@@ -483,9 +484,9 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
             if k + l not in V.xp:
                 continue
             for sign, xd, s in (("+", V.xp, 1), ("-", V.xm, -1)):
-                ok, w = relation([(1, None, V.h[k], xd[l]), (-1, None, xd[l], V.h[k])],
-                                 [(s, c, xd[k + l])], f)
-                rep.add("h_x_ladder", (k, sign, l), ok, w)
+                rep.add("h_x_ladder", (k, sign, l),
+                        *relation([(1, None, V.h[k], xd[l]), (-1, None, xd[l], V.h[k])],
+                                  [(s, c, xd[k + l])], f))
 
     # a mode product x_a x_b is taken at up to four (k, l): (a - 1, b),
     # (b - 1, a), (a, b - 1) and (b, a - 1); one memo per sign makes it once
@@ -493,11 +494,11 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
         mul = ProductMemo().mul
         for k in range(-W, W):
             for l in range(-W, W):
-                ok, w = relation([(1, None, mul(xd[k + 1], xd[l])),
-                                  (-1, v, mul(xd[l], xd[k + 1]))],
-                                 [(1, v, mul(xd[k], xd[l + 1])),
-                                  (-1, None, mul(xd[l + 1], xd[k]))], f)
-                rep.add("x_exchange", (sign, k, l), ok, w)
+                rep.add("x_exchange", (sign, k, l),
+                        *relation([(1, None, mul(xd[k + 1], xd[l])),
+                                   (-1, v, mul(xd[l], xd[k + 1]))],
+                                  [(1, v, mul(xd[k], xd[l + 1])),
+                                   (-1, None, mul(xd[l + 1], xd[k]))], f))
 
     for k in xkeys:
         for l in xkeys:
@@ -511,20 +512,19 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
                 rhs.append((1, qden_inv, V.psi[m]))
             if m <= 0:
                 rhs.append((-1, qden_inv, V.phi[-m]))
-            ok, w = relation([(1, None, V.xp[k], V.xm[l]), (-1, None, V.xm[l], V.xp[k])],
-                             rhs, f)
-            rep.add("x_pair_commutator", (k, l), ok, w)
+            rep.add("x_pair_commutator", (k, l),
+                    *relation([(1, None, V.xp[k], V.xm[l]), (-1, None, V.xm[l], V.xp[k])],
+                              rhs, f))
 
     # stored psi/phi against the exponentials of the stored h
     hi = min(T, W)
     e = series_exp([zeroM] + [V.h[k].scale(qden) for k in range(1, hi + 1)], eye, f)
     for m in range(0, hi + 1):
-        ok, w = relation([(1, None, V.psi[m])], [(1, None, V.K, e[m])], f)
-        rep.add("psi_series_def", (m,), ok, w)
+        rep.add("psi_series_def", (m,), *relation([(1, None, V.psi[m])], [(1, None, K, e[m])], f))
     e = series_exp([zeroM] + [-V.h[-k].scale(qden) for k in range(1, hi + 1)], eye, f)
     for m in range(0, hi + 1):
-        ok, w = relation([(1, None, V.phi[m])], [(1, None, V.Kinv, e[m])], f)
-        rep.add("phi_series_def", (m,), ok, w)
+        rep.add("phi_series_def", (m,),
+                *relation([(1, None, V.phi[m])], [(1, None, Kinv, e[m])], f))
 
     # degree purity: x^pm shift the total degree by pm1, h_k preserve it
     gtot = V.grading.total()
@@ -562,7 +562,7 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6) -> AffineModu
     the stored and requested window and order (the loop data is a function
     of the Chevalley action, so the overlap is the same).
     """
-    if M.typ.N != 1 or not M.E:
+    if M.typ.N != 1:
         raise DomainError("loop data extends the Chevalley data of a rank-one module")
     if M.has_loop_data:
         if window <= M.window and T <= M.T:
@@ -609,7 +609,6 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6) -> AffineModu
 
     M.window = window
     M.T = T
-    M.K, M.Kinv = K, Kinv
     M.xp = {k: xp[k] for k in range(-window, window + 1)}
     M.xm = {k: xm[k] for k in range(-window, window + 1)}
     M.h = dict(sorted(h.items()))
@@ -678,18 +677,17 @@ def verify_aux_identities(V: AffineModule) -> CheckReport:
 
     for r in range(1, T + 1):
         for s in range(-W + 1, W + 1):
-            ok, w = relation([(1, None, V.phi[r], V.xp[s]), (1, None, V.xp[s - 1], V.phi[r - 1])],
-                             [(1, q2i, V.xp[s], V.phi[r]), (1, q2i, V.phi[r - 1], V.xp[s - 1])],
-                             f)
-            rep.add("phi_x_homogeneous", (r, s), ok, w)
+            rep.add("phi_x_homogeneous", (r, s),
+                    *relation([(1, None, V.phi[r], V.xp[s]), (1, None, V.xp[s - 1], V.phi[r - 1])],
+                              [(1, q2i, V.xp[s], V.phi[r]), (1, q2i, V.phi[r - 1], V.xp[s - 1])],
+                              f))
 
     for r in range(0, T + 1):
         for k in range(max(-W, r - W), W + 1):
             rhs = [(1, q2, V.phi[r], V.xp[k])]
             rhs += [(1, q4m1 * q ** (2 * (s - 1)), V.phi[r - s], V.xp[k - s])
                     for s in range(1, r + 1)]
-            ok, w = relation([(1, None, V.xp[k], V.phi[r])], rhs, f)
-            rep.add("phi_x_expansion", (r, k), ok, w)
+            rep.add("phi_x_expansion", (r, k), *relation([(1, None, V.xp[k], V.phi[r])], rhs, f))
 
     for m in range(-1, T):
         # the two sides of x^-_1 phi_{-(m+1)} + phi_{-m} x^-_0
@@ -700,6 +698,5 @@ def verify_aux_identities(V: AffineModule) -> CheckReport:
         if m >= 0:
             lhs.append((1, None, V.phi[m], V.xm[0]))
             rhs.append((1, q2i, V.xm[0], V.phi[m]))
-        ok, w = relation(lhs, rhs, f)
-        rep.add("phi_xminus_qcomm", (m,), ok, w)
+        rep.add("phi_xminus_qcomm", (m,), *relation(lhs, rhs, f))
     return rep

@@ -21,8 +21,11 @@ Conventions, fixed once and relied on everywhere below:
       E_0 = a e_{N, 0},   F_0 = a^-1 e_{0, N},   K_0 = (K_1 .. K_N)^-1.
 
   Relative to e_0, e_b has weight -(alpha_1 + .. + alpha_b) in
-  simple-root coordinates, which ``grading`` stores in closed form; the
-  purity entries of the presentation suite certify it against E and F.
+  simple-root coordinates, which ``grading`` stores in closed form.
+  ``build_vector_evaluation`` hands these exact entries to
+  ``AffineModule.from_entries``, which maps them into the field and runs
+  the presentation suite, whose purity entries certify the grading
+  against E and F.
 
 * Coideal seeds.  B_j = F_j - c_j E_j K_j^-1 + s_j K_j^-1 per node j in
   I, with central dressings KK_j evaluating to q^2 c_j and
@@ -95,8 +98,7 @@ from typing import NamedTuple
 
 from .errors import ConstructionError, DomainError
 from .linmat import Grading, Matrix, ProductMemo, degree_components, qbracket, relation
-from .loopsl2 import (AffineModule, AffineTypeA, EvalParams, _refuse_failure,
-                      build_evaluation, verify_affine_presentation)
+from .loopsl2 import AffineModule, AffineTypeA, EvalParams, build_evaluation
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       _theta_exchange, _tower_seeds, eta_bmats, generate_family,
                       node_bracket, onedim_closed_form, pk_bracket)
@@ -152,17 +154,6 @@ class WeylWord:
     def length(self) -> int:
         return len(self.refs)
 
-    def act_on_root(self, v):
-        """Image of a vector of affine simple-root coordinates (length N+1)."""
-        n1 = self.typ.N + 1
-        v = list(v)
-        if len(v) != n1:
-            raise DomainError(f"root vector of length {len(v)}, need {n1}")
-        for r in reversed(self.refs):
-            v[r] = v[r] - sum(self.typ.cartan(r, j) * v[j] for j in range(n1))
-        p = self.pi_power
-        return tuple(v[(m - p) % n1] for m in range(n1))
-
     def __repr__(self):
         body = " ".join(f"s{r}" for r in self.refs)
         return f"pi^{self.pi_power} {body}".strip()
@@ -205,52 +196,32 @@ def build_vector_evaluation(N: int, a, field=None) -> AffineModule:
     the header.
 
     Assembled exactly, graded in closed form (e_b sits at
-    -(alpha_1 + .. + alpha_b)), then mapped into the requested field.  The
-    full presentation suite, whose purity entries certify that grading
-    against E and F, runs on the result, and any failure raises
-    ConstructionError.
+    -(alpha_1 + .. + alpha_b)), then mapped into the requested field by
+    ``AffineModule.from_entries``, which runs the presentation suite: its
+    purity entries certify that grading against E and F, and any failure
+    raises ConstructionError.
     """
     typ = AffineTypeA(N)
     a = _as_scalar(a)
     if not a:
         raise DomainError("evaluation parameter a must be nonzero")
-    f = field if field is not None else _EXACT
-    dim = N + 1
     qi = ONE / Q
-
-    def unit(r, c, s=ONE):
-        rows = [[_EXACT.zero] * dim for _ in range(dim)]
-        rows[r][c] = s
-        return Matrix(rows, _EXACT)
-
-    E = {}
-    F = {}
-    kdiag = {}  # the diagonal of each K_j
-    for i in range(1, N + 1):
-        E[i] = unit(i - 1, i)
-        F[i] = unit(i, i - 1)
-        diag = [ONE] * dim
-        diag[i - 1] = Q
-        diag[i] = qi
-        kdiag[i] = diag
-    E[0] = unit(N, 0, a)
-    F[0] = unit(0, N, ONE / a)
-    diag0 = [ONE] * dim
-    diag0[0] = qi
-    diag0[N] = Q
-    kdiag[0] = diag0
-
-    M = AffineModule(typ, f)
-    M.dim = dim
-    for j in typ.nodes:
-        M.E[j] = E[j].map_entries(f.from_scalar, f)
-        M.F[j] = F[j].map_entries(f.from_scalar, f)
-        M.Kc[j] = Matrix.diagonal([f.from_scalar(x) for x in kdiag[j]], f)
-        M.Kcinv[j] = Matrix.diagonal([f.from_scalar(ONE / x) for x in kdiag[j]], f)
-    M.grading = Grading([(-1,) * b + (0,) * (N - b) for b in range(dim)])
-    M.meta = {"name": f"W_{N}({a})", "builder": "build_vector_evaluation", "a": a}
-    _refuse_failure(M, verify_affine_presentation(M))
-    return M
+    E = {i: {(i - 1, i): ONE} for i in typ.finite_nodes}
+    F = {i: {(i, i - 1): ONE} for i in typ.finite_nodes}
+    E[0] = {(N, 0): a}
+    F[0] = {(0, N): ONE / a}
+    K = {}  # the diagonal of each K_j
+    for i in typ.finite_nodes:
+        K[i] = [ONE] * (N + 1)
+        K[i][i - 1] = Q
+        K[i][i] = qi
+    K[0] = [ONE] * (N + 1)
+    K[0][0] = qi
+    K[0][N] = Q
+    return AffineModule.from_entries(
+        typ, E, F, K, Grading([(-1,) * b + (0,) * (N - b) for b in range(N + 1)]),
+        {"name": f"W_{N}({a})", "builder": "build_vector_evaluation", "a": a},
+        field if field is not None else _EXACT)
 
 
 # -- seed words and braided symmetries ---------------------------------------------
@@ -549,8 +520,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                     if i == j and n == m:
                         continue
                     him, hjn = fam.h(i, m), fam.h(j, n)
-                    ok, w = relation([(1, None, him, hjn)], [(1, None, hjn, him)], f)
-                    rep.add("grel1", (i, m, j, n), ok, w)
+                    rep.add("grel1", (i, m, j, n),
+                            *relation([(1, None, him, hjn)], [(1, None, hjn, him)], f))
 
     for i in nodes:
         for j in nodes:
@@ -559,10 +530,10 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 coef = f.from_scalar(qint(m * aij) / Scalar(m))
                 for r in range(-rwin, rwin + 1):
                     him, ajr = fam.h(i, m), fam.a(j, r)
-                    ok, w = relation([(1, None, him, ajr), (-1, None, ajr, him)],
-                                     [(1, coef, fam.a(j, r + m)),
-                                      (-1, coef * C ** m, fam.a(j, r - m))], f)
-                    rep.add("grel2", (i, m, j, r), ok, w)
+                    rep.add("grel2", (i, m, j, r),
+                            *relation([(1, None, him, ajr), (-1, None, ajr, him)],
+                                      [(1, coef, fam.a(j, r + m)),
+                                       (-1, coef * C ** m, fam.a(j, r - m))], f))
 
     for i in nodes:
         for j in nodes:
@@ -571,8 +542,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             for r in range(-rwin, rwin + 1):
                 for s in range(-rwin, rwin + 1):
                     air, ajs = fam.a(i, r), fam.a(j, s)
-                    ok, w = relation([(1, None, air, ajs)], [(1, None, ajs, air)], f)
-                    rep.add("grel3", (i, r, j, s), ok, w)
+                    rep.add("grel3", (i, r, j, s),
+                            *relation([(1, None, air, ajs)], [(1, None, ajs, air)], f))
 
     for i in nodes:
         for j in nodes:
@@ -585,9 +556,9 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                 for s in range(-rwin, rwin + 1):
                     ai0, ai1 = fam.a(i, r), fam.a(i, r + 1)
                     aj0, aj1 = fam.a(j, s), fam.a(j, s + 1)
-                    ok, w = relation([(1, None, mul(ai0, aj1)), (1, None, mul(aj0, ai1))],
-                                     [(1, qma, mul(aj1, ai0)), (1, qma, mul(ai1, aj0))], f)
-                    rep.add("grel4", (i, r, j, s), ok, w)
+                    rep.add("grel4", (i, r, j, s),
+                            *relation([(1, None, mul(ai0, aj1)), (1, None, mul(aj0, ai1))],
+                                      [(1, qma, mul(aj1, ai0)), (1, qma, mul(ai1, aj0))], f))
 
     ladder = {}
     for i in nodes:
@@ -595,8 +566,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
         memo = ladder[i] = ProductMemo()
         for r in range(-rwin, rwin + 1):
             for s in range(r, rwin + 1):
-                ok, w = relation(*_theta_exchange(memo, fam.A[i], fam.theta[i], ci, C, r, s), f)
-                rep.add("grel5", (i, r, s), ok, w)
+                rep.add("grel5", (i, r, s),
+                        *relation(*_theta_exchange(memo, fam.A[i], fam.theta[i], ci, C, r, s), f))
 
     def cubic_rhs(memo, i, j, r1, r2, s):
         # the right side's half at (r1, r2), r1 <= r2, as terms: its memo
@@ -632,8 +603,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
                         else:
                             mid = [(-1, two, mul(a1, aj), a2), (-1, two, mul(a2, aj), a1)]
                         lhs = [(1, None, S, aj), *mid, (1, None, aj, S)]
-                        ok, w = relation(lhs, cubic_rhs(memo, i, j, r1, r2, s), f)
-                        rep.add("grel6", (i, r1, r2, j, s), ok, w)
+                        rep.add("grel6", (i, r1, r2, j, s),
+                                *relation(lhs, cubic_rhs(memo, i, j, r1, r2, s), f))
 
     for i in nodes:
         for j in nodes:
@@ -642,8 +613,8 @@ def verify_grel(fam: RankNFamily, rwin: int = 2, mmax: int = 3) -> CheckReport:
             for m in range(1, mmax + 1):
                 for n in range(1, mmax + 1):
                     tim, tjn = fam.theta_at(i, m), fam.theta_at(j, n)
-                    ok, w = relation([(1, None, tim, tjn)], [(1, None, tjn, tim)], f)
-                    rep.add("theta_commute", (i, m, j, n), ok, w)
+                    rep.add("theta_commute", (i, m, j, n),
+                            *relation([(1, None, tim, tjn)], [(1, None, tjn, tim)], f))
     return rep
 
 
@@ -703,13 +674,12 @@ def verify_braid_relations(module: AffineModule, params: RankNParams) -> CheckRe
             else:
                 name, lhs, rhs = "braid", images(i, j, i), images(j, i, j)
             for k in typ.nodes:
-                ok, w = relation([(1, None, lhs[k])], [(1, None, rhs[k])], f)
-                rep.add(name, (i, j, k), ok, w)
+                rep.add(name, (i, j, k), *relation([(1, None, lhs[k])], [(1, None, rhs[k])], f))
 
     for i, Am1 in _tower_seeds(gens[0], params, f).items():
         X = _braid_images(omega_word(i, typ.N), *gens, f)[0]
-        ok, w = relation([(1, None, Am1)], [(1 if i % 2 else -1, None, X[i])], f)
-        rep.add("seed_word", (i,), ok, w)
+        rep.add("seed_word", (i,),
+                *relation([(1, None, Am1)], [(1 if i % 2 else -1, None, X[i])], f))
     return rep
 
 
@@ -799,8 +769,9 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     s0, s1 = (f.from_scalar(x) for x in p.s)
     q2 = f.q * f.q
     u = f.one / (q2 * c0)
-    seeds = ((-1, [(-1, u / q2, V.K, V.xp[-1]), (1, None, V.xm[1]), (1, u * s0, V.K)]),
-             (0, [(1, None, V.xm[0]), (-1, c1 * q2, V.Kinv, V.xp[0]), (1, s1, V.Kinv)]))
+    K, Kinv = V.Kc[1], V.Kcinv[1]
+    seeds = ((-1, [(-1, u / q2, K, V.xp[-1]), (1, None, V.xm[1]), (1, u * s0, K)]),
+             (0, [(1, None, V.xm[0]), (-1, c1 * q2, Kinv, V.xp[0]), (1, s1, Kinv)]))
     wit = None
     for r, theirs in seeds:
         ok, w = relation([(1, None, fam.A[1][r])], theirs, f)
@@ -909,8 +880,8 @@ def rankn_spectral_check(fam: RankNFamily, T: int | None = None):
             for m in range(1, T + 1):
                 for n in range(1, T + 1):
                     tim, tjn = fam.theta_grave[i][m], fam.theta_grave[j][n]
-                    ok, w = relation([(1, None, tim, tjn)], [(1, None, tjn, tim)], f)
-                    rep.add("cross_node", (i, m, j, n), ok, w)
+                    rep.add("cross_node", (i, m, j, n),
+                            *relation([(1, None, tim, tjn)], [(1, None, tjn, tim)], f))
 
     if fam.typ.N == 1:
         _rank_one_anchor(fam, rep, T)

@@ -418,10 +418,10 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
         bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        ok, wit = relation([(1, None, d0)],
-                           [(1, None, V.phi[s], V.psi[0])]
-                           + [(1, C ** v, V.phi[s - v], V.psi[v]) for v in range(1, s + 1)], f)
-        rep.add("diagonal", (s,), ok, wit)
+        rep.add("diagonal", (s,),
+                *relation([(1, None, d0)],
+                          [(1, None, V.phi[s], V.psi[0])]
+                          + [(1, C ** v, V.phi[s - v], V.psi[v]) for v in range(1, s + 1)], f))
         shift0.append(d0)
     data = {
         "shift0": shift0,
@@ -605,8 +605,8 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
         bad, d0 = _by_degree(fam.theta_grave[1][s], gtot)
         rep.add("triangular", (s,), not bad,
                 None if not bad else f"lowering shifts {bad}")
-        ok, wit = relation([(1, None, d0)], [(1, D[u], diag0[s - u]) for u in range(s + 1)], f)
-        rep.add("scaled_diagonal", (s,), ok, wit)
+        rep.add("scaled_diagonal", (s,),
+                *relation([(1, None, d0)], [(1, D[u], diag0[s - u]) for u in range(s + 1)], f))
 
     if V.factors is not None:
         X, W = V.factors
@@ -619,10 +619,10 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
             bad, d0 = _by_degree(fam.theta_grave[1][s], g2)
             rep.add("tensor_triangular", (s,), not bad,
                     None if not bad else f"right-lowering shifts {bad}")
-            ok, wit = relation([(1, None, d0)],
-                               [(1, None, famX.theta_grave[1][u].kron(w0[s - u]))
-                                for u in range(s + 1)], f)
-            rep.add("tensor_diagonal", (s,), ok, wit)
+            rep.add("tensor_diagonal", (s,),
+                    *relation([(1, None, d0)],
+                              [(1, None, famX.theta_grave[1][u].kron(w0[s - u]))
+                               for u in range(s + 1)], f))
     return rep
 
 

@@ -86,7 +86,7 @@ LOOP_CONTROLS = [
      "entry (0,0) = -q^2+1"),
     (verify_affine_presentation, "ef_pair", ("E", 1), "scale", (1, 1),
      "entry (0,0) = (q^3-q^2+q-1)/(q)"),
-    (verify_drinfeld_relations, "K_invertible", ("Kinv",), "scale", (),
+    (verify_drinfeld_relations, "K_invertible", ("Kcinv", 1), "scale", (),
      "entry (0,0) = q-1"),
     (verify_drinfeld_relations, "K_h_commute", ("h", 1), (0, 1), (1,),
      "entry (0,1) = q^2-1"),

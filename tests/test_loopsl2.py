@@ -22,6 +22,7 @@ computed independently of the construction code:
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -247,7 +248,7 @@ def test_chevalley_example_v1():
     rhs = (K0 - mod.Kcinv[0]).scale(F.one / (F.q - F.one / F.q))
     assert (lhs - rhs).is_zero()
     # E0 = -K^-1 x^-_1 concretely on the weight basis
-    assert mod.E[0] == -(mod.Kinv @ mod.xm[1])
+    assert mod.E[0] == -(mod.Kcinv[1] @ mod.xm[1])
 
 
 def test_serre_certified_on_build():
@@ -287,8 +288,8 @@ def test_dictionary_suite_is_the_affine_presentation(field):
     rep = verify_affine_presentation(mod)
     assert rep.ok and len(rep.entries) == 24
     pairs = [(mod.E[1], mod.xp[0]), (mod.F[1], mod.xm[0]),
-             (mod.E[0], -(mod.Kinv @ mod.xm[1])), (mod.F[0], -(mod.xp[-1] @ mod.K)),
-             (mod.Kc[1], mod.K), (mod.Kc[0], mod.Kinv)]
+             (mod.E[0], -(mod.Kcinv[1] @ mod.xm[1])), (mod.F[0], -(mod.xp[-1] @ mod.Kc[1])),
+             (mod.Kc[0], mod.Kcinv[1])]
     assert all(relation([(1, None, X)], [(1, None, Y)], field)[0] for X, Y in pairs)
 
 
@@ -355,8 +356,8 @@ def test_phi_series_diagonal_and_guarded():
     mod = V(2, "q")
     Phi, Psi = phi_series(mod, T=4)
     assert len(Phi) == len(Psi) == 5
-    assert Phi[0] == mod.Kinv
-    assert Psi[0] == mod.K
+    assert Phi[0] == mod.Kcinv[1]
+    assert Psi[0] == mod.Kc[1]
     assert Psi[3] == mod.psi[3]
     assert Phi[4] == mod.phi[4]
     with pytest.raises(DomainError):
@@ -372,7 +373,7 @@ def test_phi_series_refuses_a_negative_order():
     mod = V(1, "q")
     with pytest.raises(DomainError, match="T=-1"):
         phi_series(mod, -1)
-    assert phi_series(mod, 0) == ([mod.Kinv], [mod.K])
+    assert phi_series(mod, 0) == ([mod.Kcinv[1]], [mod.Kc[1]])
 
 
 def test_aux_identities_hold():
@@ -481,9 +482,99 @@ def test_extend_loop_data_tensor_certifies_and_grades():
         assert set(degree_components(TT.phi[k], gtot)) <= {(0,)}
 
 
-def test_extend_loop_data_requires_chevalley_data():
-    from qonsager.loopsl2 import AffineModule, AffineTypeA
+# ------------------------------------------------------------ construction
 
-    bare = AffineModule(AffineTypeA(1), F)
-    with pytest.raises(DomainError):
-        extend_loop_data(bare)
+
+def _store(X):
+    """What a matrix stores: the images with their shift, denominator, slot
+    width and height bound when exact, the entries when numeric."""
+    return (X._nz, X._k, tuple(X._d), X._w, X._h) if X.field.exact else X._nz
+
+
+def _ref_evaluation(n, a):
+    """(E, F, Kc, Kcinv) of V_n(a) over ExactField, read off the closed-form
+    mode operators: E_1 = x^+_0, F_1 = x^-_0, E_0 = -K^-1 x^-_1,
+    F_0 = -x^+_{-1} K, K = diag(q^(n-2j))."""
+    K = Matrix.diagonal([Q ** (n - 2 * j) for j in range(n + 1)], F)
+    Kinv = Matrix.diagonal([Q ** (2 * j - n) for j in range(n + 1)], F)
+    E = {1: closed_form_xplus(n, a, 0), 0: -(Kinv @ closed_form_xminus(n, a, 1))}
+    Fs = {1: closed_form_xminus(n, a, 0), 0: -(closed_form_xplus(n, a, -1) @ K)}
+    return E, Fs, {1: K, 0: Kinv}, {1: Kinv, 0: K}
+
+
+def _ref_vector(N, a):
+    """(E, F, Kc, Kcinv) of W_N(a) over ExactField: E_i = e_{i-1,i},
+    F_i = e_{i,i-1}, K_i with q at slot i-1 and q^-1 at slot i, and the
+    affine node E_0 = a e_{N,0}, F_0 = a^-1 e_{0,N}, K_0 = (K_1 .. K_N)^-1."""
+    d = N + 1
+
+    def unit(r, c, x=F.one):
+        rows = [[F.zero] * d for _ in range(d)]
+        rows[r][c] = x
+        return Matrix(rows, F)
+
+    def k(up, down, e):
+        diag = [F.one] * d
+        diag[up], diag[down] = Q ** e, Q ** -e
+        return Matrix.diagonal(diag, F)
+
+    E = {i: unit(i - 1, i) for i in range(1, d)}
+    Fs = {i: unit(i, i - 1) for i in range(1, d)}
+    E[0], Fs[0] = unit(N, 0, a), unit(0, N, F.one / a)
+    Kc = {i: k(i - 1, i, 1) for i in range(1, d)}
+    Kcinv = {i: k(i - 1, i, -1) for i in range(1, d)}
+    Kc[0], Kcinv[0] = k(N, 0, 1), k(N, 0, -1)
+    return E, Fs, Kc, Kcinv
+
+
+def _ref_coproduct(A, B, field):
+    """(E, F, Kc, Kcinv) of A (x) B from the Chevalley data of the factors:
+    E x 1 + K x E, F x K^-1 + 1 x F, K x K and K^-1 x K^-1."""
+    (EA, FA, KA, KiA), (EB, FB, KB, KiB) = A, B
+    il = Matrix.identity(EA[0].n, field)
+    ir = Matrix.identity(EB[0].n, field)
+    return ({j: EA[j].kron(ir) + KA[j].kron(EB[j]) for j in EA},
+            {j: FA[j].kron(KiB[j]) + il.kron(FB[j]) for j in EA},
+            {j: KA[j].kron(KB[j]) for j in EA},
+            {j: KiA[j].kron(KiB[j]) for j in EA})
+
+
+@pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "q0=1.3"])
+def test_every_builder_stores_the_mapped_exact_action(field):
+    # each builder's Chevalley stores equal those of a reference built over
+    # ExactField and mapped into the field, and a tensor product's equal the
+    # coproduct of its factors' references
+    def mapped(data):
+        return tuple({j: X.map_entries(field.from_scalar, field) for j, X in d.items()}
+                     for d in data)
+
+    def stores(data):
+        return [{j: _store(X) for j, X in d.items()} for d in data]
+
+    def chevalley(mod):
+        return mod.E, mod.F, mod.Kc, mod.Kcinv
+
+    pairs = [[(build_vector_evaluation(N, parse_scalar(a), field=field),
+               mapped(_ref_vector(N, parse_scalar(a)))) for a in ("q", "q^2")]
+             for N in (1, 2, 3)]
+    pairs += [[(V(n, a, window=1, T=1, field=field), mapped(_ref_evaluation(n, parse_scalar(a))))
+               for a in ("q", "q^-3")] for n in range(4)]
+    for (a, ra), (b, rb) in pairs:
+        assert stores(chevalley(a)) == stores(ra)
+        assert stores(chevalley(b)) == stores(rb)
+        assert stores(chevalley(tensor(a, b))) == stores(_ref_coproduct(ra, rb, field))
+    one, zero = Matrix([[F.one]], F), Matrix([[F.zero]], F)
+    triv = mapped((dict.fromkeys(range(3), zero), dict.fromkeys(range(3), zero),
+                   dict.fromkeys(range(3), one), dict.fromkeys(range(3), one)))
+    assert stores(chevalley(AffineModule.trivial(2, field))) == stores(triv)
+
+
+def test_constructor_refuses_an_action_that_fails_the_presentation():
+    # W_2's Chevalley data with E_1 scaled by q: [E_1, F_1] picks up the
+    # factor q, and the first failing entry names the pair
+    W2 = build_vector_evaluation(2, Q)
+    E = {**W2.E, 1: W2.E[1].scale(F.q)}
+    want = "W_2(q): relation ef_pair(1, 1) failed [entry (0,0) = q-1]"
+    with pytest.raises(ConstructionError, match=re.escape(want)):
+        AffineModule(W2.typ, E, W2.F, W2.Kc, W2.Kcinv, W2.grading, W2.meta)
+    assert AffineModule(W2.typ, W2.E, W2.F, W2.Kc, W2.Kcinv, W2.grading, W2.meta).dim == 3

@@ -27,7 +27,7 @@ import pytest
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import linmat, ranka
 from qonsager.linmat import Matrix, qbracket, relation
-from qonsager.loopsl2 import EvalParams, build_evaluation
+from qonsager.loopsl2 import EvalParams, build_evaluation, verify_affine_presentation
 from qonsager.onsager import OnsagerParams, _grow_family, generate_family
 from qonsager.ranka import (
     AffineModule,
@@ -47,7 +47,6 @@ from qonsager.ranka import (
     pk_bracket,
     rankn_spectral_check,
     tau_dual_check,
-    verify_affine_presentation,
     verify_braid_relations,
     verify_grel,
 )
@@ -144,6 +143,17 @@ def test_omega_prime_drops_the_final_letter():
             assert wp.pi_power == w.pi_power
 
 
+def _act_on_root(w, v):
+    """The image under the Weyl word w of a vector v of affine simple-root
+    coordinates: the reflections s_r(v)_r = v_r - sum_j a_rj v_j right to
+    left, then the rotation pi^p."""
+    n1 = w.typ.N + 1
+    v = list(v)
+    for r in reversed(w.refs):
+        v[r] = v[r] - sum(w.typ.cartan(r, j) * v[j] for j in range(n1))
+    return tuple(v[(m - w.pi_power) % n1] for m in range(n1))
+
+
 def test_word_root_action_sends_alpha_i_into_minus_theta_plus_delta_shape():
     # omega'_i is a Weyl word, so simple roots go to real roots; the full
     # omega_i ends with s_i and the prefix must send alpha_i to a root
@@ -154,10 +164,10 @@ def test_word_root_action_sends_alpha_i_into_minus_theta_plus_delta_shape():
         for i in range(1, N + 1):
             alpha_i = [1 if m == i else 0 for m in range(N + 1)]
             delta_minus = tuple(1 - x for x in alpha_i)
-            out = omega_prime_word(i, N).act_on_root(alpha_i)
+            out = _act_on_root(omega_prime_word(i, N), alpha_i)
             assert out[0] == 1, (N, i, out)
             assert out == delta_minus, (N, i, out)
-            full = omega_word(i, N).act_on_root(alpha_i)
+            full = _act_on_root(omega_word(i, N), alpha_i)
             assert full == tuple(-x for x in delta_minus), (N, i, full)
 
 

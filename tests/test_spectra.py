@@ -431,7 +431,8 @@ def test_factorization_gauge_independent():
     ginv = Matrix.diagonal([one, one / lam], F)
     gauged = build_evaluation(EvalParams(1, parse_scalar("q")), window=2, T=6)
     gauge = lambda M: g @ M @ ginv
-    gauged.K, gauged.Kinv = gauge(gauged.K), gauge(gauged.Kinv)
+    gauged.Kc = {i: gauge(M) for i, M in gauged.Kc.items()}
+    gauged.Kcinv = {i: gauge(M) for i, M in gauged.Kcinv.items()}
     gauged.xp = {k: gauge(M) for k, M in gauged.xp.items()}
     gauged.xm = {k: gauge(M) for k, M in gauged.xm.items()}
     gauged.h = {k: gauge(M) for k, M in gauged.h.items()}
