@@ -309,8 +309,9 @@ class Matrix:
     @classmethod
     def identity(cls, n, field):
         # the exact store holds the image of 1, at shift 0 over D = 1
-        one = 1 if field.exact else field.one
-        return cls._image({i: {i: one} for i in range(n)}, n, n, field, h=1)
+        if field.exact:
+            return cls._image({i: {i: 1} for i in range(n)}, n, n, field, h=1)
+        return cls._image({i: {i: field.one} for i in range(n)}, n, n, field)
 
     @classmethod
     def diagonal(cls, entries, field):
@@ -330,13 +331,13 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         _same_shape(self, other, "+")
-        return _sum(self, other, False)
+        return combine(((1, None, self), (1, None, other)))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         _same_shape(self, other, "-")
-        return _sum(self, other, True)
+        return combine(((1, None, self), (-1, None, other)))
 
     def __neg__(self):
         return self._like({i: {j: -x for j, x in r.items()} for i, r in self._nz.items()},
@@ -424,11 +425,6 @@ class Matrix:
             raise DomainError("max_abs is a numeric-backend notion")
         return _largest(_values(self))
 
-    @property
-    def nnz(self):
-        """The number of stored entries, which are the nonzero ones."""
-        return sum(map(len, self._nz.values()))
-
     def nonzero_entries(self):
         """(i, j, entry) for every nonzero entry, in row-major order; an
         exact matrix decodes only these."""
@@ -481,15 +477,6 @@ class _ReadOnly(list):
 def _kept(row):
     """row without its zero values: numeric values can cancel or underflow."""
     return row if all(row.values()) else {j: x for j, x in row.items() if x}
-
-
-def _sum(A, B, minus):
-    """A + B, or A - B when minus, of two matrices of one shape: the
-    two-term pass of ``combine`` on both backends."""
-    terms = ((1, None, A), (-1 if minus else 1, None, B))
-    if A.field.exact:
-        return _reduced(_image_combine(terms, A.n, A.m, A.field))
-    return _number_combine(terms, A.n, A.m, A.field)
 
 
 def _number_combine(terms, n, m, field):

@@ -270,25 +270,24 @@ def eta_bmats(module: AffineModule, params: RankNParams):
 
 
 def pk_bracket(ys, qv):
-    """The left-nested q-bracket P_1(y) = y, P_{k+1} = [P_k, y_{k+1}]_q.
-
-    The arguments may be matrices or seed expressions (``ranka.BExpr``);
-    ``qv`` is the bracket weight in the matching scalar domain.
+    """The left-nested q-bracket P_1(y) = y, P_{k+1} = [P_k, y_{k+1}]_q of
+    matrices, one ``qbracket`` pass per bracket; ``qv`` is the bracket
+    weight in their field.
     """
     ys = list(ys)
     if not ys:
         raise DomainError("bracket of an empty tuple")
     acc = ys[0]
     for y in ys[1:]:
-        acc = acc @ y - (y @ acc).scale(qv)
+        acc = qbracket(acc, y, qv)
     return acc
 
 
 def node_bracket(X, i: int, N: int, qv):
     """[P_{i-1}(X_{i-1}, .., X_1), P_{N-i+1}(X_{i+1}, .., X_N, X_0)]_qv.
 
-    The bracket of node i's tower seed A_{i,-1} = C_i [..]_q, on generators
-    ``X[j]`` of any kind (matrices or seed expressions); at i = 1 the left
+    The bracket of node i's tower seed A_{i,-1} = C_i [..]_q, on the
+    matrices ``X[j]``, one ``qbracket`` pass per bracket; at i = 1 the left
     factor is empty and the bracket is the right factor alone, which at
     N = 1 is X_0.
     """
@@ -296,7 +295,7 @@ def node_bracket(X, i: int, N: int, qv):
     if i == 1:
         return rb
     lb = pk_bracket([X[j] for j in range(i - 1, 0, -1)], qv)
-    return lb @ rb - (rb @ lb).scale(qv)
+    return qbracket(lb, rb, qv)
 
 
 def _tower_seeds(B, params: RankNParams, f):

@@ -70,9 +70,10 @@ Conventions, fixed once and relied on everywhere below:
 
   an empty left factor meaning the right factor alone; at N = 1 this is
   q^-2 c_0^-1 B_0.  ``onsager.node_bracket`` writes the index pattern once,
-  for matrices and for seed expressions alike: ``onsager._tower_seeds``
+  on matrices, one q-bracket pass per bracket: ``onsager._tower_seeds``
   evaluates it on the seed matrices for every family, rank one included,
-  and ``build_Ai_minus1`` keeps it as a seed expression.  Up to the
+  and ``build_Ai_minus1`` defers it to ``evaluate_bexpr``, which evaluates
+  it on the same matrices.  Up to the
   calibration sign o(i) the same element is the full word,
   A_{i,-1} = T_{omega_i}(B_i); ``verify_braid_relations`` certifies the two
   against each other (its ``seed_word`` entries), a comparison that cannot
@@ -94,10 +95,13 @@ Conventions, fixed once and relied on everywhere below:
   ``tau_dual_check`` certifies by running ``verify_grel`` on them.
 """
 
+from functools import reduce
+from operator import matmul
 from typing import NamedTuple
 
 from .errors import ConstructionError, DomainError
-from .linmat import Grading, Matrix, ProductMemo, degree_components, qbracket, relation
+from .linmat import (Grading, Matrix, ProductMemo, combine, degree_components, qbracket,
+                     relation)
 from .loopsl2 import AffineModule, AffineTypeA, EvalParams, build_evaluation
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       _theta_exchange, _tower_seeds, eta_bmats, generate_family,
@@ -229,97 +233,23 @@ def build_vector_evaluation(N: int, a, field=None) -> AffineModule:
 
 class BExpr:
     """A noncommutative polynomial in the seeds B_0 .. B_N whose
-    coefficients are Laurent monomials in the central dressings KK_j.
-
-    ``terms`` maps a word (tuple of node indices) to a dict from
-    exponent tuples (length N+1) to exact scalars.  Because the KK_j
-    are central, a coefficient may be multiplied through from either
-    side; products simply concatenate words and add exponents.
+    coefficients are Laurent monomials in the central dressings KK_j, as
+    plain data: ``terms`` maps a word (tuple of node indices) to a dict
+    from exponent tuples (length N+1) to exact scalars.  It has no
+    arithmetic; ``evaluate_bexpr`` evaluates it on matrices.
     """
 
     __slots__ = ("nn", "terms")
 
-    def __init__(self, nn: int, terms=None):
+    def __init__(self, nn: int, terms):
         self.nn = nn
-        self.terms = terms if terms is not None else {}
+        self.terms = terms
 
     @classmethod
     def gen(cls, nn: int, j: int) -> "BExpr":
         if not 0 <= j <= nn:
             raise DomainError(f"seed index {j} outside 0..{nn}")
         return cls(nn, {(j,): {tuple([0] * (nn + 1)): ONE}})
-
-    def _accum(self, word, exps, coeff):
-        if not coeff:
-            return
-        kmap = self.terms.setdefault(word, {})
-        tot = kmap.get(exps, None)
-        tot = coeff if tot is None else tot + coeff
-        if tot:
-            kmap[exps] = tot
-        else:
-            kmap.pop(exps, None)
-            if not kmap:
-                self.terms.pop(word, None)
-
-    def __add__(self, other: "BExpr") -> "BExpr":
-        if self.nn != other.nn:
-            raise DomainError("mixed-rank seed expressions")
-        out = BExpr(self.nn, {w: dict(k) for w, k in self.terms.items()})
-        for w, kmap in other.terms.items():
-            for e, c in kmap.items():
-                out._accum(w, e, c)
-        return out
-
-    def __sub__(self, other: "BExpr") -> "BExpr":
-        return self + other.scale(-ONE)
-
-    def __matmul__(self, other: "BExpr") -> "BExpr":
-        if self.nn != other.nn:
-            raise DomainError("mixed-rank seed expressions")
-        out = BExpr(self.nn)
-        for w1, k1 in self.terms.items():
-            for w2, k2 in other.terms.items():
-                w = w1 + w2
-                for e1, c1 in k1.items():
-                    for e2, c2 in k2.items():
-                        e = tuple(x + y for x, y in zip(e1, e2))
-                        out._accum(w, e, c1 * c2)
-        return out
-
-    def scale(self, sc: Scalar) -> "BExpr":
-        out = BExpr(self.nn)
-        for w, kmap in self.terms.items():
-            for e, c in kmap.items():
-                out._accum(w, e, c * sc)
-        return out
-
-    def kmul(self, exps) -> "BExpr":
-        """Multiply by the central monomial with the given exponents."""
-        exps = tuple(exps)
-        if len(exps) != self.nn + 1:
-            raise DomainError(f"exponent tuple of length {len(exps)}, need {self.nn + 1}")
-        out = BExpr(self.nn)
-        for w, kmap in self.terms.items():
-            for e, c in kmap.items():
-                out._accum(w, tuple(x + y for x, y in zip(e, exps)), c)
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, BExpr) and other.nn == self.nn
-                and other.terms == self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "BExpr(0)"
-        bits = []
-        for w in sorted(self.terms):
-            body = "".join(f"B{j}" for j in w) or "1"
-            bits.append(f"{len(self.terms[w])}*{body}")
-        return f"BExpr({' + '.join(bits)})"
 
 
 def apply_word(w: WeylWord, e: BExpr) -> "_Braided":
@@ -341,18 +271,24 @@ class _Braided(NamedTuple):
         return self.expr.terms
 
 
-def build_Ai_minus1(i: int, N: int) -> BExpr:
+class _NodeSeed(NamedTuple):
+    """C_i ``node_bracket``(B, i, N, q) at rank N = nn, unevaluated."""
+
+    i: int
+    nn: int
+
+
+def build_Ai_minus1(i: int, N: int) -> _NodeSeed:
     """The seed A_{i,-1} as a dressed bracket of the B_j, before the sign o(i).
 
-    C_i ``node_bracket``(B, i, N, q) with C_i = C^-1 KK_i, on the symbolic
-    generators; generation evaluates the same bracket on matrices.  Equality
-    with the braided word T_{omega_i}(B_i) is a checked identity, not an
-    input.
+    C_i ``node_bracket``(B, i, N, q) with C_i = C^-1 KK_i, deferred to
+    ``evaluate_bexpr``, which brackets the seed matrices as generation
+    does.  Equality with the braided word T_{omega_i}(B_i) is a checked
+    identity, not an input.
     """
     if not 1 <= i <= N:
         raise DomainError(f"seed index must be a finite node, got i={i}, N={N}")
-    gens = {j: BExpr.gen(N, j) for j in range(N + 1)}
-    return node_bracket(gens, i, N, Q).kmul(0 if m == i else -1 for m in range(N + 1))
+    return _NodeSeed(i, N)
 
 
 # -- evaluation -----------------------------------------------------------------------
@@ -389,69 +325,44 @@ def _braid_images(word: WeylWord, bmats, kvals, field):
     return X, kap
 
 
-def _eval_bexpr(e: BExpr, bmats, kvals, field, dim: int) -> Matrix:
-    """Sum over the words of e of (K-power coefficient) * (word matrix).
-
-    Word matrices are built prefix by prefix.  A prefix whose matrix
-    stores no entry (``nnz`` is 0: an exact zero, not a tolerance) is
-    cached as None and ends its branch: the product of a left operand that
-    stores nothing stores nothing, on either field, so every longer word
-    is zero too, and the words under it add nothing.  A word's coefficient
-    is computed only when its matrix is nonzero.
-    """
-    rows = [[field.zero] * dim for _ in range(dim)]
-    wcache = {(): Matrix.identity(dim, field)}
-
-    def wmat(word):
-        if word not in wcache:
-            head = wmat(word[:-1])
-            if head is not None:
-                head = head @ bmats[word[-1]]
-                if not head.nnz:
-                    head = None
-            wcache[word] = head
-        return wcache[word]
-
-    kpow = {}
-    for word, kmap in e.terms.items():
-        wm = wmat(word)
-        if wm is None:
-            continue
-        coef = field.zero
-        for exps, c in kmap.items():
-            v = field.from_scalar(c)
-            for j, ej in enumerate(exps):
-                if ej:
-                    if (j, ej) not in kpow:
-                        kpow[j, ej] = kvals[j] ** ej
-                    v = v * kpow[j, ej]
-            coef = coef + v
-        for r, col, a in wm.nonzero_entries():
-            rows[r][col] = rows[r][col] + coef * a
-    return Matrix(rows, field)
-
-
-def evaluate_bexpr(e: "BExpr | _Braided", module: AffineModule,
+def evaluate_bexpr(e: "BExpr | _Braided | _NodeSeed", module: AffineModule,
                    params: RankNParams) -> Matrix:
-    """Evaluate a seed expression, or a braided one from ``apply_word``,
-    through the module and parameters."""
-    word = None
-    if isinstance(e, _Braided):
-        word, e = e.word, e.expr
+    """Evaluate a seed expression through the module and parameters.
+
+    A ``BExpr`` is the plain sum over its words of the word's coefficient,
+    its KK-monomials at KK_j, times the product of the word's seeds B_j,
+    the empty word standing for the identity, in one ``combine``.  A
+    braided expression from ``apply_word`` is that sum at the generator
+    images of ev . T_w (``_braid_images``), and the seed of
+    ``build_Ai_minus1`` is C_i ``node_bracket`` of the B_j.
+    """
+    word, e = (e.word, e.expr) if isinstance(e, _Braided) else (None, e)
     if e.nn != module.typ.N:
         raise DomainError("expression and module have different ranks")
     f = module.field
-    images = eta_bmats(module, params), _kvals(module, params)
+    X, kap = eta_bmats(module, params), _kvals(module, params)
+    if isinstance(e, _NodeSeed):
+        return node_bracket(X, e.i, e.nn, f.q).scale(f.from_scalar(params.cconst(e.i)))
     if word is not None:
-        images = _braid_images(word, *images, f)
-        lost = {j for w in e.terms for j in w} - images[0].keys()
+        X, kap = _braid_images(word, X, kap, f)
+        lost = {j for w in e.terms for j in w} - X.keys()
         if lost:
             raise DomainError(
                 f"T_w(B_{min(lost)}) for w = {word!r} crosses the double bond "
                 "a_01 = -2; braided symmetries are implemented for single "
                 "bonds only"
             )
-    return _eval_bexpr(e, *images, f, module.dim)
+    terms = []
+    for w, kmap in e.terms.items():
+        coef = f.zero
+        for exps, c in kmap.items():
+            v = f.from_scalar(c)
+            for j, ej in enumerate(exps):
+                v = v * kap[j] ** ej
+            coef = coef + v
+        *prefix, last = [X[j] for j in w] or [Matrix.identity(module.dim, f)]
+        terms.append((1, coef, reduce(matmul, prefix), last) if prefix else (1, coef, last))
+    return combine(terms) if terms else Matrix.zeros(module.dim, module.dim, f)
 
 
 # -- family generation ---------------------------------------------------------------
@@ -707,10 +618,10 @@ def braid_compat_check(i: int, module: AffineModule,
     M1 = _braid_images(omega_prime_word(i, N), eta_bmats(module, params),
                        _kvals(module, params), f)[0][i]
 
-    Et = {j: (module.E[j] @ module.Kcinv[j]).scale(-f.from_scalar(params.c[j]))
+    Et = {j: combine(((-1, f.from_scalar(params.c[j]), module.E[j], module.Kcinv[j]),))
           for j in typ.nodes}
-    M2 = node_bracket(module.F, i, N, f.q) + node_bracket(Et, i, N, f.q)
-    D = M1 - M2
+    D = combine(((1, None, M1), (-1, None, node_bracket(module.F, i, N, f.q)),
+                 (-1, None, node_bracket(Et, i, N, f.q))))
     comps = degree_components(D, module.grading)
     rep = CheckReport(f"braid compatibility at node {i} on {module.describe()}")
     if not comps:

@@ -263,13 +263,9 @@ class FPoly:
         return FPoly(q, self.field), FPoly(rem, self.field)
 
     def gcd(self, other):
+        """The monic gcd over Q(q); a numeric field is refused."""
         if not self.field.exact:
-            a, b = self, other
-            while not b.is_zero():
-                a, b = b, a.divmod(b)[1]
-            if a.is_zero():
-                return a
-            return a.scale(self.field.one / a.coeffs[-1])
+            raise DomainError(f"FPoly.gcd is exact only, not over {self.field!r}")
         # Fraction-free primitive remainder sequence: naive Euclid over the
         # fraction field blows up through cross-gcds on every division step.
         a = _fraction_free(self.coeffs)

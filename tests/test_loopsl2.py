@@ -487,8 +487,9 @@ def test_extend_loop_data_tensor_certifies_and_grades():
 
 def _store(X):
     """What a matrix stores: the images with their shift, denominator, slot
-    width and height bound when exact, the entries when numeric."""
-    return (X._nz, X._k, tuple(X._d), X._w, X._h) if X.field.exact else X._nz
+    width and height bound when exact, the entries with those fields at
+    their defaults when numeric."""
+    return X._nz, X._k, tuple(X._d), X._w, X._h
 
 
 def _ref_evaluation(n, a):

@@ -15,11 +15,15 @@ Oracles, independent of the construction code:
   independently tested loop-sl2 module builder,
 * braided words composed on generator images are compared, for N <= 4,
   with a symbolic reference that expands the seed formulas word by word
-  (``_ref_apply``).
+  (``_ref_apply``), and the bracket seeds with the bracket expanded word
+  by word (``_ref_bracket``), both in the test's own algebra on the
+  package's plain BExpr data.
 """
 
 import json
 from collections import Counter
+from itertools import chain
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -174,6 +178,45 @@ def test_word_root_action_sends_alpha_i_into_minus_theta_plus_delta_shape():
 # ------------------------------------------------------------ seed algebra
 
 
+# The reference algebra on BExpr data, which has none of its own: a
+# product concatenates words and adds the central KK exponents, and
+# coefficients that cancel drop out.
+
+
+def _pairs(e):
+    return ((w, ex, c) for w, kmap in e.terms.items() for ex, c in kmap.items())
+
+
+def _bexpr(nn, pairs):
+    """The BExpr summing the coefficients c at (word, exps) over pairs."""
+    terms = {}
+    for w, ex, c in pairs:
+        kmap = terms.setdefault(w, {})
+        kmap[ex] = kmap.get(ex, Scalar(0)) + c
+    terms = {w: {ex: c for ex, c in kmap.items() if c} for w, kmap in terms.items()}
+    return BExpr(nn, {w: kmap for w, kmap in terms.items() if kmap})
+
+
+def _add(a, b):
+    return _bexpr(a.nn, chain(_pairs(a), _pairs(b)))
+
+
+def _mul(a, b):
+    return _bexpr(a.nn, ((w1 + w2, tuple(map(add, e1, e2)), c1 * c2)
+                         for w1, e1, c1 in _pairs(a) for w2, e2, c2 in _pairs(b)))
+
+
+def _scale(e, c, exps=None):
+    """c KK^exps e, exps the exponents of the central monomial."""
+    exps = exps or (0,) * (e.nn + 1)
+    return _bexpr(e.nn, ((w, tuple(map(add, ex, exps)), c * x) for w, ex, x in _pairs(e)))
+
+
+def _qbr(x, y):
+    """[x, y]_q = xy - q yx."""
+    return _add(_mul(x, y), _scale(_mul(y, x), -Q))
+
+
 def _ref_step(i, e):
     """Reference T_i: the seed formulas expanded word by word, no bound."""
     nn = e.nn
@@ -185,11 +228,10 @@ def _ref_step(i, e):
         if typ.cartan(i, j) == 0:
             return BExpr.gen(nn, j)
         if typ.cartan(i, j) == -1:
-            bj, bi = BExpr.gen(nn, j), BExpr.gen(nn, i)
-            return bj @ bi - (bi @ bj).scale(Q)
+            return _qbr(BExpr.gen(nn, j), BExpr.gen(nn, i))
         raise DomainError(f"T_{i}(B_{j}) sits on a double bond")
 
-    out = BExpr(nn)
+    out = BExpr(nn, {})
     for word, kmap in e.terms.items():
         # s_i on a dressing monomial: e_i -> e_i - sum_j a_ij e_j
         acc = BExpr(nn, {(): {
@@ -197,8 +239,8 @@ def _ref_step(i, e):
                   for m, x in enumerate(ex)): c
             for ex, c in kmap.items()}})
         for j in word:
-            acc = acc @ image(j)
-        out = out + acc
+            acc = _mul(acc, image(j))
+        out = _add(out, acc)
     return out
 
 
@@ -211,6 +253,21 @@ def _ref_apply(w, e):
         tuple((j + p) % n1 for j in word):
             {tuple(ex[(m - p) % n1] for m in range(n1)): c for ex, c in kmap.items()}
         for word, kmap in e.terms.items()})
+
+
+def _ref_bracket(i, N):
+    """C_i [P_{i-1}(B_{i-1}, .., B_1), P_{N-i+1}(B_{i+1}, .., B_N, B_0)]_q
+    expanded word by word, P_1(y) = y and P_{k+1} = [P_k, y_{k+1}]_q, with
+    C_i = C^-1 KK_i the product of the KK_m^-1, m != i."""
+    def nested(nodes):
+        acc = None
+        for j in nodes:
+            acc = BExpr.gen(N, j) if acc is None else _qbr(acc, BExpr.gen(N, j))
+        return acc
+
+    right = nested([*range(i + 1, N + 1), 0])
+    br = right if i == 1 else _qbr(nested(range(i - 1, 0, -1)), right)
+    return _scale(br, Scalar(1), tuple(0 if m == i else -1 for m in range(N + 1)))
 
 
 def _images(word, module, params):
@@ -264,9 +321,9 @@ def test_every_node_of_rank8_certifies():
 def test_rotation_moves_words_and_exponents():
     mod, p = W(2, "q"), P(("1", "q", "q^2"))
     rot = WeylWord(mod.typ, 1, ())
-    e = BExpr.gen(2, 2).kmul((1, 0, -1))
+    e = BExpr(2, {(2,): {(1, 0, -1): Scalar(1)}})
     want = BExpr(2, {(0,): {(-1, 1, 0): Scalar(1)}})
-    assert _ref_apply(rot, e) == want
+    assert _ref_apply(rot, e).terms == want.terms
     assert evaluate_bexpr(apply_word(rot, e), mod, p) == evaluate_bexpr(want, mod, p)
     X, kap = _images(rot, mod, p)
     B = eta_bmats(mod, p)
@@ -319,44 +376,30 @@ def test_images_match_the_reference_expansion(field):
                     assert ok, (N, i, w, wit)
 
 
-def _eval_unpruned(e, module, params):
-    """Reference evaluation: the sum over all words of coefficient times
-    the full product of the word's letters."""
-    f = module.field
-    bmats = eta_bmats(module, params)
-    out = Matrix.zeros(module.dim, module.dim, f)
-    for word, kmap in e.terms.items():
-        coef = f.zero
-        for exps, c in kmap.items():
-            v = f.from_scalar(c)
-            for j, ej in enumerate(exps):
-                v = v * f.from_scalar(params.kk(j)) ** ej
-            coef = coef + v
-        M = Matrix.identity(module.dim, f)
-        for letter in word:
-            M = M @ bmats[letter]
-        out = out + M.scale(coef)
-    return out
-
-
-@pytest.mark.parametrize("a, field", [("1", None), ("q", NumericField(1.3))])
-def test_word_evaluation_prunes_vanishing_prefixes(monkeypatch, a, field):
-    # on W_4 nearly every word of the expanded T_omega_2(B_2) has a vanishing
-    # prefix: pruned, its 288 words take at most 107 products (1,033 unpruned)
-    module = build_vector_evaluation(4, parse_scalar(a), field=field)
-    params = P([1] * 5)
-    e = _ref_apply(omega_word(2, 4), BExpr.gen(4, 2))
-    assert len(e.terms) == 288
-    want = _eval_unpruned(e, module, params)
-    calls = _count_products(monkeypatch)
-    got = evaluate_bexpr(e, module, params)
-    assert calls[0] <= 107
+@pytest.mark.parametrize("field", [None, NumericField(1.3)])
+def test_seed_expression_is_the_sum_of_its_words(field):
+    # 2 q KK_0 - q^-1 KK_2^-1 B_1 B_2 B_0 + KK_1 KK_2 B_2 - KK_2 B_2 on
+    # W_2(q): the empty word is the identity, a word's coefficients add,
+    # and a cancelling expression evaluates to zero
+    mod, p = build_vector_evaluation(2, Q, field=field), P(("q", "q^2", "q^-1"))
+    f = mod.field
+    B, kk = eta_bmats(mod, p), [f.from_scalar(p.kk(j)) for j in range(3)]
+    one = Scalar(1)
+    e = BExpr(2, {(): {(1, 0, 0): 2 * Q},
+                  (1, 2, 0): {(0, 0, -1): -one / Q},
+                  (2,): {(0, 1, 1): one, (0, 0, 1): -one}})
+    want = (Matrix.identity(3, f).scale(f.from_scalar(2 * Q) * kk[0])
+            - (B[1] @ B[2] @ B[0]).scale(f.from_scalar(one / Q) / kk[2])
+            + B[2].scale(kk[1] * kk[2] - kk[2]))
+    got = evaluate_bexpr(e, mod, p)
     if field is None:
         assert got == want
     else:
-        ok, w = relation([(1, None, got)], [(1, None, want)], module.field)
-        assert ok, w
-    assert not got.is_zero()
+        ok, wit = relation([(1, None, got)], [(1, None, want)], f)
+        assert ok, wit
+    assert evaluate_bexpr(_add(e, _scale(e, -one)), mod, p).is_zero()
+    with pytest.raises(DomainError, match="different ranks"):
+        evaluate_bexpr(BExpr.gen(3, 1), mod, p)
 
 
 def test_ef_chain_identity_as_matrices():
@@ -557,9 +600,9 @@ def test_seed_dual_paths_agree_across_ranks():
 
 @pytest.mark.parametrize("field", [F, NumericField(1.3)], ids=["exact", "q0=1.3"])
 def test_matrix_seeds_are_the_symbolic_bracket(field):
-    # the seeder evaluates node_bracket on matrices; the seed expression of
-    # build_Ai_minus1, evaluated word by word, is its reference, up to the
-    # calibration sign o(i) = (-1)^(i-1)
+    # the seeder and build_Ai_minus1 evaluate node_bracket on matrices;
+    # the bracket expanded word by word here and evaluated as a sum of
+    # words is their reference, up to the calibration sign o(i) = (-1)^(i-1)
     cs = ("q^2", "q^-1", "q", "1", "q^3")
     cases = [(build_vector_evaluation(N, parse_scalar(a), field=field), P(cs[:N + 1]))
              for N, a in ((1, "q^2"), (2, "q"), (3, "q^-1"), (4, "q^3"))]
@@ -571,18 +614,21 @@ def test_matrix_seeds_are_the_symbolic_bracket(field):
         N = mod.typ.N
         fam = generate_rankn_family(mod, p, T=1, R=1)
         for i in range(1, N + 1):
-            want = evaluate_bexpr(build_Ai_minus1(i, N), mod, p)
-            want = want if i % 2 else want.scale(-field.one)
+            want = evaluate_bexpr(_ref_bracket(i, N), mod, p)
+            seed = evaluate_bexpr(build_Ai_minus1(i, N), mod, p)
+            o = field.one if i % 2 else -field.one
             if field.exact:
-                assert fam.A[i][-1] == want, (mod.describe(), i)
+                assert seed == want, (mod.describe(), i)
+                assert fam.A[i][-1] == want.scale(o), (mod.describe(), i)
             else:
-                ok, w = relation([(1, None, fam.A[i][-1])], [(1, None, want)], field)
-                assert ok, (mod.describe(), i, w)
+                for got, c in ((seed, None), (fam.A[i][-1], o)):
+                    ok, w = relation([(1, None, got)], [(1, c, want)], field)
+                    assert ok, (mod.describe(), i, w)
     # the rank-one seeder on a loop-built module takes the same seed
     V = build_evaluation(EvalParams(2, Q), window=1, T=1, field=field)
     p = P(cs[:2], ("1", "q"))
     ok, w = relation([(1, None, generate_family(p, V, T=1, R=1).A[1][-1])],
-                     [(1, None, evaluate_bexpr(build_Ai_minus1(1, 1), V, p))], field)
+                     [(1, None, evaluate_bexpr(_ref_bracket(1, 1), V, p))], field)
     assert ok, w
 
 

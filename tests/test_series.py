@@ -225,6 +225,18 @@ def test_rational_normalization_and_eq():
     assert c == d  # gcd cancellation
 
 
+def test_gcd_refuses_a_numeric_field():
+    # the gcd is taken over Q(q) only: a numeric field is refused by name,
+    # and a numeric RationalFunction is built without one
+    nf = NumericField(1.3)
+    a, b = FPoly([nf.one, nf.one], nf), FPoly([-nf.one, nf.zero, nf.one], nf)
+    with pytest.raises(DomainError, match=r"exact only, not over NumericField\(q0=\(1\.3"):
+        a.gcd(b)
+    assert RationalFunction(a, b).den.degree == 2
+    one = F.one
+    assert FPoly([one, one], F).gcd(FPoly([-one, F.zero, one], F)).coeffs == [one, one]
+
+
 def _built(make, *parts):
     """``make(*parts)``, or the type of the error it raises."""
     try:
