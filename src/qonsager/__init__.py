@@ -12,10 +12,11 @@ Subpackage map:
               Pade reconstruction
 * loopsl2   — the one module type over the affine A_N diagram, whose
               constructor certifies the Chevalley action it is given by
-              the presentation suite, and its tensor product; rank one
-              (N = 1) adds the loop-sl2 generators, which
-              extend_loop_data alone derives from the Chevalley action,
-              and their relation certificates
+              the presentation suite and which is read-only once built,
+              and its tensor product; at rank one (N = 1) loop_data alone
+              derives the loop-sl2 generators from the Chevalley action,
+              as a certified read-only LoopData, and their relation
+              certificates read that value
 * onsager   — the one parameter type and family type, the one generator
               of every rank (generate_family: seeds certified by their
               i-Serre relations, verify_iserre, then the tower core), and

@@ -28,7 +28,7 @@ judges a numeric equality at the scale of its two sides, which a bracket
 tested against the zero matrix would lose, and an exact one by the zero
 test of their difference.
 
-At rank one a module may also carry the loop generators: the mode
+At rank one a module also carries the loop generators: the mode
 operators x^+_k and x^-_k for |k| up to a window, the commuting h_k, and
 the coefficients psi_k / phi_{-k} of the two diagonal generating series
 
@@ -41,10 +41,12 @@ dictionary
     E_1 = x^+_0,  F_1 = x^-_0,  K_1 = K,
     E_0 = -K^-1 x^-_1,  F_0 = -x^+_{-1} K,  K_0 = K^-1.
 
-extend_loop_data is the one source of loop data: it inverts the dictionary
-on the Chevalley action, climbs the mode ladders with ad h_{+-1}, reads the
+loop_data is the one source of loop data: it inverts the dictionary on the
+Chevalley action, climbs the mode ladders with ad h_{+-1}, reads the
 diagonal series off the mixed brackets and h_k off their logarithms.  It
-serves evaluation modules and tensor products alike.
+serves evaluation modules and tensor products alike, and returns the data
+as a LoopData, a read-only value certified by verify_drinfeld_relations
+before it is handed back; the module itself is never written to.
 
 build_evaluation constructs the (n+1)-dimensional evaluation module V_n(a)
 in Chevalley form: on the weight basis v_0..v_n (top weight first,
@@ -54,9 +56,10 @@ deg v_j = -j) the dictionary is read against the mode operators
     x^+_k v_j = mu_{j-1}^k [n-j+1] v_{j-1},      K v_j = q^{n-2j} v_j,
 
 at k = 0 and k = +-1 only.  The action is certified against the affine
-presentation as the module is built, and the loop data that
-extend_loop_data derives from it against the full loop relation suite,
-before the module is handed back (ConstructionError otherwise).
+presentation as the module is built, and the loop data that loop_data
+derives from it against the full loop relation suite, to the requested
+window and order, before the module is handed back (ConstructionError
+otherwise).
 
 Everything works over either coefficient backend: the Chevalley action is
 built exactly and mapped entrywise into the module's field, where its loop
@@ -68,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
+from types import MappingProxyType
 
 from .errors import ConstructionError, DomainError
 from .linmat import (Grading, Matrix, ProductMemo, commutator, degree_components, relation,
@@ -80,11 +84,12 @@ __all__ = [
     "EvalParams",
     "AffineTypeA",
     "AffineModule",
+    "LoopData",
     "build_evaluation",
     "verify_affine_presentation",
     "verify_drinfeld_relations",
     "tensor",
-    "extend_loop_data",
+    "loop_data",
     "phi_series",
     "verify_aux_identities",
 ]
@@ -195,40 +200,36 @@ class AffineModule:
     (exact sparse entries mapped into a field: build_evaluation and
     ``ranka.build_vector_evaluation``) and nothing else.
 
-    Rank-one modules may carry the loop generators as well (empty until
-    extend_loop_data derives them): the modes ``xp[k]``/``xm[k]`` for
-    |k| <= ``window``, ``h[k]``, and ``psi[k]``/``phi[k]`` for k <= ``T``,
-    the coefficients of z^k in Psi(z) and of z^-k in Phi(z); K and K^-1
-    are ``Kc[1]`` and ``Kcinv[1]``.
+    A module is read-only once built: ``E``, ``F``, ``Kc``, ``Kcinv`` and
+    ``meta`` are kept as read-only mappings, and every attribute is written
+    once, so what was certified stays what it holds.  Its loop generators
+    are not stored on it: loop_data derives them as a separate value.
     """
 
-    __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv", "grading",
-                 "window", "T", "xp", "xm", "h", "psi", "phi", "meta", "factors")
+    __slots__ = ("typ", "field", "dim", "E", "F", "Kc", "Kcinv", "grading", "meta",
+                 "factors")
 
     def __init__(self, typ: AffineTypeA, E, F, Kc, Kcinv, grading: Grading, meta,
                  factors=None):
         self.typ = typ
         self.field = Kc[0].field
         self.dim = Kc[0].n
-        self.E = E
-        self.F = F
-        self.Kc = Kc
-        self.Kcinv = Kcinv
+        self.E = MappingProxyType(dict(E))
+        self.F = MappingProxyType(dict(F))
+        self.Kc = MappingProxyType(dict(Kc))
+        self.Kcinv = MappingProxyType(dict(Kcinv))
         self.grading = grading
-        self.meta = meta
+        self.meta = MappingProxyType(dict(meta))
         self.factors = factors
-        self.window = None
-        self.T = None
-        self.xp = {}
-        self.xm = {}
-        self.h = {}
-        self.psi = {}
-        self.phi = {}
         _refuse_failure(self, verify_affine_presentation(self))
 
-    @property
-    def has_loop_data(self) -> bool:
-        return bool(self.xp)
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"a certified module is read-only: cannot rebind {name}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a certified module is read-only: cannot delete {name}")
 
     def describe(self) -> str:
         return self.meta.get("name", f"affine A{self.typ.N} module, dim {self.dim}")
@@ -342,18 +343,20 @@ def _assemble_evaluation(n, a, field) -> AffineModule:
 
 def build_evaluation(p: EvalParams, window: int = 3, T: int = 6,
                      field=None) -> AffineModule:
-    """The certified evaluation module V_n(a) with its loop data.
+    """The certified evaluation module V_n(a).
 
     The Chevalley action is assembled exactly, mapped into ``field`` and
-    certified by the presentation suite as the module is built, and
-    extend_loop_data then derives the loop generators and certifies them
-    by verify_drinfeld_relations.  Raises ConstructionError when any
-    defining relation fails, which indicates a bug rather than bad input.
+    certified by the presentation suite as the module is built, and the
+    loop data that loop_data derives from it to ``window`` and ``T`` is
+    certified by verify_drinfeld_relations before the module is returned.
+    Raises ConstructionError when any defining relation fails, which
+    indicates a bug rather than bad input.
     """
     if not isinstance(p, EvalParams):
         raise DomainError("build_evaluation expects EvalParams")
     V = _assemble_evaluation(p.n, p.a, _EXACT if field is None else field)
-    return extend_loop_data(V, window, T)
+    loop_data(V, window, T)
+    return V
 
 
 # -- certification ----------------------------------------------------------------
@@ -430,8 +433,8 @@ def verify_affine_presentation(M: AffineModule) -> CheckReport:
     return rep
 
 
-def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
-    """Check the defining loop relations at the stored window W and order T.
+def verify_drinfeld_relations(L: LoopData) -> CheckReport:
+    """Check the defining loop relations at the window W and order T of L.
 
     Covers: invertibility of K; commutativity of the stored h_k,
     1 <= |k| <= min(T, W), among themselves and with K; K-conjugation of
@@ -445,12 +448,11 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
 
     So psi_m and phi_m meet an entry only up to m = min(T, 2W), and the
     exponentials only up to min(T, W): above 2W the coefficients that
-    extend_loop_data derives from [x^+_{+-m}, x^-_0] are not certified.
+    loop_data derives from [x^+_{+-m}, x^-_0] are not certified.
     """
-    if not V.has_loop_data:
-        raise DomainError("module carries no loop-generator data")
+    V = L.module
     f = V.field
-    W, T = V.window, V.T
+    W, T = L.window, L.T
     q = f.q
     qden = q - f.one / q
     qden_inv = f.one / qden
@@ -467,30 +469,30 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
     def commute(X, Y):
         return relation([(1, None, X, Y)], [(1, None, Y, X)], f)
 
-    hkeys = sorted(V.h)
+    hkeys = sorted(L.h)
     for i, k in enumerate(hkeys):
-        rep.add("K_h_commute", (k,), *commute(K, V.h[k]))
+        rep.add("K_h_commute", (k,), *commute(K, L.h[k]))
         for l in hkeys[i + 1:]:
-            rep.add("h_commute", (k, l), *commute(V.h[k], V.h[l]))
+            rep.add("h_commute", (k, l), *commute(L.h[k], L.h[l]))
 
-    xkeys = sorted(V.xp)
+    xkeys = sorted(L.xp)
     for k in xkeys:
-        for sign, x, v in (("+", V.xp[k], q2), ("-", V.xm[k], q2i)):
+        for sign, x, v in (("+", L.xp[k], q2), ("-", L.xm[k], q2i)):
             rep.add("K_conj_x", (sign, k), *relation([(1, None, K, x)], [(1, v, x, K)], f))
 
     for k in hkeys:
         c = f.qint(2 * k) * f.from_fraction(1, k)
         for l in xkeys:
-            if k + l not in V.xp:
+            if k + l not in L.xp:
                 continue
-            for sign, xd, s in (("+", V.xp, 1), ("-", V.xm, -1)):
+            for sign, xd, s in (("+", L.xp, 1), ("-", L.xm, -1)):
                 rep.add("h_x_ladder", (k, sign, l),
-                        *relation([(1, None, V.h[k], xd[l]), (-1, None, xd[l], V.h[k])],
+                        *relation([(1, None, L.h[k], xd[l]), (-1, None, xd[l], L.h[k])],
                                   [(s, c, xd[k + l])], f))
 
     # a mode product x_a x_b is taken at up to four (k, l): (a - 1, b),
     # (b - 1, a), (a, b - 1) and (b, a - 1); one memo per sign makes it once
-    for sign, xd, v in (("+", V.xp, q2), ("-", V.xm, q2i)):
+    for sign, xd, v in (("+", L.xp, q2), ("-", L.xm, q2i)):
         mul = ProductMemo().mul
         for k in range(-W, W):
             for l in range(-W, W):
@@ -509,32 +511,32 @@ def verify_drinfeld_relations(V: AffineModule) -> CheckReport:
             # and m > 0
             rhs = []
             if m >= 0:
-                rhs.append((1, qden_inv, V.psi[m]))
+                rhs.append((1, qden_inv, L.psi[m]))
             if m <= 0:
-                rhs.append((-1, qden_inv, V.phi[-m]))
+                rhs.append((-1, qden_inv, L.phi[-m]))
             rep.add("x_pair_commutator", (k, l),
-                    *relation([(1, None, V.xp[k], V.xm[l]), (-1, None, V.xm[l], V.xp[k])],
+                    *relation([(1, None, L.xp[k], L.xm[l]), (-1, None, L.xm[l], L.xp[k])],
                               rhs, f))
 
     # stored psi/phi against the exponentials of the stored h
     hi = min(T, W)
-    e = series_exp([zeroM] + [V.h[k].scale(qden) for k in range(1, hi + 1)], eye, f)
+    e = series_exp([zeroM] + [L.h[k].scale(qden) for k in range(1, hi + 1)], eye, f)
     for m in range(0, hi + 1):
-        rep.add("psi_series_def", (m,), *relation([(1, None, V.psi[m])], [(1, None, K, e[m])], f))
-    e = series_exp([zeroM] + [-V.h[-k].scale(qden) for k in range(1, hi + 1)], eye, f)
+        rep.add("psi_series_def", (m,), *relation([(1, None, L.psi[m])], [(1, None, K, e[m])], f))
+    e = series_exp([zeroM] + [-L.h[-k].scale(qden) for k in range(1, hi + 1)], eye, f)
     for m in range(0, hi + 1):
         rep.add("phi_series_def", (m,),
-                *relation([(1, None, V.phi[m])], [(1, None, Kinv, e[m])], f))
+                *relation([(1, None, L.phi[m])], [(1, None, Kinv, e[m])], f))
 
     # degree purity: x^pm shift the total degree by pm1, h_k preserve it
     gtot = V.grading.total()
     for k in xkeys:
         rep.add("x_degree_shift", ("+", k),
-                set(degree_components(V.xp[k], gtot)) <= {(1,)})
+                set(degree_components(L.xp[k], gtot)) <= {(1,)})
         rep.add("x_degree_shift", ("-", k),
-                set(degree_components(V.xm[k], gtot)) <= {(-1,)})
+                set(degree_components(L.xm[k], gtot)) <= {(-1,)})
     for k in hkeys:
-        rep.add("h_degree_shift", (k,), set(degree_components(V.h[k], gtot)) <= {(0,)})
+        rep.add("h_degree_shift", (k,), set(degree_components(L.h[k], gtot)) <= {(0,)})
     return rep
 
 
@@ -543,9 +545,31 @@ def tensor(V: AffineModule, W: AffineModule) -> AffineModule:
     return V.tensor(W)
 
 
-def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6) -> AffineModule:
+@dataclass(frozen=True, eq=False)
+class LoopData:
+    """The loop generators of a rank-one module, a read-only value.
+
+    ``xp[k]``/``xm[k]`` are the modes for |k| <= ``window``, ``h[k]`` the
+    h_k for 1 <= |k| <= min(``window``, ``T``), and ``psi[k]``/``phi[k]``
+    for k <= ``T`` the coefficients of z^k in Psi(z) and of z^-k in
+    Phi(z); K and K^-1 are ``module.Kc[1]`` and ``module.Kcinv[1]``.
+    Every store is a read-only mapping, and loop_data is the one maker:
+    it certifies the value by verify_drinfeld_relations first.
+    """
+
+    module: AffineModule
+    window: int
+    T: int
+    xp: MappingProxyType
+    xm: MappingProxyType
+    h: MappingProxyType
+    psi: MappingProxyType
+    phi: MappingProxyType
+
+
+def loop_data(M: AffineModule, window: int = 3, T: int = 6) -> LoopData:
     """Derive the loop generators of a rank-one module from its Chevalley
-    action, in place; the one source of loop data.
+    action; the one source of loop data.
 
     Inverts the standard dictionary (x^-_1 = -K E_0, x^+_{-1} = -F_0 K^-1,
     x^pm_0 = E_1 / F_1), climbs the mode ladders with ad h_{+-1} (x^+ to
@@ -554,20 +578,13 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6) -> AffineModu
     takes h_{+-k}, k >= 2, from the series logarithms of K^-1 Psi(z) and
     K Phi(z).  Everything is computed in the module's own field; on a
     tensor module this realizes the coproduct of every loop generator
-    without ever expanding coproduct formulas.  verify_drinfeld_relations
-    certifies the result, and a failure raises ConstructionError.
-
-    A module whose stored window and order already cover the request is
-    returned unchanged; a shallower one is derived again at the larger of
-    the stored and requested window and order (the loop data is a function
-    of the Chevalley action, so the overlap is the same).
+    without ever expanding coproduct formulas.  Every coefficient is a
+    function of the Chevalley action alone, so two windows and orders
+    agree where they overlap.  verify_drinfeld_relations certifies the
+    result, and a failure raises ConstructionError; M is not written to.
     """
     if M.typ.N != 1:
         raise DomainError("loop data extends the Chevalley data of a rank-one module")
-    if M.has_loop_data:
-        if window <= M.window and T <= M.T:
-            return M
-        window, T = max(window, M.window), max(T, M.T)
     if window < 1 or T < 1:
         raise DomainError("loop window and series order must be at least 1")
     f = M.field
@@ -607,38 +624,33 @@ def extend_loop_data(M: AffineModule, window: int = 3, T: int = 6) -> AffineModu
         h[k] = l_psi[k].scale(kap_inv)
         h[-k] = -l_phi[k].scale(kap_inv)
 
-    M.window = window
-    M.T = T
-    M.xp = {k: xp[k] for k in range(-window, window + 1)}
-    M.xm = {k: xm[k] for k in range(-window, window + 1)}
-    M.h = dict(sorted(h.items()))
-    M.psi = psi
-    M.phi = phi
-    _refuse_failure(M, verify_drinfeld_relations(M))
-    return M
+    L = LoopData(M, window, T,
+                 MappingProxyType({k: xp[k] for k in range(-window, window + 1)}),
+                 MappingProxyType({k: xm[k] for k in range(-window, window + 1)}),
+                 MappingProxyType(dict(sorted(h.items()))),
+                 MappingProxyType(psi), MappingProxyType(phi))
+    _refuse_failure(M, verify_drinfeld_relations(L))
+    return L
 
 
 # -- series access ------------------------------------------------------------------
 
 
-def phi_series(V: AffineModule, T=None):
+def phi_series(L: LoopData, T=None):
     """(Phi, Psi): the diagonal series as coefficient lists of matrices,
     k = 0..T: Phi[k] is phi_{-k} (the z^-k coefficient of Phi(z), i.e. the
     z^k coefficient of Phi(z^-1)), and Psi[k] is psi_k.
 
-    Raises DomainError when the stored coefficients are not diagonal (the
-    basis is then not an l-weight basis) or T is negative or exceeds the
-    stored order.
+    Raises DomainError when the coefficients are not diagonal (the basis is
+    then not an l-weight basis) or T is negative or exceeds the order of L.
     """
-    if not V.has_loop_data:
-        raise DomainError("module carries no loop-generator data")
-    T = V.T if T is None else T
-    if T > V.T:
-        raise DomainError(f"series order {T} exceeds stored order {V.T}")
+    T = L.T if T is None else T
+    if T > L.T:
+        raise DomainError(f"series order {T} exceeds stored order {L.T}")
     if T < 0:
         raise DomainError(f"series order needs T >= 0, got T={T}")
-    f = V.field
-    for name, store in (("phi", V.phi), ("psi", V.psi)):
+    f = L.module.field
+    for name, store in (("phi", L.phi), ("psi", L.psi)):
         for k in range(0, T + 1):
             M = store[k]
             diag = Matrix.diagonal([M.rows[i][i] for i in range(M.n)], f)
@@ -648,14 +660,14 @@ def phi_series(V: AffineModule, T=None):
                     f"{name}_{k} is not diagonal: {w}; "
                     "the basis is not an l-weight basis"
                 )
-    return ([V.phi[k] for k in range(T + 1)],
-            [V.psi[k] for k in range(T + 1)])
+    return ([L.phi[k] for k in range(T + 1)],
+            [L.psi[k] for k in range(T + 1)])
 
 
 # -- consequence identities -----------------------------------------------------------
 
 
-def verify_aux_identities(V: AffineModule) -> CheckReport:
+def verify_aux_identities(L: LoopData) -> CheckReport:
     """Three consequences of the defining relations that later layers lean on.
 
     * phi_x_homogeneous: phi_{-r} x^+_s + x^+_{s-1} phi_{-(r-1)}
@@ -665,38 +677,36 @@ def verify_aux_identities(V: AffineModule) -> CheckReport:
     * phi_xminus_qcomm: [x^-_1, phi_{-(m+1)}]_{q^-2}
         = q^-2 [x^-_0, phi_{-m}]_{q^2}    (m >= -1, empty right side at -1).
     """
-    if not V.has_loop_data:
-        raise DomainError("module carries no loop-generator data")
-    f = V.field
-    W, T = V.window, V.T
+    f = L.module.field
+    W, T = L.window, L.T
     q = f.q
     q2 = q * q
     q2i = f.one / q2
     q4m1 = q2 * q2 - f.one
-    rep = CheckReport(f"auxiliary identities on {V.describe()}")
+    rep = CheckReport(f"auxiliary identities on {L.module.describe()}")
 
     for r in range(1, T + 1):
         for s in range(-W + 1, W + 1):
             rep.add("phi_x_homogeneous", (r, s),
-                    *relation([(1, None, V.phi[r], V.xp[s]), (1, None, V.xp[s - 1], V.phi[r - 1])],
-                              [(1, q2i, V.xp[s], V.phi[r]), (1, q2i, V.phi[r - 1], V.xp[s - 1])],
+                    *relation([(1, None, L.phi[r], L.xp[s]), (1, None, L.xp[s - 1], L.phi[r - 1])],
+                              [(1, q2i, L.xp[s], L.phi[r]), (1, q2i, L.phi[r - 1], L.xp[s - 1])],
                               f))
 
     for r in range(0, T + 1):
         for k in range(max(-W, r - W), W + 1):
-            rhs = [(1, q2, V.phi[r], V.xp[k])]
-            rhs += [(1, q4m1 * q ** (2 * (s - 1)), V.phi[r - s], V.xp[k - s])
+            rhs = [(1, q2, L.phi[r], L.xp[k])]
+            rhs += [(1, q4m1 * q ** (2 * (s - 1)), L.phi[r - s], L.xp[k - s])
                     for s in range(1, r + 1)]
-            rep.add("phi_x_expansion", (r, k), *relation([(1, None, V.xp[k], V.phi[r])], rhs, f))
+            rep.add("phi_x_expansion", (r, k), *relation([(1, None, L.xp[k], L.phi[r])], rhs, f))
 
     for m in range(-1, T):
         # the two sides of x^-_1 phi_{-(m+1)} + phi_{-m} x^-_0
         # = q^-2 (phi_{-(m+1)} x^-_1 + x^-_0 phi_{-m}); at m = -1 the
         # phi_{-m} terms drop, as phi has no positive modes
-        lhs = [(1, None, V.xm[1], V.phi[m + 1])]
-        rhs = [(1, q2i, V.phi[m + 1], V.xm[1])]
+        lhs = [(1, None, L.xm[1], L.phi[m + 1])]
+        rhs = [(1, q2i, L.phi[m + 1], L.xm[1])]
         if m >= 0:
-            lhs.append((1, None, V.phi[m], V.xm[0]))
-            rhs.append((1, q2i, V.xm[0], V.phi[m]))
+            lhs.append((1, None, L.phi[m], L.xm[0]))
+            rhs.append((1, q2i, L.xm[0], L.phi[m]))
         rep.add("phi_xminus_qcomm", (m,), *relation(lhs, rhs, f))
     return rep

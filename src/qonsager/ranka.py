@@ -102,7 +102,7 @@ from typing import NamedTuple
 from .errors import ConstructionError, DomainError
 from .linmat import (Grading, Matrix, ProductMemo, combine, degree_components, qbracket,
                      relation)
-from .loopsl2 import AffineModule, AffineTypeA, EvalParams, build_evaluation
+from .loopsl2 import AffineModule, AffineTypeA, _assemble_evaluation, loop_data
 from .onsager import (RankNFamily, RankNParams, _as_scalar, _check_windows,
                       _theta_exchange, _tower_seeds, eta_bmats, generate_family,
                       node_bracket, onedim_closed_form, pk_bracket)
@@ -652,15 +652,16 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
 
     so the seeds of one build are read through the loop generators of the
     other; one core grows every family from its seeds, so no second family
-    is grown.  At s = 0, anchor_factorization runs on ``fam`` and, like
-    every ``factorization_check``, extends W_1(a)'s loop data in place."""
+    is grown.  At s = 0, anchor_factorization runs factorization_check on
+    ``fam``."""
     module = fam.module
     if module.meta.get("builder") != "build_vector_evaluation":
         return
     a = module.meta["a"]
     p = fam.params
     f = fam.field
-    V = build_evaluation(EvalParams(1, -(a / (Q * Q))), window=1, T=1, field=f)
+    V = _assemble_evaluation(1, -(a / (Q * Q)), f)
+    L = loop_data(V, window=1, T=1)
     ok = True
     wit = None
     for j in (0, 1):
@@ -681,8 +682,8 @@ def _rank_one_anchor(fam: RankNFamily, rep: CheckReport, T: int):
     q2 = f.q * f.q
     u = f.one / (q2 * c0)
     K, Kinv = V.Kc[1], V.Kcinv[1]
-    seeds = ((-1, [(-1, u / q2, K, V.xp[-1]), (1, None, V.xm[1]), (1, u * s0, K)]),
-             (0, [(1, None, V.xm[0]), (-1, c1 * q2, Kinv, V.xp[0]), (1, s1, Kinv)]))
+    seeds = ((-1, [(-1, u / q2, K, L.xp[-1]), (1, None, L.xm[1]), (1, u * s0, K)]),
+             (0, [(1, None, L.xm[0]), (-1, c1 * q2, Kinv, L.xp[0]), (1, s1, Kinv)]))
     wit = None
     for r, theirs in seeds:
         ok, w = relation([(1, None, fam.A[1][r])], theirs, f)

@@ -24,7 +24,8 @@ components of matrices.  On top of that this module provides
     half of the ladder.
 
 All checks are exact over the rational-function backend and tolerance
-based over the numeric one; none of them mutates a family.
+based over the numeric one; none writes to its input.  A check that
+reads loop generators derives them once with ``loopsl2.loop_data``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import prod
 
 from .errors import DomainError
 from .linmat import Grading, Matrix, combine, degree_components, relation
-from .loopsl2 import AffineModule, extend_loop_data, phi_series, tensor
+from .loopsl2 import AffineModule, LoopData, loop_data, phi_series, tensor
 from .onsager import (
     RankNFamily,
     RankNParams,
@@ -146,16 +147,17 @@ class LWeightLine:
     field: object
 
 
-def lweight_lines(V: AffineModule, T: int | None = None):
+def lweight_lines(L: LoopData, T: int | None = None):
     """One LWeightLine per basis vector of a module with diagonal half towers.
 
     Line j reads the j-th diagonal entries of the coefficient lists that
     phi_series returns: dplus from Psi, dminus from Phi.  phi_series raises
-    DomainError when the stored psi/phi matrices are not diagonal (tensor
+    DomainError when the psi/phi matrices of L are not diagonal (tensor
     towers generally are not; their line data lives on the graded pieces
-    instead) or T is negative or exceeds the stored order.
+    instead) or T is negative or exceeds the order of L.
     """
-    Phi, Psi = phi_series(V, T)
+    Phi, Psi = phi_series(L, T)
+    V = L.module
     lines = []
     for j in range(V.dim):
         lines.append(LWeightLine(
@@ -409,7 +411,7 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
         raise DomainError(f"order {T} exceeds the family window (T={fam.T})")
     if T < 0:
         raise DomainError(f"factorization check needs order T >= 0, got T={T}")
-    extend_loop_data(V, window=1, T=T)
+    L = loop_data(V, window=1, T=max(T, 1))
     C = f.from_scalar(p.C)
     gtot = V.grading.total()
     rep = CheckReport(f"factorization on {V.describe()} ({p.describe()})")
@@ -420,8 +422,8 @@ def factorization_check(fam: RankNFamily, T: int | None = None):
                 None if not bad else f"lowering shifts {bad}")
         rep.add("diagonal", (s,),
                 *relation([(1, None, d0)],
-                          [(1, None, V.phi[s], V.psi[0])]
-                          + [(1, C ** v, V.phi[s - v], V.psi[v]) for v in range(1, s + 1)], f))
+                          [(1, None, L.phi[s], L.psi[0])]
+                          + [(1, C ** v, L.phi[s - v], L.psi[v]) for v in range(1, s + 1)], f))
         shift0.append(d0)
     data = {
         "shift0": shift0,
@@ -551,12 +553,11 @@ def drf_reports(fam: RankNFamily):
     own grave tower on that line.
     """
     p = _rank_one(fam.params)
-    V = fam.module
     f = fam.field
     T = fam.T
     C = f.from_scalar(p.C)
     out = []
-    for ln in lweight_lines(V, T):
+    for ln in lweight_lines(loop_data(fam.module, window=1, T=max(T, 1)), T):
         dd = drinfeld_data(ln)
         if not dd.ok:
             out.append(DRFReport(ln.label, None, None, None, None, None, None,
@@ -629,8 +630,9 @@ def grouplike_check(p: RankNParams, V: AffineModule, T: int = 6) -> CheckReport:
 # -- the three-term coproduct form of the raising ladder ----------------------------
 
 
-def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
-    """Coefficients (orders 1..T) of the kappa-corrected resolvent series on W.
+def _kappa_gamma(L: LoopData, p: RankNParams, T: int):
+    """Coefficients (orders 1..T) of the kappa-corrected resolvent series on
+    the module of L.
 
     Gamma(z) = (1 - q^2 ad_a z)^-1 (1 - C ad_b z)^-1 (q^2 - 1) Phi(z^-1) x+_{-1} z
     with ad_a = ad hbar_{-1} and ad_b = ad hbar_1, both resolvents applied
@@ -639,7 +641,7 @@ def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
     The derivations commute with left multiplication by the lowering half,
     so the order of the resolvents and the Phi factor is immaterial.
     """
-    f = W.field
+    f = L.module.field
     q = f.q
     q2 = q * q
     kap = q - f.one / q
@@ -647,8 +649,8 @@ def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
     s1 = f.from_scalar(p.s[1])
     t = (f.one / q2) * f.from_scalar(p.s[0]) / f.from_scalar(p.c[0])
     tw = f.one / f.qint(2)
-    hb1 = W.h[1].scale(tw)
-    hbm1 = W.h[-1].scale(tw)
+    hb1 = L.h[1].scale(tw)
+    hbm1 = L.h[-1].scale(tw)
 
     def ada(M):
         return hbm1 @ M - M @ hbm1
@@ -656,7 +658,7 @@ def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
     def adb(M):
         return hb1 @ M - M @ hb1
 
-    g1 = {1: W.xp[-1].scale(q2 - f.one)}
+    g1 = {1: L.xp[-1].scale(q2 - f.one)}
     for v in range(2, T + 1):
         g1[v] = adb(g1[v - 1]).scale(C)
     # each resolvent telescopes: g2 = g1 + q^2 z ad_a g2 order by order
@@ -665,7 +667,7 @@ def _kappa_gamma(W: AffineModule, p: RankNParams, T: int):
         g2[v] = g1[v] if v == 1 else g1[v] + ada(g2[v - 1]).scale(q2)
     out = {}
     for v in range(1, T + 1):
-        gam = combine([(1, None, W.phi[m], g2[v - m]) for m in range(0, v)])
+        gam = combine([(1, None, L.phi[m], g2[v - m]) for m in range(0, v)])
         out[v] = (gam.scale(s1) + adb(gam).scale(C * t)).scale(-kap)
     return out
 
@@ -687,13 +689,13 @@ def coproduct_aplus_check(p: RankNParams, V: AffineModule, W: AffineModule,
     module itself — never from coproduct formulas.
     """
     p = _rank_one(p)
-    extend_loop_data(W, window=1, T=max(T, 1))
+    LW = loop_data(W, window=1, T=max(T, 1))
     TW = tensor(V, W)
     f = TW.field
     famT = generate_family(p, TW, T=T, R=2 * T)
     famV = generate_family(p, V, T=T, R=2 * T)
     famW0 = generate_family(p.with_s_zero(), W, T=T, R=2 * T)
-    kg = _kappa_gamma(W, p, T)
+    kg = _kappa_gamma(LW, p, T)
     g2 = _second_factor_grading(TW)
     eyeV = Matrix.identity(V.dim, f)
     rep = CheckReport(
@@ -704,7 +706,7 @@ def coproduct_aplus_check(p: RankNParams, V: AffineModule, W: AffineModule,
         pred = eyeV.kron(famW0.a(1, r))
         for u in range(0, r + 1):
             v = r - u
-            leg = W.phi[v]
+            leg = LW.phi[v]
             if v >= 1:
                 leg = leg + kg[v]
             pred = pred + famV.a(1, u).kron(leg)

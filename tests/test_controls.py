@@ -2,11 +2,13 @@
 with ``linmat.relation``, one planted damage that the name must report.
 
 A check that passes on every input certifies nothing.  So each name here
-runs twice on a small module or family: built as it is, where the name
-passes, and with one matrix damaged after its build, where its first
-failing entry is pinned, index and exact witness.  A damage either scales
-a matrix by q or raises one entry by 1.  The names of the Chevalley and
-Drinfeld suites run again at q0 = 1.3, where the same entry fails.
+runs twice on a small module, loop data or family: built as it is, where
+the name passes, and with one matrix damaged after its build, where its
+first failing entry is pinned, index and exact witness.  A damage either
+scales a matrix by q or raises one entry by 1; a module or loop data is
+read-only, so it is damaged in an uncertified copy (``damage.uncertified``).
+The names of the Chevalley and Drinfeld suites run again at q0 = 1.3,
+where the same entry fails.
 
 ``ranka.verify_braid_relations`` emits ``commute``, ``braid`` and
 ``seed_word`` entries, each with a control here.  It checks no rotation
@@ -16,12 +18,16 @@ matrices, and no damage to a module or its parameters could fail it.
 """
 
 import pytest
+from damage import uncertified
 
 from qonsager import spectra
 from qonsager.linmat import Matrix
 from qonsager.loopsl2 import (
+    AffineModule,
     EvalParams,
+    LoopData,
     build_evaluation,
+    loop_data,
     tensor,
     verify_affine_presentation,
     verify_aux_identities,
@@ -54,15 +60,25 @@ def _damaged(X, how):
 
 
 def _plant(obj, attr, *keys, how):
-    """Replace the matrix obj.attr[keys...] (obj.attr without keys) by its
-    damaged copy."""
+    """obj with the matrix at obj.attr[keys...] damaged.  A module or loop
+    data is read-only, so the damage goes into an uncertified copy, which
+    is returned; a family is damaged in place and returned."""
+    new = _planted(getattr(obj, attr), keys, how)
+    if isinstance(obj, (AffineModule, LoopData)):
+        return uncertified(obj, **{attr: new})
+    setattr(obj, attr, new)
+    return obj
+
+
+def _planted(value, keys, how):
+    """A copy of value with the matrix at value[keys...] damaged; into a
+    module or loop data, a key names an attribute."""
     if not keys:
-        setattr(obj, attr, _damaged(getattr(obj, attr), how))
-        return
-    store = getattr(obj, attr)
-    for k in keys[:-1]:
-        store = store[k]
-    store[keys[-1]] = _damaged(store[keys[-1]], how)
+        return _damaged(value, how)
+    k, *rest = keys
+    if isinstance(value, (AffineModule, LoopData)):
+        return _plant(value, k, *rest, how=how)
+    return {**value, k: _planted(value[k], rest, how)}
 
 
 def _first(rep, name):
@@ -72,7 +88,8 @@ def _first(rep, name):
 
 # ------------------------------------------------------- loop-module suites
 
-#: (suite, name, damaged matrix, damage, indices, exact witness) on V_2(q)
+#: (suite, name, damaged matrix, damage, indices, exact witness) on V_2(q):
+#: the presentation suite runs on the module, the others on its loop data
 LOOP_CONTROLS = [
     (verify_affine_presentation, "k_invertible", ("Kcinv", 0), "scale", (0,),
      "entry (0,0) = q-1"),
@@ -86,7 +103,7 @@ LOOP_CONTROLS = [
      "entry (0,0) = -q^2+1"),
     (verify_affine_presentation, "ef_pair", ("E", 1), "scale", (1, 1),
      "entry (0,0) = (q^3-q^2+q-1)/(q)"),
-    (verify_drinfeld_relations, "K_invertible", ("Kcinv", 1), "scale", (),
+    (verify_drinfeld_relations, "K_invertible", ("module", "Kcinv", 1), "scale", (),
      "entry (0,0) = q-1"),
     (verify_drinfeld_relations, "K_h_commute", ("h", 1), (0, 1), (1,),
      "entry (0,1) = q^2-1"),
@@ -119,9 +136,9 @@ LOOP_CONTROLS = [
 def test_loop_suite_name_fails_its_planted_damage(field, suite, name, target, how, at,
                                                   witness):
     mod = build_evaluation(EvalParams(2, Q), window=2, T=4, field=field)
-    assert _first(suite(mod), name) is None
-    _plant(mod, *target, how=how)
-    bad = _first(suite(mod), name)
+    obj = mod if suite is verify_affine_presentation else loop_data(mod, window=2, T=4)
+    assert _first(suite(obj), name) is None
+    bad = _first(suite(_plant(obj, *target, how=how)), name)
     assert bad is not None and bad.indices == at
     if field.exact:
         assert bad.witness == witness
@@ -136,42 +153,33 @@ def _v1():
 
 def _factorization():
     fam = generate_family(OnsagerParams(1, 1, 0, 0), _v1(), T=3, R=6)
-    return fam, lambda: factorization_check(fam)[0]
+    return fam, lambda fam: factorization_check(fam)[0]
 
 
 def _rationality():
     fam = generate_family(OnsagerParams(1, 1, 1, Q), _v1(), T=3, R=6)
-    return fam, lambda: rationality_check(fam)[0]
+    return fam, lambda fam: rationality_check(fam)[0]
 
 
 def _braids():
-    mod = build_vector_evaluation(3, Q)
-    return mod, lambda: verify_braid_relations(mod, RankNParams(("1",) * 4))
+    return (build_vector_evaluation(3, Q),
+            lambda mod: verify_braid_relations(mod, RankNParams(("1",) * 4)))
 
 
 def _spectral_w2():
     fam = generate_rankn_family(build_vector_evaluation(2, Q), RankNParams(("1", "q", "q^2")),
                                 T=2, R=2)
-    return fam, lambda: rankn_spectral_check(fam)[0]
+    return fam, lambda fam: rankn_spectral_check(fam)[0]
 
 
 def _anchored():
-    return generate_rankn_family(build_vector_evaluation(1, parse_scalar("q^2")),
-                                 RankNParams(("q^2", "q^-1")), T=3, R=3)
-
-
-def _anchor_module():
-    fam = _anchored()
-    return fam.module, lambda: rankn_spectral_check(fam)[0]
-
-
-def _anchor_towers():
-    fam = _anchored()
-    return fam, lambda: rankn_spectral_check(fam)[0]
+    fam = generate_rankn_family(build_vector_evaluation(1, parse_scalar("q^2")),
+                                RankNParams(("q^2", "q^-1")), T=3, R=3)
+    return fam, lambda fam: rankn_spectral_check(fam)[0]
 
 
 #: (name, build, damaged matrix, damage, indices, exact witness); build
-#: gives the object holding the damaged matrix and the suite to run
+#: gives the object holding the damaged matrix and the suite to run on it
 FAMILY_CONTROLS = [
     ("diagonal", _factorization, ("theta_grave", 1, 2), (0, 0), (2,), "entry (0,0) = 1"),
     ("recursion", _rationality, ("A", 1, 2), (0, 0), (2,), "entry (0,0) = 1"),
@@ -180,9 +188,9 @@ FAMILY_CONTROLS = [
     ("seed_word", _braids, ("E", 2), (0, 0), (1,), "entry (0,2) = (-1)/(q^6)"),
     ("cross_node", _spectral_w2, ("theta_grave", 1, 1), (0, 1), (1, 1, 2, 1),
      "entry (0,1) = q^9-q^7-q^2+1"),
-    ("anchor_module", _anchor_module, ("E", 0), "scale", (),
+    ("anchor_module", _anchored, ("module", "E", 0), "scale", (),
      "node 0: entry (1,0) = q^3-q^2"),
-    ("anchor_towers", _anchor_towers, ("A", 1, -1), (0, 0), (), "A[-1]: entry (0,0) = 1"),
+    ("anchor_towers", _anchored, ("A", 1, -1), (0, 0), (), "A[-1]: entry (0,0) = 1"),
 ]
 
 
@@ -190,9 +198,8 @@ FAMILY_CONTROLS = [
                          ids=[row[0] for row in FAMILY_CONTROLS])
 def test_family_suite_name_fails_its_planted_damage(name, build, target, how, at, witness):
     obj, run = build()
-    assert _first(run(), name) is None
-    _plant(obj, *target, how=how)
-    bad = _first(run(), name)
+    assert _first(run(obj), name) is None
+    bad = _first(run(_plant(obj, *target, how=how)), name)
     assert bad is not None and (bad.indices, bad.witness) == (at, witness)
 
 

@@ -43,6 +43,15 @@ read only in ``scalars``, where the numeric backend maps exact constants
 into its field; no exact verdict or grading is read back from a sample
 value.
 
+A built module and its loop data are certified values: ``AffineModule``
+runs the presentation suite in its constructor and then refuses writes,
+and ``loop_data`` certifies a ``LoopData`` before returning it.  Tests
+plant damage through an uncertified copy (``tests/damage.py``), which
+goes round both; the bypass scan keeps that path out of the package: no
+``__new__`` call on ``AffineModule`` and no ``object.__setattr__`` outside
+``AffineModule``, and no ``LoopData(...)`` call or ``dataclasses.replace``
+outside ``loop_data``.
+
 Scalar arithmetic may return one of its operands, or share an operand's
 ``num`` or ``den`` list with its result, so those lists must never be
 mutated after construction.  The mutation scan flags, in the package, any
@@ -595,3 +604,69 @@ def test_numeric_verdict_loads_no_numpy():
     of resident memory (13.0 to 26.8 MB), against a numeric benchmark
     workload that peaks near 33 MB with a 10% memory bound."""
     assert _run_fresh(_NO_NUMPY_NUMERIC_RUN) == "[]"
+
+
+#: what makes a certified value without its certificate, and the one
+#: module-level definition in the package allowed to use it
+BYPASS_OWNERS = {"__new__(AffineModule)": "AffineModule",
+                 "object.__setattr__": "AffineModule",
+                 "LoopData()": "loop_data", "dataclasses.replace": "loop_data"}
+
+
+def _names(node, name):
+    """Whether node is ``name`` or an attribute ``.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _bypasses(tree):
+    """(line, bypass) of every use of a BYPASS_OWNERS entry outside its
+    owner: a ``__new__`` call on ``AffineModule``, a read of
+    ``object.__setattr__`` or ``dataclasses.replace``, a ``LoopData`` call,
+    and an import of ``replace`` from ``dataclasses``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFS + (ast.ClassDef,)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _names(node.func, "__new__"):
+                used = "__new__(AffineModule)" if any(
+                    _names(a, "AffineModule") for a in node.args) else None
+            elif isinstance(node, ast.Call) and _names(node.func, "LoopData"):
+                used = "LoopData()"
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and isinstance(node.ctx, ast.Load)):
+                used = f"{node.value.id}.{node.attr}"
+            elif (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                    and any(a.name == "replace" for a in node.names)):
+                used = "dataclasses.replace"
+            else:
+                continue
+            if used in BYPASS_OWNERS and BYPASS_OWNERS[used] != owner:
+                yield node.lineno, used
+
+
+def test_bypass_scan_flags_a_planted_access():
+    tree = ast.parse(
+        "from dataclasses import dataclass, replace\n"
+        "class AffineModule:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        object.__setattr__(self, name, value)\n"
+        "def loop_data(M):\n"
+        "    return LoopData(M, 1, 1)\n"
+        "def thaw(M, L):\n"
+        "    copy = object.__new__(AffineModule)\n"
+        "    object.__setattr__(copy, 'E', {})\n"
+        "    deeper = loopsl2.LoopData(M, 2, 2)\n"
+        "    return dataclasses.replace(L, T=2), deeper\n"
+        "def fresh(cls, M: LoopData):\n"
+        "    return object.__new__(cls), loopsl2.AffineModule.__new__(loopsl2.AffineModule)\n"
+    )
+    assert sorted(_bypasses(tree)) == [
+        (1, "dataclasses.replace"), (8, "__new__(AffineModule)"), (9, "object.__setattr__"),
+        (10, "LoopData()"), (11, "dataclasses.replace"), (13, "__new__(AffineModule)")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_certificate_bypass_in_the_package(path):
+    found = sorted(_bypasses(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, (f"{path.name} makes a certified value without its certificate "
+                       f"at {found}; build it through its constructor or loop_data")

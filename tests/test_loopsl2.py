@@ -11,7 +11,7 @@ computed independently of the construction code:
 
       x^-_k v_j = mu_j^k [j+1] v_{j+1},   x^+_k v_j = mu_{j-1}^k [n-j+1] v_{j-1},
 
-  against which the modes that extend_loop_data derives are compared, and
+  against which the modes that loop_data derives are compared, and
 * a closed-form formula for the diagonal psi/phi coefficients, derived by
   hand from [x^+_m, x^-_0] acting on the weight basis:
 
@@ -24,7 +24,10 @@ computed independently of the construction code:
 import itertools
 import re
 
+import dataclasses
+
 import pytest
+from damage import uncertified
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +39,7 @@ from qonsager.loopsl2 import (
     EvalParams,
     _assemble_evaluation,
     build_evaluation,
-    extend_loop_data,
+    loop_data,
     phi_series,
     tensor,
     verify_affine_presentation,
@@ -55,6 +58,11 @@ QDEN = Q - Q ** -1
 def V(n, a, window=3, T=6, field=None):
     return build_evaluation(EvalParams(n, parse_scalar(a)), window=window, T=T,
                             field=field)
+
+
+def L(n, a, window=3, T=6, field=None):
+    """The loop data of V_n(a) to the window and order it is built at."""
+    return loop_data(V(n, a, window, T, field), window, T)
 
 
 # ------------------------------------------------------------------ oracles
@@ -95,7 +103,7 @@ def closed_form_phi(n, a, m, j):
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("a", ["q", "q^-3", "2*q^2"])
 def test_derived_modes_match_closed_form(n, a):
-    mod = V(n, a, window=3, T=3)
+    mod = L(n, a, window=3, T=3)
     av = parse_scalar(a)
     for k in range(-3, 4):
         assert mod.xm[k] == closed_form_xminus(n, av, k), ("-", k)
@@ -104,7 +112,7 @@ def test_derived_modes_match_closed_form(n, a):
 
 @pytest.mark.parametrize("n,a", [(1, "q"), (2, "q^2"), (3, "1")])
 def test_psi_phi_closed_form(n, a):
-    mod = V(n, a)
+    mod = L(n, a)
     av = parse_scalar(a)
     for m in range(1, mod.T + 1):
         for j in range(n + 1):
@@ -120,7 +128,7 @@ def test_highest_line_series_v1():
     # rational function q (1 - a q^-1 z) / (1 - a q z): Psi reads off its
     # expansion at z = 0 and Phi its expansion at infinity
     a = parse_scalar("q^2")
-    mod = V(1, "q^2")
+    mod = L(1, "q^2")
     num = FPoly([Q, -a], F)                      # q (1 - a q^-1 z)
     den = FPoly([F.one, -(a * Q)], F)            # 1 - a q z
     R = RationalFunction(num, den)
@@ -133,17 +141,17 @@ def _passing_suites(n, a, links_plus, links_minus):
     """(affine presentation ok, derived loop relations ok) of V_n(a) with
     its per-link factors mu_j = a q^(n-2j) replaced: x^+ reaches the action
     through F_0, whose link j entry carries 1/mu_j, and x^- through E_0,
-    whose link j entry carries mu_j.  extend_loop_data certifies what it
-    derives, so its ConstructionError is a failing loop suite."""
+    whose link j entry carries mu_j.  loop_data certifies what it derives,
+    so its ConstructionError is a failing loop suite."""
     mod = _assemble_evaluation(n, a, F)
     mu = [a * Q ** (n - 2 * j) for j in range(n)]
-    mod.E[0] = Matrix.diagonal([F.one] + [m / mu[j] for j, m in enumerate(links_minus)],
-                               F) @ mod.E[0]
-    mod.F[0] = Matrix.diagonal([mu[j] / p for j, p in enumerate(links_plus)] + [F.one],
-                               F) @ mod.F[0]
+    mod = uncertified(mod, E={0: Matrix.diagonal(
+        [F.one] + [m / mu[j] for j, m in enumerate(links_minus)], F) @ mod.E[0]},
+        F={0: Matrix.diagonal(
+            [mu[j] / p for j, p in enumerate(links_plus)] + [F.one], F) @ mod.F[0]})
     affine = verify_affine_presentation(mod).ok
     try:
-        extend_loop_data(mod, window=2, T=2)
+        loop_data(mod, window=2, T=2)
     except ConstructionError:
         return affine, False
     return affine, True
@@ -189,12 +197,17 @@ def test_bad_parameters_rejected():
         EvalParams(2, Scalar(0))
     with pytest.raises(DomainError):
         build_evaluation(EvalParams(1, Q), window=0)
+    with pytest.raises(DomainError, match="rank-one"):
+        loop_data(build_vector_evaluation(2, Q))
+
+
+def _scaled_xp1(data):
+    """data with x^+_1 scaled by q, uncertified."""
+    return uncertified(data, xp={1: data.xp[1].scale(F.q)})
 
 
 def test_perturbed_module_detected():
-    mod = V(1, "q")
-    mod.xp[1] = mod.xp[1].scale(F.q)
-    rep = verify_drinfeld_relations(mod)
+    rep = verify_drinfeld_relations(_scaled_xp1(L(1, "q")))
     assert not rep.ok
     bad = {(e.name, e.indices) for e in rep.failures()}
     # the pair commutator at (k,l) = (1,0) sees the perturbation directly
@@ -205,9 +218,7 @@ def test_perturbed_module_detected():
 
 
 def test_report_witness_mentions_entry():
-    mod = V(1, "q")
-    mod.xp[1] = mod.xp[1].scale(F.q)
-    rep = verify_drinfeld_relations(mod)
+    rep = verify_drinfeld_relations(_scaled_xp1(L(1, "q")))
     bad = rep.first_failure()
     assert bad.witness and "entry" in bad.witness
 
@@ -226,9 +237,7 @@ def test_exact_equality_witness_is_first_differing_entry():
 
 
 def test_damaged_module_witnesses_are_pinned():
-    mod = V(2, "q^3")
-    mod.xp[1] = mod.xp[1].scale(F.q)
-    rep = verify_drinfeld_relations(mod)
+    rep = verify_drinfeld_relations(_scaled_xp1(L(2, "q^3")))
     bad = rep.failures()
     assert (len(bad), len(rep.entries)) == (35, 245)
     assert (bad[0].name, bad[0].indices) == ("h_x_ladder", (-3, "+", 1))
@@ -242,13 +251,14 @@ def test_damaged_module_witnesses_are_pinned():
 
 
 def test_chevalley_example_v1():
-    mod = V(1, "q^3")
+    data = L(1, "q^3")
+    mod = data.module
     E0, F0, K0 = mod.E[0], mod.F[0], mod.Kc[0]
     lhs = E0 @ F0 - F0 @ E0
     rhs = (K0 - mod.Kcinv[0]).scale(F.one / (F.q - F.one / F.q))
     assert (lhs - rhs).is_zero()
     # E0 = -K^-1 x^-_1 concretely on the weight basis
-    assert mod.E[0] == -(mod.Kcinv[1] @ mod.xm[1])
+    assert mod.E[0] == -(mod.Kcinv[1] @ data.xm[1])
 
 
 def test_serre_certified_on_build():
@@ -274,8 +284,7 @@ def test_damaged_module_fails_serre_with_frozen_witnesses(build, entry, want):
     i, r, c = entry
     rows = [list(x) for x in mod.E[i].rows]
     rows[r][c] += F.one
-    mod.E[i] = Matrix(rows, F)
-    rep = verify_affine_presentation(mod)
+    rep = verify_affine_presentation(uncertified(mod, E={i: Matrix(rows, F)}))
     assert {(e.name, e.indices): e.witness for e in rep.failures()
             if e.name.startswith("serre")} == want
 
@@ -284,11 +293,12 @@ def test_damaged_module_fails_serre_with_frozen_witnesses(build, entry, want):
 def test_dictionary_suite_is_the_affine_presentation(field):
     # rank one is A_1: the Chevalley action is certified by the rank-N suite
     # itself, and the derived loop data reads the dictionary back
-    mod = V(2, "q^3", field=field)
+    data = L(2, "q^3", field=field)
+    mod = data.module
     rep = verify_affine_presentation(mod)
     assert rep.ok and len(rep.entries) == 24
-    pairs = [(mod.E[1], mod.xp[0]), (mod.F[1], mod.xm[0]),
-             (mod.E[0], -(mod.Kcinv[1] @ mod.xm[1])), (mod.F[0], -(mod.xp[-1] @ mod.Kc[1])),
+    pairs = [(mod.E[1], data.xp[0]), (mod.F[1], data.xm[0]),
+             (mod.E[0], -(mod.Kcinv[1] @ data.xm[1])), (mod.F[0], -(data.xp[-1] @ mod.Kc[1])),
              (mod.Kc[0], mod.Kcinv[1])]
     assert all(relation([(1, None, X)], [(1, None, Y)], field)[0] for X, Y in pairs)
 
@@ -297,12 +307,11 @@ def test_scaled_e0_refused_by_build_and_tensor():
     # E_0 = -K^-1 x^-_1: scaling x^-_1 by q breaks the mixed bracket
     # [x^+_0, x^-_1] = psi_1/(q - q^-1) on the loop side, and scaling E_0 by
     # q breaks [E_0, F_0] = (K_0 - K_0^-1)/(q - q^-1) on the Chevalley side
-    raw = build_evaluation(EvalParams(1, Q))
-    raw.xm[1] = raw.xm[1].scale(F.q)
-    rep = verify_drinfeld_relations(raw)
+    raw = L(1, "q")
+    rep = verify_drinfeld_relations(uncertified(raw, xm={1: raw.xm[1].scale(F.q)}))
     assert ("x_pair_commutator", (0, 1)) in {(e.name, e.indices) for e in rep.failures()}
-    bad = V(1, "q")
-    bad.E[0] = bad.E[0].scale(F.q)
+    good = V(1, "q")
+    bad = uncertified(good, E={0: good.E[0].scale(F.q)})
     assert not verify_affine_presentation(bad).ok
     with pytest.raises(ConstructionError, match="ef_pair"):
         tensor(bad, V(1, "q^3"))
@@ -320,9 +329,6 @@ def test_tensor_chevalley_certified():
     assert ab.dim == 4
     assert ab.grading.degrees == [(0,), (-1,), (-1,), (-2,)]
     assert ab.describe() == "V1(q)*V1(q^2)"
-    assert not ab.has_loop_data
-    with pytest.raises(DomainError):
-        verify_drinfeld_relations(ab)
     # nesting parenthesizes
     abc = tensor(ab, V(0, "1"))
     assert abc.describe() == "(V1(q)*V1(q^2))*V0(1)"
@@ -353,38 +359,36 @@ def test_tensor_mixed_backends_rejected():
 
 
 def test_phi_series_diagonal_and_guarded():
-    mod = V(2, "q")
+    mod = L(2, "q")
     Phi, Psi = phi_series(mod, T=4)
     assert len(Phi) == len(Psi) == 5
-    assert Phi[0] == mod.Kcinv[1]
-    assert Psi[0] == mod.Kc[1]
+    assert Phi[0] == mod.module.Kcinv[1]
+    assert Psi[0] == mod.module.Kc[1]
     assert Psi[3] == mod.psi[3]
     assert Phi[4] == mod.phi[4]
     with pytest.raises(DomainError):
         phi_series(mod, T=mod.T + 1)
     damaged = [list(r) for r in mod.psi[1].rows]
     damaged[0][1] = F.one
-    mod.psi[1] = Matrix(damaged, F)
     with pytest.raises(DomainError):
-        phi_series(mod)
+        phi_series(uncertified(mod, psi={1: Matrix(damaged, F)}))
 
 
 def test_phi_series_refuses_a_negative_order():
-    mod = V(1, "q")
+    mod = L(1, "q")
     with pytest.raises(DomainError, match="T=-1"):
         phi_series(mod, -1)
-    assert phi_series(mod, 0) == ([mod.Kcinv[1]], [mod.Kc[1]])
+    assert phi_series(mod, 0) == ([mod.module.Kcinv[1]], [mod.module.Kc[1]])
 
 
 def test_aux_identities_hold():
     for n, a in ((1, "q^2"), (2, "q"), (3, "1")):
-        assert verify_aux_identities(V(n, a)).ok
+        assert verify_aux_identities(L(n, a)).ok
 
 
 def test_aux_identities_detect_damage():
-    mod = V(2, "q")
-    mod.phi[2] = mod.phi[2].scale(F.q)
-    assert not verify_aux_identities(mod).ok
+    mod = L(2, "q")
+    assert not verify_aux_identities(uncertified(mod, phi={2: mod.phi[2].scale(F.q)})).ok
 
 
 # ---------------------------------------------------------------- backends
@@ -393,8 +397,8 @@ def test_aux_identities_detect_damage():
 def test_numeric_matches_specialized_exact():
     q0 = 1.3
     nf = NumericField(q0)
-    ex = V(2, "q^2")
-    nu = V(2, "q^2", field=nf)
+    ex = L(2, "q^2")
+    nu = L(2, "q^2", field=nf)
     for mats_e, mats_n in ((ex.xp, nu.xp), (ex.xm, nu.xm), (ex.h, nu.h)):
         for k in mats_e:
             Me, Mn = mats_e[k], mats_n[k]
@@ -405,55 +409,58 @@ def test_numeric_matches_specialized_exact():
 
 
 def test_degree_shifts_pure():
-    mod = V(3, "q")
+    mod = L(3, "q")
     for k, M in mod.xp.items():
-        assert set(degree_components(M, mod.grading)) <= {(1,)}
+        assert set(degree_components(M, mod.module.grading)) <= {(1,)}
     for k, M in mod.xm.items():
-        assert set(degree_components(M, mod.grading)) <= {(-1,)}
+        assert set(degree_components(M, mod.module.grading)) <= {(-1,)}
 
 
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(0, 2), e=st.integers(-2, 2))
 def test_random_small_modules_certify(n, e):
     mod = build_evaluation(EvalParams(n, Q ** e), window=2, T=3)
-    assert verify_aux_identities(mod).ok
+    assert verify_aux_identities(loop_data(mod, window=2, T=3)).ok
 
 
 # ---------------------------------------------------- tower reconstruction
 
 
-def test_extend_loop_data_noop_on_evaluation_modules():
-    mod = V(1, "q")
-    before = dict(mod.xp)
-    assert extend_loop_data(mod) is mod
-    assert mod.xp == before
-
-
-def test_extend_loop_data_deepens_a_shallow_tower():
-    # a request past the stored window or order derives the tower again at
-    # the larger of the two, and the overlap is unchanged
+def test_loop_data_agrees_on_the_overlap_of_two_depths():
+    # every coefficient is a function of the Chevalley action alone, so a
+    # shallow and a deep derivation agree wherever both hold a matrix
     TT = tensor(V(1, "q"), V(1, "q^3"))
-    extend_loop_data(TT, window=2, T=3)
-    before = {"xp": dict(TT.xp), "h": dict(TT.h), "psi": dict(TT.psi)}
-    extend_loop_data(TT, window=1, T=6)
-    assert (TT.window, TT.T) == (2, 6)
-    assert all(TT.xp[k] == M for k, M in before["xp"].items())
-    assert all(TT.h[k] == M for k, M in before["h"].items())
-    assert all(TT.psi[k] == M for k, M in before["psi"].items())
-    assert verify_drinfeld_relations(TT).ok
-    mod = V(1, "q", window=1, T=4)
-    assert extend_loop_data(mod, window=3, T=2) is mod
-    assert (mod.window, mod.T) == (3, 4) and sorted(mod.xp) == list(range(-3, 4))
-    assert sorted(mod.h) == [-3, -2, -1, 1, 2, 3]
+    shallow, deep = loop_data(TT, window=1, T=3), loop_data(TT, window=2, T=6)
+    assert (shallow.module, deep.module) == (TT, TT)
+    for name in ("xp", "xm", "h", "psi", "phi"):
+        small, large = getattr(shallow, name), getattr(deep, name)
+        assert set(small) < set(large), name
+        assert all(small[k] == large[k] for k in small), name
 
 
-def test_extend_loop_data_on_tensor_with_trivial_factor():
+def test_certified_values_refuse_writes():
+    data = L(1, "q", window=1, T=2)
+    mod = data.module
+    for name in AffineModule.__slots__:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(mod, name, getattr(mod, name))
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(mod, name)
+    for name in ("E", "F", "Kc", "Kcinv", "meta"):
+        with pytest.raises(TypeError):
+            getattr(mod, name)[1] = None
+    for field in dataclasses.fields(data):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, field.name, getattr(data, field.name))
+    for name in ("xp", "xm", "h", "psi", "phi"):
+        with pytest.raises(TypeError):
+            getattr(data, name)[1] = None
+def test_loop_data_on_tensor_with_trivial_factor():
     # V x V_0(1) is V with relabeled data; the reconstructed tower must be
     # the original one (kron with the 1x1 identity changes nothing)
-    mod = V(1, "q^2", window=2, T=4)
+    mod = L(1, "q^2", window=2, T=4)
     triv = V(0, "1", window=1, T=4)
-    TT = tensor(mod, triv)
-    extend_loop_data(TT, window=2, T=4)
+    TT = loop_data(tensor(mod.module, triv), window=2, T=4)
     for k in range(-2, 3):
         assert TT.xp[k] == mod.xp[k]
         assert TT.xm[k] == mod.xm[k]
@@ -465,14 +472,12 @@ def test_extend_loop_data_on_tensor_with_trivial_factor():
         assert TT.h[k] == mod.h[k]
 
 
-def test_extend_loop_data_tensor_certifies_and_grades():
-    TT = tensor(V(1, "q", T=4), V(1, "q^3", T=4))
-    extend_loop_data(TT, window=2, T=4)
-    assert TT.has_loop_data
+def test_loop_data_tensor_certifies_and_grades():
+    TT = loop_data(tensor(V(1, "q", T=4), V(1, "q^3", T=4)), window=2, T=4)
     rep = verify_drinfeld_relations(TT)
     assert rep.ok, rep.summary()
     # mode operators shift the total degree by exactly +-1, the halves by 0
-    gtot = TT.grading.total()
+    gtot = TT.module.grading.total()
     for k, M in TT.xp.items():
         assert set(degree_components(M, gtot)) <= {(1,)}
     for k, M in TT.xm.items():

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Mapping
 
 import pytest
+from damage import uncertified
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,9 +184,8 @@ def test_embed_cross_checked_on_evaluation():
 def test_qdolangrady_detects_damage():
     # B_1 scaled by q: F_1 and K_1^-1 scaled by q after the build
     p = P("1", "1", "1", "q")
-    mod = V(1, "q")
-    mod.F[1] = mod.F[1].scale(Q)
-    mod.Kcinv[1] = mod.Kcinv[1].scale(Q)
+    good = V(1, "q")
+    mod = uncertified(good, F={1: good.F[1].scale(Q)}, Kcinv={1: good.Kcinv[1].scale(Q)})
     assert eta_bmats(mod, p)[1] == eta_bmats(V(1, "q"), p)[1].scale(Q)
     rep = verify_iserre(mod, p, eta_bmats(mod, p))
     assert not rep.ok
@@ -213,8 +213,7 @@ def _damaged_e1(N):
     mod = build_vector_evaluation(N, Q)
     rows = [list(r) for r in mod.E[1].rows]
     rows[0][1] += F.one
-    mod.E[1] = Matrix(rows, F)
-    return mod
+    return uncertified(mod, E={1: Matrix(rows, F)})
 
 
 @pytest.mark.parametrize("N, failing", [(1, {(1, 0)}), (2, {(1, 0), (1, 2)}),

@@ -27,6 +27,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
+from damage import uncertified
 
 from qonsager.errors import ConstructionError, DomainError
 from qonsager import linmat, ranka
@@ -667,13 +668,13 @@ def test_seed_certification_catches_damage():
                           mod, p)
     assert (good - word).is_zero()
     # damaging a module matrix after build changes the evaluated bracket
-    mod.E[0] = mod.E[0].scale(mod.field.q)
+    mod = uncertified(mod, E={0: mod.E[0].scale(mod.field.q)})
     assert not (evaluate_bexpr(build_Ai_minus1(1, 2), mod, p) - good).is_zero()
     # with a diagonal entry added to F_1 of a certified W_3 after its build,
     # node 2's bracket and braided word disagree, and generation refuses the
     # module by its i-Serre relations
     mod = build_vector_evaluation(3, Q)
-    mod.F[1] = mod.F[1] + Matrix.diagonal([F.one] + [F.zero] * 3, F)
+    mod = uncertified(mod, F={1: mod.F[1] + Matrix.diagonal([F.one] + [F.zero] * 3, F)})
     rep = verify_braid_relations(mod, P(("1",) * 4))
     assert [e.indices for e in rep.failures() if e.name == "seed_word"] == [(2,)]
     with pytest.raises(ConstructionError, match=r"W_3\(q\): relation iserre\(0, 1\) failed"):
@@ -742,7 +743,7 @@ def test_numeric_braid_suites_are_the_exact_ones(damaged):
     def entries(build, field):
         mod = build(field)
         if damaged:
-            mod.F[0] = mod.F[0].scale(mod.field.q)
+            mod = uncertified(mod, F={0: mod.F[0].scale(mod.field.q)})
         p = P(("1", "q", "q^2"))
         reps = [verify_braid_relations(mod, p)] + [braid_compat_check(i, mod, p) for i in (1, 2)]
         return [[(e.name, e.indices, e.ok) for e in rep.entries] for rep in reps]
@@ -1168,7 +1169,7 @@ def test_anchor_module_fails_a_damaged_module():
     # keeps its relations, so generation grows it, but the rebuilt
     # V_1(-q^-2 q^3) disagrees at node 0 and nothing past the module runs
     mod = build_vector_evaluation(1, parse_scalar("q^2"))
-    mod.meta["a"] = parse_scalar("q^3")
+    mod = uncertified(mod, meta={"a": parse_scalar("q^3")})
     fam = generate_rankn_family(mod, P(("q^2", "q^-1")), T=6, R=6)
     rep, _ = rankn_spectral_check(fam)
     got = _anchor_entries(rep)

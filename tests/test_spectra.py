@@ -20,6 +20,7 @@ Oracles, independent of the code under test:
 
 import json
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from qonsager.errors import DomainError
 from qonsager.linmat import Matrix
-from qonsager.loopsl2 import EvalParams, build_evaluation, extend_loop_data, tensor
+from qonsager.loopsl2 import AffineModule, EvalParams, build_evaluation, loop_data, tensor
 from qonsager.onsager import OnsagerParams, generate_family
 from qonsager.scalars import ExactField, NumericField, Scalar, parse_scalar
 from qonsager.series import FPoly
@@ -58,6 +59,11 @@ def V(n, a, window=2, T=6):
 
 def P(c0, c1, s0, s1):
     return OnsagerParams(c0, c1, s0, s1)
+
+
+def lines(mod, T=6):
+    """The l-weight lines of an evaluation module to order T."""
+    return lweight_lines(loop_data(mod, window=1, T=T))
 
 
 P0 = P(1, 1, 0, 0)
@@ -163,9 +169,9 @@ def test_boundary_pair_exchanged_by_dagger():
 
 def test_lweight_lines_v1_against_frozen_series():
     a = parse_scalar("q")
-    lines = lweight_lines(V(1, "q"))
-    assert [ln.index for ln in lines] == [0, 1]
-    for j, ln in enumerate(lines):
+    got = lines(V(1, "q"))
+    assert [ln.index for ln in got] == [0, 1]
+    for j, ln in enumerate(got):
         dplus, dminus = v1_line_series(a, j, 6)
         assert all(F.eq(x, y) for x, y in zip(ln.dplus, dplus))
         assert all(F.eq(x, y) for x, y in zip(ln.dminus, dminus))
@@ -173,9 +179,8 @@ def test_lweight_lines_v1_against_frozen_series():
 
 def test_lweight_lines_reject_tensor_towers():
     TT = tensor(V(1, "q"), V(1, "q^3"))
-    extend_loop_data(TT, window=1, T=3)
     with pytest.raises(DomainError):
-        lweight_lines(TT, T=3)
+        lines(TT, T=3)
 
 
 # ------------------------------------------------------------------ drinfeld_data
@@ -199,14 +204,14 @@ def test_drinfeld_data_v1_lines(a):
 
 def test_drinfeld_data_v2_lines():
     a = parse_scalar("q")
-    lines = lweight_lines(V(2, "q", window=2, T=6))
+    got = lines(V(2, "q", window=2, T=6))
     want = [
         # top: the q-segment pair around a; bottom mirrors it two steps up
         (FPoly([one, -a * (q + one / q), a * a], F), fpoly(1)),
         (FPoly([one, -a / q], F), FPoly([one, -a * q**3], F)),
         (fpoly(1), FPoly([one, -a * (q**3 + q), a * a * q**4], F)),
     ]
-    for ln, (wq, wr) in zip(lines, want):
+    for ln, (wq, wr) in zip(got, want):
         dd = drinfeld_data(ln)
         assert dd.ok, ln.label
         assert dd.Q == wq and dd.R == wr, ln.label
@@ -232,7 +237,7 @@ def test_drinfeld_data_round_trip():
 
 
 def test_drinfeld_data_deterministic():
-    ln = lweight_lines(V(2, "q^2", window=1, T=5))[1]
+    ln = lines(V(2, "q^2", window=1, T=5), 5)[1]
     a = drinfeld_data(ln)
     b = drinfeld_data(ln)
     assert a.Q.coeff_strings() == b.Q.coeff_strings()
@@ -253,7 +258,7 @@ def vn(n, a, T, field=None):
 def test_drinfeld_data_reads_every_line_of_vn(n, a, T):
     # line k of V_n carries n - k zeros of Q and k of R, in q^2-strings
     # that the ratio D(z) cancels down to degree <= 2
-    for k, ln in enumerate(lweight_lines(vn(n, a, T))):
+    for k, ln in enumerate(lines(vn(n, a, T), T)):
         dd = drinfeld_data(ln)
         assert dd.ok, (ln.label, dd.witness)
         assert (dd.Q.degree, dd.R.degree) == (n - k, k), ln.label
@@ -261,7 +266,7 @@ def test_drinfeld_data_reads_every_line_of_vn(n, a, T):
 
 def test_drinfeld_data_reads_a_q_string_in_q():
     # V_3(q), line 1: Q holds the q^2-string q^-1, q
-    dd = drinfeld_data(lweight_lines(vn(3, "q", 8))[1])
+    dd = drinfeld_data(lines(vn(3, "q", 8), 8)[1])
     assert dd.ok
     assert dd.Q == fpoly(1, "-q^-1") * fpoly(1, "-q")
     assert dd.R == fpoly(1, "-q^5")
@@ -301,7 +306,7 @@ def test_numeric_verify_failure_is_inconclusive():
     # alone, and its (Q, R) reproduces dminus; with the last coefficient of
     # dminus raised by 1 the same (Q, R) misses it by 1, about 1e8 times
     # tol at its scale, so the verify step stops the line without a verdict
-    ln = lweight_lines(vn(3, "q", 8, field=NF))[2]
+    ln = lines(vn(3, "q", 8, field=NF), 8)[2]
     good = drinfeld_data(ln)
     assert good.ok
     dminus = list(ln.dminus)
@@ -317,11 +322,11 @@ def test_numeric_chain_longer_than_the_order_is_inconclusive():
     # the top line of V_4(q^3) has Q of four roots in one q^2-string, which
     # the ratio D(z) links at q^8 only: at T = 3 the numeric fit cannot
     # reach that link, while the exact q^2-gcd chain is bounded by D itself
-    top = lweight_lines(vn(4, "q^3", 3, field=NF))[0]
+    top = lines(vn(4, "q^3", 3, field=NF), 3)[0]
     dd = drinfeld_data(top)
     assert not dd.ok and dd.inconclusive
     assert dd.witness.startswith("chain:") and "T = 3" in dd.witness, dd.witness
-    dd = drinfeld_data(lweight_lines(vn(4, "q^3", 3))[0])
+    dd = drinfeld_data(lines(vn(4, "q^3", 3), 3)[0])
     assert dd.ok and (dd.Q.degree, dd.R.degree) == (4, 0)
 
 
@@ -330,9 +335,8 @@ def test_numeric_chain_longer_than_the_order_is_inconclusive():
 def test_damaged_line_is_never_certified(field, side):
     # one coefficient off, at a low, a middle and the last order: each
     # stops at the closure, the chain or the final check, never certifies
-    lines = lweight_lines(vn(3, "q", 8, field=None if field is F else field))
     steps = set()
-    for ln in lines:
+    for ln in lines(vn(3, "q", 8, field=None if field is F else field), 8):
         for k in (1, 4, 8):
             dplus, dminus = list(ln.dplus), list(ln.dminus)
             series = dplus if side == "dplus" else dminus
@@ -388,20 +392,6 @@ def test_factorization_v2_and_tensor():
     assert rep.ok, rep.summary()
 
 
-def test_factorization_deepens_shallow_towers():
-    # a tensor extended at T = 3 and a module built at T = 4 serve families
-    # at T = 6: the check derives the deeper tower instead of refusing
-    TT = tensor(V(1, "q"), V(1, "q^3"))
-    extend_loop_data(TT, window=1, T=3)
-    rep, _ = factorization_check(fam_on(P0, TT, T=6))
-    assert rep.ok, rep.summary()
-    assert TT.T == 6
-    mod = V(1, "q", T=4)
-    rep, _ = factorization_check(fam_on(P0, mod, T=6))
-    assert rep.ok, rep.summary()
-    assert mod.T == 6
-
-
 def test_factorization_rejects_nonzero_shifts():
     with pytest.raises(DomainError):
         factorization_check(fam_on(PS, V(1, "q"), T=2))
@@ -416,7 +406,7 @@ def test_factorization_refuses_a_negative_order():
 
 
 def test_lweight_lines_refuse_a_negative_order():
-    mod = V(1, "q")
+    mod = loop_data(V(1, "q"), window=1, T=6)
     with pytest.raises(DomainError, match="T=-1"):
         lweight_lines(mod, -1)
     assert [len(line.dplus) for line in lweight_lines(mod, 0)] == [1, 1]
@@ -429,17 +419,9 @@ def test_factorization_gauge_independent():
     lam = parse_scalar("q^3+q^-2")
     g = Matrix.diagonal([one, lam], F)
     ginv = Matrix.diagonal([one, one / lam], F)
-    gauged = build_evaluation(EvalParams(1, parse_scalar("q")), window=2, T=6)
-    gauge = lambda M: g @ M @ ginv
-    gauged.Kc = {i: gauge(M) for i, M in gauged.Kc.items()}
-    gauged.Kcinv = {i: gauge(M) for i, M in gauged.Kcinv.items()}
-    gauged.xp = {k: gauge(M) for k, M in gauged.xp.items()}
-    gauged.xm = {k: gauge(M) for k, M in gauged.xm.items()}
-    gauged.h = {k: gauge(M) for k, M in gauged.h.items()}
-    gauged.psi = {k: gauge(M) for k, M in gauged.psi.items()}
-    gauged.phi = {k: gauge(M) for k, M in gauged.phi.items()}
-    gauged.E = {i: gauge(M) for i, M in gauged.E.items()}
-    gauged.F = {i: gauge(M) for i, M in gauged.F.items()}
+    gauged = AffineModule(mod.typ, *({i: g @ M @ ginv for i, M in X.items()}
+                                     for X in (mod.E, mod.F, mod.Kc, mod.Kcinv)),
+                          mod.grading, mod.meta)
     rep0, data0 = factorization_check(fam_on(P0, mod))
     rep1, data1 = factorization_check(fam_on(P0, gauged))
     assert rep0.ok and rep1.ok
@@ -605,7 +587,35 @@ def test_coproduct_deepens_a_shallow_right_factor():
     right = V(1, "q", window=1, T=2)
     rep = coproduct_aplus_check(PS, triv, right, T=4)
     assert rep.ok, rep.summary()
-    assert right.T == 4
+
+
+def _stores(mod):
+    """Every attribute of a module, its mappings copied, so that a write
+    into the module after this call shows as a difference."""
+    return {name: dict(getattr(mod, name)) if isinstance(getattr(mod, name), Mapping)
+            else getattr(mod, name) for name in AffineModule.__slots__}
+
+
+@pytest.mark.parametrize("check", [
+    lambda mod: factorization_check(fam_on(P0, mod, T=4)),
+    lambda mod: drf_reports(fam_on(P0, mod, T=4)),
+    lambda mod: coproduct_aplus_check(PS, V(1, "q^3", window=1, T=1), mod, T=4),
+], ids=["factorization", "drf_reports", "coproduct"])
+def test_checks_leave_their_module_unchanged(check):
+    # each check derives the loop data it reads as a value of its own
+    mod = V(1, "q", window=1, T=2)
+    before = _stores(mod)
+    check(mod)
+    assert _stores(mod) == before
+
+
+def test_drf_reports_above_the_build_order():
+    # a module built at T = 4 serves a family at T = 8: the reports equal
+    # those read off a module built at T = 8
+    def dicts(build_T):
+        return [r.to_dict() for r in drf_reports(fam_on(P0, vn(2, "q", build_T), T=8))]
+
+    assert dicts(4) == dicts(8)
 
 
 def test_coproduct_matrix_left_legs_break_from_order_one():
